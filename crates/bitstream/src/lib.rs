@@ -50,7 +50,6 @@ pub use parser::{parse, ParseError, ParsedBitstream};
 pub use readback::{context_cost, ContextCost};
 pub use relocate::{compatible, relocate, relocate_batch, RelocateError};
 pub use writer::{
-    digest_batch, emit_arc_into, emit_into, emit_into_with, emitted_words, generate, generate_arc,
-    generate_batch, generate_owned, generate_with, BitstreamDigest, BitstreamSpec, EmitScratch,
-    PartialBitstream,
+    emit_arc_into, emit_into, emit_shared, emitted_words, generate, generate_arc, generate_batch,
+    generate_with, BitstreamSpec, EmitScratch, PartialBitstream,
 };

@@ -15,6 +15,12 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// A monotonic event counter, safe to bump from any thread.
+///
+/// Increments are `Release` and reads `Acquire`: a read that sees an
+/// increment also sees every counter write its thread made before it,
+/// which is what keeps [`Metrics::snapshot`]'s part-before-total
+/// inequalities true under the memory model. On x86-64 both orderings
+/// compile to the same instructions as `Relaxed`.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -31,12 +37,12 @@ impl Counter {
 
     /// Add `n`.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Release);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.load(Ordering::Acquire)
     }
 }
 
@@ -74,7 +80,8 @@ impl StageStats {
         self.buckets[bucket] += 1;
     }
 
-    /// Upper bound of the bucket holding the `q`-quantile sample.
+    /// Upper bound of the bucket holding the `q`-quantile sample,
+    /// clamped to the observed `[min_ns, max_ns]`.
     fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -84,7 +91,7 @@ impl StageStats {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return 1u64 << (i + 1).min(63);
+                return (1u64 << (i + 1).min(63)).clamp(self.min_ns, self.max_ns);
             }
         }
         self.max_ns
@@ -187,7 +194,7 @@ impl Metrics {
     /// Copy of all counters, labeled counters and stages.
     ///
     /// A snapshot taken while workers are bumping counters is **not** an
-    /// atomic cut of the registry — the counters are independent relaxed
+    /// atomic cut of the registry — the counters are independent
     /// atomics, and no lock synchronizes them. (An earlier revision
     /// claimed a "consistent point-in-time copy"; that was never true.)
     /// What a concurrent snapshot *does* guarantee is that the engine's
@@ -195,17 +202,26 @@ impl Metrics {
     ///
     /// * `plans_feasible + plans_infeasible <= plans`
     /// * `plan_builds + plan_cache_hits <= plans`
+    /// * `geometry_builds + geometry_cache_hits <= plans`, but only while
+    ///   every geometry lookup comes from a plan: [`Engine::geometry`]
+    ///   and [`Engine::intern_device`] bump the geometry counters with
+    ///   no plan behind them.
     ///
     /// This works because the engine bumps each total **before** its
     /// parts (a plan increments `plans`, then later exactly one of the
-    /// outcome and one of the build/hit counters), while the snapshot
-    /// reads the parts **before** the totals: any part-increment visible
-    /// to the early read had its total-increment ordered before it, so
-    /// the later total read sees at least as many. The gaps, if any, are
-    /// exactly the plans in flight between the two reads; on a quiescent
-    /// registry both inequalities are equalities. Each `BTreeMap` behind
-    /// a mutex (stages, labeled counters) is internally consistent — it
-    /// is copied under its lock.
+    /// outcome, one of the build/hit and one of the geometry counters),
+    /// while the snapshot reads every part **before** the totals. Part
+    /// increments are `Release` and the snapshot's part reads `Acquire`
+    /// (see [`Counter`]), so a part increment visible to the early read
+    /// carries its thread's earlier total increment with it, and the
+    /// later total read sees at least as many. The gaps, if any, are
+    /// exactly the plans in flight between the reads; on a quiescent
+    /// registry the first two inequalities are equalities. Each
+    /// `BTreeMap` behind a mutex (stages, labeled counters) is
+    /// internally consistent — it is copied under its lock.
+    ///
+    /// [`Engine::geometry`]: crate::Engine::geometry
+    /// [`Engine::intern_device`]: crate::Engine::intern_device
     pub fn snapshot(&self) -> MetricsSnapshot {
         let labeled = self
             .labeled
@@ -236,19 +252,21 @@ impl Metrics {
                 },
             })
             .collect();
-        // Parts strictly before totals (see the doc comment): outcome and
-        // build/hit splits first, `plans` last.
+        // Parts strictly before totals (see the doc comment): outcome,
+        // build/hit and geometry splits first, `plans` last.
         let plans_feasible = self.plans_feasible.get();
         let plans_infeasible = self.plans_infeasible.get();
         let plan_cache_hits = self.plan_cache_hits.get();
         let plan_builds = self.plan_builds.get();
+        let geometry_builds = self.geometry_builds.get();
+        let geometry_cache_hits = self.geometry_cache_hits.get();
         let plans = self.plans.get();
         MetricsSnapshot {
             counters: CounterSnapshot {
                 synth_calls: self.synth_calls.get(),
                 synth_cache_hits: self.synth_cache_hits.get(),
-                geometry_builds: self.geometry_builds.get(),
-                geometry_cache_hits: self.geometry_cache_hits.get(),
+                geometry_builds,
+                geometry_cache_hits,
                 // Probe and composition counts live in the interned
                 // geometries; a bare registry reports zero and the batch
                 // engine's snapshot folds the real values in.
@@ -341,11 +359,11 @@ pub struct StageSnapshot {
     pub min_ns: u64,
     /// Slowest sample.
     pub max_ns: u64,
-    /// Median (bucket upper bound).
+    /// Median (bucket upper bound, clamped to `[min_ns, max_ns]`).
     pub p50_ns: u64,
-    /// 90th percentile (bucket upper bound).
+    /// 90th percentile (bucket upper bound, clamped to `[min_ns, max_ns]`).
     pub p90_ns: u64,
-    /// 99th percentile (bucket upper bound).
+    /// 99th percentile (bucket upper bound, clamped to `[min_ns, max_ns]`).
     pub p99_ns: u64,
     /// Full log₂-nanosecond histogram: `buckets[i]` counts samples with
     /// `floor(log2(ns)) == i`, trailing zero buckets trimmed. Exported so
@@ -500,6 +518,24 @@ mod tests {
         assert!(s.p50_ns >= 10_000);
         assert_eq!(snap.stage_total("plan"), Duration::from_nanos(40_000));
         assert_eq!(snap.stage_total("absent"), Duration::ZERO);
+    }
+
+    /// Quantiles never leave the observed range, even though they are
+    /// read off power-of-two bucket bounds.
+    #[test]
+    fn quantiles_are_clamped_to_the_observed_range() {
+        let m = Metrics::new();
+        m.record_stage("one", Duration::from_nanos(1_000)); // bucket bound 1024
+        let snap = m.snapshot();
+        let s = &snap.stages[0];
+        assert_eq!((s.p50_ns, s.p90_ns, s.p99_ns), (1_000, 1_000, 1_000));
+
+        m.record_stage("two", Duration::from_nanos(600)); // bucket bound 1024
+        m.record_stage("two", Duration::from_nanos(700));
+        let snap = m.snapshot();
+        let s = snap.stages.iter().find(|s| s.name == "two").unwrap();
+        assert_eq!((s.p50_ns, s.p99_ns), (700, 700));
+        assert!(s.min_ns <= s.p50_ns && s.p99_ns <= s.max_ns);
     }
 
     #[test]

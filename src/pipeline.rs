@@ -4,13 +4,16 @@
 //! Drives the full stack — synthesis (warm [`prcost::Engine`] memo) →
 //! PRR planning (Fig. 1 search, memo-hit steady state) → placement
 //! ([`bitstream::BitstreamSpec`] from the planned window) → arena
-//! bitstream emission ([`bitstream::generate_with`]) → hardware
-//! multitasking simulation ([`multitask::simulate_with_scratch`]) — at
-//! millions of tasks under **bounded memory**: one producer thread
-//! generates fixed-size task chunks into a bounded channel, worker
-//! threads own all per-chunk scratch (plan scratch, emission arena,
-//! simulator scratch), and no buffer anywhere grows with the total task
-//! count. Per-stage wall-clock histograms are recorded into the engine's
+//! bitstream emission ([`bitstream::emit_shared`], a shared handle to the
+//! worker's cached stream) → hardware multitasking simulation
+//! ([`multitask::simulate_with_scratch`]) — at millions of tasks under
+//! **bounded memory**: one producer thread generates fixed-size task
+//! chunks into a bounded channel, worker threads own all per-chunk
+//! scratch (plan scratch, emission arena, simulator scratch) and hand
+//! each consumed chunk back over a second bounded channel, so the
+//! producer reuses its task buffer and frees the old tasks on its own
+//! thread; no buffer anywhere grows with the total task count.
+//! Per-stage wall-clock histograms are recorded into the engine's
 //! [`prcost::Metrics`] registry under `pipeline:*` labels; the report
 //! carries them alongside tasks/sec and a peak-RSS proxy so
 //! `results/BENCH_pipeline.json` captures one regression-guarding
@@ -184,6 +187,32 @@ fn exp_ns(state: &mut u64, mean: u64) -> u64 {
     ((-(1.0 - u).ln()) * mean as f64) as u64
 }
 
+/// The synthetic module pool: one generator per module, drawn from
+/// `cfg.seed`.
+fn pool_generators(cfg: &PipelineConfig) -> Vec<GenericPrm> {
+    (0..cfg.modules.max(1))
+        .map(|m| GenericPrm::random(cfg.seed.wrapping_add(u64::from(m) * 7919), cfg.scale))
+        .collect()
+}
+
+/// Append the next `n` tasks of the producer's stream to `tasks`, drawing
+/// module choices, arrivals and execution times from `rng`.
+fn push_chunk(
+    cfg: &PipelineConfig,
+    pool: &[SynthReport],
+    rng: &mut u64,
+    n: u32,
+    tasks: &mut Vec<HwTask>,
+) {
+    let mut t = 0u64;
+    for id in 0..n {
+        let ix = (splitmix64(rng) % pool.len() as u64) as usize;
+        t += exp_ns(rng, cfg.mean_interarrival_ns);
+        let exec = exp_ns(rng, cfg.mean_exec_ns).max(1);
+        tasks.push(HwTask::from_report(id, &pool[ix], t, exec));
+    }
+}
+
 /// Peak resident set size in bytes, best effort: `VmHWM` where procfs
 /// exists (Linux), `getrusage(2)` on other unix targets, 0 elsewhere.
 fn peak_rss_bytes() -> u64 {
@@ -299,9 +328,7 @@ pub fn run_pipeline(
     // Setup (not part of the streamed stages): synthesize the module
     // pool, plan every module and a covering organization, and build the
     // homogeneous PR system all chunks simulate against.
-    let generators: Vec<GenericPrm> = (0..cfg.modules.max(1))
-        .map(|m| GenericPrm::random(cfg.seed.wrapping_add(u64::from(m) * 7919), cfg.scale))
-        .collect();
+    let generators = pool_generators(cfg);
     let pool: Vec<SynthReport> = generators
         .iter()
         .map(|g| engine.synthesize(g, family))
@@ -346,8 +373,13 @@ pub fn run_pipeline(
     let chunk = cfg.chunk.max(1);
 
     let start = Instant::now();
-    let (tx, rx) = sync_channel::<Workload>(cfg.queue_depth.max(1));
+    let queue_depth = cfg.queue_depth.max(1);
+    let (tx, rx) = sync_channel::<Workload>(queue_depth);
     let rx = Mutex::new(rx);
+    // Consumed chunks travel back to the producer. The capacity covers
+    // every chunk that can be in flight, and workers only `try_send`, so
+    // a full queue drops a chunk on the worker instead of blocking it.
+    let (recycle_tx, recycle_rx) = sync_channel::<Workload>(queue_depth + workers);
 
     let totals = std::thread::scope(|scope| {
         // Producer: builds one chunk at a time; the bounded channel is
@@ -361,15 +393,16 @@ pub fn run_pipeline(
             while remaining > 0 {
                 let n = remaining.min(u64::from(chunk)) as u32;
                 remaining -= u64::from(n);
+                // Reuse a consumed chunk's task buffer; its old tasks and
+                // interned tables are freed here, on the thread that
+                // allocated them, before the `pipeline:gen` timer starts.
+                let mut tasks = recycle_rx
+                    .try_recv()
+                    .map_or_else(|_| Vec::new(), |wl| wl.tasks);
+                tasks.clear();
                 let t0 = Instant::now();
-                let mut tasks = Vec::with_capacity(n as usize);
-                let mut t = 0u64;
-                for id in 0..n {
-                    let ix = (splitmix64(&mut rng) % pool_ref.len() as u64) as usize;
-                    t += exp_ns(&mut rng, cfg.mean_interarrival_ns);
-                    let exec = exp_ns(&mut rng, cfg.mean_exec_ns).max(1);
-                    tasks.push(HwTask::from_report(id, &pool_ref[ix], t, exec));
-                }
+                tasks.reserve(n as usize);
+                push_chunk(cfg, pool_ref, &mut rng, n, &mut tasks);
                 let wl = Workload::new(tasks);
                 metrics_ref.record_stage("pipeline:gen", t0.elapsed());
                 if tx.send(wl).is_err() {
@@ -388,10 +421,10 @@ pub fn run_pipeline(
             let specs = &specs;
             let generators = &generators;
             let pool = pool_ref;
+            let recycle_tx = recycle_tx.clone();
             handles.push(scope.spawn(move || {
                 let mut plan_scratch = PlanScratch::default();
                 let mut emit_scratch = EmitScratch::new();
-                let mut emit_buf: Vec<u32> = Vec::new();
                 let mut sim_scratch = SimScratch::new();
                 let mut pool_ix: Vec<usize> = Vec::new();
                 let mut acc = Totals::default();
@@ -440,20 +473,20 @@ pub fn run_pipeline(
                     engine.metrics().record_stage("pipeline:plan", t0.elapsed());
 
                     // Placement + arena emission at task rate: each
-                    // dispatch renders its module's partial bitstream
-                    // through the per-worker emission arena (rendered-
-                    // stream cache hits in steady state) into one reused
-                    // buffer — zero allocations per task once warm.
+                    // dispatch takes a shared handle to its module's
+                    // partial bitstream from the per-worker emission
+                    // arena — a refcount bump on the steady state's
+                    // rendered-stream cache hits, no words copied and
+                    // no allocation.
                     let t0 = Instant::now();
                     for &id in wl.module_ids() {
-                        bitstream::emit_arc_into(
+                        let words = bitstream::emit_shared(
                             &mut emit_scratch,
                             &specs[pool_ix[id.0 as usize]],
-                            &mut emit_buf,
                         )
                         .expect("pool specs are valid");
                         acc.bitstreams += 1;
-                        acc.bitstream_bytes += emit_buf.len() as u64 * bytes_word;
+                        acc.bitstream_bytes += words.len() as u64 * bytes_word;
                     }
                     engine
                         .metrics()
@@ -472,6 +505,8 @@ pub fn run_pipeline(
                     acc.reconfigurations += u64::from(report.reconfigurations);
                     acc.reuse_hits += u64::from(report.reuse_hits);
                     acc.total_wait_ns += report.total_wait_ns;
+                    // Full or disconnected: the chunk is dropped here.
+                    let _ = recycle_tx.try_send(wl);
                 }
                 acc
             }));
@@ -631,6 +666,63 @@ mod tests {
         assert!(report.host_cpus >= 1);
         #[cfg(target_os = "linux")]
         assert!(report.peak_rss_bytes > 0);
+    }
+
+    /// Emitted bytes are exactly Eq. 18 per task: the sum over the task
+    /// stream of each module's `plan.bitstream_bytes`. Every total is the
+    /// same with one worker and with two, whose consumed chunks return to
+    /// the producer's recycling queue out of order.
+    #[test]
+    fn emitted_bytes_are_exact_and_totals_do_not_depend_on_workers() {
+        let cfg = PipelineConfig {
+            tasks: 3_000,
+            chunk: 128,
+            queue_depth: 2,
+            workers: 1,
+            ..PipelineConfig::default()
+        };
+        // Regenerate the producer's task stream, chunk by chunk.
+        let device = fabric::device_by_name(&cfg.device).unwrap();
+        let engine = Engine::new();
+        let pool: Vec<SynthReport> = pool_generators(&cfg)
+            .iter()
+            .map(|g| engine.synthesize(g, device.family()))
+            .collect();
+        let (mut rng, mut remaining, mut tasks) = (cfg.seed | 1, cfg.tasks, Vec::new());
+        while remaining > 0 {
+            let n = remaining.min(u64::from(cfg.chunk)) as u32;
+            remaining -= u64::from(n);
+            push_chunk(&cfg, &pool, &mut rng, n, &mut tasks);
+        }
+        let expected: u64 = tasks
+            .iter()
+            .map(|t| {
+                let report = pool.iter().find(|r| r.module == t.module).unwrap();
+                engine.plan(report, &device).unwrap().bitstream_bytes
+            })
+            .sum();
+
+        let totals = |r: &PipelineReport| {
+            [
+                r.tasks,
+                r.bitstreams_emitted,
+                r.bitstream_bytes,
+                r.simulated_makespan_ns,
+                r.reconfigurations,
+                r.reuse_hits,
+                r.total_wait_ns,
+            ]
+        };
+        let one = run_pipeline(&cfg).unwrap();
+        assert_eq!(one.tasks, cfg.tasks);
+        assert_eq!(one.bitstream_bytes, expected);
+        let two = run_pipeline(&PipelineConfig {
+            workers: 2,
+            ..cfg.clone()
+        })
+        .unwrap();
+        assert_eq!(two.workers, 2);
+        assert_eq!(totals(&one), totals(&two));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! totals, even mid-flight).
 
 use prfpga::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::Barrier;
 use synth::prm::{AesEngine, FftCore, FirFilter, MipsCore, SdramController, Uart};
 use synth::GenericPrm;
 
@@ -153,24 +152,46 @@ fn concurrent_plans_equal_serial_oracle() {
     }
 }
 
+/// Races in which no snapshot caught the planners mid-run are repeated
+/// on a fresh engine, at most this many times in all.
+const RACE_ATTEMPTS: usize = 5;
+
 /// Bugfix regression (metrics snapshot consistency): a snapshot taken
 /// *while* 16 threads plan must never show a part exceeding its total —
-/// the engine bumps totals before parts and the snapshot reads parts
-/// before totals, so `feasible + infeasible <= plans`,
-/// `builds + hits <= lookups` hold in every mid-flight snapshot even
-/// though the snapshot is not a point-in-time copy.
+/// the engine bumps totals before parts and the snapshot reads every
+/// part before the totals, so `feasible + infeasible <= plans`,
+/// `builds + hits <= plans` and (every geometry lookup here comes from
+/// a plan) `geometry builds + hits <= plans` hold in every mid-flight
+/// snapshot even though the snapshot is not a point-in-time copy.
+///
+/// A race counts only if at least one snapshot caught the planners
+/// mid-run; one that did not checked nothing, and is run again.
 #[test]
 fn snapshot_invariants_hold_under_concurrent_load() {
     let devices = fabric::all_devices();
     let points = stress_points(&devices);
-    let engine = Arc::new(Engine::new());
-    let done = Arc::new(AtomicBool::new(false));
+    let raced = (0..RACE_ATTEMPTS).any(|_| race_snapshots(&points) > 0);
+    assert!(
+        raced,
+        "no snapshot caught the planners mid-run in {RACE_ATTEMPTS} races"
+    );
+}
 
-    std::thread::scope(|scope| {
+/// One race on a fresh engine: the planners and a snapshotter start
+/// together behind a barrier, and the snapshotter checks every snapshot
+/// until one shows all plans done. Returns how many snapshots caught the
+/// planners mid-run (`0 < plans < total`; `plans` is read last, so every
+/// part of such a snapshot was read before the planners finished).
+fn race_snapshots(points: &[(SynthReport, Device)]) -> u64 {
+    let engine = Engine::new();
+    let total = (THREADS * ROUNDS * points.len()) as u64;
+    let start = Barrier::new(THREADS + 1);
+
+    let mid_run = std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let engine = Arc::clone(&engine);
-            let points = &points;
+            let (engine, start) = (&engine, &start);
             scope.spawn(move || {
+                start.wait();
                 let mut scratch = PlanScratch::default();
                 for round in 0..ROUNDS {
                     for i in 0..points.len() {
@@ -181,13 +202,12 @@ fn snapshot_invariants_hold_under_concurrent_load() {
             });
         }
 
-        // The snapshotter races the planners for the whole run.
-        let snap_engine = Arc::clone(&engine);
-        let snap_done = Arc::clone(&done);
+        let (engine, start) = (&engine, &start);
         let snapshotter = scope.spawn(move || {
-            let mut taken = 0u64;
-            while !snap_done.load(Ordering::Relaxed) {
-                let c = snap_engine.snapshot().counters;
+            start.wait();
+            let mut mid_run = 0u64;
+            loop {
+                let c = engine.snapshot().counters;
                 assert!(
                     c.plans_feasible + c.plans_infeasible <= c.plans,
                     "outcome parts exceeded plans: {} + {} > {}",
@@ -210,26 +230,16 @@ fn snapshot_invariants_hold_under_concurrent_load() {
                     c.plans
                 );
                 assert!(c.synth_cache_hits <= c.synth_calls + c.synth_cache_hits);
-                taken += 1;
+                if c.plans == total {
+                    break;
+                }
+                if c.plans > 0 {
+                    mid_run += 1;
+                }
             }
-            taken
+            mid_run
         });
-
-        // `scope` joins the planner threads when this closure returns;
-        // signal the snapshotter from a watcher thread that observes the
-        // planners' collective completion through the counters instead.
-        let watch_engine = Arc::clone(&engine);
-        let watch_done = Arc::clone(&done);
-        let total = (THREADS * ROUNDS * points.len()) as u64;
-        scope.spawn(move || {
-            while watch_engine.snapshot().counters.plans < total {
-                std::thread::yield_now();
-            }
-            watch_done.store(true, Ordering::Relaxed);
-        });
-
-        let taken = snapshotter.join().expect("snapshotter panicked");
-        assert!(taken > 0, "snapshotter never ran");
+        snapshotter.join().expect("snapshotter panicked")
     });
 
     // After the race, the exact invariants hold again.
@@ -237,4 +247,5 @@ fn snapshot_invariants_hold_under_concurrent_load() {
     assert_eq!(c.plans_feasible + c.plans_infeasible, c.plans);
     assert_eq!(c.plan_builds + c.plan_cache_hits, c.plans);
     assert_eq!(c.geometry_builds + c.geometry_cache_hits, c.plans);
+    mid_run
 }
