@@ -5,12 +5,13 @@
 //! [`layout::LayoutManager`] on a small synthetic strip; every few ops
 //! the state is snapshotted when the probe organization has no free
 //! window (i.e. the fabric is fragmented against it). The depth-3
-//! branch-and-bound ([`layout::defrag2::plan`], with its serial driver
-//! [`layout::defrag2::plan_serial`]) and the frozen exhaustive oracle
-//! ([`layout::defrag2::reference`]) then plan the identical probe set;
-//! the headline figure is the searched-states-per-second ratio. The
-//! plans themselves are asserted identical first — the speedup is only
-//! meaningful if the answers agree.
+//! branch-and-bound ([`layout::defrag2::plan`]) and the frozen
+//! exhaustive oracle ([`layout::defrag2::reference`]) then plan the
+//! identical probe set; the headline figure is the
+//! searched-states-per-second ratio. The plans themselves are asserted
+//! identical first — the speedup is only meaningful if the answers
+//! agree. `host_cpus` in the artifact records the host the times were
+//! measured on.
 //!
 //! *Policy table*: the acceptance workload (seed 384, moderate load,
 //! xc5vlx110t) simulated under Never / single-step / depth 1–4 /
@@ -23,7 +24,7 @@
 use bitstream::IcapModel;
 use criterion::{criterion_group, Criterion};
 use fabric::{Device, Family, ResourceKind};
-use layout::defrag2::{plan, plan_serial, reference};
+use layout::defrag2::{plan, reference};
 use layout::{simulate_layout, Defrag2Config, DefragPolicy, LayoutConfig, LayoutManager};
 use multitask::Workload;
 use prcost::PrrOrganization;
@@ -102,7 +103,7 @@ fn probe_states(device: &Device, want: usize) -> Vec<LayoutManager> {
             if mgr.free_space().find_window(&req).is_some() {
                 continue;
             }
-            let hard = plan_serial(&mgr, &org, &cfg).is_some_and(|p| p.nodes >= 96);
+            let hard = plan(&mgr, &org, &cfg).is_some_and(|p| p.nodes >= 96);
             if hard {
                 states.push(mgr);
             }
@@ -143,19 +144,11 @@ fn bench_defrag_search(c: &mut Criterion) {
     }
 
     let mut g = c.benchmark_group("defrag_search");
-    g.bench_function("bb_parallel_d3", |b| {
-        b.iter(|| {
-            states
-                .iter()
-                .filter_map(|m| plan(black_box(m), &org, &cfg))
-                .count()
-        })
-    });
     g.bench_function("bb_serial_d3", |b| {
         b.iter(|| {
             states
                 .iter()
-                .filter_map(|m| plan_serial(black_box(m), &org, &cfg))
+                .filter_map(|m| plan(black_box(m), &org, &cfg))
                 .count()
         })
     });
@@ -193,14 +186,13 @@ struct DefragBenchArtifact {
     search_states: usize,
     search_depth: u32,
     samples: u32,
-    bb_parallel_mean_ms: f64,
+    host_cpus: usize,
     bb_serial_mean_ms: f64,
     oracle_mean_ms: f64,
-    /// Headline figure: searched-states-per-second of the parallel
+    /// Headline figure: searched-states-per-second of the
     /// branch-and-bound over the exhaustive oracle, same probe set,
     /// plan-identical answers.
     search_speedup: f64,
-    serial_speedup: f64,
     sim_device: String,
     policy_table: Vec<PolicyRow>,
 }
@@ -254,13 +246,7 @@ fn emit_artifact() {
         }
         start.elapsed().as_secs_f64() / f64::from(samples)
     };
-    let bb_parallel = time(&|| states.iter().filter_map(|m| plan(m, &org, &cfg)).count());
-    let bb_serial = time(&|| {
-        states
-            .iter()
-            .filter_map(|m| plan_serial(m, &org, &cfg))
-            .count()
-    });
+    let bb_serial = time(&|| states.iter().filter_map(|m| plan(m, &org, &cfg)).count());
     let oracle = time(&|| {
         states
             .iter()
@@ -323,23 +309,21 @@ fn emit_artifact() {
         search_states: states.len(),
         search_depth: cfg.depth,
         samples,
-        bb_parallel_mean_ms: bb_parallel * 1e3,
+        host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         bb_serial_mean_ms: bb_serial * 1e3,
         oracle_mean_ms: oracle * 1e3,
-        search_speedup: oracle / bb_parallel,
-        serial_speedup: oracle / bb_serial,
+        search_speedup: oracle / bb_serial,
         sim_device: sim_device.name().to_string(),
         policy_table,
     };
     println!(
-        "search over {} fragmented states at depth {}: b&b {:.3} ms (serial {:.3} ms), oracle {:.3} ms — {:.1}x (serial {:.1}x)",
+        "search over {} fragmented states at depth {} ({} host CPUs): b&b {:.3} ms, oracle {:.3} ms — {:.1}x",
         artifact.search_states,
         artifact.search_depth,
-        artifact.bb_parallel_mean_ms,
+        artifact.host_cpus,
         artifact.bb_serial_mean_ms,
         artifact.oracle_mean_ms,
         artifact.search_speedup,
-        artifact.serial_speedup,
     );
     for row in &artifact.policy_table {
         println!(

@@ -249,7 +249,8 @@ impl Engine {
     }
 
     /// Shared memo-miss path: run the cached Fig. 1 search, tally the
-    /// padded-fallback delta, record outcome counters, and memoize.
+    /// padded-fallback and window-probe deltas, record outcome counters,
+    /// and memoize.
     fn plan_uncached(
         &self,
         key: PlanKey,
@@ -259,12 +260,16 @@ impl Engine {
         scratch: &mut PlanScratch,
     ) -> Arc<Result<PrrPlan, CostError>> {
         let padded_before = scratch.padded_resolution_count();
+        let probes_before = scratch.window_probe_count();
         let result = self.metrics.time("plan", || {
             plan_requirements_cached(req, device, geometry, scratch)
         });
         self.metrics
             .padded_fallbacks
             .add(scratch.padded_resolution_count() - padded_before);
+        self.metrics
+            .window_probes
+            .add(scratch.window_probe_count() - probes_before);
         self.record_outcome(&result);
         // First writer wins: a racing loser computed an identical result
         // (plans are deterministic) and shares the winner's allocation;
@@ -301,23 +306,18 @@ impl Engine {
         self.plan_memo.len()
     }
 
-    /// Snapshot of the engine's metrics, with the composition-index stats
-    /// (probe count, distinct interned compositions) folded in from the
-    /// interned geometries.
+    /// Snapshot of the engine's metrics, with the distinct interned
+    /// compositions folded in from the interned geometries. Window probes
+    /// are already in the registry: each plan miss adds its scratch's
+    /// delta once.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
-        let (probes, compositions) =
-            self.devices
-                .entries_in_order()
-                .iter()
-                .fold((0u64, 0u64), |(p, c), entry| {
-                    (
-                        p + entry.geometry.probe_count(),
-                        c + entry.geometry.distinct_compositions(),
-                    )
-                });
-        snap.counters.window_probes = probes;
-        snap.counters.distinct_compositions = compositions;
+        snap.counters.distinct_compositions = self
+            .devices
+            .entries_in_order()
+            .iter()
+            .map(|entry| entry.geometry.distinct_compositions())
+            .sum();
         snap
     }
 
@@ -628,12 +628,16 @@ pub mod reference {
             }
             let geometry = self.geometry(device);
             let padded_before = scratch.padded_resolution_count();
+            let probes_before = scratch.window_probe_count();
             let result = self.metrics.time("plan", || {
                 plan_prr_cached(report, device, &geometry, scratch)
             });
             self.metrics
                 .padded_fallbacks
                 .add(scratch.padded_resolution_count() - padded_before);
+            self.metrics
+                .window_probes
+                .add(scratch.window_probe_count() - probes_before);
             match &result {
                 Ok(_) => self.metrics.plans_feasible.incr(),
                 Err(_) => self.metrics.plans_infeasible.incr(),
@@ -655,18 +659,15 @@ pub mod reference {
             self.plan(&report, device)
         }
 
-        /// Metrics snapshot with composition-index stats folded in.
+        /// Metrics snapshot with the interned composition counts folded in.
         pub fn snapshot(&self) -> MetricsSnapshot {
             let mut snap = self.metrics.snapshot();
-            let (probes, compositions) = self
+            snap.counters.distinct_compositions = self
                 .geometries
                 .read()
                 .values()
-                .fold((0u64, 0u64), |(p, c), geo| {
-                    (p + geo.probe_count(), c + geo.distinct_compositions())
-                });
-            snap.counters.window_probes = probes;
-            snap.counters.distinct_compositions = compositions;
+                .map(|geo| geo.distinct_compositions())
+                .sum();
             snap
         }
     }
@@ -810,6 +811,56 @@ mod tests {
         assert_eq!(snap.counters.padded_fallbacks, 0);
         assert_eq!(snap.counters.plans, 2);
         assert_eq!(snap.counters.plans_feasible, 2);
+    }
+
+    /// Probes are counted in each worker's scratch and added to the
+    /// registry once per plan miss: a grid planned on a cold engine from
+    /// four threads (released together by a barrier), each with its own
+    /// scratch, reports exactly the probes a serial replay counts — no
+    /// per-plan delta is lost or counted twice. The grid has no repeated
+    /// point, so no two threads can race to plan the same one.
+    #[test]
+    fn concurrent_window_probes_equal_a_serial_replay() {
+        let devices = fabric::all_devices();
+        let grid: Vec<(PrrRequirements, &Device)> = (0..5u64)
+            .flat_map(|i| {
+                devices.iter().map(move |d| {
+                    let lut_ff = 8 + 1200 * i;
+                    let req =
+                        PrrRequirements::new(d.family(), lut_ff, lut_ff, lut_ff, 7 * i, 5 * i);
+                    (req, d)
+                })
+            })
+            .collect();
+
+        let serial = Engine::new();
+        let mut scratch = PlanScratch::default();
+        for (req, device) in &grid {
+            serial.plan_requirements(req, device, &mut scratch);
+        }
+        let expected = serial.snapshot().counters;
+        assert_eq!(expected.window_probes, scratch.window_probe_count());
+        assert!(expected.padded_fallbacks > 0, "grid exercises padding");
+
+        let engine = Engine::new();
+        let parts: Vec<_> = grid.chunks(grid.len().div_ceil(4)).collect();
+        let start = std::sync::Barrier::new(parts.len());
+        std::thread::scope(|scope| {
+            for part in parts {
+                let (engine, start) = (&engine, &start);
+                scope.spawn(move || {
+                    let mut scratch = PlanScratch::default();
+                    start.wait();
+                    for (req, device) in part {
+                        engine.plan_requirements(req, device, &mut scratch);
+                    }
+                });
+            }
+        });
+        let c = engine.snapshot().counters;
+        assert_eq!(c.plan_builds, grid.len() as u64);
+        assert_eq!(c.window_probes, expected.window_probes);
+        assert_eq!(c.padded_fallbacks, expected.padded_fallbacks);
     }
 
     #[test]

@@ -112,6 +112,10 @@ pub struct Metrics {
     /// Padded-fallback enumerations resolved (geometry-cached planning
     /// only; one per distinct composition with no exact window).
     pub padded_fallbacks: Counter,
+    /// Composition-index lookups made by geometry-cached plans. Each
+    /// worker counts its lookups in its own `PlanScratch`; the engine
+    /// adds one plan's total here once, after the plan.
+    pub window_probes: Counter,
     /// Plans attempted.
     pub plans: Counter,
     /// Plans answered from the engine's whole-plan memo.
@@ -267,10 +271,10 @@ impl Metrics {
                 synth_cache_hits: self.synth_cache_hits.get(),
                 geometry_builds,
                 geometry_cache_hits,
-                // Probe and composition counts live in the interned
-                // geometries; a bare registry reports zero and the batch
-                // engine's snapshot folds the real values in.
-                window_probes: 0,
+                window_probes: self.window_probes.get(),
+                // Composition counts live in the interned geometries; a
+                // bare registry reports zero and the batch engine's
+                // snapshot folds the real value in.
                 distinct_compositions: 0,
                 padded_fallbacks: self.padded_fallbacks.get(),
                 plans,
@@ -296,7 +300,7 @@ pub struct CounterSnapshot {
     pub geometry_builds: u64,
     /// Geometry requests answered from the per-device cache.
     pub geometry_cache_hits: u64,
-    /// Composition-index probes answered by the interned geometries (every
+    /// Composition-index probes made by geometry-cached plans (every
     /// probe is a lock-free O(1) lookup — there is no hit/miss split).
     pub window_probes: u64,
     /// Distinct achievable compositions interned across the geometries.

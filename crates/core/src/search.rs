@@ -71,6 +71,11 @@ enum CompResolution {
 /// enumeration runs once per composition instead of once per height. A
 /// fresh `PlanScratch::default()` is always valid — results never depend
 /// on scratch contents, only allocation reuse does.
+///
+/// The scratch also counts the composition-index lookups its plans make
+/// ([`PlanScratch::window_probe_count`]): a plain per-worker `u64`, so
+/// sweep workers sharing one [`DeviceGeometry`] write no shared memory
+/// per probe. The engine adds each plan's delta to its metrics once.
 #[derive(Debug, Clone, Default)]
 pub struct PlanScratch {
     options: Vec<(u64, [u32; 3], PrrOrganization)>,
@@ -80,6 +85,9 @@ pub struct PlanScratch {
     /// Cumulative count of padded-fallback enumerations resolved through
     /// this scratch (never reset; callers read deltas).
     padded_resolutions: u64,
+    /// Cumulative count of composition-index lookups made through
+    /// [`PlanScratch::probe`] (never reset; callers read deltas).
+    window_probes: u64,
     /// Recently resolved device interns, tagged with the owning engine's
     /// token (see [`EngineToken`]): a repeat plan against the same engine
     /// and device skips the layout hash and the interner's shared read
@@ -99,6 +107,21 @@ impl PlanScratch {
     /// engine folds per-plan deltas into its metrics registry.
     pub fn padded_resolution_count(&self) -> u64 {
         self.padded_resolutions
+    }
+
+    /// Cumulative number of composition-index lookups (window probes)
+    /// the cached planning paths made through this scratch. Monotonic;
+    /// the batch engine folds per-plan deltas into its metrics registry.
+    pub fn window_probe_count(&self) -> u64 {
+        self.window_probes
+    }
+
+    /// Run `lookup`, one composition-index lookup, and count it as a
+    /// window probe. Every index lookup of the cached search goes
+    /// through here.
+    fn probe<T>(&mut self, lookup: impl FnOnce() -> T) -> T {
+        self.window_probes += 1;
+        lookup()
     }
 
     /// The cached intern of `device` under the engine identified by
@@ -473,8 +496,8 @@ fn evaluate_height_cached(
         Ok(org) => match resolve_composition(&org, device, geometry, scratch) {
             CompResolution::Infeasible => CandidateOutcome::NoWindow { organization: org },
             CompResolution::Exact => {
-                let window = geometry
-                    .find_window(device, &org.window_request())
+                let window = scratch
+                    .probe(|| geometry.find_window(device, &org.window_request()))
                     .expect("resolved exact composition has a window");
                 CandidateOutcome::Feasible {
                     bitstream_bytes: bitstream_size_bytes(&org),
@@ -490,8 +513,8 @@ fn evaluate_height_cached(
                     bram_cols: org.bram_cols + pad[2],
                     ..org
                 };
-                let window = geometry
-                    .find_window(device, &padded.window_request())
+                let window = scratch
+                    .probe(|| geometry.find_window(device, &padded.window_request()))
                     .expect("resolved padded composition has a window");
                 CandidateOutcome::Feasible {
                     bitstream_bytes: bitstream_size_bytes(&padded),
@@ -519,14 +542,14 @@ fn resolve_composition(
     if let Some((_, r)) = scratch.resolutions.iter().find(|(k, _)| *k == key) {
         return *r;
     }
-    let resolution = if geometry
-        .leftmost_start(org.clb_cols, org.dsp_cols, org.bram_cols)
+    let resolution = if scratch
+        .probe(|| geometry.leftmost_start(org.clb_cols, org.dsp_cols, org.bram_cols))
         .is_some()
     {
         CompResolution::Exact
     } else {
         scratch.padded_resolutions += 1;
-        match find_padded_composition(org, device, geometry) {
+        match find_padded_composition(org, device, geometry, scratch) {
             Some(pad) => CompResolution::Padded { pad },
             None => CompResolution::Infeasible,
         }
@@ -549,18 +572,21 @@ fn find_padded_composition(
     org: &PrrOrganization,
     device: &Device,
     geometry: &DeviceGeometry,
+    scratch: &mut PlanScratch,
 ) -> Option<[u32; 3]> {
     let found = find_padded_composition_with_caps(
         org,
         device,
         geometry,
+        scratch,
         MAX_PAD_DSP_COLS,
         MAX_PAD_BRAM_COLS,
     );
     #[cfg(debug_assertions)]
     if found.is_none() {
         debug_assert!(
-            find_padded_composition_with_caps(org, device, geometry, u32::MAX, u32::MAX).is_none(),
+            find_padded_composition_with_caps(org, device, geometry, scratch, u32::MAX, u32::MAX)
+                .is_none(),
             "padding caps hid a feasible plan for {org:?} on {}",
             device.name()
         );
@@ -573,6 +599,7 @@ fn find_padded_composition_with_caps(
     org: &PrrOrganization,
     device: &Device,
     geometry: &DeviceGeometry,
+    scratch: &mut PlanScratch,
     dsp_cap: u32,
     bram_cap: u32,
 ) -> Option<[u32; 3]> {
@@ -592,16 +619,17 @@ fn find_padded_composition_with_caps(
                 if ec + ed + eb == 0 {
                     continue;
                 }
-                if geometry
-                    .leftmost_start(org.clb_cols + ec, org.dsp_cols + ed, org.bram_cols + eb)
+                let (clb, dsp, bram) = (org.clb_cols + ec, org.dsp_cols + ed, org.bram_cols + eb);
+                if scratch
+                    .probe(|| geometry.leftmost_start(clb, dsp, bram))
                     .is_none()
                 {
                     continue;
                 }
                 let padded = PrrOrganization {
-                    clb_cols: org.clb_cols + ec,
-                    dsp_cols: org.dsp_cols + ed,
-                    bram_cols: org.bram_cols + eb,
+                    clb_cols: clb,
+                    dsp_cols: dsp,
+                    bram_cols: bram,
                     ..*org
                 };
                 let key = (bitstream_size_bytes(&padded), ec + ed + eb);
@@ -970,6 +998,65 @@ mod tests {
                 assert_eq!(seed_cands, direct_cands, "{req:?} on {}", device.name());
             }
         }
+    }
+
+    /// A cached search counts one window probe per index lookup: one per
+    /// distinct base composition (its resolution), one per padding option
+    /// the fallback enumerates, and one per feasible height (its window).
+    /// Requirements rejected before the search probe nothing.
+    #[test]
+    fn cached_search_counts_one_probe_per_index_lookup() {
+        let sdram = PrrRequirements::from_report(&PaperPrm::Sdram.synth_report(Family::Virtex6));
+        // Pads two base compositions, at heights 1 and 2 (the BRAM
+        // columns are isolated), and fits exactly above.
+        let bram_heavy = PrrRequirements::new(Family::Virtex5, 8, 8, 8, 0, 12);
+        for (device, req, padded) in [(xc6vlx75t(), sdram, 0), (xc5vlx110t(), bram_heavy, 2)] {
+            let geo = fabric::DeviceGeometry::new(&device);
+            let mut scratch = PlanScratch::default();
+            let candidates = candidates_for_cached(&req, &device, &geo, &mut scratch);
+            let counts = device.column_counts();
+            let span = |have: u64, used: u32, cap: u32| (have as u32 - used).min(cap) + 1;
+            let mut bases = std::collections::HashSet::new();
+            let mut expected = 0;
+            for c in &candidates {
+                let CandidateOutcome::Feasible {
+                    organization: o,
+                    padded_cols: pad,
+                    ..
+                } = &c.outcome
+                else {
+                    continue;
+                };
+                let base = (
+                    o.clb_cols - pad[0],
+                    o.dsp_cols - pad[1],
+                    o.bram_cols - pad[2],
+                );
+                if bases.insert(base) {
+                    expected += 1;
+                    if *pad != [0; 3] {
+                        expected += span(counts.clb(), base.0, u32::MAX)
+                            * span(counts.dsp(), base.1, MAX_PAD_DSP_COLS)
+                            * span(counts.bram(), base.2, MAX_PAD_BRAM_COLS)
+                            - 1;
+                    }
+                }
+                expected += 1;
+            }
+            assert!(candidates
+                .iter()
+                .all(|c| !matches!(c.outcome, CandidateOutcome::NoWindow { .. })));
+            assert_eq!(scratch.padded_resolution_count(), padded);
+            assert_eq!(scratch.window_probe_count(), u64::from(expected));
+        }
+        let device = xc6vlx75t();
+        let geo = fabric::DeviceGeometry::new(&device);
+        let mut scratch = PlanScratch::default();
+        let mismatched = PaperPrm::Sdram.synth_report(Family::Virtex5);
+        assert!(plan_prr_cached(&mismatched, &device, &geo, &mut scratch).is_err());
+        let empty = PrrRequirements::new(device.family(), 0, 0, 0, 0, 0);
+        assert!(plan_requirements_cached(&empty, &device, &geo, &mut scratch).is_err());
+        assert_eq!(scratch.window_probe_count(), 0);
     }
 
     /// Padded-fallback resolutions are tallied once per distinct

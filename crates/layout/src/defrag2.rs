@@ -1,4 +1,4 @@
-//! `defrag2`: parallel bounded-depth branch-and-bound over relocation
+//! `defrag2`: bounded-depth branch-and-bound over relocation
 //! *sequences* — the multi-move defragmentation planner.
 //!
 //! The PR-5 planner ([`crate::defrag`]) only considers *single-step*
@@ -27,13 +27,14 @@
 //!   search: the suffix lower bound is exact, and branch-and-bound
 //!   collapses to pruning entire rectangles against the incumbent plus a
 //!   feasibility-only descent inside each rectangle;
-//! * **first-level rayon fan-out with a packed atomic incumbent** — the
-//!   candidate admit rectangles fan out over rayon, sharing the best
-//!   known `(cost, moves, rectangle index)` packed into one `AtomicU64`
-//!   ([`pack_bound`], the PR-3 trick). Workers prune with `>=` against
-//!   the bound; packs are unique per rectangle, so the depth-first
-//!   reduction reproduces the serial tie-break exactly
-//!   ([`plan_serial`] is the identity oracle).
+//! * **one thread** — [`plan`] scans the rectangles in enumeration order
+//!   on the caller's thread. A typical call searches for ~41 µs, while
+//!   fanning the rectangles out over rayon spawned and joined two OS
+//!   threads per call (112–166 µs on a 2-vCPU host), and a round trip to
+//!   one pooled worker thread costs 19–45 µs. The serial scan was faster
+//!   even on the `defrag_search` bench's hand-picked hard states
+//!   (2.29–2.31 ms vs 3.35–6.33 ms per 16 states in two runs), so it is
+//!   the only driver, and its `nodes` diagnostic is deterministic.
 //!
 //! **Documented tie-break**: minimise total move cost (ns), then move
 //! count, then the admit-rectangle enumeration order (candidate starts
@@ -53,10 +54,8 @@ use crate::free::FreeSpace;
 use crate::manager::{Allocation, LayoutManager, MoveCost};
 use fabric::{ColumnKind, Window};
 use prcost::{Metrics, PrrOrganization};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Hard cap on sequence depth (the paper-scale regime; deeper searches
@@ -74,9 +73,8 @@ pub struct Defrag2Config {
     /// write. `false` prices write-only (idle modules).
     pub context_aware: bool,
     /// Deterministic per-rectangle node budget: a rectangle whose
-    /// feasibility descent exceeds it is abandoned (same outcome serial
-    /// or parallel). The default is far above anything the depth-capped
-    /// tree reaches on real devices.
+    /// feasibility descent exceeds it is abandoned. The default is far
+    /// above anything the depth-capped tree reaches on real devices.
     pub node_budget: u64,
 }
 
@@ -371,22 +369,6 @@ fn rect_candidates<'a>(
     rects
 }
 
-/// Bits for the move count and rectangle index in the packed bound.
-const MOVES_BITS: u32 = 4;
-const RECT_BITS: u32 = 20;
-
-/// Pack an incumbent `(cost, moves, rectangle index)` into one `u64`,
-/// ordered lexicographically. Packs are unique per rectangle, so `>=`
-/// pruning against the shared bound can never cut the rectangle the
-/// serial scan would have kept (same trick as `parflow::pack_bound`,
-/// with the branch index extended by the move count).
-fn pack_bound(cost: u64, moves: usize, rect: usize) -> u64 {
-    debug_assert!(cost < 1 << (u64::BITS - MOVES_BITS - RECT_BITS));
-    debug_assert!(moves < 1 << MOVES_BITS);
-    debug_assert!(rect < 1 << RECT_BITS);
-    (cost << (MOVES_BITS + RECT_BITS)) | ((moves as u64) << RECT_BITS) | rect as u64
-}
-
 /// Run the feasibility descent for one rectangle; returns the canonical
 /// first sequence if one exists.
 fn solve_rect(
@@ -466,10 +448,12 @@ fn materialize(
     }
 }
 
-/// Serial bounded-depth multi-move search: rectangles in enumeration
-/// order, incumbent pruning on `(cost, moves, index)`. The parallel
-/// search is property-tested identical to this.
-pub fn plan_serial(
+/// Bounded-depth multi-move search: rectangles in enumeration order,
+/// incumbent pruning on `(cost, moves)`. A rectangle whose pair ties the
+/// incumbent's is skipped, so the earliest such rectangle wins — the
+/// documented tie-break. Plan-identical to
+/// [`reference::plan_exhaustive`] (the property suite pins it).
+pub fn plan(
     mgr: &LayoutManager,
     org: &PrrOrganization,
     config: &Defrag2Config,
@@ -501,67 +485,6 @@ pub fn plan_serial(
         }
     }
     best.map(|(_, _, idx, seq)| materialize(mgr, &rects[idx], &seq, nodes))
-}
-
-/// Parallel bounded-depth multi-move search: first-level rayon fan-out
-/// over the candidate admit rectangles with the incumbent shared through
-/// a packed `AtomicU64`. Identical result to [`plan_serial`] (packs are
-/// unique per rectangle, so the reduction has no ties to break).
-pub fn plan(
-    mgr: &LayoutManager,
-    org: &PrrOrganization,
-    config: &Defrag2Config,
-) -> Option<Defrag2Plan> {
-    let depth = config.depth.min(MAX_DEPTH) as usize;
-    if config.depth == 0 {
-        return None;
-    }
-    let rects = rect_candidates(mgr, org, depth, config.context_aware);
-    if rects.len() >= 1 << RECT_BITS
-        || rects
-            .iter()
-            .any(|r| r.cost >= 1 << (u64::BITS - MOVES_BITS - RECT_BITS))
-    {
-        // Too wide/expensive for the packed bound (never seen on real
-        // devices) — the serial scan is the defined behaviour anyway.
-        return plan_serial(mgr, org, config);
-    }
-    let columns = mgr.device().columns();
-    let free = mgr.free_space();
-    let bound = AtomicU64::new(u64::MAX);
-    let total_nodes = AtomicU64::new(0);
-    let solved: Vec<Option<(usize, Seq)>> = rects
-        .par_iter()
-        .enumerate()
-        .map(|(idx, rect)| {
-            let lb = pack_bound(rect.cost, rect.movers.len(), idx);
-            if lb >= bound.load(Ordering::Relaxed) {
-                return None;
-            }
-            let mut nodes = 0u64;
-            let seq = solve_rect(
-                columns,
-                free.rows(),
-                free,
-                rect,
-                config.node_budget,
-                &mut nodes,
-            );
-            total_nodes.fetch_add(nodes, Ordering::Relaxed);
-            seq.map(|s| {
-                bound.fetch_min(lb, Ordering::Relaxed);
-                (idx, s)
-            })
-        })
-        .collect();
-    // The globally best rectangle can never be pruned (pruning needs a
-    // strictly smaller completed pack), so the minimum over whatever ran
-    // is deterministic.
-    let best = solved
-        .into_iter()
-        .flatten()
-        .min_by_key(|(idx, seq)| pack_bound(rects[*idx].cost, seq.len(), *idx));
-    best.map(|(idx, seq)| materialize(mgr, &rects[idx], &seq, total_nodes.load(Ordering::Relaxed)))
 }
 
 impl LayoutManager {
@@ -619,8 +542,7 @@ pub mod reference {
     //! improvement, no parallelism), per-sequence cost summation (it
     //! does not assume position-independent move costs — it verifies
     //! them). Do not optimize; the equivalence property suite pins
-    //! [`super::plan`] and [`super::plan_serial`] against it at small
-    //! depths.
+    //! [`super::plan`] against it at small depths.
 
     use super::{Defrag2Config, Defrag2Plan, MAX_DEPTH};
     use crate::defrag::{overlaps, RelocationMove};
