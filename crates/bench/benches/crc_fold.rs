@@ -9,8 +9,11 @@
 //! folding) — so `BENCH_crc.json` carries mutually consistent
 //! throughputs. The portable fold's bar is ≥2× over slice-16; the SIMD
 //! kernels' bar is ≥2× over the portable fold (on hardware that has
-//! them). Payload fill (AVX2 vs portable splitmix) is measured the same
-//! way, and the artifact records which dispatch paths are active.
+//! them). Payload fill (portable, AVX2 and AVX-512 splitmix) is measured
+//! the same way, as is the writer's per-block fill-and-checksum: the
+//! best fill followed by the dispatched CRC (two passes) against the
+//! fused AVX-512 fill + VPCLMULQDQ kernel (one pass). The artifact
+//! records which dispatch paths are active and the host's CPU count.
 //!
 //! The second half measures whole-stream emission: single-spec
 //! `generate` vs buffer-reusing `emit_into`, and batch emission through
@@ -124,9 +127,22 @@ fn bench_crc(c: &mut Criterion) {
     g.bench_function("portable_64kw", |b| {
         b.iter(|| arch::fill_words_portable(black_box(0x5eed), &mut fill_buf))
     });
-    if arch::fill_words_simd(0x5eed, &mut fill_buf) {
-        g.bench_function("simd_64kw", |b| {
-            b.iter(|| arch::fill_words_simd(black_box(0x5eed), &mut fill_buf))
+    if arch::fill_words_avx2(0x5eed, &mut fill_buf) {
+        g.bench_function("avx2_64kw", |b| {
+            b.iter(|| arch::fill_words_avx2(black_box(0x5eed), &mut fill_buf))
+        });
+    }
+    if arch::fill_words_avx512(0x5eed, &mut fill_buf) {
+        g.bench_function("avx512_64kw", |b| {
+            b.iter(|| arch::fill_words_avx512(black_box(0x5eed), &mut fill_buf))
+        });
+    }
+    g.bench_function("fill_crc_dispatched_64kw", |b| {
+        b.iter(|| arch::fill_crc_words(black_box(0x5eed), &mut fill_buf, !0))
+    });
+    if arch::fill_crc_words_avx512(0x5eed, &mut fill_buf, !0).is_some() {
+        g.bench_function("fill_crc_fused_64kw", |b| {
+            b.iter(|| arch::fill_crc_words_avx512(black_box(0x5eed), &mut fill_buf, !0))
         });
     }
     g.finish();
@@ -185,9 +201,20 @@ struct CrcBenchArtifact {
     /// Whatever `crc_words` dispatches to, timed through the public API.
     dispatched_min_ms: f64,
     fill_portable_min_ms: f64,
-    fill_simd_min_ms: Option<f64>,
-    /// AVX2/NEON fill over portable splitmix (None without a SIMD fill).
+    /// AVX2 fill (None without AVX2).
+    fill_avx2_min_ms: Option<f64>,
+    /// AVX-512DQ fill (None without AVX-512F/DQ).
+    fill_avx512_min_ms: Option<f64>,
+    /// Best SIMD fill over portable splitmix (None without a SIMD fill).
     fill_speedup: Option<f64>,
+    /// The best fill, then `crc_words` over the filled buffer: the
+    /// two-pass fill and checksum.
+    fill_crc_two_pass_min_ms: f64,
+    /// The fused AVX-512 fill + VPCLMULQDQ CRC kernel (None without
+    /// every feature it needs).
+    fill_crc_fused_min_ms: Option<f64>,
+    /// Two-pass over fused (None without the fused kernel).
+    fused_speedup: Option<f64>,
     generate_min_us: f64,
     emit_into_min_us: f64,
     generate_speedup: f64,
@@ -198,6 +225,8 @@ struct CrcBenchArtifact {
     batch_speedup: f64,
     /// Heap allocations in one warm repeated-spec `generate_with` call.
     warm_emit_allocations: u64,
+    /// `std::thread::available_parallelism` on the measuring host.
+    host_cpus: usize,
 }
 
 /// Minimum wall time of `f` over `samples` runs (after one warm-up).
@@ -256,10 +285,33 @@ fn emit_artifact() {
         arch::fill_words_portable(0x5eed, &mut fill_buf);
         black_box(&fill_buf);
     });
-    let fill_simd = arch::fill_words_simd(0x5eed, &mut fill_buf).then(|| {
+    let fill_avx2 = arch::fill_words_avx2(0x5eed, &mut fill_buf).then(|| {
         min_time(samples, &mut || {
-            arch::fill_words_simd(0x5eed, &mut fill_buf);
+            arch::fill_words_avx2(0x5eed, &mut fill_buf);
             black_box(&fill_buf);
+        })
+    });
+    let fill_avx512 = arch::fill_words_avx512(0x5eed, &mut fill_buf).then(|| {
+        min_time(samples, &mut || {
+            arch::fill_words_avx512(0x5eed, &mut fill_buf);
+            black_box(&fill_buf);
+        })
+    });
+    let best_fill = match (fill_avx2, fill_avx512) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    };
+    let fill_crc_two_pass = min_time(samples, &mut || {
+        if !arch::fill_words_avx512(0x5eed, &mut fill_buf)
+            && !arch::fill_words_avx2(0x5eed, &mut fill_buf)
+        {
+            arch::fill_words_portable(0x5eed, &mut fill_buf);
+        }
+        black_box(crc_words(&fill_buf));
+    });
+    let fill_crc_fused = arch::fill_crc_words_avx512(0x5eed, &mut fill_buf, !0).map(|_| {
+        min_time(samples, &mut || {
+            black_box(arch::fill_crc_words_avx512(0x5eed, &mut fill_buf, !0));
         })
     });
 
@@ -323,8 +375,12 @@ fn emit_artifact() {
         simd_crc_speedup: best_simd.map(|t| folded / t),
         dispatched_min_ms: dispatched * 1e3,
         fill_portable_min_ms: fill_portable * 1e3,
-        fill_simd_min_ms: fill_simd.map(|t| t * 1e3),
-        fill_speedup: fill_simd.map(|t| fill_portable / t),
+        fill_avx2_min_ms: fill_avx2.map(|t| t * 1e3),
+        fill_avx512_min_ms: fill_avx512.map(|t| t * 1e3),
+        fill_speedup: best_fill.map(|t| fill_portable / t),
+        fill_crc_two_pass_min_ms: fill_crc_two_pass * 1e3,
+        fill_crc_fused_min_ms: fill_crc_fused.map(|t| t * 1e3),
+        fused_speedup: fill_crc_fused.map(|t| fill_crc_two_pass / t),
         generate_min_us: gen_alloc * 1e6,
         emit_into_min_us: gen_reused * 1e6,
         generate_speedup: gen_alloc / gen_reused,
@@ -333,6 +389,7 @@ fn emit_artifact() {
         batch_arena_min_ms: batch_arena * 1e3,
         batch_speedup: batch_reference / batch_arena,
         warm_emit_allocations,
+        host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
     };
     println!(
         "crc {} words: bitwise {:.2} ms, slice16 {:.3} ms ({:.1}x), \
@@ -346,24 +403,26 @@ fn emit_artifact() {
         artifact.folded_mwords_per_sec,
     );
     let opt = |ms: Option<f64>| ms.map_or_else(|| "n/a".to_string(), |v| format!("{v:.3} ms"));
+    let ratio = |x: Option<f64>| x.map_or_else(|| "n/a".to_string(), |v| format!("{v:.1}x"));
     println!(
         "simd crc: hw-crc32c {}, clmul-fold {}, best {} over portable fold; \
          dispatch crc={} fill={}",
         opt(artifact.hw_crc_min_ms),
         opt(artifact.clmul_min_ms),
-        artifact
-            .simd_crc_speedup
-            .map_or_else(|| "n/a".to_string(), |v| format!("{v:.1}x")),
+        ratio(artifact.simd_crc_speedup),
         artifact.crc_dispatch,
         artifact.fill_dispatch,
     );
     println!(
-        "payload fill: portable {:.3} ms, simd {} ({})",
+        "payload fill: portable {:.3} ms, avx2 {}, avx512 {} (best {}); \
+         fill+crc: two-pass {:.3} ms, fused {} ({})",
         artifact.fill_portable_min_ms,
-        opt(artifact.fill_simd_min_ms),
-        artifact
-            .fill_speedup
-            .map_or_else(|| "n/a".to_string(), |v| format!("{v:.1}x")),
+        opt(artifact.fill_avx2_min_ms),
+        opt(artifact.fill_avx512_min_ms),
+        ratio(artifact.fill_speedup),
+        artifact.fill_crc_two_pass_min_ms,
+        opt(artifact.fill_crc_fused_min_ms),
+        ratio(artifact.fused_speedup),
     );
     println!(
         "generate {:.1} us -> emit_into {:.1} us ({:.2}x); \

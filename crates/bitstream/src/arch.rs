@@ -10,21 +10,30 @@
 //! | path | x86_64 | aarch64 |
 //! |------|--------|---------|
 //! | CRC  | PCLMULQDQ 4×128-bit fold → SSE4.2 `crc32q` reduction, or the SSE4.2 `crc32q` four-lane kernel | ARMv8 `crc32cx` four-lane kernel |
-//! | fill | AVX2 8-lane counter splitmix | portable (autovectorized) |
+//! | fill | AVX-512DQ 16-lane splitmix, fused with the VPCLMULQDQ fold during emission; AVX2 8-lane splitmix; portable | portable (autovectorized) |
 //!
 //! The CRC-32C (Castagnoli) polynomial is natively supported by the x86
 //! `crc32` instruction family and the ARMv8 `crc32c*` instructions, so
 //! the hardware paths compute the *identical* checksum, not an
-//! approximation. The carryless-multiply kernel derives its fold
+//! approximation. The carryless-multiply kernels derive their fold
 //! constants at compile time from the same `advance` algebra the
 //! portable folded kernel is built on (see
 //! [`crate::crc::clmul_fold_const`]).
+//!
+//! The writer fills and checksums each FDRI payload through one entry,
+//! [`fill_crc_words`]. With the AVX-512 fill selected it runs the fused
+//! kernel, which folds each generated 64-byte vector into the CRC before
+//! it leaves registers; every other host fills, then checksums the
+//! words, through the two separately dispatched kernels.
 //!
 //! ## Dispatch policy
 //!
 //! * Detection happens on first use, through a [`OnceLock`]; the chosen
 //!   paths are visible via [`active`] and are reported by the pipeline
 //!   benchmarks.
+//! * The AVX-512 fill is selected only when AVX-512F/DQ/BW, VPCLMULQDQ,
+//!   PCLMULQDQ and SSE4.2 are all present, so the fused kernel can run
+//!   wherever the fill does.
 //! * Setting `PRFPGA_FORCE_SCALAR` to any value other than `0` or the
 //!   empty string forces the portable kernels, for testing and for
 //!   apples-to-apples scalar baselines. The variable is read once, at
@@ -79,6 +88,9 @@ impl CrcPath {
 /// Which payload-fill kernel the dispatcher selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FillPath {
+    /// AVX-512DQ 16-lane counter-form splitmix fill; during emission it
+    /// runs fused with the VPCLMULQDQ CRC fold.
+    Avx512,
     /// AVX2 8-lane counter-form splitmix fill.
     Avx2,
     /// The portable counter-form fill (autovectorizable).
@@ -89,6 +101,7 @@ impl FillPath {
     /// Stable identifier used in benchmark artifacts and CLI output.
     pub fn name(self) -> &'static str {
         match self {
+            FillPath::Avx512 => "avx512-splitmix",
             FillPath::Avx2 => "avx2-splitmix",
             FillPath::Portable => "portable-splitmix",
         }
@@ -139,12 +152,35 @@ fn detect_native() -> Dispatch {
     } else {
         CrcPath::Portable
     };
-    let fill = if std::arch::is_x86_feature_detected!("avx2") {
+    let fill = if fused_detected() {
+        FillPath::Avx512
+    } else if std::arch::is_x86_feature_detected!("avx2") {
         FillPath::Avx2
     } else {
         FillPath::Portable
     };
     Dispatch { crc, fill }
+}
+
+/// The AVX-512 fill kernel's features: F for the 512-bit registers, DQ
+/// for the 64-bit lane multiply.
+#[cfg(target_arch = "x86_64")]
+fn avx512_fill_detected() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+}
+
+/// The fused fill-and-CRC kernel's features: the AVX-512 fill's, BW for
+/// the 512-bit byte shuffle, VPCLMULQDQ for the 512-bit fold, and the
+/// PCLMULQDQ + SSE4.2 collapse, reduction and tail it shares with the
+/// CLMUL kernel.
+#[cfg(target_arch = "x86_64")]
+fn fused_detected() -> bool {
+    avx512_fill_detected()
+        && std::arch::is_x86_feature_detected!("avx512bw")
+        && std::arch::is_x86_feature_detected!("vpclmulqdq")
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.2")
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -182,6 +218,7 @@ struct Kernels {
     dispatch: Dispatch,
     crc: fn(u32, &[u32]) -> u32,
     fill: fn(u64, &mut [u32]),
+    fill_crc: fn(u64, &mut [u32], u32) -> u32,
 }
 
 static KERNELS: OnceLock<Kernels> = OnceLock::new();
@@ -200,13 +237,21 @@ fn build_kernels(dispatch: Dispatch) -> Kernels {
     };
     let fill: fn(u64, &mut [u32]) = match dispatch.fill {
         #[cfg(target_arch = "x86_64")]
+        FillPath::Avx512 => fill_avx512_kernel,
+        #[cfg(target_arch = "x86_64")]
         FillPath::Avx2 => fill_avx2_kernel,
         _ => fill_portable_kernel,
+    };
+    let fill_crc: fn(u64, &mut [u32], u32) -> u32 = match dispatch.fill {
+        #[cfg(target_arch = "x86_64")]
+        FillPath::Avx512 => fill_crc_avx512_kernel,
+        _ => fill_crc_two_pass,
     };
     Kernels {
         dispatch,
         crc,
         fill,
+        fill_crc,
     }
 }
 
@@ -222,11 +267,14 @@ pub(crate) fn crc_update(state: u32, words: &[u32]) -> u32 {
     (kernels().crc)(state, words)
 }
 
-/// Fill `out` with the deterministic frame payload for `seed` using the
-/// dispatched kernel. The hot path behind the bitstream writer.
+/// Fill `out` with the deterministic frame payload for `seed` and
+/// advance the raw CRC `state` over the filled words, through the
+/// dispatched fill-and-checksum entry; returns the new state. The hot
+/// path behind the bitstream writer (one call per FDRI block), exposed
+/// for benchmarks and equivalence tests.
 #[inline]
-pub(crate) fn fill_payload(seed: u64, out: &mut [u32]) {
-    (kernels().fill)(seed, out)
+pub fn fill_crc_words(seed: u64, out: &mut [u32], state: u32) -> u32 {
+    (kernels().fill_crc)(seed, out, state)
 }
 
 // ------------------------------------------------------ safe wrappers
@@ -237,6 +285,13 @@ fn crc_portable_kernel(state: u32, words: &[u32]) -> u32 {
 
 fn fill_portable_kernel(seed: u64, out: &mut [u32]) {
     crate::writer::fill_payload_portable(seed, out);
+}
+
+/// Fill, then checksum, through the table's separate kernels: the
+/// fill-and-checksum entry wherever the fused kernel is not selected.
+fn fill_crc_two_pass(seed: u64, out: &mut [u32], state: u32) -> u32 {
+    fill_words(seed, out);
+    crc_update(state, out)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -272,6 +327,31 @@ fn fill_avx2_kernel(seed: u64, out: &mut [u32]) {
         unsafe { x86::fill_payload_avx2(seed, out) }
     } else {
         crate::writer::fill_payload_portable(seed, out);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)] // SAFETY: kernel entered only after verifying AVX-512F/DQ.
+fn fill_avx512_kernel(seed: u64, out: &mut [u32]) {
+    if avx512_fill_detected() {
+        // SAFETY: `fill_payload_avx512` requires AVX-512F and AVX-512DQ,
+        // verified just above.
+        unsafe { x86::fill_payload_avx512(seed, out) }
+    } else {
+        crate::writer::fill_payload_portable(seed, out);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)] // SAFETY: kernel entered only after verifying every fused-kernel feature.
+fn fill_crc_avx512_kernel(seed: u64, out: &mut [u32], state: u32) -> u32 {
+    if fused_detected() {
+        // SAFETY: `fill_crc_avx512` requires AVX-512F/DQ/BW, VPCLMULQDQ,
+        // PCLMULQDQ and SSE4.2, all verified just above.
+        unsafe { x86::fill_crc_avx512(seed, out, state) }
+    } else {
+        crate::writer::fill_payload_portable(seed, out);
+        crate::crc::update_portable(state, out)
     }
 }
 
@@ -327,10 +407,10 @@ pub fn crc_words_clmul(words: &[u32]) -> Option<u32> {
     None
 }
 
-/// Fill `out` via the dispatched kernel (same as the writer's hot path;
-/// exposed for benchmarks and equivalence tests).
+/// Fill `out` via the dispatched fill kernel (exposed for benchmarks
+/// and equivalence tests; the writer fills through [`fill_crc_words`]).
 pub fn fill_words(seed: u64, out: &mut [u32]) {
-    fill_payload(seed, out);
+    (kernels().fill)(seed, out)
 }
 
 /// Fill `out` via the portable kernel, regardless of CPU features.
@@ -338,10 +418,10 @@ pub fn fill_words_portable(seed: u64, out: &mut [u32]) {
     crate::writer::fill_payload_portable(seed, out);
 }
 
-/// Fill `out` via the SIMD kernel if this CPU has one. Returns `true`
-/// if the SIMD kernel ran, `false` if `out` was left untouched.
+/// Fill `out` via the AVX2 kernel if this CPU has AVX2. Returns `true`
+/// if the kernel ran, `false` if `out` was left untouched.
 #[allow(unsafe_code)] // SAFETY: feature verified before the unsafe call.
-pub fn fill_words_simd(seed: u64, out: &mut [u32]) -> bool {
+pub fn fill_words_avx2(seed: u64, out: &mut [u32]) -> bool {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 verified just above.
@@ -352,11 +432,41 @@ pub fn fill_words_simd(seed: u64, out: &mut [u32]) -> bool {
     false
 }
 
+/// Fill `out` via the AVX-512 kernel if this CPU has AVX-512F/DQ.
+/// Returns `true` if the kernel ran, `false` if `out` was left
+/// untouched.
+#[allow(unsafe_code)] // SAFETY: features verified before the unsafe call.
+pub fn fill_words_avx512(seed: u64, out: &mut [u32]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if avx512_fill_detected() {
+        // SAFETY: AVX-512F and AVX-512DQ verified just above.
+        unsafe { x86::fill_payload_avx512(seed, out) };
+        return true;
+    }
+    let _ = (seed, out);
+    false
+}
+
+/// Fill `out` and advance the raw CRC `state` over it with the fused
+/// AVX-512 kernel, if this CPU has every feature it needs (`Some(new
+/// state)`), or `None` with `out` left untouched.
+#[allow(unsafe_code)] // SAFETY: features verified before the unsafe call.
+pub fn fill_crc_words_avx512(seed: u64, out: &mut [u32], state: u32) -> Option<u32> {
+    #[cfg(target_arch = "x86_64")]
+    if fused_detected() {
+        // SAFETY: AVX-512F/DQ/BW, VPCLMULQDQ, PCLMULQDQ and SSE4.2
+        // verified just above.
+        return Some(unsafe { x86::fill_crc_avx512(seed, out, state) });
+    }
+    let _ = (seed, out, state);
+    None
+}
+
 // ----------------------------------------------------- x86_64 kernels
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! SSE4.2 / PCLMULQDQ / AVX2 kernels.
+    //! SSE4.2 / PCLMULQDQ / AVX2 / AVX-512 kernels.
     //!
     //! SAFETY policy: every function here is `unsafe fn` with a
     //! `#[target_feature]` contract — the caller must have verified the
@@ -368,15 +478,32 @@ mod x86 {
     #![deny(unsafe_op_in_unsafe_fn)]
 
     use crate::crc::{advance, clmul_fold_const, ADVANCE, LANE_WORDS, SUPER_WORDS};
-    use crate::writer::{splitmix32, GAMMA};
+    use crate::writer::{fill_payload_portable, GAMMA};
     use core::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi64, _mm256_loadu_si256, _mm256_mul_epu32,
+        __m128i, __m256i, __m512i, _mm256_add_epi64, _mm256_loadu_si256, _mm256_mul_epu32,
         _mm256_permute2x128_si256, _mm256_permutevar8x32_epi32, _mm256_set1_epi64x,
         _mm256_set_epi64x, _mm256_slli_epi64, _mm256_srli_epi64, _mm256_storeu_si256,
-        _mm256_xor_si256, _mm_clmulepi64_si128, _mm_crc32_u32, _mm_crc32_u64, _mm_cvtsi128_si64,
-        _mm_cvtsi32_si128, _mm_extract_epi64, _mm_loadu_si128, _mm_set_epi64x, _mm_set_epi8,
-        _mm_shuffle_epi8, _mm_xor_si128,
+        _mm256_xor_si256, _mm512_add_epi64, _mm512_broadcast_i32x4, _mm512_clmulepi64_epi128,
+        _mm512_extracti32x4_epi32, _mm512_loadu_si512, _mm512_mullo_epi64,
+        _mm512_permutex2var_epi32, _mm512_set1_epi64, _mm512_shuffle_epi8, _mm512_srli_epi64,
+        _mm512_storeu_si512, _mm512_xor_si512, _mm512_zextsi128_si512, _mm_clmulepi64_si128,
+        _mm_crc32_u32, _mm_crc32_u64, _mm_cvtsi128_si64, _mm_cvtsi32_si128, _mm_extract_epi64,
+        _mm_loadu_si128, _mm_set_epi64x, _mm_set_epi8, _mm_shuffle_epi8, _mm_xor_si128,
     };
+
+    /// Words per folding iteration and per AVX-512 fill block (64 bytes:
+    /// four XMM registers, or one ZMM register).
+    const BLOCK_WORDS: usize = 16;
+    /// splitmix64's two output-mix multipliers.
+    const M1: i64 = 0xbf58_476d_1ce4_e5b9_u64 as i64;
+    const M2: i64 = 0x94d0_49bb_1331_11eb_u64 as i64;
+
+    /// Fill the words of a payload past its first `done` with the
+    /// portable kernel: word `j` of `tail` is payload word `done + j`,
+    /// i.e. the portable fill from the seed advanced by `done` steps.
+    fn fill_tail(seed: u64, done: usize, tail: &mut [u32]) {
+        fill_payload_portable(seed.wrapping_add(GAMMA.wrapping_mul(done as u64)), tail);
+    }
 
     /// Two adjacent configuration words as the 64-bit value `crc32q`
     /// consumes: the instruction absorbs its operand's bytes low-first,
@@ -450,6 +577,17 @@ mod x86 {
     const FOLD_256: (i64, i64) = (clmul_fold_const(288) as i64, clmul_fold_const(224) as i64);
     const FOLD_128: (i64, i64) = (clmul_fold_const(160) as i64, clmul_fold_const(96) as i64);
 
+    /// `pshufb` control reversing the bytes of each 32-bit word: memory
+    /// holds little-endian words, the CRC stream is their big-endian
+    /// bytes.
+    ///
+    /// # Safety
+    /// CPU must support SSE4.2 (implies SSSE3).
+    #[target_feature(enable = "sse4.2")]
+    unsafe fn bswap32_mask() -> __m128i {
+        _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3)
+    }
+
     /// Load 16 message bytes (4 configuration words) in CRC stream
     /// order: unaligned load of the little-endian words, then a per-lane
     /// byte reversal so register byte 0 is the first transmitted byte.
@@ -478,21 +616,42 @@ mod x86 {
         )
     }
 
+    /// Collapse the four fold accumulators into one — `x0` leads `x3` by
+    /// 384 message bits, `x1` by 256, `x2` by 128 — and reduce the
+    /// 128-bit residual. Its register bytes are already in stream order,
+    /// so two `crc32q` steps from state 0 produce the CRC state of the
+    /// residual message (equivalent to the classic Barrett reduction).
+    ///
+    /// # Safety
+    /// CPU must support PCLMULQDQ and SSE4.2.
+    #[target_feature(enable = "sse4.2,pclmulqdq")]
+    unsafe fn reduce_lanes(x0: __m128i, x1: __m128i, x2: __m128i, x3: __m128i) -> u32 {
+        let k384 = _mm_set_epi64x(FOLD_384.1, FOLD_384.0);
+        let k256 = _mm_set_epi64x(FOLD_256.1, FOLD_256.0);
+        let k128 = _mm_set_epi64x(FOLD_128.1, FOLD_128.0);
+        // SAFETY: `fold_128` needs PCLMULQDQ and SSE4.2, per this fn's
+        // contract.
+        let x = unsafe {
+            _mm_xor_si128(
+                _mm_xor_si128(fold_128(x0, k384), fold_128(x1, k256)),
+                _mm_xor_si128(fold_128(x2, k128), x3),
+            )
+        };
+        let lo = _mm_cvtsi128_si64(x) as u64;
+        let hi = _mm_extract_epi64::<1>(x) as u64;
+        _mm_crc32_u64(_mm_crc32_u64(0, lo), hi) as u32
+    }
+
     /// Carryless-multiply folding CRC kernel: four 128-bit accumulators
     /// consume 64 message bytes per iteration (each folded 512 bits
-    /// forward per step), are collapsed to one accumulator with the
-    /// 384/256/128-bit fold constants, and the final 128-bit residual is
-    /// reduced through two `crc32q` steps (equivalent to the classic
-    /// Barrett reduction, since both compute the CRC of the residual
-    /// bytes from a zero state). Inputs shorter than one 64-byte block,
-    /// and tails, take the hardware single-chain path.
+    /// forward per step), then [`reduce_lanes`] collapses and reduces
+    /// them. Inputs shorter than one 64-byte block, and tails, take the
+    /// hardware single-chain path.
     ///
     /// # Safety
     /// CPU must support PCLMULQDQ and SSE4.2.
     #[target_feature(enable = "sse4.2,pclmulqdq")]
     pub(super) unsafe fn crc_update_clmul(state: u32, words: &[u32]) -> u32 {
-        /// Words per folding iteration (64 bytes, four XMM registers).
-        const BLOCK_WORDS: usize = 16;
         if words.len() < BLOCK_WORDS {
             // SAFETY: SSE4.2 per this fn's contract.
             return unsafe { crc_tail_hw(state, words) };
@@ -502,9 +661,7 @@ mod x86 {
         // target_feature contract; every `load_stream` offset is at most
         // `blocks * BLOCK_WORDS - 4`, in bounds by construction.
         unsafe {
-            // Per-lane byte reversal: memory holds little-endian words,
-            // the CRC stream is their big-endian bytes.
-            let mask = _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3);
+            let mask = bswap32_mask();
             let k512 = _mm_set_epi64x(FOLD_512.1, FOLD_512.0);
             let mut x0 = load_stream(words, 0, mask);
             let mut x1 = load_stream(words, 4, mask);
@@ -519,22 +676,7 @@ mod x86 {
                 x2 = _mm_xor_si128(fold_128(x2, k512), load_stream(words, base + 8, mask));
                 x3 = _mm_xor_si128(fold_128(x3, k512), load_stream(words, base + 12, mask));
             }
-            // Collapse: x0 leads x3 by 384 message bits, x1 by 256, x2
-            // by 128.
-            let k384 = _mm_set_epi64x(FOLD_384.1, FOLD_384.0);
-            let k256 = _mm_set_epi64x(FOLD_256.1, FOLD_256.0);
-            let k128 = _mm_set_epi64x(FOLD_128.1, FOLD_128.0);
-            let x = _mm_xor_si128(
-                _mm_xor_si128(fold_128(x0, k384), fold_128(x1, k256)),
-                _mm_xor_si128(fold_128(x2, k128), x3),
-            );
-            // Reduce the 128-bit residual: its register bytes are
-            // already in stream order, so two crc32q steps from state 0
-            // produce the CRC state of the residual message.
-            let lo = _mm_cvtsi128_si64(x) as u64;
-            let hi = _mm_extract_epi64::<1>(x) as u64;
-            let reduced = _mm_crc32_u64(_mm_crc32_u64(0, lo), hi) as u32;
-            crc_tail_hw(reduced, &words[blocks * BLOCK_WORDS..])
+            crc_tail_hw(reduce_lanes(x0, x1, x2, x3), &words[blocks * BLOCK_WORDS..])
         }
     }
 
@@ -562,8 +704,6 @@ mod x86 {
     /// CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn fill_payload_avx2(seed: u64, out: &mut [u32]) {
-        const M1: i64 = 0xbf58_476d_1ce4_e5b9_u64 as i64;
-        const M2: i64 = 0x94d0_49bb_1331_11eb_u64 as i64;
         let full = out.len() - out.len() % 8;
         let mut chunks = out.chunks_exact_mut(8);
         // SAFETY: AVX2 per this fn's contract; the only memory access is
@@ -606,9 +746,162 @@ mod x86 {
                 cb = _mm256_add_epi64(cb, step);
             }
         }
-        let base = seed.wrapping_add(GAMMA.wrapping_mul(full as u64));
-        for (j, w) in chunks.into_remainder().iter_mut().enumerate() {
-            *w = splitmix32(base.wrapping_add(GAMMA.wrapping_mul(j as u64 + 1)));
+        fill_tail(seed, full, chunks.into_remainder());
+    }
+
+    /// splitmix64's output mix on eight u64 lanes, with the native
+    /// 64-bit multiply (`vpmullq`).
+    ///
+    /// # Safety
+    /// CPU must support AVX-512F and AVX-512DQ.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn mix8(z: __m512i) -> __m512i {
+        let z = _mm512_mullo_epi64(
+            _mm512_xor_si512(z, _mm512_srli_epi64::<30>(z)),
+            _mm512_set1_epi64(M1),
+        );
+        let z = _mm512_mullo_epi64(
+            _mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)),
+            _mm512_set1_epi64(M2),
+        );
+        _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z))
+    }
+
+    /// The AVX-512 kernels' payload generator: sixteen splitmix counters,
+    /// word `i` of the next block in lane `i % 8` of `lo` (`i < 8`) or
+    /// `hi`.
+    struct Splitmix16 {
+        lo: __m512i,
+        hi: __m512i,
+    }
+
+    /// `vpermt2d` indices gathering the low dword of each u64 lane of
+    /// two vectors, first operand first.
+    const PACK_LOW_DWORDS: [u32; 16] = [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30];
+
+    impl Splitmix16 {
+        /// The generator for a payload seeded with `seed`: word `i` is
+        /// `splitmix32(seed + (i+1)·GAMMA)`, the portable fill's counter
+        /// form.
+        ///
+        /// # Safety
+        /// CPU must support AVX-512F.
+        #[target_feature(enable = "avx512f")]
+        unsafe fn new(seed: u64) -> Self {
+            let counters: [u64; BLOCK_WORDS] =
+                core::array::from_fn(|i| seed.wrapping_add(GAMMA.wrapping_mul(i as u64 + 1)));
+            // SAFETY: each load reads eight u64 of `counters`; AVX-512F
+            // per this fn's contract.
+            unsafe {
+                Splitmix16 {
+                    lo: _mm512_loadu_si512(counters.as_ptr().cast()),
+                    hi: _mm512_loadu_si512(counters[8..].as_ptr().cast()),
+                }
+            }
+        }
+
+        /// The next sixteen payload words, in word order.
+        ///
+        /// # Safety
+        /// CPU must support AVX-512F and AVX-512DQ.
+        #[target_feature(enable = "avx512f,avx512dq")]
+        unsafe fn next_block(&mut self) -> __m512i {
+            let step = _mm512_set1_epi64(GAMMA.wrapping_mul(BLOCK_WORDS as u64) as i64);
+            // SAFETY: `mix8` needs AVX-512F/DQ and the index load reads
+            // the sixteen u32 of `PACK_LOW_DWORDS`, per this fn's
+            // contract.
+            let words = unsafe {
+                let pack = _mm512_loadu_si512(PACK_LOW_DWORDS.as_ptr().cast());
+                _mm512_permutex2var_epi32(mix8(self.lo), pack, mix8(self.hi))
+            };
+            self.lo = _mm512_add_epi64(self.lo, step);
+            self.hi = _mm512_add_epi64(self.hi, step);
+            words
+        }
+    }
+
+    /// AVX-512 payload fill: sixteen splitmix counters per iteration
+    /// with native 64-bit multiplies, the counter form of the portable
+    /// fill, so the output is byte-identical.
+    ///
+    /// # Safety
+    /// CPU must support AVX-512F and AVX-512DQ.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) unsafe fn fill_payload_avx512(seed: u64, out: &mut [u32]) {
+        let full = out.len() - out.len() % BLOCK_WORDS;
+        let mut chunks = out.chunks_exact_mut(BLOCK_WORDS);
+        // SAFETY: AVX-512F/DQ per this fn's contract; the only memory
+        // access is the unaligned 64-byte store into each exact 16-word
+        // chunk.
+        unsafe {
+            let mut words = Splitmix16::new(seed);
+            for q in chunks.by_ref() {
+                _mm512_storeu_si512(q.as_mut_ptr().cast(), words.next_block());
+            }
+        }
+        fill_tail(seed, full, chunks.into_remainder());
+    }
+
+    /// [`fold_128`] on all four 128-bit lanes of `x` at once.
+    ///
+    /// # Safety
+    /// CPU must support AVX-512F and VPCLMULQDQ.
+    #[target_feature(enable = "avx512f,vpclmulqdq")]
+    unsafe fn fold_4x128(x: __m512i, k: __m512i) -> __m512i {
+        _mm512_xor_si512(
+            _mm512_clmulepi64_epi128::<0x00>(x, k),
+            _mm512_clmulepi64_epi128::<0x11>(x, k),
+        )
+    }
+
+    /// Fused payload fill and CRC: [`fill_payload_avx512`]'s words, each
+    /// 16-word block stored, byte-swapped into stream order and folded
+    /// into one 512-bit accumulator before it leaves registers. The
+    /// accumulator's four 128-bit lanes are [`crc_update_clmul`]'s
+    /// `x0..x3`, folded by the same 512 bits per block, so the collapse,
+    /// reduction and tail are that kernel's. Returns the CRC state
+    /// advanced from `state` over the filled words.
+    ///
+    /// # Safety
+    /// CPU must support AVX-512F/DQ/BW, VPCLMULQDQ, PCLMULQDQ and SSE4.2.
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw,vpclmulqdq,pclmulqdq,sse4.2")]
+    pub(super) unsafe fn fill_crc_avx512(seed: u64, out: &mut [u32], state: u32) -> u32 {
+        let full = out.len() - out.len() % BLOCK_WORDS;
+        let (body, tail) = out.split_at_mut(full);
+        fill_tail(seed, full, tail);
+        if body.is_empty() {
+            // SAFETY: SSE4.2 per this fn's contract.
+            return unsafe { crc_tail_hw(state, tail) };
+        }
+        let (first, rest) = body.split_at_mut(BLOCK_WORDS);
+        // SAFETY: all intrinsics and callees below are covered by this
+        // fn's target_feature contract; the only memory accesses are the
+        // unaligned 64-byte stores into `first` and into each exact
+        // 16-word chunk of `rest`.
+        unsafe {
+            let mask = _mm512_broadcast_i32x4(bswap32_mask());
+            let k512 = _mm512_broadcast_i32x4(_mm_set_epi64x(FOLD_512.1, FOLD_512.0));
+            let mut words = Splitmix16::new(seed);
+            let block = words.next_block();
+            _mm512_storeu_si512(first.as_mut_ptr().cast(), block);
+            // The running state enters the first four stream bytes; the
+            // zero extension keeps the other lanes' bits defined.
+            let mut acc = _mm512_xor_si512(
+                _mm512_shuffle_epi8(block, mask),
+                _mm512_zextsi128_si512(_mm_cvtsi32_si128(state as i32)),
+            );
+            for q in rest.chunks_exact_mut(BLOCK_WORDS) {
+                let block = words.next_block();
+                _mm512_storeu_si512(q.as_mut_ptr().cast(), block);
+                acc = _mm512_xor_si512(fold_4x128(acc, k512), _mm512_shuffle_epi8(block, mask));
+            }
+            let reduced = reduce_lanes(
+                _mm512_extracti32x4_epi32::<0>(acc),
+                _mm512_extracti32x4_epi32::<1>(acc),
+                _mm512_extracti32x4_epi32::<2>(acc),
+                _mm512_extracti32x4_epi32::<3>(acc),
+            );
+            crc_tail_hw(reduced, tail)
         }
     }
 }
@@ -701,8 +994,19 @@ mod tests {
             CrcPath::Portable
         };
         assert_eq!(d.crc, expect);
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
-        assert_eq!(d.fill == FillPath::Avx2, avx2);
+        let fused = clmul
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("vpclmulqdq");
+        let fill = if fused {
+            FillPath::Avx512
+        } else if std::arch::is_x86_feature_detected!("avx2") {
+            FillPath::Avx2
+        } else {
+            FillPath::Portable
+        };
+        assert_eq!(d.fill, fill);
     }
 
     #[test]
@@ -721,12 +1025,25 @@ mod tests {
 
     #[test]
     fn simd_fill_matches_portable() {
-        for len in [0usize, 1, 7, 8, 9, 64, 333] {
+        for len in [0usize, 1, 7, 8, 9, 16, 17, 64, 333] {
             let mut portable = vec![0u32; len];
             fill_words_portable(0xDEAD_BEEF_0123_4567, &mut portable);
-            let mut simd = vec![0u32; len];
-            if fill_words_simd(0xDEAD_BEEF_0123_4567, &mut simd) {
-                assert_eq!(simd, portable, "len {len}");
+            let mut avx2 = vec![0u32; len];
+            if fill_words_avx2(0xDEAD_BEEF_0123_4567, &mut avx2) {
+                assert_eq!(avx2, portable, "avx2 len {len}");
+            }
+            let mut avx512 = vec![0u32; len];
+            if fill_words_avx512(0xDEAD_BEEF_0123_4567, &mut avx512) {
+                assert_eq!(avx512, portable, "avx512 len {len}");
+            }
+            let mut fused = vec![0u32; len];
+            if let Some(state) = fill_crc_words_avx512(0xDEAD_BEEF_0123_4567, &mut fused, !0) {
+                assert_eq!(fused, portable, "fused len {len}");
+                assert_eq!(
+                    !state,
+                    crate::crc::crc_words_folded(&portable),
+                    "fused crc len {len}"
+                );
             }
         }
     }

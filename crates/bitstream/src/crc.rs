@@ -292,7 +292,7 @@ impl Crc32 {
     }
 
     /// Absorb a slice of configuration words — the batch fast path used
-    /// by [`crc_words`] and the bitstream writer.
+    /// by [`crc_words`] and the bitstream parser.
     ///
     /// Routes through the [`crate::arch`] dispatch table: hardware
     /// CRC-32C / carryless-multiply kernels where the CPU supports them,
@@ -304,6 +304,16 @@ impl Crc32 {
     #[inline]
     pub fn push_words(&mut self, words: &[u32]) {
         self.state = crate::arch::crc_update(self.state, words);
+    }
+
+    /// Fill `out` with the writer's deterministic frame payload for
+    /// `seed` and absorb it, through one dispatched
+    /// [`crate::arch::fill_crc_words`] call: the fused AVX-512 kernel
+    /// folds each generated vector before it leaves registers, other
+    /// hosts fill and then checksum.
+    #[inline]
+    pub(crate) fn fill_and_push(&mut self, seed: u64, out: &mut [u32]) {
+        self.state = crate::arch::fill_crc_words(seed, out, self.state);
     }
 
     /// Absorb a slice of configuration words through the slice-16 chain

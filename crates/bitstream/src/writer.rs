@@ -2,11 +2,15 @@
 //!
 //! Emission is arena-style: [`emitted_words`] predicts the exact output
 //! length so every stream is written into a single exact-size
-//! allocation (no per-word `Vec` growth), invariant header packets and
-//! string hashes are derived once per `(organization, device, module)`
-//! triple through an [`EmitScratch`] template memo, the frame payload is
-//! a counter-based (loop-carry-free, vectorizable) splitmix64 fill, and
-//! the in-stream CRC runs through the folded kernel. An [`EmitScratch`]
+//! allocation (no per-word `Vec` growth), and invariant header packets
+//! and string hashes are derived once per `(organization, device,
+//! module)` triple through an [`EmitScratch`] template memo. Each FDRI
+//! block's payload is filled and checksummed in one pass: a
+//! counter-based (loop-carry-free, vectorizable) splitmix64 fill and the
+//! in-stream CRC go through one dispatched [`crate::arch`] call, which on
+//! AVX-512 hosts folds each generated vector into the CRC before it
+//! leaves registers. A recycled output buffer is not zeroed first: every
+//! word of it is overwritten. An [`EmitScratch`]
 //! also keeps a small cache of recently rendered streams, each held once
 //! behind an `Arc`: [`emit_shared`] hands out that shared handle, so a
 //! batch that emits the same placed module repeatedly — the steady state
@@ -166,20 +170,11 @@ fn t1(register: ConfigRegister, word_count: u32) -> u32 {
 
 /// The splitmix64 output mix, truncated to a configuration word.
 #[inline(always)]
-pub(crate) fn splitmix32(state: u64) -> u32 {
+fn splitmix32(state: u64) -> u32 {
     let mut z = state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     (z ^ (z >> 31)) as u32
-}
-
-/// Fill `out` with the deterministic frame payload for `seed`, through
-/// the runtime-dispatched kernel (AVX2 where available, otherwise the
-/// portable counter loop below). Every kernel produces byte-identical
-/// output.
-#[inline]
-fn fill_payload(seed: u64, out: &mut [u32]) {
-    crate::arch::fill_payload(seed, out);
 }
 
 /// Fill `out` with the deterministic frame payload for `seed` — the
@@ -372,17 +367,16 @@ fn emit_frame_block(
     ]);
     let start = pos + HEADER_WORDS;
     let end = start + payload_words as usize;
-    let payload = &mut out[start..end];
-    fill_payload(tpl.seed ^ u64::from(far), payload);
-    crc.push_words(payload);
+    crc.fill_and_push(tpl.seed ^ u64::from(far), &mut out[start..end]);
     end
 }
 
 /// The arena emission core: one exact-size `resize`, slice-copied
-/// headers, counter-based payload fill, folded CRC. `spec` must already
-/// be validated against `tpl`'s organization.
+/// headers, and a one-pass payload fill and CRC per block. `out`'s
+/// existing words are not zeroed: the blocks cover every word, which the
+/// closing `debug_assert` checks. `spec` must already be validated
+/// against `tpl`'s organization.
 fn emit_template(tpl: &EmitTemplate, spec: &BitstreamSpec, out: &mut Vec<u32>) {
-    out.clear();
     out.resize(tpl.total_words, 0);
     out[..INITIAL_WORDS].copy_from_slice(&tpl.initial);
 

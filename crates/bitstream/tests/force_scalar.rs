@@ -30,4 +30,11 @@ fn force_scalar_env_selects_portable_kernels() {
     let mut portable = vec![0u32; 333];
     arch::fill_words_portable(0xABCD_EF01_2345_6789, &mut portable);
     assert_eq!(dispatched, portable);
+
+    // The writer's fill-and-CRC entry: the portable fill, checksummed
+    // like the bitwise oracle.
+    let mut filled = vec![0u32; 333];
+    let state = arch::fill_crc_words(0xABCD_EF01_2345_6789, &mut filled, 0xFFFF_FFFF);
+    assert_eq!(filled, portable);
+    assert_eq!(!state, crc_words_bitwise(&portable));
 }

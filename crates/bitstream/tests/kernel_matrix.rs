@@ -1,10 +1,10 @@
 //! Kernel-matrix equivalence: every compiled CRC and payload-fill
 //! variant — frozen bitwise baseline, slice-16, portable folded, the
-//! runtime-dispatched entry point, and whichever hardware kernels this
+//! runtime-dispatched entry points, and whichever hardware kernels this
 //! CPU exposes (SSE4.2 `crc32q`, PCLMULQDQ fold, ARMv8 `crc32c*`, AVX2
-//! fill) — must be byte-identical on arbitrary inputs, including empty,
-//! single-word and odd tails, and must reproduce the standard CRC-32C
-//! check vector.
+//! and AVX-512 fill, the fused AVX-512 fill + VPCLMULQDQ CRC) — must be
+//! byte-identical on arbitrary inputs, including empty, single-word and
+//! odd tails, and must reproduce the standard CRC-32C check vector.
 //!
 //! The hardware variants are probed through `bitstream::arch`'s
 //! `Option`/`bool` entry points, so this suite automatically covers
@@ -74,9 +74,48 @@ fn assert_fill_matrix_agrees(seed: u64, len: usize) {
     let mut dispatched = vec![0u32; len];
     arch::fill_words(seed, &mut dispatched);
     assert_eq!(dispatched, reference, "dispatched fill (len {len})");
-    let mut simd = vec![0u32; len];
-    if arch::fill_words_simd(seed, &mut simd) {
-        assert_eq!(simd, reference, "simd fill (len {len})");
+    let mut avx2 = vec![0u32; len];
+    if arch::fill_words_avx2(seed, &mut avx2) {
+        assert_eq!(avx2, reference, "avx2 fill (len {len})");
+    }
+    let mut avx512 = vec![0u32; len];
+    if arch::fill_words_avx512(seed, &mut avx512) {
+        assert_eq!(avx512, reference, "avx512 fill (len {len})");
+    }
+}
+
+/// Every fill-and-CRC entry this host runs, each filling a fresh
+/// `len`-word buffer from `seed` and advancing the raw CRC `state` over
+/// it, labelled: (name, words, new state).
+fn fill_crc_matrix(seed: u64, len: usize, state: u32) -> Vec<(&'static str, Vec<u32>, u32)> {
+    let mut dispatched = vec![0u32; len];
+    let out = arch::fill_crc_words(seed, &mut dispatched, state);
+    let mut m = vec![("dispatched", dispatched, out)];
+    let mut fused = vec![0u32; len];
+    if let Some(out) = arch::fill_crc_words_avx512(seed, &mut fused, state) {
+        m.push(("avx512-fused", fused, out));
+    }
+    m
+}
+
+/// The fill-and-CRC oracle: the portable fill, checksummed by the frozen
+/// bitwise loop after `prefix`, so the incoming raw state is the one
+/// `prefix` leaves (any state: one prefix word already reaches every
+/// value). Returns (incoming state, words, outgoing state).
+fn fill_crc_oracle(seed: u64, len: usize, prefix: &[u32]) -> (u32, Vec<u32>, u32) {
+    let mut words = vec![0u32; len];
+    arch::fill_words_portable(seed, &mut words);
+    let state_in = !crc_words_bitwise(prefix);
+    let state_out = !crc_words_bitwise(&[prefix, &words].concat());
+    (state_in, words, state_out)
+}
+
+/// Every fill-and-CRC entry against the oracle.
+fn assert_fill_crc_matrix_agrees(seed: u64, len: usize, prefix: &[u32]) {
+    let (state, words, expect) = fill_crc_oracle(seed, len, prefix);
+    for (name, got_words, got) in fill_crc_matrix(seed, len, state) {
+        assert_eq!(got_words, words, "{name} fill (len {len})");
+        assert_eq!(got, expect, "{name} crc (len {len}, prefix {prefix:?})");
     }
 }
 
@@ -109,16 +148,32 @@ fn crc_matrix_boundary_lengths() {
     }
 }
 
-/// Fill boundary lengths around the AVX2 kernel's 8-word block and the
-/// portable kernel's 4-word unroll, including empty and odd tails.
+/// Fill boundary lengths around the AVX-512 kernels' 16-word block, the
+/// AVX2 kernel's 8-word block and the portable kernel's 4-word unroll,
+/// including empty and odd tails.
+const FILL_LENGTHS: [usize; 20] = [
+    0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100, 333, 511, 512, 513,
+];
+
 #[test]
 fn fill_matrix_boundary_lengths() {
-    for len in [
-        0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100, 333,
-    ] {
+    for len in FILL_LENGTHS {
         assert_fill_matrix_agrees(0xDEAD_BEEF_0123_4567, len);
         assert_fill_matrix_agrees(u64::MAX, len);
         assert_fill_matrix_agrees(0, len);
+    }
+}
+
+/// The fill-and-CRC entries at the same boundary lengths, from the
+/// initial CRC state and from states a prefix leaves.
+#[test]
+fn fill_crc_matrix_boundary_lengths() {
+    for len in FILL_LENGTHS {
+        for prefix in [&[][..], &[0x0123_4567], &[u32::MAX, 7]] {
+            assert_fill_crc_matrix_agrees(0xDEAD_BEEF_0123_4567, len, prefix);
+            assert_fill_crc_matrix_agrees(u64::MAX, len, prefix);
+            assert_fill_crc_matrix_agrees(0, len, prefix);
+        }
     }
 }
 
@@ -159,9 +214,29 @@ proptest! {
         let mut dispatched = vec![0u32; len];
         arch::fill_words(seed, &mut dispatched);
         prop_assert_eq!(&dispatched, &reference);
-        let mut simd = vec![0u32; len];
-        if arch::fill_words_simd(seed, &mut simd) {
-            prop_assert_eq!(&simd, &reference);
+        let mut avx2 = vec![0u32; len];
+        if arch::fill_words_avx2(seed, &mut avx2) {
+            prop_assert_eq!(&avx2, &reference);
+        }
+        let mut avx512 = vec![0u32; len];
+        if arch::fill_words_avx512(seed, &mut avx512) {
+            prop_assert_eq!(&avx512, &reference);
+        }
+    }
+
+    /// Property: every fill-and-CRC entry equals the portable fill plus
+    /// the frozen bitwise CRC for arbitrary seeds, lengths and incoming
+    /// CRC states.
+    #[test]
+    fn fill_crc_matrix_on_arbitrary_inputs(
+        seed in any::<u64>(),
+        len in 0usize..600,
+        prefix in proptest::collection::vec(any::<u32>(), 0..3),
+    ) {
+        let (state, words, expect) = fill_crc_oracle(seed, len, &prefix);
+        for (name, got_words, got) in fill_crc_matrix(seed, len, state) {
+            prop_assert_eq!(&got_words, &words, "{} fill", name);
+            prop_assert_eq!(got, expect, "{} crc", name);
         }
     }
 }
