@@ -119,7 +119,6 @@ fn probe_states(device: &Device, want: usize) -> Vec<LayoutManager> {
 fn search_cfg() -> Defrag2Config {
     Defrag2Config {
         depth: 3,
-        context_aware: true,
         node_budget: u64::MAX,
     }
 }

@@ -3,12 +3,14 @@
 //!
 //! *Churn*: a fixed, seeded allocate/release sequence (place a random
 //! CLB/DSP/BRAM window request, or free a random live window) driven
-//! against [`layout::FreeSpace`] (per-row maximal free runs +
-//! composition-indexed candidate starts, incremental maintenance) and
-//! against the brute-force occupancy grid [`layout::NaiveFreeSpace`]
-//! (the test oracle: O(width × rows) scans per query). Both structures
-//! see the byte-identical op sequence, so the placements coincide and
-//! only the data-structure cost differs.
+//! against [`layout::FreeSpace`] (per-row column bitsets +
+//! composition-indexed candidate starts; a free test is one masked
+//! compare per row word) and against the brute-force occupancy grid
+//! [`layout::NaiveFreeSpace`] (the test oracle: O(width × rows) scans
+//! per query). Both structures see the byte-identical op sequence, so
+//! the placements coincide and only the data-structure cost differs.
+//! Neither side samples a fragmentation metric; both compute them on
+//! demand only.
 //!
 //! *Defrag policies*: the pinned heavy-tailed workload from the
 //! acceptance suite (seed 24, scale 1500, xc5vlx110t) simulated under
@@ -57,8 +59,8 @@ fn churn_ops(device: &Device, n: usize, seed: u64) -> Vec<Op> {
         .collect()
 }
 
-/// Drive `ops` against the incremental run tracker. Returns placements
-/// made (a checksum that also keeps the work from being optimized out).
+/// Drive `ops` against the bitset tracker. Returns placements made (a
+/// checksum that also keeps the work from being optimized out).
 fn churn_fast(device: &Device, ops: &[Op]) -> usize {
     let mut fs = FreeSpace::new(device);
     let mut live: Vec<Window> = Vec::new();
@@ -120,7 +122,7 @@ fn bench_layout(c: &mut Criterion) {
     assert_eq!(churn_fast(&device, &ops), churn_naive(&device, &ops));
 
     let mut g = c.benchmark_group("layout");
-    g.bench_function("churn_runs_lx110t", |b| {
+    g.bench_function("churn_bitset_lx110t", |b| {
         b.iter(|| churn_fast(&device, black_box(&ops)))
     });
     g.bench_function("churn_naive_lx110t", |b| {
@@ -163,9 +165,9 @@ struct LayoutBenchArtifact {
     churn_ops: usize,
     churn_placements: usize,
     samples: u32,
-    runs_mean_ms: f64,
+    bitset_mean_ms: f64,
     naive_mean_ms: f64,
-    /// Headline figure: free-run tracking over the occupancy-grid oracle
+    /// Headline figure: the bitset tracker over the occupancy-grid oracle
     /// on the churn workload.
     churn_speedup: f64,
     workload_tasks: usize,
@@ -189,7 +191,7 @@ fn emit_artifact() {
         }
         start.elapsed().as_secs_f64() / f64::from(samples)
     };
-    let runs_mean = time(&|| churn_fast(&device, &ops));
+    let bitset_mean = time(&|| churn_fast(&device, &ops));
     let naive_mean = time(&|| churn_naive(&device, &ops));
 
     let workload = pinned_workload(&device);
@@ -228,16 +230,16 @@ fn emit_artifact() {
         churn_ops: ops.len(),
         churn_placements: placements,
         samples,
-        runs_mean_ms: runs_mean * 1e3,
+        bitset_mean_ms: bitset_mean * 1e3,
         naive_mean_ms: naive_mean * 1e3,
-        churn_speedup: naive_mean / runs_mean,
+        churn_speedup: naive_mean / bitset_mean,
         workload_tasks: workload.tasks.len(),
         policy_table,
     };
     println!(
-        "churn on {}: runs {:.3} ms, naive {:.3} ms ({:.1}x; {} ops, {} placements)",
+        "churn on {}: bitset {:.3} ms, naive {:.3} ms ({:.1}x; {} ops, {} placements)",
         artifact.device,
-        artifact.runs_mean_ms,
+        artifact.bitset_mean_ms,
         artifact.naive_mean_ms,
         artifact.churn_speedup,
         artifact.churn_ops,

@@ -29,7 +29,9 @@
 //!
 //! Shutdown is graceful: [`PlanService::shutdown`] (or drop) stops
 //! admission, lets the workers drain every queued job, and joins them —
-//! no ticket is ever abandoned unresolved.
+//! no ticket is ever abandoned unresolved. Counters are flushed after
+//! each batch's tickets resolve, so they are exact once `shutdown()`
+//! returns.
 
 use crate::engine::Engine;
 use crate::error::CostError;
@@ -426,6 +428,7 @@ mod tests {
             let direct = plan_prr_from_requirements(&r, &v5);
             assert_eq!(*via_service, direct, "{r:?}");
         }
+        service.shutdown();
         let snap = service.engine().snapshot();
         assert_eq!(snap.labeled_value("tenant:alice"), 40);
         assert_eq!(snap.labeled_value("service:submitted"), 40);
@@ -434,12 +437,11 @@ mod tests {
             .stages
             .iter()
             .any(|s| s.name == "service" && s.count == 40));
-        service.shutdown();
     }
 
     #[test]
     fn tenants_are_tallied_separately() {
-        let service = PlanService::new(ServiceConfig::default());
+        let mut service = PlanService::new(ServiceConfig::default());
         let v6 = xc6vlx75t();
         let mut tickets = Vec::new();
         for n in 0..6 {
@@ -459,6 +461,7 @@ mod tests {
         for t in tickets {
             t.wait();
         }
+        service.shutdown();
         let snap = service.engine().snapshot();
         assert_eq!(snap.labeled_value("tenant:alice"), 6);
         assert_eq!(snap.labeled_value("tenant:bob"), 3);
@@ -488,6 +491,7 @@ mod tests {
         for t in &admitted {
             t.wait();
         }
+        service.shutdown();
         // Everything admitted completed; the rest was refused, not lost.
         assert_eq!(
             service
@@ -499,7 +503,6 @@ mod tests {
         // With a 2-deep queue and 200 rapid submissions, some must have
         // been refused (the blocking path is covered by the stress suite).
         assert!(refused > 0, "queue never filled");
-        service.shutdown();
     }
 
     #[test]

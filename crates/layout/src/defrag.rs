@@ -17,11 +17,15 @@
 //! [`bitstream::relocate_batch`] enforces. This keeps plans short and
 //! directly executable in any move order.
 
+use crate::free::SpanRect;
 use crate::manager::{Allocation, LayoutManager};
 use fabric::Window;
 use prcost::{Metrics, PrrOrganization};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
+
+/// Cap on relocations per single-step plan.
+pub(crate) const MAX_MOVES: usize = 4;
 
 /// When to execute a defragmentation plan.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -97,7 +101,7 @@ pub(crate) fn overlaps(a: &Window, b: &Window) -> bool {
 
 impl LayoutManager {
     /// Plan a minimal relocation set that frees a window for `org`, or
-    /// `None` when no single-step plan with at most `max_moves` moves
+    /// `None` when no single-step plan with at most `MAX_MOVES` (4) moves
     /// exists. Minimality is (move count, then total ICAP time) over all
     /// candidate admit rectangles.
     pub fn plan_defrag(&self, org: &PrrOrganization) -> Option<DefragPlan> {
@@ -108,10 +112,7 @@ impl LayoutManager {
             return None;
         }
         let mut best: Option<DefragPlan> = None;
-        let starts: Vec<u32> = free
-            .candidate_starts(org.clb_cols, org.dsp_cols, org.bram_cols)
-            .to_vec();
-        for start in starts {
+        for &start in free.candidate_starts(org.clb_cols, org.dsp_cols, org.bram_cols) {
             let start = start as usize;
             for row in 1..=free.rows() - org.height + 1 {
                 let admit = Window {
@@ -139,26 +140,44 @@ impl LayoutManager {
     }
 
     /// Try to vacate `admit` by relocating every overlapping allocation
-    /// to a compatible free window elsewhere.
+    /// to the leftmost-then-bottom compatible window that is free, misses
+    /// `admit`, and was not chosen for an earlier blocker (chosen targets
+    /// are marked occupied in a private copy of the grid).
     fn plan_for_rect(&self, admit: Window) -> Option<DefragPlan> {
         let blockers: Vec<&Allocation> = self
             .allocation_map()
             .values()
             .filter(|a| overlaps(&a.window, &admit))
             .collect();
-        if blockers.len() > self.max_moves() {
+        if blockers.len() > MAX_MOVES {
             return None;
         }
+        let mut grid = self.free_space().grid().clone();
+        let avoid = SpanRect::of(&admit);
         let mut moves: Vec<RelocationMove> = Vec::with_capacity(blockers.len());
         for blocker in blockers {
-            let target = self.find_move_target(blocker, &admit, &moves)?;
+            let from = &blocker.window;
+            let target = grid
+                .targets(self.device().columns(), &from.columns, from.height, avoid)
+                .map(|t| Window {
+                    start_col: t.start,
+                    width: from.width,
+                    row: t.row,
+                    height: from.height,
+                    columns: from.columns.clone(),
+                })
+                // Column-sequence equality makes this hold by
+                // construction, but the plan's validity rests on the
+                // bitstream layer's own rule, so ask it.
+                .find(|target| bitstream::compatible(from, target))?;
+            grid.set(SpanRect::of(&target), false);
             let transfer_ns = self
                 .icap()
                 .transfer_time(blocker.bitstream_bytes)
                 .as_nanos() as u64;
             moves.push(RelocationMove {
                 id: blocker.id,
-                from: blocker.window.clone(),
+                from: from.clone(),
                 to: target,
                 bytes: blocker.bitstream_bytes,
                 context_bytes: 0,
@@ -173,49 +192,6 @@ impl LayoutManager {
             total_move_ns,
             total_move_bytes,
         })
-    }
-
-    /// Leftmost-then-bottom free window that is relocation-compatible
-    /// with `blocker` and disjoint from the admit rectangle and every
-    /// already-chosen target.
-    fn find_move_target(
-        &self,
-        blocker: &Allocation,
-        admit: &Window,
-        pending: &[RelocationMove],
-    ) -> Option<Window> {
-        let free = self.free_space();
-        let cols = self.device().columns();
-        let bw = blocker.window.columns.len();
-        let bh = blocker.window.height;
-        for start in 0..=cols.len().saturating_sub(bw) {
-            if cols[start..start + bw] != blocker.window.columns[..] {
-                continue;
-            }
-            for row in 1..=free.rows() - bh + 1 {
-                let target = Window {
-                    start_col: start,
-                    width: bw as u32,
-                    row,
-                    height: bh,
-                    columns: blocker.window.columns.clone(),
-                };
-                // Column-sequence equality makes this hold by
-                // construction, but the plan's validity rests on the
-                // bitstream layer's own rule, so ask it.
-                if !bitstream::compatible(&blocker.window, &target) {
-                    continue;
-                }
-                if !free.is_free(start, bw, row, bh)
-                    || overlaps(&target, admit)
-                    || pending.iter().any(|m| overlaps(&target, &m.to))
-                {
-                    continue;
-                }
-                return Some(target);
-            }
-        }
-        None
     }
 
     /// Execute a plan: move every allocation in the free-space map and

@@ -9,9 +9,10 @@
 //! move vacated. This module searches those schedules with the same
 //! machinery that made `parflow::autofloorplan` fast:
 //!
-//! * **incremental layout state** — [`LayoutState`] overlays the
-//!   [`FreeSpace`] per-row free runs; applying or undoing a move is two
-//!   run splices and two hash XORs, never a clone down the tree;
+//! * **incremental layout state** — [`LayoutState`] is a copy of the
+//!   [`FreeSpace`] row bitsets, taken once per admit rectangle; a move
+//!   (or its undo) sets the source's bits, clears the target's and XORs
+//!   two hash keys, never a clone down the tree;
 //! * **Zobrist-style transposition table** — each (allocation, position)
 //!   pair hashes to a derived 64-bit key; the layout hash is their XOR,
 //!   so permuted move orders reaching the same layout collide in the
@@ -44,13 +45,13 @@
 //! clone-based enumeration of the same plan space as the equivalence
 //! oracle.
 //!
-//! Moves are priced *preemption-aware* by default: a live module is
+//! Moves are always priced *preemption-aware*: a live module is
 //! running, so relocating it pays context save + restore bytes
 //! ([`prcost::context_breakdown`]) on top of the Eq. 18 write
 //! ([`LayoutManager::move_cost`]).
 
 use crate::defrag::RelocationMove;
-use crate::free::FreeSpace;
+use crate::free::{FreeGrid, FreeSpace, SpanRect};
 use crate::manager::{Allocation, LayoutManager, MoveCost};
 use fabric::{ColumnKind, Window};
 use prcost::{Metrics, PrrOrganization};
@@ -68,10 +69,6 @@ pub struct Defrag2Config {
     /// Maximum moves per plan, clamped to [`MAX_DEPTH`]; 0 disables the
     /// search entirely.
     pub depth: u32,
-    /// Price moves preemption-aware: live modules are running, so each
-    /// move pays context save + restore bytes on top of the bitstream
-    /// write. `false` prices write-only (idle modules).
-    pub context_aware: bool,
     /// Deterministic per-rectangle node budget: a rectangle whose
     /// feasibility descent exceeds it is abandoned. The default is far
     /// above anything the depth-capped tree reaches on real devices.
@@ -82,7 +79,6 @@ impl Default for Defrag2Config {
     fn default() -> Self {
         Defrag2Config {
             depth: 3,
-            context_aware: true,
             node_budget: 100_000,
         }
     }
@@ -125,30 +121,6 @@ fn zkey(id: u64, start_col: usize, row: u32) -> u64 {
     )
 }
 
-/// A rectangle in span form (no `columns` vector to clone).
-#[derive(Debug, Clone, Copy)]
-struct SpanRect {
-    start: usize,
-    end: usize,
-    row: u32,
-    top: u32,
-}
-
-impl SpanRect {
-    fn of(w: &Window) -> Self {
-        SpanRect {
-            start: w.start_col,
-            end: w.end_col(),
-            row: w.row,
-            top: w.top_row(),
-        }
-    }
-
-    fn overlaps(&self, start: usize, end: usize, row: u32, top: u32) -> bool {
-        self.start < end && start < self.end && self.row <= top && row <= self.top
-    }
-}
-
 /// One allocation that must vacate a candidate admit rectangle.
 struct Mover<'a> {
     alloc: &'a Allocation,
@@ -164,11 +136,11 @@ struct RectCand<'a> {
     cost: u64,
 }
 
-/// Incremental search state: the per-row free runs (copied once per
-/// rectangle, then mutated by apply/undo — never cloned down the tree)
-/// plus the XOR layout hash over the movers' current positions.
+/// Incremental search state: the free grid (copied once per rectangle,
+/// then shifted move by move — never cloned down the tree) plus the XOR
+/// layout hash over the movers' current positions.
 struct LayoutState {
-    runs: Vec<Vec<(usize, usize)>>,
+    grid: FreeGrid,
     hash: u64,
 }
 
@@ -179,78 +151,18 @@ impl LayoutState {
             hash ^= zkey(m.alloc.id, m.alloc.window.start_col, m.alloc.window.row);
         }
         LayoutState {
-            runs: free.runs().to_vec(),
+            grid: free.grid().clone(),
             hash,
         }
     }
 
-    /// Whether every cell of the rectangle is currently free (same run
-    /// probe as [`FreeSpace::is_free`]).
-    fn is_free(&self, start_col: usize, width: usize, row: u32, height: u32) -> bool {
-        let end = start_col + width;
-        (row..row + height).all(|r| {
-            let runs = &self.runs[(r - 1) as usize];
-            let i = runs.partition_point(|&(s, _)| s <= start_col);
-            i > 0 && runs[i - 1].1 >= end
-        })
-    }
-
-    /// Apply one move of mover `m` from its current span to `(to_start,
-    /// to_row)`: two run splices per row plus two hash XORs.
-    fn apply(&mut self, m: &Mover<'_>, from: SpanRect, to_start: usize, to_row: u32) {
-        let w = from.end - from.start;
-        let h = from.top - from.row + 1;
-        for r in to_row..to_row + h {
-            crate::free::carve_run(&mut self.runs[(r - 1) as usize], to_start, to_start + w);
-        }
-        for r in from.row..from.row + h {
-            crate::free::merge_run(&mut self.runs[(r - 1) as usize], from.start, from.end);
-        }
-        self.hash ^= zkey(m.alloc.id, from.start, from.row) ^ zkey(m.alloc.id, to_start, to_row);
-    }
-
-    /// Exact inverse of [`LayoutState::apply`].
-    fn undo(&mut self, m: &Mover<'_>, from: SpanRect, to_start: usize, to_row: u32) {
-        let w = from.end - from.start;
-        let h = from.top - from.row + 1;
-        for r in from.row..from.row + h {
-            crate::free::carve_run(&mut self.runs[(r - 1) as usize], from.start, from.end);
-        }
-        for r in to_row..to_row + h {
-            crate::free::merge_run(&mut self.runs[(r - 1) as usize], to_start, to_start + w);
-        }
-        self.hash ^= zkey(m.alloc.id, from.start, from.row) ^ zkey(m.alloc.id, to_start, to_row);
-    }
-}
-
-/// Canonical target enumeration for one mover: compatible column spans
-/// ascending, base rows ascending, currently free, disjoint from the
-/// admit rectangle. Shared (by specification) with the frozen oracle.
-fn targets_into(
-    columns: &[ColumnKind],
-    rows: u32,
-    state: &LayoutState,
-    admit: &SpanRect,
-    mover: &Mover<'_>,
-    out: &mut Vec<(usize, u32)>,
-) {
-    out.clear();
-    let want = &mover.alloc.window.columns[..];
-    let bw = want.len();
-    let bh = mover.alloc.window.height;
-    for start in 0..=columns.len().saturating_sub(bw) {
-        if &columns[start..start + bw] != want {
-            continue;
-        }
-        for row in 1..=rows - bh + 1 {
-            if !state.is_free(start, bw, row, bh) {
-                continue;
-            }
-            if admit.overlaps(start, start + bw, row, row + bh - 1) {
-                continue;
-            }
-            out.push((start, row));
-        }
+    /// Move allocation `id` from `from` to the free, disjoint `to`: free
+    /// the source cells, occupy the target's, swap the two position keys
+    /// in the hash. `shift(id, to, from)` undoes it.
+    fn shift(&mut self, id: u64, from: SpanRect, to: SpanRect) {
+        self.grid.set(from, true);
+        self.grid.set(to, false);
+        self.hash ^= zkey(id, from.start, from.row) ^ zkey(id, to.start, to.row);
     }
 }
 
@@ -266,7 +178,6 @@ type Seq = Vec<(usize, usize, u32)>;
 #[allow(clippy::too_many_arguments)]
 fn descend(
     columns: &[ColumnKind],
-    rows: u32,
     admit: &SpanRect,
     movers: &[Mover<'_>],
     state: &mut LayoutState,
@@ -288,15 +199,20 @@ fn descend(
         if moved & (1 << mi) != 0 {
             continue;
         }
-        let from = SpanRect::of(&mover.alloc.window);
-        targets_into(columns, rows, state, admit, mover, &mut targets);
-        for &(to_start, to_row) in &targets {
-            state.apply(mover, from, to_start, to_row);
-            seq.push((mi, to_start, to_row));
+        let window = &mover.alloc.window;
+        targets.clear();
+        targets.extend(
+            state
+                .grid
+                .targets(columns, &window.columns, window.height, *admit),
+        );
+        let (id, from) = (mover.alloc.id, SpanRect::of(window));
+        for &to in &targets {
+            state.shift(id, from, to);
+            seq.push((mi, to.start, to.row));
             if visited.insert(state.hash)
                 && descend(
                     columns,
-                    rows,
                     admit,
                     movers,
                     state,
@@ -310,7 +226,7 @@ fn descend(
                 return true;
             }
             seq.pop();
-            state.undo(mover, from, to_start, to_row);
+            state.shift(id, to, from);
         }
     }
     false
@@ -324,7 +240,6 @@ fn rect_candidates<'a>(
     mgr: &'a LayoutManager,
     org: &PrrOrganization,
     depth: usize,
-    context_aware: bool,
 ) -> Vec<RectCand<'a>> {
     let free = mgr.free_space();
     let width = org.width() as usize;
@@ -333,26 +248,15 @@ fn rect_candidates<'a>(
         return rects;
     }
     let allocs: Vec<&Allocation> = mgr.allocation_map().values().collect();
-    let costs: Vec<MoveCost> = allocs
-        .iter()
-        .map(|a| mgr.move_cost(a, context_aware))
-        .collect();
+    let costs: Vec<MoveCost> = allocs.iter().map(|a| mgr.move_cost(a, true)).collect();
     for &start in free.candidate_starts(org.clb_cols, org.dsp_cols, org.bram_cols) {
         let start = start as usize;
         for row in 1..=free.rows() - org.height + 1 {
-            let admit = SpanRect {
-                start,
-                end: start + width,
-                row,
-                top: row + org.height - 1,
-            };
+            let admit = SpanRect::at(start, width, row, org.height);
             let movers: Vec<Mover<'a>> = allocs
                 .iter()
                 .zip(&costs)
-                .filter(|(a, _)| {
-                    let w = &a.window;
-                    admit.overlaps(w.start_col, w.end_col(), w.row, w.top_row())
-                })
+                .filter(|(a, _)| admit.overlaps(&SpanRect::of(&a.window)))
                 .map(|(a, &cost)| Mover { alloc: a, cost })
                 .collect();
             if movers.len() > depth {
@@ -373,7 +277,6 @@ fn rect_candidates<'a>(
 /// first sequence if one exists.
 fn solve_rect(
     columns: &[ColumnKind],
-    rows: u32,
     free: &FreeSpace,
     rect: &RectCand<'_>,
     budget: u64,
@@ -384,7 +287,6 @@ fn solve_rect(
     let mut seq = Vec::with_capacity(rect.movers.len());
     if descend(
         columns,
-        rows,
         &rect.admit,
         &rect.movers,
         &mut state,
@@ -462,7 +364,7 @@ pub fn plan(
     if config.depth == 0 {
         return None;
     }
-    let rects = rect_candidates(mgr, org, depth, config.context_aware);
+    let rects = rect_candidates(mgr, org, depth);
     let columns = mgr.device().columns();
     let free = mgr.free_space();
     let mut nodes = 0u64;
@@ -473,14 +375,7 @@ pub fn plan(
                 continue;
             }
         }
-        if let Some(seq) = solve_rect(
-            columns,
-            free.rows(),
-            free,
-            rect,
-            config.node_budget,
-            &mut nodes,
-        ) {
+        if let Some(seq) = solve_rect(columns, free, rect, config.node_budget, &mut nodes) {
             best = Some((rect.cost, rect.movers.len(), idx, seq));
         }
     }
@@ -607,7 +502,6 @@ pub mod reference {
                 let mut seq = Vec::new();
                 enumerate(
                     mgr,
-                    config,
                     rows,
                     &admit,
                     &movers,
@@ -635,7 +529,6 @@ pub mod reference {
     #[allow(clippy::too_many_arguments)]
     fn enumerate(
         mgr: &LayoutManager,
-        config: &Defrag2Config,
         rows: u32,
         admit: &Window,
         movers: &[&Allocation],
@@ -688,7 +581,7 @@ pub mod reference {
                 }
             }
             for to in targets {
-                let mc = mgr.move_cost(movers[mi], config.context_aware);
+                let mc = mgr.move_cost(movers[mi], true);
                 grid.release(&from);
                 grid.allocate(&to);
                 positions[mi] = to.clone();
@@ -703,7 +596,6 @@ pub mod reference {
                 });
                 enumerate(
                     mgr,
-                    config,
                     rows,
                     admit,
                     movers,

@@ -1,8 +1,10 @@
 //! Runtime free-space tracking over the device grid.
 //!
-//! [`FreeSpace`] maintains, per fabric row, the sorted list of maximal
-//! free column runs, updated incrementally in O(affected runs) on every
-//! allocate/release. Placement queries are answered against a
+//! [`FreeSpace`] records free cells in one place: per-row column bitsets
+//! (`FreeGrid`), where bit `c` of a row is set iff the cell in column
+//! `c` is free. Forbidden (IOB/CLK) columns are never set. Allocate and
+//! release clear or set the rectangle's bits, and a free test is one
+//! masked compare per row word. Placement queries are answered against a
 //! *composition index* built with the same run-extension walk as
 //! [`fabric::DeviceGeometry`]: at construction we visit every span of
 //! every maximal IOB/CLK-free run ([`Device::prr_free_runs`]) and record,
@@ -17,20 +19,12 @@
 //! force over an occupancy grid and is the equivalence oracle (and the
 //! bench baseline) for every query and metric.
 //!
-//! Forbidden (IOB/CLK) columns are never part of any free run, so two
-//! adjacent free runs in a row can only be separated by occupied eligible
-//! cells — merging runs that touch on release is always safe.
-//!
-//! Fragmentation metrics are incremental too: the per-row height
-//! histograms of the largest-rectangle sweep are repaired column-wise on
-//! every allocate/release (stopping at the first unchanged row), so
-//! [`FreeSpace::largest_free_rect`] and
-//! [`FreeSpace::fragmentation_index`] are O(1) queries — the defrag
-//! search and the simulator sample them on every placement change. Debug
-//! builds assert the cached value against the full sweep on every query.
+//! Nothing else is kept up to date. Free cells, total and per resource
+//! kind, are popcounts, and the largest free rectangle behind
+//! [`FreeSpace::fragmentation_index`] is computed exactly when asked.
 
 use fabric::{ColumnKind, Device, Window, WindowRequest};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Packs a composition into one `u64` index key (21 bits per count),
 /// mirroring the key used by `fabric::DeviceGeometry`.
@@ -38,29 +32,202 @@ fn comp_key(clb: u32, dsp: u32, bram: u32) -> u64 {
     (u64::from(clb) << 42) | (u64::from(dsp) << 21) | u64::from(bram)
 }
 
-/// Incrementally maintained free-space map of one device.
+/// A rectangle in span form: columns `[start, end)`, rows `row..=top`
+/// (no `columns` vector to clone).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SpanRect {
+    pub start: usize,
+    pub end: usize,
+    pub row: u32,
+    pub top: u32,
+}
+
+impl SpanRect {
+    pub(crate) fn of(w: &Window) -> Self {
+        SpanRect::at(w.start_col, w.width as usize, w.row, w.height)
+    }
+
+    /// The `width` × `height` rectangle with bottom-left cell `(start, row)`.
+    pub(crate) fn at(start: usize, width: usize, row: u32, height: u32) -> Self {
+        SpanRect {
+            start,
+            end: start + width,
+            row,
+            top: row + height - 1,
+        }
+    }
+
+    pub(crate) fn overlaps(&self, o: &SpanRect) -> bool {
+        self.start < o.end && o.start < self.end && self.row <= o.top && o.row <= self.top
+    }
+}
+
+/// `(word, mask)` pairs covering columns `[start, end)`, `start < end`.
+fn span_words(start: usize, end: usize) -> impl Iterator<Item = (usize, u64)> {
+    (start / 64..end.div_ceil(64)).map(move |w| {
+        let lo = start.max(w * 64) - w * 64;
+        let hi = end.min(w * 64 + 64) - w * 64;
+        (w, (u64::MAX >> (64 - (hi - lo))) << lo)
+    })
+}
+
+/// First column at or after `from` whose bit equals `set`, or
+/// `words.len() * 64` when there is none.
+fn next_bit(words: &[u64], from: usize, set: bool) -> usize {
+    let flip = if set { 0 } else { u64::MAX };
+    let mut w = from / 64;
+    let mut x = match words.get(w) {
+        Some(&word) => (word ^ flip) & (u64::MAX << (from % 64)),
+        None => return words.len() * 64,
+    };
+    while x == 0 {
+        w += 1;
+        match words.get(w) {
+            Some(&word) => x = word ^ flip,
+            None => return words.len() * 64,
+        }
+    }
+    w * 64 + x.trailing_zeros() as usize
+}
+
+/// Longest run of set bits, by trailing-zero scans.
+fn longest_run(words: &[u64]) -> u64 {
+    let end = words.len() * 64;
+    let mut best = 0;
+    let mut c = next_bit(words, 0, true);
+    while c < end {
+        let stop = next_bit(words, c, false);
+        best = best.max(stop - c);
+        c = next_bit(words, stop, true);
+    }
+    best as u64
+}
+
+fn popcount(words: &[u64]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
+/// Per-row column bitsets, `⌈width / 64⌉` words per row: bit `c % 64` of
+/// word `c / 64` is set iff column `c` of that row is free. Bits past the
+/// last column stay clear, so any device width works.
+#[derive(Debug, Clone)]
+pub(crate) struct FreeGrid {
+    rows: u32,
+    width: usize,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl FreeGrid {
+    /// Fabric row `r` (1-based).
+    fn row(&self, r: u32) -> &[u64] {
+        &self.bits[(r - 1) as usize * self.words..][..self.words]
+    }
+
+    /// Whether every cell of the rectangle is free; `false` for an empty
+    /// rectangle or one that leaves the device.
+    pub(crate) fn is_free(&self, start_col: usize, width: usize, row: u32, height: u32) -> bool {
+        if width == 0 || height == 0 || row == 0 {
+            return false;
+        }
+        let (Some(end), Some(top)) = (start_col.checked_add(width), row.checked_add(height - 1))
+        else {
+            return false;
+        };
+        end <= self.width
+            && top <= self.rows
+            && (row..=top).all(|r| {
+                let bits = self.row(r);
+                span_words(start_col, end).all(|(w, m)| bits[w] & m == m)
+            })
+    }
+
+    /// Mark the rectangle's cells free or occupied. Every cell must be in
+    /// the other state (debug-asserted: no double free, no double
+    /// allocation).
+    pub(crate) fn set(&mut self, rect: SpanRect, free: bool) {
+        for r in rect.row..=rect.top {
+            let base = (r - 1) as usize * self.words;
+            for (w, m) in span_words(rect.start, rect.end) {
+                let word = &mut self.bits[base + w];
+                debug_assert_eq!(*word & m, if free { 0 } else { m }, "cells not flipped");
+                if free {
+                    *word |= m;
+                } else {
+                    *word &= !m;
+                }
+            }
+        }
+    }
+
+    /// Free windows of `height` rows whose column kinds equal `kinds` and
+    /// that miss `avoid`, leftmost then bottom: the relocation targets of
+    /// a module occupying `kinds` on a device with `columns`.
+    pub(crate) fn targets<'a>(
+        &'a self,
+        columns: &'a [ColumnKind],
+        kinds: &'a [ColumnKind],
+        height: u32,
+        avoid: SpanRect,
+    ) -> impl Iterator<Item = SpanRect> + 'a {
+        let width = kinds.len();
+        (0..=columns.len().saturating_sub(width))
+            .filter(move |&start| columns.get(start..start + width) == Some(kinds))
+            .flat_map(move |start| {
+                (1..=(self.rows + 1).saturating_sub(height))
+                    .map(move |row| SpanRect::at(start, width, row, height))
+            })
+            .filter(move |t| !avoid.overlaps(t) && self.is_free(t.start, width, t.row, height))
+    }
+
+    /// Free cells in the columns set in `mask` (one row's words), over
+    /// every row.
+    fn free_cells_in(&self, mask: &[u64]) -> u64 {
+        self.bits
+            .chunks_exact(self.words)
+            .flat_map(|row| row.iter().zip(mask))
+            .map(|(b, m)| u64::from((b & m).count_ones()))
+            .sum()
+    }
+
+    /// Area of the largest all-free rectangle. For every row interval the
+    /// rows are ANDed and the longest run of ones is taken; an interval
+    /// whose popcount times height cannot beat the best so far is
+    /// skipped, and a start row stops once no taller interval can.
+    fn largest_free_rect(&self) -> u64 {
+        let mut acc = vec![0u64; self.words];
+        let mut best = 0u64;
+        for lo in 1..=self.rows {
+            acc.copy_from_slice(self.row(lo));
+            for hi in lo..=self.rows {
+                for (a, b) in acc.iter_mut().zip(self.row(hi)) {
+                    *a &= b;
+                }
+                let ones = popcount(&acc);
+                if ones * u64::from(self.rows - lo + 1) <= best {
+                    break;
+                }
+                let h = u64::from(hi - lo + 1);
+                if ones * h > best {
+                    best = best.max(longest_run(&acc) * h);
+                }
+            }
+        }
+        best
+    }
+}
+
+/// Free-space map of one device.
 #[derive(Debug, Clone)]
 pub struct FreeSpace {
-    rows: u32,
     columns: Vec<ColumnKind>,
-    /// Per fabric row (index `row - 1`): sorted, disjoint, maximal free
-    /// column runs `[start, end)`. Only PRR-eligible columns ever appear.
-    free: Vec<Vec<(usize, usize)>>,
+    grid: FreeGrid,
     /// Composition → ascending start columns of spans realising it on the
     /// empty device (the fixed geometry; occupancy is tested per query).
     candidates: HashMap<u64, Vec<u32>>,
-    /// Free eligible cells, total and per resource kind slot.
-    free_cells: u64,
-    free_by_kind: [u64; 3],
-    /// `heights[r][c]`: consecutive free cells in column `c` ending at row
-    /// index `r` — the per-row histogram the largest-rectangle sweep scans,
-    /// kept incrementally under allocate/release.
-    heights: Vec<Vec<u64>>,
-    /// `row_best[r]`: largest all-free rectangle whose top edge is row
-    /// index `r` (a pure function of `heights[r]`).
-    row_best: Vec<u64>,
-    /// Cached `max(row_best)`: the largest all-free rectangle.
-    largest: u64,
+    /// Per resource kind slot `(CLB, DSP, BRAM)`: that kind's columns, as
+    /// one row's words.
+    kind_masks: [Vec<u64>; 3],
 }
 
 impl FreeSpace {
@@ -68,8 +235,6 @@ impl FreeSpace {
     pub fn new(device: &Device) -> Self {
         let columns = device.columns().to_vec();
         let mut candidates: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut row_runs = Vec::new();
-        let mut free_by_kind = [0u64; 3];
         for run in device.prr_free_runs() {
             for start in run.clone() {
                 let mut counts = [0u32; 3];
@@ -81,51 +246,39 @@ impl FreeSpace {
                         .push(start as u32);
                 }
             }
-            for &kind in &columns[run.clone()] {
-                free_by_kind[kind.prr_count_slot()] += u64::from(device.rows());
-            }
-            row_runs.push((run.start, run.end));
         }
-        let free_cells = free_by_kind.iter().sum();
-        let rows = device.rows() as usize;
-        let free = vec![row_runs; rows];
-        let mut heights = vec![vec![0u64; columns.len()]; rows];
-        for (r, runs) in free.iter().enumerate() {
-            let (below, rest) = heights.split_at_mut(r);
-            let row = &mut rest[0];
-            for &(s, e) in runs {
-                for (c, h) in row.iter_mut().enumerate().take(e).skip(s) {
-                    *h = below.last().map_or(1, |prev| prev[c] + 1);
-                }
+        let words = columns.len().div_ceil(64);
+        let mut kind_masks = [vec![0u64; words], vec![0u64; words], vec![0u64; words]];
+        let mut eligible = vec![0u64; words];
+        for (c, kind) in columns.iter().enumerate() {
+            if kind.allowed_in_prr() {
+                kind_masks[kind.prr_count_slot()][c / 64] |= 1 << (c % 64);
+                eligible[c / 64] |= 1 << (c % 64);
             }
         }
-        let row_best: Vec<u64> = heights
-            .iter()
-            .map(|h| largest_rect_in_histogram(h))
-            .collect();
-        let largest = row_best.iter().copied().max().unwrap_or(0);
-        FreeSpace {
+        let grid = FreeGrid {
             rows: device.rows(),
+            width: columns.len(),
+            words,
+            bits: eligible.repeat(device.rows() as usize),
+        };
+        FreeSpace {
             columns,
-            free,
+            grid,
             candidates,
-            free_cells,
-            free_by_kind,
-            heights,
-            row_best,
-            largest,
+            kind_masks,
         }
     }
 
-    /// The per-row free runs (row index `row - 1`), for building search
-    /// overlays without cloning the composition index.
-    pub(crate) fn runs(&self) -> &[Vec<(usize, usize)>] {
-        &self.free
+    /// The free cells as per-row bitsets, for search overlays that copy
+    /// and mutate them.
+    pub(crate) fn grid(&self) -> &FreeGrid {
+        &self.grid
     }
 
     /// Fabric rows.
     pub fn rows(&self) -> u32 {
-        self.rows
+        self.grid.rows
     }
 
     /// Device width in columns.
@@ -146,17 +299,10 @@ impl FreeSpace {
             .map_or(&[], Vec::as_slice)
     }
 
-    /// Whether every cell of the rectangle is currently free.
+    /// Whether every cell of the rectangle is currently free; `false` for
+    /// an empty rectangle or one that leaves the device.
     pub fn is_free(&self, start_col: usize, width: usize, row: u32, height: u32) -> bool {
-        if width == 0 || height == 0 || row < 1 || row + height - 1 > self.rows {
-            return false;
-        }
-        let end = start_col + width;
-        (row..row + height).all(|r| {
-            let runs = &self.free[(r - 1) as usize];
-            let i = runs.partition_point(|&(s, _)| s <= start_col);
-            i > 0 && runs[i - 1].1 >= end
-        })
+        self.grid.is_free(start_col, width, row, height)
     }
 
     /// First free window satisfying `req` under the leftmost-then-bottom
@@ -164,12 +310,12 @@ impl FreeSpace {
     /// checks on the candidate starts only.
     pub fn find_window(&self, req: &WindowRequest) -> Option<Window> {
         let width = req.width() as usize;
-        if width == 0 || req.height < 1 || req.height > self.rows {
+        if width == 0 || req.height < 1 || req.height > self.rows() {
             return None;
         }
         for &start in self.candidate_starts(req.clb_cols, req.dsp_cols, req.bram_cols) {
             let start = start as usize;
-            for row in 1..=self.rows - req.height + 1 {
+            for row in 1..=self.rows() - req.height + 1 {
                 if self.is_free(start, width, row, req.height) {
                     return Some(Window {
                         start_col: start,
@@ -186,221 +332,45 @@ impl FreeSpace {
 
     /// Mark the window's cells occupied. The window must be fully free.
     pub fn allocate(&mut self, w: &Window) {
-        self.allocate_rect(w.start_col, w.width as usize, w.row, w.height);
-    }
-
-    /// Rectangle form of [`FreeSpace::allocate`]: no `Window` (and hence
-    /// no `columns` `Vec`) needs to exist — the search tree applies moves
-    /// through this.
-    pub fn allocate_rect(&mut self, start_col: usize, width: usize, row: u32, height: u32) {
         assert!(
-            self.is_free(start_col, width, row, height),
+            self.is_free(w.start_col, w.width as usize, w.row, w.height),
             "allocate of a non-free window"
         );
-        let end = start_col + width;
-        for r in row..row + height {
-            carve_run(&mut self.free[(r - 1) as usize], start_col, end);
-        }
-        let h = u64::from(height);
-        for &kind in &self.columns[start_col..end] {
-            self.free_by_kind[kind.prr_count_slot()] -= h;
-        }
-        self.free_cells -= width as u64 * h;
-        self.update_rect_metrics(start_col, end, row, height, false);
+        self.grid.set(SpanRect::of(w), false);
     }
 
-    /// Return the window's cells to the free map, merging with adjacent
-    /// runs (always safe: forbidden columns are never free, so touching
-    /// runs are contiguous eligible cells).
+    /// Return the window's cells to the free map.
     pub fn release(&mut self, w: &Window) {
-        self.release_rect(w.start_col, w.width as usize, w.row, w.height);
-    }
-
-    /// Rectangle form of [`FreeSpace::release`].
-    pub fn release_rect(&mut self, start_col: usize, width: usize, row: u32, height: u32) {
-        let end = start_col + width;
-        for r in row..row + height {
-            merge_run(&mut self.free[(r - 1) as usize], start_col, end);
-        }
-        let h = u64::from(height);
-        for &kind in &self.columns[start_col..end] {
-            self.free_by_kind[kind.prr_count_slot()] += h;
-        }
-        self.free_cells += width as u64 * h;
-        self.update_rect_metrics(start_col, end, row, height, true);
-    }
-
-    /// Incrementally repair `heights`/`row_best`/`largest` after the cells
-    /// of `[start, end) × [row, row + height)` flipped to `now_free`.
-    ///
-    /// Heights only change in the rectangle's columns: within the mutated
-    /// rows the new occupancy is known outright, and above them a cell is
-    /// free iff its *old* height was positive (occupancy there did not
-    /// change), so the recomputation walks upward per column and stops at
-    /// the first row whose height is unchanged — every row above it is
-    /// then unchanged too.
-    fn update_rect_metrics(
-        &mut self,
-        start: usize,
-        end: usize,
-        row: u32,
-        height: u32,
-        now_free: bool,
-    ) {
-        let r0 = (row - 1) as usize;
-        let r1 = r0 + height as usize;
-        let rows = self.rows as usize;
-        let mut max_changed = r1 - 1;
-        for c in start..end {
-            let mut prev = if r0 == 0 { 0 } else { self.heights[r0 - 1][c] };
-            for r in r0..r1 {
-                prev = if now_free { prev + 1 } else { 0 };
-                self.heights[r][c] = prev;
-            }
-            for r in r1..rows {
-                let old = self.heights[r][c];
-                let new = if old > 0 { prev + 1 } else { 0 };
-                if new == old {
-                    break;
-                }
-                self.heights[r][c] = new;
-                prev = new;
-                if r > max_changed {
-                    max_changed = r;
-                }
-            }
-        }
-        for r in r0..=max_changed {
-            self.row_best[r] = largest_rect_in_histogram(&self.heights[r]);
-        }
-        self.largest = self.row_best.iter().copied().max().unwrap_or(0);
+        self.grid.set(SpanRect::of(w), true);
     }
 
     /// Free eligible cells in total.
     pub fn total_free_cells(&self) -> u64 {
-        self.free_cells
+        popcount(&self.grid.bits)
     }
 
     /// Free eligible cells per resource kind `(CLB, DSP, BRAM)`.
     pub fn free_cells_by_kind(&self) -> [u64; 3] {
-        self.free_by_kind
+        self.kind_masks
+            .each_ref()
+            .map(|mask| self.grid.free_cells_in(mask))
     }
 
-    /// Area (in cells) of the largest all-free rectangle.
-    ///
-    /// O(1): the value is maintained incrementally by allocate/release
-    /// (the defrag search and the simulator's fragmentation sampler query
-    /// it on every placement change). Debug builds re-run the full
-    /// histogram sweep and assert agreement.
+    /// Area (in cells) of the largest all-free rectangle, computed from
+    /// the row bitsets on every call.
     pub fn largest_free_rect(&self) -> u64 {
-        debug_assert_eq!(
-            self.largest,
-            self.largest_free_rect_scan(),
-            "incremental largest-rect drifted from the full scan"
-        );
-        self.largest
-    }
-
-    /// The original full histogram-of-heights largest-rectangle sweep,
-    /// O(rows × width) — the ground truth the incremental value is
-    /// asserted against in debug builds.
-    fn largest_free_rect_scan(&self) -> u64 {
-        let width = self.columns.len();
-        let mut heights = vec![0u64; width];
-        let mut best = 0u64;
-        for runs in &self.free {
-            let mut cursor = 0usize;
-            for &(s, e) in runs {
-                for h in &mut heights[cursor..s] {
-                    *h = 0;
-                }
-                for h in &mut heights[s..e] {
-                    *h += 1;
-                }
-                cursor = e;
-            }
-            for h in &mut heights[cursor..] {
-                *h = 0;
-            }
-            best = best.max(largest_rect_in_histogram(&heights));
-        }
-        best
+        self.grid.largest_free_rect()
     }
 
     /// External-fragmentation index: `1 − largest free rectangle / total
     /// free cells`; `0` on an empty free map (nothing to fragment).
     pub fn fragmentation_index(&self) -> f64 {
-        if self.free_cells == 0 {
+        let free = self.total_free_cells();
+        if free == 0 {
             return 0.0;
         }
-        1.0 - self.largest_free_rect() as f64 / self.free_cells as f64
+        1.0 - self.largest_free_rect() as f64 / free as f64
     }
-
-    /// Histogram of free-run widths over all rows (width → run count):
-    /// the per-resource shape of the free space, small-run-heavy
-    /// distributions being the signature of external fragmentation.
-    pub fn run_width_histogram(&self) -> BTreeMap<usize, u64> {
-        let mut hist = BTreeMap::new();
-        for runs in &self.free {
-            for &(s, e) in runs {
-                *hist.entry(e - s).or_insert(0u64) += 1;
-            }
-        }
-        hist
-    }
-}
-
-/// Carve `[start, end)` out of one row's sorted maximal free runs. The
-/// interval must lie inside a single run (callers check `is_free`).
-pub(crate) fn carve_run(runs: &mut Vec<(usize, usize)>, start: usize, end: usize) {
-    let i = runs.partition_point(|&(s, _)| s <= start) - 1;
-    let (s, e) = runs[i];
-    let mut repl = Vec::with_capacity(2);
-    if s < start {
-        repl.push((s, start));
-    }
-    if end < e {
-        repl.push((end, e));
-    }
-    runs.splice(i..=i, repl);
-}
-
-/// Merge `[start, end)` back into one row's sorted maximal free runs,
-/// coalescing with touching neighbours.
-pub(crate) fn merge_run(runs: &mut Vec<(usize, usize)>, start: usize, end: usize) {
-    let (mut start, mut end) = (start, end);
-    let mut i = runs.partition_point(|&(s, _)| s < start);
-    debug_assert!(i == 0 || runs[i - 1].1 <= start, "double free (left)");
-    debug_assert!(i == runs.len() || end <= runs[i].0, "double free (right)");
-    if i < runs.len() && runs[i].0 == end {
-        end = runs[i].1;
-        runs.remove(i);
-    }
-    if i > 0 && runs[i - 1].1 == start {
-        start = runs[i - 1].0;
-        i -= 1;
-        runs.remove(i);
-    }
-    runs.insert(i, (start, end));
-}
-
-/// Classic stack-based largest rectangle under a histogram.
-fn largest_rect_in_histogram(heights: &[u64]) -> u64 {
-    let mut stack: Vec<usize> = Vec::new();
-    let mut best = 0u64;
-    for i in 0..=heights.len() {
-        let h = if i < heights.len() { heights[i] } else { 0 };
-        while let Some(&top) = stack.last() {
-            if heights[top] <= h {
-                break;
-            }
-            stack.pop();
-            let left = stack.last().map_or(0, |&j| j + 1);
-            best = best.max(heights[top] * (i - left) as u64);
-        }
-        stack.push(i);
-    }
-    best
 }
 
 /// Brute-force oracle for [`FreeSpace`]: an occupancy grid with the same
@@ -428,14 +398,18 @@ impl NaiveFreeSpace {
 
     /// Whether every cell of the rectangle is free (and eligible).
     pub fn is_free(&self, start_col: usize, width: usize, row: u32, height: u32) -> bool {
-        if width == 0 || height == 0 || row < 1 || row + height - 1 > self.rows {
+        if width == 0 || height == 0 || row < 1 {
             return false;
         }
-        if start_col + width > self.columns.len() {
+        let (Some(end), Some(top)) = (start_col.checked_add(width), row.checked_add(height - 1))
+        else {
+            return false;
+        };
+        if top > self.rows || end > self.columns.len() {
             return false;
         }
-        (row..row + height).all(|r| {
-            self.occupied[(r - 1) as usize][start_col..start_col + width]
+        (row..=top).all(|r| {
+            self.occupied[(r - 1) as usize][start_col..end]
                 .iter()
                 .all(|&o| !o)
         })
@@ -569,19 +543,27 @@ mod tests {
         }
     }
 
+    /// Every metric of `fs` equals the oracle's.
+    fn assert_matches(fs: &FreeSpace, naive: &NaiveFreeSpace) {
+        assert_eq!(fs.total_free_cells(), naive.total_free_cells());
+        assert_eq!(fs.free_cells_by_kind(), naive.free_cells_by_kind());
+        assert_eq!(fs.largest_free_rect(), naive.largest_free_rect());
+        assert_eq!(
+            fs.fragmentation_index().to_bits(),
+            naive.fragmentation_index().to_bits()
+        );
+    }
+
     #[test]
     fn fresh_map_is_all_free_and_unfragmented() {
         let d = fabric::database::xc5vlx110t();
         let fs = FreeSpace::new(&d);
         let naive = NaiveFreeSpace::new(&d);
-        assert_eq!(fs.total_free_cells(), naive.total_free_cells());
-        assert_eq!(fs.free_cells_by_kind(), naive.free_cells_by_kind());
-        assert_eq!(fs.largest_free_rect(), naive.largest_free_rect());
-        assert_eq!(fs.fragmentation_index(), naive.fragmentation_index());
+        assert_matches(&fs, &naive);
     }
 
     #[test]
-    fn carve_and_merge_round_trip() {
+    fn allocate_and_release_round_trip() {
         let d = strip(8);
         let mut fs = FreeSpace::new(&d);
         let a = win(0, 3, 1, 1);
@@ -593,13 +575,85 @@ mod tests {
         assert_eq!(fs.total_free_cells(), 0);
         fs.release(&a);
         fs.release(&c);
-        // Two runs split by b; releasing b merges everything back.
-        assert_eq!(fs.run_width_histogram(), BTreeMap::from([(3, 2)]));
+        // Two 3-wide holes split by b; releasing b frees the whole strip.
+        assert!(fs.is_free(0, 3, 1, 1) && fs.is_free(5, 3, 1, 1));
+        assert!(!fs.is_free(2, 2, 1, 1) && !fs.is_free(4, 2, 1, 1));
         assert_eq!(fs.largest_free_rect(), 3);
         assert!(fs.fragmentation_index() > 0.4);
         fs.release(&b);
-        assert_eq!(fs.run_width_histogram(), BTreeMap::from([(8, 1)]));
+        assert!(fs.is_free(0, 8, 1, 1));
         assert_eq!(fs.fragmentation_index(), 0.0);
+    }
+
+    #[test]
+    fn out_of_range_rectangles_are_not_free() {
+        let d = Device::new("sq", Family::Virtex5, 2, vec![Clb; 6]).unwrap();
+        let fs = FreeSpace::new(&d);
+        let naive = NaiveFreeSpace::new(&d);
+        for (start, width, row, height) in [
+            (0, 1, u32::MAX, 2),
+            (0, 1, u32::MAX, 1),
+            (0, 1, 2, u32::MAX),
+            (0, 1, 3, 1),
+            (0, 1, 0, 1),
+            (5, 2, 1, 1),
+            (6, 1, 1, 1),
+            (0, 7, 1, 1),
+            (60, 10, 1, 1),
+            (64, 1, 1, 1),
+            (usize::MAX, 2, 1, 1),
+        ] {
+            assert!(
+                !fs.is_free(start, width, row, height),
+                "{start} {width} {row} {height}"
+            );
+            assert!(
+                !naive.is_free(start, width, row, height),
+                "{start} {width} {row} {height}"
+            );
+        }
+        assert!(fs.is_free(5, 1, 2, 1) && naive.is_free(5, 1, 2, 1));
+        let tall = WindowRequest::new(1, 0, 0, u32::MAX);
+        assert_eq!(fs.find_window(&tall), None);
+        assert_eq!(naive.find_window(&tall), None);
+    }
+
+    #[test]
+    fn multi_word_rows_match_the_oracle() {
+        // 130 columns: three words per row, the last one two bits wide.
+        let mut cols = vec![Clb; 130];
+        cols[64] = Dsp;
+        cols[127] = Bram;
+        let d = Device::new("wide", Family::Virtex5, 3, cols).unwrap();
+        let mut fs = FreeSpace::new(&d);
+        let mut naive = NaiveFreeSpace::new(&d);
+        assert_matches(&fs, &naive);
+        let mut live = Vec::new();
+        for (clb, dsp, bram, height) in [
+            (60, 0, 0, 3),
+            (9, 1, 0, 3), // columns 60..70: straddles 63/64
+            (50, 0, 0, 3),
+            (9, 0, 1, 2), // columns 120..130: straddles 127/128
+            (2, 0, 0, 1),
+        ] {
+            let req = WindowRequest::new(clb, dsp, bram, height);
+            let w = fs.find_window(&req);
+            assert_eq!(w, naive.find_window(&req), "{req:?}");
+            let w = w.unwrap();
+            fs.allocate(&w);
+            naive.allocate(&w);
+            live.push(w);
+            assert_matches(&fs, &naive);
+        }
+        assert_eq!((live[1].start_col, live[1].end_col()), (60, 70));
+        assert_eq!((live[3].start_col, live[3].end_col()), (120, 130));
+        for i in [1, 3, 0] {
+            fs.release(&live[i]);
+            naive.release(&live[i]);
+            assert_matches(&fs, &naive);
+        }
+        let req = WindowRequest::new(68, 1, 0, 2);
+        assert_eq!(fs.find_window(&req), naive.find_window(&req));
     }
 
     #[test]

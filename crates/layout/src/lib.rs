@@ -9,18 +9,19 @@
 //! fragmenting — following the module-layout-defragmentation line of van
 //! der Veen et al.:
 //!
-//! * [`FreeSpace`] — per-row maximal free-run tracking with a
-//!   composition-indexed placement query ([`free`]);
+//! * [`FreeSpace`] — per-row column bitsets, the one free-space record,
+//!   with a composition-indexed placement query and fragmentation
+//!   metrics computed on demand ([`free`]);
 //! * [`LayoutManager`] — allocation bookkeeping, capacity-versus-
 //!   fragmentation failure classification, `layout:*` metrics
 //!   ([`manager`]);
 //! * [`DefragPolicy`]/[`DefragPlan`] — minimal relocation plans among
 //!   `bitstream::relocate`-compatible windows, priced through
 //!   [`bitstream::IcapModel::transfer_time`] ([`defrag`]);
-//! * [`Defrag2Config`]/[`Defrag2Plan`] — parallel bounded-depth
-//!   branch-and-bound over multi-move relocation *sequences* with
-//!   incremental layout state and preemption-aware pricing
-//!   ([`defrag2`]);
+//! * [`Defrag2Config`]/[`Defrag2Plan`] — single-threaded bounded-depth
+//!   branch-and-bound over multi-move relocation *sequences*, shifting
+//!   modules in a copy of the free-space bitsets, with preemption-aware
+//!   pricing ([`defrag2`]);
 //! * [`simulate_layout`] — the dynamic-placement loss-system simulator,
 //!   sharing one serialized ICAP between configurations and relocations
 //!   ([`sim`]).

@@ -57,7 +57,6 @@ pub struct LayoutManager {
     allocations: BTreeMap<u64, Allocation>,
     next_id: u64,
     icap: IcapModel,
-    max_moves: usize,
 }
 
 impl LayoutManager {
@@ -69,17 +68,7 @@ impl LayoutManager {
             allocations: BTreeMap::new(),
             next_id: 0,
             icap,
-            max_moves: 4,
         }
-    }
-
-    /// Cap on relocations per defrag plan (default 4).
-    pub fn set_max_moves(&mut self, max_moves: usize) {
-        self.max_moves = max_moves;
-    }
-
-    pub(crate) fn max_moves(&self) -> usize {
-        self.max_moves
     }
 
     /// The managed device.

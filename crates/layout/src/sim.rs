@@ -17,6 +17,7 @@
 
 use crate::defrag::{DefragPolicy, RelocationMove};
 use crate::defrag2::Defrag2Config;
+use crate::free::FreeSpace;
 use crate::manager::{AllocError, LayoutManager};
 use bitstream::IcapModel;
 use fabric::{Device, Resources, WindowRequest};
@@ -33,8 +34,6 @@ pub struct LayoutConfig {
     pub policy: DefragPolicy,
     /// ICAP port model pricing configurations and relocations.
     pub icap: IcapModel,
-    /// Cap on relocations per single-step defrag plan.
-    pub max_moves: u32,
     /// Multi-move search depth. `0` (the default) keeps the single-step
     /// planner on admission failures — the pinned PR-5 behaviour; `> 0`
     /// switches repair to the bounded-depth sequence search
@@ -54,7 +53,6 @@ impl Default for LayoutConfig {
         LayoutConfig {
             policy: DefragPolicy::Never,
             icap: IcapModel::V5_DMA,
-            max_moves: 4,
             depth: 0,
             proactive: false,
         }
@@ -229,11 +227,7 @@ fn account_moves(
 /// Eq. 2–6 organizations for `needs` on `device`, cheapest bitstream
 /// first (then lowest height), keeping only compositions the device can
 /// host at all (one composition-index probe each).
-fn candidate_orgs(
-    device: &Device,
-    geometry: &fabric::DeviceGeometry,
-    needs: &Resources,
-) -> Vec<PrrOrganization> {
+fn candidate_orgs(device: &Device, free: &FreeSpace, needs: &Resources) -> Vec<PrrOrganization> {
     if needs.clb() == 0 && needs.dsp() == 0 && needs.bram() == 0 {
         return Vec::new();
     }
@@ -250,11 +244,7 @@ fn candidate_orgs(
     let single_dsp = device.dsp_column_count() == 1;
     let mut orgs: Vec<PrrOrganization> = (1..=device.rows())
         .filter_map(|h| PrrOrganization::for_height(&req, h, single_dsp).ok())
-        .filter(|o| {
-            geometry
-                .leftmost_start(o.clb_cols, o.dsp_cols, o.bram_cols)
-                .is_some()
-        })
+        .filter(|o| free.is_achievable(o.clb_cols, o.dsp_cols, o.bram_cols))
         .collect();
     orgs.sort_by_key(|o| (bitstream_size_bytes(o), o.height));
     orgs
@@ -267,7 +257,6 @@ pub fn simulate_layout(
     config: &LayoutConfig,
 ) -> LayoutReport {
     let mut manager = LayoutManager::new(device, config.icap);
-    manager.set_max_moves(config.max_moves as usize);
 
     // Candidate organizations per distinct needs bundle (tasks sharing a
     // module share these).
@@ -300,7 +289,6 @@ pub fn simulate_layout(
     let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
     let mut icap_free_at = 0u64;
     let mut frag = FragStats::default();
-    let geometry = fabric::DeviceGeometry::new(device);
     let d2cfg = Defrag2Config {
         depth: config.depth,
         ..Defrag2Config::default()
@@ -361,7 +349,7 @@ pub fn simulate_layout(
         let needs = (task.needs.clb(), task.needs.dsp(), task.needs.bram());
         let orgs = org_cache
             .entry(needs)
-            .or_insert_with(|| candidate_orgs(device, &geometry, &task.needs))
+            .or_insert_with(|| candidate_orgs(device, manager.free_space(), &task.needs))
             .clone();
         if orgs.is_empty() {
             report.rejected_capacity += 1;

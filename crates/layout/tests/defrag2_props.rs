@@ -101,7 +101,6 @@ fn churned_manager(device: &Device, ops: &[Op]) -> LayoutManager {
 fn exhaustive_cfg(depth: u32) -> Defrag2Config {
     Defrag2Config {
         depth,
-        context_aware: true,
         node_budget: u64::MAX,
     }
 }
