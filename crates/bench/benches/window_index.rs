@@ -1,14 +1,15 @@
 //! Criterion bench: cold-plan latency and sweep thread-scaling for the
 //! composition index vs the frozen seed window memo.
 //!
-//! *Cold plan*: plan each paper PRM on the widest Virtex-5 part
-//! (XC5VLX110T, 62 columns) with per-plan-fresh search state — a fresh
+//! *Cold plan*: plan each paper PRM on the paper's Virtex-5 part
+//! (XC5VLX110T, 63 columns) with per-plan-fresh search state — a fresh
 //! `fabric::reference::MemoGeometry` (the seed's mutex-guarded memo,
 //! every miss an O(width²) column scan) against a fresh
 //! `fabric::DeviceGeometry` (the composition index; the build cost is
 //! charged to the indexed side). The BRAM-heavy PRMs have no exact
 //! window for their composition on this part, so the seed path pays the
-//! full padded-fallback enumeration through cold memo misses.
+//! full padded-fallback enumeration through cold memo misses, while the
+//! index path scans one `(extra DSP, extra BRAM)` row per probe.
 //!
 //! *Sweep scaling*: a replicated (PRM × device) grid planned by explicit
 //! `std::thread::scope` worker teams (the vendored rayon shim cannot vary
@@ -43,10 +44,10 @@ fn generators() -> Vec<Box<dyn PrmGenerator + Sync>> {
 
 /// BRAM/DSP-heavy synthetic reports for `family`. Their compositions
 /// have no exact window on the paper devices (BRAM columns sit isolated
-/// between CLB runs), so every plan goes through the padded-fallback
-/// enumeration. Both search paths pay the Eq. 18 option arithmetic; the
-/// index path pays it once per distinct composition instead of once per
-/// height and answers every option probe in O(1).
+/// between CLB runs), so every plan goes through the padded fallback. The
+/// seed path prices and sorts every padding option at every height; the
+/// index path scans each distinct composition once, one index probe per
+/// `(extra DSP, extra BRAM)` row.
 fn padded_reports(family: fabric::Family) -> Vec<SynthReport> {
     let mut reports = Vec::new();
     for (dsps, brams) in [
@@ -79,7 +80,7 @@ fn padded_reports(family: fabric::Family) -> Vec<SynthReport> {
 /// enumeration once per height (8× on the LX110T, each probe through the
 /// mutexed memo, cold scans on the first height) while the
 /// height-factored index path resolves the composition exactly once per
-/// plan with O(1) probes.
+/// plan with one index probe per `(extra DSP, extra BRAM)` row.
 fn isolated_reports(family: fabric::Family) -> Vec<SynthReport> {
     [
         (1u64, 1u64, 8u64),
@@ -231,10 +232,11 @@ struct WindowBenchArtifact {
     /// enumeration per height while the index resolves it once per plan.
     cold_plan_isolated: ColdSuite,
     /// Search-bound suite: wide exact windows, one cold scan per height
-    /// on the seed memo vs one O(1) probe on the index.
+    /// on the seed memo vs one lock-free probe on the index.
     cold_plan_exact: ColdSuite,
-    /// Padded-fallback suite: no exact window, both paths pay the Eq. 18
-    /// option enumeration (the index pays it once per composition).
+    /// Padded-fallback suite: no exact window; the seed prices every
+    /// padding option, the index scans one row per (DSP, BRAM) mix, once
+    /// per composition.
     cold_plan_padded: ColdSuite,
     /// Headline figure: the isolated-column cold-plan speedup.
     cold_plan_speedup: f64,

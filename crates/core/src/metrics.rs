@@ -301,7 +301,7 @@ pub struct CounterSnapshot {
     /// Geometry requests answered from the per-device cache.
     pub geometry_cache_hits: u64,
     /// Composition-index probes made by geometry-cached plans (every
-    /// probe is a lock-free O(1) lookup — there is no hit/miss split).
+    /// probe is a lock-free index lookup — there is no hit/miss split).
     pub window_probes: u64,
     /// Distinct achievable compositions interned across the geometries.
     pub distinct_compositions: u64,

@@ -42,7 +42,8 @@ impl PrrOrganization {
     ///
     /// `single_dsp_column` selects the Eq. (4) special case ("some Xilinx
     /// devices include only one DSP column in the fabric, which sets
-    /// `W_DSP = 1`").
+    /// `W_DSP = 1`"). Column counts and the Eq. (4) minimum height that do
+    /// not fit a `u32` saturate at `u32::MAX`, which no device can place.
     pub fn for_height(
         req: &PrrRequirements,
         h: u32,
@@ -56,7 +57,7 @@ impl PrrOrganization {
         let hh = u64::from(h);
 
         // Eq. (2).
-        let clb_cols = req.clb_req.div_ceil(hh * u64::from(p.clb_col)) as u32;
+        let clb_cols = saturate(req.clb_req.div_ceil(hh * u64::from(p.clb_col)));
 
         // Eq. (3) or Eq. (4).
         let dsp_cols = if req.dsp_req == 0 {
@@ -64,17 +65,17 @@ impl PrrOrganization {
         } else if single_dsp_column {
             // Eq. (4): W_DSP = 1; H_DSP = ceil(DSP_req / DSP_col) rows are
             // needed, so heights below H_DSP are infeasible.
-            let min_height = req.dsp_req.div_ceil(u64::from(p.dsp_col)) as u32;
+            let min_height = saturate(req.dsp_req.div_ceil(u64::from(p.dsp_col)));
             if h < min_height {
                 return Err(OrganizationError::SingleDspColumnNeedsRows { min_height });
             }
             1
         } else {
-            req.dsp_req.div_ceil(hh * u64::from(p.dsp_col)) as u32
+            saturate(req.dsp_req.div_ceil(hh * u64::from(p.dsp_col)))
         };
 
         // Eq. (5).
-        let bram_cols = req.bram_req.div_ceil(hh * u64::from(p.bram_col)) as u32;
+        let bram_cols = saturate(req.bram_req.div_ceil(hh * u64::from(p.bram_col)));
 
         Ok(PrrOrganization {
             family: req.family,
@@ -85,9 +86,12 @@ impl PrrOrganization {
         })
     }
 
-    /// `W = W_CLB + W_DSP + W_BRAM` (Eq. 6).
+    /// `W = W_CLB + W_DSP + W_BRAM` (Eq. 6), saturating at `u32::MAX`
+    /// like [`WindowRequest::width`].
     pub fn width(&self) -> u32 {
-        self.clb_cols + self.dsp_cols + self.bram_cols
+        self.clb_cols
+            .saturating_add(self.dsp_cols)
+            .saturating_add(self.bram_cols)
     }
 
     /// `PRR_size = H x W` (Eq. 7).
@@ -139,6 +143,14 @@ impl PrrOrganization {
         let avail = self.available();
         avail.clb() >= req.clb_req && avail.dsp() >= req.dsp_req && avail.bram() >= req.bram_req
     }
+}
+
+/// A column or row count as `u32`, saturating at `u32::MAX`. No device
+/// has that many columns or rows, so a saturated count never places: an
+/// oversized requirement yields no window rather than a wrapped, too-small
+/// organization.
+fn saturate(count: u64) -> u32 {
+    u32::try_from(count).unwrap_or(u32::MAX)
 }
 
 fn ratio(used: u64, avail: u64) -> f64 {

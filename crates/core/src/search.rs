@@ -27,16 +27,22 @@ use synth::SynthReport;
 /// DSP columns are scarce (1–12 per device in the database) and widely
 /// separated by CLB columns, so a window forced to swallow many extra DSP
 /// columns also swallows the CLB columns between them — which the
-/// unbounded CLB-padding axis already covers. The cap exists purely to
-/// bound the enumeration (≤ `(cap+1)²` DSP×BRAM combinations per CLB
-/// padding level); `find_padded_window` debug-asserts, and
-/// `padding_caps_lose_no_feasible_plan` in this module's tests verifies,
-/// that no database device loses a feasible plan to it.
+/// unbounded CLB-padding axis already covers. On the database devices the
+/// cap changes no plan: capped and uncapped scans choose the same pad for
+/// every padded organization (`row_scan_matches_full_enumeration` and
+/// `padding_caps_lose_no_feasible_plan` in this module's tests), and both
+/// fallbacks debug-assert that a capped miss is an uncapped miss too.
+///
+/// The cap stays for the direct path, `find_padded_window`, which serves
+/// [`plan_prr`], [`candidates_for`] and their callers: it prices and sorts
+/// every capped option, `(cap+1)²` DSP×BRAM combinations per CLB padding
+/// level. The cached path's row scan applies the same caps, because both
+/// paths must choose the same pad.
 pub const MAX_PAD_DSP_COLS: u32 = 4;
 
 /// Cap on the extra BRAM columns the padded-window fallback will absorb
-/// beyond the Eqs. 2–5 requirement. Same rationale and same no-lost-plans
-/// guarantee as [`MAX_PAD_DSP_COLS`].
+/// beyond the Eqs. 2–5 requirement. Same reason, and the same checks, as
+/// [`MAX_PAD_DSP_COLS`].
 pub const MAX_PAD_BRAM_COLS: u32 = 4;
 
 /// How a `(W_CLB, W_DSP, W_BRAM)` column composition resolves on a device.
@@ -63,14 +69,16 @@ enum CompResolution {
 /// Reusable per-worker scratch for the padded-window fallback and the
 /// per-plan composition-resolution cache.
 ///
-/// [`find_padded_window`] enumerates up to ~1000 padded organizations per
-/// infeasible composition; reusing one scratch across the plans a sweep
-/// worker processes keeps that enumeration allocation-free after warm-up.
-/// The cached planning paths additionally record, per plan, how each
-/// distinct base composition resolved ([`CompResolution`]) so the padded
-/// enumeration runs once per composition instead of once per height. A
-/// fresh `PlanScratch::default()` is always valid — results never depend
-/// on scratch contents, only allocation reuse does.
+/// The direct path's fallback ([`find_padded_window`]) sorts every capped
+/// padding option of an infeasible composition, up to ~1000 on the wider
+/// devices, in a buffer kept here; reusing one scratch across plans keeps
+/// that allocation-free after warm-up. The cached planning paths instead
+/// record, per plan, how each distinct base composition resolved
+/// ([`CompResolution`]), so their fallback — a row scan that makes one
+/// index lookup per `(extra DSP, extra BRAM)` row, ~20 per fallback —
+/// runs once per composition instead of once per height. A fresh
+/// `PlanScratch::default()` is always valid — results never depend on
+/// scratch contents, only allocation reuse does.
 ///
 /// The scratch also counts the composition-index lookups its plans make
 /// ([`PlanScratch::window_probe_count`]): a plain per-worker `u64`, so
@@ -272,14 +280,14 @@ pub fn plan_prr(report: &SynthReport, device: &Device) -> Result<PrrPlan, CostEr
 /// Returns exactly what [`plan_prr`] returns for the same inputs (the
 /// geometry's window answers are identical to [`Device::find_window`]'s,
 /// and the padded-organization selection is byte-for-byte preserved), but
-/// every window probe is a lock-free O(1) composition-index lookup, and
-/// the planning loop is **height-factored**: each distinct base
-/// composition — including its padded-fallback enumeration, which the
-/// per-height loop used to regenerate and re-sort at every infeasible
-/// height — resolves once per plan and is reused across all heights that
-/// produce it. This is the planning path the batch
-/// [`crate::engine::Engine`] drives; `geometry` must have been derived
-/// from `device`.
+/// every window probe is a lock-free composition-index lookup, and the
+/// planning loop is **height-factored**: each distinct base composition —
+/// including its padded fallback, which the per-height loop regenerates
+/// and re-sorts at every infeasible height and which here is a row scan
+/// of one lookup per `(extra DSP, extra BRAM)` row — resolves once per
+/// plan and is reused across all heights that produce it. This is the
+/// planning path the batch [`crate::engine::Engine`] drives; `geometry`
+/// must have been derived from `device`.
 ///
 /// Unlike [`plan_prr`], this records no global metrics — the engine owns
 /// its own [`Metrics`] registry and times whole plans around this call.
@@ -474,10 +482,10 @@ fn evaluate_height_with(
 
 /// [`evaluate_height`] with the window search answered from a
 /// [`DeviceGeometry`] composition index and the plan's
-/// composition-resolution cache: the (potentially ~1000-option) padded
-/// enumeration runs at most once per distinct base composition, not once
-/// per height. Byte-identical to [`evaluate_height`] — see
-/// [`CompResolution`] for why the resolution is height-invariant.
+/// composition-resolution cache: the padded fallback's row scan runs at
+/// most once per distinct base composition, not once per height.
+/// Byte-identical to [`evaluate_height`] — see [`CompResolution`] for why
+/// the resolution is height-invariant.
 fn evaluate_height_cached(
     req: &PrrRequirements,
     device: &Device,
@@ -530,8 +538,8 @@ fn evaluate_height_cached(
 
 /// Resolve how `org`'s base composition places on `device`, consulting the
 /// plan's resolution cache first. A cache miss costs one index probe
-/// (exact case) or one padded enumeration (fallback case); every later
-/// height with the same composition is a linear-map hit.
+/// (exact case) plus, in the fallback case, one padded row scan; every
+/// later height with the same composition is a linear-map hit.
 fn resolve_composition(
     org: &PrrOrganization,
     device: &Device,
@@ -559,15 +567,20 @@ fn resolve_composition(
 }
 
 /// The padded-fallback search of [`find_padded_window`], answered from
-/// the composition index: since feasibility of each padding option is an
-/// O(1) probe, the sort-then-probe-in-order loop collapses to a single
-/// min-scan over the *feasible* options — `bitstream_size_bytes` is never
-/// evaluated for infeasible paddings and nothing is sorted. Picks the
-/// same winner: the seed sorts stably by `(bytes, pad_sum)` over
-/// generation order and takes the first feasible entry, which is exactly
-/// the generation-order-first minimum of `(bytes, pad_sum)` over feasible
-/// entries. Returns the winning pad counts, or None if no capped padding
-/// is feasible (re-checked uncapped in debug builds, like the seed path).
+/// the composition index one `(extra DSP, extra BRAM)` row at a time.
+///
+/// The seed sorts the options stably by `(bytes, pad_sum)` in generation
+/// order — lexicographic in `(ec, ed, eb)` — and takes the first feasible
+/// one, so its winner is the feasible minimum of the key
+/// `(Eq. 18 bytes, pad_sum, [ec, ed, eb])`. Along each padding axis the
+/// bytes never fall and the pad sum strictly rises, so the key strictly
+/// rises too. Hence, within a row `(ed, eb)`, the smallest feasible `ec`
+/// is the row's best, and the geometry returns it in one lookup
+/// ([`DeviceGeometry::min_clb_at_least`]); the row's `ec = 0` key bounds
+/// every option of every later row in its `eb` loop, and at `eb = 0` of
+/// every later row at all. Returns the winning pad counts, or None if no
+/// capped padding is feasible (re-checked uncapped in debug builds, like
+/// the seed path).
 fn find_padded_composition(
     org: &PrrOrganization,
     device: &Device,
@@ -594,6 +607,18 @@ fn find_padded_composition(
     found
 }
 
+/// The fallback's comparison key for padding `org` by `pad`:
+/// `(Eq. 18 bytes, pad_sum, pad)`, minimal for the seed's winner.
+fn pad_key(org: &PrrOrganization, pad: [u32; 3]) -> (u64, u32, [u32; 3]) {
+    let padded = PrrOrganization {
+        clb_cols: org.clb_cols + pad[0],
+        dsp_cols: org.dsp_cols + pad[1],
+        bram_cols: org.bram_cols + pad[2],
+        ..*org
+    };
+    (bitstream_size_bytes(&padded), pad[0] + pad[1] + pad[2], pad)
+}
+
 /// [`find_padded_composition`] with explicit DSP/BRAM padding caps.
 fn find_padded_composition_with_caps(
     org: &PrrOrganization,
@@ -604,40 +629,33 @@ fn find_padded_composition_with_caps(
     bram_cap: u32,
 ) -> Option<[u32; 3]> {
     let counts = device.column_counts();
-    let max_clb = (counts.clb() as u32).saturating_sub(org.clb_cols);
     let max_dsp = (counts.dsp() as u32)
         .saturating_sub(org.dsp_cols)
         .min(dsp_cap);
     let max_bram = (counts.bram() as u32)
         .saturating_sub(org.bram_cols)
         .min(bram_cap);
-
     let mut best: Option<(u64, u32, [u32; 3])> = None;
-    for ec in 0..=max_clb {
-        for ed in 0..=max_dsp {
-            for eb in 0..=max_bram {
-                if ec + ed + eb == 0 {
-                    continue;
+    'scan: for ed in 0..=max_dsp {
+        for eb in 0..=max_bram {
+            if best.is_some_and(|b| pad_key(org, [0, ed, eb]) >= b) {
+                if eb == 0 {
+                    break 'scan;
                 }
-                let (clb, dsp, bram) = (org.clb_cols + ec, org.dsp_cols + ed, org.bram_cols + eb);
-                if scratch
-                    .probe(|| geometry.leftmost_start(clb, dsp, bram))
-                    .is_none()
-                {
-                    continue;
-                }
-                let padded = PrrOrganization {
-                    clb_cols: clb,
-                    dsp_cols: dsp,
-                    bram_cols: bram,
-                    ..*org
-                };
-                let key = (bitstream_size_bytes(&padded), ec + ed + eb);
-                // Strict < keeps the earliest generated option on ties,
-                // matching the seed's stable sort.
-                if best.is_none_or(|(bytes, pads, _)| key < (bytes, pads)) {
-                    best = Some((key.0, key.1, [ec, ed, eb]));
-                }
+                break;
+            }
+            // Row (0, 0) starts at ec = 1: the zero padding is the exact
+            // composition, which has no window.
+            let Some(min_clb) = org.clb_cols.checked_add(u32::from(ed + eb == 0)) else {
+                continue;
+            };
+            let (dsp, bram) = (org.dsp_cols + ed, org.bram_cols + eb);
+            let Some(clb) = scratch.probe(|| geometry.min_clb_at_least(min_clb, dsp, bram)) else {
+                continue;
+            };
+            let key = pad_key(org, [clb - org.clb_cols, ed, eb]);
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
             }
         }
     }
@@ -782,7 +800,7 @@ pub(crate) fn select_best(
 mod tests {
     use super::*;
     use fabric::database::{xc5vlx110t, xc6vlx75t};
-    use fabric::Family;
+    use fabric::{ColumnKind, Family};
     use synth::PaperPrm;
 
     /// The headline Table V reproduction: the search must select exactly
@@ -1000,9 +1018,320 @@ mod tests {
         }
     }
 
+    /// The padded fallback as it was before the row scan, kept as the
+    /// oracle: enumerate every `(ec, ed, eb)` padding in generation order
+    /// and keep the first minimum of `(bytes, pad_sum)` over the ones
+    /// whose composition is `feasible` — the winner of the seed's stable
+    /// sort.
+    fn full_scan_with_caps(
+        org: &PrrOrganization,
+        device: &Device,
+        feasible: &dyn Fn(u32, u32, u32) -> bool,
+        dsp_cap: u32,
+        bram_cap: u32,
+    ) -> Option<[u32; 3]> {
+        let counts = device.column_counts();
+        let max_clb = (counts.clb() as u32).saturating_sub(org.clb_cols);
+        let max_dsp = (counts.dsp() as u32)
+            .saturating_sub(org.dsp_cols)
+            .min(dsp_cap);
+        let max_bram = (counts.bram() as u32)
+            .saturating_sub(org.bram_cols)
+            .min(bram_cap);
+
+        let mut best: Option<(u64, u32, [u32; 3])> = None;
+        for ec in 0..=max_clb {
+            for ed in 0..=max_dsp {
+                for eb in 0..=max_bram {
+                    if ec + ed + eb == 0 {
+                        continue;
+                    }
+                    let (clb, dsp, bram) =
+                        (org.clb_cols + ec, org.dsp_cols + ed, org.bram_cols + eb);
+                    if !feasible(clb, dsp, bram) {
+                        continue;
+                    }
+                    let padded = PrrOrganization {
+                        clb_cols: clb,
+                        dsp_cols: dsp,
+                        bram_cols: bram,
+                        ..*org
+                    };
+                    let key = (bitstream_size_bytes(&padded), ec + ed + eb);
+                    // Strict < keeps the earliest generated option on ties,
+                    // matching the seed's stable sort.
+                    if best.is_none_or(|(bytes, pads, _)| key < (bytes, pads)) {
+                        best = Some((key.0, key.1, [ec, ed, eb]));
+                    }
+                }
+            }
+        }
+        best.map(|(_, _, pad)| pad)
+    }
+
+    /// Every achievable composition of `device`, from a brute-force walk
+    /// over its IOB/CLK-free spans, as a dense `[clb][dsp][bram]` table.
+    fn achievable(device: &Device) -> impl Fn(u32, u32, u32) -> bool {
+        let counts = device.column_counts();
+        let dims = [counts.clb(), counts.dsp(), counts.bram()].map(|n| n as usize + 1);
+        let mut table = vec![false; dims[0] * dims[1] * dims[2]];
+        let cols = device.columns();
+        for start in 0..cols.len() {
+            let mut c = [0usize; 3];
+            for kind in cols[start..].iter().take_while(|k| k.allowed_in_prr()) {
+                c[kind.prr_count_slot()] += 1;
+                table[(c[0] * dims[1] + c[1]) * dims[2] + c[2]] = true;
+            }
+        }
+        move |clb, dsp, bram| {
+            let [c, d, b] = [clb, dsp, bram].map(|n| n as usize);
+            c < dims[0] && d < dims[1] && b < dims[2] && table[(c * dims[1] + d) * dims[2] + b]
+        }
+    }
+
+    /// The production `[DSP, BRAM]` padding caps, and none.
+    const CAPS: [[u32; 2]; 2] = [[MAX_PAD_DSP_COLS, MAX_PAD_BRAM_COLS], [u32::MAX; 2]];
+
+    /// The row scan and the full enumeration pick the same pad, with the
+    /// production caps and uncapped, for every composition up to each
+    /// kind's column count + 1 on every database device. One height per
+    /// device: the winner does not depend on height (see
+    /// [`CompResolution`]).
+    #[test]
+    fn row_scan_matches_full_enumeration() {
+        let mut scratch = PlanScratch::default();
+        let mut padded = 0u32;
+        for device in fabric::all_devices() {
+            let geo = DeviceGeometry::new(&device);
+            let feasible = achievable(&device);
+            let counts = device.column_counts();
+            for clb in 0..=counts.clb() as u32 + 1 {
+                for dsp in 0..=counts.dsp() as u32 + 1 {
+                    for bram in 0..=counts.bram() as u32 + 1 {
+                        let org = PrrOrganization {
+                            family: device.family(),
+                            height: 1,
+                            clb_cols: clb,
+                            dsp_cols: dsp,
+                            bram_cols: bram,
+                        };
+                        padded += u32::from(!feasible(clb, dsp, bram));
+                        for [dsp_cap, bram_cap] in CAPS {
+                            assert_eq!(
+                                find_padded_composition_with_caps(
+                                    &org,
+                                    &device,
+                                    &geo,
+                                    &mut scratch,
+                                    dsp_cap,
+                                    bram_cap
+                                ),
+                                full_scan_with_caps(&org, &device, &feasible, dsp_cap, bram_cap),
+                                "{org:?} on {}, caps {dsp_cap}/{bram_cap}",
+                                device.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(padded > 10_000, "only {padded} organizations need padding");
+    }
+
+    /// A fabric whose only paddings of the base `(c0, d0, b0)` (with
+    /// `c0 ≥ 2`, `d0 ≥ 1`, `b0 ≥ 1`) are `(16, 0, 0)` and `(0, 15, 1)`.
+    /// On Virtex-6 and 7-series frames the two tie on `(bytes, pad_sum)`
+    /// (16 CLB frames cost what 15 DSP and one BRAM column cost), so the
+    /// seed's generation order decides: `(0, 15, 1)` wins uncapped, and
+    /// `(16, 0, 0)` under the caps. The `noise` runs hold no BRAM, so
+    /// they add no padding of the base.
+    fn tie_fabric(family: Family, base: [u32; 3], noise: &[Vec<ColumnKind>]) -> Device {
+        use fabric::ResourceKind::{Bram, Clb, Dsp, Iob};
+        let [c0, d0, b0] = base;
+        let run = |kind, n: u32| std::iter::repeat_n(kind, n as usize);
+        let mut cols: Vec<ColumnKind> = Vec::new();
+        // (c0 + 16, d0, b0): DSPs and BRAMs at opposite ends, so every
+        // span covering the base is the whole run.
+        cols.extend(run(Dsp, d0).chain(run(Clb, c0 + 16)).chain(run(Bram, b0)));
+        cols.push(Iob);
+        // (c0, d0 + 15, b0 + 1): the CLBs at both ends, so the same holds.
+        cols.extend(
+            run(Clb, 1)
+                .chain(run(Bram, 1))
+                .chain(run(Dsp, d0 + 15))
+                .chain(run(Bram, b0))
+                .chain(run(Clb, c0 - 1)),
+        );
+        for n in noise {
+            cols.push(Iob);
+            cols.extend(n.iter().filter(|&&k| k != Bram));
+        }
+        Device::new("tie", family, 2, cols).unwrap()
+    }
+
+    #[test]
+    fn row_scan_breaks_ties_like_the_stable_sort() {
+        for family in [Family::Virtex6, Family::Series7] {
+            let device = tie_fabric(family, [2, 1, 1], &[]);
+            let geo = DeviceGeometry::new(&device);
+            let finder = |r: &WindowRequest| device.find_window(r);
+            let org = PrrOrganization {
+                family,
+                height: 1,
+                clb_cols: 2,
+                dsp_cols: 1,
+                bram_cols: 1,
+            };
+            let (a, b) = (pad_key(&org, [16, 0, 0]), pad_key(&org, [0, 15, 1]));
+            assert_eq!((a.0, a.1), (b.0, b.1), "the two paddings must tie");
+            let mut scratch = PlanScratch::default();
+            for ([dsp_cap, bram_cap], pad) in CAPS.into_iter().zip([[16, 0, 0], [0, 15, 1]]) {
+                let direct = find_padded_window_with_caps(
+                    &org,
+                    &device,
+                    &finder,
+                    &mut scratch,
+                    dsp_cap,
+                    bram_cap,
+                );
+                assert_eq!(direct.map(|(_, _, p)| p), Some(pad));
+                let scan = find_padded_composition_with_caps(
+                    &org,
+                    &device,
+                    &geo,
+                    &mut scratch,
+                    dsp_cap,
+                    bram_cap,
+                );
+                assert_eq!(scan, Some(pad));
+            }
+        }
+    }
+
+    mod props {
+        use super::*;
+        use fabric::ResourceKind;
+        use proptest::prelude::*;
+
+        fn arb_columns(max: usize) -> impl Strategy<Value = Vec<ColumnKind>> {
+            proptest::collection::vec(
+                prop_oneof![
+                    6 => Just(ResourceKind::Clb),
+                    2 => Just(ResourceKind::Dsp),
+                    2 => Just(ResourceKind::Bram),
+                    1 => Just(ResourceKind::Iob),
+                    1 => Just(ResourceKind::Clk),
+                ],
+                1..max,
+            )
+        }
+
+        fn arb_family() -> impl Strategy<Value = Family> {
+            prop_oneof![
+                Just(Family::Virtex4),
+                Just(Family::Virtex5),
+                Just(Family::Virtex6),
+                Just(Family::Series7),
+                Just(Family::Spartan6),
+            ]
+        }
+
+        /// A random fabric and base composition, or — one case in three —
+        /// a [`tie_fabric`] with random noise and its tied base.
+        fn arb_case() -> impl Strategy<Value = (Device, [u32; 3])> {
+            let random = (arb_columns(60), arb_family(), 0u32..12, 0u32..4, 0u32..4).prop_map(
+                |(cols, family, c, d, b)| {
+                    (Device::new("prop", family, 2, cols).unwrap(), [c, d, b])
+                },
+            );
+            let tied = (
+                prop_oneof![Just(Family::Virtex6), Just(Family::Series7)],
+                2u32..6,
+                1u32..3,
+                1u32..3,
+                proptest::collection::vec(arb_columns(20), 0..3),
+            )
+                .prop_map(|(family, c, d, b, noise)| {
+                    (tie_fabric(family, [c, d, b], &noise), [c, d, b])
+                });
+            prop_oneof![2 => random, 1 => tied]
+        }
+
+        proptest! {
+            /// On random fabrics, ties included, the row scan picks the
+            /// full enumeration's pad and the direct path's padded window,
+            /// with the production caps and uncapped.
+            #[test]
+            fn row_scan_matches_oracles_on_random_fabrics(
+                (device, [clb, dsp, bram]) in arb_case(),
+            ) {
+                let geo = DeviceGeometry::new(&device);
+                let feasible = achievable(&device);
+                let finder = |r: &WindowRequest| device.find_window(r);
+                let org = PrrOrganization {
+                    family: device.family(),
+                    height: 1,
+                    clb_cols: clb,
+                    dsp_cols: dsp,
+                    bram_cols: bram,
+                };
+                let mut scratch = PlanScratch::default();
+                for [dsp_cap, bram_cap] in CAPS {
+                    let scan = find_padded_composition_with_caps(
+                        &org, &device, &geo, &mut scratch, dsp_cap, bram_cap,
+                    );
+                    let full = full_scan_with_caps(&org, &device, &feasible, dsp_cap, bram_cap);
+                    let direct = find_padded_window_with_caps(
+                        &org, &device, &finder, &mut scratch, dsp_cap, bram_cap,
+                    );
+                    prop_assert_eq!(scan, full);
+                    prop_assert_eq!(scan, direct.map(|(_, _, pad)| pad));
+                }
+            }
+        }
+    }
+
+    /// The rows `(ed, eb)` the capped row scan looks up for `org`, replayed
+    /// from each row's brute-force best `ec` over [`Device::find_window`]:
+    /// a row is looked up unless its `ec = 0` key already loses to the
+    /// incumbent, which ends its `eb` loop (the whole scan at `eb = 0`).
+    fn rows_looked_up(org: &PrrOrganization, device: &Device) -> u32 {
+        let counts = device.column_counts();
+        let max_clb = counts.clb() as u32;
+        let max_dsp = (counts.dsp() as u32 - org.dsp_cols).min(MAX_PAD_DSP_COLS);
+        let max_bram = (counts.bram() as u32 - org.bram_cols).min(MAX_PAD_BRAM_COLS);
+        let mut best = None;
+        let mut rows = 0;
+        'scan: for ed in 0..=max_dsp {
+            for eb in 0..=max_bram {
+                if best.is_some_and(|b| pad_key(org, [0, ed, eb]) >= b) {
+                    if eb == 0 {
+                        break 'scan;
+                    }
+                    break;
+                }
+                rows += 1;
+                let row_best = (u32::from(ed + eb == 0)..=max_clb - org.clb_cols).find(|&ec| {
+                    let req = WindowRequest::new(
+                        org.clb_cols + ec,
+                        org.dsp_cols + ed,
+                        org.bram_cols + eb,
+                        1,
+                    );
+                    device.find_window(&req).is_some()
+                });
+                if let Some(ec) = row_best {
+                    let key = pad_key(org, [ec, ed, eb]);
+                    best = Some(best.map_or(key, |b: (u64, u32, [u32; 3])| b.min(key)));
+                }
+            }
+        }
+        rows
+    }
+
     /// A cached search counts one window probe per index lookup: one per
-    /// distinct base composition (its resolution), one per padding option
-    /// the fallback enumerates, and one per feasible height (its window).
+    /// distinct base composition (its resolution), one per row the padded
+    /// fallback's scan looks up, and one per feasible height (its window).
     /// Requirements rejected before the search probe nothing.
     #[test]
     fn cached_search_counts_one_probe_per_index_lookup() {
@@ -1010,12 +1339,13 @@ mod tests {
         // Pads two base compositions, at heights 1 and 2 (the BRAM
         // columns are isolated), and fits exactly above.
         let bram_heavy = PrrRequirements::new(Family::Virtex5, 8, 8, 8, 0, 12);
-        for (device, req, padded) in [(xc6vlx75t(), sdram, 0), (xc5vlx110t(), bram_heavy, 2)] {
+        for (device, req, padded, probes) in [
+            (xc6vlx75t(), sdram, 0, 5),
+            (xc5vlx110t(), bram_heavy, 2, 21),
+        ] {
             let geo = fabric::DeviceGeometry::new(&device);
             let mut scratch = PlanScratch::default();
             let candidates = candidates_for_cached(&req, &device, &geo, &mut scratch);
-            let counts = device.column_counts();
-            let span = |have: u64, used: u32, cap: u32| (have as u32 - used).min(cap) + 1;
             let mut bases = std::collections::HashSet::new();
             let mut expected = 0;
             for c in &candidates {
@@ -1027,18 +1357,16 @@ mod tests {
                 else {
                     continue;
                 };
-                let base = (
-                    o.clb_cols - pad[0],
-                    o.dsp_cols - pad[1],
-                    o.bram_cols - pad[2],
-                );
-                if bases.insert(base) {
+                let base = PrrOrganization {
+                    clb_cols: o.clb_cols - pad[0],
+                    dsp_cols: o.dsp_cols - pad[1],
+                    bram_cols: o.bram_cols - pad[2],
+                    ..*o
+                };
+                if bases.insert((base.clb_cols, base.dsp_cols, base.bram_cols)) {
                     expected += 1;
                     if *pad != [0; 3] {
-                        expected += span(counts.clb(), base.0, u32::MAX)
-                            * span(counts.dsp(), base.1, MAX_PAD_DSP_COLS)
-                            * span(counts.bram(), base.2, MAX_PAD_BRAM_COLS)
-                            - 1;
+                        expected += rows_looked_up(&base, &device);
                     }
                 }
                 expected += 1;
@@ -1048,6 +1376,7 @@ mod tests {
                 .all(|c| !matches!(c.outcome, CandidateOutcome::NoWindow { .. })));
             assert_eq!(scratch.padded_resolution_count(), padded);
             assert_eq!(scratch.window_probe_count(), u64::from(expected));
+            assert_eq!(scratch.window_probe_count(), probes, "{}", device.name());
         }
         let device = xc6vlx75t();
         let geo = fabric::DeviceGeometry::new(&device);
@@ -1057,6 +1386,68 @@ mod tests {
         let empty = PrrRequirements::new(device.family(), 0, 0, 0, 0, 0);
         assert!(plan_requirements_cached(&empty, &device, &geo, &mut scratch).is_err());
         assert_eq!(scratch.window_probe_count(), 0);
+    }
+
+    /// Requirements whose column counts no device can hold, at the old
+    /// 21-bit key width and at the `u32` boundary, per kind, plus
+    /// `u64::MAX` requirements.
+    fn oversized_requirements(family: Family) -> Vec<PrrRequirements> {
+        let p = family.params();
+        let mut reqs = Vec::new();
+        for cols in [1u64 << 21, 1 << 32] {
+            for extra in [0, 1] {
+                let clb = u64::from(p.clb_col) * cols + extra;
+                let dsp = u64::from(p.dsp_col) * cols + extra;
+                let bram = u64::from(p.bram_col) * cols + extra;
+                let lut_ff = clb * u64::from(p.lut_clb);
+                reqs.push(PrrRequirements::new(family, lut_ff, 0, 0, 0, 0));
+                reqs.push(PrrRequirements::new(family, 8, 8, 8, dsp, 0));
+                reqs.push(PrrRequirements::new(family, 8, 8, 8, 0, bram));
+            }
+        }
+        reqs.push(PrrRequirements::new(family, u64::MAX, 0, 0, 0, 0));
+        reqs.push(PrrRequirements::new(family, 8, 8, 8, u64::MAX, 0));
+        reqs.push(PrrRequirements::new(family, 8, 8, 8, 0, u64::MAX));
+        reqs.push(PrrRequirements::new(
+            family,
+            u64::MAX,
+            0,
+            0,
+            u64::MAX,
+            u64::MAX,
+        ));
+        reqs
+    }
+
+    /// A requirement too large for any device is `Err`, never a wrapped
+    /// plan or a panic, on the direct path, the cached path and the engine,
+    /// for every database device (single- and multi-DSP-column alike).
+    #[test]
+    fn oversized_requirements_never_place() {
+        let engine = crate::Engine::new();
+        let mut scratch = PlanScratch::default();
+        let devices = fabric::all_devices();
+        assert!(devices.iter().any(|d| d.dsp_column_count() == 1));
+        assert!(devices.iter().any(|d| d.dsp_column_count() > 1));
+        for device in &devices {
+            let geo = DeviceGeometry::new(device);
+            for req in oversized_requirements(device.family()) {
+                let direct = plan_prr_from_requirements(&req, device);
+                let cached = plan_requirements_cached(&req, device, &geo, &mut scratch);
+                let engine = engine.plan_requirements(&req, device, &mut scratch);
+                for (path, result) in [
+                    ("direct", &direct),
+                    ("cached", &cached),
+                    ("engine", &*engine),
+                ] {
+                    assert!(
+                        matches!(result, Err(CostError::NoFeasiblePlacement { .. })),
+                        "{path} path planned {req:?} on {}: {result:?}",
+                        device.name()
+                    );
+                }
+            }
+        }
     }
 
     /// Padded-fallback resolutions are tallied once per distinct

@@ -1,12 +1,12 @@
 //! Composition-indexed device geometry: every window-feasibility probe is
-//! a lock-free O(1) hash lookup against an index built once per device.
+//! a lock-free lookup against an index built once per device.
 //!
 //! The Fig. 1 search probes the same device with many
-//! [`WindowRequest`]s: one per candidate height, and — when a height has
-//! no exact-composition window — hundreds more for padded organizations.
-//! [`Device::find_window`] answers each probe by rescanning the column
-//! list and tallying every candidate span (O(columns × width) per probe);
-//! the previous geometry (frozen as
+//! [`WindowRequest`]s: one per candidate height and, when a height has
+//! no exact-composition window, one per `(extra DSP, extra BRAM)` row of
+//! the padded fallback. [`Device::find_window`] answers each probe by
+//! rescanning the column list and tallying every candidate span
+//! (O(columns × width) per probe); the previous geometry (frozen as
 //! [`reference::MemoGeometry`](crate::reference::MemoGeometry)) memoized
 //! those scans behind a `Mutex`, so cold probes still rescanned and every
 //! probe serialized through the lock.
@@ -16,24 +16,33 @@
 //! column, so every feasible window lives inside one of the maximal
 //! IOB/CLK-free **runs** of the column list. At construction we walk each
 //! run once per start column, extending the span one column at a time with
-//! O(1) count updates, and intern each achievable composition
-//! `(W_CLB, W_DSP, W_BRAM)` → leftmost start column into a hash table.
-//! Starts are visited in ascending order across and within runs, so
-//! first-insert-wins yields exactly the leftmost match that
-//! [`Device::find_window`] would find. Construction is O(Σ runᵢ²) — a few
-//! thousand span visits even on the widest database device — and the
-//! resulting table is immutable, so probes are lock-free and write
-//! nothing: sweep workers share one geometry read-only. Keep it that
-//! way; the planner counts probes in its per-worker scratch
+//! O(1) count updates. The index is keyed by the span's `(W_DSP, W_BRAM)`
+//! **mix**; each entry lists the mix's achievable `(W_CLB, leftmost
+//! start)` pairs in ascending `W_CLB` order. Starts are visited in
+//! ascending order across and within runs, so the first span to reach a
+//! composition is exactly the leftmost match that [`Device::find_window`]
+//! would find; later spans with that composition are skipped.
+//!
+//! A composition lookup is one hash probe plus a binary search, and
+//! [`DeviceGeometry::min_clb_at_least`] answers "the fewest CLB columns
+//! ≥ n that fit this mix" at the same cost, which lets the padded
+//! fallback ask once per mix instead of once per CLB count. Construction
+//! is O(Σ runᵢ²) span visits, each a hash probe plus a binary search: a
+//! few thousand visits and 4–46 µs per database device on a 2-vCPU Xeon
+//! host. The resulting table is immutable, so probes are lock-free and
+//! write nothing: sweep workers share one geometry read-only. Keep it
+//! that way; the planner counts probes in its per-worker scratch
 //! (`prcost::PlanScratch`). One shared atomic bumped per probe here held
 //! two sweep threads to 1.32× the throughput of one on a 2-vCPU host.
 //!
 //! A composition absent from the index has no window on the device, and
 //! the zero composition `(0, 0, 0)` is never indexed (spans have width
-//! ≥ 1) — both return `None`, exactly as the rescan does. Results are
-//! byte-identical to [`Device::find_window`]; the equivalence suite in
-//! `crates/fabric/tests/window_props.rs` checks all three implementations
-//! against each other on every database device and on random fabrics.
+//! ≥ 1) — both return `None`, exactly as the rescan does. The mix key
+//! holds every `u32` count, so no oversized request can alias an indexed
+//! mix. Results are byte-identical to [`Device::find_window`]; the
+//! equivalence suite in `crates/fabric/tests/window_props.rs` checks all
+//! three implementations against each other on every database device and
+//! on random fabrics.
 
 use crate::device::Device;
 use crate::window::{Window, WindowRequest};
@@ -41,14 +50,14 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::mem;
 
-/// Packs a composition into one `u64` index key: 21 bits per count, far
-/// above any device's column count.
-fn comp_key(clb: u32, dsp: u32, bram: u32) -> u64 {
-    (u64::from(clb) << 42) | (u64::from(dsp) << 21) | u64::from(bram)
+/// Packs a `(W_DSP, W_BRAM)` mix into one `u64` index key, 32 bits per
+/// count: every pair of `u32` counts has a key of its own.
+fn mix_key(dsp: u32, bram: u32) -> u64 {
+    (u64::from(dsp) << 32) | u64::from(bram)
 }
 
-/// Single-multiply hasher for the packed composition keys. The padded
-/// fallback probes the index hundreds of times per resolution, so probe
+/// Single-multiply hasher for the packed mix keys. Every padded-fallback
+/// row and every resolved window costs one index lookup, so lookup
 /// latency matters: this replaces SipHash with a splitmix64 finalizer —
 /// a few ALU ops, well-mixed low bits for the table's bucket selection.
 #[derive(Default)]
@@ -60,7 +69,7 @@ impl Hasher for CompKeyHasher {
     }
 
     fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("composition keys hash as u64");
+        unreachable!("mix keys hash as u64");
     }
 
     fn write_u64(&mut self, key: u64) {
@@ -71,8 +80,11 @@ impl Hasher for CompKeyHasher {
     }
 }
 
+/// A hash map keyed by packed `(W_DSP, W_BRAM)` mixes.
+type MixMap<V> = HashMap<u64, V, BuildHasherDefault<CompKeyHasher>>;
+
 /// Precomputed window-search geometry for one [`Device`]: a read-only
-/// composition → leftmost-start index.
+/// `(W_DSP, W_BRAM)` mix → `[(W_CLB, leftmost start)]` index.
 #[derive(Debug)]
 pub struct DeviceGeometry {
     rows: u32,
@@ -81,10 +93,10 @@ pub struct DeviceGeometry {
     /// recorded so callers handed a (device, geometry) pair can cheaply
     /// verify they belong together.
     source_hash: u64,
-    /// Packed `(W_CLB, W_DSP, W_BRAM)` → leftmost start column of a
-    /// matching span. Immutable after construction; absent ⇒ no window
-    /// exists.
-    index: HashMap<u64, u32, BuildHasherDefault<CompKeyHasher>>,
+    /// Packed `(W_DSP, W_BRAM)` → that mix's achievable `(W_CLB, leftmost
+    /// start column)` pairs, ascending and distinct in `W_CLB`. Immutable
+    /// after construction; an absent mix or `W_CLB` ⇒ no window exists.
+    index: MixMap<Box<[(u32, u32)]>>,
 }
 
 impl DeviceGeometry {
@@ -92,22 +104,29 @@ impl DeviceGeometry {
     ///
     /// Walks the maximal IOB/CLK-free runs ([`Device::prr_free_runs`]),
     /// then for each start column in each run extends the span rightward
-    /// with O(1) incremental counts, interning every composition on first
-    /// sight (ascending start order ⇒ the stored start is the leftmost).
+    /// with O(1) incremental counts, inserting `(W_CLB, start)` into the
+    /// span's mix list at its sorted place unless that `W_CLB` is already
+    /// there. Starts arrive in ascending order, so the kept start of each
+    /// composition is its leftmost.
     pub fn new(device: &Device) -> Self {
         let columns = device.columns();
-        let mut index: HashMap<u64, u32, BuildHasherDefault<CompKeyHasher>> = HashMap::default();
+        let mut lists: MixMap<Vec<(u32, u32)>> = MixMap::default();
         for run in device.prr_free_runs() {
             for start in run.clone() {
                 let mut counts = [0u32; 3];
                 for &kind in &columns[start..run.end] {
                     counts[kind.prr_count_slot()] += 1;
-                    index
-                        .entry(comp_key(counts[0], counts[1], counts[2]))
-                        .or_insert(start as u32);
+                    let list = lists.entry(mix_key(counts[1], counts[2])).or_default();
+                    if let Err(i) = list.binary_search_by_key(&counts[0], |&(clb, _)| clb) {
+                        list.insert(i, (counts[0], start as u32));
+                    }
                 }
             }
         }
+        let index = lists
+            .into_iter()
+            .map(|(mix, list)| (mix, list.into_boxed_slice()))
+            .collect();
         DeviceGeometry {
             rows: device.rows(),
             width: device.width(),
@@ -143,14 +162,31 @@ impl DeviceGeometry {
         self.width
     }
 
+    /// The `(W_CLB, leftmost start)` list of one `(W_DSP, W_BRAM)` mix;
+    /// empty when no span has that mix.
+    fn mix(&self, dsp: u32, bram: u32) -> &[(u32, u32)] {
+        self.index.get(&mix_key(dsp, bram)).map_or(&[], |list| list)
+    }
+
     /// Leftmost start column of a span containing exactly `clb`/`dsp`/
     /// `bram` columns of each kind and no IOB/CLK columns, or `None`.
-    /// Lock-free O(1): one probe of the read-only composition index.
-    /// The answer is independent of any requested height.
+    /// Lock-free: one hash probe of the read-only mix index plus a binary
+    /// search of the mix's `W_CLB` list. The answer is independent of any
+    /// requested height.
     pub fn leftmost_start(&self, clb: u32, dsp: u32, bram: u32) -> Option<usize> {
-        self.index
-            .get(&comp_key(clb, dsp, bram))
-            .map(|&s| s as usize)
+        let list = self.mix(dsp, bram);
+        let i = list.binary_search_by_key(&clb, |&(c, _)| c).ok()?;
+        Some(list[i].1 as usize)
+    }
+
+    /// Smallest `W_CLB ≥ clb` such that a span with `W_CLB` CLB, `dsp`
+    /// DSP and `bram` BRAM columns (and no IOB/CLK) exists, or `None`.
+    /// Same cost as [`DeviceGeometry::leftmost_start`]: one hash probe
+    /// plus a `partition_point` over the mix's ascending `W_CLB` list.
+    pub fn min_clb_at_least(&self, clb: u32, dsp: u32, bram: u32) -> Option<u32> {
+        let list = self.mix(dsp, bram);
+        list.get(list.partition_point(|&(c, _)| c < clb))
+            .map(|&(c, _)| c)
     }
 
     /// Leftmost window matching `req` on `device`, behaviorally identical
@@ -177,14 +213,16 @@ impl DeviceGeometry {
     /// Number of distinct achievable compositions interned for this device
     /// (the index size; fixed at construction).
     pub fn distinct_compositions(&self) -> u64 {
-        self.index.len() as u64
+        self.index.values().map(|list| list.len() as u64).sum()
     }
 
-    /// Approximate resident size of the composition index in bytes
-    /// (allocated key/value slots; excludes the hash table's control
-    /// metadata, so treat it as a lower-bound estimate).
+    /// Approximate resident size of the composition index in bytes: the
+    /// hash table's allocated `(mix, list)` slots plus every list's
+    /// `(W_CLB, start)` pairs (excludes the table's control metadata, so
+    /// treat it as a lower-bound estimate).
     pub fn index_bytes(&self) -> usize {
-        self.index.capacity() * mem::size_of::<(u64, u32)>()
+        self.index.capacity() * mem::size_of::<(u64, Box<[(u32, u32)]>)>()
+            + self.distinct_compositions() as usize * mem::size_of::<(u32, u32)>()
     }
 }
 
@@ -283,6 +321,31 @@ mod tests {
         assert!(geo
             .find_window(&d, &WindowRequest::new(0, 0, 0, 1))
             .is_none());
+    }
+
+    #[test]
+    fn oversized_counts_find_nothing() {
+        let d = tiny();
+        let geo = DeviceGeometry::new(&d);
+        assert_eq!(geo.leftmost_start(1, 0, 0), Some(1));
+        assert_eq!(geo.leftmost_start(0, 1, 0), Some(5));
+        assert_eq!(geo.min_clb_at_least(0, 0, 0), Some(1));
+        // Counts that overflowed a 21-bit packed field used to alias the
+        // keys of (1, 0, 0) and (0, 1, 0).
+        for (clb, dsp, bram) in [
+            ((1 << 31) + 1, 0, 0),
+            (1 << 21, 0, 0),
+            (1, 1 << 21, 0),
+            (0, 1, 1 << 21),
+            (u32::MAX, u32::MAX, u32::MAX),
+        ] {
+            assert_eq!(geo.leftmost_start(clb, dsp, bram), None);
+            assert_eq!(geo.min_clb_at_least(clb, dsp, bram), None);
+            let req = WindowRequest::new(clb, dsp, bram, 1);
+            assert_eq!(geo.find_window(&d, &req), None);
+            assert_eq!(d.find_window(&req), None);
+        }
+        assert_eq!(geo.min_clb_at_least(u32::MAX, 0, 0), None);
     }
 
     #[test]

@@ -34,9 +34,13 @@ impl WindowRequest {
         }
     }
 
-    /// Total window width `W = W_CLB + W_DSP + W_BRAM` (paper Eq. 6).
+    /// Total window width `W = W_CLB + W_DSP + W_BRAM` (paper Eq. 6),
+    /// saturating at `u32::MAX`: no device is that wide, so an oversized
+    /// request still finds no window instead of overflowing.
     pub fn width(&self) -> u32 {
-        self.clb_cols + self.dsp_cols + self.bram_cols
+        self.clb_cols
+            .saturating_add(self.dsp_cols)
+            .saturating_add(self.bram_cols)
     }
 
     /// `PRR_size = H x W` (paper Eq. 7).

@@ -4,7 +4,9 @@
 //! agree — start column, window bytes, everything — with both the frozen
 //! seed implementation ([`fabric::reference::MemoGeometry`]) and the
 //! uncached linear scan ([`Device::find_window`]) on every achievable
-//! composition of every database device and on random synthetic fabrics.
+//! composition of every database device and on random synthetic fabrics;
+//! its `min_clb_at_least` query must agree with a brute force over the
+//! scan.
 
 use fabric::reference::MemoGeometry;
 use fabric::{ColumnKind, Device, DeviceGeometry, Family, ResourceKind, WindowRequest};
@@ -113,6 +115,23 @@ proptest! {
         prop_assert!(starts.windows(2).all(|p| p[0] < p[1]));
     }
 
+    /// On random synthetic fabrics, `min_clb_at_least` returns the
+    /// smallest `W_CLB ≥ bound` with a window for the mix, as a brute
+    /// force over `Device::find_window` finds it.
+    #[test]
+    fn min_clb_at_least_matches_scan(
+        device in arb_device(),
+        bound in 0u32..20,
+        dsp in 0u32..4,
+        bram in 0u32..4,
+    ) {
+        let index = DeviceGeometry::new(&device);
+        prop_assert_eq!(
+            index.min_clb_at_least(bound, dsp, bram),
+            min_clb_by_scan(&device, bound, dsp, bram)
+        );
+    }
+
     /// Three-way equivalence on random synthetic fabrics: the composition
     /// index, the frozen seed memo, and the uncached linear scan return
     /// identical windows (or identically nothing) for arbitrary requests.
@@ -123,6 +142,47 @@ proptest! {
         let direct = device.find_window(&req);
         prop_assert_eq!(index.find_window(&device, &req), direct.clone());
         prop_assert_eq!(memo.find_window(&device, &req), direct);
+    }
+}
+
+/// The smallest `W_CLB ≥ bound` for which `device` has a window of
+/// `W_CLB` CLB, `dsp` DSP and `bram` BRAM columns, by brute force.
+fn min_clb_by_scan(device: &Device, bound: u32, dsp: u32, bram: u32) -> Option<u32> {
+    let clb_cols = device.column_counts().clb() as u32;
+    (bound..=clb_cols).find(|&clb| device.has_window(&WindowRequest::new(clb, dsp, bram, 1)))
+}
+
+/// Exhaustive check of `min_clb_at_least` on the device database: every
+/// `(W_DSP, W_BRAM)` mix and every bound up to each kind's column count
+/// + 1, against a brute force over [`Device::find_window`].
+#[test]
+fn min_clb_at_least_matches_scan_on_every_database_mix() {
+    for device in fabric::all_devices() {
+        let index = DeviceGeometry::new(&device);
+        let counts = device.column_counts();
+        let clb_cols = counts.clb() as u32;
+        for dsp in 0..=counts.dsp() as u32 + 1 {
+            for bram in 0..=counts.bram() as u32 + 1 {
+                // One scan per `W_CLB`, then the answers for every bound
+                // from the top down.
+                let mut expected = None;
+                let mut answers = vec![None; clb_cols as usize + 2];
+                for clb in (0..=clb_cols).rev() {
+                    if device.has_window(&WindowRequest::new(clb, dsp, bram, 1)) {
+                        expected = Some(clb);
+                    }
+                    answers[clb as usize] = expected;
+                }
+                for (bound, &want) in answers.iter().enumerate() {
+                    assert_eq!(
+                        index.min_clb_at_least(bound as u32, dsp, bram),
+                        want,
+                        "{}: bound {bound}, mix ({dsp},{bram})",
+                        device.name()
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -107,7 +107,7 @@ impl LayoutManager {
     pub fn plan_defrag(&self, org: &PrrOrganization) -> Option<DefragPlan> {
         let started = Instant::now();
         let free = self.free_space();
-        let width = (org.clb_cols + org.dsp_cols + org.bram_cols) as usize;
+        let width = org.width() as usize;
         if width == 0 || org.height < 1 || org.height > free.rows() {
             return None;
         }

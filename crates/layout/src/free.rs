@@ -26,10 +26,14 @@
 use fabric::{ColumnKind, Device, Window, WindowRequest};
 use std::collections::HashMap;
 
-/// Packs a composition into one `u64` index key (21 bits per count),
-/// mirroring the key used by `fabric::DeviceGeometry`.
-fn comp_key(clb: u32, dsp: u32, bram: u32) -> u64 {
-    (u64::from(clb) << 42) | (u64::from(dsp) << 21) | u64::from(bram)
+/// Packs a composition into one `u64` index key, 21 bits per count, or
+/// `None` when a count does not fit: packing it would alias a smaller
+/// composition, and no device is 2²¹ columns wide, so it is never
+/// achievable.
+fn comp_key(clb: u32, dsp: u32, bram: u32) -> Option<u64> {
+    const LIMIT: u32 = 1 << 21;
+    (clb < LIMIT && dsp < LIMIT && bram < LIMIT)
+        .then(|| (u64::from(clb) << 42) | (u64::from(dsp) << 21) | u64::from(bram))
 }
 
 /// A rectangle in span form: columns `[start, end)`, rows `row..=top`
@@ -240,10 +244,9 @@ impl FreeSpace {
                 let mut counts = [0u32; 3];
                 for &kind in &columns[start..run.end] {
                     counts[kind.prr_count_slot()] += 1;
-                    candidates
-                        .entry(comp_key(counts[0], counts[1], counts[2]))
-                        .or_default()
-                        .push(start as u32);
+                    if let Some(key) = comp_key(counts[0], counts[1], counts[2]) {
+                        candidates.entry(key).or_default().push(start as u32);
+                    }
                 }
             }
         }
@@ -288,14 +291,14 @@ impl FreeSpace {
 
     /// Whether the composition exists anywhere on the (empty) device.
     pub fn is_achievable(&self, clb: u32, dsp: u32, bram: u32) -> bool {
-        self.candidates.contains_key(&comp_key(clb, dsp, bram))
+        comp_key(clb, dsp, bram).is_some_and(|key| self.candidates.contains_key(&key))
     }
 
     /// Ascending start columns whose span realises the composition on the
     /// empty device (occupancy not considered).
     pub fn candidate_starts(&self, clb: u32, dsp: u32, bram: u32) -> &[u32] {
-        self.candidates
-            .get(&comp_key(clb, dsp, bram))
+        comp_key(clb, dsp, bram)
+            .and_then(|key| self.candidates.get(&key))
             .map_or(&[], Vec::as_slice)
     }
 
@@ -616,6 +619,21 @@ mod tests {
         let tall = WindowRequest::new(1, 0, 0, u32::MAX);
         assert_eq!(fs.find_window(&tall), None);
         assert_eq!(naive.find_window(&tall), None);
+    }
+
+    #[test]
+    fn oversized_compositions_are_not_achievable() {
+        let d = Device::new("sq", Family::Virtex5, 2, vec![Clb; 6]).unwrap();
+        let fs = FreeSpace::new(&d);
+        assert!(fs.is_achievable(1, 0, 0));
+        // The first two pack, 21 bits per count, to the key of (1, 0, 0);
+        // the last is a count saturated by `PrrOrganization::for_height`.
+        for (clb, dsp, bram) in [(0, 1 << 21, 0), ((1 << 22) + 1, 0, 0), (u32::MAX, 0, 0)] {
+            assert!(!fs.is_achievable(clb, dsp, bram));
+            assert!(fs.candidate_starts(clb, dsp, bram).is_empty());
+            let req = WindowRequest::new(clb, dsp, bram, 1);
+            assert_eq!(fs.find_window(&req), None);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * **indexed geometry** — candidate windows are probed through one shared
 //!   [`fabric::DeviceGeometry`] composition index
 //!   (`prcost::search::candidates_for_cached`), so every spec and every
-//!   height is a lock-free O(1) lookup instead of a column-list rescan;
+//!   height is a lock-free index lookup instead of a column-list rescan;
 //!   batch drivers pass their own index via
 //!   [`auto_floorplan_with_geometry`];
 //! * **dominance pruning** — a candidate organization whose bitstream,

@@ -339,7 +339,7 @@ impl FlowJob {
 /// ([`fabric::DeviceGeometry`]) once and shares it read-only across all
 /// workers: every Floorplan stage plans through
 /// [`prcost::plan_prr_cached`] with a per-worker [`prcost::PlanScratch`],
-/// so window searches are lock-free O(1) probes and each distinct
+/// so window searches are lock-free index probes and each distinct
 /// composition is resolved once per plan. Plans are byte-identical to the
 /// solo [`run_flow_from_report`] path.
 ///
