@@ -8,7 +8,9 @@
 //!
 //! * *Warm hit* (criterion): a single thread replaying memoized points
 //!   through both engines — the per-lookup cost the sharding/interning
-//!   rework targets.
+//!   rework targets. The sharded engine plans against devices resolved
+//!   once to [`prcost::DeviceHandle`]s, the way the pipeline and the
+//!   service do.
 //! * *Worker scaling* (artifact): 1/4/8/16 `std::thread::scope` workers
 //!   replaying a mixed feasible/infeasible warm workload, per-op latency
 //!   sampled with `Instant`; throughput plus p50/p99 per engine per
@@ -18,15 +20,14 @@
 //!   engine's own `service` stage histogram (submit → ticket resolved).
 //!
 //! The bench binary installs a counting `#[global_allocator]` and asserts
-//! the engine's documented contract that a warm [`Engine::plan_arc`] hit
-//! performs **zero heap allocation** (streamed layout-hash intern lookup,
-//! packed-key shard probe, `Arc` clone). The artifact lands in
-//! `results/BENCH_service.json`.
+//! the engine's documented contract that a warm [`Engine::plan_on`] hit
+//! performs **zero heap allocation** (packed-key shard probe, `Arc`
+//! clone). The artifact lands in `results/BENCH_service.json`.
 
 use criterion::{criterion_group, Criterion};
 use fabric::Device;
 use prcost::engine::reference::ReferenceEngine;
-use prcost::{Engine, PlanScratch, PlanService, PrrRequirements, ServiceConfig};
+use prcost::{DeviceHandle, Engine, PlanScratch, PlanService, PrrRequirements, ServiceConfig};
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -126,6 +127,22 @@ fn warm_sharded(points: &[(SynthReport, Device)]) -> Engine {
     engine
 }
 
+/// Each point's requirements and its device resolved on `engine`.
+fn resolve(
+    engine: &Engine,
+    points: &[(SynthReport, Device)],
+) -> Vec<(PrrRequirements, DeviceHandle)> {
+    points
+        .iter()
+        .map(|(report, device)| {
+            (
+                PrrRequirements::from_report(report),
+                engine.intern_device(device),
+            )
+        })
+        .collect()
+}
+
 fn warm_reference(points: &[(SynthReport, Device)]) -> ReferenceEngine {
     let engine = ReferenceEngine::new();
     for (report, device) in points {
@@ -137,6 +154,7 @@ fn warm_reference(points: &[(SynthReport, Device)]) -> ReferenceEngine {
 fn bench_warm_hits(c: &mut Criterion) {
     let points = workload();
     let sharded = warm_sharded(&points);
+    let resolved = resolve(&sharded, &points);
     let reference = warm_reference(&points);
 
     let mut g = c.benchmark_group("service");
@@ -150,8 +168,8 @@ fn bench_warm_hits(c: &mut Criterion) {
     g.bench_function("warm_hit_sharded", |b| {
         let mut scratch = PlanScratch::default();
         b.iter(|| {
-            for (report, device) in &points {
-                black_box(sharded.plan_arc(report, device, &mut scratch));
+            for (req, device) in &resolved {
+                black_box(sharded.plan_on(req, device, &mut scratch));
             }
         })
     });
@@ -187,7 +205,7 @@ struct ServiceRow {
 struct ServiceBenchArtifact {
     devices: Vec<String>,
     distinct_points: usize,
-    /// Warm `plan_arc` hits replayed under the counting allocator.
+    /// Warm `plan_on` hits replayed under the counting allocator.
     alloc_check_hits: u64,
     /// Heap allocations observed during those hits — asserted zero.
     alloc_check_allocations: u64,
@@ -211,16 +229,16 @@ fn percentile_us(sorted: &[f64], q: f64) -> f64 {
 /// fraction of a warm hit on this scale).
 const LATENCY_SAMPLE: usize = 8;
 
-/// Replay `ops` warm points across `workers` threads against one engine.
-/// Returns throughput and sampled latency percentiles.
-fn replay<E: Sync>(
-    points: &[(SynthReport, Device)],
+/// Replay `ops` warm points across `workers` threads; `plan_one` plans
+/// the point at an index. Returns throughput and sampled latency
+/// percentiles.
+fn replay(
+    points: usize,
     ops: usize,
     workers: usize,
-    plan_one: &(dyn Fn(&E, &SynthReport, &Device, &mut PlanScratch) + Sync),
-    engine: &E,
+    plan_one: &(dyn Fn(usize, &mut PlanScratch) + Sync),
 ) -> EngineSide {
-    let indices: Vec<usize> = (0..ops).map(|i| i % points.len()).collect();
+    let indices: Vec<usize> = (0..ops).map(|i| i % points).collect();
     let start = Instant::now();
     let mut latencies: Vec<f64> = std::thread::scope(|scope| {
         let handles: Vec<_> = indices
@@ -230,13 +248,12 @@ fn replay<E: Sync>(
                     let mut scratch = PlanScratch::default();
                     let mut lat = Vec::with_capacity(chunk.len() / LATENCY_SAMPLE + 1);
                     for (n, &i) in chunk.iter().enumerate() {
-                        let (report, device) = &points[i];
                         if n % LATENCY_SAMPLE == 0 {
                             let t = Instant::now();
-                            plan_one(engine, report, device, &mut scratch);
+                            plan_one(i, &mut scratch);
                             lat.push(t.elapsed().as_secs_f64() * 1e6);
                         } else {
-                            plan_one(engine, report, device, &mut scratch);
+                            plan_one(i, &mut scratch);
                         }
                     }
                     lat
@@ -304,44 +321,45 @@ fn service_row(points: &[(SynthReport, Device)], ops: usize, workers: usize) -> 
 fn emit_artifact() {
     let points = workload();
     let sharded = warm_sharded(&points);
+    let resolved = resolve(&sharded, &points);
     let reference = warm_reference(&points);
 
     // Zero-allocation warm-hit check: every point is memoized, so each
-    // `plan_arc` is an intern lookup + shard probe + `Arc` clone. The
-    // scratch is preallocated and untouched on the hit path.
+    // `plan_on` is a shard probe + `Arc` clone. The scratch is untouched
+    // on the hit path.
     let mut scratch = PlanScratch::default();
     let check_rounds = 2_000u64;
-    for (report, device) in &points {
-        black_box(sharded.plan_arc(report, device, &mut scratch));
+    for (req, device) in &resolved {
+        black_box(sharded.plan_on(req, device, &mut scratch));
     }
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..check_rounds {
-        for (report, device) in &points {
-            black_box(sharded.plan_arc(report, device, &mut scratch));
+        for (req, device) in &resolved {
+            black_box(sharded.plan_on(req, device, &mut scratch));
         }
     }
     let alloc_check_allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
     let alloc_check_hits = check_rounds * points.len() as u64;
     assert_eq!(
         alloc_check_allocations, 0,
-        "warm plan_arc hits must not allocate ({alloc_check_allocations} allocations \
+        "warm plan_on hits must not allocate ({alloc_check_allocations} allocations \
          over {alloc_check_hits} hits)"
     );
 
     let ops = 40_000usize;
-    let plan_sharded =
-        |engine: &Engine, report: &SynthReport, device: &Device, scratch: &mut PlanScratch| {
-            black_box(engine.plan_arc(report, device, scratch));
-        };
-    let plan_reference =
-        |engine: &ReferenceEngine, report: &SynthReport, device: &Device, _: &mut PlanScratch| {
-            black_box(engine.plan(report, device).ok());
-        };
+    let plan_sharded = |i: usize, scratch: &mut PlanScratch| {
+        let (req, device) = &resolved[i];
+        black_box(sharded.plan_on(req, device, scratch));
+    };
+    let plan_reference = |i: usize, _: &mut PlanScratch| {
+        let (report, device) = &points[i];
+        black_box(reference.plan(report, device).ok());
+    };
 
     let mut scaling = Vec::new();
     for workers in [1usize, 4, 8, 16] {
-        let reference_side = replay(&points, ops, workers, &plan_reference, &reference);
-        let sharded_side = replay(&points, ops, workers, &plan_sharded, &sharded);
+        let reference_side = replay(points.len(), ops, workers, &plan_reference);
+        let sharded_side = replay(points.len(), ops, workers, &plan_sharded);
         scaling.push(ScalingRow {
             workers,
             ops,

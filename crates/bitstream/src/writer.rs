@@ -516,11 +516,15 @@ pub fn emit_shared(
     spec: &Arc<BitstreamSpec>,
 ) -> Result<Arc<Vec<u32>>, GenError> {
     // Cached entries were validated on insertion, and a hit is equal to
-    // one of them, so only misses validate.
-    if let Some(i) = scratch
-        .streams
+    // one of them, so only misses validate. Entries are pairwise unequal
+    // (a miss inserts only when none is equal), so a pointer match is the
+    // one value match: look for it first, before any entry pays a full
+    // spec comparison.
+    let streams = &scratch.streams;
+    if let Some(i) = streams
         .iter()
-        .position(|(s, _)| Arc::ptr_eq(s, spec) || **s == **spec)
+        .position(|(s, _)| Arc::ptr_eq(s, spec))
+        .or_else(|| streams.iter().position(|(s, _)| **s == **spec))
     {
         scratch.streams.swap(0, i);
         return Ok(Arc::clone(&scratch.streams[0].1));

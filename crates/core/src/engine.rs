@@ -11,10 +11,12 @@
 //!
 //! * **device interner** ([`crate::shard::DeviceTable`]) — each distinct
 //!   device layout is interned once to a dense [`DeviceId`], pairing it
-//!   with its [`DeviceGeometry`]. The hot lookup streams
-//!   [`Device::layout_hash`] (no allocation, unlike the seed's
-//!   `(String, u32, Vec<ColumnKind>)` key which cloned the name and the
-//!   column list on *every* call, hit or miss) and takes one read lock.
+//!   with its [`DeviceGeometry`]. [`Engine::intern_device`] resolves a
+//!   [`Device`] to a [`DeviceHandle`]: a streamed [`Device::layout_hash`]
+//!   (no allocation, unlike the seed's `(String, u32, Vec<ColumnKind>)`
+//!   key which cloned the name and the column list on *every* call), one
+//!   read lock and one structural comparison. Callers that plan many
+//!   points against one device resolve it once and keep the handle.
 //! * **synthesis memo** — keyed by `(generator fingerprint, family)`.
 //!   Fingerprints ([`PrmGenerator::fingerprint`]) hash the generator's
 //!   name *and* per-family operator counts, so two differently
@@ -26,17 +28,21 @@
 //!   of 64 stripes; a hit clones an `Arc`, not a whole plan with its
 //!   search trace.
 //!
-//! [`Engine::plan_arc`] is the allocation-free hit path the async
-//! planning service ([`crate::service`]) drives; [`Engine::plan`] and
-//! friends keep returning owned plans for existing callers. Plans are
+//! [`Engine::plan_on`] plans against a resolved handle and is the only
+//! memo path: a warm hit builds the packed key and makes one shard probe,
+//! with no per-call device comparison. The pipeline, the sweep and the
+//! async planning service ([`crate::service`]) drive it. The `&Device`
+//! entry points ([`Engine::plan_arc`], [`Engine::plan`] and friends)
+//! resolve their device through the interner on every call, then take
+//! the same path. Every hit allocates nothing. Plans are
 //! byte-identical to calling [`synthesize`](PrmGenerator) and
 //! [`plan_prr`](crate::plan_prr) directly (property-tested in the
 //! workspace's `engine_props` suite), and the whole memo state round-trips
 //! through a versioned [`EngineSnapshot`] for persist/reload.
 //!
 //! Counter accounting is conserved per cache: every lookup is either a
-//! build or a hit (`geometry_builds + geometry_cache_hits` equals intern
-//! lookups, `synth_calls + synth_cache_hits` equals synthesis requests,
+//! build or a hit (`geometry_builds + geometry_cache_hits` equals device
+//! resolutions, `synth_calls + synth_cache_hits` equals synthesis requests,
 //! `plan_builds + plan_cache_hits` equals `plans`), with insertion-race
 //! losers counted as hits. The multi-thread stress suite asserts these
 //! identities under 16-way concurrent mixed load.
@@ -59,11 +65,43 @@ use synth::{PrmGenerator, SynthReport};
 #[derive(Debug, Default)]
 pub struct Engine {
     metrics: Metrics,
-    /// Process-unique identity; guards scratch-level resolution caches.
+    /// Process-unique identity; stamped on every [`DeviceHandle`].
     token: EngineToken,
     devices: DeviceTable,
     synth_memo: Sharded<SynthKey, SynthReport>,
     plan_memo: Sharded<PlanKey, Arc<Result<PrrPlan, CostError>>>,
+}
+
+/// A device resolved by one [`Engine`]: its interned id and entry,
+/// stamped with the engine's token.
+///
+/// Resolve a device once with [`Engine::intern_device`] and plan against
+/// the handle with [`Engine::plan_on`]. The id and the geometry come from
+/// the same interned entry, so they cannot be mismatched. Cloning bumps
+/// one refcount. A handle is valid only on the engine that made it;
+/// [`Engine::plan_on`] panics on any other.
+#[derive(Debug, Clone)]
+pub struct DeviceHandle {
+    token: EngineToken,
+    id: DeviceId,
+    entry: Arc<DeviceEntry>,
+}
+
+impl DeviceHandle {
+    /// The interned device layout.
+    pub fn device(&self) -> &Device {
+        &self.entry.device
+    }
+
+    /// The device's composition-indexed window geometry.
+    pub fn geometry(&self) -> &Arc<DeviceGeometry> {
+        &self.entry.geometry
+    }
+
+    /// The device's dense id in its engine's interner.
+    pub fn id(&self) -> DeviceId {
+        self.id
+    }
 }
 
 impl Engine {
@@ -77,40 +115,43 @@ impl Engine {
         &self.metrics
     }
 
-    /// Intern `device`, deriving its geometry on first sight; returns the
-    /// dense id and the shared entry. Warm calls are allocation-free: a
+    /// Resolve `device` to a handle, interning it and deriving its
+    /// geometry on first sight. Warm calls are allocation-free: a
     /// streamed layout hash, one read lock, one structural comparison.
     ///
     /// Accounting: every call bumps exactly one of `geometry_builds`
     /// (this call derived and inserted the geometry) or
     /// `geometry_cache_hits` (served an existing entry, including losing
-    /// an insertion race), so `builds + hits` equals intern lookups.
-    pub fn intern_device(&self, device: &Device) -> (DeviceId, Arc<DeviceEntry>) {
-        if let Some((id, entry)) = self.devices.lookup(device) {
-            self.metrics.geometry_cache_hits.incr();
-            return (id, entry);
+    /// an insertion race), so `builds + hits` equals device resolutions.
+    pub fn intern_device(&self, device: &Device) -> DeviceHandle {
+        let (id, entry) = match self.devices.lookup(device) {
+            Some(hit) => {
+                self.metrics.geometry_cache_hits.incr();
+                hit
+            }
+            None => {
+                let geo = self
+                    .metrics
+                    .time("geometry", || Arc::new(DeviceGeometry::new(device)));
+                let (id, entry, inserted) = self.devices.insert(device, geo);
+                if inserted {
+                    self.metrics.geometry_builds.incr();
+                } else {
+                    self.metrics.geometry_cache_hits.incr();
+                }
+                (id, entry)
+            }
+        };
+        DeviceHandle {
+            token: self.token,
+            id,
+            entry,
         }
-        let geo = self
-            .metrics
-            .time("geometry", || Arc::new(DeviceGeometry::new(device)));
-        let (id, entry, inserted) = self.devices.insert(device, geo);
-        if inserted {
-            self.metrics.geometry_builds.incr();
-        } else {
-            self.metrics.geometry_cache_hits.incr();
-        }
-        (id, entry)
     }
 
     /// The interned geometry of `device`, deriving it on first sight.
     pub fn geometry(&self, device: &Device) -> Arc<DeviceGeometry> {
-        let (_, entry) = self.intern_device(device);
-        Arc::clone(&entry.geometry)
-    }
-
-    /// The interned id of `device` (interning it on first sight).
-    pub fn device_id(&self, device: &Device) -> DeviceId {
-        self.intern_device(device).0
+        Arc::clone(self.intern_device(device).geometry())
     }
 
     /// `generator`'s synthesis report for `family`, memoized on
@@ -158,13 +199,14 @@ impl Engine {
     /// Plan the PRR for `report` on `device`, returning the memo's shared
     /// `Arc` directly.
     ///
-    /// This is the engine's hot path: when the `(requirements, device)`
-    /// point is already memoized, the call performs **zero heap
-    /// allocation** — layout-hash intern lookup, packed-key shard probe,
-    /// `Arc` clone — which the `service_mt` benchmark asserts with a
-    /// counting allocator. Whole plan results (feasible and infeasible
-    /// alike) are memoized; a repeat of a previously planned point never
-    /// re-runs the Fig. 1 search.
+    /// Resolves `device` through the interner, then takes the
+    /// [`Engine::plan_on`] path. When the `(requirements, device)` point
+    /// is already memoized, the call performs **zero heap allocation**:
+    /// a layout-hash intern lookup, a packed-key shard probe and an `Arc`
+    /// clone. Whole plan results (feasible and infeasible alike) are
+    /// memoized; a repeat of a previously planned point never re-runs the
+    /// Fig. 1 search. Callers that plan many points against one device
+    /// should resolve it once and call [`Engine::plan_on`].
     pub fn plan_arc(
         &self,
         report: &SynthReport,
@@ -174,95 +216,66 @@ impl Engine {
         self.plan_requirements(&PrrRequirements::from_report(report), device, scratch)
     }
 
-    /// [`Engine::plan_arc`] from explicit requirements — the entry point
-    /// the async planning service drives (its requests carry requirements,
-    /// not synthesis reports). A family mismatch between `req` and
-    /// `device` is planned to (and memoized as) the same
-    /// [`CostError::FamilyMismatch`] the report-level paths return.
+    /// [`Engine::plan_arc`] from explicit requirements. A family mismatch
+    /// between `req` and `device` is planned to (and memoized as) the
+    /// same [`CostError::FamilyMismatch`] the report-level paths return.
     pub fn plan_requirements(
         &self,
         req: &PrrRequirements,
         device: &Device,
         scratch: &mut PlanScratch,
     ) -> Arc<Result<PrrPlan, CostError>> {
+        // `plans` before the intern's geometry counter: the snapshot
+        // reads parts before totals (see `Metrics::snapshot`).
         self.metrics.plans.incr();
-        // Device resolution, fastest first: the scratch's per-caller cache
-        // (one structural comparison, no shared state), then the interner.
-        // A scratch cache hit is a geometry cache hit — the accounting
-        // invariant (`geometry_builds + geometry_cache_hits` = plan-path
-        // device resolutions) does not see the shortcut.
-        let (id, entry) = match scratch.cached_device(self.token, device) {
-            Some(hit) => {
-                self.metrics.geometry_cache_hits.incr();
-                hit
-            }
-            None => {
-                let (id, entry) = self.intern_device(device);
-                scratch.cache_device(self.token, id, &entry);
-                (id, entry)
-            }
-        };
-        let key = PlanKey::new(req, id);
+        let device = self.intern_device(device);
+        self.plan_resolved(req, &device, scratch)
+    }
+
+    /// Plan `req` on a device already resolved by
+    /// [`Engine::intern_device`]: the packed-key shard probe, and the
+    /// cached Fig. 1 search on a miss. A warm hit performs zero heap
+    /// allocation and no device comparison.
+    ///
+    /// # Panics
+    ///
+    /// If `device` was resolved by another engine. Its [`DeviceId`]
+    /// indexes that engine's interner, so planning it here would memoize
+    /// a plan under the wrong device's key.
+    pub fn plan_on(
+        &self,
+        req: &PrrRequirements,
+        device: &DeviceHandle,
+        scratch: &mut PlanScratch,
+    ) -> Arc<Result<PrrPlan, CostError>> {
+        assert!(
+            device.token == self.token,
+            "device handle for `{}` was resolved by another engine",
+            device.device().name()
+        );
+        self.metrics.plans.incr();
+        self.plan_resolved(req, device, scratch)
+    }
+
+    /// The memo path behind every plan: probe, and on a miss run the
+    /// cached Fig. 1 search, tally the padded-fallback and window-probe
+    /// deltas, record outcome counters, and memoize.
+    fn plan_resolved(
+        &self,
+        req: &PrrRequirements,
+        device: &DeviceHandle,
+        scratch: &mut PlanScratch,
+    ) -> Arc<Result<PrrPlan, CostError>> {
+        let key = PlanKey::new(req, device.id);
         if let Some(hit) = self.plan_memo.get(&key) {
             self.metrics.plan_cache_hits.incr();
             self.record_outcome(&hit);
             return hit;
         }
-        self.plan_uncached(key, req, device, &entry.geometry, scratch)
-    }
-
-    /// [`Engine::plan_with_scratch`] with the geometry supplied by the
-    /// caller (e.g. prefetched once per device by a sweep driver).
-    ///
-    /// `geometry` **must** have been derived from `device` — a mismatched
-    /// pair would memoize a wrong plan under the right key, poisoning
-    /// every later lookup of that point. Debug builds enforce this with
-    /// the geometry's recorded source-layout hash
-    /// ([`DeviceGeometry::matches_device`]); release builds trust the
-    /// caller, as before.
-    pub fn plan_with_geometry(
-        &self,
-        report: &SynthReport,
-        device: &Device,
-        geometry: &DeviceGeometry,
-        scratch: &mut PlanScratch,
-    ) -> Result<PrrPlan, CostError> {
-        debug_assert!(
-            geometry.matches_device(device),
-            "geometry was not derived from device `{}` (source layout hash {:#x} != {:#x})",
-            device.name(),
-            geometry.source_layout_hash(),
-            device.layout_hash(),
-        );
-        self.metrics.plans.incr();
-        let (id, _) = self.intern_device(device);
-        let req = PrrRequirements::from_report(report);
-        let key = PlanKey::new(&req, id);
-        if let Some(hit) = self.plan_memo.get(&key) {
-            self.metrics.plan_cache_hits.incr();
-            self.record_outcome(&hit);
-            return hit.as_ref().clone();
-        }
-        self.plan_uncached(key, &req, device, geometry, scratch)
-            .as_ref()
-            .clone()
-    }
-
-    /// Shared memo-miss path: run the cached Fig. 1 search, tally the
-    /// padded-fallback and window-probe deltas, record outcome counters,
-    /// and memoize.
-    fn plan_uncached(
-        &self,
-        key: PlanKey,
-        req: &PrrRequirements,
-        device: &Device,
-        geometry: &DeviceGeometry,
-        scratch: &mut PlanScratch,
-    ) -> Arc<Result<PrrPlan, CostError>> {
         let padded_before = scratch.padded_resolution_count();
         let probes_before = scratch.window_probe_count();
         let result = self.metrics.time("plan", || {
-            plan_requirements_cached(req, device, geometry, scratch)
+            plan_requirements_cached(req, device.device(), device.geometry(), scratch)
         });
         self.metrics
             .padded_fallbacks
@@ -366,6 +379,10 @@ impl Engine {
     /// engine's. Restored entries are not replayed plans, so the plan
     /// counters start at zero; only `geometry_builds` reflects the
     /// geometry reconstruction work actually done here.
+    ///
+    /// Every device in a snapshot is valid: deserializing a [`Device`]
+    /// runs [`Device::new`]'s checks. A device listed twice is rejected,
+    /// since re-exporting would drop the repeat.
     pub fn import_state(snapshot: &EngineSnapshot) -> Result<Engine, SnapshotError> {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::VersionMismatch {
@@ -375,8 +392,16 @@ impl Engine {
         }
         let engine = Engine::new();
         let mut ids = Vec::with_capacity(snapshot.devices.len());
-        for device in &snapshot.devices {
-            let (id, _) = engine.intern_device(device);
+        for (index, device) in snapshot.devices.iter().enumerate() {
+            // Ids are dense in intern order, so a repeat of an earlier
+            // device gets that device's smaller id back.
+            let id = engine.intern_device(device).id();
+            if id.index() != index {
+                return Err(SnapshotError::DuplicateDevice {
+                    index,
+                    first: id.index(),
+                });
+            }
             ids.push(id);
         }
         for record in &snapshot.synth {
@@ -466,6 +491,14 @@ pub enum SnapshotError {
         /// Number of devices in the snapshot.
         devices: usize,
     },
+    /// A device is listed twice; both copies would intern to one id, so
+    /// plan records naming the second could not be told apart.
+    DuplicateDevice {
+        /// Index of the repeat in [`EngineSnapshot::devices`].
+        index: usize,
+        /// Index of its first occurrence.
+        first: usize,
+    },
 }
 
 impl core::fmt::Display for SnapshotError {
@@ -479,6 +512,9 @@ impl core::fmt::Display for SnapshotError {
                 f,
                 "plan record references device {index} but the snapshot holds {devices} devices"
             ),
+            SnapshotError::DuplicateDevice { index, first } => {
+                write!(f, "snapshot device {index} repeats device {first}")
+            }
         }
     }
 }
@@ -751,7 +787,10 @@ mod tests {
             Device::new(v5.name(), v5.family(), v5.rows() + 1, v5.columns().to_vec()).unwrap();
         let g3 = engine.geometry(&twin);
         assert!(!Arc::ptr_eq(&g1, &g3));
-        assert_ne!(engine.device_id(&v5), engine.device_id(&twin));
+        assert_ne!(
+            engine.intern_device(&v5).id(),
+            engine.intern_device(&twin).id()
+        );
     }
 
     #[test]
@@ -864,44 +903,48 @@ mod tests {
     }
 
     #[test]
-    fn plan_with_geometry_matches_direct_and_memoizes() {
+    fn plan_on_matches_direct_and_memoizes() {
         let engine = Engine::new();
         let v5 = xc5vlx110t();
-        let geo = engine.geometry(&v5);
+        let handle = engine.intern_device(&v5);
+        assert_eq!(handle.device(), &v5);
+        assert!(Arc::ptr_eq(handle.geometry(), &engine.geometry(&v5)));
         let report = PaperPrm::Fir.generator().synthesize(v5.family());
+        let req = PrrRequirements::from_report(&report);
         let mut scratch = PlanScratch::default();
-        let via_geometry = engine
-            .plan_with_geometry(&report, &v5, &geo, &mut scratch)
-            .unwrap();
-        let direct = plan_prr(&report, &v5).unwrap();
-        assert_eq!(via_geometry, direct);
+        let first = engine.plan_on(&req, &handle, &mut scratch);
+        assert_eq!(*first, plan_prr(&report, &v5));
+        // The handle and the `&Device` path share one memo entry.
+        let again = engine.plan_on(&req, &handle.clone(), &mut scratch);
+        let via_device = engine.plan_arc(&report, &v5, &mut scratch);
+        assert!(Arc::ptr_eq(&first, &again));
+        assert!(Arc::ptr_eq(&first, &via_device));
         let c = engine.snapshot().counters;
-        // One explicit geometry() intern plus one intern per plan: every
-        // intern lookup is a build or a hit.
-        assert_eq!(c.geometry_builds, 1);
-        assert_eq!(c.geometry_cache_hits, 1);
-        assert_eq!(c.geometry_builds + c.geometry_cache_hits, c.plans + 1);
-        // The second identical plan is a whole-plan memo hit.
-        let again = engine
-            .plan_with_geometry(&report, &v5, &geo, &mut scratch)
-            .unwrap();
-        assert_eq!(again, via_geometry);
-        assert_eq!(engine.snapshot().counters.plan_cache_hits, 1);
+        assert_eq!((c.plans, c.plan_builds, c.plan_cache_hits), (3, 1, 2));
+        // Two explicit resolutions (the handle, `geometry`) and one per
+        // `&Device` plan; `plan_on` resolves nothing.
+        assert_eq!((c.geometry_builds, c.geometry_cache_hits), (1, 2));
     }
 
-    /// Bugfix regression: handing `plan_with_geometry` a geometry derived
-    /// from a *different* device must be caught (in debug builds) instead
-    /// of silently memoizing a wrong plan under the right key.
+    /// A handle's id indexes the interner of the engine that made it; on
+    /// another engine it would memoize a plan under the wrong device's
+    /// key. `plan_on` refuses it in every build, before any counter moves.
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "geometry was not derived from device")]
-    fn plan_with_geometry_rejects_foreign_geometry() {
-        let engine = Engine::new();
-        let v5 = xc5vlx110t();
+    fn plan_on_rejects_a_handle_from_another_engine() {
+        let (home, other) = (Engine::new(), Engine::new());
         let v6 = xc6vlx75t();
-        let foreign = engine.geometry(&v6);
-        let report = PaperPrm::Fir.generator().synthesize(v5.family());
-        let _ = engine.plan_with_geometry(&report, &v5, &foreign, &mut PlanScratch::default());
+        // Both engines intern v6 as id 0: the ids alone cannot tell them apart.
+        let foreign = home.intern_device(&v6);
+        assert_eq!(foreign.id(), other.intern_device(&v6).id());
+        let req = PrrRequirements::from_report(&PaperPrm::Sdram.synth_report(v6.family()));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            other.plan_on(&req, &foreign, &mut PlanScratch::default())
+        }));
+        let message = outcome.expect_err("a foreign handle must panic");
+        let message = message.downcast_ref::<String>().expect("formatted message");
+        assert!(message.contains("resolved by another engine"), "{message}");
+        assert_eq!(other.snapshot().counters.plans, 0);
+        assert_eq!(other.plan_memo_len(), 0);
     }
 
     #[test]
@@ -968,6 +1011,50 @@ mod tests {
             Engine::import_state(&state),
             Err(SnapshotError::DeviceIndexOutOfRange { index: 99, .. })
         ));
+    }
+
+    /// Devices the bitstream layer cannot address, and a device listed
+    /// twice, are refused when a snapshot is loaded: the first while its
+    /// JSON is decoded, the repeat by `import_state`. A 2^32 - 1 row
+    /// device once imported and then aborted the first plan, which asked
+    /// for a 2^32 - 1 candidate buffer.
+    #[test]
+    fn loading_rejects_invalid_and_duplicate_devices() {
+        let engine = Engine::new();
+        engine
+            .evaluate(PaperPrm::Fir.generator().as_ref(), &xc5vlx110t())
+            .unwrap();
+        let json = serde_json::to_string(&engine.export_state()).unwrap();
+        let load = |json: &str| -> Result<Engine, String> {
+            let snapshot: EngineSnapshot = serde_json::from_str(json).map_err(|e| e.to_string())?;
+            Engine::import_state(&snapshot).map_err(|e| e.to_string())
+        };
+        assert!(load(&json).is_ok());
+        // Each edit rewrites the one device's field, and each load fails
+        // on the fabric check, not on some other part of the snapshot.
+        let rows = format!("\"rows\":{}", xc5vlx110t().rows());
+        let columns = serde_json::to_string(xc5vlx110t().columns()).unwrap();
+        let columns = format!("\"columns\":{columns}");
+        assert_eq!(json.matches(&rows).count(), 1);
+        assert_eq!(json.matches(&columns).count(), 1);
+        for (field, bad) in [
+            (&rows, "\"rows\":0"),
+            (&rows, "\"rows\":256"),
+            (&rows, "\"rows\":4294967295"),
+            (&columns, "\"columns\":[]"),
+        ] {
+            let error = load(&json.replace(field.as_str(), bad)).err();
+            let error = error.unwrap_or_else(|| panic!("{bad} must not load"));
+            assert!(error.contains("fabric"), "{bad}: {error}");
+        }
+
+        let mut twice = engine.export_state();
+        twice.devices.push(xc6vlx75t());
+        twice.devices.push(xc5vlx110t());
+        assert_eq!(
+            Engine::import_state(&twice).err(),
+            Some(SnapshotError::DuplicateDevice { index: 2, first: 0 })
+        );
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod shard;
 pub mod timing;
 
 pub use bits::{bitstream_size_bytes, context_breakdown, BitstreamBreakdown, ContextBreakdown};
-pub use engine::{Engine, EngineSnapshot, SnapshotError};
+pub use engine::{DeviceHandle, Engine, EngineSnapshot, SnapshotError};
 pub use error::CostError;
 pub use full::{full_bitstream_size_bytes, FullBitstreamBreakdown};
 pub use metrics::{Metrics, MetricsSnapshot};

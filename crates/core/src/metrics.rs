@@ -207,13 +207,15 @@ impl Metrics {
     /// * `plans_feasible + plans_infeasible <= plans`
     /// * `plan_builds + plan_cache_hits <= plans`
     /// * `geometry_builds + geometry_cache_hits <= plans`, but only while
-    ///   every geometry lookup comes from a plan: [`Engine::geometry`]
-    ///   and [`Engine::intern_device`] bump the geometry counters with
-    ///   no plan behind them.
+    ///   every device resolution comes from a plan on a `&Device`. A
+    ///   [`DeviceHandle`] resolves once for any number of
+    ///   [`Engine::plan_on`] plans, and [`Engine::intern_device`] and
+    ///   [`Engine::geometry`] resolve with no plan behind them.
     ///
     /// This works because the engine bumps each total **before** its
-    /// parts (a plan increments `plans`, then later exactly one of the
-    /// outcome, one of the build/hit and one of the geometry counters),
+    /// parts (a plan increments `plans`, then exactly one of the geometry
+    /// counters if it resolves a `&Device`, then one of the build/hit and
+    /// one of the outcome counters),
     /// while the snapshot reads every part **before** the totals. Part
     /// increments are `Release` and the snapshot's part reads `Acquire`
     /// (see [`Counter`]), so a part increment visible to the early read
@@ -224,6 +226,8 @@ impl Metrics {
     /// `BTreeMap` behind a mutex (stages, labeled counters) is
     /// internally consistent — it is copied under its lock.
     ///
+    /// [`DeviceHandle`]: crate::DeviceHandle
+    /// [`Engine::plan_on`]: crate::Engine::plan_on
     /// [`Engine::geometry`]: crate::Engine::geometry
     /// [`Engine::intern_device`]: crate::Engine::intern_device
     pub fn snapshot(&self) -> MetricsSnapshot {

@@ -15,10 +15,8 @@ use crate::error::CostError;
 use crate::metrics::Metrics;
 use crate::prr::{OrganizationError, PrrOrganization, Utilization};
 use crate::requirements::PrrRequirements;
-use crate::shard::{DeviceEntry, DeviceId, EngineToken};
 use fabric::{Device, DeviceGeometry, Window, WindowRequest};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use synth::SynthReport;
 
 /// Cap on the extra DSP columns the padded-window fallback will absorb
@@ -96,18 +94,7 @@ pub struct PlanScratch {
     /// Cumulative count of composition-index lookups made through
     /// [`PlanScratch::probe`] (never reset; callers read deltas).
     window_probes: u64,
-    /// Recently resolved device interns, tagged with the owning engine's
-    /// token (see [`EngineToken`]): a repeat plan against the same engine
-    /// and device skips the layout hash and the interner's shared read
-    /// lock entirely — one structural comparison against the entry's own
-    /// device copy. Bounded; purely an accelerator, never authoritative.
-    device_cache: Vec<(EngineToken, DeviceId, Arc<DeviceEntry>)>,
 }
-
-/// Entries kept in [`PlanScratch`]'s device-resolution cache. Sweeps
-/// touch a handful of devices per worker; the cache is scanned linearly
-/// so it must stay small.
-const DEVICE_CACHE_CAP: usize = 8;
 
 impl PlanScratch {
     /// Cumulative number of padded-fallback resolutions (full padding
@@ -130,34 +117,6 @@ impl PlanScratch {
     fn probe<T>(&mut self, lookup: impl FnOnce() -> T) -> T {
         self.window_probes += 1;
         lookup()
-    }
-
-    /// The cached intern of `device` under the engine identified by
-    /// `token`, if present. Structural equality against the interned copy
-    /// keeps a stale or colliding entry from ever resolving wrong.
-    pub(crate) fn cached_device(
-        &self,
-        token: EngineToken,
-        device: &Device,
-    ) -> Option<(DeviceId, Arc<DeviceEntry>)> {
-        self.device_cache
-            .iter()
-            .find(|(t, _, entry)| *t == token && entry.device == *device)
-            .map(|(_, id, entry)| (*id, Arc::clone(entry)))
-    }
-
-    /// Remember that `device` interned to `(id, entry)` under the engine
-    /// identified by `token`, evicting the oldest entry at capacity.
-    pub(crate) fn cache_device(
-        &mut self,
-        token: EngineToken,
-        id: DeviceId,
-        entry: &Arc<DeviceEntry>,
-    ) {
-        if self.device_cache.len() >= DEVICE_CACHE_CAP {
-            self.device_cache.remove(0);
-        }
-        self.device_cache.push((token, id, Arc::clone(entry)));
     }
 }
 

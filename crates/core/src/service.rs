@@ -33,11 +33,10 @@
 //! each batch's tickets resolve, so they are exact once `shutdown()`
 //! returns.
 
-use crate::engine::Engine;
+use crate::engine::{DeviceHandle, Engine};
 use crate::error::CostError;
 use crate::requirements::PrrRequirements;
 use crate::search::{PlanScratch, PrrPlan};
-use crate::shard::DeviceEntry;
 use fabric::Device;
 use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
@@ -166,13 +165,14 @@ impl Future for PlanTicket {
     }
 }
 
-/// One queued planning job. The device is resolved to its interned entry
-/// at submission, so workers never re-hash layouts under the queue lock.
+/// One queued planning job. The device is resolved to a handle at
+/// admission, outside the queue lock, so a worker's plan is one memo
+/// probe with no device hashing or comparison.
 #[derive(Debug)]
 struct Job {
     tenant: Arc<str>,
     requirements: PrrRequirements,
-    entry: Arc<DeviceEntry>,
+    device: DeviceHandle,
     submitted: Instant,
     ticket: Arc<TicketShared>,
 }
@@ -269,13 +269,13 @@ impl PlanService {
         device: &Device,
         block: bool,
     ) -> Result<PlanTicket, SubmitError> {
-        // Intern outside the queue lock: warm devices cost a hash + read
-        // lock here and nothing in the workers.
-        let (_, entry) = self.inner.engine.intern_device(device);
+        // Resolve outside the queue lock: warm devices cost a hash, a read
+        // lock and a comparison here and nothing in the workers.
+        let device = self.inner.engine.intern_device(device);
         let job = Job {
             tenant: Arc::from(tenant),
             requirements,
-            entry,
+            device,
             submitted: Instant::now(),
             ticket: Arc::new(TicketShared::default()),
         };
@@ -378,10 +378,9 @@ fn worker_loop(inner: &ServiceInner) {
 
         let metrics = inner.engine.metrics();
         for job in batch.drain(..) {
-            let result =
-                inner
-                    .engine
-                    .plan_requirements(&job.requirements, &job.entry.device, &mut scratch);
+            let result = inner
+                .engine
+                .plan_on(&job.requirements, &job.device, &mut scratch);
             metrics.record_stage("service", job.submitted.elapsed());
             *tenant_counts.entry(Arc::clone(&job.tenant)).or_insert(0) += 1;
             job.ticket.complete(result);

@@ -89,11 +89,10 @@ impl DeviceId {
 
 /// Process-unique identity of one [`crate::Engine`] instance.
 ///
-/// [`DeviceId`]s are dense per-engine indices, so a cached
-/// `(DeviceId, entry)` resolution is only meaningful against the engine
-/// that interned it. `PlanScratch` tags its device-resolution cache with
-/// the owning engine's token and ignores entries from any other engine —
-/// sharing one scratch across engines stays correct, just cold.
+/// [`DeviceId`]s are dense per-engine indices, so a resolved device is
+/// only meaningful against the engine that interned it. Every
+/// [`crate::DeviceHandle`] carries its engine's token, and
+/// [`crate::Engine::plan_on`] compares it with its own before planning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineToken(u64);
 
@@ -123,8 +122,9 @@ type HashBucket = Vec<(DeviceId, Arc<DeviceEntry>)>;
 ///
 /// Read-mostly by construction (a sweep or service touches a handful of
 /// devices and millions of plans), so one `RwLock` per map is enough —
-/// the plan hot path takes a single uncontended read lock here and all
-/// real concurrency lands on the [`Sharded`] plan memo.
+/// a plan on a `&Device` takes a single uncontended read lock here, a
+/// plan on a resolved [`crate::DeviceHandle`] none, and all real
+/// concurrency lands on the [`Sharded`] plan memo.
 #[derive(Debug, Default)]
 pub struct DeviceTable {
     /// `layout_hash` → interned entries with that hash.

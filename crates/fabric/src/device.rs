@@ -17,12 +17,23 @@ pub fn splitmix64(x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Most fabric rows a device may have: the frame address's row field is
+/// 8 bits wide and rows are 1-based.
+pub const MAX_ROWS: u32 = 255;
+
+/// Most columns a device may have: the frame address's column field is
+/// 12 bits wide and columns are 0-based.
+pub const MAX_COLUMNS: usize = 4096;
+
 /// One FPGA part: a family, a number of fabric rows, and an ordered list of
 /// full-height resource columns (the Virtex-5+ two-dimensional PR layout).
 ///
 /// Rows are 1-based (the paper searches "from the bottom of the device
 /// fabric (row = 1)" and requires `r + H - 1 <= R`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Every `Device` passed [`Device::new`]'s checks: deserializing one runs
+/// them too.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Device {
     name: String,
     family: Family,
@@ -30,8 +41,28 @@ pub struct Device {
     columns: Vec<ColumnKind>,
 }
 
+/// A [`Device`]'s serialized fields, before validation.
+#[derive(Deserialize)]
+struct DeviceFields {
+    name: String,
+    family: Family,
+    rows: u32,
+    columns: Vec<ColumnKind>,
+}
+
+impl Deserialize for Device {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let f = DeviceFields::from_value(v)?;
+        Device::new(f.name, f.family, f.rows, f.columns)
+            .map_err(|e| serde::DeError::new(e.to_string()))
+    }
+}
+
 impl Device {
     /// Build a device from an explicit column list.
+    ///
+    /// Rejects an empty fabric, and one larger than a frame address can
+    /// reach ([`MAX_ROWS`] rows, [`MAX_COLUMNS`] columns).
     pub fn new(
         name: impl Into<String>,
         family: Family,
@@ -40,6 +71,12 @@ impl Device {
     ) -> Result<Self, FabricError> {
         if rows == 0 || columns.is_empty() {
             return Err(FabricError::EmptyFabric);
+        }
+        if rows > MAX_ROWS || columns.len() > MAX_COLUMNS {
+            return Err(FabricError::Unaddressable {
+                rows,
+                columns: columns.len(),
+            });
         }
         Ok(Device {
             name: name.into(),
@@ -185,9 +222,6 @@ impl Device {
     /// so equal devices always hash equal; the converse holds up to
     /// 64-bit collisions, which is why callers that intern devices by
     /// this hash (the planning engine) verify full equality behind it.
-    /// [`crate::DeviceGeometry`] records its source device's layout hash
-    /// at construction so downstream code can cheaply detect a
-    /// geometry/device mix-up.
     pub fn layout_hash(&self) -> u64 {
         let mut h = splitmix64(0x6465_7669_6365_6864 ^ self.rows as u64);
         // Name bytes, 8 at a time (length folded in so "ab"+"c" differs
@@ -359,6 +393,20 @@ mod tests {
             Device::new("x", Family::Virtex5, 1, vec![]),
             Err(FabricError::EmptyFabric)
         );
+    }
+
+    #[test]
+    fn construction_rejects_fabrics_beyond_the_frame_address() {
+        assert!(Device::new("x", Family::Virtex5, MAX_ROWS, vec![Clb; MAX_COLUMNS]).is_ok());
+        for (rows, columns) in [(MAX_ROWS + 1, 1), (u32::MAX, 1), (1, MAX_COLUMNS + 1)] {
+            assert_eq!(
+                Device::new("x", Family::Virtex5, rows, vec![Clb; columns]),
+                Err(FabricError::Unaddressable { rows, columns })
+            );
+        }
+        for d in crate::database::all_devices() {
+            assert!(d.rows() <= MAX_ROWS && d.width() <= MAX_COLUMNS);
+        }
     }
 
     #[test]

@@ -7,6 +7,14 @@ use core::fmt;
 pub enum FabricError {
     /// Device construction was given zero rows or zero columns.
     EmptyFabric,
+    /// Device construction was given more rows or columns than a frame
+    /// address can encode ([`crate::MAX_ROWS`], [`crate::MAX_COLUMNS`]).
+    Unaddressable {
+        /// Rows requested.
+        rows: u32,
+        /// Columns requested.
+        columns: usize,
+    },
     /// A named device was not found in the database.
     UnknownDevice(String),
     /// A column index was out of range for the device.
@@ -32,6 +40,13 @@ impl fmt::Display for FabricError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FabricError::EmptyFabric => write!(f, "device fabric must have >=1 row and >=1 column"),
+            FabricError::Unaddressable { rows, columns } => write!(
+                f,
+                "a {rows}-row, {columns}-column fabric exceeds the frame address \
+                 (at most {} rows and {} columns)",
+                crate::MAX_ROWS,
+                crate::MAX_COLUMNS
+            ),
             FabricError::UnknownDevice(name) => write!(f, "unknown device `{name}`"),
             FabricError::ColumnOutOfRange { index, width } => {
                 write!(

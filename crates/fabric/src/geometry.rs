@@ -89,10 +89,6 @@ type MixMap<V> = HashMap<u64, V, BuildHasherDefault<CompKeyHasher>>;
 pub struct DeviceGeometry {
     rows: u32,
     width: usize,
-    /// [`Device::layout_hash`] of the device this index was built from,
-    /// recorded so callers handed a (device, geometry) pair can cheaply
-    /// verify they belong together.
-    source_hash: u64,
     /// Packed `(W_DSP, W_BRAM)` → that mix's achievable `(W_CLB, leftmost
     /// start column)` pairs, ascending and distinct in `W_CLB`. Immutable
     /// after construction; an absent mix or `W_CLB` ⇒ no window exists.
@@ -130,26 +126,8 @@ impl DeviceGeometry {
         DeviceGeometry {
             rows: device.rows(),
             width: device.width(),
-            source_hash: device.layout_hash(),
             index,
         }
-    }
-
-    /// [`Device::layout_hash`] of the device this geometry was derived
-    /// from. The planning engine debug-asserts this against the device it
-    /// is handed alongside a caller-supplied geometry — a mismatched pair
-    /// would otherwise silently memoize a wrong plan under the right key.
-    pub fn source_layout_hash(&self) -> u64 {
-        self.source_hash
-    }
-
-    /// Whether this geometry was derived from `device` (layout-hash
-    /// identity; collisions aside, equivalent to having been built by
-    /// [`DeviceGeometry::new`] on an equal device).
-    pub fn matches_device(&self, device: &Device) -> bool {
-        self.source_hash == device.layout_hash()
-            && self.width == device.width()
-            && self.rows == device.rows()
     }
 
     /// Fabric rows of the underlying device.

@@ -45,7 +45,7 @@ pub mod window;
 
 pub use column::ColumnKind;
 pub use database::{all_devices, device_by_name};
-pub use device::{splitmix64, Device};
+pub use device::{splitmix64, Device, MAX_COLUMNS, MAX_ROWS};
 pub use error::FabricError;
 pub use family::{Family, FamilyParams, FrameGeometry};
 pub use geometry::DeviceGeometry;

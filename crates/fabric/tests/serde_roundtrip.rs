@@ -13,6 +13,21 @@ fn every_database_device_round_trips_through_json() {
     }
 }
 
+/// Deserializing runs `Device::new`'s checks, so JSON cannot carry a
+/// device wider than a frame address can reach. (`prcost`'s snapshot
+/// tests cover the row limit and empty fabrics through the same path.)
+#[test]
+fn devices_beyond_the_frame_address_do_not_deserialize() {
+    let clb_strip = |n: usize| {
+        let columns = vec![fabric::ResourceKind::Clb; n];
+        serde_json::to_string(&Device::new("wide", Family::Virtex5, 1, columns).unwrap()).unwrap()
+    };
+    let widest = clb_strip(fabric::MAX_COLUMNS);
+    assert!(serde_json::from_str::<Device>(&widest).is_ok());
+    let too_wide = widest.replace("[\"Clb\"", "[\"Clb\",\"Clb\"");
+    assert!(serde_json::from_str::<Device>(&too_wide).is_err());
+}
+
 #[test]
 fn family_params_serialize_with_stable_field_names() {
     let json = serde_json::to_value(Family::Virtex5.params()).unwrap();

@@ -22,7 +22,7 @@
 use bitstream::{BitstreamSpec, EmitScratch, IcapModel};
 use multitask::{simulate_with_scratch, HwTask, PrSystem, ReuseAware, SimScratch, Workload};
 use prcost::metrics::StageSnapshot;
-use prcost::{Engine, PlanScratch};
+use prcost::{Engine, PlanScratch, PrrRequirements};
 use serde::Serialize;
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
@@ -324,6 +324,7 @@ pub fn run_pipeline(
     let family = device.family();
     let engine = Engine::new();
     let metrics = engine.metrics();
+    let handle = engine.intern_device(&device);
 
     // Setup (not part of the streamed stages): synthesize the module
     // pool, plan every module and a covering organization, and build the
@@ -416,7 +417,7 @@ pub fn run_pipeline(
         for _ in 0..workers {
             let rx = &rx;
             let engine = &engine;
-            let device = &device;
+            let handle = &handle;
             let system = &system;
             let specs = &specs;
             let generators = &generators;
@@ -459,15 +460,13 @@ pub fn run_pipeline(
                         .metrics()
                         .record_stage("pipeline:synth", t0.elapsed());
 
-                    // Planning at task rate: one warm `plan_arc` hit per
-                    // task (the engine's zero-allocation hot path).
+                    // Planning at task rate: one warm memo hit per task
+                    // against the device resolved in setup (the engine's
+                    // zero-allocation hot path).
                     let t0 = Instant::now();
                     for &id in wl.module_ids() {
-                        let plan = engine.plan_arc(
-                            &pool[pool_ix[id.0 as usize]],
-                            device,
-                            &mut plan_scratch,
-                        );
+                        let req = PrrRequirements::from_report(&pool[pool_ix[id.0 as usize]]);
+                        let plan = engine.plan_on(&req, handle, &mut plan_scratch);
                         debug_assert!(plan.is_ok());
                     }
                     engine.metrics().record_stage("pipeline:plan", t0.elapsed());

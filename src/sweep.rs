@@ -8,13 +8,14 @@
 //! returns structured results ready for ranking or export.
 //!
 //! Sweeps are driven through a [`prcost::Engine`]: synthesis reports are
-//! memoized per `(generator, family)`, window-search geometry is interned
-//! per device, and each rayon worker reuses one [`prcost::PlanScratch`]
-//! across all the points in its chunk. [`sweep_uncached`] keeps the
+//! memoized per `(generator, family)`, each device is resolved once to a
+//! [`prcost::DeviceHandle`] (its interned window-search geometry), and
+//! each rayon worker reuses one [`prcost::PlanScratch`] across all the
+//! points in its chunk. [`sweep_uncached`] keeps the
 //! original one-shot path as the equivalence/throughput baseline — the
 //! two produce byte-identical points.
 
-use prcost::{Engine, MetricsSnapshot, PlanScratch};
+use prcost::{DeviceHandle, Engine, MetricsSnapshot, PlanScratch, PrrRequirements};
 use rayon::prelude::*;
 use serde::Serialize;
 use std::time::{Duration, Instant};
@@ -80,11 +81,10 @@ pub fn sweep_with_engine(
     devices: &[fabric::Device],
 ) -> SweepRun {
     let start = Instant::now();
-    // Warm the per-family synthesis memo and prefetch one shared
-    // composition index per device: workers receive the Arc directly and
-    // never touch the geometry map during the grid evaluation.
-    let geometries: Vec<std::sync::Arc<fabric::DeviceGeometry>> =
-        devices.iter().map(|d| engine.geometry(d)).collect();
+    // Warm the per-family synthesis memo and resolve each device once:
+    // workers plan against the handles and never touch the interner
+    // during the grid evaluation.
+    let handles: Vec<DeviceHandle> = devices.iter().map(|d| engine.intern_device(d)).collect();
     let reports: Vec<Vec<synth::SynthReport>> = generators
         .iter()
         .map(|g| {
@@ -103,7 +103,8 @@ pub fn sweep_with_engine(
         .map_with(PlanScratch::default(), |scratch, (g, d)| {
             let device = &devices[d];
             let report = &reports[g][d];
-            let outcome = match engine.plan_with_geometry(report, device, &geometries[d], scratch) {
+            let req = PrrRequirements::from_report(report);
+            let outcome = match engine.plan_on(&req, &handles[d], scratch).as_ref() {
                 Ok(plan) => Ok(SweepPlan {
                     height: plan.organization.height,
                     width: plan.organization.width(),
