@@ -1,16 +1,15 @@
 //! Criterion bench: folded CRC-32C, SIMD kernels, and arena emission.
 //!
 //! The CRC kernels are measured in the same run on the same buffer — the
-//! seed's bitwise loop (frozen in `bitstream::crc::baseline`), the PR-2
-//! slice-by-16 chain (`crc_words_slice16`), the PR-7 portable polynomial
-//! folding kernel (`crc_words_folded`, four independent lanes per
-//! 512-byte super-block), and whichever of the PR-8 SIMD kernels this
-//! host compiles and detects (`crc32q` hardware CRC, PCLMULQDQ carryless
-//! folding) — so `BENCH_crc.json` carries mutually consistent
-//! throughputs. The portable fold's bar is ≥2× over slice-16; the SIMD
-//! kernels' bar is ≥2× over the portable fold (on hardware that has
-//! them). Payload fill (portable, AVX2 and AVX-512 splitmix) is measured
-//! the same way, as is the writer's per-block fill-and-checksum: the
+//! seed's bitwise loop (the `bitstream::crc::baseline` oracle), the
+//! portable polynomial folding kernel (`crc_words_folded`, four
+//! independent lanes per 512-byte super-block), and whichever of the
+//! SIMD kernels this host compiles and detects (`crc32q` hardware
+//! CRC, PCLMULQDQ carryless folding) — so `BENCH_crc.json` carries
+//! mutually consistent throughputs. The SIMD kernels' bar is ≥2× over
+//! the portable fold (on hardware that has them). Payload fill
+//! (portable, AVX2 and AVX-512 splitmix) is measured the same way, as
+//! is the writer's per-block fill-and-checksum: the
 //! best fill followed by the dispatched CRC (two passes) against the
 //! fused AVX-512 fill + VPCLMULQDQ kernel (one pass). The artifact
 //! records which dispatch paths are active and the host's CPU count.
@@ -18,15 +17,14 @@
 //! The second half measures whole-stream emission: single-spec
 //! `generate` vs buffer-reusing `emit_into`, and batch emission through
 //! the arena path (`generate_batch` over `Arc` specs with per-worker
-//! `EmitScratch` template/stream caches) against the frozen PR-2 push
-//! emitter (`writer::reference::generate_batch`); the arena's bar is ≥3×.
+//! `EmitScratch` template/stream caches).
 //! A counting `#[global_allocator]` asserts the steady-state arena path:
 //! a warm repeated-spec `generate_with` call is one rendered-stream cache
 //! hit — a single exact-size `Vec` clone, ≤2 allocations.
 
 use bitstream::arch;
 use bitstream::crc::baseline::crc_words_bitwise;
-use bitstream::crc::{crc_words, crc_words_folded, crc_words_slice16};
+use bitstream::crc::{crc_words, crc_words_folded};
 use bitstream::{emit_into, generate, generate_batch, generate_with, BitstreamSpec, EmitScratch};
 use criterion::{criterion_group, Criterion, Throughput};
 use fabric::database::xc5vlx110t;
@@ -102,9 +100,6 @@ fn bench_crc(c: &mut Criterion) {
     g.bench_function("bitwise_64kw", |b| {
         b.iter(|| crc_words_bitwise(black_box(&buf)))
     });
-    g.bench_function("slice16_64kw", |b| {
-        b.iter(|| crc_words_slice16(black_box(&buf)))
-    });
     g.bench_function("folded_64kw", |b| {
         b.iter(|| crc_words_folded(black_box(&buf)))
     });
@@ -162,11 +157,7 @@ fn bench_crc(c: &mut Criterion) {
     // 120-stream batch: 3 distinct specs repeated, the multitasking
     // dispatch pattern the arena caches are shaped for.
     let batch: Vec<Arc<BitstreamSpec>> = (0..120).map(|i| Arc::clone(&specs[i % 3])).collect();
-    let batch_owned: Vec<BitstreamSpec> = batch.iter().map(|s| (**s).clone()).collect();
     let mut g = c.benchmark_group("generate_batch_120");
-    g.bench_function("reference_push", |b| {
-        b.iter(|| bitstream::writer::reference::generate_batch(black_box(&batch_owned)))
-    });
     g.bench_function("arena", |b| b.iter(|| generate_batch(black_box(&batch))));
     g.finish();
 }
@@ -176,14 +167,8 @@ struct CrcBenchArtifact {
     words: usize,
     samples: u32,
     bitwise_min_ms: f64,
-    slice16_min_ms: f64,
     folded_min_ms: f64,
-    /// slice-16 over bitwise (the PR-2 claim, re-measured).
-    slice16_speedup: f64,
-    /// folded over slice-16 (the PR-7 acceptance bar: ≥2).
-    folded_speedup: f64,
     bitwise_mwords_per_sec: f64,
-    slice16_mwords_per_sec: f64,
     folded_mwords_per_sec: f64,
     /// CRC path `Dispatch::detect` picked on this host.
     crc_dispatch: String,
@@ -219,10 +204,7 @@ struct CrcBenchArtifact {
     emit_into_min_us: f64,
     generate_speedup: f64,
     batch_streams: usize,
-    batch_reference_min_ms: f64,
     batch_arena_min_ms: f64,
-    /// arena `generate_batch` over the frozen PR-2 push emitter (bar: ≥3).
-    batch_speedup: f64,
     /// Heap allocations in one warm repeated-spec `generate_with` call.
     warm_emit_allocations: u64,
     /// `std::thread::available_parallelism` on the measuring host.
@@ -246,8 +228,8 @@ fn min_time(samples: u32, f: &mut dyn FnMut()) -> f64 {
 /// enough to amortize setup, small enough to stay cache-resident so the
 /// measurement captures compute throughput, not DRAM bandwidth; on a
 /// noisy shared box the minimum over samples is the least-biased
-/// estimator of any implementation's true cost. All three kernels run in
-/// the same process on the same buffer, so the ratios are internally
+/// estimator of any implementation's true cost. All kernels run in the
+/// same process on the same buffer, so the ratios are internally
 /// consistent.
 fn emit_artifact() {
     let buf = words(1 << 18);
@@ -255,9 +237,6 @@ fn emit_artifact() {
 
     let bitwise = min_time(samples, &mut || {
         black_box(crc_words_bitwise(&buf));
-    });
-    let slice16 = min_time(samples, &mut || {
-        black_box(crc_words_slice16(&buf));
     });
     let folded = min_time(samples, &mut || {
         black_box(crc_words_folded(&buf));
@@ -328,11 +307,7 @@ fn emit_artifact() {
     });
 
     let batch: Vec<Arc<BitstreamSpec>> = (0..120).map(|i| Arc::clone(&specs[i % 3])).collect();
-    let batch_owned: Vec<BitstreamSpec> = batch.iter().map(|s| (**s).clone()).collect();
     let batch_samples = 50u32;
-    let batch_reference = min_time(batch_samples, &mut || {
-        black_box(bitstream::writer::reference::generate_batch(&batch_owned));
-    });
     let batch_arena = min_time(batch_samples, &mut || {
         black_box(generate_batch(&batch));
     });
@@ -359,12 +334,8 @@ fn emit_artifact() {
         words: buf.len(),
         samples,
         bitwise_min_ms: bitwise * 1e3,
-        slice16_min_ms: slice16 * 1e3,
         folded_min_ms: folded * 1e3,
-        slice16_speedup: bitwise / slice16,
-        folded_speedup: slice16 / folded,
         bitwise_mwords_per_sec: buf.len() as f64 / bitwise / 1e6,
-        slice16_mwords_per_sec: buf.len() as f64 / slice16 / 1e6,
         folded_mwords_per_sec: buf.len() as f64 / folded / 1e6,
         crc_dispatch: arch::active().crc.name().to_string(),
         fill_dispatch: arch::active().fill.name().to_string(),
@@ -385,21 +356,15 @@ fn emit_artifact() {
         emit_into_min_us: gen_reused * 1e6,
         generate_speedup: gen_alloc / gen_reused,
         batch_streams: batch.len(),
-        batch_reference_min_ms: batch_reference * 1e3,
         batch_arena_min_ms: batch_arena * 1e3,
-        batch_speedup: batch_reference / batch_arena,
         warm_emit_allocations,
         host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
     };
     println!(
-        "crc {} words: bitwise {:.2} ms, slice16 {:.3} ms ({:.1}x), \
-         folded {:.3} ms ({:.1}x over slice16, {:.0} Mwords/s)",
+        "crc {} words: bitwise {:.2} ms, folded {:.3} ms ({:.0} Mwords/s)",
         buf.len(),
         artifact.bitwise_min_ms,
-        artifact.slice16_min_ms,
-        artifact.slice16_speedup,
         artifact.folded_min_ms,
-        artifact.folded_speedup,
         artifact.folded_mwords_per_sec,
     );
     let opt = |ms: Option<f64>| ms.map_or_else(|| "n/a".to_string(), |v| format!("{v:.3} ms"));
@@ -426,15 +391,12 @@ fn emit_artifact() {
     );
     println!(
         "generate {:.1} us -> emit_into {:.1} us ({:.2}x); \
-         batch x{}: reference {:.2} ms -> arena {:.2} ms ({:.1}x, \
-         {} allocs/warm emit)",
+         batch x{}: arena {:.2} ms ({} allocs/warm emit)",
         artifact.generate_min_us,
         artifact.emit_into_min_us,
         artifact.generate_speedup,
         artifact.batch_streams,
-        artifact.batch_reference_min_ms,
         artifact.batch_arena_min_ms,
-        artifact.batch_speedup,
         artifact.warm_emit_allocations,
     );
     bench::write_json("BENCH_crc", &artifact);

@@ -4,14 +4,13 @@
 //! The ISSUE-3 tentpole target: ≥4× floorplanner wall-clock on an 8-PRR
 //! synthetic instance. The seed implementation (raw `Device::find_window`
 //! rescans per candidate, no dominance pruning, per-node O(depth)
-//! lower-bound recomputation, serial descent) is frozen in
-//! `parflow::autofloorplan::reference`; the live floorplanner probes
-//! windows through a cached `DeviceGeometry`, prunes span-dominated
+//! lower-bound recomputation and a `Window` clone per tried row) is
+//! frozen in `parflow::autofloorplan::reference`; the live floorplanner
+//! probes windows through a `DeviceGeometry` index, prunes span-dominated
 //! candidate organizations before building the tree, precomputes suffix
-//! lower bounds and fans the first branching level out over rayon with a
-//! shared `AtomicU64` incumbent. Both searches reach the same optimal
-//! total (asserted here); the serial-twin identity is property-tested in
-//! `parflow/tests/floorplan_props.rs`.
+//! lower bounds and descends on column spans. Both searches return the
+//! same floorplan (the equal total is asserted here; full identity is
+//! property-tested in `parflow/tests/floorplan_props.rs`).
 
 use criterion::{criterion_group, Criterion};
 use fabric::device_by_name;

@@ -1,37 +1,23 @@
-//! Criterion bench: incremental annealing placer vs the frozen seed
-//! cost path.
+//! Criterion bench: move throughput of the incremental annealing placer.
 //!
-//! The ISSUE-3 tentpole target: ≥10× placer move throughput. The seed
-//! implementation (f64 HPWL, full recompute of every affected net twice
-//! per proposal, two `Vec` allocations and a `seen.contains` net scan per
-//! move) is frozen in `parflow::place::reference`; the live placer
-//! maintains per-net bounding boxes with per-extreme pin counts in x16
-//! fixed point and evaluates each move as an O(pins-of-moved-cells)
-//! incremental delta with zero allocations. Both placers run the same
-//! proposal count, so moves/sec is directly comparable. Chains are pinned
-//! to 1 so the ratio measures the inner loop, not rayon.
+//! The live placer maintains per-net bounding boxes with per-extreme pin
+//! counts in x16 fixed point and evaluates each move as an
+//! O(pins-of-moved-cells) incremental delta with zero allocations.
+//! Chains are pinned to 1 so the numbers measure the inner loop, not
+//! rayon.
 //!
 //! Two netlist shapes are measured. `flow` netlists come straight from
 //! `Netlist::from_report` (2-pin carry chains plus one 16-pin fanout net
-//! per 16 cells): with almost every net at 2 pins, an incremental update
-//! degenerates to the same work as a recompute, so the gain is just the
-//! dropped allocations and f64 walks. `fanout` netlists add a handful of
-//! global control nets (reset/enable-style, fanout = cells/3) — the shape
-//! that motivates VPR-style incremental bounding boxes, where the seed
-//! walks every global pin four times per move and the cached box answers
-//! in O(1). That is where the ≥10× headline comes from.
-//!
-//! Note on trajectories: the live placer also fixes the modulo bias in
-//! `Chain::rand_below` (widening multiply), so its random walk — and
-//! final placement — legitimately differs from the seed's for the same
-//! seed value. Cost *accounting* equality is what the equivalence suite
-//! (`parflow/tests/place_props.rs`) proves; this bench only compares
-//! throughput on identical move budgets.
+//! per 16 cells). `fanout` netlists add a handful of global control nets
+//! (reset/enable-style, fanout = cells/3) — the shape that motivates
+//! VPR-style incremental bounding boxes, where a full recompute would
+//! walk every global pin on every move and the cached box answers in
+//! O(1). Cost accounting against the full-recompute oracle is proven in
+//! the equivalence suite (`parflow/tests/place_props.rs`).
 
 use criterion::{criterion_group, Criterion, Throughput};
 use fabric::grid::SiteGrid;
 use fabric::{device_by_name, Device};
-use parflow::place::reference::place_seed;
 use parflow::place::{place_with_scratch, PlaceScratch, PlacerConfig};
 use serde::Serialize;
 use std::hint::black_box;
@@ -91,9 +77,6 @@ fn bench_place(c: &mut Criterion) {
     let mut g = c.benchmark_group("place");
     g.sample_size(10);
     g.throughput(Throughput::Elements(moves));
-    g.bench_function("seed/fanout", |b| {
-        b.iter(|| place_seed(black_box(&netlist), &grid, &plan.window, &cfg).unwrap())
-    });
     let mut scratch = PlaceScratch::new();
     g.bench_function("incremental/fanout", |b| {
         b.iter(|| {
@@ -112,10 +95,7 @@ struct PlaceConfigResult {
     cells: usize,
     nets: usize,
     moves: u64,
-    seed_min_ms: f64,
     incr_min_ms: f64,
-    speedup: f64,
-    seed_moves_per_sec: f64,
     incr_moves_per_sec: f64,
 }
 
@@ -124,10 +104,7 @@ struct PlaceBenchArtifact {
     samples: u32,
     chains: u32,
     moves_per_cell: u32,
-    /// Best seed-vs-incremental move-throughput ratio across configs.
-    speedup: f64,
     configs: Vec<PlaceConfigResult>,
-    note: &'static str,
 }
 
 /// Minimum wall time of `f` over `samples` runs (after one warm-up).
@@ -142,7 +119,7 @@ fn min_time(samples: u32, f: &mut dyn FnMut()) -> f64 {
     best
 }
 
-/// Measure both placers across instance sizes and netlist shapes, then
+/// Measure the placer across instance sizes and netlist shapes, then
 /// emit the JSON artifact (min-of-samples: on a noisy shared box the
 /// minimum is the least-biased estimator).
 fn emit_artifact() {
@@ -165,21 +142,16 @@ fn emit_artifact() {
             add_global_nets(&mut netlist, globals, 23);
         }
         let moves = netlist.cells.len() as u64 * u64::from(cfg.moves_per_cell);
-        let seed_t = min_time(samples, &mut || {
-            black_box(place_seed(&netlist, &grid, &plan.window, &cfg).unwrap());
-        });
         let incr_t = min_time(samples, &mut || {
             black_box(
                 place_with_scratch(&netlist, &grid, &plan.window, &cfg, &mut scratch).unwrap(),
             );
         });
         println!(
-            "place {label} {} cells ({} nets): seed {:.2} ms, incremental {:.2} ms ({:.2}x, {:.2} Mmoves/s)",
+            "place {label} {} cells ({} nets): incremental {:.2} ms ({:.2} Mmoves/s)",
             netlist.cells.len(),
             netlist.nets.len(),
-            seed_t * 1e3,
             incr_t * 1e3,
-            seed_t / incr_t,
             moves as f64 / incr_t / 1e6,
         );
         configs.push(PlaceConfigResult {
@@ -187,10 +159,7 @@ fn emit_artifact() {
             cells: netlist.cells.len(),
             nets: netlist.nets.len(),
             moves,
-            seed_min_ms: seed_t * 1e3,
             incr_min_ms: incr_t * 1e3,
-            speedup: seed_t / incr_t,
-            seed_moves_per_sec: moves as f64 / seed_t,
             incr_moves_per_sec: moves as f64 / incr_t,
         });
     }
@@ -199,11 +168,7 @@ fn emit_artifact() {
         samples,
         chains: cfg.chains,
         moves_per_cell: cfg.moves_per_cell,
-        speedup: configs.iter().map(|c| c.speedup).fold(0.0, f64::max),
         configs,
-        note: "rand_below now uses an unbiased widening multiply, so per-seed \
-               trajectories (and final placements) differ from the seed placer; \
-               cost accounting equality is proven in parflow/tests/place_props.rs",
     };
     bench::write_json("BENCH_place", &artifact);
 }

@@ -1,20 +1,15 @@
 //! Criterion bench: warm-memo plan throughput and latency for the
-//! sharded concurrent engine and the async planning service, against the
-//! frozen seed engine (`prcost::engine::reference::ReferenceEngine`,
-//! three coarse `RwLock<HashMap>`s, a `String`+`Vec` key allocated per
-//! lookup, and a full `PrrPlan`+`SearchTrace` clone on every hit).
+//! sharded concurrent engine and the async planning service.
 //!
 //! Three measurements:
 //!
-//! * *Warm hit* (criterion): a single thread replaying memoized points
-//!   through both engines — the per-lookup cost the sharding/interning
-//!   rework targets. The sharded engine plans against devices resolved
-//!   once to [`prcost::DeviceHandle`]s, the way the pipeline and the
-//!   service do.
+//! * *Warm hit* (criterion): a single thread replaying memoized points —
+//!   the per-lookup cost of the sharded memo. The engine plans against
+//!   devices resolved once to [`prcost::DeviceHandle`]s, the way the
+//!   pipeline and the service do.
 //! * *Worker scaling* (artifact): 1/4/8/16 `std::thread::scope` workers
 //!   replaying a mixed feasible/infeasible warm workload, per-op latency
-//!   sampled with `Instant`; throughput plus p50/p99 per engine per
-//!   worker count.
+//!   sampled with `Instant`; throughput plus p50/p99 per worker count.
 //! * *Service end-to-end* (artifact): the same workload submitted through
 //!   [`PlanService`] at 1/4/8/16 workers, latency taken from the
 //!   engine's own `service` stage histogram (submit → ticket resolved).
@@ -26,7 +21,6 @@
 
 use criterion::{criterion_group, Criterion};
 use fabric::Device;
-use prcost::engine::reference::ReferenceEngine;
 use prcost::{DeviceHandle, Engine, PlanScratch, PlanService, PrrRequirements, ServiceConfig};
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -143,28 +137,12 @@ fn resolve(
         .collect()
 }
 
-fn warm_reference(points: &[(SynthReport, Device)]) -> ReferenceEngine {
-    let engine = ReferenceEngine::new();
-    for (report, device) in points {
-        black_box(engine.plan(report, device).ok());
-    }
-    engine
-}
-
 fn bench_warm_hits(c: &mut Criterion) {
     let points = workload();
     let sharded = warm_sharded(&points);
     let resolved = resolve(&sharded, &points);
-    let reference = warm_reference(&points);
 
     let mut g = c.benchmark_group("service");
-    g.bench_function("warm_hit_reference", |b| {
-        b.iter(|| {
-            for (report, device) in &points {
-                black_box(reference.plan(report, device).ok());
-            }
-        })
-    });
     g.bench_function("warm_hit_sharded", |b| {
         let mut scratch = PlanScratch::default();
         b.iter(|| {
@@ -176,24 +154,9 @@ fn bench_warm_hits(c: &mut Criterion) {
     g.finish();
 }
 
+/// Throughput and latency of one replay or service run.
 #[derive(Serialize)]
-struct EngineSide {
-    plans_per_sec: f64,
-    p50_us: f64,
-    p99_us: f64,
-}
-
-#[derive(Serialize)]
-struct ScalingRow {
-    workers: usize,
-    ops: usize,
-    reference: EngineSide,
-    sharded: EngineSide,
-    sharded_over_reference: f64,
-}
-
-#[derive(Serialize)]
-struct ServiceRow {
+struct ReplayRow {
     workers: usize,
     ops: usize,
     plans_per_sec: f64,
@@ -209,10 +172,8 @@ struct ServiceBenchArtifact {
     alloc_check_hits: u64,
     /// Heap allocations observed during those hits — asserted zero.
     alloc_check_allocations: u64,
-    scaling: Vec<ScalingRow>,
-    service: Vec<ServiceRow>,
-    /// Headline figure: warm-hit throughput ratio at 16 workers.
-    speedup_at_16_workers: f64,
+    scaling: Vec<ReplayRow>,
+    service: Vec<ReplayRow>,
 }
 
 fn percentile_us(sorted: &[f64], q: f64) -> f64 {
@@ -237,7 +198,7 @@ fn replay(
     ops: usize,
     workers: usize,
     plan_one: &(dyn Fn(usize, &mut PlanScratch) + Sync),
-) -> EngineSide {
+) -> ReplayRow {
     let indices: Vec<usize> = (0..ops).map(|i| i % points).collect();
     let start = Instant::now();
     let mut latencies: Vec<f64> = std::thread::scope(|scope| {
@@ -267,7 +228,9 @@ fn replay(
     });
     let elapsed = start.elapsed().as_secs_f64();
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("latency is finite"));
-    EngineSide {
+    ReplayRow {
+        workers,
+        ops,
         plans_per_sec: ops as f64 / elapsed,
         p50_us: percentile_us(&latencies, 0.50),
         p99_us: percentile_us(&latencies, 0.99),
@@ -277,7 +240,7 @@ fn replay(
 /// Run `ops` warm submissions through a fresh [`PlanService`] with
 /// `workers` planner threads; latency comes from the engine's `service`
 /// stage histogram (submit → ticket resolution, recorded by the worker).
-fn service_row(points: &[(SynthReport, Device)], ops: usize, workers: usize) -> ServiceRow {
+fn service_row(points: &[(SynthReport, Device)], ops: usize, workers: usize) -> ReplayRow {
     let engine = Arc::new(warm_sharded(points));
     let mut service = PlanService::with_engine(
         Arc::clone(&engine),
@@ -309,7 +272,7 @@ fn service_row(points: &[(SynthReport, Device)], ops: usize, workers: usize) -> 
         .iter()
         .find(|s| s.name == "service")
         .expect("service stage recorded");
-    ServiceRow {
+    ReplayRow {
         workers,
         ops,
         plans_per_sec: ops as f64 / elapsed,
@@ -322,7 +285,6 @@ fn emit_artifact() {
     let points = workload();
     let sharded = warm_sharded(&points);
     let resolved = resolve(&sharded, &points);
-    let reference = warm_reference(&points);
 
     // Zero-allocation warm-hit check: every point is memoized, so each
     // `plan_on` is a shard probe + `Arc` clone. The scratch is untouched
@@ -351,34 +313,15 @@ fn emit_artifact() {
         let (req, device) = &resolved[i];
         black_box(sharded.plan_on(req, device, scratch));
     };
-    let plan_reference = |i: usize, _: &mut PlanScratch| {
-        let (report, device) = &points[i];
-        black_box(reference.plan(report, device).ok());
-    };
+    let scaling: Vec<ReplayRow> = [1usize, 4, 8, 16]
+        .iter()
+        .map(|&workers| replay(points.len(), ops, workers, &plan_sharded))
+        .collect();
 
-    let mut scaling = Vec::new();
-    for workers in [1usize, 4, 8, 16] {
-        let reference_side = replay(points.len(), ops, workers, &plan_reference);
-        let sharded_side = replay(points.len(), ops, workers, &plan_sharded);
-        scaling.push(ScalingRow {
-            workers,
-            ops,
-            sharded_over_reference: sharded_side.plans_per_sec / reference_side.plans_per_sec,
-            reference: reference_side,
-            sharded: sharded_side,
-        });
-    }
-
-    let service: Vec<ServiceRow> = [1usize, 4, 8, 16]
+    let service: Vec<ReplayRow> = [1usize, 4, 8, 16]
         .iter()
         .map(|&workers| service_row(&points, 8_000, workers))
         .collect();
-
-    let speedup_at_16_workers = scaling
-        .iter()
-        .find(|row| row.workers == 16)
-        .expect("16-worker row present")
-        .sharded_over_reference;
 
     let artifact = ServiceBenchArtifact {
         devices: vec![
@@ -390,7 +333,6 @@ fn emit_artifact() {
         alloc_check_allocations,
         scaling,
         service,
-        speedup_at_16_workers,
     };
 
     println!(
@@ -399,14 +341,8 @@ fn emit_artifact() {
     );
     for row in &artifact.scaling {
         println!(
-            "replay x{:2}: reference {:9.0} pps (p99 {:7.2} us) | sharded {:9.0} pps \
-             (p99 {:7.2} us) | {:5.1}x",
-            row.workers,
-            row.reference.plans_per_sec,
-            row.reference.p99_us,
-            row.sharded.plans_per_sec,
-            row.sharded.p99_us,
-            row.sharded_over_reference,
+            "replay x{:2}: {:9.0} pps, p50 {:7.2} us, p99 {:7.2} us",
+            row.workers, row.plans_per_sec, row.p50_us, row.p99_us
         );
     }
     for row in &artifact.service {
@@ -415,12 +351,6 @@ fn emit_artifact() {
             row.workers, row.plans_per_sec, row.p50_us, row.p99_us
         );
     }
-    assert!(
-        artifact.speedup_at_16_workers >= 4.0,
-        "sharded warm-hit throughput at 16 workers must be >= 4x the RwLock baseline \
-         (measured {:.2}x)",
-        artifact.speedup_at_16_workers
-    );
     bench::write_json("BENCH_service", &artifact);
 }
 

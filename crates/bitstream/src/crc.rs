@@ -26,10 +26,9 @@
 //!   Lane combination is exact because the CRC register update is
 //!   GF(2)-linear in both state and message.
 //!
-//! The seed's bitwise loop is frozen in [`baseline`]; both kernels are
-//! property-tested equivalent to it (and to each other) on arbitrary
-//! inputs, including empty, single-word and non-multiple-of-fold-width
-//! tails.
+//! The seed's bitwise loop is frozen in [`baseline`]; the portable entry
+//! points are property-tested equivalent to it on arbitrary inputs,
+//! including empty, single-word and non-multiple-of-fold-width tails.
 //!
 //! On CPUs with hardware CRC-32C support the batch entry points do not
 //! run either portable kernel: [`Crc32::push_words`] routes through
@@ -316,16 +315,6 @@ impl Crc32 {
         self.state = crate::arch::fill_crc_words(seed, out, self.state);
     }
 
-    /// Absorb a slice of configuration words through the slice-16 chain
-    /// only (four words / 16 bytes folded per serial chain step),
-    /// regardless of length. This is the folded kernel's tail path, kept
-    /// callable on its own as the benchmark baseline and equivalence
-    /// oracle for the fold.
-    #[inline]
-    pub fn push_words_slice16(&mut self, words: &[u32]) {
-        self.state = update_slice16(self.state, words);
-    }
-
     /// Absorb raw bytes in transmission order. Byte-granular entry point
     /// (the word-based API is the hardware-faithful one; this exists for
     /// byte-aligned vectors and tail handling).
@@ -357,14 +346,6 @@ impl Crc32 {
 pub fn crc_words(words: &[u32]) -> u32 {
     let mut crc = Crc32::new();
     crc.push_words(words);
-    crc.value()
-}
-
-/// Checksum a word slice through the slice-16 chain only — the
-/// pre-folding kernel, kept as the fold's benchmark baseline.
-pub fn crc_words_slice16(words: &[u32]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.push_words_slice16(words);
     crc.value()
 }
 
@@ -524,10 +505,10 @@ mod tests {
         }
     }
 
-    /// The folded kernel must agree with slice-16 and the frozen bitwise
-    /// loop at every length around its dispatch boundaries: empty, one
-    /// word, one short of / exactly / one past each super-block multiple,
-    /// and ragged tails.
+    /// The folded kernel must agree with the frozen bitwise loop at every
+    /// length around its dispatch boundaries: empty, one word, one short
+    /// of / exactly / one past each super-block multiple, and ragged
+    /// tails.
     #[test]
     fn folded_kernel_boundary_lengths() {
         let words: Vec<u32> = (0..1100u32).map(|i| i.wrapping_mul(0x6C07_8965)).collect();
@@ -537,7 +518,6 @@ mod tests {
         ] {
             let s = &words[..len];
             let folded = crc_words_folded(s);
-            assert_eq!(folded, crc_words_slice16(s), "folded vs slice16 at {len}");
             assert_eq!(folded, crc_words_bitwise(s), "folded vs bitwise at {len}");
             assert_eq!(folded, crc_words(s), "folded vs dispatch at {len}");
         }
@@ -554,10 +534,12 @@ mod tests {
         let mut folded = Crc32::new();
         folded.push_words(&prefix); // ≥ SUPER_WORDS: folded kernel
         folded.push_bytes(b"123456789");
-        let mut sliced = Crc32::new();
-        sliced.push_words_slice16(&prefix);
-        sliced.push_bytes(b"123456789");
-        assert_eq!(folded.value(), sliced.value());
+        let mut per_word = Crc32::new();
+        for &w in &prefix {
+            per_word.push_word(w);
+        }
+        per_word.push_bytes(b"123456789");
+        assert_eq!(folded.value(), per_word.value());
         assert_eq!(crc_bytes(b"123456789"), 0xE306_9283);
     }
 
@@ -569,14 +551,12 @@ mod tests {
             prop_assert_eq!(crc_words(&words), crc_words_bitwise(&words));
         }
 
-        /// Property: folded kernel ≡ slice-16 ≡ the frozen bitwise loop
-        /// on arbitrary-length word slices (lengths span several
+        /// Property: folded kernel ≡ the frozen bitwise loop on
+        /// arbitrary-length word slices (lengths span several
         /// super-blocks plus ragged tails).
         #[test]
-        fn folded_equals_slice16_and_bitwise(words in proptest::collection::vec(any::<u32>(), 0..700)) {
-            let folded = crc_words_folded(&words);
-            prop_assert_eq!(folded, crc_words_slice16(&words));
-            prop_assert_eq!(folded, crc_words_bitwise(&words));
+        fn folded_equals_bitwise(words in proptest::collection::vec(any::<u32>(), 0..700)) {
+            prop_assert_eq!(crc_words_folded(&words), crc_words_bitwise(&words));
         }
 
         /// Property: byte-granular slice-by-8 ≡ bitwise on arbitrary byte

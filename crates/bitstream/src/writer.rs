@@ -19,7 +19,8 @@
 //! evicted entry's buffer when no handle to it is still alive.
 //! [`emit_arc_into`] and [`generate_with`] copy out of the handle for
 //! callers that need owned words. The first, push-based emitter is
-//! frozen in [`mod@reference`] and property-tested byte-identical.
+//! kept in [`mod@reference`] as the oracle the arena path is
+//! property-tested byte-identical to.
 
 use crate::crc::Crc32;
 use crate::far::FrameAddress;
@@ -635,13 +636,11 @@ pub fn generate_batch(specs: &[Arc<BitstreamSpec>]) -> Vec<Result<PartialBitstre
 }
 
 pub mod reference {
-    //! The PR 2 emission path, frozen verbatim as the arena emitter's
-    //! equivalence oracle and benchmark baseline: per-word `Vec` pushes
-    //! with growth reallocation, a serial splitmix64 state walk, the
-    //! slice-16 CRC kernel, and a full `BitstreamSpec` deep clone per
-    //! generated bitstream. Property tests assert the arena path is
-    //! byte-identical; `BENCH_crc.json` measures its speedup against
-    //! this module.
+    //! The first, push-based emission path, kept as the arena emitter's
+    //! equivalence oracle: per-word `Vec` pushes with growth reallocation, a serial
+    //! splitmix64 state walk, a word-at-a-time CRC update, and a full
+    //! `BitstreamSpec` deep clone per generated bitstream. Property tests
+    //! assert the arena path is byte-identical.
 
     use super::*;
 
@@ -695,9 +694,11 @@ pub mod reference {
             state = state.wrapping_add(GAMMA);
             words.push(splitmix32(state));
         }
-        // Batch-checksum the payload through the slice-by-16 path (the
-        // dispatch kernel of this module's era).
-        crc.push_words_slice16(&words[payload_start..]);
+        // Checksum the payload one word at a time, independent of the
+        // dispatched batch kernels the arena path uses.
+        for &w in &words[payload_start..] {
+            crc.push_word(w);
+        }
     }
 
     /// Emit the final-word block. Exactly `FW` (=14) words: CRC check,
@@ -775,22 +776,6 @@ pub mod reference {
             spec: Arc::new(spec.clone()),
             words,
         })
-    }
-
-    /// The [`generate_batch`](super::generate_batch) of PR 2: per-worker
-    /// reused buffer, but a deep spec clone and a buffer clone per item.
-    pub fn generate_batch(specs: &[BitstreamSpec]) -> Vec<Result<PartialBitstream, GenError>> {
-        use rayon::prelude::*;
-        specs
-            .par_iter()
-            .map_with(Vec::new(), |buf: &mut Vec<u32>, spec| {
-                emit_into(spec, buf)?;
-                Ok(PartialBitstream {
-                    spec: Arc::new(spec.clone()),
-                    words: buf.clone(),
-                })
-            })
-            .collect()
     }
 }
 

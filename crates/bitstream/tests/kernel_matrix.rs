@@ -1,5 +1,5 @@
 //! Kernel-matrix equivalence: every compiled CRC and payload-fill
-//! variant — frozen bitwise baseline, slice-16, portable folded, the
+//! variant — frozen bitwise baseline, portable folded, the
 //! runtime-dispatched entry points, and whichever hardware kernels this
 //! CPU exposes (SSE4.2 `crc32q`, PCLMULQDQ fold, ARMv8 `crc32c*`, AVX2
 //! and AVX-512 fill, the fused AVX-512 fill + VPCLMULQDQ CRC) — must be
@@ -15,7 +15,7 @@
 
 use bitstream::arch::{self, Dispatch};
 use bitstream::crc::baseline::crc_words_bitwise;
-use bitstream::crc::{crc_bytes, crc_words, crc_words_folded, crc_words_slice16};
+use bitstream::crc::{crc_bytes, crc_words, crc_words_folded};
 use proptest::prelude::*;
 
 /// The writer's splitmix increment (frozen; also asserted against the
@@ -41,7 +41,6 @@ fn fill_reference(seed: u64, out: &mut [u32]) {
 fn crc_matrix(words: &[u32]) -> Vec<(&'static str, u32)> {
     let mut m = vec![
         ("bitwise-baseline", crc_words_bitwise(words)),
-        ("slice16", crc_words_slice16(words)),
         ("portable-folded", crc_words_folded(words)),
         ("dispatch", crc_words(words)),
     ];

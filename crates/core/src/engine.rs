@@ -46,10 +46,6 @@
 //! `plan_builds + plan_cache_hits` equals `plans`), with insertion-race
 //! losers counted as hits. The multi-thread stress suite asserts these
 //! identities under 16-way concurrent mixed load.
-//!
-//! The seed single-lock engine is frozen verbatim as
-//! [`reference::ReferenceEngine`] so the `service_mt` benchmark measures
-//! this design against an honest baseline rather than a remembered one.
 
 use crate::error::CostError;
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -521,194 +517,6 @@ impl core::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-pub mod reference {
-    //! The seed engine, frozen as the benchmark baseline.
-    //!
-    //! This is the pre-sharding `Engine` verbatim: three global
-    //! `RwLock<HashMap>` interiors, `(String, u32, Vec<ColumnKind>)`
-    //! device keys rebuilt (with their allocations) on every call, plan
-    //! memo values cloned wholesale on every hit, and the synthesis memo
-    //! keyed by generator *name* — including that revision's same-name
-    //! aliasing bug, which is exactly why the current engine keys on
-    //! fingerprints. **Do not optimize or fix this module**; its purpose
-    //! is to keep the `service_mt` benchmark honest about what the
-    //! sharded engine replaced. Not wired into any production path.
-
-    use crate::error::CostError;
-    use crate::metrics::{Metrics, MetricsSnapshot};
-    use crate::requirements::PrrRequirements;
-    use crate::search::{plan_prr_cached, PlanScratch, PrrPlan};
-    use fabric::{ColumnKind, Device, DeviceGeometry, Family};
-    use parking_lot::RwLock;
-    use std::collections::HashMap;
-    use std::sync::Arc;
-    use synth::{PrmGenerator, SynthReport};
-
-    /// Cache key identifying a device layout (name + rows + columns;
-    /// allocates on every construction).
-    type DeviceKey = (String, u32, Vec<ColumnKind>);
-
-    fn device_key(device: &Device) -> DeviceKey {
-        (
-            device.name().to_string(),
-            device.rows(),
-            device.columns().to_vec(),
-        )
-    }
-
-    /// Plan-memo key: requirement numbers plus the device layout key.
-    type PlanKey = ((Family, u64, u64, u64, u64, u64), DeviceKey);
-
-    fn plan_key(req: &PrrRequirements, device: &Device) -> PlanKey {
-        (
-            (
-                req.family,
-                req.lut_ff_req,
-                req.lut_req,
-                req.ff_req,
-                req.dsp_req,
-                req.bram_req,
-            ),
-            device_key(device),
-        )
-    }
-
-    /// The frozen seed engine (see the module docs).
-    #[derive(Debug, Default)]
-    pub struct ReferenceEngine {
-        metrics: Metrics,
-        geometries: RwLock<HashMap<DeviceKey, Arc<DeviceGeometry>>>,
-        synth_memo: RwLock<HashMap<(String, Family), SynthReport>>,
-        plan_memo: RwLock<HashMap<PlanKey, Result<PrrPlan, CostError>>>,
-    }
-
-    impl ReferenceEngine {
-        /// New engine with empty caches and zeroed metrics.
-        pub fn new() -> Self {
-            ReferenceEngine::default()
-        }
-
-        /// The engine's metrics registry.
-        pub fn metrics(&self) -> &Metrics {
-            &self.metrics
-        }
-
-        /// The interned geometry of `device`, deriving it on first sight.
-        pub fn geometry(&self, device: &Device) -> Arc<DeviceGeometry> {
-            let key = device_key(device);
-            if let Some(geo) = self.geometries.read().get(&key) {
-                self.metrics.geometry_cache_hits.incr();
-                return Arc::clone(geo);
-            }
-            let geo = self
-                .metrics
-                .time("geometry", || Arc::new(DeviceGeometry::new(device)));
-            let mut map = self.geometries.write();
-            match map.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    self.metrics.geometry_cache_hits.incr();
-                    Arc::clone(e.get())
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    self.metrics.geometry_builds.incr();
-                    Arc::clone(v.insert(geo))
-                }
-            }
-        }
-
-        /// `generator`'s report for `family`, memoized on `(name, family)`
-        /// — the seed keying, same-name aliasing bug included.
-        pub fn synthesize(&self, generator: &dyn PrmGenerator, family: Family) -> SynthReport {
-            let key = (generator.name(), family);
-            if let Some(report) = self.synth_memo.read().get(&key) {
-                self.metrics.synth_cache_hits.incr();
-                return report.clone();
-            }
-            let report = self.metrics.time("synth", || generator.synthesize(family));
-            let mut map = self.synth_memo.write();
-            match map.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    self.metrics.synth_cache_hits.incr();
-                    e.get().clone()
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    self.metrics.synth_calls.incr();
-                    v.insert(report).clone()
-                }
-            }
-        }
-
-        /// Plan through the geometry cache and whole-plan memo.
-        pub fn plan(&self, report: &SynthReport, device: &Device) -> Result<PrrPlan, CostError> {
-            self.plan_with_scratch(report, device, &mut PlanScratch::default())
-        }
-
-        /// [`ReferenceEngine::plan`] with caller-owned scratch. The memo
-        /// hit path allocates the full device key and clones the whole
-        /// memoized plan — the costs the sharded engine exists to remove.
-        pub fn plan_with_scratch(
-            &self,
-            report: &SynthReport,
-            device: &Device,
-            scratch: &mut PlanScratch,
-        ) -> Result<PrrPlan, CostError> {
-            self.metrics.plans.incr();
-            let key = plan_key(&PrrRequirements::from_report(report), device);
-            if let Some(result) = self.plan_memo.read().get(&key) {
-                self.metrics.plan_cache_hits.incr();
-                match result {
-                    Ok(_) => self.metrics.plans_feasible.incr(),
-                    Err(_) => self.metrics.plans_infeasible.incr(),
-                }
-                return result.clone();
-            }
-            let geometry = self.geometry(device);
-            let padded_before = scratch.padded_resolution_count();
-            let probes_before = scratch.window_probe_count();
-            let result = self.metrics.time("plan", || {
-                plan_prr_cached(report, device, &geometry, scratch)
-            });
-            self.metrics
-                .padded_fallbacks
-                .add(scratch.padded_resolution_count() - padded_before);
-            self.metrics
-                .window_probes
-                .add(scratch.window_probe_count() - probes_before);
-            match &result {
-                Ok(_) => self.metrics.plans_feasible.incr(),
-                Err(_) => self.metrics.plans_infeasible.incr(),
-            }
-            self.plan_memo
-                .write()
-                .entry(key)
-                .or_insert_with(|| result.clone());
-            result
-        }
-
-        /// Synthesize (memoized) and plan in one call.
-        pub fn evaluate(
-            &self,
-            generator: &dyn PrmGenerator,
-            device: &Device,
-        ) -> Result<PrrPlan, CostError> {
-            let report = self.synthesize(generator, device.family());
-            self.plan(&report, device)
-        }
-
-        /// Metrics snapshot with the interned composition counts folded in.
-        pub fn snapshot(&self) -> MetricsSnapshot {
-            let mut snap = self.metrics.snapshot();
-            snap.counters.distinct_compositions = self
-                .geometries
-                .read()
-                .values()
-                .map(|geo| geo.distinct_compositions())
-                .sum();
-            snap
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,8 +552,7 @@ mod tests {
 
     /// Regression for the seed synth-memo keying bug: two generators that
     /// share a *name* but differ in parameters must not serve each other's
-    /// cached reports. The frozen reference engine still exhibits the bug
-    /// (asserted here so the regression test itself is known-sensitive).
+    /// cached reports (the seed engine keyed on the name alone).
     #[test]
     fn same_name_generators_do_not_share_synth_entries() {
         let small = GenericPrm::new("dsp_core", GenericPrm::random(1, 500).ops);
@@ -763,13 +570,6 @@ mod tests {
         let c = engine.snapshot().counters;
         assert_eq!(c.synth_calls, 2, "two distinct memo entries");
         assert_eq!(c.synth_cache_hits, 0);
-
-        // The reference engine keys on the name alone and aliases them —
-        // the bug this test guards against reintroducing.
-        let seed = reference::ReferenceEngine::new();
-        let a = seed.synthesize(&small, fam);
-        let b = seed.synthesize(&large, fam);
-        assert_eq!(a, b, "seed engine aliases same-named generators");
     }
 
     #[test]
@@ -1055,27 +855,5 @@ mod tests {
             Engine::import_state(&twice).err(),
             Some(SnapshotError::DuplicateDevice { index: 2, first: 0 })
         );
-    }
-
-    #[test]
-    fn reference_engine_matches_sharded_engine() {
-        let seed = reference::ReferenceEngine::new();
-        let sharded = Engine::new();
-        for device in [xc5vlx110t(), xc6vlx75t()] {
-            for prm in PaperPrm::ALL {
-                let gen = prm.generator();
-                assert_eq!(
-                    seed.evaluate(gen.as_ref(), &device).unwrap(),
-                    sharded.evaluate(gen.as_ref(), &device).unwrap(),
-                    "{prm:?} on {}",
-                    device.name()
-                );
-            }
-        }
-        let a = seed.snapshot().counters;
-        let b = sharded.snapshot().counters;
-        assert_eq!(a.plans, b.plans);
-        assert_eq!(a.plan_cache_hits, b.plan_cache_hits);
-        assert_eq!(a.plans_feasible, b.plans_feasible);
     }
 }

@@ -299,38 +299,6 @@ pub fn plan_requirements_cached(
     select_best(req, device, candidates)
 }
 
-/// The seed per-height planning loop, driven through an arbitrary window
-/// `finder`: one probe per height plus a full padded enumeration at every
-/// infeasible height, with no composition reuse.
-///
-/// Kept (hidden) so the `window_index` benchmark can drive the frozen
-/// `fabric::reference::MemoGeometry` through the exact pre-index planning
-/// shape as an honest baseline. Returns what [`plan_prr`] returns for the
-/// same inputs whenever `finder` agrees with [`Device::find_window`].
-#[doc(hidden)]
-pub fn plan_prr_via_finder(
-    report: &SynthReport,
-    device: &Device,
-    finder: &dyn Fn(&WindowRequest) -> Option<Window>,
-    scratch: &mut PlanScratch,
-) -> Result<PrrPlan, CostError> {
-    if report.family != device.family() {
-        return Err(CostError::FamilyMismatch {
-            report: report.family,
-            device: device.family(),
-        });
-    }
-    let req = PrrRequirements::from_report(report);
-    if req.is_empty() {
-        return Err(CostError::EmptyRequirements);
-    }
-    let mut candidates = Vec::with_capacity(device.rows() as usize);
-    for h in 1..=device.rows() {
-        candidates.push(evaluate_height_with(&req, device, h, finder, scratch));
-    }
-    select_best(&req, device, candidates)
-}
-
 /// Plan the PRR for explicit requirements on `device`.
 pub fn plan_prr_from_requirements(
     req: &PrrRequirements,
@@ -402,8 +370,9 @@ pub(crate) fn evaluate_height(req: &PrrRequirements, device: &Device, h: u32) ->
 }
 
 /// [`evaluate_height`] with the window search routed through `finder`
-/// (either [`Device::find_window`] or a cached [`DeviceGeometry`]) and the
-/// padded-fallback enumeration buffered in `scratch`.
+/// ([`Device::find_window`]; tests also drive it through a
+/// [`DeviceGeometry`]) and the padded-fallback enumeration buffered in
+/// `scratch`.
 fn evaluate_height_with(
     req: &PrrRequirements,
     device: &Device,
@@ -966,7 +935,7 @@ mod tests {
                     (Err(_), Err(_)) => {}
                     _ => panic!("feasibility disagreement for {req:?} on {}", device.name()),
                 }
-                // The via-finder baseline (seed loop over the geometry)
+                // The direct per-height loop driven through the geometry
                 // must agree too.
                 let seed_cands: Vec<Candidate> = (1..=device.rows())
                     .map(|h| evaluate_height_with(&req, &device, h, &finder, &mut scratch))

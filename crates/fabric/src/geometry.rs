@@ -6,9 +6,8 @@
 //! no exact-composition window, one per `(extra DSP, extra BRAM)` row of
 //! the padded fallback. [`Device::find_window`] answers each probe by
 //! rescanning the column list and tallying every candidate span
-//! (O(columns × width) per probe); the previous geometry (frozen as
-//! [`reference::MemoGeometry`](crate::reference::MemoGeometry)) memoized
-//! those scans behind a `Mutex`, so cold probes still rescanned and every
+//! (O(columns × width) per probe). The seed's geometry memoized those
+//! scans behind a `Mutex`, so cold probes still rescanned and every
 //! probe serialized through the lock.
 //!
 //! [`DeviceGeometry`] instead *enumerates the entire answer space up
@@ -210,7 +209,6 @@ mod tests {
     use crate::column::ColumnSpec;
     use crate::database::all_devices;
     use crate::family::Family;
-    use crate::reference::MemoGeometry;
     use crate::resource::ResourceKind::*;
 
     fn tiny() -> Device {
@@ -236,15 +234,16 @@ mod tests {
     fn matches_device_find_window_on_tiny() {
         let d = tiny();
         let geo = DeviceGeometry::new(&d);
-        let memo = MemoGeometry::new(&d);
         for clb in 0..4 {
             for dsp in 0..2 {
                 for bram in 0..2 {
                     for h in 0..6 {
                         let req = WindowRequest::new(clb, dsp, bram, h);
-                        let expected = d.find_window(&req);
-                        assert_eq!(geo.find_window(&d, &req), expected, "req {req:?}");
-                        assert_eq!(memo.find_window(&d, &req), expected, "req {req:?}");
+                        assert_eq!(
+                            geo.find_window(&d, &req),
+                            d.find_window(&req),
+                            "req {req:?}"
+                        );
                     }
                 }
             }

@@ -39,7 +39,6 @@ pub mod error;
 pub mod family;
 pub mod geometry;
 pub mod grid;
-pub mod reference;
 pub mod resource;
 pub mod window;
 

@@ -101,22 +101,33 @@ pub fn parse_trace(text: &str) -> Result<Vec<PreemptiveTask>, TraceError> {
         if fields.len() < 7 {
             return Err(TraceError::TooFewFields { line });
         }
-        let num = |token: &str| -> Result<u64, TraceError> {
-            token.parse().map_err(|_| TraceError::BadNumber {
-                line,
-                token: token.to_string(),
-            })
-        };
         tasks.push(PreemptiveTask {
-            id: num(fields[0])? as u32,
+            id: number(fields[0], line)?,
             module: fields[1].to_string(),
-            needs: Resources::new(num(fields[2])?, num(fields[3])?, num(fields[4])?),
-            arrival_ns: num(fields[5])?,
-            exec_ns: num(fields[6])?,
-            priority: fields.get(7).map(|t| num(t)).transpose()?.unwrap_or(0) as u8,
+            needs: Resources::new(
+                number(fields[2], line)?,
+                number(fields[3], line)?,
+                number(fields[4], line)?,
+            ),
+            arrival_ns: number(fields[5], line)?,
+            exec_ns: number(fields[6], line)?,
+            priority: fields
+                .get(7)
+                .map(|t| number(t, line))
+                .transpose()?
+                .unwrap_or(0),
         });
     }
     Ok(tasks)
+}
+
+/// Parse `token` at the width of the field it fills, so an out-of-range
+/// value is an error instead of a silently truncated one.
+fn number<T: core::str::FromStr>(token: &str, line: usize) -> Result<T, TraceError> {
+    token.parse().map_err(|_| TraceError::BadNumber {
+        line,
+        token: token.to_string(),
+    })
 }
 
 /// Parse trace text into a non-preemptive [`Workload`] (priorities are
@@ -203,5 +214,27 @@ mod tests {
                 token: "x".into()
             })
         );
+    }
+
+    /// Fields are parsed at their declared widths: an id beyond `u32` or
+    /// a priority beyond `u8` is rejected, not truncated to 0.
+    #[test]
+    fn out_of_range_fields_are_rejected() {
+        assert_eq!(
+            parse_trace("4294967296 m 1 0 0 0 10 256\n"),
+            Err(TraceError::BadNumber {
+                line: 1,
+                token: "4294967296".into()
+            })
+        );
+        assert_eq!(
+            parse_trace("1 m 1 0 0 0 10 256\n"),
+            Err(TraceError::BadNumber {
+                line: 1,
+                token: "256".into()
+            })
+        );
+        let max = parse_trace("4294967295 m 1 0 0 0 10 255\n").unwrap();
+        assert_eq!((max[0].id, max[0].priority), (u32::MAX, u8::MAX));
     }
 }

@@ -10,41 +10,37 @@
 //! enumeration), each tried at every horizontal window and vertical
 //! offset, hardest PRR first.
 //!
-//! Three things make the search fast (Deak & Creț and Goswami & Bhatia
+//! Two things make the search fast (Deak & Creț and Goswami & Bhatia
 //! both report that pruning plus cheap candidate evaluation is what makes
 //! PR floorplanning tractable at device scale):
 //!
-//! * **indexed geometry** — candidate windows are probed through one shared
-//!   [`fabric::DeviceGeometry`] composition index
+//! * **indexed geometry** — candidate windows are probed through a
+//!   [`fabric::DeviceGeometry`] composition index built once per call
 //!   (`prcost::search::candidates_for_cached`), so every spec and every
-//!   height is a lock-free index lookup instead of a column-list rescan;
-//!   batch drivers pass their own index via
-//!   [`auto_floorplan_with_geometry`];
+//!   height is an index lookup instead of a column-list rescan;
 //! * **dominance pruning** — a candidate organization whose bitstream,
 //!   column span and height are all covered by another candidate can be
 //!   substituted by it in any solution without raising the cost, so it is
-//!   dropped before the tree is built;
-//! * **parallel branch-and-bound** — the tree fans out over rayon at the
-//!   first branching level with the incumbent cost shared through an
-//!   `AtomicU64`, so every worker prunes against the globally best known
-//!   solution. Workers prune *strictly* against the shared bound and the
-//!   per-branch results are reduced in depth-first order, which makes the
-//!   parallel answer identical to the serial tree's under the same
-//!   tie-breaks ([`auto_floorplan_serial`] is the identity oracle;
-//!   equality is property-tested in `crates/parflow/tests/floorplan_props.rs`).
+//!   dropped before the tree is built.
 //!
-//! The pre-optimization floorplanner — serial tree, raw
-//! `Device::find_window` probes, no dominance pruning — is frozen in
-//! [`reference`] as the benchmark baseline (`results/BENCH_floorplan.json`).
+//! The depth-first descent itself works on precomputed column spans with
+//! suffix lower bounds, and never clones a `Window`. It is serial: a
+//! rayon fan-out of the first branching level with a shared atomic
+//! incumbent was slower on a 2-vCPU host on the `floorplan_bb` instances
+//! (4, 6 and 8 PRRs), because it expanded more nodes and paid a thread
+//! spawn per call plus a shared atomic per node.
+//!
+//! The pre-optimization floorplanner — raw `Device::find_window` probes,
+//! no dominance pruning — is frozen in [`reference`] as the oracle the
+//! tests compare against and the benchmark baseline
+//! (`results/BENCH_floorplan.json`).
 
 use crate::floorplan::{AreaGroup, Floorplan};
 use core::fmt;
 use fabric::{Device, DeviceGeometry, Window};
 use prcost::search::{candidates_for_cached, CandidateOutcome};
 use prcost::{PlanScratch, PrrOrganization, PrrRequirements};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 use synth::SynthReport;
 
 /// One PRR to place: a name and the PRMs that will time-multiplex it.
@@ -325,7 +321,7 @@ fn extract(placed: &[PlacedSpan]) -> Assignment {
     placed.iter().map(|p| (p.oi, p.row)).collect()
 }
 
-struct SerialSearch<'a> {
+struct Search<'a> {
     rows: u32,
     /// Option footprints per search position (sorted by bitstream).
     spans: &'a [Vec<OptSpan>],
@@ -335,7 +331,7 @@ struct SerialSearch<'a> {
     best: Option<(u64, Assignment)>,
 }
 
-impl SerialSearch<'_> {
+impl Search<'_> {
     /// Depth-first branch and bound: `placed` holds the chosen option and
     /// occupied rectangle per already-assigned spec; `cost` is their
     /// bitstream sum.
@@ -374,151 +370,15 @@ impl SerialSearch<'_> {
     }
 }
 
-/// Bits reserved for the branch index in the packed shared bound.
-const BRANCH_BITS: u32 = 20;
-
-/// Pack an incumbent as `(cost, first-level branch index)` in one `u64`,
-/// ordered lexicographically — smaller cost wins, and on equal cost the
-/// DFS-earlier branch wins, which is exactly the serial tree's
-/// first-of-equals tie-break. Publishing *provenance* with the cost is
-/// what lets workers prune with `>=` (instead of the lossier strict `>`)
-/// without ever cutting the branch the serial tree would have kept: a
-/// subtree of branch `i` whose packed floor is `>=` the bound cannot
-/// contain a solution that beats the bound's (cost, branch) pair.
-fn pack_bound(cost: u64, branch: u64) -> u64 {
-    debug_assert!(cost < 1 << (u64::BITS - BRANCH_BITS));
-    debug_assert!(branch < 1 << BRANCH_BITS);
-    (cost << BRANCH_BITS) | branch
-}
-
-/// Shared state of the parallel branch-and-bound.
-struct ParSearch<'a> {
-    rows: u32,
-    spans: &'a [Vec<OptSpan>],
-    lb: &'a [u64],
-    budget: u64,
-    /// Nodes expanded across all workers (also the budget gate).
-    nodes: AtomicU64,
-    /// Best complete solution published by any worker so far, packed via
-    /// [`pack_bound`].
-    bound: AtomicU64,
-}
-
-impl ParSearch<'_> {
-    /// Serial descent within one first-level branch (`branch` is its
-    /// depth-first index). `local_best` follows the classic `>=` prune;
-    /// the shared bound compares packed `(cost, branch)` values, so a
-    /// cost tie prunes exactly when the published solution sits in a
-    /// DFS-earlier branch — the serial incumbent rule, distributed.
-    fn descend(
-        &self,
-        branch: u64,
-        depth: usize,
-        cost: u64,
-        placed: &mut Vec<PlacedSpan>,
-        local_best: &mut Option<(u64, Assignment)>,
-    ) {
-        if self.nodes.fetch_add(1, Ordering::Relaxed) >= self.budget {
-            return;
-        }
-        if let Some((best_cost, _)) = local_best {
-            if cost + self.lb[depth] >= *best_cost {
-                return;
-            }
-        }
-        if pack_bound(cost + self.lb[depth], branch) >= self.bound.load(Ordering::Relaxed) {
-            return;
-        }
-        if depth == self.spans.len() {
-            self.bound
-                .fetch_min(pack_bound(cost, branch), Ordering::Relaxed);
-            *local_best = Some((cost, extract(placed)));
-            return;
-        }
-        for oi in 0..self.spans[depth].len() {
-            let span = self.spans[depth][oi];
-            for row in 1..=(self.rows - span.height + 1) {
-                let top = row + span.height - 1;
-                if placed
-                    .iter()
-                    .all(|p| p.clear_of(span.start, span.end, row, top))
-                {
-                    placed.push(PlacedSpan::at(&span, oi, row));
-                    self.descend(branch, depth + 1, cost + span.bytes, placed, local_best);
-                    placed.pop();
-                }
-                if self.nodes.load(Ordering::Relaxed) >= self.budget {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Run the parallel branch-and-bound over pruned `options`.
-fn search_parallel(
+/// Run the branch-and-bound over pruned `options`.
+fn search(
     device: &Device,
     options: &[Vec<Option_>],
     budget: u64,
 ) -> (u64, Option<(u64, Assignment)>) {
     let lb = suffix_lower_bounds(options);
     let spans = option_spans(options);
-    let search = ParSearch {
-        rows: device.rows(),
-        spans: &spans,
-        lb: &lb,
-        budget,
-        nodes: AtomicU64::new(0),
-        bound: AtomicU64::new(u64::MAX),
-    };
-
-    // First branching level, in depth-first order: every (option, row)
-    // pair of the hardest spec seeds one worker subtree.
-    let mut branches: Vec<(usize, u32)> = Vec::new();
-    for (oi, span) in spans[0].iter().enumerate() {
-        for row in 1..=(device.rows() - span.height + 1) {
-            branches.push((oi, row));
-        }
-    }
-    if branches.len() >= 1 << BRANCH_BITS {
-        // Too wide for the packed bound (never seen on real devices) —
-        // the serial tree is the defined behaviour anyway.
-        return search_serial(device, options, budget);
-    }
-
-    let per_branch: Vec<Option<(u64, Assignment)>> = branches
-        .par_iter()
-        .enumerate()
-        .map(|(branch, &(oi, row))| {
-            let span = search.spans[0][oi];
-            let mut placed = vec![PlacedSpan::at(&span, oi, row)];
-            let mut local_best = None;
-            search.descend(branch as u64, 1, span.bytes, &mut placed, &mut local_best);
-            local_best
-        })
-        .collect();
-
-    // Depth-first-ordered reduction: first strictly-smaller cost wins,
-    // exactly like the serial incumbent update.
-    let mut best: Option<(u64, Assignment)> = None;
-    for candidate in per_branch.into_iter().flatten() {
-        match &best {
-            Some((c, _)) if candidate.0 >= *c => {}
-            _ => best = Some(candidate),
-        }
-    }
-    (search.nodes.load(Ordering::Relaxed), best)
-}
-
-/// Run the serial branch-and-bound over pruned `options`.
-fn search_serial(
-    device: &Device,
-    options: &[Vec<Option_>],
-    budget: u64,
-) -> (u64, Option<(u64, Assignment)>) {
-    let lb = suffix_lower_bounds(options);
-    let spans = option_spans(options);
-    let mut search = SerialSearch {
+    let mut search = Search {
         rows: device.rows(),
         spans: &spans,
         lb: &lb,
@@ -573,10 +433,10 @@ fn assemble(
 /// predicted bitstream bytes. `node_budget` bounds the branch-and-bound
 /// (10 000 nodes resolves typical 2–6-PRR problems exactly).
 ///
-/// The tree is explored in parallel (see the module docs); with the
-/// budget not exhausted the result is identical to
-/// [`auto_floorplan_serial`]'s. `nodes_explored` counts expansions across
-/// all workers and is the one field that may differ from the serial tree.
+/// Whenever neither exhausts the node budget, the result's `prrs` and
+/// total equal [`reference::auto_floorplan_seed`]'s (dominance pruning
+/// is cost-preserving and both trees keep the first of equal-cost
+/// solutions).
 ///
 /// ```
 /// use parflow::autofloorplan::{auto_floorplan, PrrSpec};
@@ -597,60 +457,26 @@ pub fn auto_floorplan(
     device: &Device,
     node_budget: u64,
 ) -> Result<AutoFloorplan, AutoFloorplanError> {
-    auto_floorplan_with_geometry(specs, device, &DeviceGeometry::new(device), node_budget)
-}
-
-/// [`auto_floorplan`] probing candidate windows through a caller-supplied
-/// composition index instead of deriving one per call.
-///
-/// Batch drivers (the parallel PR flow in [`crate::flow::run_flows`],
-/// repeated floorplans of the same device) build one
-/// [`DeviceGeometry`] and share it across every invocation and worker —
-/// probes are lock-free, so sharing scales. `geometry` must have been
-/// derived from `device`; results are identical to [`auto_floorplan`].
-pub fn auto_floorplan_with_geometry(
-    specs: &[PrrSpec],
-    device: &Device,
-    geometry: &DeviceGeometry,
-    node_budget: u64,
-) -> Result<AutoFloorplan, AutoFloorplanError> {
     if specs.is_empty() {
         return Err(AutoFloorplanError::Empty);
     }
-    let (order, options) = spec_options(specs, device, geometry)?;
-    let (nodes, found) = search_parallel(device, &options, node_budget.max(1));
-    assemble(specs, device, &order, &options, nodes, found)
-}
-
-/// [`auto_floorplan`] with the branch-and-bound run serially — the
-/// identity oracle the parallel tree is property-tested against
-/// (`crates/parflow/tests/floorplan_props.rs`). Same candidate options,
-/// same dominance pruning, same tie-breaks.
-#[doc(hidden)]
-pub fn auto_floorplan_serial(
-    specs: &[PrrSpec],
-    device: &Device,
-    node_budget: u64,
-) -> Result<AutoFloorplan, AutoFloorplanError> {
-    if specs.is_empty() {
-        return Err(AutoFloorplanError::Empty);
-    }
-    let geometry = DeviceGeometry::new(device);
-    let (order, options) = spec_options(specs, device, &geometry)?;
-    let (nodes, found) = search_serial(device, &options, node_budget.max(1));
+    let (order, options) = spec_options(specs, device, &DeviceGeometry::new(device))?;
+    let (nodes, found) = search(device, &options, node_budget.max(1));
     assemble(specs, device, &order, &options, nodes, found)
 }
 
 pub mod reference {
-    //! The seed floorplanner, frozen verbatim as the benchmark baseline.
+    //! The seed floorplanner, frozen verbatim as the equivalence oracle
+    //! and benchmark baseline.
     //!
     //! This is the exact pre-optimization implementation: candidate
     //! windows probed through raw [`Device::find_window`] rescans for
     //! every spec and height, no dominance pruning of the option lists,
-    //! and a strictly serial branch-and-bound. The live
-    //! [`auto_floorplan`](super::auto_floorplan) is benchmarked against
-    //! it in `crates/bench/benches/floorplan_bb.rs`; both reach the same
-    //! optimal total bitstream bytes whenever neither exhausts its node
+    //! a per-node lower-bound sum and a `Window` clone per tried row.
+    //! The live [`auto_floorplan`](super::auto_floorplan) is tested
+    //! against it (`crates/parflow/tests/floorplan_props.rs`) and
+    //! benchmarked against it in `crates/bench/benches/floorplan_bb.rs`;
+    //! both return the same floorplan whenever neither exhausts its node
     //! budget (dominance pruning is cost-preserving).
 
     use super::{AutoFloorplan, AutoFloorplanError, PlacedPrr, PrrSpec};
@@ -828,17 +654,14 @@ mod tests {
             .collect()
     }
 
-    /// Parallel tree == serial tree on `specs` (everything except the
-    /// node diagnostic), and both reach the frozen seed's optimal cost.
-    fn assert_matches_serial_and_seed(specs: &[PrrSpec], device: &Device, budget: u64) {
-        let par = auto_floorplan(specs, device, budget).unwrap();
-        let ser = auto_floorplan_serial(specs, device, budget).unwrap();
-        assert_eq!(par.prrs, ser.prrs);
-        assert_eq!(par.total_bitstream_bytes, ser.total_bitstream_bytes);
-        assert_eq!(par.device, ser.device);
+    /// The live tree returns the frozen seed's floorplan on `specs`
+    /// (everything except the node diagnostic).
+    fn assert_matches_seed(specs: &[PrrSpec], device: &Device, budget: u64) {
+        let live = auto_floorplan(specs, device, budget).unwrap();
         let seed = reference::auto_floorplan_seed(specs, device, budget).unwrap();
-        assert_eq!(par.total_bitstream_bytes, seed.total_bitstream_bytes);
-        assert_eq!(par.prrs, seed.prrs);
+        assert_eq!(live.prrs, seed.prrs);
+        assert_eq!(live.total_bitstream_bytes, seed.total_bitstream_bytes);
+        assert_eq!(live.device, seed.device);
     }
 
     /// The marquee future-work scenario: all three paper PRMs in separate
@@ -864,7 +687,9 @@ mod tests {
             .collect();
         assert_eq!(on_dsp.len(), 2);
         assert_ne!(on_dsp[0].window.row, on_dsp[1].window.row);
-        assert_matches_serial_and_seed(&paper_specs(Family::Virtex5), &device, 10_000);
+        // The serial tree's node count is deterministic.
+        assert_eq!(plan.nodes_explored, 62);
+        assert_matches_seed(&paper_specs(Family::Virtex5), &device, 10_000);
     }
 
     /// Joint placement never beats the sum of individually optimal plans,
@@ -886,7 +711,7 @@ mod tests {
         // On the LX75T (6 DSP columns, plenty of room) there is no
         // contention: the joint optimum equals the individual sum.
         assert_eq!(plan.total_bitstream_bytes, individual);
-        assert_matches_serial_and_seed(&specs, &device, 10_000);
+        assert_matches_seed(&specs, &device, 10_000);
     }
 
     #[test]
@@ -907,7 +732,7 @@ mod tests {
         let compute = &plan.prrs[0];
         assert!(compute.organization.dsp_cols >= 2, "FIR needs 27 DSPs");
         assert!(compute.organization.bram_cols >= 1, "MIPS needs 6 BRAMs");
-        assert_matches_serial_and_seed(&specs, &device, 10_000);
+        assert_matches_seed(&specs, &device, 10_000);
     }
 
     #[test]
@@ -923,7 +748,7 @@ mod tests {
             Err(AutoFloorplanError::NoPlacement { .. })
         ));
         assert!(matches!(
-            auto_floorplan_serial(&specs, &device, 50_000),
+            reference::auto_floorplan_seed(&specs, &device, 50_000),
             Err(AutoFloorplanError::NoPlacement { .. })
         ));
     }

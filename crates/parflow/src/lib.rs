@@ -26,9 +26,9 @@
 //!   execution over rayon with per-worker placer scratch and per-stage
 //!   histograms recorded into `prcost::Metrics`.
 //! * [`autofloorplan`] — the paper's stated future work: using the cost
-//!   models to floorplan several PRRs jointly (parallel branch-and-bound
-//!   over each PRR's Fig. 1 candidates with a shared best-cost bound and
-//!   dominance pruning, minimizing total bitstream bytes).
+//!   models to floorplan several PRRs jointly (branch-and-bound over
+//!   each PRR's Fig. 1 candidates with dominance pruning, minimizing
+//!   total bitstream bytes).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

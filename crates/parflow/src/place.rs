@@ -16,11 +16,8 @@
 //! whether a rescan is needed) live in a [`PlaceScratch`] that callers can
 //! carry across `place` calls, the affected-net set is deduplicated with
 //! epoch stamps instead of a linear `seen` scan, and move proposals touch
-//! a fixed two-slot cell array. The pre-optimization placer — f64 cost,
-//! full recompute of every affected net twice per move, two `Vec`
-//! allocations per proposal — is frozen verbatim in [`reference`] as the
-//! benchmark baseline, and `reference::total_cost_x16` is the
-//! full-recompute oracle the equivalence suite
+//! a fixed two-slot cell array. [`reference`] holds the full-recompute
+//! cost oracle the equivalence suite
 //! (`crates/parflow/tests/place_props.rs`) checks the incremental cost
 //! against at every accepted move.
 
@@ -368,11 +365,9 @@ struct Chain<'a> {
 }
 
 impl Chain<'_> {
-    /// Uniform draw in `[0, n)` by widening multiply — unlike the seed's
+    /// Uniform draw in `[0, n)` by widening multiply — unlike
     /// `rand() % n`, this has no modulo bias (for any `n`, buckets differ
-    /// by at most one part in 2⁶⁴). Per-seed move sequences therefore
-    /// differ from the frozen [`reference`] placer; the change is noted in
-    /// the `BENCH_place.json` baseline.
+    /// by at most one part in 2⁶⁴).
     fn rand_below(&mut self, n: usize) -> usize {
         self.rng.rand_below(n)
     }
@@ -775,24 +770,14 @@ pub fn net_bboxes(
 }
 
 pub mod reference {
-    //! The seed placer, frozen verbatim as the benchmark baseline, plus
-    //! the fixed-point full-recompute cost oracle.
-    //!
-    //! [`place_seed`] is the exact pre-optimization implementation: f64
-    //! HPWL, `cost_of_cells` full recomputes of every affected net twice
-    //! per move, a linear `seen.contains` net dedup, two `Vec`
-    //! allocations per proposal, and the modulo-biased `rand() % n`
-    //! draw. The live placer is benchmarked against it in
-    //! `crates/bench/benches/place_incr.rs`.
-    //!
-    //! [`total_cost_x16`] recomputes a placement's total HPWL from pins
-    //! in the live placer's x16 fixed-point domain; the equivalence suite
-    //! asserts the incremental total equals it at every accepted move.
+    //! The fixed-point full-recompute cost oracle: [`total_cost_x16`]
+    //! recomputes a placement's total HPWL from pins in the live placer's
+    //! x16 fixed-point domain; the equivalence suite asserts the
+    //! incremental total equals it at every accepted move.
 
-    use super::{cell_kind, kind_pool, slots_in_window, PlaceError, Placement, PlacerConfig, Slot};
+    use super::{slots_in_window, Placement, Slot};
     use fabric::grid::SiteGrid;
-    use fabric::{ResourceKind, Window};
-    use rayon::prelude::*;
+    use fabric::Window;
     use synth::Netlist;
 
     /// Total HPWL of `assignment` in x16 fixed point, recomputed from
@@ -828,220 +813,6 @@ pub mod reference {
     ) -> u64 {
         let slots = slots_in_window(grid, window);
         total_cost_x16(netlist, &slots, &placement.cell_slots)
-    }
-
-    struct Chain<'a> {
-        netlist: &'a Netlist,
-        slots: &'a [Slot],
-        /// cell -> slot
-        assignment: Vec<u32>,
-        /// slot -> cell (u32::MAX = empty)
-        occupant: Vec<u32>,
-        /// nets touching each cell
-        cell_nets: &'a [Vec<u32>],
-        rng: u64,
-    }
-
-    impl Chain<'_> {
-        fn rand(&mut self) -> u64 {
-            self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.rng;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn rand_below(&mut self, n: usize) -> usize {
-            (self.rand() % n.max(1) as u64) as usize
-        }
-
-        fn net_hpwl(&self, net: u32) -> f64 {
-            let pins = &self.netlist.nets[net as usize].pins;
-            let mut min_c = f64::MAX;
-            let mut max_c = f64::MIN;
-            let mut min_y = f64::MAX;
-            let mut max_y = f64::MIN;
-            for &p in pins {
-                let s = &self.slots[self.assignment[p as usize] as usize];
-                min_c = min_c.min(f64::from(s.col));
-                max_c = max_c.max(f64::from(s.col));
-                min_y = min_y.min(s.y_norm);
-                max_y = max_y.max(s.y_norm);
-            }
-            (max_c - min_c) + (max_y - min_y)
-        }
-
-        fn cost_of_cells(&self, cells: &[u32]) -> f64 {
-            let mut seen: Vec<u32> = Vec::with_capacity(8);
-            let mut cost = 0.0;
-            for &c in cells {
-                for &net in &self.cell_nets[c as usize] {
-                    if !seen.contains(&net) {
-                        seen.push(net);
-                        cost += self.net_hpwl(net);
-                    }
-                }
-            }
-            cost
-        }
-
-        fn total_hpwl(&self) -> f64 {
-            (0..self.netlist.nets.len() as u32)
-                .map(|n| self.net_hpwl(n))
-                .sum()
-        }
-
-        /// Propose and maybe accept one move; returns accepted.
-        fn step(&mut self, temp: f64, kind_slots: &[Vec<u32>]) -> bool {
-            let n_cells = self.netlist.cells.len();
-            let cell = self.rand_below(n_cells) as u32;
-            let kind = cell_kind(self.netlist.cells[cell as usize].kind);
-            let pool = &kind_slots[kind_pool(kind)];
-            let target_slot = pool[self.rand_below(pool.len())];
-            let cur_slot = self.assignment[cell as usize];
-            if target_slot == cur_slot {
-                return false;
-            }
-            let other = self.occupant[target_slot as usize];
-
-            let affected: Vec<u32> = if other == u32::MAX {
-                vec![cell]
-            } else {
-                vec![cell, other]
-            };
-            let before = self.cost_of_cells(&affected);
-
-            // Apply (swap or move).
-            self.assignment[cell as usize] = target_slot;
-            self.occupant[target_slot as usize] = cell;
-            if other == u32::MAX {
-                self.occupant[cur_slot as usize] = u32::MAX;
-            } else {
-                self.assignment[other as usize] = cur_slot;
-                self.occupant[cur_slot as usize] = other;
-            }
-
-            let after = self.cost_of_cells(&affected);
-            let delta = after - before;
-            let accept = delta <= 0.0 || {
-                let u = (self.rand() >> 11) as f64 / (1u64 << 53) as f64;
-                u < (-delta / temp.max(1e-9)).exp()
-            };
-            if !accept {
-                // Revert.
-                self.assignment[cell as usize] = cur_slot;
-                self.occupant[cur_slot as usize] = cell;
-                if other == u32::MAX {
-                    self.occupant[target_slot as usize] = u32::MAX;
-                } else {
-                    self.assignment[other as usize] = target_slot;
-                    self.occupant[target_slot as usize] = other;
-                }
-            }
-            accept
-        }
-    }
-
-    /// The frozen seed placer (see the module docs).
-    pub fn place_seed(
-        netlist: &Netlist,
-        grid: &SiteGrid<'_>,
-        window: &Window,
-        cfg: &PlacerConfig,
-    ) -> Result<Placement, PlaceError> {
-        let slots = slots_in_window(grid, window);
-
-        // Capacity check per kind.
-        let mut kind_slots: [Vec<u32>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for (i, s) in slots.iter().enumerate() {
-            kind_slots[kind_pool(s.kind)].push(i as u32);
-        }
-        let mut need = [0u64; 3];
-        for c in &netlist.cells {
-            need[kind_pool(cell_kind(c.kind))] += 1;
-        }
-        for (pool, kind) in [
-            (0, ResourceKind::Clb),
-            (1, ResourceKind::Dsp),
-            (2, ResourceKind::Bram),
-        ] {
-            if need[pool] > kind_slots[pool].len() as u64 {
-                return Err(PlaceError::Insufficient {
-                    kind,
-                    need: need[pool],
-                    have: kind_slots[pool].len() as u64,
-                });
-            }
-        }
-
-        // Precompute cell -> nets.
-        let mut cell_nets: Vec<Vec<u32>> = vec![Vec::new(); netlist.cells.len()];
-        for (i, net) in netlist.nets.iter().enumerate() {
-            for &p in &net.pins {
-                cell_nets[p as usize].push(i as u32);
-            }
-        }
-
-        let run_chain = |chain_idx: u32| -> (f64, Vec<u32>) {
-            // Greedy initial placement: cells in index order into slots in
-            // order (chains perturb the start by rotating slot order).
-            let mut assignment = vec![u32::MAX; netlist.cells.len()];
-            let mut occupant = vec![u32::MAX; slots.len()];
-            let mut cursors = [0usize; 3];
-            let rot = chain_idx as usize;
-            for (i, cell) in netlist.cells.iter().enumerate() {
-                let pool = kind_pool(cell_kind(cell.kind));
-                let list = &kind_slots[pool];
-                let slot = list[(cursors[pool] + rot) % list.len()];
-                // Find next free slot from the rotated cursor.
-                let mut k = (cursors[pool] + rot) % list.len();
-                let mut slot = slot;
-                while occupant[slot as usize] != u32::MAX {
-                    k = (k + 1) % list.len();
-                    slot = list[k];
-                }
-                assignment[i] = slot;
-                occupant[slot as usize] = i as u32;
-                cursors[pool] += 1;
-            }
-
-            let mut chain = Chain {
-                netlist,
-                slots: &slots,
-                assignment,
-                occupant,
-                cell_nets: &cell_nets,
-                rng: cfg.seed ^ (u64::from(chain_idx).wrapping_mul(0xA24B_AED4_963E_E407)),
-            };
-
-            let n_cells = netlist.cells.len().max(1);
-            let initial = chain.total_hpwl();
-            let mut temp =
-                (initial / netlist.nets.len().max(1) as f64) * cfg.initial_temp_frac + 1e-6;
-            let total_moves = cfg.moves_per_cell as usize * n_cells;
-            for m in 0..total_moves {
-                chain.step(temp, &kind_slots);
-                if m % n_cells == n_cells - 1 {
-                    temp *= cfg.cooling;
-                }
-            }
-            (chain.total_hpwl(), chain.assignment)
-        };
-
-        let results: Vec<(f64, Vec<u32>)> = (0..cfg.chains.max(1))
-            .into_par_iter()
-            .map(run_chain)
-            .collect();
-        let (best_hpwl, best_assignment) = results
-            .into_iter()
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("at least one chain");
-
-        Ok(Placement {
-            cell_slots: best_assignment,
-            hpwl: (best_hpwl * 16.0) as u64,
-            chains: cfg.chains.max(1),
-        })
     }
 }
 
@@ -1145,19 +916,6 @@ mod tests {
             }) => {}
             other => panic!("expected Insufficient, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn seed_placer_reports_insufficient_capacity_too() {
-        let device = xc5vlx110t();
-        let grid = SiteGrid::new(&device);
-        let w = device.find_window(&WindowRequest::new(1, 0, 0, 1)).unwrap();
-        let r = SynthReport::new("big", Family::Virtex5, 500, 400, 200, 0, 0);
-        let nl = Netlist::from_report(&r, 1).unwrap();
-        assert!(matches!(
-            reference::place_seed(&nl, &grid, &w, &PlacerConfig::fast(1)),
-            Err(PlaceError::Insufficient { .. })
-        ));
     }
 
     #[test]

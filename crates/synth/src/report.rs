@@ -153,7 +153,8 @@ impl SynthReport {
                 ffs: self.ffs,
             });
         }
-        if self.luts + self.ffs < self.lut_ff_pairs {
+        // Saturating: a sum beyond `u64::MAX` exceeds every pair count.
+        if self.luts.saturating_add(self.ffs) < self.lut_ff_pairs {
             return Err(ReportError::PairsAboveSum {
                 pairs: self.lut_ff_pairs,
                 luts: self.luts,
@@ -166,10 +167,14 @@ impl SynthReport {
     /// The three-way pair decomposition (valid reports only).
     pub fn breakdown(&self) -> Result<PairBreakdown, ReportError> {
         self.validate()?;
+        // Validation guarantees `pairs >= max(luts, ffs)` and
+        // `luts + ffs >= pairs`, so no term below can underflow, and
+        // `LUT_req + FF_req - LUT_FF_req` is taken without the sum.
+        let unused_ff = self.lut_ff_pairs - self.ffs;
         Ok(PairBreakdown {
             unused_lut: self.lut_ff_pairs - self.luts,
-            fully_used: self.luts + self.ffs - self.lut_ff_pairs,
-            unused_ff: self.lut_ff_pairs - self.ffs,
+            fully_used: self.luts - unused_ff,
+            unused_ff,
         })
     }
 
@@ -255,6 +260,23 @@ mod tests {
         assert!((s_ff - (-4.1)).abs() < 0.05, "got {s_ff}");
         // Zero baseline yields 0% (paper reports 0% for unused DSP/BRAM).
         assert_eq!(post.saving_pct(&synth, |r| r.brams), 0.0);
+    }
+
+    /// Counts near `u64::MAX` (as a hostile `.syr` can carry) validate
+    /// and decompose without overflow.
+    #[test]
+    fn extreme_counts_do_not_overflow() {
+        let max = u64::MAX;
+        let r = SynthReport::new("huge", Family::Virtex5, max, max, 1, 0, 0);
+        let b = r.breakdown().unwrap();
+        assert_eq!((b.unused_lut, b.fully_used, b.unused_ff), (0, 1, max - 1));
+        let r = SynthReport::new("huge", Family::Virtex5, max, max, max, 0, 0);
+        assert_eq!(r.breakdown().unwrap().fully_used, max);
+        let r = SynthReport::new("huge", Family::Virtex5, max, max - 1, 0, 0, 0);
+        assert!(matches!(
+            r.validate(),
+            Err(ReportError::PairsAboveSum { .. })
+        ));
     }
 
     #[test]

@@ -197,7 +197,12 @@ pub fn parse_report(text: &str) -> Result<SynthReport, XstParseError> {
     let ffs = grab(text, "Number of Slice Registers")?;
     let luts = grab(text, "Number of Slice LUTs")?;
     let pairs = grab(text, "Number of LUT Flip Flop pairs used")?;
-    let brams = grab(text, "Number of Block RAM/FIFO").unwrap_or(0);
+    // Reports for designs without block RAM may omit the line; a
+    // present but malformed count is still an error.
+    let brams = match grab(text, "Number of Block RAM/FIFO") {
+        Err(XstParseError::MissingField(_)) => 0,
+        count => count?,
+    };
     let dsps = grab_dsps(text)?;
     let report = SynthReport::new(grab_module(text), family, pairs, luts, ffs, dsps, brams);
     report.validate().map_err(XstParseError::Inconsistent)?;
@@ -209,6 +214,8 @@ mod tests {
     use super::*;
     use crate::calibration::paper_synth_report;
     use crate::prm::PaperPrm;
+    use crate::report::PairBreakdown;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trip_all_paper_reports() {
@@ -292,5 +299,84 @@ mod tests {
             parse_report("* Family : Spartan-9\n"),
             Err(XstParseError::UnknownFamily(_))
         ));
+    }
+
+    #[test]
+    fn parser_rejects_malformed_bram_count() {
+        let text = "\
+* Family : Virtex-5
+ Number of Slice Registers: 10
+ Number of Slice LUTs: 20
+ Number of LUT Flip Flop pairs used: 25
+ Number of Block RAM/FIFO: 18446744073709551616
+";
+        assert!(matches!(
+            parse_report(text),
+            Err(XstParseError::BadCount {
+                field: "Number of Block RAM/FIFO",
+                ..
+            })
+        ));
+    }
+
+    /// One line of a rendered report after mutation `kind`: kept as is
+    /// (half the kinds), dropped, or with every numeric token replaced
+    /// by `value`, `u64::MAX`, a count just past `u64::MAX`, or garbage.
+    fn mutate_line(line: &str, kind: u8, value: u64) -> Option<String> {
+        let replacement = match kind {
+            0..=4 => return Some(line.to_string()),
+            5 => value.to_string(),
+            6 => u64::MAX.to_string(),
+            7 => "18446744073709551616".to_string(),
+            8 => "x".to_string(),
+            _ => return None,
+        };
+        let tokens: Vec<&str> = line
+            .split(' ')
+            .map(|t| {
+                if !t.is_empty() && t.bytes().all(|b| b.is_ascii_digit()) {
+                    replacement.as_str()
+                } else {
+                    t
+                }
+            })
+            .collect();
+        Some(tokens.join(" "))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Hostile input: a rendered report whose numeric fields are
+        /// replaced by arbitrary or extreme `u64`s or garbage, with some
+        /// lines dropped, parses to `Ok` or `Err` and never panics.
+        /// Whatever parses is a consistent report that renders and
+        /// parses back to itself.
+        #[test]
+        fn mutated_reports_parse_without_panicking(
+            pairs in (0u64..100_000, 0u64..100_000, 0u64..100_000),
+            dsps in 0u64..1_000,
+            brams in 0u64..1_000,
+            v6 in any::<bool>(),
+            edits in proptest::collection::vec((0u8..10, any::<u64>()), 32..33),
+        ) {
+            let family = if v6 { Family::Virtex6 } else { Family::Virtex5 };
+            let breakdown = PairBreakdown {
+                unused_lut: pairs.0,
+                fully_used: pairs.1,
+                unused_ff: pairs.2,
+            };
+            let report = SynthReport::from_breakdown("m", family, breakdown, dsps, brams);
+            let text: Vec<String> = write_report(&report, "xc")
+                .lines()
+                .zip(&edits)
+                .filter_map(|(line, &(kind, value))| mutate_line(line, kind, value))
+                .collect();
+            if let Ok(parsed) = parse_report(&text.join("\n")) {
+                prop_assert!(parsed.validate().is_ok());
+                let again = parse_report(&write_report(&parsed, "xc"));
+                prop_assert_eq!(again, Ok(parsed));
+            }
+        }
     }
 }

@@ -54,8 +54,8 @@ fn main() -> ExitCode {
                        [--scale K] [--state FILE] [--metrics FILE]\n\
                                                             run a request stream through the async\n\
                                                             planning service (snapshot warm starts)\n\
-                 bench-service [--requests R]               warm-memo replay: sharded engine vs the\n\
-                                                            frozen RwLock baseline\n\
+                 bench-service [--requests R]               warm-memo replay throughput of the\n\
+                                                            engine's device-handle hit path\n\
                  bench-pipeline [--tasks N] [--device NAME] [--chunk C] [--modules M]\n\
                                 [--workers W|W1,W2,...] [--queue-depth Q] [--seed S]\n\
                                 [--json FILE] [--metrics FILE]\n\
@@ -587,13 +587,11 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// Quick in-process check of the warm-memo replay speedup: the sharded
-/// engine against the frozen seed `engine::reference` baseline, on the
-/// paper PRM x device grid. The full table (worker scaling, p99,
-/// zero-alloc assertion) lives in `benches/service_mt.rs`.
+/// Quick in-process check of warm-memo replay throughput: the engine's
+/// device-handle hit path on the paper PRM x device grid. The full table
+/// (worker scaling, p99, zero-alloc assertion) lives in
+/// `benches/service_mt.rs`.
 fn cmd_bench_service(args: &[String]) -> Result<(), AnyError> {
-    use prcost::engine::reference::ReferenceEngine;
-
     let requests: usize = flag(args, "--requests")
         .map(str::parse)
         .transpose()
@@ -619,51 +617,33 @@ fn cmd_bench_service(args: &[String]) -> Result<(), AnyError> {
         })
         .collect();
 
-    let sharded = Engine::new();
-    let reference = ReferenceEngine::new();
+    let engine = Engine::new();
     let mut scratch = PlanScratch::default();
     for (report, device) in &points {
-        let _ = sharded.plan_with_scratch(report, device, &mut scratch);
-        let _ = reference.plan(report, device);
+        let _ = engine.plan_with_scratch(report, device, &mut scratch);
     }
-    // The sharded engine plans against devices resolved once, up front.
+    // Plan against devices resolved once, up front.
     let handles: Vec<prcost::DeviceHandle> = points
         .iter()
-        .map(|(_, device)| sharded.intern_device(device))
+        .map(|(_, device)| engine.intern_device(device))
         .collect();
 
-    let time = |f: &mut dyn FnMut()| -> f64 {
-        let start = std::time::Instant::now();
-        f();
-        start.elapsed().as_secs_f64()
-    };
-    let reference_s = time(&mut || {
-        for i in 0..requests {
-            let (report, device) = &points[i % points.len()];
-            let _ = std::hint::black_box(reference.plan(report, device));
-        }
-    });
-    let sharded_s = time(&mut || {
-        for i in 0..requests {
-            let (report, _) = &points[i % points.len()];
-            let req = PrrRequirements::from_report(report);
-            let handle = &handles[i % points.len()];
-            std::hint::black_box(sharded.plan_on(&req, handle, &mut scratch));
-        }
-    });
+    let start = std::time::Instant::now();
+    for i in 0..requests {
+        let (report, _) = &points[i % points.len()];
+        let req = PrrRequirements::from_report(report);
+        let handle = &handles[i % points.len()];
+        std::hint::black_box(engine.plan_on(&req, handle, &mut scratch));
+    }
+    let elapsed = start.elapsed().as_secs_f64();
     println!(
         "warm replay, {} hits over {} points:",
         requests,
         points.len()
     );
     println!(
-        "  reference (RwLock + owned keys): {:>10.0} plans/s",
-        requests as f64 / reference_s
-    );
-    println!(
-        "  sharded (device handle + key):   {:>10.0} plans/s  ({:.1}x)",
-        requests as f64 / sharded_s,
-        reference_s / sharded_s
+        "  sharded (device handle + key):   {:>10.0} plans/s",
+        requests as f64 / elapsed
     );
     Ok(())
 }
