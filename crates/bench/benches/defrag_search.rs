@@ -26,7 +26,7 @@ use criterion::{criterion_group, Criterion};
 use fabric::{Device, Family, ResourceKind};
 use layout::defrag2::{plan, reference};
 use layout::{simulate_layout, Defrag2Config, DefragPolicy, LayoutConfig, LayoutManager};
-use multitask::Workload;
+use multitask::{ModuleId, Workload};
 use prcost::PrrOrganization;
 use serde::Serialize;
 use std::hint::black_box;
@@ -78,7 +78,7 @@ fn churned(device: &Device, seed: u64, n_ops: usize) -> LayoutManager {
                 dsp_cols: u32::from(rng.below(8) == 0),
                 bram_cols: 0,
             };
-            if let Ok(id) = mgr.allocate("m", &org) {
+            if let Ok(id) = mgr.allocate(ModuleId(0), &org) {
                 live.push(id);
             }
         }

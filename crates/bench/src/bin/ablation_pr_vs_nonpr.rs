@@ -18,7 +18,8 @@
 use bitstream::IcapModel;
 use fabric::{device_by_name, Family, Resources};
 use multitask::{
-    simulate, simulate_full_reconfig, simulate_static, HwTask, PrSystem, ReuseAware, Workload,
+    simulate, simulate_full_reconfig, simulate_static, HwTask, ModuleTable, PrSystem, ReuseAware,
+    Workload,
 };
 use prcost::PrrOrganization;
 use serde::Serialize;
@@ -61,17 +62,19 @@ fn main() {
         // 240 tasks round-robin over `modules` distinct modules; every
         // module needs 120 CLBs + 4 DSPs + 2 BRAMs (fits the PRR exactly;
         // statically, >61 such modules exceed the device's 7360 CLBs).
+        let mut names = ModuleTable::new();
         let tasks: Vec<HwTask> = (0..240u32)
             .map(|i| HwTask {
                 id: i,
-                module: format!("mod{:02}", i % modules),
+                module: names.intern(&format!("mod{:02}", i % modules)),
+                priority: 0,
                 needs: Resources::new(120, 4, 2),
                 arrival_ns: u64::from(i) * 20_000,
                 exec_ns: 300_000,
                 deadline_ns: None,
             })
             .collect();
-        let wl = Workload::new(tasks);
+        let wl = Workload::new(tasks, names);
         let stat = simulate_static(&device, &wl);
         let full = simulate_full_reconfig(&device, &wl, &IcapModel::V5_DMA);
         let pr = simulate(&pr_sys, &wl, &ReuseAware);

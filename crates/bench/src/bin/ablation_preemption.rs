@@ -6,7 +6,7 @@
 use bitstream::readback::context_cost;
 use bitstream::IcapModel;
 use fabric::{device_by_name, Family, Resources};
-use multitask::{simulate_preemptive, PrSystem, PreemptiveTask};
+use multitask::{simulate_preemptive, HwTask, ModuleTable, PrSystem, Workload};
 use prcost::PrrOrganization;
 use serde::Serialize;
 
@@ -25,27 +25,33 @@ fn main() {
     let device = device_by_name("xc5vsx95t").unwrap();
 
     // Background tasks (priority 0) + sporadic urgent tasks (priority 3).
-    let mut tasks: Vec<PreemptiveTask> = Vec::new();
+    let mut modules = ModuleTable::new();
+    let background = [0, 1, 2].map(|i| modules.intern(&format!("bg{i}")));
+    let urgent = modules.intern("urgent");
+    let mut tasks: Vec<HwTask> = Vec::new();
     for i in 0..48u32 {
-        tasks.push(PreemptiveTask {
+        tasks.push(HwTask {
             id: i,
-            module: format!("bg{}", i % 3),
+            module: background[(i % 3) as usize],
+            priority: 0,
             needs: Resources::new(100, 4, 2),
             arrival_ns: u64::from(i) * 150_000,
             exec_ns: 2_000_000,
-            priority: 0,
+            deadline_ns: None,
         });
     }
     for j in 0..12u32 {
-        tasks.push(PreemptiveTask {
+        tasks.push(HwTask {
             id: 100 + j,
-            module: "urgent".into(),
+            module: urgent,
+            priority: 3,
             needs: Resources::new(60, 2, 1),
             arrival_ns: 400_000 + u64::from(j) * 3_000_000,
             exec_ns: 120_000,
-            priority: 3,
+            deadline_ns: None,
         });
     }
+    let tasks = Workload::new(tasks, modules);
 
     let sizes = [
         ("right-sized H=1", 1u32),

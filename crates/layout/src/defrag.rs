@@ -214,6 +214,7 @@ mod tests {
     use super::*;
     use bitstream::IcapModel;
     use fabric::{Device, Family, ResourceKind::*};
+    use multitask::ModuleId;
 
     fn strip(width: u32) -> Device {
         Device::new("strip", Family::Virtex5, 1, vec![Clb; width as usize]).unwrap()
@@ -233,15 +234,15 @@ mod tests {
     fn single_move_plan_frees_a_window_and_prices_the_move() {
         let d = strip(8);
         let mut m = LayoutManager::new(&d, IcapModel::V5_DMA);
-        let a = m.allocate("a", &clb_org(3)).unwrap();
-        let b = m.allocate("b", &clb_org(2)).unwrap();
-        let c = m.allocate("c", &clb_org(3)).unwrap();
+        let a = m.allocate(ModuleId(0), &clb_org(3)).unwrap();
+        let b = m.allocate(ModuleId(1), &clb_org(2)).unwrap();
+        let c = m.allocate(ModuleId(2), &clb_org(3)).unwrap();
         m.release(a);
         m.release(c);
 
         let org = clb_org(4);
         assert_eq!(
-            m.allocate("d", &org),
+            m.allocate(ModuleId(3), &org),
             Err(crate::manager::AllocError::Fragmentation)
         );
         let plan = m.plan_defrag(&org).unwrap();
@@ -258,7 +259,7 @@ mod tests {
         assert_eq!(plan.total_move_ns, mv.transfer_ns);
 
         m.execute_defrag(&plan);
-        let id = m.allocate("d", &org).unwrap();
+        let id = m.allocate(ModuleId(3), &org).unwrap();
         assert_eq!(m.allocation(id).unwrap().window.width, 4);
     }
 
@@ -278,7 +279,7 @@ mod tests {
         // go, so planning fails and the failure stays a rejection.
         let d = strip(4);
         let mut m = LayoutManager::new(&d, IcapModel::V5_DMA);
-        m.allocate("a", &clb_org(4)).unwrap();
+        m.allocate(ModuleId(0), &clb_org(4)).unwrap();
         assert!(m.plan_defrag(&clb_org(1)).is_none());
     }
 }

@@ -5,6 +5,7 @@
 use crate::free::FreeSpace;
 use bitstream::IcapModel;
 use fabric::{Device, Window, WindowRequest};
+use multitask::ModuleId;
 use prcost::{bitstream_size_bytes, Metrics, PrrOrganization};
 use std::collections::BTreeMap;
 
@@ -14,8 +15,8 @@ pub struct Allocation {
     /// Manager-assigned id, unique over the manager's lifetime.
     pub id: u64,
     /// Module configured in the region (shares partial bitstreams with
-    /// equally named modules).
-    pub module: String,
+    /// every allocation of the same id).
+    pub module: ModuleId,
     /// The Eq. 2–6 organization the region was sized for.
     pub organization: PrrOrganization,
     /// The placed window.
@@ -132,7 +133,7 @@ impl LayoutManager {
     /// fit), or classify the failure. Wires `layout:allocs` /
     /// `layout:alloc_fail_capacity` / `layout:alloc_fail_fragmentation`
     /// counters into the global metrics.
-    pub fn allocate(&mut self, module: &str, org: &PrrOrganization) -> Result<u64, AllocError> {
+    pub fn allocate(&mut self, module: ModuleId, org: &PrrOrganization) -> Result<u64, AllocError> {
         let req = WindowRequest::new(org.clb_cols, org.dsp_cols, org.bram_cols, org.height);
         match self.free.find_window(&req) {
             Some(window) => {
@@ -151,7 +152,7 @@ impl LayoutManager {
     }
 
     /// Record a placement into `window` (assumed free and matching `org`).
-    pub(crate) fn place(&mut self, module: &str, org: &PrrOrganization, window: Window) -> u64 {
+    pub(crate) fn place(&mut self, module: ModuleId, org: &PrrOrganization, window: Window) -> u64 {
         self.free.allocate(&window);
         let id = self.next_id;
         self.next_id += 1;
@@ -159,7 +160,7 @@ impl LayoutManager {
             id,
             Allocation {
                 id,
-                module: module.to_string(),
+                module,
                 organization: *org,
                 window,
                 bitstream_bytes: bitstream_size_bytes(org),
@@ -234,17 +235,26 @@ mod tests {
     fn failure_classification_separates_capacity_from_fragmentation() {
         let d = strip(8);
         let mut m = LayoutManager::new(&d, IcapModel::V5_DMA);
-        let a = m.allocate("a", &clb_org(3)).unwrap();
-        m.allocate("b", &clb_org(2)).unwrap();
-        let c = m.allocate("c", &clb_org(3)).unwrap();
+        let a = m.allocate(ModuleId(0), &clb_org(3)).unwrap();
+        m.allocate(ModuleId(1), &clb_org(2)).unwrap();
+        let c = m.allocate(ModuleId(2), &clb_org(3)).unwrap();
         // Full device: 4 columns is a capacity failure (only 0 free).
-        assert_eq!(m.allocate("d", &clb_org(4)), Err(AllocError::Capacity));
+        assert_eq!(
+            m.allocate(ModuleId(3), &clb_org(4)),
+            Err(AllocError::Capacity)
+        );
         m.release(a);
         m.release(c);
         // 6 cells free in runs of 3+3: enough cells, no window — that is
         // fragmentation, and a 9-column ask is still capacity.
-        assert_eq!(m.allocate("d", &clb_org(4)), Err(AllocError::Fragmentation));
-        assert_eq!(m.allocate("e", &clb_org(9)), Err(AllocError::Capacity));
+        assert_eq!(
+            m.allocate(ModuleId(3), &clb_org(4)),
+            Err(AllocError::Fragmentation)
+        );
+        assert_eq!(
+            m.allocate(ModuleId(5), &clb_org(9)),
+            Err(AllocError::Capacity)
+        );
         assert!(m.fragmentation_index() > 0.0);
     }
 
@@ -253,12 +263,12 @@ mod tests {
         let d = strip(8);
         let mut m = LayoutManager::new(&d, IcapModel::V5_DMA);
         let org = clb_org(2);
-        let id = m.allocate("m", &org).unwrap();
+        let id = m.allocate(ModuleId(4), &org).unwrap();
         assert_eq!(
             m.allocation(id).unwrap().bitstream_bytes,
             bitstream_size_bytes(&org)
         );
-        assert_eq!(m.release(id).unwrap().module, "m");
+        assert_eq!(m.release(id).unwrap().module, ModuleId(4));
         assert!(m.release(id).is_none());
     }
 }

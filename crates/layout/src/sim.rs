@@ -21,7 +21,7 @@ use crate::free::FreeSpace;
 use crate::manager::{AllocError, LayoutManager};
 use bitstream::IcapModel;
 use fabric::{Device, Resources, WindowRequest};
-use multitask::Workload;
+use multitask::{ModuleTable, Workload};
 use prcost::{bitstream_size_bytes, PrrOrganization, PrrRequirements};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -65,7 +65,7 @@ impl Default for LayoutConfig {
 pub struct RelocationEvent {
     /// Task whose admission triggered the move.
     pub task: u32,
-    /// Module that was moved.
+    /// Name of the module that was moved.
     pub module: String,
     /// The moved module's organization (determines its bytes).
     pub organization: PrrOrganization,
@@ -180,15 +180,16 @@ fn drain_until(
 
 /// Serialize already-executed relocations through the ICAP: advance the
 /// port's free time, stall each moved (running) module by its copy time,
-/// and log the events. `task_id` is the arrival that triggered the plan
-/// (for proactive defrag, the task whose arrival instant found the port
-/// idle).
+/// and log the events under the moved modules' names from `modules`.
+/// `task_id` is the arrival that triggered the plan (for proactive
+/// defrag, the task whose arrival instant found the port idle).
 #[allow(clippy::too_many_arguments)]
 fn account_moves(
     task_id: u32,
     now: u64,
     moves: &[RelocationMove],
     manager: &LayoutManager,
+    modules: &ModuleTable,
     completion: &mut HashMap<u64, u64>,
     heap: &mut BinaryHeap<Reverse<(u64, u64)>>,
     icap_free_at: &mut u64,
@@ -196,15 +197,15 @@ fn account_moves(
 ) {
     let mut at = (*icap_free_at).max(now);
     for mv in moves {
-        at += mv.transfer_ns;
+        at = at.saturating_add(mv.transfer_ns);
         if let Some(c) = completion.get_mut(&mv.id) {
-            *c += mv.transfer_ns;
+            *c = c.saturating_add(mv.transfer_ns);
             heap.push(Reverse((*c, mv.id)));
         }
         let moved = manager.allocation(mv.id).expect("moved allocation");
         report.relocation_log.push(RelocationEvent {
             task: task_id,
-            module: moved.module.clone(),
+            module: modules.name(moved.module).to_string(),
             organization: moved.organization,
             from_col: mv.from.start_col as u32,
             from_row: mv.from.row,
@@ -214,14 +215,13 @@ fn account_moves(
             context_bytes: mv.context_bytes,
             transfer_ns: mv.transfer_ns,
         });
+        report.relocation_ns = report.relocation_ns.saturating_add(mv.transfer_ns);
+        report.relocated_bytes += mv.bytes;
+        report.context_bytes += mv.context_bytes;
+        report.icap_busy_ns = report.icap_busy_ns.saturating_add(mv.transfer_ns);
     }
     *icap_free_at = at;
-    let total_ns: u64 = moves.iter().map(|m| m.transfer_ns).sum();
     report.relocations += moves.len() as u32;
-    report.relocation_ns += total_ns;
-    report.relocated_bytes += moves.iter().map(|m| m.bytes).sum::<u64>();
-    report.context_bytes += moves.iter().map(|m| m.context_bytes).sum::<u64>();
-    report.icap_busy_ns += total_ns;
 }
 
 /// Eq. 2–6 organizations for `needs` on `device`, cheapest bitstream
@@ -250,7 +250,8 @@ fn candidate_orgs(device: &Device, free: &FreeSpace, needs: &Resources) -> Vec<P
     orgs
 }
 
-/// Run the dynamic-placement loss-system simulation.
+/// Run the dynamic-placement loss-system simulation. Clock and report
+/// sums saturate at `u64::MAX`.
 pub fn simulate_layout(
     device: &Device,
     workload: &Workload,
@@ -332,6 +333,7 @@ pub fn simulate_layout(
                                 now,
                                 &plan.moves,
                                 &manager,
+                                workload.modules(),
                                 &mut completion,
                                 &mut heap,
                                 &mut icap_free_at,
@@ -360,7 +362,7 @@ pub fn simulate_layout(
         let mut admitted_org = None;
         let mut saw_fragmentation = false;
         for org in &orgs {
-            match manager.allocate(&task.module, org) {
+            match manager.allocate(task.module, org) {
                 Ok(id) => {
                     admitted_org = Some((id, *org));
                     break;
@@ -405,13 +407,14 @@ pub fn simulate_layout(
                     now,
                     &moves,
                     &manager,
+                    workload.modules(),
                     &mut completion,
                     &mut heap,
                     &mut icap_free_at,
                     &mut report,
                 );
                 let id = manager
-                    .allocate(&task.module, org)
+                    .allocate(task.module, org)
                     .expect("admit window freed by the plan");
                 admitted_org = Some((id, *org));
                 report.defrag_admissions += 1;
@@ -428,15 +431,15 @@ pub fn simulate_layout(
                 let bytes = bitstream_size_bytes(&org);
                 let reconfig = config.icap.transfer_time(bytes).as_nanos() as u64;
                 let cfg_start = icap_free_at.max(now);
-                let cfg_end = cfg_start + reconfig;
+                let cfg_end = cfg_start.saturating_add(reconfig);
                 icap_free_at = cfg_end;
                 report.reconfigurations += 1;
-                report.reconfig_ns += reconfig;
-                report.icap_busy_ns += reconfig;
-                report.total_wait_ns += cfg_end - now;
-                report.total_exec_ns += task.exec_ns;
+                report.reconfig_ns = report.reconfig_ns.saturating_add(reconfig);
+                report.icap_busy_ns = report.icap_busy_ns.saturating_add(reconfig);
+                report.total_wait_ns = report.total_wait_ns.saturating_add(cfg_end - now);
+                report.total_exec_ns = report.total_exec_ns.saturating_add(task.exec_ns);
                 report.admitted += 1;
-                let done = cfg_end + task.exec_ns;
+                let done = cfg_end.saturating_add(task.exec_ns);
                 completion.insert(id, done);
                 heap.push(Reverse((done, id)));
             }
@@ -472,7 +475,7 @@ pub fn simulate_layout(
 mod tests {
     use super::*;
     use fabric::{Family, ResourceKind::*};
-    use multitask::HwTask;
+    use multitask::{HwTask, ModuleId};
 
     fn strip(width: u32) -> Device {
         Device::new("strip", Family::Virtex5, 1, vec![Clb; width as usize]).unwrap()
@@ -480,11 +483,12 @@ mod tests {
 
     /// A task needing exactly `cols` CLB columns on a 1-row Virtex-5
     /// strip (`clb_col` CLBs fill one column-row).
-    fn task(id: u32, module: &str, cols: u64, arrival_ns: u64, exec_ns: u64) -> HwTask {
+    fn task(id: u32, module: ModuleId, cols: u64, arrival_ns: u64, exec_ns: u64) -> HwTask {
         let clb_col = u64::from(Family::Virtex5.params().clb_col);
         HwTask {
             id,
-            module: module.to_string(),
+            module,
+            priority: 0,
             needs: Resources::new(cols * clb_col, 0, 0),
             arrival_ns,
             exec_ns,
@@ -496,12 +500,16 @@ mod tests {
     /// A and C finish, leaving 3+3 free cells split by B; D needs 4.
     fn checkerboard() -> (Device, Workload) {
         let device = strip(8);
-        let workload = Workload::new(vec![
-            task(0, "a", 3, 0, 1_000_000),
-            task(1, "b", 2, 1_000, 1_000_000_000),
-            task(2, "c", 3, 2_000, 1_000_000),
-            task(3, "d", 4, 500_000_000, 1_000_000_000),
-        ]);
+        let mut m = ModuleTable::new();
+        let workload = Workload::new(
+            vec![
+                task(0, m.intern("a"), 3, 0, 1_000_000),
+                task(1, m.intern("b"), 2, 1_000, 1_000_000_000),
+                task(2, m.intern("c"), 3, 2_000, 1_000_000),
+                task(3, m.intern("d"), 4, 500_000_000, 1_000_000_000),
+            ],
+            m,
+        );
         (device, workload)
     }
 
@@ -536,6 +544,7 @@ mod tests {
         };
         let r = simulate_layout(&device, &workload, &config);
         assert_eq!(r.relocation_log.len(), 1);
+        assert_eq!(r.relocation_log[0].module, "b", "logged by name");
         let total: u64 = r
             .relocation_log
             .iter()
@@ -553,7 +562,6 @@ mod tests {
         // Make D's execution vanishingly short: a strict threshold should
         // refuse to pay the relocation for it.
         workload.tasks[3].exec_ns = 1;
-        let workload = Workload::new(workload.tasks);
         let r = simulate_layout(
             &device,
             &workload,

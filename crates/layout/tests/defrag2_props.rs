@@ -16,7 +16,7 @@ use bitstream::IcapModel;
 use fabric::{Device, Family, ResourceKind, Resources};
 use layout::defrag2::{plan, reference};
 use layout::{simulate_layout, Defrag2Config, DefragPolicy, LayoutConfig, LayoutManager};
-use multitask::{HwTask, Workload};
+use multitask::{HwTask, ModuleId, ModuleTable, Workload};
 use prcost::{bitstream_size_bytes, PrrOrganization};
 use proptest::prelude::*;
 
@@ -82,7 +82,7 @@ fn churned_manager(device: &Device, ops: &[Op]) -> LayoutManager {
                     dsp_cols: dsp,
                     bram_cols: bram,
                 };
-                if let Ok(id) = mgr.allocate("m", &org) {
+                if let Ok(id) = mgr.allocate(ModuleId(0), &org) {
                     live.push(id);
                 }
             }
@@ -376,12 +376,12 @@ fn sequence_succeeds_where_single_step_fails() {
         dsp_cols: dsp,
         bram_cols: 0,
     };
-    mgr.allocate("m2", &org(3, 0)).unwrap(); // [0,3)
-    mgr.allocate("m1", &org(1, 1)).unwrap(); // [3,5)
-    let e = mgr.allocate("e", &org(3, 0)).unwrap(); // [5,8)
-    mgr.allocate("f", &org(1, 1)).unwrap(); // [8,10)
+    mgr.allocate(ModuleId(0), &org(3, 0)).unwrap(); // [0,3)
+    mgr.allocate(ModuleId(1), &org(1, 1)).unwrap(); // [3,5)
+    let e = mgr.allocate(ModuleId(2), &org(3, 0)).unwrap(); // [5,8)
+    mgr.allocate(ModuleId(3), &org(1, 1)).unwrap(); // [8,10)
     mgr.release(e);
-    mgr.allocate("e2", &org(1, 0)).unwrap(); // [5,6)? leftmost free
+    mgr.allocate(ModuleId(4), &org(1, 0)).unwrap(); // [5,6)? leftmost free
     let admit = org(3, 1);
     let single = mgr.plan_defrag(&admit);
     let cfg = exhaustive_cfg(2);
@@ -398,7 +398,7 @@ fn sequence_succeeds_where_single_step_fails() {
         // Executing the sequence really frees the window.
         let mut mgr2 = mgr;
         mgr2.execute_defrag2(m);
-        assert!(mgr2.allocate("new", &admit).is_ok());
+        assert!(mgr2.allocate(ModuleId(5), &admit).is_ok());
     }
 }
 
@@ -409,20 +409,23 @@ fn sequence_succeeds_where_single_step_fails() {
 fn des_executes_sequences_in_order() {
     let device = Device::new("strip", Family::Virtex5, 1, vec![ResourceKind::Clb; 8]).unwrap();
     let clb_col = u64::from(Family::Virtex5.params().clb_col);
-    let task = |id: u32, module: &str, cols: u64, arrival_ns: u64, exec_ns: u64| HwTask {
+    let mut modules = ModuleTable::new();
+    let mut task = |id: u32, module: &str, cols: u64, arrival_ns: u64, exec_ns: u64| HwTask {
         id,
-        module: module.to_string(),
+        module: modules.intern(module),
+        priority: 0,
         needs: Resources::new(cols * clb_col, 0, 0),
         arrival_ns,
         exec_ns,
         deadline_ns: None,
     };
-    let workload = Workload::new(vec![
+    let tasks = vec![
         task(0, "a", 3, 0, 1_000_000),
         task(1, "b", 2, 1_000, 1_000_000_000),
         task(2, "c", 3, 2_000, 1_000_000),
         task(3, "d", 4, 500_000_000, 1_000_000_000),
-    ]);
+    ];
+    let workload = Workload::new(tasks, modules);
     let depth2 = simulate_layout(
         &device,
         &workload,

@@ -1,105 +1,29 @@
-//! Module-name interning for the simulator hot path.
+//! Module-name interning: one dense [`ModuleId`] per distinct name.
 //!
-//! The seed simulator compared and cloned `String` module names on every
-//! dispatch (per slot, per dispatch). Interning maps each distinct module
-//! name to a dense [`ModuleId`] once, at workload-compile time, so the
-//! inner loop works on `Copy` `u32` ids: equality is one integer compare
-//! and per-slot state snapshots are plain memcpys.
+//! A task's module is its bitstream identity: tasks of one module share
+//! a partial bitstream, so a PRR already holding it needs no
+//! reconfiguration. Names are interned once, where they enter — the
+//! workload generators, the trace parser, `sched`'s periodic task sets
+//! and the pipeline's module pool — and every [`HwTask`](crate::HwTask)
+//! carries the id, resolved against the [`ModuleTable`] its
+//! [`Workload`](crate::Workload) owns. Simulators and schedulers compare
+//! ids; reports turn an id back into its name only when they print.
 
-use crate::task::Workload;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// FxHash-style multiply-xor hasher for short module-name keys.
-///
-/// Interning hashes one name per task per simulation, so the default
-/// SipHash (DoS-hardened, ~an order of magnitude slower on short keys)
-/// shows up in the simulator's setup profile. Module names are internal
-/// identifiers, not attacker-controlled input, so the fast non-keyed
-/// hash is appropriate here.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FxHasher {
-    state: u64,
-}
-
-impl FxHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.state = (self.state.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in chunks.by_ref() {
-            self.mix(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.mix(u64::from_le_bytes(tail));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.mix(u64::from(v));
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// Dense id of an interned module name (bitstream identity).
 ///
 /// Tasks whose names intern to the same `ModuleId` share partial
 /// bitstreams, so a PRR already holding the module needs no
-/// reconfiguration — the integer analogue of the seed's string equality.
+/// reconfiguration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ModuleId(pub u32);
 
 /// Bidirectional map between module names and dense [`ModuleId`]s.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ModuleTable {
     names: Vec<String>,
-    /// Names of ≤ 7 bytes, packed losslessly into a u64 (bytes
-    /// little-endian, length in the top byte). The first
-    /// [`SHORT_LIST_MAX`] distinct ones live in this L1-resident list —
-    /// for the handful of distinct modules real workloads have, a
-    /// linear integer scan beats any hash map.
-    short_list: Vec<(u64, ModuleId)>,
-    /// Spill for short names once the list is full.
-    short_spill: HashMap<u64, ModuleId, FxBuildHasher>,
-    /// Fallback for names of 8 bytes or longer.
-    ids: HashMap<String, ModuleId, FxBuildHasher>,
-}
-
-/// Distinct short names kept in the scan list before spilling to a map.
-const SHORT_LIST_MAX: usize = 32;
-
-/// Lossless u64 key for names of at most 7 bytes.
-#[inline]
-fn inline_key(name: &str) -> Option<u64> {
-    let bytes = name.as_bytes();
-    if bytes.len() > 7 {
-        return None;
-    }
-    // Byte shifts instead of a buffer + copy_from_slice: a
-    // dynamic-length memcpy call costs more than the whole lookup.
-    let mut packed = (bytes.len() as u64) << 56;
-    for (i, &b) in bytes.iter().enumerate() {
-        packed |= u64::from(b) << (8 * i);
-    }
-    Some(packed)
+    ids: HashMap<String, ModuleId>,
 }
 
 impl ModuleTable {
@@ -108,41 +32,9 @@ impl ModuleTable {
         ModuleTable::default()
     }
 
-    /// Intern every task's module, in task order, returning one id per
-    /// task. Ids are dense: `0..self.len()`.
-    pub fn from_workload(workload: &Workload) -> (Self, Vec<ModuleId>) {
-        let mut table = ModuleTable::new();
-        let ids = workload
-            .tasks
-            .iter()
-            .map(|t| table.intern(&t.module))
-            .collect();
-        (table, ids)
-    }
-
-    /// Drop all interned names, keeping allocated capacity for reuse.
-    pub fn clear(&mut self) {
-        self.names.clear();
-        self.short_list.clear();
-        self.short_spill.clear();
-        self.ids.clear();
-    }
-
-    /// Id of `name`, interning it if unseen.
+    /// Id of `name`, interning it if unseen. Ids are dense:
+    /// `0..self.len()`, in first-interned order.
     pub fn intern(&mut self, name: &str) -> ModuleId {
-        if let Some(key) = inline_key(name) {
-            if let Some(id) = self.find_short(key) {
-                return id;
-            }
-            let id = ModuleId(self.names.len() as u32);
-            self.names.push(name.to_string());
-            if self.short_list.len() < SHORT_LIST_MAX {
-                self.short_list.push((key, id));
-            } else {
-                self.short_spill.insert(key, id);
-            }
-            return id;
-        }
         if let Some(&id) = self.ids.get(name) {
             return id;
         }
@@ -152,26 +44,9 @@ impl ModuleTable {
         id
     }
 
-    #[inline]
-    fn find_short(&self, key: u64) -> Option<ModuleId> {
-        for &(k, id) in &self.short_list {
-            if k == key {
-                return Some(id);
-            }
-        }
-        if self.short_spill.is_empty() {
-            None
-        } else {
-            self.short_spill.get(&key).copied()
-        }
-    }
-
     /// Id of `name` if already interned.
     pub fn get(&self, name: &str) -> Option<ModuleId> {
-        match inline_key(name) {
-            Some(key) => self.find_short(key),
-            None => self.ids.get(name).copied(),
-        }
+        self.ids.get(name).copied()
     }
 
     /// Name behind `id`.
@@ -193,19 +68,6 @@ impl ModuleTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::HwTask;
-    use fabric::Resources;
-
-    fn task(id: u32, module: &str) -> HwTask {
-        HwTask {
-            id,
-            module: module.into(),
-            needs: Resources::new(1, 0, 0),
-            arrival_ns: u64::from(id),
-            exec_ns: 1,
-            deadline_ns: None,
-        }
-    }
 
     #[test]
     fn interning_is_dense_and_stable() {
@@ -222,11 +84,10 @@ mod tests {
         assert!(!t.is_empty());
     }
 
-    /// The inline-key fast path must distinguish every name the slow
-    /// path would: length-7 boundary, NUL-padded prefixes, and long
-    /// names sharing a 7-byte prefix.
+    /// Names that share a prefix or differ only in trailing NULs are
+    /// distinct modules.
     #[test]
-    fn short_and_long_names_never_alias() {
+    fn similar_names_never_alias() {
         let mut t = ModuleTable::new();
         let names = ["a", "a\0", "a\0\0", "abcdefg", "abcdefgh", "abcdefgz", ""];
         let ids: Vec<ModuleId> = names.iter().map(|n| t.intern(n)).collect();
@@ -236,31 +97,5 @@ mod tests {
             assert_eq!(t.get(n), Some(id));
             assert_eq!(t.name(id), *n);
         }
-    }
-
-    /// More distinct short names than the scan list holds: the spill map
-    /// must keep every id stable and distinct.
-    #[test]
-    fn short_name_spill_stays_consistent() {
-        let mut t = ModuleTable::new();
-        let names: Vec<String> = (0..100).map(|i| format!("m{i}")).collect();
-        let ids: Vec<ModuleId> = names.iter().map(|n| t.intern(n)).collect();
-        assert_eq!(t.len(), 100);
-        for (n, &id) in names.iter().zip(&ids) {
-            assert_eq!(t.intern(n), id);
-            assert_eq!(t.get(n), Some(id));
-            assert_eq!(t.name(id), *n);
-        }
-    }
-
-    #[test]
-    fn from_workload_maps_every_task() {
-        let wl = Workload::new(vec![task(0, "x"), task(1, "y"), task(2, "x")]);
-        let (table, ids) = ModuleTable::from_workload(&wl);
-        assert_eq!(table.len(), 2);
-        assert_eq!(ids.len(), 3);
-        assert_eq!(ids[0], ids[2]);
-        assert_ne!(ids[0], ids[1]);
-        assert_eq!(table.name(ids[1]), "y");
     }
 }

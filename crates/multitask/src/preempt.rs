@@ -10,28 +10,11 @@
 //! and is costed from the PRR organization via `prcost` Eq. 18 and
 //! `bitstream::context_cost`.
 
-use crate::intern::{ModuleId, ModuleTable};
+use crate::intern::ModuleId;
 use crate::system::PrSystem;
+use crate::task::{HwTask, Workload};
 use bitstream::readback::context_cost;
-use fabric::Resources;
-use serde::{Deserialize, Serialize};
-
-/// A prioritized hardware task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PreemptiveTask {
-    /// Task id.
-    pub id: u32,
-    /// Module name (bitstream identity).
-    pub module: String,
-    /// Resources needed inside the PRR.
-    pub needs: Resources,
-    /// Arrival time (ns).
-    pub arrival_ns: u64,
-    /// Total execution time (ns).
-    pub exec_ns: u64,
-    /// Priority; higher preempts lower.
-    pub priority: u8,
-}
+use serde::Serialize;
 
 /// Outcome metrics of a preemptive simulation.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -57,7 +40,7 @@ pub struct PreemptReport {
 
 #[derive(Debug, Clone)]
 struct Pending {
-    task: PreemptiveTask,
+    task: HwTask,
     remaining_ns: u64,
     /// True if the task ran before and must restore its context.
     saved: bool,
@@ -73,40 +56,35 @@ struct Running {
     priority: u8,
 }
 
-/// Simulate `tasks` on `system` under preemptive priority scheduling.
+/// Simulate `workload` on `system` under preemptive priority scheduling
+/// (each task's [`HwTask::priority`]; higher preempts lower).
 ///
 /// Configuration-plane costs: a dispatch onto a PRR holding a different
 /// module pays the PRR's bitstream write; resuming a preempted task
 /// additionally pays its context restore; preempting pays the victim's
-/// context save. All serialize on the ICAP.
-pub fn simulate_preemptive(system: &PrSystem, tasks: &[PreemptiveTask]) -> PreemptReport {
+/// context save. All serialize on the ICAP. Clock and report sums
+/// saturate at `u64::MAX`.
+pub fn simulate_preemptive(system: &PrSystem, workload: &Workload) -> PreemptReport {
     let n_slots = system.prrs.len();
     let mut slot_free_at = vec![0u64; n_slots];
     let mut slot_running: Vec<Option<Running>> = vec![None; n_slots];
     let mut slot_module: Vec<Option<ModuleId>> = vec![None; n_slots];
     let mut icap_free_at = 0u64;
 
-    let mut pending: Vec<Pending> = tasks
+    let mut pending: Vec<Pending> = workload
+        .tasks
         .iter()
-        .cloned()
-        .map(|task| Pending {
+        .map(|&task| Pending {
             remaining_ns: task.exec_ns,
             task,
             saved: false,
             responded: false,
         })
         .collect();
-    pending.sort_by_key(|p| (p.task.arrival_ns, p.task.id));
 
-    // Hot-path precomputation (mirrors `sim`): intern module names once so
-    // reconfiguration checks are integer compares, and freeze each task's
+    // Hot-path precomputation (mirrors `sim`): freeze each task's
     // per-slot fits bitmask so dispatch never rescans `fits` per slot.
-    let mut modules = ModuleTable::new();
-    let module_ids: Vec<ModuleId> = pending
-        .iter()
-        .map(|p| modules.intern(&p.task.module))
-        .collect();
-    let avail: Vec<Resources> = system.prrs.iter().map(|p| p.available()).collect();
+    let avail: Vec<_> = system.prrs.iter().map(|p| p.available()).collect();
     let words_per_task = n_slots.div_ceil(64).max(1);
     let mut fits_bits = vec![0u64; pending.len() * words_per_task];
     for (ti, p) in pending.iter().enumerate() {
@@ -204,29 +182,29 @@ pub fn simulate_preemptive(system: &PrSystem, tasks: &[PreemptiveTask]) -> Preem
                 pending[vi].remaining_ns = pending[vi].remaining_ns.saturating_sub(ran);
                 pending[vi].saved = true;
                 waiting.push(vi);
-                t += save_ns;
+                t = t.saturating_add(save_ns);
                 report.preemptions += 1;
                 report.context_transfers += 1;
-                report.context_switch_ns += save_ns;
-                report.icap_busy_ns += save_ns;
+                report.context_switch_ns = report.context_switch_ns.saturating_add(save_ns);
+                report.icap_busy_ns = report.icap_busy_ns.saturating_add(save_ns);
             }
 
             // Bitstream write if the module differs, restore if resuming.
-            let needs_write = slot_module[s] != Some(module_ids[pi]);
-            if needs_write {
+            let module = pending[pi].task.module;
+            if slot_module[s] != Some(module) {
                 let w = system.reconfig_ns(&system.prrs[s]);
-                t += w;
+                t = t.saturating_add(w);
                 report.reconfigurations += 1;
-                report.icap_busy_ns += w;
-                slot_module[s] = Some(module_ids[pi]);
+                report.icap_busy_ns = report.icap_busy_ns.saturating_add(w);
+                slot_module[s] = Some(module);
             }
             if pending[pi].saved {
                 let ctx = context_cost(&system.prrs[s].organization);
                 let r = ctx.restore_time(&system.icap).as_nanos() as u64;
-                t += r;
+                t = t.saturating_add(r);
                 report.context_transfers += 1;
-                report.context_switch_ns += r;
-                report.icap_busy_ns += r;
+                report.context_switch_ns = report.context_switch_ns.saturating_add(r);
+                report.icap_busy_ns = report.icap_busy_ns.saturating_add(r);
             }
             icap_free_at = t;
 
@@ -236,7 +214,7 @@ pub fn simulate_preemptive(system: &PrSystem, tasks: &[PreemptiveTask]) -> Preem
                     urgent_responses.push(t - pending[pi].task.arrival_ns);
                 }
             }
-            let done = t + pending[pi].remaining_ns;
+            let done = t.saturating_add(pending[pi].remaining_ns);
             slot_running[s] = Some(Running {
                 pending_idx: pi,
                 exec_start: t,
@@ -252,28 +230,36 @@ pub fn simulate_preemptive(system: &PrSystem, tasks: &[PreemptiveTask]) -> Preem
             );
         }
 
-        // Advance the clock.
-        let mut next = u64::MAX;
+        // Advance the clock to the earliest pending event. `None`, not a
+        // `u64::MAX` sentinel: a saturated run still ends at `u64::MAX`.
+        let mut next: Option<u64> = None;
+        let mut wake = |at: u64| next = Some(next.map_or(at, |n| n.min(at)));
         if next_arrival < pending.len() {
-            next = next.min(pending[next_arrival].task.arrival_ns);
+            wake(pending[next_arrival].task.arrival_ns);
         }
         for run in slot_running.iter().flatten() {
             if run.done_at > now {
-                next = next.min(run.done_at);
+                wake(run.done_at);
             }
         }
         if !waiting.is_empty() && icap_free_at > now {
-            next = next.min(icap_free_at);
+            wake(icap_free_at);
         }
-        if next == u64::MAX {
-            break;
-        }
+        let Some(next) = next else { break };
         now = next;
+    }
+    // A run still live when no event is left ends at the current instant
+    // (a clock saturated at `u64::MAX`, or no work left).
+    for run in slot_running.iter().flatten() {
+        report.completed += 1;
+        report.makespan_ns = report.makespan_ns.max(run.done_at);
     }
 
     if !urgent_responses.is_empty() {
-        report.urgent_mean_response_ns =
-            urgent_responses.iter().sum::<u64>() / urgent_responses.len() as u64;
+        let total = urgent_responses
+            .iter()
+            .fold(0u64, |sum, &r| sum.saturating_add(r));
+        report.urgent_mean_response_ns = total / urgent_responses.len() as u64;
     }
     report
 }
@@ -281,9 +267,9 @@ pub fn simulate_preemptive(system: &PrSystem, tasks: &[PreemptiveTask]) -> Preem
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::PrSystem;
+    use crate::intern::ModuleTable;
     use bitstream::IcapModel;
-    use fabric::{database::xc5vlx110t, Family};
+    use fabric::{database::xc5vlx110t, Family, Resources};
     use prcost::PrrOrganization;
 
     fn system(prrs: u32) -> PrSystem {
@@ -297,24 +283,30 @@ mod tests {
         PrSystem::homogeneous(&xc5vlx110t(), org, prrs, IcapModel::V5_DMA).unwrap()
     }
 
-    fn task(id: u32, module: &str, arrival: u64, exec: u64, priority: u8) -> PreemptiveTask {
-        PreemptiveTask {
-            id,
-            module: module.into(),
-            needs: Resources::new(40, 0, 0),
-            arrival_ns: arrival,
-            exec_ns: exec,
-            priority,
-        }
+    /// A workload of `(module, arrival, exec, priority)` tasks, ids in
+    /// list order.
+    fn workload(tasks: &[(&str, u64, u64, u8)]) -> Workload {
+        let mut modules = ModuleTable::new();
+        let tasks = tasks
+            .iter()
+            .zip(0..)
+            .map(|(&(module, arrival_ns, exec_ns, priority), id)| HwTask {
+                id,
+                module: modules.intern(module),
+                priority,
+                needs: Resources::new(40, 0, 0),
+                arrival_ns,
+                exec_ns,
+                deadline_ns: None,
+            })
+            .collect();
+        Workload::new(tasks, modules)
     }
 
     #[test]
     fn no_preemption_without_priority_inversion() {
         let sys = system(1);
-        let r = simulate_preemptive(
-            &sys,
-            &[task(0, "a", 0, 1_000, 1), task(1, "b", 10, 1_000, 1)],
-        );
+        let r = simulate_preemptive(&sys, &workload(&[("a", 0, 1_000, 1), ("b", 10, 1_000, 1)]));
         assert_eq!(r.completed, 2);
         assert_eq!(r.preemptions, 0, "equal priority never preempts");
         assert_eq!(r.reconfigurations, 2);
@@ -326,10 +318,7 @@ mod tests {
         // Long low-priority task; urgent task arrives mid-flight.
         let r = simulate_preemptive(
             &sys,
-            &[
-                task(0, "bg", 0, 10_000_000, 0),
-                task(1, "rt", 1_000_000, 50_000, 3),
-            ],
+            &workload(&[("bg", 0, 10_000_000, 0), ("rt", 1_000_000, 50_000, 3)]),
         );
         assert_eq!(r.completed, 2);
         assert_eq!(r.preemptions, 1);
@@ -350,11 +339,11 @@ mod tests {
         let sys = system(1);
         let r = simulate_preemptive(
             &sys,
-            &[
-                task(0, "bg", 0, 5_000_000, 0),
-                task(1, "rt1", 500_000, 100_000, 2),
-                task(2, "rt2", 2_000_000, 100_000, 3),
-            ],
+            &workload(&[
+                ("bg", 0, 5_000_000, 0),
+                ("rt1", 500_000, 100_000, 2),
+                ("rt2", 2_000_000, 100_000, 3),
+            ]),
         );
         assert_eq!(r.completed, 3);
         assert!(r.preemptions >= 2);
@@ -367,10 +356,7 @@ mod tests {
         let sys = system(2);
         let r = simulate_preemptive(
             &sys,
-            &[
-                task(0, "bg", 0, 10_000_000, 0),
-                task(1, "rt", 1_000_000, 50_000, 3),
-            ],
+            &workload(&[("bg", 0, 10_000_000, 0), ("rt", 1_000_000, 50_000, 3)]),
         );
         assert_eq!(r.preemptions, 0, "free PRR available, no need to preempt");
         assert_eq!(r.completed, 2);
@@ -379,9 +365,9 @@ mod tests {
     #[test]
     fn unservable_tasks_are_dropped() {
         let sys = system(1);
-        let mut big = task(0, "huge", 0, 1_000, 3);
-        big.needs = Resources::new(100_000, 0, 0);
-        let r = simulate_preemptive(&sys, &[big, task(1, "a", 0, 1_000, 0)]);
+        let mut wl = workload(&[("huge", 0, 1_000, 3), ("a", 0, 1_000, 0)]);
+        wl.tasks[0].needs = Resources::new(100_000, 0, 0);
+        let r = simulate_preemptive(&sys, &wl);
         assert_eq!(r.completed, 1);
     }
 
@@ -398,10 +384,7 @@ mod tests {
             bram_cols: 0,
         };
         let big_sys = PrSystem::homogeneous(&xc5vlx110t(), big_org, 1, IcapModel::V5_DMA).unwrap();
-        let tasks = [
-            task(0, "bg", 0, 10_000_000, 0),
-            task(1, "rt", 1_000_000, 50_000, 3),
-        ];
+        let tasks = workload(&[("bg", 0, 10_000_000, 0), ("rt", 1_000_000, 50_000, 3)]);
         let small = simulate_preemptive(&small_sys, &tasks);
         let big = simulate_preemptive(&big_sys, &tasks);
         assert!(big.context_switch_ns > small.context_switch_ns);

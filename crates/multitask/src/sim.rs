@@ -19,9 +19,10 @@
 //!
 //! The evaluation loop is allocation-free after setup:
 //!
-//! * Module names are interned to [`ModuleId`]s once per simulation, so
-//!   reuse checks are integer compares and per-slot state snapshots are
-//!   `Copy` (`PrrState`), not `Option<String>` clones.
+//! * Tasks carry their module as an interned [`ModuleId`] (resolved once,
+//!   where the workload was built), so reuse checks are integer compares
+//!   and per-slot state snapshots are `Copy` (`PrrState`), not
+//!   `Option<String>` clones.
 //! * Each task's "which PRRs fit me" set is computed once, at admission,
 //!   into a bitmask carried in its queue entry, so dispatch feasibility
 //!   is a mask-and-free test and the unservable-task check (`fits_ever`)
@@ -34,11 +35,15 @@
 //!   scratch per worker and records per-scenario wall time into the
 //!   `prcost::metrics` stage histograms.
 //!
+//! Every simulator here saturates its clock and report sums at
+//! `u64::MAX`, so a hostile execution time reads as an unbounded
+//! makespan instead of wrapping to a small one.
+//!
 //! The seed implementation is frozen in [`reference`] as the equivalence
 //! oracle: property tests assert the heap simulator produces an identical
 //! [`SimReport`] for random workloads, systems and schedulers.
 
-use crate::intern::{ModuleId, ModuleTable};
+use crate::intern::ModuleId;
 use crate::sched::{PrrState, SchedContext, Scheduler};
 use crate::system::PrSystem;
 use crate::task::Workload;
@@ -119,6 +124,16 @@ impl SimReport {
             f64::from(self.reuse_hits) / f64::from(total)
         }
     }
+
+    /// Count one completed task that arrived at `arrival`, started
+    /// executing at `start` and finished at `done` (sums saturate).
+    fn add_task(&mut self, start: u64, done: u64, arrival: u64, exec_ns: u64) {
+        self.total_wait_ns = self.total_wait_ns.saturating_add(start - arrival);
+        self.total_exec_ns = self.total_exec_ns.saturating_add(exec_ns);
+        self.total_response_ns = self.total_response_ns.saturating_add(done - arrival);
+        self.completed += 1;
+        self.makespan_ns = self.makespan_ns.max(done);
+    }
 }
 
 /// Per-PRR runtime bookkeeping (interned module identity).
@@ -158,9 +173,6 @@ struct QueueEntry {
 /// capacity. `Default`-construct once and pass to every call.
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
-    modules: ModuleTable,
-    /// Fallback intern buffer for workloads without a pre-interned cache.
-    module_ids: Vec<ModuleId>,
     /// Hoisted per-slot available resources.
     avail: Vec<fabric::Resources>,
     /// Hoisted per-slot reconfiguration time (ns): the float ICAP
@@ -180,21 +192,9 @@ impl SimScratch {
         SimScratch::default()
     }
 
-    /// Reset and precompute per-run state: module ids (interned here only
-    /// when the workload lacks its construction-time cache), hoisted
-    /// per-slot availability and reconfiguration times.
-    fn prepare(&mut self, system: &PrSystem, workload: &Workload) {
-        self.modules.clear();
-        self.module_ids.clear();
-        if workload.module_ids().len() != workload.tasks.len() {
-            self.module_ids.extend(
-                workload
-                    .tasks
-                    .iter()
-                    .map(|t| self.modules.intern(&t.module)),
-            );
-        }
-
+    /// Reset and precompute per-run state: hoisted per-slot availability
+    /// and reconfiguration times.
+    fn prepare(&mut self, system: &PrSystem) {
         let n_slots = system.prrs.len();
         self.avail.clear();
         self.avail.extend(system.prrs.iter().map(|p| p.available()));
@@ -267,13 +267,11 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
     scheduler: &S,
     scratch: &mut SimScratch,
 ) -> SimReport {
-    scratch.prepare(system, workload);
+    scratch.prepare(system);
     let tasks = &workload.tasks;
-    // Split the scratch into disjoint field borrows so the pre-interned
-    // id slice can come straight from the workload (no copy) while the
-    // queue/heap fields stay mutable.
+    // Disjoint field borrows: the queue/heap fields stay mutable while
+    // the hoisted per-slot data is read.
     let SimScratch {
-        module_ids: ids_buf,
         avail,
         reconfig_ns,
         rt,
@@ -281,13 +279,7 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
         candidates,
         queue,
         events,
-        ..
     } = scratch;
-    let module_ids: &[ModuleId] = if workload.module_ids().len() == tasks.len() {
-        workload.module_ids()
-    } else {
-        ids_buf
-    };
     let mut icap_free_at = 0u64;
     let mut next_arrival = 0usize;
     // Free-slot bitmask over the first 64 slots, kept in sync with the
@@ -336,7 +328,7 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
                 || avail.len() > 64 && avail[64..].iter().any(|av| av.covers(&task.needs));
             if servable {
                 queue.push_back(QueueEntry {
-                    module: module_ids[next_arrival],
+                    module: task.module,
                     fits: mask,
                     needs: task.needs,
                     arrival_ns: task.arrival_ns,
@@ -397,9 +389,9 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
             } else {
                 let reconfig = reconfig_ns[chosen];
                 let start = now.max(icap_free_at);
-                icap_free_at = start + reconfig;
+                icap_free_at = start.saturating_add(reconfig);
                 report.reconfigurations += 1;
-                report.icap_busy_ns += reconfig;
+                report.icap_busy_ns = report.icap_busy_ns.saturating_add(reconfig);
                 rt[chosen].loaded = Some(module);
                 states[chosen].loaded_module = Some(module);
                 // Note: no event for `icap_free_at`. An ICAP free can
@@ -409,7 +401,7 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
                 // then — as the seed does — is a provable no-op.
                 icap_free_at
             };
-            let done = exec_start + entry.exec_ns;
+            let done = exec_start.saturating_add(entry.exec_ns);
             rt[chosen].free_at = done;
             if done > now {
                 if chosen < 64 {
@@ -420,12 +412,8 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
             }
             // done == now (zero-length execution on a reuse hit): the
             // slot is immediately free again — keep its bit, no event.
-            report.total_wait_ns += exec_start - entry.arrival_ns;
-            report.total_exec_ns += entry.exec_ns;
-            report.total_response_ns += done - entry.arrival_ns;
+            report.add_task(exec_start, done, entry.arrival_ns, entry.exec_ns);
             report.deadline_misses += u32::from(done > entry.deadline_ns);
-            report.completed += 1;
-            report.makespan_ns = report.makespan_ns.max(done);
         }
 
         // Advance the clock. While the FIFO is backed up, arrivals can
@@ -518,24 +506,21 @@ pub fn simulate_full_reconfig(
         total_response_ns: 0,
     };
     let mut now = 0u64;
-    let mut loaded: Option<&str> = None;
+    let mut loaded: Option<ModuleId> = None;
     for task in &workload.tasks {
         now = now.max(task.arrival_ns);
-        if loaded != Some(task.module.as_str()) {
-            now += reconfig;
+        if loaded != Some(task.module) {
+            now = now.saturating_add(reconfig);
             report.reconfigurations += 1;
-            report.icap_busy_ns += reconfig;
-            loaded = Some(task.module.as_str());
+            report.icap_busy_ns = report.icap_busy_ns.saturating_add(reconfig);
+            loaded = Some(task.module);
         } else {
             report.reuse_hits += 1;
         }
-        report.total_wait_ns += now - task.arrival_ns;
-        now += task.exec_ns;
-        report.total_exec_ns += task.exec_ns;
-        report.total_response_ns += now - task.arrival_ns;
+        let start = now;
+        now = now.saturating_add(task.exec_ns);
+        report.add_task(start, now, task.arrival_ns, task.exec_ns);
         report.deadline_misses += u32::from(task.deadline_ns.is_some_and(|d| now > d));
-        report.completed += 1;
-        report.makespan_ns = report.makespan_ns.max(now);
     }
     report
 }
@@ -547,10 +532,10 @@ pub fn simulate_full_reconfig(
 /// Returns `None` when the combined resources exceed the device.
 pub fn simulate_static(device: &fabric::Device, workload: &Workload) -> Option<SimReport> {
     // Capacity check: sum of per-module needs against the whole device.
-    let mut modules: Vec<(&str, fabric::Resources)> = Vec::new();
+    let mut modules: Vec<(ModuleId, fabric::Resources)> = Vec::new();
     for t in &workload.tasks {
-        if !modules.iter().any(|(m, _)| *m == t.module.as_str()) {
-            modules.push((t.module.as_str(), t.needs));
+        if !modules.iter().any(|&(m, _)| m == t.module) {
+            modules.push((t.module, t.needs));
         }
     }
     let total: fabric::Resources = modules.iter().map(|(_, r)| *r).sum();
@@ -570,40 +555,36 @@ pub fn simulate_static(device: &fabric::Device, workload: &Workload) -> Option<S
         deadline_misses: 0,
         total_response_ns: 0,
     };
-    let mut free_at: Vec<(&str, u64)> = modules.iter().map(|(m, _)| (*m, 0u64)).collect();
+    let mut free_at: Vec<(ModuleId, u64)> = modules.iter().map(|&(m, _)| (m, 0u64)).collect();
     for task in &workload.tasks {
         let slot = free_at
             .iter_mut()
-            .find(|(m, _)| *m == task.module.as_str())
+            .find(|(m, _)| *m == task.module)
             .expect("module registered above");
         let start = task.arrival_ns.max(slot.1);
-        let done = start + task.exec_ns;
+        let done = start.saturating_add(task.exec_ns);
         slot.1 = done;
-        report.total_wait_ns += start - task.arrival_ns;
-        report.total_exec_ns += task.exec_ns;
-        report.total_response_ns += done - task.arrival_ns;
+        report.add_task(start, done, task.arrival_ns, task.exec_ns);
         report.deadline_misses += u32::from(task.deadline_ns.is_some_and(|d| done > d));
-        report.completed += 1;
-        report.makespan_ns = report.makespan_ns.max(done);
     }
     Some(report)
 }
 
 pub mod reference {
-    //! The seed simulator, frozen verbatim as the equivalence oracle and
+    //! The seed simulator, frozen as the equivalence oracle and
     //! benchmark baseline.
     //!
-    //! This is the exact pre-optimization implementation: per-dispatch
-    //! `Vec` allocations for candidates and states, `Option<String>`
-    //! module identity with per-slot clones, an O(slots) `fits_ever`
-    //! rescan every time a task reaches the queue head, and an O(slots)
-    //! clock-advance scan per step. Scheduling policies are inlined (the
-    //! live [`Scheduler`](crate::Scheduler) trait now takes interned
-    //! ids), replicating the seed's first-fit / best-fit / reuse-aware
+    //! This is the pre-optimization implementation: per-dispatch `Vec`
+    //! allocations for candidates and states, per-slot snapshots of the
+    //! loaded module (compared by id, as tasks carry it), an O(slots)
+    //! `fits_ever` rescan every time a task reaches the queue head, and
+    //! an O(slots) clock-advance scan per step. Scheduling policies are
+    //! inlined, replicating the seed's first-fit / best-fit / reuse-aware
     //! behaviour byte for byte so [`super::simulate`] can be
     //! property-tested report-identical against it.
 
     use super::SimReport;
+    use crate::intern::ModuleId;
     use crate::system::{PrSystem, PrrSlot};
     use crate::task::{HwTask, Workload};
     use std::collections::VecDeque;
@@ -640,7 +621,7 @@ pub mod reference {
             task: &HwTask,
             candidates: &[usize],
             slots: &[PrrSlot],
-            states: &[(bool, Option<String>)],
+            states: &[(bool, Option<ModuleId>)],
         ) -> usize {
             match self {
                 SeedPolicy::FirstFit => candidates[0],
@@ -651,7 +632,7 @@ pub mod reference {
                 SeedPolicy::ReuseAware => {
                     if let Some(&hit) = candidates
                         .iter()
-                        .find(|&&i| states[i].1.as_deref() == Some(task.module.as_str()))
+                        .find(|&&i| states[i].1 == Some(task.module))
                     {
                         return hit;
                     }
@@ -663,7 +644,7 @@ pub mod reference {
 
     struct SlotRt {
         free_at: u64,
-        loaded: Option<String>,
+        loaded: Option<ModuleId>,
     }
 
     /// The seed `simulate`, unchanged except that policies are inlined.
@@ -716,15 +697,13 @@ pub mod reference {
                         continue;
                     }
                     if !candidates.is_empty() {
-                        let states: Vec<(bool, Option<String>)> = rt
-                            .iter()
-                            .map(|s| (s.free_at > now, s.loaded.clone()))
-                            .collect();
+                        let states: Vec<(bool, Option<ModuleId>)> =
+                            rt.iter().map(|s| (s.free_at > now, s.loaded)).collect();
                         let chosen = policy.choose(task, &candidates, &system.prrs, &states);
                         debug_assert!(candidates.contains(&chosen));
                         queue.pop_front();
 
-                        let reuse = rt[chosen].loaded.as_deref() == Some(task.module.as_str());
+                        let reuse = rt[chosen].loaded == Some(task.module);
                         let exec_start = if reuse {
                             report.reuse_hits += 1;
                             now
@@ -734,7 +713,7 @@ pub mod reference {
                             icap_free_at = start + reconfig;
                             report.reconfigurations += 1;
                             report.icap_busy_ns += reconfig;
-                            rt[chosen].loaded = Some(task.module.clone());
+                            rt[chosen].loaded = Some(task.module);
                             icap_free_at
                         };
                         let done = exec_start + task.exec_ns;
@@ -782,6 +761,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intern::ModuleTable;
     use crate::sched::{BestFit, FirstFit, ReuseAware};
     use crate::system::PrSystem;
     use crate::task::HwTask;
@@ -827,10 +807,15 @@ mod tests {
         .unwrap()
     }
 
+    /// The modules the hand-built tests name, interned in this order.
+    const NAMES: [&str; 5] = ["a", "b", "c", "d", "huge"];
+
     fn task(id: u32, module: &str, arrival: u64, exec: u64) -> HwTask {
+        let module = NAMES.iter().position(|&n| n == module).unwrap();
         HwTask {
             id,
-            module: module.into(),
+            module: ModuleId(module as u32),
+            priority: 0,
             needs: Resources::new(40, 0, 0),
             arrival_ns: arrival,
             exec_ns: exec,
@@ -838,10 +823,18 @@ mod tests {
         }
     }
 
+    fn workload(tasks: Vec<HwTask>) -> Workload {
+        let mut modules = ModuleTable::new();
+        for name in NAMES {
+            modules.intern(name);
+        }
+        Workload::new(tasks, modules)
+    }
+
     #[test]
     fn single_task_timeline() {
         let sys = simple_system(1);
-        let w = Workload::new(vec![task(0, "a", 0, 1000)]);
+        let w = workload(vec![task(0, "a", 0, 1000)]);
         let r = simulate(&sys, &w, &FirstFit);
         let reconfig = sys.reconfig_ns(&sys.prrs[0]);
         assert_eq!(r.completed, 1);
@@ -853,7 +846,7 @@ mod tests {
     #[test]
     fn reuse_skips_reconfiguration() {
         let sys = simple_system(1);
-        let w = Workload::new(vec![task(0, "a", 0, 100), task(1, "a", 0, 100)]);
+        let w = workload(vec![task(0, "a", 0, 100), task(1, "a", 0, 100)]);
         let r = simulate(&sys, &w, &ReuseAware);
         assert_eq!(r.completed, 2);
         assert_eq!(r.reconfigurations, 1);
@@ -864,7 +857,7 @@ mod tests {
     #[test]
     fn different_modules_force_reconfiguration() {
         let sys = simple_system(1);
-        let w = Workload::new(vec![task(0, "a", 0, 100), task(1, "b", 0, 100)]);
+        let w = workload(vec![task(0, "a", 0, 100), task(1, "b", 0, 100)]);
         let r = simulate(&sys, &w, &ReuseAware);
         assert_eq!(r.reconfigurations, 2);
         assert_eq!(r.reuse_hits, 0);
@@ -875,7 +868,7 @@ mod tests {
         let sys = simple_system(2);
         // Two tasks, two PRRs: both need reconfig; the second must wait for
         // the ICAP even though its PRR is free.
-        let w = Workload::new(vec![task(0, "a", 0, 10), task(1, "b", 0, 10)]);
+        let w = workload(vec![task(0, "a", 0, 10), task(1, "b", 0, 10)]);
         let r = simulate(&sys, &w, &FirstFit);
         let reconfig = sys.reconfig_ns(&sys.prrs[0]);
         assert_eq!(r.reconfigurations, 2);
@@ -888,7 +881,7 @@ mod tests {
         let sys = simple_system(1);
         let mut t = task(0, "huge", 0, 10);
         t.needs = Resources::new(10_000, 0, 0);
-        let w = Workload::new(vec![t, task(1, "a", 0, 10)]);
+        let w = workload(vec![t, task(1, "a", 0, 10)]);
         let r = simulate(&sys, &w, &FirstFit);
         assert_eq!(r.completed, 1);
     }
@@ -913,7 +906,7 @@ mod tests {
             }
             tasks.push(t);
         }
-        let w = Workload::new(tasks);
+        let w = workload(tasks);
         let servable = w
             .tasks
             .iter()
@@ -1098,7 +1091,7 @@ mod tests {
     #[test]
     fn full_reconfig_pays_per_module_switch() {
         let device = xc5vlx110t();
-        let w = Workload::new(vec![
+        let w = workload(vec![
             task(0, "a", 0, 100),
             task(1, "a", 0, 100),
             task(2, "b", 0, 100),
@@ -1115,7 +1108,7 @@ mod tests {
     #[test]
     fn static_system_has_zero_reconfig_but_serializes_per_module() {
         let device = xc5vlx110t();
-        let w = Workload::new(vec![
+        let w = workload(vec![
             task(0, "a", 0, 100),
             task(1, "a", 0, 100),
             task(2, "b", 0, 100),
@@ -1131,17 +1124,19 @@ mod tests {
     fn static_system_rejects_oversubscribed_module_sets() {
         let device = xc5vlx110t();
         // 200 distinct modules of 100 CLBs each = 20,000 CLBs > 8640.
+        let mut modules = ModuleTable::new();
         let tasks: Vec<HwTask> = (0..200)
             .map(|i| HwTask {
                 id: i,
-                module: format!("m{i}"),
+                module: modules.intern(&format!("m{i}")),
+                priority: 0,
                 needs: Resources::new(100, 0, 0),
                 arrival_ns: 0,
                 exec_ns: 10,
                 deadline_ns: None,
             })
             .collect();
-        assert!(simulate_static(&device, &Workload::new(tasks)).is_none());
+        assert!(simulate_static(&device, &Workload::new(tasks, modules)).is_none());
     }
 
     /// The paper's headline warning, inverted: with partial bitstreams the
@@ -1151,7 +1146,7 @@ mod tests {
     fn pr_beats_full_reconfiguration() {
         let device = xc5vlx110t();
         let sys = PrSystem::homogeneous(&device, org(1, 4), 4, IcapModel::V5_DMA).unwrap();
-        let w = Workload::new(
+        let w = workload(
             (0..40)
                 .map(|i| task(i, ["a", "b", "c", "d"][(i % 4) as usize], 0, 1_000))
                 .collect(),

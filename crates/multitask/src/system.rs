@@ -176,17 +176,18 @@ impl PrSystem {
         self.icap.transfer_time(slot.bitstream_bytes).as_nanos() as u64
     }
 
-    /// Restrict a workload to the tasks some PRR of this system can host.
-    /// Useful for comparing systems on a common servable task set.
+    /// Restrict a workload to the tasks some PRR of this system can host
+    /// (sharing its module table). Useful for comparing systems on a
+    /// common servable task set.
     pub fn filter_workload(&self, workload: &crate::task::Workload) -> crate::task::Workload {
-        crate::task::Workload::new(
+        let mut tasks = Vec::with_capacity(workload.tasks.len());
+        tasks.extend(
             workload
                 .tasks
                 .iter()
-                .filter(|t| self.prrs.iter().any(|p| p.fits(&t.needs)))
-                .cloned()
-                .collect(),
-        )
+                .filter(|t| self.prrs.iter().any(|p| p.fits(&t.needs))),
+        );
+        workload.with_tasks(tasks)
     }
 }
 

@@ -11,9 +11,11 @@
 //! ```
 //!
 //! Fields are whitespace-separated; `#` starts a comment; priority is
-//! optional (default 0).
+//! optional (default 0). The parser interns each line's module name into
+//! the returned workload's table; the writer turns ids back into names.
+//! The format has no deadline column, so parsed tasks carry none.
 
-use crate::preempt::PreemptiveTask;
+use crate::intern::ModuleTable;
 use crate::task::{HwTask, Workload};
 use core::fmt;
 use fabric::Resources;
@@ -50,16 +52,16 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// Render a workload (priorities all zero) as trace text.
-pub fn write_trace(tasks: &[PreemptiveTask]) -> String {
+/// Render a workload as trace text (one line per task, in task order).
+pub fn write_trace(workload: &Workload) -> String {
     let mut out = String::from(
         "# prfpga task trace v1\n# id module clb dsp bram arrival_ns exec_ns priority\n",
     );
-    for t in tasks {
+    for t in &workload.tasks {
         out.push_str(&format!(
             "{} {} {} {} {} {} {} {}\n",
             t.id,
-            t.module,
+            workload.modules().name(t.module),
             t.needs.clb(),
             t.needs.dsp(),
             t.needs.bram(),
@@ -71,25 +73,9 @@ pub fn write_trace(tasks: &[PreemptiveTask]) -> String {
     out
 }
 
-/// Render a non-preemptive workload as trace text.
-pub fn write_workload(workload: &Workload) -> String {
-    let tasks: Vec<PreemptiveTask> = workload
-        .tasks
-        .iter()
-        .map(|t| PreemptiveTask {
-            id: t.id,
-            module: t.module.clone(),
-            needs: t.needs,
-            arrival_ns: t.arrival_ns,
-            exec_ns: t.exec_ns,
-            priority: 0,
-        })
-        .collect();
-    write_trace(&tasks)
-}
-
-/// Parse trace text into prioritized tasks.
-pub fn parse_trace(text: &str) -> Result<Vec<PreemptiveTask>, TraceError> {
+/// Parse trace text into a workload (sorted by arrival, then id).
+pub fn parse_trace(text: &str) -> Result<Workload, TraceError> {
+    let mut modules = ModuleTable::new();
     let mut tasks = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
@@ -101,9 +87,9 @@ pub fn parse_trace(text: &str) -> Result<Vec<PreemptiveTask>, TraceError> {
         if fields.len() < 7 {
             return Err(TraceError::TooFewFields { line });
         }
-        tasks.push(PreemptiveTask {
+        tasks.push(HwTask {
             id: number(fields[0], line)?,
-            module: fields[1].to_string(),
+            module: modules.intern(fields[1]),
             needs: Resources::new(
                 number(fields[2], line)?,
                 number(fields[3], line)?,
@@ -116,9 +102,10 @@ pub fn parse_trace(text: &str) -> Result<Vec<PreemptiveTask>, TraceError> {
                 .map(|t| number(t, line))
                 .transpose()?
                 .unwrap_or(0),
+            deadline_ns: None,
         });
     }
-    Ok(tasks)
+    Ok(Workload::new(tasks, modules))
 }
 
 /// Parse `token` at the width of the field it fills, so an out-of-range
@@ -130,71 +117,68 @@ fn number<T: core::str::FromStr>(token: &str, line: usize) -> Result<T, TraceErr
     })
 }
 
-/// Parse trace text into a non-preemptive [`Workload`] (priorities are
-/// dropped).
-pub fn parse_workload(text: &str) -> Result<Workload, TraceError> {
-    let tasks = parse_trace(text)?
-        .into_iter()
-        .map(|t| HwTask {
-            id: t.id,
-            module: t.module,
-            needs: t.needs,
-            arrival_ns: t.arrival_ns,
-            exec_ns: t.exec_ns,
-            // The trace text format has no deadline column; parsed
-            // workloads are loss-system (no deadline accounting).
-            deadline_ns: None,
-        })
-        .collect();
-    Ok(Workload::new(tasks))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fabric::Family;
 
-    fn sample() -> Vec<PreemptiveTask> {
-        vec![
-            PreemptiveTask {
+    fn sample() -> Workload {
+        let mut modules = ModuleTable::new();
+        let tasks = vec![
+            HwTask {
                 id: 0,
-                module: "fir32".into(),
+                module: modules.intern("fir32"),
+                priority: 1,
                 needs: Resources::new(163, 32, 0),
                 arrival_ns: 0,
                 exec_ns: 100_000,
-                priority: 1,
+                deadline_ns: None,
             },
-            PreemptiveTask {
+            HwTask {
                 id: 1,
-                module: "sdram_ctrl".into(),
+                module: modules.intern("sdram_ctrl"),
+                priority: 0,
                 needs: Resources::new(42, 0, 0),
                 arrival_ns: 5_000,
                 exec_ns: 25_000,
-                priority: 0,
+                deadline_ns: None,
             },
-        ]
+        ];
+        Workload::new(tasks, modules)
     }
 
     #[test]
     fn round_trip() {
-        let tasks = sample();
-        let text = write_trace(&tasks);
+        let wl = sample();
+        let text = write_trace(&wl);
         let back = parse_trace(&text).unwrap();
-        assert_eq!(back, tasks);
+        assert_eq!(back, wl);
     }
 
     #[test]
     fn workload_round_trip() {
         let wl = Workload::generate(3, Family::Virtex5, 40, 5, 300, 1_000, 10_000);
-        let text = write_workload(&wl);
-        let back = parse_workload(&text).unwrap();
+        let text = write_trace(&wl);
+        let back = parse_trace(&text).unwrap();
         assert_eq!(back, wl);
+    }
+
+    /// One id per distinct name, whatever the line order; the tasks come
+    /// back sorted by arrival.
+    #[test]
+    fn names_intern_once_and_tasks_sort() {
+        let wl = parse_trace("2 b 1 0 0 30 1\n0 a 1 0 0 10 1\n1 b 1 0 0 20 1\n").unwrap();
+        let order: Vec<u32> = wl.tasks.iter().map(|t| t.id).collect();
+        assert_eq!(order, [0, 1, 2]);
+        assert_eq!(wl.modules().len(), 2);
+        assert_eq!(wl.tasks[1].module, wl.tasks[2].module);
+        assert_eq!(wl.modules().name(wl.tasks[0].module), "a");
     }
 
     #[test]
     fn comments_blank_lines_and_default_priority() {
         let text = "\n# full comment\n3 uart 5 0 0 10 20  # trailing comment\n";
-        let tasks = parse_trace(text).unwrap();
+        let tasks = parse_trace(text).unwrap().tasks;
         assert_eq!(tasks.len(), 1);
         assert_eq!(tasks[0].id, 3);
         assert_eq!(tasks[0].priority, 0);
@@ -234,7 +218,7 @@ mod tests {
                 token: "256".into()
             })
         );
-        let max = parse_trace("4294967295 m 1 0 0 0 10 255\n").unwrap();
+        let max = parse_trace("4294967295 m 1 0 0 0 10 255\n").unwrap().tasks;
         assert_eq!((max[0].id, max[0].priority), (u32::MAX, u8::MAX));
     }
 }

@@ -6,7 +6,7 @@ use fabric::{device_by_name, Family, Resources};
 use multitask::sim::reference::{simulate_seed, SeedPolicy};
 use multitask::{
     simulate, simulate_batch, simulate_full_reconfig, simulate_preemptive, simulate_static,
-    simulate_with_scratch, BestFit, FirstFit, HwTask, PrSystem, PreemptiveTask, ReuseAware,
+    simulate_with_scratch, BestFit, FirstFit, HwTask, ModuleId, ModuleTable, PrSystem, ReuseAware,
     Scenario, Scheduler, SimScratch, Workload,
 };
 use prcost::PrrOrganization;
@@ -41,7 +41,8 @@ fn arb_tasks() -> impl Strategy<Value = Vec<HwTask>> {
             .enumerate()
             .map(|(i, (arrival, exec, clb, dsp, bram, module))| HwTask {
                 id: i as u32,
-                module: format!("m{module}"),
+                module: ModuleId(u32::from(module)),
+                priority: (i % 4) as u8,
                 needs: Resources::new(clb, dsp, bram),
                 arrival_ns: arrival,
                 exec_ns: exec,
@@ -49,6 +50,15 @@ fn arb_tasks() -> impl Strategy<Value = Vec<HwTask>> {
             })
             .collect()
     })
+}
+
+/// A workload over `tasks`, whose module ids name `m0`..`m3`.
+fn workload(tasks: Vec<HwTask>) -> Workload {
+    let mut modules = ModuleTable::new();
+    for m in 0..4 {
+        modules.intern(&format!("m{m}"));
+    }
+    Workload::new(tasks, modules)
 }
 
 proptest! {
@@ -59,7 +69,7 @@ proptest! {
     #[test]
     fn conservation_laws(tasks in arb_tasks(), prrs in 1u32..5) {
         let sys = system(prrs, 1);
-        let wl = Workload::new(tasks);
+        let wl = workload(tasks);
         let servable: Vec<&HwTask> = wl
             .tasks
             .iter()
@@ -88,7 +98,7 @@ proptest! {
     #[test]
     fn heap_simulator_equals_seed(tasks in arb_tasks(), prrs in 1u32..5, h in 1u32..3) {
         let sys = system(prrs, h);
-        let wl = Workload::new(tasks);
+        let wl = workload(tasks);
         let pairs: [(&dyn Scheduler, SeedPolicy); 3] = [
             (&FirstFit, SeedPolicy::FirstFit),
             (&BestFit, SeedPolicy::BestFit),
@@ -111,7 +121,7 @@ proptest! {
     fn batch_equals_sequential(tasks in arb_tasks(), prrs_a in 1u32..4, prrs_b in 1u32..4) {
         let sys_a = system(prrs_a, 1);
         let sys_b = system(prrs_b, 2);
-        let wl = Workload::new(tasks);
+        let wl = workload(tasks);
         let scheds: [&dyn Scheduler; 3] = [&FirstFit, &BestFit, &ReuseAware];
         let wl_ref = &wl;
         let scenarios: Vec<Scenario> = [&sys_a, &sys_b]
@@ -137,7 +147,7 @@ proptest! {
     #[test]
     fn full_reconfig_baseline_invariants(tasks in arb_tasks()) {
         let device = device_by_name("xc5vsx95t").unwrap();
-        let wl = Workload::new(tasks);
+        let wl = workload(tasks);
         let r = simulate_full_reconfig(&device, &wl, &IcapModel::V5_DMA);
         prop_assert_eq!(r.completed as usize, wl.tasks.len());
         prop_assert_eq!(r.reconfigurations + r.reuse_hits, r.completed);
@@ -152,13 +162,13 @@ proptest! {
     #[test]
     fn static_baseline_invariants(tasks in arb_tasks()) {
         let device = device_by_name("xc5vsx95t").unwrap();
-        let wl = Workload::new(tasks);
+        let wl = workload(tasks);
         if let Some(r) = simulate_static(&device, &wl) {
             prop_assert_eq!(r.completed as usize, wl.tasks.len());
             prop_assert_eq!(r.icap_busy_ns, 0);
-            let mut per_module: std::collections::BTreeMap<&str, u64> = Default::default();
+            let mut per_module: std::collections::BTreeMap<ModuleId, u64> = Default::default();
             for t in &wl.tasks {
-                *per_module.entry(t.module.as_str()).or_default() += t.exec_ns;
+                *per_module.entry(t.module).or_default() += t.exec_ns;
             }
             let busiest = per_module.values().copied().max().unwrap_or(0);
             prop_assert!(r.makespan_ns >= busiest);
@@ -171,22 +181,13 @@ proptest! {
     #[test]
     fn preemptive_invariants(tasks in arb_tasks(), prrs in 1u32..4) {
         let sys = system(prrs, 1);
-        let ptasks: Vec<PreemptiveTask> = tasks
-            .iter()
-            .map(|t| PreemptiveTask {
-                id: t.id,
-                module: t.module.clone(),
-                needs: t.needs,
-                arrival_ns: t.arrival_ns,
-                exec_ns: t.exec_ns,
-                priority: (t.id % 4) as u8,
-            })
-            .collect();
-        let servable = ptasks
+        let wl = workload(tasks);
+        let servable = wl
+            .tasks
             .iter()
             .filter(|t| sys.prrs.iter().any(|p| p.fits(&t.needs)))
             .count();
-        let r = simulate_preemptive(&sys, &ptasks);
+        let r = simulate_preemptive(&sys, &wl);
         prop_assert_eq!(r.completed as usize, servable);
         prop_assert_eq!(r.context_transfers, 2 * r.preemptions);
         prop_assert!(r.icap_busy_ns >= r.context_switch_ns);

@@ -9,7 +9,7 @@
 //! simulator runs unchanged.
 
 use fabric::{Family, Resources};
-use multitask::{HwTask, Workload};
+use multitask::{HwTask, ModuleTable, Workload};
 use prcost::rng::Rng;
 use synth::prm::GenericPrm;
 use synth::PrmGenerator;
@@ -156,11 +156,10 @@ impl TaskSet {
                     .synthesize(family);
                 let period_ns = (min_p as f64 * ratio.powf(rng.unit())) as u64;
                 let wcet_ns = ((u * period_ns as f64) as u64).max(1);
-                // Footprint via the same report→needs mapping as HwTask.
-                let probe = HwTask::from_report(0, &report, 0, 1);
                 PeriodicTask {
                     module: format!("rt{i:02}_{}", report.module),
-                    needs: probe.needs,
+                    // The same report→needs mapping as generated tasks.
+                    needs: HwTask::needs_of(&report),
                     period_ns,
                     wcet_ns,
                     deadline_ns: ((dl * period_ns as f64) as u64).max(wcet_ns),
@@ -184,12 +183,20 @@ impl TaskSet {
     /// relative deadline (jitter eats slack), execution time = a
     /// truncated-Weibull draw `min(wcet, weibull(shape, 0.8 × wcet))` —
     /// most jobs run below their WCET, none above. Deterministic in
-    /// `seed`; independent of the seed that built the set.
+    /// `seed`; independent of the seed that built the set. Each periodic
+    /// task's module name is interned once; its jobs copy the id.
     pub fn release_jobs(&self, seed: u64, horizon_ns: u64) -> Workload {
         let mut rng = Rng::from_seed(seed ^ 0x94d0_49bb_1331_11eb);
-        let mut jobs = Vec::new();
+        let releases: u64 = self
+            .tasks
+            .iter()
+            .map(|t| horizon_ns.div_ceil(t.period_ns.max(1)))
+            .sum();
+        let mut jobs = Vec::with_capacity(releases as usize);
+        let mut modules = ModuleTable::new();
         let mut id = 0u32;
         for task in &self.tasks {
+            let module = modules.intern(&task.module);
             let mut nominal = 0u64;
             while nominal < horizon_ns {
                 let jitter = if task.jitter_ns == 0 {
@@ -202,7 +209,8 @@ impl TaskSet {
                     .clamp(1, task.wcet_ns);
                 jobs.push(HwTask {
                     id,
-                    module: task.module.clone(),
+                    module,
+                    priority: 0,
                     needs: task.needs,
                     arrival_ns: nominal + jitter,
                     exec_ns: exec,
@@ -212,7 +220,7 @@ impl TaskSet {
                 nominal += task.period_ns;
             }
         }
-        Workload::new(jobs)
+        Workload::new(jobs, modules)
     }
 
     /// Weibull shape used for a task's execution variation. Uniform for
@@ -273,17 +281,17 @@ mod tests {
         let ts = TaskSet::uunifast(7, Family::Virtex5, &cfg);
         let w = ts.release_jobs(3, 20_000_000);
         assert!(!w.tasks.is_empty());
-        let wcet: std::collections::HashMap<&str, u64> = ts
+        let wcet: std::collections::HashMap<multitask::ModuleId, u64> = ts
             .tasks
             .iter()
-            .map(|t| (t.module.as_str(), t.wcet_ns))
+            .map(|t| (w.modules().get(&t.module).unwrap(), t.wcet_ns))
             .collect();
         for job in &w.tasks {
             // Implicit deadlines (factor 1.0) dominate the 5% jitter, so
             // every job's absolute deadline lies at or after its release.
             let d = job.deadline_ns.expect("periodic jobs carry deadlines");
             assert!(d >= job.arrival_ns);
-            assert!(job.exec_ns <= wcet[job.module.as_str()]);
+            assert!(job.exec_ns <= wcet[&job.module]);
             assert!(job.exec_ns >= 1);
         }
         // Deterministic in seed, sensitive to it.

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example preemptive_rtos`
 
 use bitstream::readback::context_cost;
-use multitask::{simulate_preemptive, PreemptiveTask};
+use multitask::{simulate_preemptive, HwTask, ModuleTable};
 use prfpga::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,32 +29,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Two long background FFT batches + sporadic urgent crypto requests.
-    let mut tasks: Vec<PreemptiveTask> = (0..6)
-        .map(|i| PreemptiveTask {
+    let mut modules = ModuleTable::new();
+    let fft = [modules.intern("fft_batch_0"), modules.intern("fft_batch_1")];
+    let aes = modules.intern("aes_urgent");
+    let mut tasks: Vec<HwTask> = (0..6)
+        .map(|i| HwTask {
             id: i,
-            module: format!("fft_batch_{}", i % 2),
+            module: fft[(i % 2) as usize],
+            priority: 0,
             needs: Resources::new(120, 6, 2),
             arrival_ns: u64::from(i) * 200_000,
             exec_ns: 3_000_000,
-            priority: 0,
+            deadline_ns: None,
         })
         .collect();
     for j in 0..5 {
-        tasks.push(PreemptiveTask {
+        tasks.push(HwTask {
             id: 100 + j,
-            module: "aes_urgent".into(),
+            module: aes,
+            priority: 3,
             needs: Resources::new(60, 0, 2),
             arrival_ns: 700_000 + u64::from(j) * 2_500_000,
             exec_ns: 90_000,
-            priority: 3,
+            deadline_ns: None,
         });
     }
+    let workload = Workload::new(tasks, modules);
 
-    let r = simulate_preemptive(&system, &tasks);
+    let r = simulate_preemptive(&system, &workload);
     println!(
         "completed {} of {} tasks in {:.3} ms",
         r.completed,
-        tasks.len(),
+        workload.tasks.len(),
         r.makespan_ns as f64 / 1e6
     );
     println!(

@@ -404,7 +404,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), AnyError> {
     let device = fabric::device_by_name(device_name)?;
     let trace_path = flag(args, "--trace").ok_or("need --trace <file>")?;
     let text = std::fs::read_to_string(trace_path)?;
-    let tasks = multitask::parse_trace(&text)?;
+    let workload = multitask::parse_trace(&text)?;
 
     let num = |name: &str, default: u32| -> u32 {
         flag(args, name)
@@ -421,7 +421,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), AnyError> {
     let system = PrSystem::homogeneous(&device, org, num("--prrs", 2), IcapModel::V5_DMA)?;
     println!(
         "{} tasks on {} PRRs (H={} W={}, {} B bitstream each)",
-        tasks.len(),
+        workload.tasks.len(),
         system.prrs.len(),
         org.height,
         org.width(),
@@ -429,7 +429,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), AnyError> {
     );
 
     if args.iter().any(|a| a == "--preemptive") {
-        let r = multitask::simulate_preemptive(&system, &tasks);
+        let r = multitask::simulate_preemptive(&system, &workload);
         println!(
             "preemptive: {} completed, makespan {:.3} ms, {} preemptions, \
              {} reconfigs, context overhead {:.3} ms, urgent response {:.1} us",
@@ -441,20 +441,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), AnyError> {
             r.urgent_mean_response_ns as f64 / 1e3,
         );
     } else {
-        let wl = multitask::Workload::new(
-            tasks
-                .into_iter()
-                .map(|t| multitask::HwTask {
-                    id: t.id,
-                    module: t.module,
-                    needs: t.needs,
-                    arrival_ns: t.arrival_ns,
-                    exec_ns: t.exec_ns,
-                    deadline_ns: None,
-                })
-                .collect(),
-        );
-        let r = simulate(&system, &wl, &multitask::ReuseAware);
+        let r = simulate(&system, &workload, &multitask::ReuseAware);
         println!(
             "{}: {} completed, makespan {:.3} ms, {} reconfigs ({} reused), \
              ICAP busy {:.3} ms, mean wait {:.1} us",

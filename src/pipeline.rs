@@ -20,9 +20,12 @@
 //! whole-system number.
 
 use bitstream::{BitstreamSpec, EmitScratch, IcapModel};
-use multitask::{simulate_with_scratch, HwTask, PrSystem, ReuseAware, SimScratch, Workload};
+use multitask::{
+    simulate_with_scratch, HwTask, ModuleId, ModuleTable, PrSystem, ReuseAware, SimScratch,
+    Workload,
+};
 use prcost::metrics::StageSnapshot;
-use prcost::{Engine, PlanScratch, PrrRequirements};
+use prcost::{Engine, Metrics, PlanScratch, PrrRequirements};
 use serde::Serialize;
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
@@ -195,8 +198,20 @@ fn pool_generators(cfg: &PipelineConfig) -> Vec<GenericPrm> {
         .collect()
 }
 
+/// The pool's module table: one name per pool module, interned in pool
+/// order, so `ModuleId(i)` is pool module `i`.
+fn pool_table(pool: &[SynthReport]) -> ModuleTable {
+    let mut modules = ModuleTable::new();
+    for (i, report) in pool.iter().enumerate() {
+        let id = modules.intern(&report.module);
+        assert_eq!(id, ModuleId(i as u32), "pool module names are unique");
+    }
+    modules
+}
+
 /// Append the next `n` tasks of the producer's stream to `tasks`, drawing
-/// module choices, arrivals and execution times from `rng`.
+/// module choices, arrivals and execution times from `rng`. A task's
+/// module id is its pool index.
 fn push_chunk(
     cfg: &PipelineConfig,
     pool: &[SynthReport],
@@ -209,8 +224,101 @@ fn push_chunk(
         let ix = (splitmix64(rng) % pool.len() as u64) as usize;
         t += exp_ns(rng, cfg.mean_interarrival_ns);
         let exec = exp_ns(rng, cfg.mean_exec_ns).max(1);
-        tasks.push(HwTask::from_report(id, &pool[ix], t, exec));
+        let module = ModuleId(ix as u32);
+        tasks.push(HwTask::from_report(id, module, &pool[ix], t, exec));
     }
+}
+
+/// Stream `cfg.tasks` tasks drawn from `pool` (named by `modules`, see
+/// [`pool_table`]) in chunks: one producer thread generates each chunk
+/// into a bounded channel, and `workers` threads fold the chunks they
+/// receive into their own [`Totals`] with a per-worker consumer made by
+/// `consumer`. Consumed chunks go back to the producer, which reuses
+/// their task buffers.
+///
+/// The workers own the chunk receiver, so the last one to exit drops it:
+/// if every worker panics, the producer's blocked `send` fails instead of
+/// waiting forever, and the join re-raises the worker's panic here.
+fn stream_chunks<C>(
+    cfg: &PipelineConfig,
+    pool: &[SynthReport],
+    modules: &Arc<ModuleTable>,
+    workers: usize,
+    metrics: &Metrics,
+    consumer: impl Fn() -> C + Sync,
+) -> Totals
+where
+    C: FnMut(&Workload, &mut Totals),
+{
+    let chunk = cfg.chunk.max(1);
+    let queue_depth = cfg.queue_depth.max(1);
+    let (tx, rx) = sync_channel::<Workload>(queue_depth);
+    let rx = Arc::new(Mutex::new(rx));
+    // Consumed chunks travel back to the producer. The capacity covers
+    // every chunk that can be in flight, and workers only `try_send`, so
+    // a full queue drops a chunk on the worker instead of blocking it.
+    let (recycle_tx, recycle_rx) = sync_channel::<Workload>(queue_depth + workers);
+
+    std::thread::scope(|scope| {
+        // Producer: builds one chunk at a time; the bounded channel is
+        // the only inter-stage buffer, so memory never scales with
+        // `cfg.tasks`.
+        let producer = scope.spawn(move || {
+            let mut rng = cfg.seed | 1;
+            let mut remaining = cfg.tasks;
+            while remaining > 0 {
+                let n = remaining.min(u64::from(chunk)) as u32;
+                remaining -= u64::from(n);
+                // Reuse a consumed chunk's task buffer; its old tasks
+                // are freed here, on the thread that allocated them,
+                // before the `pipeline:gen` timer starts.
+                let mut tasks = recycle_rx
+                    .try_recv()
+                    .map_or_else(|_| Vec::new(), |wl| wl.tasks);
+                tasks.clear();
+                let t0 = Instant::now();
+                tasks.reserve(n as usize);
+                push_chunk(cfg, pool, &mut rng, n, &mut tasks);
+                let wl = Workload::new(tasks, Arc::clone(modules));
+                metrics.record_stage("pipeline:gen", t0.elapsed());
+                if tx.send(wl).is_err() {
+                    break; // every worker is gone (only on panic)
+                }
+            }
+        });
+
+        let consumer = &consumer;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let rx = Arc::clone(&rx);
+                let recycle_tx = recycle_tx.clone();
+                scope.spawn(move || {
+                    let mut consume = consumer();
+                    let mut acc = Totals::default();
+                    loop {
+                        let wl = match rx.lock().expect("chunk receiver lock poisoned").recv() {
+                            Ok(wl) => wl,
+                            Err(_) => break,
+                        };
+                        consume(&wl, &mut acc);
+                        // Full or disconnected: the chunk is dropped here.
+                        let _ = recycle_tx.try_send(wl);
+                    }
+                    acc
+                })
+            })
+            .collect();
+        drop(rx);
+
+        producer
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        let mut totals = Totals::default();
+        for h in handles {
+            totals.merge(&h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        totals
+    })
 }
 
 /// Peak resident set size in bytes, best effort: `VmHWM` where procfs
@@ -363,6 +471,8 @@ pub fn run_pipeline(
         })
         .collect::<Result<_, prcost::CostError>>()?;
 
+    let modules = Arc::new(pool_table(&pool));
+
     let workers = if cfg.workers > 0 {
         cfg.workers
     } else {
@@ -374,149 +484,66 @@ pub fn run_pipeline(
     let chunk = cfg.chunk.max(1);
 
     let start = Instant::now();
-    let queue_depth = cfg.queue_depth.max(1);
-    let (tx, rx) = sync_channel::<Workload>(queue_depth);
-    let rx = Mutex::new(rx);
-    // Consumed chunks travel back to the producer. The capacity covers
-    // every chunk that can be in flight, and workers only `try_send`, so
-    // a full queue drops a chunk on the worker instead of blocking it.
-    let (recycle_tx, recycle_rx) = sync_channel::<Workload>(queue_depth + workers);
-
-    let totals = std::thread::scope(|scope| {
-        // Producer: builds one chunk at a time; the bounded channel is
-        // the only inter-stage buffer, so memory never scales with
-        // `cfg.tasks`.
-        let pool_ref = &pool;
-        let metrics_ref = metrics;
-        let producer = scope.spawn(move || {
-            let mut rng = cfg.seed | 1;
-            let mut remaining = cfg.tasks;
-            while remaining > 0 {
-                let n = remaining.min(u64::from(chunk)) as u32;
-                remaining -= u64::from(n);
-                // Reuse a consumed chunk's task buffer; its old tasks and
-                // interned tables are freed here, on the thread that
-                // allocated them, before the `pipeline:gen` timer starts.
-                let mut tasks = recycle_rx
-                    .try_recv()
-                    .map_or_else(|_| Vec::new(), |wl| wl.tasks);
-                tasks.clear();
-                let t0 = Instant::now();
-                tasks.reserve(n as usize);
-                push_chunk(cfg, pool_ref, &mut rng, n, &mut tasks);
-                let wl = Workload::new(tasks);
-                metrics_ref.record_stage("pipeline:gen", t0.elapsed());
-                if tx.send(wl).is_err() {
-                    break; // workers gone (only on panic)
-                }
+    let bytes_word = u64::from(family.params().frames.bytes_word);
+    let totals = stream_chunks(cfg, &pool, &modules, workers, metrics, || {
+        let mut plan_scratch = PlanScratch::default();
+        let mut emit_scratch = EmitScratch::new();
+        let mut sim_scratch = SimScratch::new();
+        let mut present = vec![false; pool.len()];
+        let (engine, handle, system, specs, generators, pool) =
+            (&engine, &handle, &system, &specs, &generators, &pool);
+        move |wl: &Workload, acc: &mut Totals| {
+            // A task's module id is its pool index.
+            present.fill(false);
+            for t in &wl.tasks {
+                present[t.module.0 as usize] = true;
             }
-            drop(tx);
-        });
 
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let rx = &rx;
-            let engine = &engine;
-            let handle = &handle;
-            let system = &system;
-            let specs = &specs;
-            let generators = &generators;
-            let pool = pool_ref;
-            let recycle_tx = recycle_tx.clone();
-            handles.push(scope.spawn(move || {
-                let mut plan_scratch = PlanScratch::default();
-                let mut emit_scratch = EmitScratch::new();
-                let mut sim_scratch = SimScratch::new();
-                let mut pool_ix: Vec<usize> = Vec::new();
-                let mut acc = Totals::default();
-                let bytes_word = u64::from(family.params().frames.bytes_word);
-                loop {
-                    let wl = match rx.lock().unwrap().recv() {
-                        Ok(wl) => wl,
-                        Err(_) => break,
-                    };
-                    let n = wl.tasks.len() as u64;
+            // Synthesis at memo-hit speed: every distinct module in the
+            // chunk re-resolves through the engine's synthesis memo.
+            let t0 = Instant::now();
+            for (g, _) in generators.iter().zip(&present).filter(|(_, &p)| p) {
+                let _ = engine.synthesize(g, family);
+            }
+            metrics.record_stage("pipeline:synth", t0.elapsed());
 
-                    // Map this chunk's interned module ids back to pool
-                    // indices (names are unique per generator seed).
-                    pool_ix.clear();
-                    for id in 0..wl.modules().len() {
-                        let name = wl.modules().name(multitask::ModuleId(id as u32));
-                        pool_ix.push(
-                            pool.iter()
-                                .position(|r| r.module == name)
-                                .expect("chunk modules come from the pool"),
-                        );
-                    }
+            // Planning at task rate: one warm memo hit per task against
+            // the device resolved in setup (the engine's zero-allocation
+            // hot path).
+            let t0 = Instant::now();
+            for t in &wl.tasks {
+                let req = PrrRequirements::from_report(&pool[t.module.0 as usize]);
+                let plan = engine.plan_on(&req, handle, &mut plan_scratch);
+                debug_assert!(plan.is_ok());
+            }
+            metrics.record_stage("pipeline:plan", t0.elapsed());
 
-                    // Synthesis at memo-hit speed: every distinct module
-                    // in the chunk re-resolves through the engine's
-                    // synthesis memo.
-                    let t0 = Instant::now();
-                    for &ix in &pool_ix {
-                        let _ = engine.synthesize(&generators[ix], family);
-                    }
-                    engine
-                        .metrics()
-                        .record_stage("pipeline:synth", t0.elapsed());
+            // Placement + arena emission at task rate: each dispatch
+            // takes a shared handle to its module's partial bitstream
+            // from the per-worker emission arena — a refcount bump on the
+            // steady state's rendered-stream cache hits, no words copied
+            // and no allocation.
+            let t0 = Instant::now();
+            for t in &wl.tasks {
+                let words = bitstream::emit_shared(&mut emit_scratch, &specs[t.module.0 as usize])
+                    .expect("pool specs are valid");
+                acc.bitstreams += 1;
+                acc.bitstream_bytes += words.len() as u64 * bytes_word;
+            }
+            metrics.record_stage("pipeline:bitstream", t0.elapsed());
 
-                    // Planning at task rate: one warm memo hit per task
-                    // against the device resolved in setup (the engine's
-                    // zero-allocation hot path).
-                    let t0 = Instant::now();
-                    for &id in wl.module_ids() {
-                        let req = PrrRequirements::from_report(&pool[pool_ix[id.0 as usize]]);
-                        let plan = engine.plan_on(&req, handle, &mut plan_scratch);
-                        debug_assert!(plan.is_ok());
-                    }
-                    engine.metrics().record_stage("pipeline:plan", t0.elapsed());
+            // Discrete-event simulation of the chunk on the shared PR
+            // system (reuse-aware scheduling).
+            let t0 = Instant::now();
+            let report = simulate_with_scratch(system, wl, &ReuseAware, &mut sim_scratch);
+            metrics.record_stage("pipeline:simulate", t0.elapsed());
 
-                    // Placement + arena emission at task rate: each
-                    // dispatch takes a shared handle to its module's
-                    // partial bitstream from the per-worker emission
-                    // arena — a refcount bump on the steady state's
-                    // rendered-stream cache hits, no words copied and
-                    // no allocation.
-                    let t0 = Instant::now();
-                    for &id in wl.module_ids() {
-                        let words = bitstream::emit_shared(
-                            &mut emit_scratch,
-                            &specs[pool_ix[id.0 as usize]],
-                        )
-                        .expect("pool specs are valid");
-                        acc.bitstreams += 1;
-                        acc.bitstream_bytes += words.len() as u64 * bytes_word;
-                    }
-                    engine
-                        .metrics()
-                        .record_stage("pipeline:bitstream", t0.elapsed());
-
-                    // Discrete-event simulation of the chunk on the
-                    // shared PR system (reuse-aware scheduling).
-                    let t0 = Instant::now();
-                    let report = simulate_with_scratch(system, &wl, &ReuseAware, &mut sim_scratch);
-                    engine
-                        .metrics()
-                        .record_stage("pipeline:simulate", t0.elapsed());
-
-                    acc.tasks += n;
-                    acc.makespan_ns += report.makespan_ns;
-                    acc.reconfigurations += u64::from(report.reconfigurations);
-                    acc.reuse_hits += u64::from(report.reuse_hits);
-                    acc.total_wait_ns += report.total_wait_ns;
-                    // Full or disconnected: the chunk is dropped here.
-                    let _ = recycle_tx.try_send(wl);
-                }
-                acc
-            }));
+            acc.tasks += wl.tasks.len() as u64;
+            acc.makespan_ns += report.makespan_ns;
+            acc.reconfigurations += u64::from(report.reconfigurations);
+            acc.reuse_hits += u64::from(report.reuse_hits);
+            acc.total_wait_ns += report.total_wait_ns;
         }
-
-        producer.join().expect("producer thread panicked");
-        let mut totals = Totals::default();
-        for h in handles {
-            totals.merge(&h.join().expect("worker thread panicked"));
-        }
-        totals
     });
 
     let elapsed = start.elapsed();
@@ -696,7 +723,7 @@ mod tests {
         let expected: u64 = tasks
             .iter()
             .map(|t| {
-                let report = pool.iter().find(|r| r.module == t.module).unwrap();
+                let report = &pool[t.module.0 as usize];
                 engine.plan(report, &device).unwrap().bitstream_bytes
             })
             .sum();
@@ -722,6 +749,44 @@ mod tests {
         .unwrap();
         assert_eq!(two.workers, 2);
         assert_eq!(totals(&one), totals(&two));
+    }
+
+    /// A worker panic reaches the caller instead of hanging the run. One
+    /// worker and a one-chunk queue: once the worker dies, the producer
+    /// blocks on a full channel, and only the worker dropping the
+    /// receiver as it unwinds lets `send` fail. A watchdog turns a hang
+    /// into a failure.
+    #[test]
+    fn worker_panic_reaches_the_caller() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let cfg = PipelineConfig {
+                tasks: 50_000,
+                chunk: 128,
+                workers: 1,
+                queue_depth: 1,
+                ..PipelineConfig::default()
+            };
+            let engine = Engine::new();
+            let pool: Vec<SynthReport> = pool_generators(&cfg)
+                .iter()
+                .map(|g| engine.synthesize(g, fabric::Family::Virtex5))
+                .collect();
+            let modules = Arc::new(pool_table(&pool));
+            let run = std::panic::AssertUnwindSafe(|| {
+                stream_chunks(&cfg, &pool, &modules, 1, engine.metrics(), || {
+                    |_: &Workload, _: &mut Totals| panic!("forced worker panic")
+                })
+            });
+            let outcome = std::panic::catch_unwind(run)
+                .map(|_| ())
+                .map_err(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+            let _ = done_tx.send(outcome);
+        });
+        let outcome = done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the run hung after its worker panicked");
+        assert_eq!(outcome, Err(Some("forced worker panic".to_string())));
     }
 
     #[test]

@@ -67,17 +67,15 @@ fn multitask_uses_model_planned_prrs() {
 
     // Alternate between two modules so a 2-PRR system can actually hit
     // bitstream reuse (cycling more modules than PRRs never re-matches).
+    let mut modules = multitask::ModuleTable::new();
+    let ids = [0, 1].map(|i| modules.intern(&reports[i].module));
     let tasks: Vec<multitask::HwTask> = (0..60)
         .map(|i| {
-            multitask::HwTask::from_report(
-                i,
-                &reports[(i % 2) as usize],
-                u64::from(i) * 1_000,
-                50_000,
-            )
+            let m = (i % 2) as usize;
+            multitask::HwTask::from_report(i, ids[m], &reports[m], u64::from(i) * 1_000, 50_000)
         })
         .collect();
-    let wl = Workload::new(tasks);
+    let wl = Workload::new(tasks, modules);
     let r = simulate(&sys, &wl, &ReuseAware);
     assert_eq!(
         r.completed, 60,
