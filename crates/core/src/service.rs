@@ -29,9 +29,11 @@
 //!
 //! Shutdown is graceful: [`PlanService::shutdown`] (or drop) stops
 //! admission, lets the workers drain every queued job, and joins them —
-//! no ticket is ever abandoned unresolved. Counters are flushed after
-//! each batch's tickets resolve, so they are exact once `shutdown()`
-//! returns.
+//! no ticket is ever abandoned unresolved. A worker that panics drops the
+//! jobs it claimed, and their tickets re-raise the failure from
+//! [`PlanTicket::wait`], [`PlanTicket::try_result`] and `.await` instead
+//! of blocking for good. Counters are flushed after each batch's tickets
+//! resolve, so they are exact once `shutdown()` returns.
 
 use crate::engine::{DeviceHandle, Engine};
 use crate::error::CostError;
@@ -41,7 +43,7 @@ use fabric::Device;
 use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -96,7 +98,20 @@ pub type PlanResult = Arc<Result<PrrPlan, CostError>>;
 #[derive(Debug, Default)]
 struct TicketState {
     result: Option<PlanResult>,
+    /// The job was dropped unresolved: its worker panicked.
+    abandoned: bool,
     waker: Option<Waker>,
+}
+
+impl TicketState {
+    /// The result once resolved; panics if the job was abandoned.
+    fn result(&self) -> Option<PlanResult> {
+        assert!(
+            !self.abandoned,
+            "the plan worker panicked before resolving this ticket"
+        );
+        self.result.clone()
+    }
 }
 
 #[derive(Debug, Default)]
@@ -106,10 +121,17 @@ struct TicketShared {
 }
 
 impl TicketShared {
-    fn complete(&self, result: PlanResult) {
+    /// Resolve with `result`, or as abandoned (`None`), and wake the
+    /// waiter.
+    fn resolve(&self, result: Option<PlanResult>) {
         let waker = {
-            let mut state = self.state.lock().expect("ticket lock poisoned");
-            state.result = Some(result);
+            // Also runs from `Resolver::drop` while a worker unwinds, so
+            // it must not panic; the state holds no multi-step invariant.
+            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            match result {
+                Some(result) => state.result = Some(result),
+                None => state.abandoned = true,
+            }
             state.waker.take()
         };
         self.done.notify_all();
@@ -128,25 +150,26 @@ pub struct PlanTicket {
 }
 
 impl PlanTicket {
-    /// Block until the plan completes.
+    /// Block until the plan completes. Panics if the worker planning it
+    /// panicked.
     pub fn wait(&self) -> PlanResult {
         let mut state = self.shared.state.lock().expect("ticket lock poisoned");
         loop {
-            if let Some(result) = &state.result {
-                return Arc::clone(result);
+            if let Some(result) = state.result() {
+                return result;
             }
             state = self.shared.done.wait(state).expect("ticket lock poisoned");
         }
     }
 
-    /// The result if already available (never blocks).
+    /// The result if already available (never blocks). Panics if the
+    /// worker planning it panicked.
     pub fn try_result(&self) -> Option<PlanResult> {
         self.shared
             .state
             .lock()
             .expect("ticket lock poisoned")
-            .result
-            .clone()
+            .result()
     }
 }
 
@@ -155,12 +178,35 @@ impl Future for PlanTicket {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mut state = self.shared.state.lock().expect("ticket lock poisoned");
-        if let Some(result) = &state.result {
-            Poll::Ready(Arc::clone(result))
+        if let Some(result) = state.result() {
+            Poll::Ready(result)
         } else {
             // Latest-poll-wins: a ticket lives in one task at a time.
             state.waker = Some(cx.waker().clone());
             Poll::Pending
+        }
+    }
+}
+
+/// The worker's end of a ticket. Dropping it unresolved — a worker that
+/// panics mid-batch drops the jobs it claimed — marks the ticket
+/// abandoned, so its waiter re-raises the failure instead of blocking
+/// for good.
+#[derive(Debug)]
+struct Resolver(Option<Arc<TicketShared>>);
+
+impl Resolver {
+    fn complete(mut self, result: PlanResult) {
+        if let Some(shared) = self.0.take() {
+            shared.resolve(Some(result));
+        }
+    }
+}
+
+impl Drop for Resolver {
+    fn drop(&mut self) {
+        if let Some(shared) = self.0.take() {
+            shared.resolve(None);
         }
     }
 }
@@ -174,7 +220,7 @@ struct Job {
     requirements: PrrRequirements,
     device: DeviceHandle,
     submitted: Instant,
-    ticket: Arc<TicketShared>,
+    ticket: Resolver,
 }
 
 #[derive(Debug, Default)]
@@ -272,15 +318,16 @@ impl PlanService {
         // Resolve outside the queue lock: warm devices cost a hash, a read
         // lock and a comparison here and nothing in the workers.
         let device = self.inner.engine.intern_device(device);
+        let shared = Arc::new(TicketShared::default());
+        let ticket = PlanTicket {
+            shared: Arc::clone(&shared),
+        };
         let job = Job {
             tenant: Arc::from(tenant),
             requirements,
             device,
             submitted: Instant::now(),
-            ticket: Arc::new(TicketShared::default()),
-        };
-        let ticket = PlanTicket {
-            shared: Arc::clone(&job.ticket),
+            ticket: Resolver(Some(shared)),
         };
         let mut queue = self.inner.queue.lock().expect("service queue poisoned");
         loop {
@@ -555,6 +602,27 @@ mod tests {
         let via_await = block_on(ticket);
         assert_eq!(*via_await, plan_prr_from_requirements(&r, &v5));
         service.shutdown();
+    }
+
+    /// A worker that panics mid-batch drops the jobs it claimed: their
+    /// tickets resolve as abandoned, and waiting re-raises the failure
+    /// instead of blocking for good.
+    #[test]
+    fn dropped_jobs_abandon_their_tickets() {
+        let shared = Arc::new(TicketShared::default());
+        let ticket = PlanTicket {
+            shared: Arc::clone(&shared),
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ticket.wait()));
+            let _ = done_tx.send(waited.is_err());
+        });
+        drop(Resolver(Some(shared)));
+        let reraised = done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("wait blocked on an abandoned ticket");
+        assert!(reraised, "wait re-raised the abandonment");
     }
 
     #[test]
