@@ -59,7 +59,7 @@ pub use bits::{bitstream_size_bytes, context_breakdown, BitstreamBreakdown, Cont
 pub use engine::{DeviceHandle, Engine, EngineSnapshot, SnapshotError};
 pub use error::CostError;
 pub use full::{full_bitstream_size_bytes, FullBitstreamBreakdown};
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::{GlobalCounter, Metrics, MetricsSnapshot};
 pub use multi::plan_shared_prr;
 pub use prr::{PrrOrganization, Utilization};
 pub use report::datasheet;

@@ -1,17 +1,24 @@
 //! Dependency-free observability for the planning engine.
 //!
 //! A [`Metrics`] registry holds lock-free atomic counters (cache hits,
-//! plan outcomes) and per-stage wall-clock histograms (log₂-bucketed,
-//! behind a `parking_lot` mutex). Counters can be bumped concurrently
-//! from every worker of a parallel sweep; [`Metrics::snapshot`] produces
-//! a serializable [`MetricsSnapshot`] that `serde_json` exports for the
-//! CLI's `--metrics` flag and the benchmark artifacts.
+//! plan outcomes), labeled counters and per-stage wall-clock histograms
+//! (log₂-bucketed, behind a `parking_lot` mutex). Counters can be bumped
+//! concurrently from every worker of a parallel sweep;
+//! [`Metrics::snapshot`] produces a serializable [`MetricsSnapshot`] that
+//! `serde_json` exports for the CLI's `--metrics` flag and the benchmark
+//! artifacts.
+//!
+//! A labeled counter is an atomic slot too: its label registers one
+//! shared [`Counter`] on first use, and the registry's lock guards only
+//! the label-to-slot map. A hot path holds the slot
+//! ([`Metrics::labeled_counter`], or a [`GlobalCounter`] in a `static`)
+//! and bumps it with one atomic add, without a lock or a lookup.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A monotonic event counter, safe to bump from any thread.
@@ -43,6 +50,37 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Acquire)
+    }
+}
+
+/// A labeled counter of [`Metrics::global`], meant for a `static`: the
+/// label registers its slot on the first bump, and every bump is then one
+/// atomic add on the slot.
+#[derive(Debug)]
+pub struct GlobalCounter {
+    label: &'static str,
+    slot: OnceLock<Arc<Counter>>,
+}
+
+impl GlobalCounter {
+    /// A handle on the global labeled counter `label`.
+    pub const fn new(label: &'static str) -> Self {
+        GlobalCounter {
+            label,
+            slot: OnceLock::new(),
+        }
+    }
+
+    /// Add `n`.
+    pub fn add(&self, n: u64) {
+        self.slot
+            .get_or_init(|| Metrics::global().labeled_counter(self.label))
+            .add(n);
+    }
+
+    /// Add one.
+    pub fn incr(&self) {
+        self.add(1);
     }
 }
 
@@ -134,8 +172,9 @@ pub struct Metrics {
     /// open-ended observability for subsystems whose counters are not
     /// known to this crate at compile time. Keys are `family:name`
     /// strings; unknown families must be tolerated by every snapshot
-    /// consumer (see the schema-stability test).
-    labeled: Mutex<BTreeMap<String, u64>>,
+    /// consumer (see the schema-stability test). Each label maps to its
+    /// shared slot; the lock guards the map, not the values.
+    labeled: Mutex<BTreeMap<String, Arc<Counter>>>,
 }
 
 impl Metrics {
@@ -169,18 +208,32 @@ impl Metrics {
         out
     }
 
+    /// The slot of the labeled counter `label`, registered at zero on
+    /// first use. Bumping the handle is one atomic add: no lock, no
+    /// lookup, and the value is the one [`Metrics::labeled`] and the
+    /// snapshot read.
+    pub fn labeled_counter(&self, label: &str) -> Arc<Counter> {
+        let mut map = self.labeled.lock();
+        if let Some(slot) = map.get(label) {
+            return Arc::clone(slot);
+        }
+        let slot = Arc::new(Counter::new());
+        map.insert(label.to_string(), Arc::clone(&slot));
+        slot
+    }
+
     /// Add `n` to the labeled counter `label` (created on first use).
     ///
     /// Labels follow the `family:name` convention (`"layout:allocs"`).
-    /// Labeled counters trade the fixed counters' lock-free atomics for
-    /// an open namespace; bump them per logical event, not per inner-loop
-    /// iteration.
+    /// This takes the map's lock to find the slot; a per-event path
+    /// should hold the slot instead ([`Metrics::labeled_counter`],
+    /// [`GlobalCounter`]).
     pub fn add_labeled(&self, label: &str, n: u64) {
         let mut map = self.labeled.lock();
-        match map.get_mut(label) {
-            Some(v) => *v += n,
+        match map.get(label) {
+            Some(slot) => slot.add(n),
             None => {
-                map.insert(label.to_string(), n);
+                map.insert(label.to_string(), Arc::new(Counter(AtomicU64::new(n))));
             }
         }
     }
@@ -192,7 +245,7 @@ impl Metrics {
 
     /// Current value of the labeled counter `label` (zero if never hit).
     pub fn labeled(&self, label: &str) -> u64 {
-        self.labeled.lock().get(label).copied().unwrap_or(0)
+        self.labeled.lock().get(label).map_or(0, |slot| slot.get())
     }
 
     /// Copy of all counters, labeled counters and stages.
@@ -222,9 +275,11 @@ impl Metrics {
     /// carries its thread's earlier total increment with it, and the
     /// later total read sees at least as many. The gaps, if any, are
     /// exactly the plans in flight between the reads; on a quiescent
-    /// registry the first two inequalities are equalities. Each
-    /// `BTreeMap` behind a mutex (stages, labeled counters) is
-    /// internally consistent — it is copied under its lock.
+    /// registry the first two inequalities are equalities. The stage map
+    /// is internally consistent — it is copied under its lock. Labeled
+    /// counters are independent atomics like the fixed ones: the label
+    /// set is copied under the map's lock, and each value is one read of
+    /// its slot.
     ///
     /// [`DeviceHandle`]: crate::DeviceHandle
     /// [`Engine::plan_on`]: crate::Engine::plan_on
@@ -235,9 +290,9 @@ impl Metrics {
             .labeled
             .lock()
             .iter()
-            .map(|(name, &value)| LabeledCounter {
+            .map(|(name, slot)| LabeledCounter {
                 name: name.clone(),
-                value,
+                value: slot.get(),
             })
             .collect();
         let stages = self
@@ -646,6 +701,38 @@ mod tests {
             .map(|c| c.name.as_str())
             .collect();
         assert_eq!(layout, vec!["layout:allocs", "layout:releases"]);
+    }
+
+    /// A held slot and the by-name calls read and write one value, and a
+    /// label appears in the snapshot once registered, like one first
+    /// bumped by name.
+    #[test]
+    fn labeled_slots_share_values_with_the_by_name_calls() {
+        let m = Metrics::new();
+        let allocs = m.labeled_counter("layout:allocs");
+        assert_eq!(m.labeled("layout:allocs"), 0);
+        allocs.incr();
+        m.add_labeled("layout:allocs", 2);
+        allocs.add(3);
+        assert_eq!(m.labeled("layout:allocs"), 6);
+        assert_eq!(m.labeled_counter("layout:allocs").get(), 6);
+        assert_eq!(m.snapshot().labeled_value("layout:allocs"), 6);
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let slot = m.labeled_counter("layout:releases");
+                std::thread::spawn(move || (0..1000).for_each(|_| slot.incr()))
+            })
+            .collect();
+        threads.into_iter().for_each(|t| t.join().unwrap());
+        assert_eq!(m.labeled("layout:releases"), 4000);
+        let names: Vec<String> = m.snapshot().labeled.into_iter().map(|c| c.name).collect();
+        assert_eq!(names, ["layout:allocs", "layout:releases"]);
+
+        static GLOBAL: GlobalCounter = GlobalCounter::new("metrics-test:global");
+        let before = Metrics::global().labeled("metrics-test:global");
+        GLOBAL.incr();
+        GLOBAL.add(4);
+        assert_eq!(Metrics::global().labeled("metrics-test:global"), before + 5);
     }
 
     /// Schema stability both directions: snapshots written before the

@@ -167,6 +167,15 @@ impl Resources {
         out
     }
 
+    /// Saturating component-wise addition.
+    pub fn saturating_add(&self, other: &Resources) -> Resources {
+        let mut out = Resources::ZERO;
+        for k in ResourceKind::ALL {
+            out[k] = self.get(k).saturating_add(other.get(k));
+        }
+        out
+    }
+
     /// Saturating component-wise subtraction.
     pub fn saturating_sub(&self, other: &Resources) -> Resources {
         let mut out = Resources::ZERO;
@@ -290,6 +299,12 @@ mod tests {
         let b = Resources::new(4, 2, 3);
         let m = a.max(&b);
         assert_eq!(m, Resources::new(10, 2, 3));
+    }
+
+    #[test]
+    fn saturating_add_stops_at_the_maximum() {
+        let big = Resources::new(u64::MAX / 2 + 1, 0, 1);
+        assert_eq!(big.saturating_add(&big), Resources::new(u64::MAX, 0, 2));
     }
 
     #[test]

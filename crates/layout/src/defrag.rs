@@ -18,7 +18,7 @@
 //! directly executable in any move order.
 
 use crate::free::SpanRect;
-use crate::manager::{Allocation, LayoutManager};
+use crate::manager::{counters, Allocation, LayoutManager};
 use fabric::Window;
 use prcost::{Metrics, PrrOrganization};
 use serde::{Deserialize, Serialize};
@@ -134,7 +134,7 @@ impl LayoutManager {
         }
         Metrics::global().record_stage("layout:defrag_plan", started.elapsed());
         if best.is_some() {
-            Metrics::global().incr_labeled("layout:defrag_plans");
+            counters::DEFRAG_PLANS.incr();
         }
         best
     }
@@ -157,8 +157,11 @@ impl LayoutManager {
         let mut moves: Vec<RelocationMove> = Vec::with_capacity(blockers.len());
         for blocker in blockers {
             let from = &blocker.window;
-            let target = grid
-                .targets(self.device().columns(), &from.columns, from.height, avoid)
+            let target = self
+                .free_space()
+                .relocation_slots(from)
+                .iter()
+                .filter(|&t| !avoid.overlaps(&t) && grid.is_free_rect(t))
                 .map(|t| Window {
                     start_col: t.start,
                     width: from.width,
@@ -202,10 +205,9 @@ impl LayoutManager {
             debug_assert!(bitstream::compatible(&mv.from, &mv.to));
             self.move_allocation(mv.id, mv.to.clone());
         }
-        let m = Metrics::global();
-        m.incr_labeled("layout:defrag_executed");
-        m.add_labeled("layout:relocations", plan.moves.len() as u64);
-        m.add_labeled("layout:relocated_bytes", plan.total_move_bytes);
+        counters::DEFRAG_EXECUTED.incr();
+        counters::RELOCATIONS.add(plan.moves.len() as u64);
+        counters::RELOCATED_BYTES.add(plan.total_move_bytes);
     }
 }
 

@@ -9,17 +9,24 @@
 //! move vacated. This module searches those schedules with the same
 //! machinery that made `parflow::autofloorplan` fast:
 //!
-//! * **incremental layout state** — [`LayoutState`] is a copy of the
-//!   [`FreeSpace`] row bitsets, taken once per admit rectangle; a move
-//!   (or its undo) sets the source's bits, clears the target's and XORs
-//!   two hash keys, never a clone down the tree;
+//! * **incremental layout state** — [`LayoutState`] holds one copy of
+//!   the [`FreeSpace`] row bitsets per plan, reset once per admit
+//!   rectangle; a move (or its undo) sets the source's bits, clears the
+//!   target's and XORs two hash keys, never a clone down the tree;
+//! * **relocation slots once per plan** — every live allocation's
+//!   compatible windows ([`FreeSpace::relocation_slots`]: the composition
+//!   index's candidate starts, filtered by its exact column-kind
+//!   sequence) are listed before the search. A node tests a mover's slots
+//!   against the admit rectangle and the current grid; no node scans the
+//!   device's columns;
 //! * **Zobrist-style transposition table** — each (allocation, position)
 //!   pair hashes to a derived 64-bit key; the layout hash is their XOR,
 //!   so permuted move orders reaching the same layout collide in the
-//!   per-rectangle visited set and are pruned. Pruning is exact: a
-//!   layout determines which movers have moved (a moved blocker never
-//!   overlaps the admit rectangle again), hence the remaining depth, and
-//!   feasibility is a function of the layout alone;
+//!   per-rectangle visited set and are pruned. The keys are
+//!   splitmix-mixed already, so the set hashes a key to itself. Pruning
+//!   is exact: a layout determines which movers have moved (a moved
+//!   blocker never overlaps the admit rectangle again), hence the
+//!   remaining depth, and feasibility is a function of the layout alone;
 //! * **exact per-module lower bounds** — an HTR relocation is the same
 //!   FAR-rewritten replay at every compatible target, so one move of one
 //!   module costs `IcapModel::transfer_time` over its bytes *wherever*
@@ -29,10 +36,11 @@
 //!   collapses to pruning entire rectangles against the incumbent plus a
 //!   feasibility-only descent inside each rectangle;
 //! * **one thread** — [`plan`] scans the rectangles in enumeration order
-//!   on the caller's thread. A typical call searches for ~41 µs, while
-//!   fanning the rectangles out over rayon spawned and joined two OS
-//!   threads per call (112–166 µs on a 2-vCPU host), and a round trip to
-//!   one pooled worker thread costs 19–45 µs. The serial scan was faster
+//!   on the caller's thread. On the `layout_defrag` benchmark's inputs a
+//!   call takes 4–6 µs on a 2-vCPU host, while fanning the rectangles
+//!   out over rayon spawned and joined two OS threads per call (112–166
+//!   µs), and a round trip to one pooled worker thread costs 19–45 µs.
+//!   The serial scan was faster
 //!   even on the `defrag_search` bench's hand-picked hard states
 //!   (2.29–2.31 ms vs 3.35–6.33 ms per 16 states in two runs), so it is
 //!   the only driver, and its `nodes` diagnostic is deterministic.
@@ -51,12 +59,13 @@
 //! ([`LayoutManager::move_cost`]).
 
 use crate::defrag::RelocationMove;
-use crate::free::{FreeGrid, FreeSpace, SpanRect};
-use crate::manager::{Allocation, LayoutManager, MoveCost};
-use fabric::{ColumnKind, Window};
+use crate::free::{FreeGrid, FreeSpace, Slots, SpanRect};
+use crate::manager::{counters, Allocation, LayoutManager, MoveCost};
+use fabric::Window;
 use prcost::{Metrics, PrrOrganization};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
 /// Hard cap on sequence depth (the paper-scale regime; deeper searches
@@ -121,10 +130,34 @@ fn zkey(id: u64, start_col: usize, row: u32) -> u64 {
     )
 }
 
-/// One allocation that must vacate a candidate admit rectangle.
+/// Zobrist keys are splitmix-mixed already, so the visited set takes
+/// each key as its own hash.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("visited-set keys are u64 layout hashes")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+/// Layout hashes already explored inside one rectangle.
+type Visited = HashSet<u64, BuildHasherDefault<KeyHasher>>;
+
+/// One allocation that must vacate a candidate admit rectangle, with its
+/// relocation slots (computed once per plan).
 struct Mover<'a> {
     alloc: &'a Allocation,
     cost: MoveCost,
+    slots: &'a Slots,
 }
 
 /// One candidate admit rectangle with its blockers and exact sequence
@@ -145,15 +178,12 @@ struct LayoutState {
 }
 
 impl LayoutState {
-    fn new(free: &FreeSpace, movers: &[Mover<'_>]) -> Self {
-        let mut hash = 0u64;
-        for m in movers {
-            hash ^= zkey(m.alloc.id, m.alloc.window.start_col, m.alloc.window.row);
-        }
-        LayoutState {
-            grid: free.grid().clone(),
-            hash,
-        }
+    /// Reset to the live free grid and the movers' current positions.
+    fn reset(&mut self, free: &FreeSpace, movers: &[Mover<'_>]) {
+        self.grid.copy_from(free.grid());
+        self.hash = movers.iter().fold(0, |h, m| {
+            h ^ zkey(m.alloc.id, m.alloc.window.start_col, m.alloc.window.row)
+        });
     }
 
     /// Move allocation `id` from `from` to the free, disjoint `to`: free
@@ -166,22 +196,23 @@ impl LayoutState {
     }
 }
 
-/// Depth-first feasibility descent inside one rectangle: find the first
-/// (in canonical order) sequence of single moves taking every mover out
-/// of the admit rectangle. The visited set prunes permuted move orders
-/// reaching the same layout; a pruned layout was fully explored and
-/// failed, so skipping it never changes the first success.
 /// A complete move sequence: `(mover index, target start col, target row)`
 /// per move, in execution order.
 type Seq = Vec<(usize, usize, u32)>;
 
+/// Depth-first feasibility descent inside one rectangle: find the first
+/// (in canonical order) sequence of single moves taking every mover out
+/// of the admit rectangle. A mover's targets are its relocation slots
+/// that miss the rectangle and are free in the current layout, tried in
+/// slot order. The visited set prunes permuted move orders reaching the
+/// same layout; a pruned layout was fully explored and failed, so
+/// skipping it never changes the first success.
 #[allow(clippy::too_many_arguments)]
 fn descend(
-    columns: &[ColumnKind],
     admit: &SpanRect,
     movers: &[Mover<'_>],
     state: &mut LayoutState,
-    visited: &mut HashSet<u64>,
+    visited: &mut Visited,
     moved: u32,
     seq: &mut Seq,
     nodes: &mut u64,
@@ -194,25 +225,19 @@ fn descend(
     if moved.count_ones() as usize == movers.len() {
         return true;
     }
-    let mut targets = Vec::new();
     for (mi, mover) in movers.iter().enumerate() {
         if moved & (1 << mi) != 0 {
             continue;
         }
-        let window = &mover.alloc.window;
-        targets.clear();
-        targets.extend(
-            state
-                .grid
-                .targets(columns, &window.columns, window.height, *admit),
-        );
-        let (id, from) = (mover.alloc.id, SpanRect::of(window));
-        for &to in &targets {
+        let (id, from) = (mover.alloc.id, SpanRect::of(&mover.alloc.window));
+        for to in mover.slots.iter() {
+            if admit.overlaps(&to) || !state.grid.is_free_rect(to) {
+                continue;
+            }
             state.shift(id, from, to);
             seq.push((mi, to.start, to.row));
             if visited.insert(state.hash)
                 && descend(
-                    columns,
                     admit,
                     movers,
                     state,
@@ -240,6 +265,7 @@ fn rect_candidates<'a>(
     mgr: &'a LayoutManager,
     org: &PrrOrganization,
     depth: usize,
+    slots: &'a [Slots],
 ) -> Vec<RectCand<'a>> {
     let free = mgr.free_space();
     let width = org.width() as usize;
@@ -256,8 +282,13 @@ fn rect_candidates<'a>(
             let movers: Vec<Mover<'a>> = allocs
                 .iter()
                 .zip(&costs)
-                .filter(|(a, _)| admit.overlaps(&SpanRect::of(&a.window)))
-                .map(|(a, &cost)| Mover { alloc: a, cost })
+                .zip(slots)
+                .filter(|((a, _), _)| admit.overlaps(&SpanRect::of(&a.window)))
+                .map(|((a, &cost), slots)| Mover {
+                    alloc: a,
+                    cost,
+                    slots,
+                })
                 .collect();
             if movers.len() > depth {
                 continue;
@@ -273,33 +304,31 @@ fn rect_candidates<'a>(
     rects
 }
 
-/// Run the feasibility descent for one rectangle; returns the canonical
-/// first sequence if one exists.
+/// Run the feasibility descent for one rectangle, reusing `state` and
+/// `visited` across rectangles; returns the canonical first sequence if
+/// one exists.
 fn solve_rect(
-    columns: &[ColumnKind],
     free: &FreeSpace,
     rect: &RectCand<'_>,
+    state: &mut LayoutState,
+    visited: &mut Visited,
     budget: u64,
     nodes: &mut u64,
 ) -> Option<Seq> {
-    let mut state = LayoutState::new(free, &rect.movers);
-    let mut visited = HashSet::new();
+    state.reset(free, &rect.movers);
+    visited.clear();
     let mut seq = Vec::with_capacity(rect.movers.len());
-    if descend(
-        columns,
+    descend(
         &rect.admit,
         &rect.movers,
-        &mut state,
-        &mut visited,
+        state,
+        visited,
         0,
         &mut seq,
         nodes,
         budget,
-    ) {
-        Some(seq)
-    } else {
-        None
-    }
+    )
+    .then_some(seq)
 }
 
 /// Materialise the winning rectangle + sequence into a plan.
@@ -364,9 +393,18 @@ pub fn plan(
     if config.depth == 0 {
         return None;
     }
-    let rects = rect_candidates(mgr, org, depth);
-    let columns = mgr.device().columns();
     let free = mgr.free_space();
+    let slots: Vec<Slots> = mgr
+        .allocation_map()
+        .values()
+        .map(|a| free.relocation_slots(&a.window))
+        .collect();
+    let rects = rect_candidates(mgr, org, depth, &slots);
+    let mut state = LayoutState {
+        grid: free.grid().clone(),
+        hash: 0,
+    };
+    let mut visited = Visited::default();
     let mut nodes = 0u64;
     let mut best: Option<(u64, usize, usize, Seq)> = None;
     for (idx, rect) in rects.iter().enumerate() {
@@ -375,7 +413,15 @@ pub fn plan(
                 continue;
             }
         }
-        if let Some(seq) = solve_rect(columns, free, rect, config.node_budget, &mut nodes) {
+        let solved = solve_rect(
+            free,
+            rect,
+            &mut state,
+            &mut visited,
+            config.node_budget,
+            &mut nodes,
+        );
+        if let Some(seq) = solved {
             best = Some((rect.cost, rect.movers.len(), idx, seq));
         }
     }
@@ -396,7 +442,7 @@ impl LayoutManager {
         let plan = plan(self, org, config);
         Metrics::global().record_stage("layout:defrag2_plan", started.elapsed());
         if plan.is_some() {
-            Metrics::global().incr_labeled("layout:defrag2_plans");
+            counters::DEFRAG2_PLANS.incr();
         }
         plan
     }
@@ -420,11 +466,10 @@ impl LayoutManager {
             );
             self.move_allocation(mv.id, mv.to.clone());
         }
-        let m = Metrics::global();
-        m.incr_labeled("layout:defrag2_executed");
-        m.add_labeled("layout:relocations", plan.moves.len() as u64);
-        m.add_labeled("layout:relocated_bytes", plan.total_move_bytes);
-        m.add_labeled("layout:context_bytes", plan.total_context_bytes);
+        counters::DEFRAG2_EXECUTED.incr();
+        counters::RELOCATIONS.add(plan.moves.len() as u64);
+        counters::RELOCATED_BYTES.add(plan.total_move_bytes);
+        counters::CONTEXT_BYTES.add(plan.total_context_bytes);
     }
 }
 

@@ -21,7 +21,19 @@
 //!
 //! Nothing else is kept up to date. Free cells, total and per resource
 //! kind, are popcounts, and the largest free rectangle behind
-//! [`FreeSpace::fragmentation_index`] is computed exactly when asked.
+//! [`FreeSpace::fragmentation_index`] is computed exactly when asked. Its
+//! kernel ANDs the rows of every row interval and takes the longest run of
+//! ones word-parallel: within a word by binary lifting over erosions
+//! (about twenty word operations, no bit-by-bit scan), across words by
+//! carrying the run that ends at bit 63 into the next word. The row
+//! accumulator lives on the stack for rows of up to four words (256
+//! columns, every database device), so a call allocates nothing.
+//!
+//! Relocation targets come from the same index:
+//! [`FreeSpace::relocation_slots`] filters the candidate starts of a
+//! module's composition by its exact column-kind sequence, and both
+//! defragmentation planners test those slots against their grid instead
+//! of scanning the device's columns.
 
 use fabric::{ColumnKind, Device, Window, WindowRequest};
 use std::collections::HashMap;
@@ -75,40 +87,65 @@ fn span_words(start: usize, end: usize) -> impl Iterator<Item = (usize, u64)> {
     })
 }
 
-/// First column at or after `from` whose bit equals `set`, or
-/// `words.len() * 64` when there is none.
-fn next_bit(words: &[u64], from: usize, set: bool) -> usize {
-    let flip = if set { 0 } else { u64::MAX };
-    let mut w = from / 64;
-    let mut x = match words.get(w) {
-        Some(&word) => (word ^ flip) & (u64::MAX << (from % 64)),
-        None => return words.len() * 64,
-    };
-    while x == 0 {
-        w += 1;
-        match words.get(w) {
-            Some(&word) => x = word ^ flip,
-            None => return words.len() * 64,
+/// Longest run of set bits in one word other than `u64::MAX`, by binary
+/// lifting over erosions. Bit `i` of the erosion `E_k(x)` is set iff bits
+/// `i..i + k` of `x` all are, so `E_{k+m}(x) = E_k(x) & (E_m(x) >> k)`:
+/// five doublings give `E_1` .. `E_32`, and six steps then fix the run
+/// length one bit at a time, most significant first.
+#[inline]
+fn word_run(x: u64) -> u64 {
+    let mut e = [x; 6];
+    for j in 1..6 {
+        e[j] = e[j - 1] & (e[j - 1] >> (1 << (j - 1)));
+    }
+    let (mut at, mut len) = (u64::MAX, 0);
+    for j in (0..6).rev() {
+        let longer = at & (e[j] >> len);
+        if longer != 0 {
+            at = longer;
+            len += 1 << j;
         }
     }
-    w * 64 + x.trailing_zeros() as usize
+    len
 }
 
-/// Longest run of set bits, by trailing-zero scans.
-fn longest_run(words: &[u64]) -> u64 {
-    let end = words.len() * 64;
-    let mut best = 0;
-    let mut c = next_bit(words, 0, true);
-    while c < end {
-        let stop = next_bit(words, c, false);
-        best = best.max(stop - c);
-        c = next_bit(words, stop, true);
+/// Longest run of set bits in a row, carrying the run that ends at bit 63
+/// of one word into the next.
+#[inline]
+fn row_run(words: &[u64]) -> u64 {
+    let (mut best, mut carry) = (0, 0);
+    for &x in words {
+        if x == u64::MAX {
+            carry += 64;
+        } else {
+            let joined = carry + u64::from(x.trailing_ones());
+            best = best.max(joined).max(word_run(x));
+            carry = u64::from(x.leading_ones());
+        }
     }
-    best as u64
+    best.max(carry)
 }
 
 fn popcount(words: &[u64]) -> u64 {
     words.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
+/// The relocation slots of one module ([`FreeSpace::relocation_slots`]).
+pub(crate) struct Slots {
+    starts: Vec<u32>,
+    width: usize,
+    height: u32,
+    rows: u32,
+}
+
+impl Slots {
+    /// Every slot, leftmost then bottom.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = SpanRect> + '_ {
+        self.starts.iter().flat_map(move |&start| {
+            (1..=(self.rows + 1).saturating_sub(self.height))
+                .map(move |row| SpanRect::at(start as usize, self.width, row, self.height))
+        })
+    }
 }
 
 /// Per-row column bitsets, `⌈width / 64⌉` words per row: bit `c % 64` of
@@ -128,6 +165,11 @@ impl FreeGrid {
         &self.bits[(r - 1) as usize * self.words..][..self.words]
     }
 
+    /// Overwrite the cells with `other`'s, a grid of the same device.
+    pub(crate) fn copy_from(&mut self, other: &FreeGrid) {
+        self.bits.copy_from_slice(&other.bits);
+    }
+
     /// Whether every cell of the rectangle is free; `false` for an empty
     /// rectangle or one that leaves the device.
     pub(crate) fn is_free(&self, start_col: usize, width: usize, row: u32, height: u32) -> bool {
@@ -140,10 +182,15 @@ impl FreeGrid {
         };
         end <= self.width
             && top <= self.rows
-            && (row..=top).all(|r| {
-                let bits = self.row(r);
-                span_words(start_col, end).all(|(w, m)| bits[w] & m == m)
-            })
+            && self.is_free_rect(SpanRect::at(start_col, width, row, height))
+    }
+
+    /// Whether every cell of `rect`, which lies on the device, is free.
+    pub(crate) fn is_free_rect(&self, rect: SpanRect) -> bool {
+        (rect.row..=rect.top).all(|r| {
+            let bits = self.row(r);
+            span_words(rect.start, rect.end).all(|(w, m)| bits[w] & m == m)
+        })
     }
 
     /// Mark the rectangle's cells free or occupied. Every cell must be in
@@ -164,26 +211,6 @@ impl FreeGrid {
         }
     }
 
-    /// Free windows of `height` rows whose column kinds equal `kinds` and
-    /// that miss `avoid`, leftmost then bottom: the relocation targets of
-    /// a module occupying `kinds` on a device with `columns`.
-    pub(crate) fn targets<'a>(
-        &'a self,
-        columns: &'a [ColumnKind],
-        kinds: &'a [ColumnKind],
-        height: u32,
-        avoid: SpanRect,
-    ) -> impl Iterator<Item = SpanRect> + 'a {
-        let width = kinds.len();
-        (0..=columns.len().saturating_sub(width))
-            .filter(move |&start| columns.get(start..start + width) == Some(kinds))
-            .flat_map(move |start| {
-                (1..=(self.rows + 1).saturating_sub(height))
-                    .map(move |row| SpanRect::at(start, width, row, height))
-            })
-            .filter(move |t| !avoid.overlaps(t) && self.is_free(t.start, width, t.row, height))
-    }
-
     /// Free cells in the columns set in `mask` (one row's words), over
     /// every row.
     fn free_cells_in(&self, mask: &[u64]) -> u64 {
@@ -197,23 +224,40 @@ impl FreeGrid {
     /// Area of the largest all-free rectangle. For every row interval the
     /// rows are ANDed and the longest run of ones is taken; an interval
     /// whose popcount times height cannot beat the best so far is
-    /// skipped, and a start row stops once no taller interval can.
+    /// skipped, and a start row stops once no taller interval can. Rows of
+    /// up to four words run on a stack accumulator whose length the
+    /// compiler knows, so the word loops unroll; wider rows use a heap one.
     fn largest_free_rect(&self) -> u64 {
-        let mut acc = vec![0u64; self.words];
+        match self.words {
+            1 => self.largest_rect_in([0; 1]),
+            2 => self.largest_rect_in([0; 2]),
+            3 => self.largest_rect_in([0; 3]),
+            4 => self.largest_rect_in([0; 4]),
+            n => self.largest_rect_in(vec![0; n]),
+        }
+    }
+
+    /// [`Self::largest_free_rect`] with `acc`, one row long, as the
+    /// accumulator.
+    #[inline]
+    fn largest_rect_in(&self, mut acc: impl AsMut<[u64]>) -> u64 {
+        let acc = acc.as_mut();
+        let words = acc.len();
+        let row = |r: u32| &self.bits[(r - 1) as usize * words..][..words];
         let mut best = 0u64;
         for lo in 1..=self.rows {
-            acc.copy_from_slice(self.row(lo));
+            acc.copy_from_slice(row(lo));
             for hi in lo..=self.rows {
-                for (a, b) in acc.iter_mut().zip(self.row(hi)) {
+                for (a, b) in acc.iter_mut().zip(row(hi)) {
                     *a &= b;
                 }
-                let ones = popcount(&acc);
+                let ones = popcount(acc);
                 if ones * u64::from(self.rows - lo + 1) <= best {
                     break;
                 }
                 let h = u64::from(hi - lo + 1);
                 if ones * h > best {
-                    best = best.max(longest_run(&acc) * h);
+                    best = best.max(row_run(acc) * h);
                 }
             }
         }
@@ -300,6 +344,32 @@ impl FreeSpace {
         comp_key(clb, dsp, bram)
             .and_then(|key| self.candidates.get(&key))
             .map_or(&[], Vec::as_slice)
+    }
+
+    /// Where a module occupying `window` can be relocated: every window of
+    /// its height whose column kinds equal its own (the HTR relocation
+    /// condition), leftmost then bottom, occupancy not considered. The
+    /// starts are the composition index's candidate starts for the
+    /// window's composition, filtered by the exact column-kind sequence,
+    /// so no device column is scanned.
+    pub(crate) fn relocation_slots(&self, window: &Window) -> Slots {
+        let kinds = &window.columns;
+        let mut counts = [0u32; 3];
+        for kind in kinds {
+            counts[kind.prr_count_slot()] += 1;
+        }
+        let starts = self
+            .candidate_starts(counts[0], counts[1], counts[2])
+            .iter()
+            .copied()
+            .filter(|&s| self.columns[s as usize..][..kinds.len()] == kinds[..])
+            .collect();
+        Slots {
+            starts,
+            width: kinds.len(),
+            height: window.height,
+            rows: self.rows(),
+        }
     }
 
     /// Whether every cell of the rectangle is currently free; `false` for
@@ -633,6 +703,71 @@ mod tests {
             assert!(fs.candidate_starts(clb, dsp, bram).is_empty());
             let req = WindowRequest::new(clb, dsp, bram, 1);
             assert_eq!(fs.find_window(&req), None);
+        }
+    }
+
+    /// Longest run of set bits, one bit at a time.
+    fn naive_run(words: &[u64]) -> u64 {
+        let (mut best, mut run) = (0, 0);
+        for c in 0..words.len() * 64 {
+            run = if words[c / 64] >> (c % 64) & 1 == 1 {
+                run + 1
+            } else {
+                0
+            };
+            best = best.max(run);
+        }
+        best
+    }
+
+    #[test]
+    fn row_runs_match_a_bit_by_bit_scan() {
+        // Sparse, dense and run-shaped words, full and empty ones, and
+        // runs that cross word boundaries.
+        let mut state = 7u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z ^ (z >> 29)
+        };
+        for _ in 0..20_000 {
+            let words: Vec<u64> = (0..1 + next() % 4)
+                .map(|_| match next() % 6 {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => next() & next(),
+                    3 => next() | next(),
+                    4 => (u64::MAX >> (next() % 64)) << (next() % 64),
+                    _ => next(),
+                })
+                .collect();
+            assert_eq!(row_run(&words), naive_run(&words), "{words:x?}");
+            for &x in &words {
+                if x != u64::MAX {
+                    assert_eq!(word_run(x), naive_run(&[x]), "{x:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_wider_than_four_words_match_the_oracle() {
+        // 300 columns: five words per row, the heap-accumulator path.
+        let mut cols = vec![Clb; 300];
+        cols[100] = Dsp;
+        cols[250] = Bram;
+        let d = Device::new("wider", Family::Virtex5, 4, cols).unwrap();
+        let mut fs = FreeSpace::new(&d);
+        let mut naive = NaiveFreeSpace::new(&d);
+        assert_matches(&fs, &naive);
+        for (clb, dsp, bram, height) in [(70, 0, 0, 2), (90, 1, 0, 4), (30, 0, 0, 3), (3, 0, 1, 1)]
+        {
+            let req = WindowRequest::new(clb, dsp, bram, height);
+            let w = fs.find_window(&req).unwrap();
+            assert_eq!(Some(&w), naive.find_window(&req).as_ref(), "{req:?}");
+            fs.allocate(&w);
+            naive.allocate(&w);
+            assert_matches(&fs, &naive);
         }
     }
 

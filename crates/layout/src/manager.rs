@@ -6,8 +6,31 @@ use crate::free::FreeSpace;
 use bitstream::IcapModel;
 use fabric::{Device, Window, WindowRequest};
 use multitask::ModuleId;
-use prcost::{bitstream_size_bytes, Metrics, PrrOrganization};
+use prcost::{bitstream_size_bytes, PrrOrganization};
 use std::collections::BTreeMap;
+
+/// The crate's `layout:*` labeled counters in the global registry. Each
+/// resolves its slot on first use; a bump is then one atomic add.
+pub(crate) mod counters {
+    use prcost::GlobalCounter;
+
+    pub(crate) static ALLOCS: GlobalCounter = GlobalCounter::new("layout:allocs");
+    pub(crate) static FAIL_CAPACITY: GlobalCounter =
+        GlobalCounter::new("layout:alloc_fail_capacity");
+    pub(crate) static FAIL_FRAGMENTATION: GlobalCounter =
+        GlobalCounter::new("layout:alloc_fail_fragmentation");
+    pub(crate) static RELEASES: GlobalCounter = GlobalCounter::new("layout:releases");
+    pub(crate) static DEFRAG_PLANS: GlobalCounter = GlobalCounter::new("layout:defrag_plans");
+    pub(crate) static DEFRAG_EXECUTED: GlobalCounter = GlobalCounter::new("layout:defrag_executed");
+    pub(crate) static DEFRAG2_PLANS: GlobalCounter = GlobalCounter::new("layout:defrag2_plans");
+    pub(crate) static DEFRAG2_EXECUTED: GlobalCounter =
+        GlobalCounter::new("layout:defrag2_executed");
+    pub(crate) static DEFRAG_REJECTED_COST: GlobalCounter =
+        GlobalCounter::new("layout:defrag_rejected_cost");
+    pub(crate) static RELOCATIONS: GlobalCounter = GlobalCounter::new("layout:relocations");
+    pub(crate) static RELOCATED_BYTES: GlobalCounter = GlobalCounter::new("layout:relocated_bytes");
+    pub(crate) static CONTEXT_BYTES: GlobalCounter = GlobalCounter::new("layout:context_bytes");
+}
 
 /// One live PRR placement.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,15 +160,15 @@ impl LayoutManager {
         let req = WindowRequest::new(org.clb_cols, org.dsp_cols, org.bram_cols, org.height);
         match self.free.find_window(&req) {
             Some(window) => {
-                Metrics::global().incr_labeled("layout:allocs");
+                counters::ALLOCS.incr();
                 Ok(self.place(module, org, window))
             }
             None => {
                 let err = self.classify_failure(org);
-                Metrics::global().incr_labeled(match err {
-                    AllocError::Capacity => "layout:alloc_fail_capacity",
-                    AllocError::Fragmentation => "layout:alloc_fail_fragmentation",
-                });
+                match err {
+                    AllocError::Capacity => counters::FAIL_CAPACITY.incr(),
+                    AllocError::Fragmentation => counters::FAIL_FRAGMENTATION.incr(),
+                }
                 Err(err)
             }
         }
@@ -182,7 +205,7 @@ impl LayoutManager {
     pub fn release(&mut self, id: u64) -> Option<Allocation> {
         let alloc = self.allocations.remove(&id)?;
         self.free.release(&alloc.window);
-        Metrics::global().incr_labeled("layout:releases");
+        counters::RELEASES.incr();
         Some(alloc)
     }
 

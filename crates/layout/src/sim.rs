@@ -18,7 +18,7 @@
 use crate::defrag::{DefragPolicy, RelocationMove};
 use crate::defrag2::Defrag2Config;
 use crate::free::FreeSpace;
-use crate::manager::{AllocError, LayoutManager};
+use crate::manager::{counters, AllocError, LayoutManager};
 use bitstream::IcapModel;
 use fabric::{Device, Resources, WindowRequest};
 use multitask::{ModuleTable, Workload};
@@ -321,8 +321,9 @@ pub fn simulate_layout(
                     WindowRequest::new(goal.clb_cols, goal.dsp_cols, goal.bram_cols, goal.height);
                 // While a window for the goal class exists there is
                 // nothing to repair, but the goal stays armed: it fires
-                // when the fabric re-fragments against that class.
-                if manager.free_space().find_window(&req).is_none() && icap_free_at <= now {
+                // when the fabric re-fragments against that class. The
+                // window probe is pure, so it waits for an idle port.
+                if icap_free_at <= now && manager.free_space().find_window(&req).is_none() {
                     if let Some(plan) = manager.plan_defrag2(&goal, &d2cfg) {
                         let benefit: u64 =
                             completion.values().map(|&c| c.saturating_sub(now)).sum();
@@ -349,10 +350,9 @@ pub fn simulate_layout(
         }
 
         let needs = (task.needs.clb(), task.needs.dsp(), task.needs.bram());
-        let orgs = org_cache
+        let orgs: &[PrrOrganization] = org_cache
             .entry(needs)
-            .or_insert_with(|| candidate_orgs(device, manager.free_space(), &task.needs))
-            .clone();
+            .or_insert_with(|| candidate_orgs(device, manager.free_space(), &task.needs));
         if orgs.is_empty() {
             report.rejected_capacity += 1;
             continue;
@@ -361,7 +361,7 @@ pub fn simulate_layout(
         // Direct admission: cheapest-bitstream organization that fits.
         let mut admitted_org = None;
         let mut saw_fragmentation = false;
-        for org in &orgs {
+        for org in orgs {
             match manager.allocate(task.module, org) {
                 Ok(id) => {
                     admitted_org = Some((id, *org));
@@ -380,13 +380,13 @@ pub fn simulate_layout(
         // serializes through the ICAP and stalls the moved (running)
         // module for its copy time.
         if admitted_org.is_none() && saw_fragmentation && config.policy != DefragPolicy::Never {
-            for org in &orgs {
+            for org in orgs {
                 let moves = if config.depth > 0 {
                     let Some(plan) = manager.plan_defrag2(org, &d2cfg) else {
                         continue;
                     };
                     if !config.policy.accepts(plan.total_move_ns, task.exec_ns) {
-                        prcost::Metrics::global().incr_labeled("layout:defrag_rejected_cost");
+                        counters::DEFRAG_REJECTED_COST.incr();
                         continue;
                     }
                     manager.execute_defrag2(&plan);
@@ -396,7 +396,7 @@ pub fn simulate_layout(
                         continue;
                     };
                     if !config.policy.accepts(plan.total_move_ns, task.exec_ns) {
-                        prcost::Metrics::global().incr_labeled("layout:defrag_rejected_cost");
+                        counters::DEFRAG_REJECTED_COST.incr();
                         continue;
                     }
                     manager.execute_defrag(&plan);

@@ -529,16 +529,23 @@ pub fn simulate_full_reconfig(
 /// permanently resident side by side, so there is no reconfiguration at
 /// all — but tasks of the same module serialize on its single instance,
 /// and the design only exists if all modules fit the device together.
-/// Returns `None` when the combined resources exceed the device.
+/// Each module's instance is sized for the largest needs of any of its
+/// tasks. Returns `None` when the combined resources exceed the device.
 pub fn simulate_static(device: &fabric::Device, workload: &Workload) -> Option<SimReport> {
-    // Capacity check: sum of per-module needs against the whole device.
+    // Capacity check: the saturating sum of per-module needs against the
+    // whole device.
     let mut modules: Vec<(ModuleId, fabric::Resources)> = Vec::new();
     for t in &workload.tasks {
-        if !modules.iter().any(|&(m, _)| m == t.module) {
-            modules.push((t.module, t.needs));
+        match modules.iter_mut().find(|(m, _)| *m == t.module) {
+            Some((_, needs)) => *needs = needs.max(&t.needs),
+            None => modules.push((t.module, t.needs)),
         }
     }
-    let total: fabric::Resources = modules.iter().map(|(_, r)| *r).sum();
+    let total = modules
+        .iter()
+        .fold(fabric::Resources::ZERO, |sum, (_, needs)| {
+            sum.saturating_add(needs)
+        });
     if !device.total_resources().covers(&total) {
         return None;
     }
@@ -1118,6 +1125,17 @@ mod tests {
         assert_eq!(r.icap_busy_ns, 0);
         // Two "a" tasks serialize; "b" runs in parallel.
         assert_eq!(r.makespan_ns, 200);
+    }
+
+    /// A module's instance must host its largest task, not its first.
+    #[test]
+    fn static_system_sizes_each_module_by_its_largest_task() {
+        let device = xc5vlx110t();
+        let mut huge = task(1, "a", 10, 100);
+        huge.needs = Resources::new(1_000_000, 0, 0);
+        assert!(simulate_static(&device, &workload(vec![huge])).is_none());
+        let w = workload(vec![task(0, "a", 0, 100), huge]);
+        assert!(simulate_static(&device, &w).is_none());
     }
 
     #[test]

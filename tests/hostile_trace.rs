@@ -6,8 +6,8 @@
 //! --height 1` builds.
 
 use multitask::{
-    simulate_full_reconfig, simulate_preemptive, simulate_static, BestFit, FirstFit, ReuseAware,
-    Scheduler,
+    simulate_full_reconfig, simulate_preemptive, simulate_static, BestFit, FirstFit, HwTask,
+    ModuleTable, ReuseAware, Scheduler,
 };
 use prfpga::prelude::*;
 
@@ -63,4 +63,26 @@ fn saturated_execution_time_reads_as_unbounded_makespan() {
     assert_eq!(deadlines.tasks[0].deadline_ns, Some(u64::MAX));
     let r = simulate(&system(2), &deadlines, &ReuseAware);
     assert_eq!((r.completed, r.deadline_misses), (servable, 1));
+}
+
+/// Needs near `u64::MAX` saturate the static baseline's capacity sum: two
+/// modules of `u64::MAX / 2 + 1` CLBs do not fit the device together. An
+/// unsaturated sum panics with an overflow (debug) or wraps to zero and
+/// fits (release).
+#[test]
+fn static_capacity_sum_saturates() {
+    let device = fabric::device_by_name("xc5vlx110t").unwrap();
+    let mut modules = ModuleTable::new();
+    let tasks = (0..2)
+        .map(|id| HwTask {
+            id,
+            module: modules.intern(&format!("m{id}")),
+            priority: 0,
+            needs: Resources::new(u64::MAX / 2 + 1, 0, 0),
+            arrival_ns: 0,
+            exec_ns: 10,
+            deadline_ns: None,
+        })
+        .collect();
+    assert!(simulate_static(&device, &Workload::new(tasks, modules)).is_none());
 }
