@@ -4,7 +4,7 @@
 //! measured *busy factor* — the fraction of cycles the port stalls waiting
 //! for configuration data. The paper under reproduction points out the
 //! model "is only valid if the ICAP is the limiting factor during
-//! reconfiguration", which [`ClausModel::valid_for`] encodes.
+//! reconfiguration".
 
 use bitstream::IcapModel;
 use serde::{Deserialize, Serialize};
@@ -54,13 +54,6 @@ impl ClausModel {
     pub fn estimate(&self, bytes: u64) -> Duration {
         self.port.transfer_time(bytes)
     }
-
-    /// The model's validity precondition: the ICAP must be the bottleneck,
-    /// i.e. the supply path must deliver at least the port's effective
-    /// rate. `supply_bytes_per_sec` is the measured upstream rate.
-    pub fn valid_for(&self, supply_bytes_per_sec: f64) -> bool {
-        supply_bytes_per_sec >= self.port.effective_bytes_per_sec()
-    }
 }
 
 #[cfg(test)]
@@ -74,14 +67,6 @@ mod tests {
         let t_cpu = cpu.estimate(100_000).as_secs_f64();
         let t_stream = stream.estimate(100_000).as_secs_f64();
         assert!(t_cpu / t_stream > 7.0, "{t_cpu} vs {t_stream}");
-    }
-
-    #[test]
-    fn validity_precondition() {
-        let m = ClausModel::new(SupplyPath::Streaming);
-        // Effective rate = 392 MB/s; a 100 MB/s DDR path starves it.
-        assert!(!m.valid_for(100e6));
-        assert!(m.valid_for(500e6));
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! from its storage medium plus the configuration-port transfer, with the
 //! storage medium usually dominating. The paper under reproduction notes
 //! the model "had a 30 % to 60 % error as compared to the measured
-//! reconfiguration times" — [`PapadimitriouModel::error_bounds`] exposes
-//! that band.
+//! reconfiguration times".
 
 use bitstream::IcapModel;
 use serde::{Deserialize, Serialize};
@@ -78,17 +77,6 @@ impl PapadimitriouModel {
         };
         Duration::from_secs_f64(secs)
     }
-
-    /// The survey's observed error band: the measured time lies within
-    /// (estimate / (1 + 0.6), estimate / (1 - 0.6))-ish; the paper quotes
-    /// 30–60 % error, so we report estimate x [0.4, 1.6].
-    pub fn error_bounds(&self, bytes: u64) -> (Duration, Duration) {
-        let est = self.estimate(bytes).as_secs_f64();
-        (
-            Duration::from_secs_f64(est * 0.4),
-            Duration::from_secs_f64(est * 1.6),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -110,14 +98,6 @@ mod tests {
             let ovl = PapadimitriouModel::new(m, true);
             assert!(ovl.estimate(100_000) <= seq.estimate(100_000), "{m:?}");
         }
-    }
-
-    #[test]
-    fn bounds_bracket_estimate() {
-        let m = PapadimitriouModel::new(StorageMedium::DdrSdram, true);
-        let (lo, hi) = m.error_bounds(83_040);
-        let est = m.estimate(83_040);
-        assert!(lo < est && est < hi);
     }
 
     #[test]

@@ -15,17 +15,15 @@
 //! records which dispatch paths are active and the host's CPU count.
 //!
 //! The second half measures whole-stream emission: single-spec
-//! `generate` vs buffer-reusing `emit_into`, and batch emission through
-//! the arena path (`generate_batch` over `Arc` specs with per-worker
-//! `EmitScratch` template/stream caches).
-//! A counting `#[global_allocator]` asserts the steady-state arena path:
-//! a warm repeated-spec `generate_with` call is one rendered-stream cache
-//! hit — a single exact-size `Vec` clone, ≤2 allocations.
+//! `generate` vs buffer-reusing `emit_into`.
+//! A counting `#[global_allocator]` asserts the steady-state cached path:
+//! a warm repeated-spec `emit_arc_into` call is one rendered-stream cache
+//! hit copied into a warm buffer, with no allocation.
 
 use bitstream::arch;
 use bitstream::crc::baseline::crc_words_bitwise;
 use bitstream::crc::{crc_words, crc_words_folded};
-use bitstream::{emit_into, generate, generate_batch, generate_with, BitstreamSpec, EmitScratch};
+use bitstream::{emit_arc_into, emit_into, generate, BitstreamSpec, EmitScratch};
 use criterion::{criterion_group, Criterion, Throughput};
 use fabric::database::xc5vlx110t;
 use serde::Serialize;
@@ -35,8 +33,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Counts every heap allocation so the warm arena path can be asserted
-/// (nearly) allocation-free.
+/// Counts every heap allocation so the warm cached path can be asserted
+/// allocation-free.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -74,9 +72,7 @@ fn words(n: usize) -> Vec<u32> {
         .collect()
 }
 
-/// The planned placements of the three paper PRMs on the LX110T — the
-/// batch workload cycles through them so template *and* rendered-stream
-/// caches see realistic reuse.
+/// The planned placements of the three paper PRMs on the LX110T.
 fn paper_specs() -> Vec<Arc<BitstreamSpec>> {
     let device = xc5vlx110t();
     synth::PaperPrm::ALL
@@ -153,13 +149,6 @@ fn bench_crc(c: &mut Criterion) {
         b.iter(|| emit_into(black_box(spec), &mut out).unwrap())
     });
     g.finish();
-
-    // 120-stream batch: 3 distinct specs repeated, the multitasking
-    // dispatch pattern the arena caches are shaped for.
-    let batch: Vec<Arc<BitstreamSpec>> = (0..120).map(|i| Arc::clone(&specs[i % 3])).collect();
-    let mut g = c.benchmark_group("generate_batch_120");
-    g.bench_function("arena", |b| b.iter(|| generate_batch(black_box(&batch))));
-    g.finish();
 }
 
 #[derive(Serialize)]
@@ -203,9 +192,7 @@ struct CrcBenchArtifact {
     generate_min_us: f64,
     emit_into_min_us: f64,
     generate_speedup: f64,
-    batch_streams: usize,
-    batch_arena_min_ms: f64,
-    /// Heap allocations in one warm repeated-spec `generate_with` call.
+    /// Heap allocations in one warm repeated-spec `emit_arc_into` call.
     warm_emit_allocations: u64,
     /// `std::thread::available_parallelism` on the measuring host.
     host_cpus: usize,
@@ -306,28 +293,21 @@ fn emit_artifact() {
         black_box(&out);
     });
 
-    let batch: Vec<Arc<BitstreamSpec>> = (0..120).map(|i| Arc::clone(&specs[i % 3])).collect();
-    let batch_samples = 50u32;
-    let batch_arena = min_time(batch_samples, &mut || {
-        black_box(generate_batch(&batch));
-    });
-
     // Steady-state allocation audit: after warm-up, a repeated-spec
-    // `generate_with` call is a rendered-stream cache hit — one
-    // exact-size Vec clone for the returned words (realloc-free), and
-    // nothing else.
+    // `emit_arc_into` call is a rendered-stream cache hit (a refcount
+    // bump) copied into a buffer that has already grown to the stream.
     let mut scratch = EmitScratch::new();
+    let mut warm = Vec::new();
     for _ in 0..4 {
-        black_box(generate_with(&mut scratch, spec).unwrap());
+        emit_arc_into(&mut scratch, spec, &mut warm).unwrap();
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let warm = generate_with(&mut scratch, spec).unwrap();
+    emit_arc_into(&mut scratch, spec, &mut warm).unwrap();
     let warm_emit_allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    drop(warm);
-    assert!(
-        warm_emit_allocations <= 2,
-        "warm arena emission should be a single stream-cache Vec clone, \
-         saw {warm_emit_allocations} allocations"
+    black_box(&warm);
+    assert_eq!(
+        warm_emit_allocations, 0,
+        "warm cached emission into a warm buffer should not allocate"
     );
 
     let artifact = CrcBenchArtifact {
@@ -355,8 +335,6 @@ fn emit_artifact() {
         generate_min_us: gen_alloc * 1e6,
         emit_into_min_us: gen_reused * 1e6,
         generate_speedup: gen_alloc / gen_reused,
-        batch_streams: batch.len(),
-        batch_arena_min_ms: batch_arena * 1e3,
         warm_emit_allocations,
         host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
     };
@@ -390,13 +368,10 @@ fn emit_artifact() {
         ratio(artifact.fused_speedup),
     );
     println!(
-        "generate {:.1} us -> emit_into {:.1} us ({:.2}x); \
-         batch x{}: arena {:.2} ms ({} allocs/warm emit)",
+        "generate {:.1} us -> emit_into {:.1} us ({:.2}x); {} allocs/warm cached emit",
         artifact.generate_min_us,
         artifact.emit_into_min_us,
         artifact.generate_speedup,
-        artifact.batch_streams,
-        artifact.batch_arena_min_ms,
         artifact.warm_emit_allocations,
     );
     bench::write_json("BENCH_crc", &artifact);

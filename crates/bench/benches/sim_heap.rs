@@ -7,8 +7,8 @@
 //! interns modules, carries fits bitmasks in queue entries, advances the
 //! clock off a binary heap of slot-free events and reuses a
 //! `SimScratch`. Besides the criterion numbers, a `BENCH_sim.json`
-//! artifact with both throughputs per system width, the speedups and the
-//! rayon batch throughput is written to `results/`. The artifact uses
+//! artifact with both throughputs per system width and the speedups is
+//! written to `results/`. The artifact uses
 //! min-of-samples timing: on a noisy shared box the minimum is the
 //! least-biased estimator of the true cost of either simulator.
 
@@ -17,8 +17,7 @@ use criterion::{criterion_group, Criterion, Throughput};
 use fabric::{device_by_name, Family};
 use multitask::sim::reference::{simulate_seed, SeedPolicy};
 use multitask::{
-    simulate_batch, simulate_with_scratch, BestFit, FirstFit, PrSystem, ReuseAware, Scenario,
-    Scheduler, SimScratch, Workload,
+    simulate_with_scratch, BestFit, FirstFit, PrSystem, ReuseAware, Scheduler, SimScratch, Workload,
 };
 use prcost::PrrOrganization;
 use serde::Serialize;
@@ -95,9 +94,6 @@ struct SimBenchArtifact {
     /// Best seed-vs-heap ratio across the measured system widths.
     speedup: f64,
     configs: Vec<SimConfigResult>,
-    batch_scenarios: usize,
-    batch_min_ms: f64,
-    batch_tasks_per_sec: f64,
 }
 
 /// Minimum wall time of `f` over `samples` runs (after one warm-up).
@@ -151,38 +147,11 @@ fn emit_artifact() {
         });
     }
 
-    // Batch: the 4-PRR scenario replicated across every worker.
-    let sys = system(4);
-    let wl = workload(&sys, N_TASKS);
-    let n = wl.tasks.len();
-    let scheds: [&dyn Scheduler; 3] = [&FirstFit, &BestFit, &ReuseAware];
-    let scenarios: Vec<Scenario> = (0..12)
-        .map(|i| Scenario {
-            system: &sys,
-            workload: &wl,
-            scheduler: scheds[i % scheds.len()],
-        })
-        .collect();
-    let n_scenarios = scenarios.len();
-    let batch = min_time(5, &mut || {
-        black_box(simulate_batch(&scenarios));
-    });
-    println!(
-        "batch {} scenarios: {:.2} ms ({:.2} Mtasks/s over {} workers)",
-        n_scenarios,
-        batch * 1e3,
-        (n * n_scenarios) as f64 / batch / 1e6,
-        rayon::current_num_threads(),
-    );
-
     let artifact = SimBenchArtifact {
         samples,
         scheduler: "reuse-aware",
         speedup: configs.iter().map(|c| c.speedup).fold(0.0, f64::max),
         configs,
-        batch_scenarios: n_scenarios,
-        batch_min_ms: batch * 1e3,
-        batch_tasks_per_sec: (n * n_scenarios) as f64 / batch,
     };
     bench::write_json("BENCH_sim", &artifact);
 }

@@ -19,7 +19,7 @@
 
 use criterion::{criterion_group, Criterion};
 use fabric::{Device, DeviceGeometry};
-use prcost::{plan_prr_cached, PlanScratch};
+use prcost::{plan_requirements_cached, PlanScratch, PrrRequirements};
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
@@ -122,7 +122,8 @@ fn scan_reports(family: fabric::Family) -> Vec<SynthReport> {
 fn cold_plans_index(reports: &[SynthReport], device: &Device, geometry: &DeviceGeometry) {
     let mut scratch = PlanScratch::default();
     for report in reports {
-        black_box(plan_prr_cached(report, device, geometry, &mut scratch).ok());
+        let req = PrrRequirements::from_report(report);
+        black_box(plan_requirements_cached(&req, device, geometry, &mut scratch).ok());
     }
 }
 
@@ -163,8 +164,9 @@ fn sweep_pps(
             scope.spawn(move || {
                 let mut scratch = PlanScratch::default();
                 for &(g, d) in chunk {
+                    let req = PrrRequirements::from_report(&reports[g][d]);
                     let plan =
-                        plan_prr_cached(&reports[g][d], &devices[d], &indexes[d], &mut scratch);
+                        plan_requirements_cached(&req, &devices[d], &indexes[d], &mut scratch);
                     black_box(plan.ok());
                 }
             });

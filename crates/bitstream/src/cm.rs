@@ -159,11 +159,6 @@ impl ConfigPort {
         self.idcode
     }
 
-    /// True once a DESYNC command has been executed.
-    pub fn is_done(&self) -> bool {
-        self.state == PortState::Done
-    }
-
     /// Drive one configuration word into the port.
     pub fn push_word(&mut self, word: u32) -> Result<(), CmError> {
         match self.state {
@@ -377,7 +372,7 @@ mod tests {
         let bram = u64::from(org.bram_cols * g.df_bram);
         let expected = u64::from(org.height) * (config + bram);
         assert_eq!(port.memory().frame_count() as u64, expected);
-        assert!(port.is_done());
+        assert_eq!(port.state, PortState::Done);
         assert!(port.commands().contains(&Command::Wcfg));
     }
 
@@ -439,7 +434,7 @@ mod tests {
         let mut port = ConfigPort::new(device.params().frames);
         port.push_word(0xDEAD_BEEF).unwrap();
         port.push_word(0xFFFF_FFFF).unwrap();
-        assert!(!port.is_done());
+        assert_ne!(port.state, PortState::Done);
         assert_eq!(port.memory().frame_count(), 0);
     }
 

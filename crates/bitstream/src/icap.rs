@@ -33,20 +33,6 @@ impl IcapModel {
         busy_factor: 0.0,
     };
 
-    /// Processor-copied transfers: same port, high contention.
-    pub const V5_CPU_COPY: IcapModel = IcapModel {
-        width_bits: 32,
-        clock_hz: 100_000_000,
-        busy_factor: 0.85,
-    };
-
-    /// 8-bit SelectMAP-style external port.
-    pub const EXT_SELECTMAP8: IcapModel = IcapModel {
-        width_bits: 8,
-        clock_hz: 50_000_000,
-        busy_factor: 0.0,
-    };
-
     /// Construct, clamping the busy factor into `[0, 0.999]`.
     pub fn new(width_bits: u32, clock_hz: u64, busy_factor: f64) -> Self {
         IcapModel {
@@ -114,8 +100,6 @@ mod tests {
     fn paper_scale_reconfiguration_times() {
         let t = IcapModel::V5_DMA.transfer_time(157_272); // MIPS/V5 bitstream
         assert!(t < Duration::from_millis(1), "{t:?}");
-        let t_cpu = IcapModel::V5_CPU_COPY.transfer_time(157_272);
-        assert!(t_cpu > t * 5, "CPU-copy path is much slower");
     }
 
     #[test]

@@ -48,8 +48,8 @@ pub use icap::IcapModel;
 pub use packet::{Command, ConfigRegister, Packet};
 pub use parser::{parse, ParseError, ParsedBitstream};
 pub use readback::{context_cost, ContextCost};
-pub use relocate::{compatible, relocate, relocate_batch, RelocateError};
+pub use relocate::{compatible, relocate, RelocateError};
 pub use writer::{
-    emit_arc_into, emit_into, emit_shared, emitted_words, generate, generate_arc, generate_batch,
-    generate_with, BitstreamSpec, EmitScratch, PartialBitstream,
+    emit_arc_into, emit_into, emit_shared, emitted_words, generate, BitstreamSpec, EmitScratch,
+    PartialBitstream,
 };

@@ -46,13 +46,6 @@ impl ParsedBitstream {
             .filter(|w| w.far.block == BlockType::Config)
     }
 
-    /// BRAM-content (block type 1) writes.
-    pub fn bram_writes(&self) -> impl Iterator<Item = &FrameWrite> {
-        self.frame_writes
-            .iter()
-            .filter(|w| w.far.block == BlockType::BramContent)
-    }
-
     /// Number of PRR rows configured (distinct config-write rows).
     pub fn rows_configured(&self) -> u32 {
         let mut rows: Vec<u32> = self.config_writes().map(|w| w.far.row).collect();
@@ -259,6 +252,14 @@ mod tests {
     use std::sync::OnceLock;
     use synth::PaperPrm;
 
+    /// BRAM-content (block type 1) writes.
+    fn bram_writes(parsed: &ParsedBitstream) -> impl Iterator<Item = &FrameWrite> {
+        parsed
+            .frame_writes
+            .iter()
+            .filter(|w| w.far.block == BlockType::BramContent)
+    }
+
     fn stream(prm: PaperPrm, device: &fabric::Device) -> PartialBitstream {
         let plan = plan_prr(&prm.synth_report(device.family()), device).unwrap();
         let spec = BitstreamSpec::from_plan(
@@ -283,7 +284,7 @@ mod tests {
                 bs.spec.organization.height,
                 "{prm:?}: one config write per PRR row"
             );
-            let bram_rows = parsed.bram_writes().count() as u32;
+            let bram_rows = bram_writes(&parsed).count() as u32;
             if bs.spec.organization.bram_cols > 0 {
                 assert_eq!(bram_rows, bs.spec.organization.height);
             } else {
@@ -306,7 +307,7 @@ mod tests {
         for w in parsed.config_writes() {
             assert_eq!(u64::from(w.words), b.config_words_per_row - far_fdri);
         }
-        for w in parsed.bram_writes() {
+        for w in bram_writes(&parsed) {
             assert_eq!(u64::from(w.words), b.bram_words_per_row - far_fdri);
         }
     }

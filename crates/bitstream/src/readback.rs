@@ -51,12 +51,6 @@ impl ContextCost {
     pub fn restore_time(&self, icap: &IcapModel) -> Duration {
         icap.transfer_time(self.restore_bytes())
     }
-
-    /// Full context-switch time for task relocation: save + restore (the
-    /// replacement bitstream write is costed separately by Eq. 18).
-    pub fn relocation_time(&self, icap: &IcapModel) -> Duration {
-        self.save_time(icap) + self.restore_time(icap)
-    }
 }
 
 /// Context-transfer cost for a PRR organization.
@@ -118,18 +112,6 @@ mod tests {
         let o = org(3, 6, 1, 0);
         let ctx = context_cost(&o);
         assert!(ctx.save_bytes() <= ctx.restore_bytes());
-    }
-
-    #[test]
-    fn relocation_time_is_sum_of_parts() {
-        let o = org(1, 17, 1, 2); // MIPS/V5 PRR
-        let ctx = context_cost(&o);
-        let icap = IcapModel::V5_DMA;
-        let total = ctx.relocation_time(&icap);
-        assert_eq!(total, ctx.save_time(&icap) + ctx.restore_time(&icap));
-        // Paper-scale sanity: relocating the MIPS PRR is sub-millisecond
-        // on a DMA-fed ICAP.
-        assert!(total < Duration::from_millis(1));
     }
 
     #[test]

@@ -28,13 +28,6 @@ pub enum RelocateError {
         /// The offending address.
         far: FrameAddress,
     },
-    /// Two moves in one batch target overlapping fabric regions.
-    TargetOverlap {
-        /// Index of the earlier conflicting move in the batch.
-        first: usize,
-        /// Index of the later conflicting move in the batch.
-        second: usize,
-    },
 }
 
 impl fmt::Display for RelocateError {
@@ -46,12 +39,6 @@ impl fmt::Display for RelocateError {
             RelocateError::OutOfBounds => write!(f, "target window exceeds the device"),
             RelocateError::ForeignFrameAddress { far } => {
                 write!(f, "bitstream addresses a frame outside its PRR: {far:?}")
-            }
-            RelocateError::TargetOverlap { first, second } => {
-                write!(
-                    f,
-                    "batch moves {first} and {second} target overlapping regions"
-                )
             }
         }
     }
@@ -154,39 +141,6 @@ pub fn relocate(
     })
 }
 
-/// Whether two windows claim at least one common fabric cell.
-fn overlaps(a: &Window, b: &Window) -> bool {
-    a.start_col < b.end_col()
-        && b.start_col < a.end_col()
-        && a.row <= b.top_row()
-        && b.row <= a.top_row()
-}
-
-/// Relocate a planned move set atomically: every move is validated
-/// (compatibility, device bounds, pairwise-disjoint *targets*) before any
-/// stream is rewritten, so a defrag plan either applies in full or not at
-/// all. Targets may overlap other moves' *source* windows — the planner
-/// schedules the ICAP writes sequentially, and by the time a later move's
-/// frames land, the earlier occupant has already been rewritten elsewhere.
-pub fn relocate_batch(
-    device: &Device,
-    moves: &[(&PartialBitstream, Window)],
-) -> Result<Vec<PartialBitstream>, RelocateError> {
-    for (second, (_, target)) in moves.iter().enumerate() {
-        for (first, (_, earlier)) in moves.iter().enumerate().take(second) {
-            if overlaps(earlier, target) {
-                return Err(RelocateError::TargetOverlap { first, second });
-            }
-        }
-    }
-    // Dry-run every move before committing any result; `relocate` itself
-    // leaves its input untouched, so validation and application coincide.
-    moves
-        .iter()
-        .map(|(bs, target)| relocate(bs, device, target))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,54 +231,6 @@ mod tests {
         let target = shifted(&bs, 8); // row 9 of an 8-row device
         assert_eq!(
             relocate(&bs, &device, &target),
-            Err(RelocateError::OutOfBounds)
-        );
-    }
-
-    #[test]
-    fn batch_matches_individual_relocations() {
-        let (device, bs) = mips_stream();
-        let h = bs.spec.organization.height;
-        let moves = vec![(&bs, shifted(&bs, h)), (&bs, shifted(&bs, 2 * h))];
-        let batch = relocate_batch(&device, &moves).unwrap();
-        assert_eq!(batch.len(), 2);
-        for (out, (src, target)) in batch.iter().zip(&moves) {
-            assert_eq!(out.words, relocate(src, &device, target).unwrap().words);
-        }
-    }
-
-    #[test]
-    fn batch_rejects_overlapping_targets() {
-        let (device, bs) = mips_stream();
-        let h = bs.spec.organization.height;
-        let moves = vec![(&bs, shifted(&bs, h)), (&bs, shifted(&bs, h))];
-        assert_eq!(
-            relocate_batch(&device, &moves),
-            Err(RelocateError::TargetOverlap {
-                first: 0,
-                second: 1
-            })
-        );
-    }
-
-    #[test]
-    fn batch_allows_target_over_another_moves_source() {
-        // First move stays put (its target covers both streams' source
-        // window); second vacates upward. Source overlap is fine — only
-        // *target* regions must be pairwise disjoint.
-        let (device, bs) = mips_stream();
-        let h = bs.spec.organization.height;
-        let moves = vec![(&bs, shifted(&bs, 0)), (&bs, shifted(&bs, h))];
-        assert!(relocate_batch(&device, &moves).is_ok());
-    }
-
-    #[test]
-    fn batch_is_all_or_nothing() {
-        let (device, bs) = mips_stream();
-        let h = bs.spec.organization.height;
-        let moves = vec![(&bs, shifted(&bs, h)), (&bs, shifted(&bs, 100))];
-        assert_eq!(
-            relocate_batch(&device, &moves),
             Err(RelocateError::OutOfBounds)
         );
     }

@@ -2,25 +2,24 @@
 //!
 //! Emission is arena-style: [`emitted_words`] predicts the exact output
 //! length so every stream is written into a single exact-size
-//! allocation (no per-word `Vec` growth), and invariant header packets
-//! and string hashes are derived once per `(organization, device,
-//! module)` triple through an [`EmitScratch`] template memo. Each FDRI
-//! block's payload is filled and checksummed in one pass: a
-//! counter-based (loop-carry-free, vectorizable) splitmix64 fill and the
-//! in-stream CRC go through one dispatched [`crate::arch`] call, which on
-//! AVX-512 hosts folds each generated vector into the CRC before it
-//! leaves registers. A recycled output buffer is not zeroed first: every
-//! word of it is overwritten. An [`EmitScratch`]
-//! also keeps a small cache of recently rendered streams, each held once
-//! behind an `Arc`: [`emit_shared`] hands out that shared handle, so a
-//! batch that emits the same placed module repeatedly — the steady state
-//! of a hardware-multitasking system — costs one refcount bump per
-//! repeat and moves no stream words. A miss renders in place, into the
-//! evicted entry's buffer when no handle to it is still alive.
-//! [`emit_arc_into`] and [`generate_with`] copy out of the handle for
-//! callers that need owned words. The first, push-based emitter is
-//! kept in [`mod@reference`] as the oracle the arena path is
-//! property-tested byte-identical to.
+//! allocation (no per-word `Vec` growth), and the invariant header
+//! packets and string hashes are derived once per rendered stream into
+//! a stack-held template. Each FDRI block's payload is filled and
+//! checksummed in one pass: a counter-based (loop-carry-free,
+//! vectorizable) splitmix64 fill and the in-stream CRC go through one
+//! dispatched [`crate::arch`] call, which on AVX-512 hosts folds each
+//! generated vector into the CRC before it leaves registers. A recycled
+//! output buffer is not zeroed first: every word of it is overwritten.
+//! An [`EmitScratch`] keeps a small cache of recently rendered streams,
+//! each held once behind an `Arc`: [`emit_shared`] hands out that shared
+//! handle, so a batch that emits the same placed module repeatedly — the
+//! steady state of a hardware-multitasking system — costs one refcount
+//! bump per repeat and moves no stream words. A miss renders in place,
+//! into the evicted entry's buffer when no handle to it is still alive.
+//! [`emit_arc_into`] copies out of the handle for callers that need
+//! owned words. The first, push-based emitter is kept in
+//! [`mod@reference`] as the oracle the arena path is property-tested
+//! byte-identical to.
 
 use crate::crc::Crc32;
 use crate::far::FrameAddress;
@@ -424,70 +423,30 @@ fn emit_template(tpl: &EmitTemplate, spec: &BitstreamSpec, out: &mut Vec<u32>) {
     debug_assert_eq!(pos + FINAL_WORDS, tpl.total_words);
 }
 
-/// Templates cached per worker (each is a few hundred bytes).
-const TEMPLATE_CAP: usize = 32;
 /// Rendered streams cached per worker. Bounds worker memory at
 /// `STREAM_CAP` bitstreams (plus any evicted ones a caller still holds)
 /// while letting batches over a small set of distinct placed modules
 /// reach the refcount-only steady state.
 pub const STREAM_CAP: usize = 8;
 
-/// Per-worker emission arena: the `(organization, device, module)`
-/// template memo plus a small rendered-stream cache keyed by full spec
-/// identity, each stream held once behind an `Arc` and shared with every
-/// handle [`emit_shared`] returns. Both caches swap each hit to the
-/// front, insert each new entry at the front and, when full, evict the
-/// last entry. That is cheaper than exact LRU order and close to it, but
-/// not the same: a hit on the last entry sends the front entry, used
-/// just before, to the back. Both have bounded capacity, so a long-lived
-/// scratch's memory stays constant regardless of how many specs flow
-/// through it.
+/// Per-worker emission arena: a small rendered-stream cache keyed by
+/// full spec identity, each stream held once behind an `Arc` and shared
+/// with every handle [`emit_shared`] returns. The cache swaps each hit
+/// to the front, inserts each new entry at the front and, when full,
+/// evicts the last entry. That is cheaper than exact LRU order and close
+/// to it, but not the same: a hit on the last entry sends the front
+/// entry, used just before, to the back. Its capacity is bounded, so a
+/// long-lived scratch's memory stays constant regardless of how many
+/// specs flow through it.
 #[derive(Debug, Clone, Default)]
 pub struct EmitScratch {
-    templates: Vec<(TemplateKey, EmitTemplate)>,
     streams: Vec<(Arc<BitstreamSpec>, Arc<Vec<u32>>)>,
 }
 
-#[derive(Debug, Clone)]
-struct TemplateKey {
-    organization: PrrOrganization,
-    device: String,
-    module: String,
-}
-
-impl TemplateKey {
-    fn of(spec: &BitstreamSpec) -> Self {
-        TemplateKey {
-            organization: spec.organization,
-            device: spec.device.clone(),
-            module: spec.module.clone(),
-        }
-    }
-
-    fn matches(&self, spec: &BitstreamSpec) -> bool {
-        self.organization == spec.organization
-            && self.device == spec.device
-            && self.module == spec.module
-    }
-}
-
 impl EmitScratch {
-    /// An empty arena; caches warm up on first use.
+    /// An empty arena; the cache warms up on first use.
     pub fn new() -> Self {
         EmitScratch::default()
-    }
-
-    /// Index of the template for `spec`, building it on a miss.
-    /// Always 0 after the swap-to-front.
-    fn template_index(&mut self, spec: &BitstreamSpec) -> usize {
-        if let Some(i) = self.templates.iter().position(|(k, _)| k.matches(spec)) {
-            self.templates.swap(0, i);
-        } else {
-            let tpl = build_template(spec);
-            self.templates.insert(0, (TemplateKey::of(spec), tpl));
-            self.templates.truncate(TEMPLATE_CAP);
-        }
-        0
     }
 
     /// A buffer for the next rendered stream: the last entry's, evicted,
@@ -508,7 +467,7 @@ impl EmitScratch {
 /// rendered-stream cache.
 ///
 /// A hit (the same spec by pointer or by value) bumps a refcount and
-/// moves no words; a miss renders through the template memo into
+/// moves no words; a miss builds the spec's template, renders into
 /// [`EmitScratch`]'s recycled buffer and caches it. The handle stays
 /// valid after its entry is evicted: a held stream is never rendered
 /// over. The words are exactly those [`generate`] produces.
@@ -532,9 +491,8 @@ pub fn emit_shared(
     }
     validate_columns(spec)?;
     let mut words = scratch.take_buffer();
-    let i = scratch.template_index(spec);
     let buf = Arc::get_mut(&mut words).expect("take_buffer returns an unshared buffer");
-    emit_template(&scratch.templates[i].1, spec, buf);
+    emit_template(&build_template(spec), spec, buf);
     scratch
         .streams
         .insert(0, (Arc::clone(spec), Arc::clone(&words)));
@@ -560,30 +518,10 @@ pub fn emit_shared(
 /// plus one pad frame; then, if the PRR has BRAM columns, per row one
 /// BRAM-content FDRI write of `W_BRAM * DF_BRAM + 1` frames.
 pub fn generate(spec: &BitstreamSpec) -> Result<PartialBitstream, GenError> {
-    generate_arc(&Arc::new(spec.clone()))
-}
-
-/// [`generate`] from an already-shared spec — no `BitstreamSpec` clone;
-/// the returned bitstream shares `spec`.
-pub fn generate_arc(spec: &Arc<BitstreamSpec>) -> Result<PartialBitstream, GenError> {
     let mut words = Vec::new();
     emit_into(spec, &mut words)?;
     Ok(PartialBitstream {
-        spec: Arc::clone(spec),
-        words,
-    })
-}
-
-/// [`generate_arc`] through a warm [`EmitScratch`]: the words are copied
-/// out of [`emit_shared`]'s handle, so a repeated spec costs one
-/// exact-size allocation and a `memcpy`.
-pub fn generate_with(
-    scratch: &mut EmitScratch,
-    spec: &Arc<BitstreamSpec>,
-) -> Result<PartialBitstream, GenError> {
-    let words = emit_shared(scratch, spec)?.to_vec();
-    Ok(PartialBitstream {
-        spec: Arc::clone(spec),
+        spec: Arc::new(spec.clone()),
         words,
     })
 }
@@ -617,22 +555,6 @@ pub fn emit_into(spec: &BitstreamSpec, out: &mut Vec<u32>) -> Result<(), GenErro
     let tpl = build_template(spec);
     emit_template(&tpl, spec, out);
     Ok(())
-}
-
-/// Generate many bitstreams across rayon workers.
-///
-/// Each worker owns an [`EmitScratch`] arena, so header templates and
-/// string hashes are derived once per distinct `(organization, device,
-/// module)` triple and repeated specs — the common multitasking batch
-/// shape — are served from the rendered-stream cache with one exact-size
-/// allocation and a `memcpy` each. Output order matches input; specs are
-/// shared into the results, never deep-cloned.
-pub fn generate_batch(specs: &[Arc<BitstreamSpec>]) -> Vec<Result<PartialBitstream, GenError>> {
-    use rayon::prelude::*;
-    specs
-        .par_iter()
-        .map_with(EmitScratch::new(), generate_with)
-        .collect()
 }
 
 pub mod reference {
@@ -871,8 +793,8 @@ mod tests {
         }
     }
 
-    /// Scratch-cached emission (template memo, rendered-stream cache,
-    /// repeated and interleaved specs) always matches plain `generate`.
+    /// Scratch-cached emission (rendered-stream cache, repeated and
+    /// interleaved specs) always matches plain `generate`.
     #[test]
     fn cached_paths_match_plain_generate() {
         let device = xc5vlx110t();
@@ -881,33 +803,29 @@ mod tests {
             .iter()
             .map(|&p| Arc::new(spec_for(p, &device)))
             .collect();
-        // Two interleaved passes: first populates, second hits both caches.
+        // Two interleaved passes: first populates, second hits the cache.
         for _ in 0..2 {
             for spec in &specs {
-                let cached = generate_with(&mut scratch, spec).unwrap();
-                let plain = generate(spec).unwrap();
-                assert_eq!(cached.words, plain.words);
-                assert!(Arc::ptr_eq(&cached.spec, spec));
+                let cached = emit_shared(&mut scratch, spec).unwrap();
+                assert_eq!(*cached, generate(spec).unwrap().words);
             }
         }
-        // Same module at a different placement: template hit, stream miss,
+        // Same module at a different placement: a stream miss with
         // different FARs — must re-render, not serve the cached stream.
         let mut moved = (*specs[0]).clone();
         moved.start_col += 2;
         let moved = Arc::new(moved);
-        let cached = generate_with(&mut scratch, &moved).unwrap();
-        assert_eq!(cached.words, generate(&moved).unwrap().words);
-        assert_ne!(cached.words, generate(&specs[0]).unwrap().words);
-        // An equal-by-value spec behind a different Arc still hits.
-        let twin = Arc::new((*specs[1]).clone());
-        let hit = generate_with(&mut scratch, &twin).unwrap();
-        assert_eq!(hit.words, generate(&twin).unwrap().words);
-        // A shared handle is the cached stream itself: repeats and the
+        let cached = emit_shared(&mut scratch, &moved).unwrap();
+        assert_eq!(*cached, generate(&moved).unwrap().words);
+        assert_ne!(*cached, generate(&specs[0]).unwrap().words);
+        // An equal-by-value spec behind a different Arc still hits, and
+        // a shared handle is the cached stream itself: repeats and the
         // twin get the same allocation back.
+        let twin = Arc::new((*specs[1]).clone());
         let first = emit_shared(&mut scratch, &specs[1]).unwrap();
         let again = emit_shared(&mut scratch, &twin).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(*first, hit.words);
+        assert_eq!(*again, generate(&twin).unwrap().words);
         // emit_arc_into agrees on both the miss path (first pass) and
         // the rendered-stream hit path (second pass over a warm cache),
         // reusing one output buffer throughout.
@@ -970,9 +888,8 @@ mod tests {
             prop_assert_eq!(&arena.words, &frozen.words);
             prop_assert_eq!(arena.words.len(), emitted_words(&spec));
             let mut scratch = EmitScratch::new();
-            let shared = Arc::new(spec);
-            let cached = generate_with(&mut scratch, &shared).unwrap();
-            prop_assert_eq!(&cached.words, &frozen.words);
+            let cached = emit_shared(&mut scratch, &Arc::new(spec)).unwrap();
+            prop_assert_eq!(&*cached, &frozen.words);
         }
     }
 
@@ -1041,46 +958,21 @@ mod tests {
         assert!(buf.is_empty());
     }
 
+    /// A failed spec leaves the scratch usable and caches nothing; a
+    /// failed copy-out leaves the buffer cleared.
     #[test]
-    fn arc_and_batch_variants_match_generate() {
-        let device = xc6vlx75t();
-        let specs: Vec<BitstreamSpec> = PaperPrm::ALL
-            .iter()
-            .map(|&p| spec_for(p, &device))
-            .collect();
-        let direct: Vec<PartialBitstream> = specs.iter().map(|s| generate(s).unwrap()).collect();
-        for (spec, expect) in specs.iter().zip(&direct) {
-            assert_eq!(&generate_arc(&Arc::new(spec.clone())).unwrap(), expect);
-        }
-        // A batch with every spec repeated — exercises the per-worker
-        // rendered-stream cache — preserves order and matches direct.
-        let shared: Vec<Arc<BitstreamSpec>> = specs.iter().cloned().map(Arc::new).collect();
-        let mut batch_in: Vec<Arc<BitstreamSpec>> = Vec::new();
-        for _ in 0..3 {
-            batch_in.extend(shared.iter().cloned());
-        }
-        let batch = generate_batch(&batch_in);
-        assert_eq!(batch.len(), batch_in.len());
-        for (i, got) in batch.iter().enumerate() {
-            assert_eq!(got.as_ref().unwrap(), &direct[i % direct.len()]);
-        }
-    }
-
-    #[test]
-    fn batch_surfaces_per_spec_errors() {
+    fn failed_emissions_cache_nothing() {
         let device = xc5vlx110t();
         let good = spec_for(PaperPrm::Fir, &device);
         let mut bad = good.clone();
         bad.columns[0] = ResourceKind::Clk;
-        let out = generate_batch(&[Arc::new(good.clone()), Arc::new(bad.clone())]);
-        assert!(out[0].is_ok());
-        assert!(matches!(out[1], Err(GenError::ForbiddenColumn(_))));
-        // A failed spec leaves the scratch usable and caches nothing; a
-        // failed copy-out leaves the buffer cleared.
         let (good, bad) = (Arc::new(good), Arc::new(bad));
         let mut scratch = EmitScratch::new();
         let mut out = vec![0xdead_beef];
-        assert!(emit_arc_into(&mut scratch, &bad, &mut out).is_err());
+        assert!(matches!(
+            emit_arc_into(&mut scratch, &bad, &mut out),
+            Err(GenError::ForbiddenColumn(_))
+        ));
         assert!(out.is_empty() && scratch.streams.is_empty());
         emit_arc_into(&mut scratch, &good, &mut out).unwrap();
         assert_eq!(out, generate(&good).unwrap().words);

@@ -5,8 +5,9 @@
 //!
 //! A warm hit is a refcount bump, so it must not touch the heap. A miss
 //! that renders into an evicted, unshared buffer of the right size must
-//! not either. A counting `#[global_allocator]` checks both; it counts
-//! per thread, so the harness's other test threads do not disturb it.
+//! not either, however many distinct modules the misses cycle through.
+//! A counting `#[global_allocator]` checks both; it counts per thread,
+//! so the harness's other test threads do not disturb it.
 
 use bitstream::writer::{reference, STREAM_CAP};
 use bitstream::{emit_shared, BitstreamSpec, EmitScratch};
@@ -84,6 +85,20 @@ fn fir_placements(n: u32) -> Vec<Arc<BitstreamSpec>> {
         .collect()
 }
 
+/// FIR on xc5vlx110t at one placement under `n` module names: distinct
+/// modules whose streams all have the same length.
+fn fir_modules(n: u32) -> Vec<Arc<BitstreamSpec>> {
+    let spec = &fir_placements(1)[0];
+    (0..n)
+        .map(|i| {
+            Arc::new(BitstreamSpec {
+                module: format!("fir32_{i}"),
+                ..(**spec).clone()
+            })
+        })
+        .collect()
+}
+
 /// A handle held across its entry's eviction keeps its words, and the
 /// cache lets go of it: a held stream is never rendered over.
 #[test]
@@ -141,4 +156,30 @@ fn recycled_miss_allocates_nothing() {
         }
     });
     assert_eq!(n, 0, "{} recycled misses allocated {n} times", specs.len());
+}
+
+#[test]
+fn recycled_misses_across_40_modules_allocate_nothing() {
+    // Each miss builds its module's header template on the stack and
+    // renders into the evicted entry's buffer: no per-module state is
+    // kept, so cycling through many more modules than the stream cache
+    // holds allocates nothing either.
+    let specs = fir_modules(40);
+    let mut scratch = EmitScratch::new();
+    for spec in &specs {
+        emit_shared(&mut scratch, spec).unwrap();
+    }
+    let n = allocations(|| {
+        for spec in &specs {
+            let words = emit_shared(&mut scratch, spec).unwrap();
+            assert!(!words.is_empty());
+        }
+    });
+    assert_eq!(n, 0, "{} recycled misses allocated {n} times", specs.len());
+    for spec in &specs[specs.len() - STREAM_CAP..] {
+        assert_eq!(
+            *emit_shared(&mut scratch, spec).unwrap(),
+            reference_words(spec)
+        );
+    }
 }

@@ -54,19 +54,6 @@ impl BitstreamBreakdown {
     pub fn total_bytes(&self) -> u64 {
         self.total_words() * self.bytes_per_word
     }
-
-    /// Configuration frames per PRR row (Eqs. 20–22 summed, plus the pad
-    /// frame).
-    ///
-    /// Saturating: `far_fdri` larger than the row's word count (possible
-    /// only with constants from a foreign family) yields 0 frames rather
-    /// than an underflow; a zero `fr_size` also yields 0.
-    pub fn frames_per_row(&self, fr_size: u64, far_fdri: u64) -> u64 {
-        if fr_size == 0 {
-            return 0;
-        }
-        self.config_words_per_row.saturating_sub(far_fdri) / fr_size
-    }
 }
 
 /// Evaluate Eqs. (19)–(23) for `org`.
@@ -258,24 +245,6 @@ mod tests {
         let h2 = bitstream_size_bytes(&org(Family::Virtex5, 2, 3, 0, 0));
         let h3 = bitstream_size_bytes(&org(Family::Virtex5, 3, 3, 0, 0));
         assert_eq!(h3 - h2, h2 - h1, "per-row cost is constant");
-    }
-
-    #[test]
-    fn frames_per_row_recovers_frame_count() {
-        let o = org(Family::Virtex5, 1, 2, 1, 1);
-        let b = breakdown(&o);
-        // 2*36 + 28 + 30 + 1 pad = 131 frames.
-        assert_eq!(b.frames_per_row(41, 5), 131);
-    }
-
-    /// Mismatched constants must saturate, not underflow (regression:
-    /// `config_words_per_row - far_fdri` panicked in debug builds when
-    /// `far_fdri` exceeded the row words).
-    #[test]
-    fn frames_per_row_saturates_on_oversized_far_fdri() {
-        let b = breakdown(&org(Family::Virtex5, 1, 1, 0, 0));
-        assert_eq!(b.frames_per_row(41, b.config_words_per_row + 1), 0);
-        assert_eq!(b.frames_per_row(0, 5), 0);
     }
 
     /// Context bytes are strictly positive for any non-empty PRR, so a

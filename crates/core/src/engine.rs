@@ -300,16 +300,6 @@ impl Engine {
         }
     }
 
-    /// Synthesize (memoized) and plan (memoized) in one call.
-    pub fn evaluate(
-        &self,
-        generator: &dyn PrmGenerator,
-        device: &Device,
-    ) -> Result<PrrPlan, CostError> {
-        let report = self.synthesize(generator, device.family());
-        self.plan(&report, device)
-    }
-
     /// Number of memoized plan points (feasible and infeasible).
     pub fn plan_memo_len(&self) -> usize {
         self.plan_memo.len()
@@ -524,6 +514,15 @@ mod tests {
     use fabric::database::{xc5vlx110t, xc6vlx75t};
     use synth::{GenericPrm, PaperPrm};
 
+    /// Synthesize (memoized) and plan (memoized), as a sweep point does.
+    fn evaluate(
+        engine: &Engine,
+        generator: &dyn PrmGenerator,
+        device: &Device,
+    ) -> Result<PrrPlan, CostError> {
+        engine.plan(&engine.synthesize(generator, device.family()), device)
+    }
+
     #[test]
     fn engine_plans_match_direct_plans() {
         let engine = Engine::new();
@@ -531,7 +530,7 @@ mod tests {
             for prm in PaperPrm::ALL {
                 let gen = prm.generator();
                 let direct = plan_prr(&gen.synthesize(device.family()), &device).unwrap();
-                let via_engine = engine.evaluate(gen.as_ref(), &device).unwrap();
+                let via_engine = evaluate(&engine, gen.as_ref(), &device).unwrap();
                 assert_eq!(direct, via_engine, "{prm:?} on {}", device.name());
             }
         }
@@ -598,8 +597,8 @@ mod tests {
         let engine = Engine::new();
         let v5 = xc5vlx110t();
         let gen = PaperPrm::Mips.generator();
-        let first = engine.evaluate(gen.as_ref(), &v5).unwrap();
-        let second = engine.evaluate(gen.as_ref(), &v5).unwrap();
+        let first = evaluate(&engine, gen.as_ref(), &v5).unwrap();
+        let second = evaluate(&engine, gen.as_ref(), &v5).unwrap();
         assert_eq!(first, second);
         let c = engine.snapshot().counters;
         assert_eq!(c.plans, 2);
@@ -641,8 +640,8 @@ mod tests {
         let engine = Engine::new();
         let v6 = xc6vlx75t();
         let gen = PaperPrm::Sdram.generator();
-        engine.evaluate(gen.as_ref(), &v6).unwrap();
-        engine.evaluate(gen.as_ref(), &v6).unwrap();
+        evaluate(&engine, gen.as_ref(), &v6).unwrap();
+        evaluate(&engine, gen.as_ref(), &v6).unwrap();
         let snap = engine.snapshot();
         assert!(snap.counters.window_probes > 0);
         assert!(snap.counters.distinct_compositions > 0);
@@ -754,8 +753,8 @@ mod tests {
         let v6 = xc6vlx75t();
         for prm in PaperPrm::ALL {
             let gen = prm.generator();
-            engine.evaluate(gen.as_ref(), &v5).unwrap();
-            engine.evaluate(gen.as_ref(), &v6).unwrap();
+            evaluate(&engine, gen.as_ref(), &v5).unwrap();
+            evaluate(&engine, gen.as_ref(), &v6).unwrap();
         }
         // One memoized Err plan, so the round trip covers both arms.
         let mismatched = PaperPrm::Fir.generator().synthesize(Family::Virtex5);
@@ -796,9 +795,7 @@ mod tests {
     #[test]
     fn import_rejects_bad_snapshots() {
         let engine = Engine::new();
-        engine
-            .evaluate(PaperPrm::Fir.generator().as_ref(), &xc5vlx110t())
-            .unwrap();
+        evaluate(&engine, PaperPrm::Fir.generator().as_ref(), &xc5vlx110t()).unwrap();
         let mut state = engine.export_state();
         state.version += 1;
         assert!(matches!(
@@ -821,9 +818,7 @@ mod tests {
     #[test]
     fn loading_rejects_invalid_and_duplicate_devices() {
         let engine = Engine::new();
-        engine
-            .evaluate(PaperPrm::Fir.generator().as_ref(), &xc5vlx110t())
-            .unwrap();
+        evaluate(&engine, PaperPrm::Fir.generator().as_ref(), &xc5vlx110t()).unwrap();
         let json = serde_json::to_string(&engine.export_state()).unwrap();
         let load = |json: &str| -> Result<Engine, String> {
             let snapshot: EngineSnapshot = serde_json::from_str(json).map_err(|e| e.to_string())?;

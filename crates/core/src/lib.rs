@@ -66,8 +66,7 @@ pub use report::datasheet;
 pub use requirements::PrrRequirements;
 pub use rng::Rng;
 pub use search::{
-    plan_prr, plan_prr_cached, plan_requirements_cached, Candidate, PlanScratch, PrrPlan,
-    SearchTrace,
+    plan_prr, plan_requirements_cached, Candidate, PlanScratch, PrrPlan, SearchTrace,
 };
 pub use service::{PlanService, ServiceConfig};
 pub use shard::{DeviceId, PlanKey, Sharded};

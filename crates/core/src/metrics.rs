@@ -537,19 +537,6 @@ impl MetricsSnapshot {
             .map(|c| c.value)
             .unwrap_or(0)
     }
-
-    /// All labeled counters of one family (`prefix` up to the `:`), in
-    /// label order.
-    pub fn labeled_family<'s>(
-        &'s self,
-        family: &'s str,
-    ) -> impl Iterator<Item = &'s LabeledCounter> {
-        self.labeled.iter().filter(move |c| {
-            c.name
-                .strip_prefix(family)
-                .is_some_and(|r| r.starts_with(':'))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -696,11 +683,6 @@ mod tests {
         assert_eq!(names, vec!["flow:jobs", "layout:allocs", "layout:releases"]);
         assert_eq!(snap.labeled_value("layout:allocs"), 4);
         assert_eq!(snap.labeled_value("unknown:x"), 0);
-        let layout: Vec<&str> = snap
-            .labeled_family("layout")
-            .map(|c| c.name.as_str())
-            .collect();
-        assert_eq!(layout, vec!["layout:allocs", "layout:releases"]);
     }
 
     /// A held slot and the by-name calls read and write one value, and a

@@ -233,49 +233,28 @@ pub fn plan_prr(report: &SynthReport, device: &Device) -> Result<PrrPlan, CostEr
     result
 }
 
-/// [`plan_prr`], answered through a precomputed [`DeviceGeometry`] and a
-/// reusable [`PlanScratch`].
+/// [`plan_prr_from_requirements`], answered through a precomputed
+/// [`DeviceGeometry`] and a reusable [`PlanScratch`].
 ///
-/// Returns exactly what [`plan_prr`] returns for the same inputs (the
-/// geometry's window answers are identical to [`Device::find_window`]'s,
-/// and the padded-organization selection is byte-for-byte preserved), but
-/// every window probe is a lock-free composition-index lookup, and the
-/// planning loop is **height-factored**: each distinct base composition —
-/// including its padded fallback, which the per-height loop regenerates
-/// and re-sorts at every infeasible height and which here is a row scan
-/// of one lookup per `(extra DSP, extra BRAM)` row — resolves once per
-/// plan and is reused across all heights that produce it. This is the
-/// planning path the batch [`crate::engine::Engine`] drives; `geometry`
-/// must have been derived from `device`.
-///
-/// Unlike [`plan_prr`], this records no global metrics — the engine owns
-/// its own [`Metrics`] registry and times whole plans around this call.
-pub fn plan_prr_cached(
-    report: &SynthReport,
-    device: &Device,
-    geometry: &DeviceGeometry,
-    scratch: &mut PlanScratch,
-) -> Result<PrrPlan, CostError> {
-    plan_requirements_cached(
-        &PrrRequirements::from_report(report),
-        device,
-        geometry,
-        scratch,
-    )
-}
-
-/// [`plan_prr_cached`] from explicit requirements, skipping the synthesis
-/// report entirely.
+/// Returns exactly what [`plan_prr_from_requirements`] returns for the
+/// same inputs (the family and emptiness rejections happen in the same
+/// order, the geometry's window answers are identical to
+/// [`Device::find_window`]'s, and the padded-organization selection is
+/// byte-for-byte preserved), but every window probe is a lock-free
+/// composition-index lookup, and the planning loop is
+/// **height-factored**: each distinct base composition — including its
+/// padded fallback, which the per-height loop regenerates and re-sorts
+/// at every infeasible height and which here is a row scan of one lookup
+/// per `(extra DSP, extra BRAM)` row — resolves once per plan and is
+/// reused across all heights that produce it. `geometry` must have been
+/// derived from `device`.
 ///
 /// This is the planning primitive under the memoizing engine and the
 /// async planning service: both key their memos on `(requirements,
 /// device)` — a plan is a pure function of exactly these inputs — so on a
-/// miss they plan from the requirements they already hold instead of
-/// reconstituting a report. Behaviorally identical to
-/// [`plan_prr_from_requirements`] (the family and emptiness rejections
-/// happen in the same order), with window probes answered from
-/// `geometry`'s composition index and the padded fallback height-factored
-/// through `scratch`.
+/// miss they plan from the requirements they already hold. Unlike
+/// [`plan_prr`], this records no global metrics — the engine owns its
+/// own [`Metrics`] registry and times whole plans around this call.
 pub fn plan_requirements_cached(
     req: &PrrRequirements,
     device: &Device,
@@ -340,7 +319,8 @@ pub fn candidates_for(req: &PrrRequirements, device: &Device) -> Vec<Candidate> 
 ///
 /// Returns exactly what [`candidates_for`] returns for the same inputs
 /// (the geometry's window answers are identical to
-/// [`Device::find_window`]'s), height-factored like [`plan_prr_cached`]:
+/// [`Device::find_window`]'s), height-factored like
+/// [`plan_requirements_cached`]:
 /// each distinct base composition resolves once per call and serves every
 /// height. Callers that evaluate several requirement sets against one
 /// device — the multi-PRR floorplanner above all — share one geometry so
@@ -848,7 +828,8 @@ mod tests {
             for prm in PaperPrm::ALL {
                 let report = prm.synth_report(device.family());
                 let direct = plan_prr(&report, &device).unwrap();
-                let cached = plan_prr_cached(&report, &device, &geo, &mut scratch).unwrap();
+                let req = PrrRequirements::from_report(&report);
+                let cached = plan_requirements_cached(&req, &device, &geo, &mut scratch).unwrap();
                 assert_eq!(direct, cached, "{prm:?} on {}", device.name());
             }
         }
@@ -1309,8 +1290,9 @@ mod tests {
         let device = xc6vlx75t();
         let geo = fabric::DeviceGeometry::new(&device);
         let mut scratch = PlanScratch::default();
-        let mismatched = PaperPrm::Sdram.synth_report(Family::Virtex5);
-        assert!(plan_prr_cached(&mismatched, &device, &geo, &mut scratch).is_err());
+        let mismatched =
+            PrrRequirements::from_report(&PaperPrm::Sdram.synth_report(Family::Virtex5));
+        assert!(plan_requirements_cached(&mismatched, &device, &geo, &mut scratch).is_err());
         let empty = PrrRequirements::new(device.family(), 0, 0, 0, 0, 0);
         assert!(plan_requirements_cached(&empty, &device, &geo, &mut scratch).is_err());
         assert_eq!(scratch.window_probe_count(), 0);

@@ -7,9 +7,7 @@
 //!
 //! * **Bounded admission queue with backpressure** — [`PlanService::submit`]
 //!   enqueues a request and returns a [`PlanTicket`] immediately; when the
-//!   queue is at capacity it blocks until a worker drains space (and
-//!   [`PlanService::try_submit`] refuses instead, for callers that would
-//!   rather shed load than wait).
+//!   queue is at capacity it blocks until a worker drains space.
 //! * **Batched admission** — each worker drains up to
 //!   [`ServiceConfig::batch_size`] jobs per queue-lock acquisition, so the
 //!   queue lock is touched once per batch rather than once per job, and
@@ -31,9 +29,12 @@
 //! admission, lets the workers drain every queued job, and joins them —
 //! no ticket is ever abandoned unresolved. A worker that panics drops the
 //! jobs it claimed, and their tickets re-raise the failure from
-//! [`PlanTicket::wait`], [`PlanTicket::try_result`] and `.await` instead
-//! of blocking for good. Counters are flushed after each batch's tickets
-//! resolve, so they are exact once `shutdown()` returns.
+//! [`PlanTicket::wait`] and `.await` instead of blocking for good. The
+//! last worker to exit, by panic or by shutdown, closes the queue: the
+//! jobs still queued re-raise the same way, and a `submit` blocked on the
+//! full queue returns [`SubmitError::Closed`]. Counters are flushed after
+//! each batch's tickets resolve, so they are exact once `shutdown()`
+//! returns.
 
 use crate::engine::{DeviceHandle, Engine};
 use crate::error::CostError;
@@ -53,8 +54,7 @@ use std::time::Instant;
 pub struct ServiceConfig {
     /// Worker threads draining the queue (min 1).
     pub workers: usize,
-    /// Admission-queue capacity; full ⇒ `submit` blocks, `try_submit`
-    /// refuses (min 1).
+    /// Admission-queue capacity; full ⇒ `submit` blocks (min 1).
     pub queue_capacity: usize,
     /// Maximum jobs one worker claims per queue-lock acquisition (min 1).
     pub batch_size: usize,
@@ -73,17 +73,15 @@ impl Default for ServiceConfig {
 /// Why a submission was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The service has been shut down; no further admissions.
+    /// The service has been shut down, or every worker has exited; no
+    /// further admissions.
     Closed,
-    /// The queue is at capacity (only from [`PlanService::try_submit`]).
-    QueueFull,
 }
 
 impl core::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             SubmitError::Closed => write!(f, "planning service is shut down"),
-            SubmitError::QueueFull => write!(f, "planning queue is at capacity"),
         }
     }
 }
@@ -142,8 +140,8 @@ impl TicketShared {
 }
 
 /// Handle to one submitted plan request: block on it with
-/// [`PlanTicket::wait`], poll it ([`PlanTicket::try_result`]), or `.await`
-/// it — the ticket is a [`Future`] resolving to the shared [`PlanResult`].
+/// [`PlanTicket::wait`], or `.await` it — the ticket is a [`Future`]
+/// resolving to the shared [`PlanResult`].
 #[derive(Debug)]
 pub struct PlanTicket {
     shared: Arc<TicketShared>,
@@ -160,16 +158,6 @@ impl PlanTicket {
             }
             state = self.shared.done.wait(state).expect("ticket lock poisoned");
         }
-    }
-
-    /// The result if already available (never blocks). Panics if the
-    /// worker planning it panicked.
-    pub fn try_result(&self) -> Option<PlanResult> {
-        self.shared
-            .state
-            .lock()
-            .expect("ticket lock poisoned")
-            .result()
     }
 }
 
@@ -227,6 +215,8 @@ struct Job {
 struct Queue {
     jobs: VecDeque<Job>,
     closed: bool,
+    /// Workers still running; the last one to exit closes the queue.
+    live_workers: usize,
 }
 
 #[derive(Debug)]
@@ -263,8 +253,11 @@ impl PlanService {
         };
         let inner = Arc::new(ServiceInner {
             engine,
+            queue: Mutex::new(Queue {
+                live_workers: config.workers,
+                ..Queue::default()
+            }),
             config,
-            queue: Mutex::new(Queue::default()),
             jobs_ready: Condvar::new(),
             space_ready: Condvar::new(),
         });
@@ -287,33 +280,13 @@ impl PlanService {
 
     /// Submit a plan request for `tenant`, blocking while the queue is at
     /// capacity (bounded-queue backpressure). Returns the ticket, or
-    /// [`SubmitError::Closed`] after shutdown.
+    /// [`SubmitError::Closed`] after shutdown or once every worker has
+    /// exited.
     pub fn submit(
         &self,
         tenant: &str,
         requirements: PrrRequirements,
         device: &Device,
-    ) -> Result<PlanTicket, SubmitError> {
-        self.admit(tenant, requirements, device, true)
-    }
-
-    /// [`PlanService::submit`] that refuses with [`SubmitError::QueueFull`]
-    /// instead of blocking when the queue is at capacity.
-    pub fn try_submit(
-        &self,
-        tenant: &str,
-        requirements: PrrRequirements,
-        device: &Device,
-    ) -> Result<PlanTicket, SubmitError> {
-        self.admit(tenant, requirements, device, false)
-    }
-
-    fn admit(
-        &self,
-        tenant: &str,
-        requirements: PrrRequirements,
-        device: &Device,
-        block: bool,
     ) -> Result<PlanTicket, SubmitError> {
         // Resolve outside the queue lock: warm devices cost a hash, a read
         // lock and a comparison here and nothing in the workers.
@@ -337,9 +310,6 @@ impl PlanService {
             if queue.jobs.len() < self.inner.config.queue_capacity {
                 break;
             }
-            if !block {
-                return Err(SubmitError::QueueFull);
-            }
             queue = self
                 .inner
                 .space_ready
@@ -354,16 +324,6 @@ impl PlanService {
             .incr_labeled("service:submitted");
         self.inner.jobs_ready.notify_one();
         Ok(ticket)
-    }
-
-    /// Jobs currently queued (not yet claimed by a worker).
-    pub fn queue_depth(&self) -> usize {
-        self.inner
-            .queue
-            .lock()
-            .expect("service queue poisoned")
-            .jobs
-            .len()
     }
 
     /// Stop admission, drain every queued job, and join the workers.
@@ -393,10 +353,34 @@ impl Drop for PlanService {
     }
 }
 
+/// A worker's exit guard, dropped on return and while unwinding: the last
+/// worker out closes the queue, drops the jobs still queued (their
+/// tickets re-raise, like a claimed batch's) and wakes the blocked
+/// submitters, which then see [`SubmitError::Closed`].
+struct WorkerExit<'a>(&'a ServiceInner);
+
+impl Drop for WorkerExit<'_> {
+    fn drop(&mut self) {
+        let orphans = {
+            // Runs while unwinding, so it must not panic on a poisoned lock.
+            let mut queue = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            queue.live_workers -= 1;
+            if queue.live_workers > 0 {
+                return;
+            }
+            queue.closed = true;
+            std::mem::take(&mut queue.jobs)
+        };
+        self.0.space_ready.notify_all();
+        drop(orphans);
+    }
+}
+
 /// Worker: claim up to `batch_size` jobs per lock acquisition, plan them
 /// against the shared engine, resolve tickets, and flush per-tenant
 /// counters once per batch.
 fn worker_loop(inner: &ServiceInner) {
+    let _exit = WorkerExit(inner);
     let mut scratch = PlanScratch::default();
     let mut batch: Vec<Job> = Vec::with_capacity(inner.config.batch_size);
     let mut tenant_counts: BTreeMap<Arc<str>, u64> = BTreeMap::new();
@@ -517,41 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_sheds_load_when_full() {
-        // One worker, tiny queue: stuff it faster than it drains.
-        let mut service = PlanService::new(ServiceConfig {
-            workers: 1,
-            queue_capacity: 2,
-            batch_size: 1,
-        });
-        let v5 = xc5vlx110t();
-        let mut admitted = Vec::new();
-        let mut refused = 0u32;
-        for n in 0..200 {
-            match service.try_submit("t", reqs(Family::Virtex5, n % 7), &v5) {
-                Ok(t) => admitted.push(t),
-                Err(SubmitError::QueueFull) => refused += 1,
-                Err(e) => panic!("unexpected {e}"),
-            }
-        }
-        for t in &admitted {
-            t.wait();
-        }
-        service.shutdown();
-        // Everything admitted completed; the rest was refused, not lost.
-        assert_eq!(
-            service
-                .engine()
-                .snapshot()
-                .labeled_value("service:completed"),
-            admitted.len() as u64
-        );
-        // With a 2-deep queue and 200 rapid submissions, some must have
-        // been refused (the blocking path is covered by the stress suite).
-        assert!(refused > 0, "queue never filled");
-    }
-
-    #[test]
     fn shutdown_resolves_all_pending_tickets_and_closes_admission() {
         let mut service = PlanService::new(ServiceConfig {
             workers: 2,
@@ -565,7 +514,8 @@ mod tests {
         let engine = Arc::clone(service.engine());
         service.shutdown();
         for t in &tickets {
-            assert!(t.try_result().is_some(), "shutdown drained every job");
+            let state = t.shared.state.lock().unwrap();
+            assert!(state.result.is_some(), "shutdown drained every job");
         }
         assert_eq!(engine.snapshot().labeled_value("service:completed"), 64);
     }
@@ -635,9 +585,66 @@ mod tests {
             service.submit("t", reqs(Family::Virtex5, 2), &v5),
             Err(SubmitError::Closed)
         ));
-        assert!(matches!(
-            service.try_submit("t", reqs(Family::Virtex5, 2), &v5),
-            Err(SubmitError::Closed)
-        ));
+    }
+
+    /// Once the only worker has panicked, a job still queued re-raises
+    /// from its ticket and a `submit` blocked on the full queue returns
+    /// `Closed`, instead of both waiting until the service is dropped.
+    #[test]
+    fn the_last_worker_to_exit_closes_the_service() {
+        let service = Arc::new(PlanService::new(ServiceConfig {
+            workers: 1,
+            queue_capacity: 1,
+            batch_size: 1,
+        }));
+        let v5 = xc5vlx110t();
+        let job = |device: DeviceHandle| {
+            let shared = Arc::new(TicketShared::default());
+            let ticket = PlanTicket {
+                shared: Arc::clone(&shared),
+            };
+            let job = Job {
+                tenant: Arc::from("t"),
+                requirements: reqs(Family::Virtex5, 1),
+                device,
+                submitted: Instant::now(),
+                ticket: Resolver(Some(shared)),
+            };
+            (job, ticket)
+        };
+        // `plan_on` panics on a handle another engine resolved, so the
+        // first job kills the worker; the second waits behind it, and
+        // the queue is over capacity, so the next `submit` blocks.
+        let (poison, _) = job(Engine::new().intern_device(&v5));
+        let (queued, ticket) = job(service.engine().intern_device(&v5));
+        let (submit_tx, submit_rx) = std::sync::mpsc::channel();
+        let submitter = {
+            let mut queue = service.inner.queue.lock().unwrap();
+            queue.jobs.extend([poison, queued]);
+            let service = Arc::clone(&service);
+            let v5 = v5.clone();
+            std::thread::spawn(move || {
+                let _ = submit_tx.send(service.submit("t", reqs(Family::Virtex5, 2), &v5).err());
+            })
+        };
+        service.inner.jobs_ready.notify_all();
+        let (wait_tx, wait_rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ticket.wait()));
+            let _ = wait_tx.send(waited.is_err());
+        });
+        // Receive with a watchdog instead of joining: at fault, both
+        // threads block for good.
+        let watchdog = std::time::Duration::from_secs(30);
+        let reraised = wait_rx
+            .recv_timeout(watchdog)
+            .expect("wait blocked on a job no worker is left to plan");
+        assert!(reraised, "the queued ticket re-raised the worker's panic");
+        let refused = submit_rx
+            .recv_timeout(watchdog)
+            .expect("submit blocked on a queue no worker is left to drain");
+        assert_eq!(refused, Some(SubmitError::Closed));
+        waiter.join().unwrap();
+        submitter.join().unwrap();
     }
 }

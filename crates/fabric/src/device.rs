@@ -167,32 +167,6 @@ impl Device {
         total
     }
 
-    /// Total LUTs in the device.
-    pub fn total_luts(&self) -> u64 {
-        self.total_resources().clb() * u64::from(self.params().lut_clb)
-    }
-
-    /// Total flip-flops in the device.
-    pub fn total_ffs(&self) -> u64 {
-        self.total_resources().clb() * u64::from(self.params().ff_clb)
-    }
-
-    /// Column-kind tally of the span `[start, start + width)`.
-    pub fn span_column_counts(&self, start: usize, width: usize) -> Result<Resources, FabricError> {
-        let end = start + width;
-        if end > self.columns.len() || width == 0 {
-            return Err(FabricError::ColumnOutOfRange {
-                index: end.saturating_sub(1),
-                width: self.columns.len(),
-            });
-        }
-        let mut counts = Resources::ZERO;
-        for &c in &self.columns[start..end] {
-            counts[c] += 1;
-        }
-        Ok(counts)
-    }
-
     /// Validate that the 1-based row span `[row, row + height)` fits.
     ///
     /// `row + height - 1` is computed with checked arithmetic: adversarial
@@ -423,8 +397,6 @@ mod tests {
         assert_eq!(total.clb(), 480);
         assert_eq!(total.dsp(), 32);
         assert_eq!(total.bram(), 16);
-        assert_eq!(d.total_luts(), 480 * 8);
-        assert_eq!(d.total_ffs(), 480 * 8);
     }
 
     #[test]
@@ -474,14 +446,6 @@ mod tests {
         let req = WindowRequest::new(2, 0, 0, 1);
         let starts: Vec<usize> = d.windows(&req).map(|w| w.start_col).collect();
         assert_eq!(starts, vec![1, 6]);
-    }
-
-    #[test]
-    fn span_counts_error_handling() {
-        let d = tiny();
-        assert!(d.span_column_counts(0, 10).is_ok());
-        assert!(d.span_column_counts(5, 6).is_err());
-        assert!(d.span_column_counts(0, 0).is_err());
     }
 
     #[test]

@@ -137,16 +137,6 @@ pub struct FamilyParams {
 }
 
 impl FamilyParams {
-    /// LUTs per slice.
-    pub fn luts_per_slice(&self) -> u32 {
-        self.lut_clb / self.slices_per_clb
-    }
-
-    /// FFs per slice.
-    pub fn ffs_per_slice(&self) -> u32 {
-        self.ff_clb / self.slices_per_clb
-    }
-
     /// Resources of `kind` contained in one column of that kind per fabric
     /// row (`*_col` in Table I). IOB/CLK columns carry no modeled resources.
     pub fn per_column(&self, kind: ResourceKind) -> u32 {
@@ -342,15 +332,6 @@ mod tests {
         assert_eq!(f.cf_clk, 4);
         assert_eq!(f.df_bram, 128);
         assert_eq!(f.bytes_word, 4);
-    }
-
-    #[test]
-    fn slice_structure_divides_evenly() {
-        for fam in Family::ALL {
-            let p = fam.params();
-            assert_eq!(p.luts_per_slice() * p.slices_per_clb, p.lut_clb, "{fam}");
-            assert_eq!(p.ffs_per_slice() * p.slices_per_clb, p.ff_clb, "{fam}");
-        }
     }
 
     #[test]

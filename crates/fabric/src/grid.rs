@@ -20,16 +20,6 @@ pub struct Site {
     pub kind: ResourceKind,
 }
 
-impl Site {
-    /// Squared Euclidean distance in (column, normalized-row) space; the
-    /// placer's wirelength proxy.
-    pub fn dist2(&self, other: &Site) -> u64 {
-        let dc = i64::from(self.col) - i64::from(other.col);
-        let dy = i64::from(self.y) - i64::from(other.y);
-        (dc * dc + dy * dy) as u64
-    }
-}
-
 /// Site-level grid over a [`Device`].
 #[derive(Debug, Clone)]
 pub struct SiteGrid<'d> {
@@ -45,18 +35,6 @@ impl<'d> SiteGrid<'d> {
     /// The underlying device.
     pub fn device(&self) -> &'d Device {
         self.device
-    }
-
-    /// Sites in one full-height column.
-    pub fn sites_in_column(&self, col: usize) -> u32 {
-        let kind = self.device.columns()[col];
-        self.device.params().per_column(kind) * self.device.rows()
-    }
-
-    /// Fabric row (1-based) containing site `y` of a column of `kind`.
-    pub fn row_of(&self, kind: ResourceKind, y: u32) -> u32 {
-        let per = self.device.params().per_column(kind).max(1);
-        y / per + 1
     }
 
     /// All sites of reconfigurable kinds inside a placed window.
@@ -79,13 +57,6 @@ impl<'d> SiteGrid<'d> {
             }
         }
         sites
-    }
-
-    /// Total sites of `kind` in the device.
-    pub fn total_sites(&self, kind: ResourceKind) -> u64 {
-        self.device.columns().iter().filter(|&&c| c == kind).count() as u64
-            * u64::from(self.device.params().per_column(kind))
-            * u64::from(self.device.rows())
     }
 }
 
@@ -111,26 +82,6 @@ mod tests {
     }
 
     #[test]
-    fn column_site_counts() {
-        let d = dev();
-        let g = SiteGrid::new(&d);
-        assert_eq!(g.sites_in_column(0), 40); // 20 CLB/row * 2 rows
-        assert_eq!(g.sites_in_column(2), 16); // 8 DSP/row * 2 rows
-        assert_eq!(g.sites_in_column(3), 8); // 4 BRAM/row * 2 rows
-    }
-
-    #[test]
-    fn row_mapping() {
-        let d = dev();
-        let g = SiteGrid::new(&d);
-        assert_eq!(g.row_of(Clb, 0), 1);
-        assert_eq!(g.row_of(Clb, 19), 1);
-        assert_eq!(g.row_of(Clb, 20), 2);
-        assert_eq!(g.row_of(Dsp, 7), 1);
-        assert_eq!(g.row_of(Dsp, 8), 2);
-    }
-
-    #[test]
     fn window_sites_cover_rows_and_kinds() {
         let d = dev();
         let g = SiteGrid::new(&d);
@@ -147,33 +98,10 @@ mod tests {
         assert_eq!(clb_sites, 20);
         assert_eq!(dsp_sites, 8);
         // All in fabric row 2.
-        assert!(sites.iter().all(|s| g.row_of(s.kind, s.y) == 2));
+        assert!(sites
+            .iter()
+            .all(|s| s.y / d.params().per_column(s.kind) + 1 == 2));
         // Columns restricted to the window.
         assert!(sites.iter().all(|s| s.col == 1 || s.col == 2));
-    }
-
-    #[test]
-    fn totals() {
-        let d = dev();
-        let g = SiteGrid::new(&d);
-        assert_eq!(g.total_sites(Clb), 80);
-        assert_eq!(g.total_sites(Dsp), 16);
-        assert_eq!(g.total_sites(Bram), 8);
-    }
-
-    #[test]
-    fn dist2_symmetric() {
-        let a = Site {
-            col: 0,
-            y: 0,
-            kind: Clb,
-        };
-        let b = Site {
-            col: 3,
-            y: 4,
-            kind: Clb,
-        };
-        assert_eq!(a.dist2(&b), 25);
-        assert_eq!(b.dist2(&a), 25);
     }
 }

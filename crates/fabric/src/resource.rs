@@ -145,11 +145,6 @@ impl Resources {
         self.get(ResourceKind::Bram)
     }
 
-    /// True if every count is zero.
-    pub fn is_zero(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
-    }
-
     /// True if `self` covers `need` in every kind (component-wise `>=`).
     pub fn covers(&self, need: &Resources) -> bool {
         ResourceKind::ALL

@@ -13,8 +13,7 @@
 //!
 //! Plans are single-step: every relocation target must be free *before*
 //! the plan runs (no chained moves through cells another move vacates),
-//! and targets are pairwise disjoint — the same invariant
-//! [`bitstream::relocate_batch`] enforces. This keeps plans short and
+//! and targets are pairwise disjoint. This keeps plans short and
 //! directly executable in any move order.
 
 use crate::free::SpanRect;

@@ -325,8 +325,9 @@ pub fn simulate_layout(
                 // window probe is pure, so it waits for an idle port.
                 if icap_free_at <= now && manager.free_space().find_window(&req).is_none() {
                     if let Some(plan) = manager.plan_defrag2(&goal, &d2cfg) {
-                        let benefit: u64 =
-                            completion.values().map(|&c| c.saturating_sub(now)).sum();
+                        let benefit = completion
+                            .values()
+                            .fold(0u64, |sum, &c| sum.saturating_add(c.saturating_sub(now)));
                         if config.policy.accepts(plan.total_move_ns, benefit) {
                             manager.execute_defrag2(&plan);
                             account_moves(

@@ -27,8 +27,7 @@
 //!   times, reconfiguration counts/time and per-PRR utilization. The core
 //!   is allocation-free after setup: integer module-id compares,
 //!   per-task fits bitmasks, a binary-heap event queue and a reusable
-//!   [`SimScratch`], with [`simulate_batch`] fanning scenarios across
-//!   rayon workers (one scratch per worker).
+//!   [`SimScratch`].
 //! * [`preempt`] — the same tasks under preemptive priority scheduling,
 //!   with ICAP-costed context save and restore.
 
@@ -47,8 +46,7 @@ pub use intern::{ModuleId, ModuleTable};
 pub use preempt::{simulate_preemptive, PreemptReport};
 pub use sched::{BestFit, DeadlineAware, FirstFit, PrrState, ReuseAware, SchedContext, Scheduler};
 pub use sim::{
-    simulate, simulate_batch, simulate_full_reconfig, simulate_static, simulate_with_scratch,
-    Scenario, SimReport, SimScratch,
+    simulate, simulate_full_reconfig, simulate_static, simulate_with_scratch, SimReport, SimScratch,
 };
 pub use system::{PrSystem, PrrSlot, SystemError};
 pub use task::{HwTask, Workload};

@@ -66,8 +66,7 @@ impl SchedContext<'_> {
 
 /// A PRR selection policy: pick a free PRR for `task`, or `None` to wait.
 ///
-/// `Send + Sync` so trait objects can be shared across the workers of
-/// [`crate::simulate_batch`].
+/// `Send + Sync` so one policy can be shared across threads.
 pub trait Scheduler: Send + Sync {
     /// Policy name for reports.
     fn name(&self) -> &'static str;

@@ -30,10 +30,8 @@
 //!   reached the queue head.
 //! * Clock advance pops a [`BinaryHeap`] of pending slot/ICAP free times
 //!   instead of scanning all slots per step.
-//! * All working memory lives in a reusable [`SimScratch`];
-//!   [`simulate_batch`] fans scenarios out over rayon workers with one
-//!   scratch per worker and records per-scenario wall time into the
-//!   `prcost::metrics` stage histograms.
+//! * All working memory lives in a reusable [`SimScratch`], so a caller
+//!   that simulates many scenarios carries one scratch across them.
 //!
 //! Every simulator here saturates its clock and report sums at
 //! `u64::MAX`, so a hostile execution time reads as an unbounded
@@ -50,7 +48,6 @@ use crate::task::Workload;
 use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::time::Instant;
 
 /// Simulation outcome metrics.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -228,8 +225,7 @@ impl SimScratch {
 ///
 /// Tasks that fit no PRR at all are dropped (counted out of `completed`).
 /// Allocates a fresh [`SimScratch`] per call; use
-/// [`simulate_with_scratch`] or [`simulate_batch`] to amortize buffers
-/// across many runs.
+/// [`simulate_with_scratch`] to amortize buffers across many runs.
 ///
 /// ```
 /// use multitask::{simulate, PrSystem, ReuseAware, Workload};
@@ -448,37 +444,6 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
     }
 
     report
-}
-
-/// One (system, workload, scheduler) combination for [`simulate_batch`].
-#[derive(Clone, Copy)]
-pub struct Scenario<'a> {
-    /// PR system to simulate on.
-    pub system: &'a PrSystem,
-    /// Task stream.
-    pub workload: &'a Workload,
-    /// PRR selection policy.
-    pub scheduler: &'a dyn Scheduler,
-}
-
-/// Simulate many scenarios across rayon workers.
-///
-/// Each worker owns one [`SimScratch`] reused across every scenario it
-/// processes, so the fleet performs no per-scenario allocation beyond
-/// first-touch growth. Per-scenario wall time is recorded under the
-/// `"simulate"` stage of [`prcost::Metrics::global`], joining the
-/// planning-engine histograms. Output order matches input order.
-pub fn simulate_batch(scenarios: &[Scenario<'_>]) -> Vec<SimReport> {
-    use rayon::prelude::*;
-    scenarios
-        .par_iter()
-        .map_with(SimScratch::new(), |scratch, sc| {
-            let start = Instant::now();
-            let report = simulate_with_scratch(sc.system, sc.workload, sc.scheduler, scratch);
-            prcost::Metrics::global().record_stage("simulate", start.elapsed());
-            report
-        })
-        .collect()
 }
 
 /// Simulate the **full-reconfiguration** baseline the paper's introduction
@@ -963,37 +928,6 @@ mod tests {
         assert_eq!(a1, simulate(&sys, &wl_a, &ReuseAware));
         assert_eq!(b1, simulate(&sys, &wl_b, &BestFit));
         assert_eq!(a1, a2);
-    }
-
-    #[test]
-    fn batch_matches_sequential() {
-        let sys4 = mixed_system(4, 1, 6, 1, 1);
-        let sys2 = mixed_system(2, 1, 6, 1, 1);
-        let wl = sys4.filter_workload(&Workload::generate(
-            17,
-            Family::Virtex5,
-            120,
-            8,
-            250,
-            2_000,
-            15_000,
-        ));
-        let scheds: [&dyn crate::Scheduler; 3] = [&FirstFit, &BestFit, &ReuseAware];
-        let mut scenarios = Vec::new();
-        for sys in [&sys4, &sys2] {
-            for s in scheds {
-                scenarios.push(Scenario {
-                    system: sys,
-                    workload: &wl,
-                    scheduler: s,
-                });
-            }
-        }
-        let batch = simulate_batch(&scenarios);
-        assert_eq!(batch.len(), scenarios.len());
-        for (r, sc) in batch.iter().zip(&scenarios) {
-            assert_eq!(*r, simulate(sc.system, sc.workload, sc.scheduler));
-        }
     }
 
     /// For an execution-bound workload (execution time >> reconfiguration

@@ -5,9 +5,9 @@ use bitstream::IcapModel;
 use fabric::{device_by_name, Family, Resources};
 use multitask::sim::reference::{simulate_seed, SeedPolicy};
 use multitask::{
-    simulate, simulate_batch, simulate_full_reconfig, simulate_preemptive, simulate_static,
-    simulate_with_scratch, BestFit, FirstFit, HwTask, ModuleId, ModuleTable, PrSystem, ReuseAware,
-    Scenario, Scheduler, SimScratch, Workload,
+    simulate, simulate_full_reconfig, simulate_preemptive, simulate_static, simulate_with_scratch,
+    BestFit, FirstFit, HwTask, ModuleId, ModuleTable, PrSystem, ReuseAware, Scheduler, SimScratch,
+    Workload,
 };
 use prcost::PrrOrganization;
 use proptest::prelude::*;
@@ -112,32 +112,6 @@ proptest! {
             // Scratch reuse across schedulers must not leak state.
             let reused = simulate_with_scratch(&sys, &wl, sched, &mut scratch);
             prop_assert_eq!(&reused, &seed);
-        }
-    }
-
-    /// `simulate_batch` is scenario-wise identical to sequential
-    /// `simulate`, regardless of how scenarios share systems/workloads.
-    #[test]
-    fn batch_equals_sequential(tasks in arb_tasks(), prrs_a in 1u32..4, prrs_b in 1u32..4) {
-        let sys_a = system(prrs_a, 1);
-        let sys_b = system(prrs_b, 2);
-        let wl = workload(tasks);
-        let scheds: [&dyn Scheduler; 3] = [&FirstFit, &BestFit, &ReuseAware];
-        let wl_ref = &wl;
-        let scenarios: Vec<Scenario> = [&sys_a, &sys_b]
-            .into_iter()
-            .flat_map(|sys| {
-                scheds.iter().map(move |&scheduler| Scenario {
-                    system: sys,
-                    workload: wl_ref,
-                    scheduler,
-                })
-            })
-            .collect();
-        let batch = simulate_batch(&scenarios);
-        prop_assert_eq!(batch.len(), scenarios.len());
-        for (got, sc) in batch.iter().zip(&scenarios) {
-            prop_assert_eq!(got, &simulate(sc.system, sc.workload, sc.scheduler));
         }
     }
 

@@ -3,8 +3,8 @@
 //! The paper validates its PRR model by constraining each PRM to the
 //! model-predicted region with the `AREA_GROUP` attribute in a `.ucf` file
 //! and letting ISE place and route inside it. This module provides the
-//! equivalent: named rectangular region constraints over a device, with a
-//! UCF-like text round-trip and overlap/containment validation.
+//! equivalent: named rectangular region constraints over a device, with
+//! UCF-like text output and overlap/containment validation.
 
 use core::fmt;
 use fabric::{Device, ResourceKind, Window};
@@ -75,11 +75,6 @@ pub enum FloorplanError {
         /// Second group.
         b: String,
     },
-    /// A UCF line could not be parsed.
-    BadUcfLine {
-        /// The malformed line.
-        line: String,
-    },
     /// A group's recorded column kinds disagree with the device layout.
     LayoutMismatch {
         /// Offending group.
@@ -103,7 +98,6 @@ impl fmt::Display for FloorplanError {
                  IOB/CLK columns cannot be inside PRRs"
             ),
             FloorplanError::Overlap { a, b } => write!(f, "area groups `{a}` and `{b}` overlap"),
-            FloorplanError::BadUcfLine { line } => write!(f, "cannot parse UCF line: {line:?}"),
             FloorplanError::LayoutMismatch { group } => write!(
                 f,
                 "area group `{group}` records column kinds that disagree with the device layout"
@@ -177,51 +171,6 @@ impl Floorplan {
         }
         out
     }
-
-    /// Parse UCF-style text back into a floorplan (columns kinds are
-    /// re-derived from `device`).
-    pub fn from_ucf(text: &str, device: &Device) -> Result<Self, FloorplanError> {
-        let mut plan = Floorplan::new(device);
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let parsed =
-                parse_ucf_line(line, device).ok_or_else(|| FloorplanError::BadUcfLine {
-                    line: line.to_string(),
-                })?;
-            plan.push(parsed);
-        }
-        Ok(plan)
-    }
-}
-
-fn parse_ucf_line(line: &str, device: &Device) -> Option<AreaGroup> {
-    let rest = line.strip_prefix("AREA_GROUP")?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let (name, rest) = rest.split_once('"')?;
-    let rest = rest.trim_start().strip_prefix("RANGE=")?;
-    let rest = rest.trim_end().strip_suffix(';')?;
-    let (cols, rows) = rest.split_once(' ')?;
-    let (c0, c1) = cols.strip_prefix("COL_")?.split_once(":COL_")?;
-    let (r0, r1) = rows.strip_prefix("ROW_")?.split_once(":ROW_")?;
-    let (c0, c1): (usize, usize) = (c0.parse().ok()?, c1.parse().ok()?);
-    let (r0, r1): (u32, u32) = (r0.parse().ok()?, r1.parse().ok()?);
-    if c1 < c0 || r1 < r0 || c1 >= device.width() {
-        return None;
-    }
-    let columns = device.columns()[c0..=c1].to_vec();
-    Some(AreaGroup::new(
-        name,
-        Window {
-            start_col: c0,
-            width: (c1 - c0 + 1) as u32,
-            row: r0,
-            height: r1 - r0 + 1,
-            columns,
-        },
-    ))
 }
 
 #[cfg(test)]
@@ -235,7 +184,7 @@ mod tests {
     }
 
     #[test]
-    fn ucf_round_trip() {
+    fn ucf_text_has_one_line_per_group() {
         let device = xc5vlx110t();
         let mut plan = Floorplan::new(&device);
         plan.push(AreaGroup::new(
@@ -249,10 +198,12 @@ mod tests {
         // The two leftmost windows may overlap; shift the second one up.
         plan.groups[1].window.row = 7;
         plan.validate(&device).unwrap();
-        let text = plan.to_ucf();
-        let back = Floorplan::from_ucf(&text, &device).unwrap();
-        assert_eq!(back.groups, plan.groups);
-        back.validate(&device).unwrap();
+        assert_eq!(
+            plan.to_ucf(),
+            "# floorplan for xc5vlx110t\n\
+             AREA_GROUP \"pblock_fir\" RANGE=COL_23:COL_25 ROW_1:ROW_5;\n\
+             AREA_GROUP \"pblock_sdram\" RANGE=COL_1:COL_3 ROW_7:ROW_7;\n"
+        );
     }
 
     #[test]
@@ -315,28 +266,5 @@ mod tests {
             plan.validate(&device),
             Err(FloorplanError::LayoutMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn bad_ucf_lines_are_rejected() {
-        let device = xc5vlx110t();
-        for bad in [
-            "AREA_GROUP pblock RANGE=COL_0:COL_1 ROW_1:ROW_1;",
-            "AREA_GROUP \"p\" RANGE=COL_5:COL_2 ROW_1:ROW_1;",
-            "AREA_GROUP \"p\" RANGE=COL_0:COL_9999 ROW_1:ROW_1;",
-            "AREA_GROUP \"p\" COL_0:COL_1 ROW_1:ROW_1;",
-        ] {
-            assert!(
-                Floorplan::from_ucf(bad, &device).is_err(),
-                "should reject: {bad}"
-            );
-        }
-    }
-
-    #[test]
-    fn comments_and_blanks_are_skipped() {
-        let device = xc5vlx110t();
-        let plan = Floorplan::from_ucf("# nothing\n\n", &device).unwrap();
-        assert!(plan.groups.is_empty());
     }
 }

@@ -8,15 +8,14 @@
 
 use crate::floorplan::{AreaGroup, Floorplan};
 use crate::optimize::{optimize, OptimizeError, OptimizeOptions, OptimizerReport};
-use crate::place::{place_with_scratch, PlaceError, PlaceScratch, Placement, PlacerConfig};
+use crate::place::{place, PlaceError, Placement, PlacerConfig};
 use crate::route::{route, RouteReport};
 use crate::timing::{analyze, TimingReport};
 use bitstream::writer::{generate, BitstreamSpec, GenError, PartialBitstream};
 use core::fmt;
 use fabric::grid::SiteGrid;
 use fabric::Device;
-use prcost::{CostError, Metrics, PrrPlan};
-use rayon::prelude::*;
+use prcost::{CostError, PrrPlan};
 use serde::Serialize;
 use std::time::{Duration, Instant};
 use synth::{Netlist, PaperPrm, PrmGenerator, SynthReport};
@@ -36,21 +35,6 @@ pub enum FlowStage {
     Route,
     /// Partial bitstream generation.
     Bitgen,
-}
-
-impl FlowStage {
-    /// Static label used when recording this stage into
-    /// [`prcost::Metrics`] histograms (`flow:<stage>`).
-    pub fn metrics_label(self) -> &'static str {
-        match self {
-            FlowStage::Synthesis => "flow:synthesis",
-            FlowStage::Floorplan => "flow:floorplan",
-            FlowStage::Optimize => "flow:optimize",
-            FlowStage::Place => "flow:place",
-            FlowStage::Route => "flow:route",
-            FlowStage::Bitgen => "flow:bitgen",
-        }
-    }
 }
 
 /// Flow configuration.
@@ -169,50 +153,17 @@ impl fmt::Display for FlowError {
 impl std::error::Error for FlowError {}
 
 /// Run the full flow for an already-synthesized report/netlist pair.
-///
-/// Equivalent to [`run_flow_from_report_with_scratch`] with a fresh
-/// [`PlaceScratch`]; batch callers should use [`run_flows`] (or carry a
-/// scratch per worker) instead.
 pub fn run_flow_from_report(
     report: &SynthReport,
     device: &Device,
     opts: &FlowOptions,
     synth_time: Duration,
 ) -> Result<(FlowReport, PartialBitstream), FlowError> {
-    run_flow_from_report_with_scratch(report, device, opts, synth_time, &mut PlaceScratch::new())
-}
-
-/// [`run_flow_from_report`] with caller-owned placer working memory.
-pub fn run_flow_from_report_with_scratch(
-    report: &SynthReport,
-    device: &Device,
-    opts: &FlowOptions,
-    synth_time: Duration,
-    scratch: &mut PlaceScratch,
-) -> Result<(FlowReport, PartialBitstream), FlowError> {
-    let t = Instant::now();
-    let plan = prcost::plan_prr(report, device).map_err(FlowError::Plan)?;
-    finish_flow(report, device, opts, synth_time, t, plan, scratch)
-}
-
-/// The flow from a computed PRR plan onward: floorplan rendering,
-/// optimization, place, route, timing and bitgen. `plan_started` marks
-/// when the planning step began, so the Floorplan stage time covers both
-/// the Fig. 1 search and the AREA_GROUP rendering regardless of which
-/// planning path produced `plan`.
-fn finish_flow(
-    report: &SynthReport,
-    device: &Device,
-    opts: &FlowOptions,
-    synth_time: Duration,
-    plan_started: Instant,
-    plan: PrrPlan,
-    scratch: &mut PlaceScratch,
-) -> Result<(FlowReport, PartialBitstream), FlowError> {
     let mut times = vec![(FlowStage::Synthesis, synth_time)];
 
-    // Floorplan: model-predicted PRR rendered as an AREA_GROUP constraint.
-    let t = plan_started;
+    // Floorplan: the Fig. 1 plan rendered as an AREA_GROUP constraint.
+    let t = Instant::now();
+    let plan = prcost::plan_prr(report, device).map_err(FlowError::Plan)?;
     let mut floorplan = Floorplan::new(device);
     floorplan.push(AreaGroup::new(
         format!("pblock_{}", report.module),
@@ -239,8 +190,7 @@ fn finish_flow(
     let t = Instant::now();
     let grid = SiteGrid::new(device);
     let placement: Placement =
-        place_with_scratch(&optimized, &grid, &plan.window, &opts.placer, scratch)
-            .map_err(FlowError::Place)?;
+        place(&optimized, &grid, &plan.window, &opts.placer).map_err(FlowError::Place)?;
     times.push((FlowStage::Place, t.elapsed()));
 
     // Route + timing.
@@ -314,70 +264,6 @@ pub fn run_paper_flow(
     run_flow_from_report(&report, device, &opts, synth_time)
 }
 
-/// One unit of work for [`run_flows`]: an already-synthesized report plus
-/// its flow options.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlowJob {
-    /// Synthesis-report inputs.
-    pub report: SynthReport,
-    /// Flow configuration for this job.
-    pub options: FlowOptions,
-}
-
-impl FlowJob {
-    /// A job with the given report and options.
-    pub fn new(report: SynthReport, options: FlowOptions) -> Self {
-        FlowJob { report, options }
-    }
-}
-
-/// Run many flows against one device, fanned out over rayon with one
-/// reused [`PlaceScratch`] per worker (the `map_with` idiom
-/// `simulate_batch` uses for `SimScratch`).
-///
-/// The batch builds the device's composition index
-/// ([`fabric::DeviceGeometry`]) once and shares it read-only across all
-/// workers: every Floorplan stage plans through
-/// [`prcost::plan_prr_cached`] with a per-worker [`prcost::PlanScratch`],
-/// so window searches are lock-free index probes and each distinct
-/// composition is resolved once per plan. Plans are byte-identical to the
-/// solo [`run_flow_from_report`] path.
-///
-/// Every completed flow's per-stage wall times are recorded into the
-/// process-global [`prcost::Metrics`] stage histograms under
-/// `flow:<stage>` labels, so flow sweeps get the same observability as
-/// `simulate_batch` (`prcost::Metrics::global().snapshot()` to read them
-/// back). Results come back in job order; each job is independent, so a
-/// failure only fails its own slot. Jobs are pre-synthesized, so each
-/// report's `Synthesis` stage records zero.
-pub fn run_flows(jobs: &[FlowJob], device: &Device) -> Vec<Result<FlowReport, FlowError>> {
-    let geometry = fabric::DeviceGeometry::new(device);
-    jobs.par_iter()
-        .map_with(
-            (PlaceScratch::new(), prcost::PlanScratch::default()),
-            |(scratch, plan_scratch), job| {
-                let t = Instant::now();
-                let plan = prcost::plan_prr_cached(&job.report, device, &geometry, plan_scratch)
-                    .map_err(FlowError::Plan)?;
-                let (report, _bitstream) = finish_flow(
-                    &job.report,
-                    device,
-                    &job.options,
-                    Duration::ZERO,
-                    t,
-                    plan,
-                    scratch,
-                )?;
-                let metrics = Metrics::global();
-                for (stage, elapsed) in &report.stage_times {
-                    metrics.record_stage(stage.metrics_label(), *elapsed);
-                }
-                Ok(report)
-            },
-        )
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,62 +305,6 @@ mod tests {
         assert!(rep.post_report.lut_ff_pairs <= rep.synth_report.lut_ff_pairs);
         assert!(rep.optimizer.packed > 0 || rep.optimizer.total_edits() == 0);
         assert!(rep.implementation_time() <= rep.total_time());
-    }
-
-    #[test]
-    fn run_flows_matches_single_runs_and_records_metrics() {
-        let device = xc5vlx110t();
-        let jobs: Vec<FlowJob> = [3u64, 5, 9]
-            .iter()
-            .map(|&seed| {
-                FlowJob::new(
-                    PaperPrm::Sdram.synth_report(device.family()),
-                    FlowOptions::fast(seed),
-                )
-            })
-            .collect();
-        let before = Metrics::global().snapshot().stage_total("flow:place");
-        let batch = run_flows(&jobs, &device);
-        assert_eq!(batch.len(), jobs.len());
-        for (job, result) in jobs.iter().zip(&batch) {
-            let batched = result.as_ref().unwrap();
-            let (solo, _) =
-                run_flow_from_report(&job.report, &device, &job.options, Duration::ZERO).unwrap();
-            // Same deterministic outcome as the one-off entry point
-            // (stage_times are wall-clock and excluded).
-            assert_eq!(batched.placement_hpwl, solo.placement_hpwl);
-            assert_eq!(batched.bitstream_bytes, solo.bitstream_bytes);
-            assert_eq!(batched.ucf, solo.ucf);
-            assert_eq!(batched.post_report, solo.post_report);
-        }
-        let after = Metrics::global().snapshot().stage_total("flow:place");
-        assert!(after > before, "batch flows record stage histograms");
-    }
-
-    #[test]
-    fn run_flows_isolates_failures() {
-        let device = xc5vlx110t();
-        let jobs = vec![
-            FlowJob::new(
-                PaperPrm::Sdram.synth_report(device.family()),
-                FlowOptions::fast(3),
-            ),
-            FlowJob::new(
-                SynthReport::new(
-                    "huge",
-                    fabric::Family::Virtex5,
-                    100_000,
-                    90_000,
-                    50_000,
-                    0,
-                    0,
-                ),
-                FlowOptions::fast(1),
-            ),
-        ];
-        let batch = run_flows(&jobs, &device);
-        assert!(batch[0].is_ok());
-        assert!(matches!(batch[1], Err(FlowError::Plan(_))));
     }
 
     #[test]

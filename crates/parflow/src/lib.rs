@@ -22,9 +22,7 @@
 //! * [`route`](mod@route) — a boundary-congestion router: per-column-boundary channel
 //!   demand from net bounding boxes against family-derived capacity.
 //! * [`flow`] — the end-to-end driver with per-stage wall times (the
-//!   "Implementation" column of Table VIII), plus [`run_flows`]: batch
-//!   execution over rayon with per-worker placer scratch and per-stage
-//!   histograms recorded into `prcost::Metrics`.
+//!   "Implementation" column of Table VIII).
 //! * [`autofloorplan`] — the paper's stated future work: using the cost
 //!   models to floorplan several PRRs jointly (branch-and-bound over
 //!   each PRR's Fig. 1 candidates with dominance pruning, minimizing
@@ -35,7 +33,6 @@
 
 pub mod analytic;
 pub mod autofloorplan;
-pub mod crossings;
 pub mod floorplan;
 pub mod flow;
 pub mod optimize;
@@ -45,9 +42,8 @@ pub mod timing;
 
 pub use analytic::place_analytic;
 pub use autofloorplan::{auto_floorplan, AutoFloorplan, PrrSpec};
-pub use crossings::{assess, CrossingRisk};
 pub use floorplan::{AreaGroup, Floorplan, FloorplanError};
-pub use flow::{run_flow, run_flows, FlowJob, FlowOptions, FlowReport, FlowStage};
+pub use flow::{run_flow, FlowOptions, FlowReport, FlowStage};
 pub use optimize::{optimize, OptimizeOptions, OptimizerReport};
 pub use place::{place, place_with_scratch, PlaceError, PlaceScratch, Placement, PlacerConfig};
 pub use route::{route, RouteReport};

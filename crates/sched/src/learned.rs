@@ -13,8 +13,8 @@
 //!
 //! The product of training is a [`FrozenPolicy`]: a stateless weight
 //! vector whose `choose` is a pure argmax (ties to the lowest slot
-//! index). Frozen policies are safe to share across
-//! [`multitask::simulate_batch`] workers and replay byte-identically.
+//! index). Frozen policies are safe to share across threads and replay
+//! byte-identically.
 
 use multitask::{ModuleId, PrSystem, PrrState, SchedContext, Scheduler, SimReport, Workload};
 use prcost::rng::Rng;
@@ -261,7 +261,7 @@ impl LinearQ {
 /// A frozen learned policy: pure `argmax w · φ` over the candidates.
 ///
 /// Stateless and `Send + Sync` — replays are byte-identical across
-/// runs and across [`multitask::simulate_batch`] thread counts.
+/// runs and across the threads that share one policy.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FrozenPolicy {
     weights: [f64; FEATURES],

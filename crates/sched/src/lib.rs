@@ -24,7 +24,7 @@
 //!   reconfiguration cost, ICAP backlog, queue depth, deadline slack)
 //!   with a `train` / `freeze` / `replay` API. A [`FrozenPolicy`] is a
 //!   stateless [`multitask::Scheduler`] — deterministic argmax, safe to
-//!   share across [`multitask::simulate_batch`] workers.
+//!   share across threads.
 //!
 //! [`ablate`] ties the layers into one harness
 //! ([`run_ablation`]) producing the `BENCH_sched.json` artifact:

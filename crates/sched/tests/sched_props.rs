@@ -1,11 +1,11 @@
 //! Property tests for the scheduling subsystem: the UUniFast sampler's
 //! simplex invariant, generator determinism, and frozen-policy replay
-//! stability (byte-identical across runs and across batch thread
-//! counts).
+//! stability (byte-identical across runs and across threads sharing
+//! one policy).
 
 use bitstream::IcapModel;
 use fabric::{device_by_name, Family};
-use multitask::{simulate, simulate_batch, PrSystem, Scenario};
+use multitask::{simulate, PrSystem};
 use prcost::PrrOrganization;
 use proptest::prelude::*;
 use sched::{FrozenPolicy, LinearQ, TaskSet, TaskSetConfig, TrainConfig, FEATURES};
@@ -82,7 +82,7 @@ proptest! {
 
     /// A frozen policy is a pure function of its weights: replaying the
     /// same workload yields byte-identical reports, sequentially and
-    /// through the batch runner at any thread count.
+    /// from two threads sharing one policy.
     #[test]
     fn frozen_policy_replay_is_stable(
         seed in 0u64..100_000,
@@ -101,19 +101,12 @@ proptest! {
         let policy = FrozenPolicy::from_weights(weights.clone().try_into().unwrap());
         let direct = simulate(&system, &workload, &policy);
         prop_assert_eq!(&direct, &policy.replay(&system, &workload));
-        let scenarios = vec![
-            Scenario {
-                system: &system,
-                workload: &workload,
-                scheduler: &policy,
-            },
-            Scenario {
-                system: &system,
-                workload: &workload,
-                scheduler: &policy,
-            },
-        ];
-        let reports = simulate_batch(&scenarios);
+        let reports: Vec<_> = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| simulate(&system, &workload, &policy)))
+                .collect();
+            runs.into_iter().map(|run| run.join().unwrap()).collect()
+        });
         for r in &reports {
             prop_assert_eq!(&direct, r);
         }

@@ -27,13 +27,6 @@ pub enum CellKind {
     Bram,
 }
 
-impl CellKind {
-    /// True for slice pair slots.
-    pub fn is_slice(self) -> bool {
-        matches!(self, CellKind::Slice { .. })
-    }
-}
-
 /// One netlist cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Cell {
@@ -46,13 +39,6 @@ pub struct Cell {
 pub struct Net {
     /// Connected cell indices.
     pub pins: Vec<u32>,
-}
-
-impl Net {
-    /// Half-perimeter style span of the net given per-cell positions.
-    pub fn is_trivial(&self) -> bool {
-        self.pins.len() < 2
-    }
 }
 
 /// A synthesized PRM at structural granularity.
@@ -68,18 +54,16 @@ pub struct Netlist {
     pub nets: Vec<Net>,
 }
 
-/// Minimal deterministic RNG (splitmix64) so the crate stays
-/// dependency-light; used only for synthetic connectivity.
+/// Minimal deterministic RNG (a splitmix64 stream over
+/// [`fabric::splitmix64`]); used only for synthetic connectivity.
 #[derive(Debug, Clone)]
 pub(crate) struct SplitMix64(pub u64);
 
 impl SplitMix64 {
     pub(crate) fn next_u64(&mut self) -> u64 {
+        let z = fabric::splitmix64(self.0);
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        z
     }
 
     pub(crate) fn below(&mut self, n: u64) -> u64 {

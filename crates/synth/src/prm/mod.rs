@@ -8,7 +8,6 @@
 //! exactly the paper's inputs.
 
 mod aes;
-mod dct;
 mod fft;
 mod fir;
 mod generic;
@@ -17,7 +16,6 @@ mod sdram;
 mod uart;
 
 pub use aes::AesEngine;
-pub use dct::DctCore;
 pub use fft::FftCore;
 pub use fir::FirFilter;
 pub use generic::GenericPrm;

@@ -25,7 +25,7 @@ use multitask::{
     Workload,
 };
 use prcost::metrics::StageSnapshot;
-use prcost::{Engine, Metrics, PlanScratch, PrrRequirements};
+use prcost::{Engine, Metrics, PlanScratch, PrrRequirements, Rng};
 use serde::Serialize;
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
@@ -175,18 +175,9 @@ impl Totals {
     }
 }
 
-/// splitmix64 step for the producer's arrival/choice stream.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Exponential variate with the given mean (inverse transform).
-fn exp_ns(state: &mut u64, mean: u64) -> u64 {
-    let u = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
+fn exp_ns(rng: &mut Rng, mean: u64) -> u64 {
+    let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
     ((-(1.0 - u).ln()) * mean as f64) as u64
 }
 
@@ -215,13 +206,13 @@ fn pool_table(pool: &[SynthReport]) -> ModuleTable {
 fn push_chunk(
     cfg: &PipelineConfig,
     pool: &[SynthReport],
-    rng: &mut u64,
+    rng: &mut Rng,
     n: u32,
     tasks: &mut Vec<HwTask>,
 ) {
     let mut t = 0u64;
     for id in 0..n {
-        let ix = (splitmix64(rng) % pool.len() as u64) as usize;
+        let ix = (rng.next_u64() % pool.len() as u64) as usize;
         t += exp_ns(rng, cfg.mean_interarrival_ns);
         let exec = exp_ns(rng, cfg.mean_exec_ns).max(1);
         let module = ModuleId(ix as u32);
@@ -264,7 +255,7 @@ where
         // the only inter-stage buffer, so memory never scales with
         // `cfg.tasks`.
         let producer = scope.spawn(move || {
-            let mut rng = cfg.seed | 1;
+            let mut rng = Rng::from_raw(cfg.seed | 1);
             let mut remaining = cfg.tasks;
             while remaining > 0 {
                 let n = remaining.min(u64::from(chunk)) as u32;
@@ -714,7 +705,8 @@ mod tests {
             .iter()
             .map(|g| engine.synthesize(g, device.family()))
             .collect();
-        let (mut rng, mut remaining, mut tasks) = (cfg.seed | 1, cfg.tasks, Vec::new());
+        let mut rng = Rng::from_raw(cfg.seed | 1);
+        let (mut remaining, mut tasks) = (cfg.tasks, Vec::new());
         while remaining > 0 {
             let n = remaining.min(u64::from(cfg.chunk)) as u32;
             remaining -= u64::from(n);

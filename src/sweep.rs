@@ -5,7 +5,7 @@
 //! quickly ("the PR partitioning design space is exponentially large and
 //! designers can only feasibly evaluate a subset"). This module evaluates
 //! a whole grid of (PRM, device) design points in parallel with rayon and
-//! returns structured results ready for ranking or export.
+//! returns structured results ready for export.
 //!
 //! Sweeps are driven through a [`prcost::Engine`]: synthesis reports are
 //! memoized per `(generator, family)`, each device is resolved once to a
@@ -169,25 +169,6 @@ pub fn sweep_uncached(
         .collect()
 }
 
-/// Rank the feasible points of a sweep by predicted bitstream size
-/// (ascending) — the paper's minimization objective. Equal sizes are
-/// tie-broken on `(module, device)` so the ranking is a total order
-/// independent of input order.
-pub fn rank_by_bitstream(points: &[SweepPoint]) -> Vec<&SweepPoint> {
-    let mut feasible: Vec<(&SweepPoint, u64)> = points
-        .iter()
-        .filter_map(|p| {
-            p.outcome
-                .as_ref()
-                .ok()
-                .map(|plan| (p, plan.bitstream_bytes))
-        })
-        .collect();
-    feasible
-        .sort_by(|(a, ab), (b, bb)| (ab, &a.module, &a.device).cmp(&(bb, &b.module, &b.device)));
-    feasible.into_iter().map(|(p, _)| p).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,57 +252,5 @@ mod tests {
         assert!(c.window_probes > 0);
         assert!(c.distinct_compositions > 0);
         assert!(run.points_per_sec > 0.0);
-    }
-
-    #[test]
-    fn ranking_is_sorted_and_feasible_only() {
-        let devices = fabric::all_devices();
-        let points = sweep(&generators(), &devices);
-        let ranked = rank_by_bitstream(&points);
-        assert!(!ranked.is_empty());
-        let sizes: Vec<u64> = ranked
-            .iter()
-            .map(|p| p.outcome.as_ref().unwrap().bitstream_bytes)
-            .collect();
-        assert!(sizes.windows(2).all(|w| w[0] <= w[1]));
-        // The UART on a Spartan-6 (2-byte words, tiny PRR) should be near
-        // the cheap end.
-        let cheapest = ranked.first().unwrap();
-        assert!(cheapest.outcome.as_ref().unwrap().bitstream_bytes < 20_000);
-    }
-
-    #[test]
-    fn ranking_ties_break_on_module_then_device() {
-        let mk = |module: &str, device: &str, bytes: u64| SweepPoint {
-            module: module.to_string(),
-            device: device.to_string(),
-            outcome: Ok(SweepPlan {
-                height: 1,
-                width: 1,
-                bitstream_bytes: bytes,
-                reconfig: Duration::ZERO,
-                ru_clb: 50.0,
-            }),
-        };
-        let points = vec![
-            mk("zeta", "dev_b", 100),
-            mk("alpha", "dev_b", 100),
-            mk("alpha", "dev_a", 100),
-            mk("mid", "dev_a", 50),
-        ];
-        let ranked = rank_by_bitstream(&points);
-        let order: Vec<(&str, &str)> = ranked
-            .iter()
-            .map(|p| (p.module.as_str(), p.device.as_str()))
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                ("mid", "dev_a"),
-                ("alpha", "dev_a"),
-                ("alpha", "dev_b"),
-                ("zeta", "dev_b"),
-            ]
-        );
     }
 }

@@ -70,11 +70,11 @@ proptest! {
         for (g, d) in picks {
             let gen = generator(g);
             let device = &devices[d % devices.len()];
-            let report = gen.synthesize(device.family());
+            let req = PrrRequirements::from_report(&gen.synthesize(device.family()));
             let geometry = engine.geometry(device);
-            let reused = prcost::plan_prr_cached(&report, device, &geometry, &mut shared);
-            let fresh = prcost::plan_prr_cached(
-                &report,
+            let reused = prcost::plan_requirements_cached(&req, device, &geometry, &mut shared);
+            let fresh = prcost::plan_requirements_cached(
+                &req,
                 device,
                 &geometry,
                 &mut PlanScratch::default(),

@@ -86,3 +86,48 @@ fn static_capacity_sum_saturates() {
         .collect();
     assert!(simulate_static(&device, &Workload::new(tasks, modules)).is_none());
 }
+
+/// The proactive repair's benefit, the live tasks' remaining execution
+/// time, saturates: two live tasks of `u64::MAX` execution time once
+/// overflowed the sum (a debug-build panic; a release build wrapped).
+/// On an 8-column CLB strip the 4-column task's fragmentation rejection
+/// arms the repair goal, and the next arrival sums both saturated
+/// completions before repairing the layout for it.
+#[test]
+fn proactive_defrag_benefit_saturates() {
+    let device = Device::new("strip", Family::Virtex5, 1, vec![ResourceKind::Clb; 8]).unwrap();
+    let clb_col = u64::from(Family::Virtex5.params().clb_col);
+    let mut modules = ModuleTable::new();
+    let tasks = [
+        (3, 0, 1_000_000),
+        (2, 1_000, u64::MAX),
+        (2, 2_000, 1_000_000),
+        (1, 3_000, u64::MAX),
+        (4, 500_000_000, 1),
+        (1, 600_000_000, 1_000_000),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(id, (cols, arrival_ns, exec_ns))| HwTask {
+        id: id as u32,
+        module: modules.intern(&format!("m{id}")),
+        priority: 0,
+        needs: Resources::new(cols * clb_col, 0, 0),
+        arrival_ns,
+        exec_ns,
+        deadline_ns: None,
+    })
+    .collect();
+    let config = LayoutConfig {
+        policy: DefragPolicy::Threshold(2.0),
+        depth: 3,
+        proactive: true,
+        ..LayoutConfig::default()
+    };
+    let r = simulate_layout(&device, &Workload::new(tasks, modules), &config);
+    assert_eq!(
+        (r.admitted, r.rejected_fragmentation, r.proactive_defrags),
+        (5, 1, 1)
+    );
+    assert_eq!(r.makespan_ns, u64::MAX);
+}
