@@ -8,10 +8,11 @@
 //! CRC, PCLMULQDQ carryless folding) — so `BENCH_crc.json` carries
 //! mutually consistent throughputs. The SIMD kernels' bar is ≥2× over
 //! the portable fold (on hardware that has them). Payload fill
-//! (portable, AVX2 and AVX-512 splitmix) is measured the same way, as
-//! is the writer's per-block fill-and-checksum: the
-//! best fill followed by the dispatched CRC (two passes) against the
-//! fused AVX-512 fill + VPCLMULQDQ kernel (one pass). The artifact
+//! (portable and AVX2 splitmix) is measured the same way, as is the
+//! writer's per-block fill-and-checksum: the best plain fill followed by
+//! the dispatched CRC (two passes, the path of every host without the
+//! fused kernel) against the fused AVX-512 fill + VPCLMULQDQ kernel (one
+//! pass). The artifact
 //! records which dispatch paths are active and the host's CPU count.
 //!
 //! The second half measures whole-stream emission: single-spec
@@ -123,11 +124,6 @@ fn bench_crc(c: &mut Criterion) {
             b.iter(|| arch::fill_words_avx2(black_box(0x5eed), &mut fill_buf))
         });
     }
-    if arch::fill_words_avx512(0x5eed, &mut fill_buf) {
-        g.bench_function("avx512_64kw", |b| {
-            b.iter(|| arch::fill_words_avx512(black_box(0x5eed), &mut fill_buf))
-        });
-    }
     g.bench_function("fill_crc_dispatched_64kw", |b| {
         b.iter(|| arch::fill_crc_words(black_box(0x5eed), &mut fill_buf, !0))
     });
@@ -177,12 +173,10 @@ struct CrcBenchArtifact {
     fill_portable_min_ms: f64,
     /// AVX2 fill (None without AVX2).
     fill_avx2_min_ms: Option<f64>,
-    /// AVX-512DQ fill (None without AVX-512F/DQ).
-    fill_avx512_min_ms: Option<f64>,
-    /// Best SIMD fill over portable splitmix (None without a SIMD fill).
+    /// AVX2 fill over portable splitmix (None without AVX2).
     fill_speedup: Option<f64>,
-    /// The best fill, then `crc_words` over the filled buffer: the
-    /// two-pass fill and checksum.
+    /// The best plain fill (AVX2, else portable), then `crc_words` over
+    /// the filled buffer: the two-pass fill and checksum.
     fill_crc_two_pass_min_ms: f64,
     /// The fused AVX-512 fill + VPCLMULQDQ CRC kernel (None without
     /// every feature it needs).
@@ -257,20 +251,8 @@ fn emit_artifact() {
             black_box(&fill_buf);
         })
     });
-    let fill_avx512 = arch::fill_words_avx512(0x5eed, &mut fill_buf).then(|| {
-        min_time(samples, &mut || {
-            arch::fill_words_avx512(0x5eed, &mut fill_buf);
-            black_box(&fill_buf);
-        })
-    });
-    let best_fill = match (fill_avx2, fill_avx512) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
     let fill_crc_two_pass = min_time(samples, &mut || {
-        if !arch::fill_words_avx512(0x5eed, &mut fill_buf)
-            && !arch::fill_words_avx2(0x5eed, &mut fill_buf)
-        {
+        if !arch::fill_words_avx2(0x5eed, &mut fill_buf) {
             arch::fill_words_portable(0x5eed, &mut fill_buf);
         }
         black_box(crc_words(&fill_buf));
@@ -327,8 +309,7 @@ fn emit_artifact() {
         dispatched_min_ms: dispatched * 1e3,
         fill_portable_min_ms: fill_portable * 1e3,
         fill_avx2_min_ms: fill_avx2.map(|t| t * 1e3),
-        fill_avx512_min_ms: fill_avx512.map(|t| t * 1e3),
-        fill_speedup: best_fill.map(|t| fill_portable / t),
+        fill_speedup: fill_avx2.map(|t| fill_portable / t),
         fill_crc_two_pass_min_ms: fill_crc_two_pass * 1e3,
         fill_crc_fused_min_ms: fill_crc_fused.map(|t| t * 1e3),
         fused_speedup: fill_crc_fused.map(|t| fill_crc_two_pass / t),
@@ -357,11 +338,10 @@ fn emit_artifact() {
         artifact.fill_dispatch,
     );
     println!(
-        "payload fill: portable {:.3} ms, avx2 {}, avx512 {} (best {}); \
+        "payload fill: portable {:.3} ms, avx2 {} ({}); \
          fill+crc: two-pass {:.3} ms, fused {} ({})",
         artifact.fill_portable_min_ms,
         opt(artifact.fill_avx2_min_ms),
-        opt(artifact.fill_avx512_min_ms),
         ratio(artifact.fill_speedup),
         artifact.fill_crc_two_pass_min_ms,
         opt(artifact.fill_crc_fused_min_ms),

@@ -4,7 +4,7 @@
 use bitstream::IcapModel;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fabric::{device_by_name, Family};
-use multitask::{simulate, BestFit, FirstFit, PrSystem, ReuseAware, Scheduler, Workload};
+use multitask::{simulate, FirstFit, PrSystem, ReuseAware, Scheduler, Workload};
 use prcost::PrrOrganization;
 use std::hint::black_box;
 
@@ -29,7 +29,7 @@ fn bench_sim(c: &mut Criterion) {
     ));
     let mut g = c.benchmark_group("simulate");
     g.throughput(Throughput::Elements(wl.tasks.len() as u64));
-    let schedulers: [&dyn Scheduler; 3] = [&FirstFit, &BestFit, &ReuseAware];
+    let schedulers: [&dyn Scheduler; 2] = [&FirstFit, &ReuseAware];
     for s in schedulers {
         g.bench_function(s.name(), |b| {
             b.iter(|| simulate(black_box(&sys), black_box(&wl), s))

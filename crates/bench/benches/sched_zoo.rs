@@ -1,13 +1,13 @@
 //! Criterion bench: the scheduling subsystem — UUniFast task-set
 //! generation, reconfiguration-aware admission tests, and one DES pass
-//! per scheduler on the mixed PRR pool — plus the full scheduler-zoo
+//! per scheduler on the mixed PRR pool — plus the full scheduler
 //! ablation artifact.
 //!
 //! Besides the criterion numbers, `results/BENCH_sched.json` is written
 //! by running the default-config ablation ([`sched::run_ablation`]):
-//! every scheduler × workload class × defrag policy cell, the admission
-//! table, and the frozen learned-policy weights. The same artifact is
-//! reachable from the CLI via `prfpga sched-ablate`.
+//! first-fit and reuse-aware × workload class, the admission table, and
+//! workload class × defrag policy. The same artifact is reachable from
+//! the CLI via `prfpga sched-ablate`.
 
 use criterion::{criterion_group, Criterion};
 use fabric::Family;
@@ -41,12 +41,11 @@ fn bench_sched(c: &mut Criterion) {
         })
     });
 
-    // One small end-to-end ablation (training included) as the
-    // macro-benchmark; the artifact below uses the default size.
+    // One small end-to-end ablation as the macro-benchmark; the artifact
+    // below uses the default size.
     let small = AblationConfig {
         tasks: 60,
         horizon_ms: 10,
-        train_episodes: 2,
         admission_sets: 4,
         ..AblationConfig::default()
     };
@@ -58,10 +57,9 @@ fn bench_sched(c: &mut Criterion) {
 fn emit_artifact() {
     let report = run_ablation(&AblationConfig::default());
     println!(
-        "sched zoo on {} ({} PRRs): learned beats first-fit on [{}]",
+        "scheduler ablation on {} ({} PRRs)",
         report.device,
         report.prrs.len(),
-        report.learned_beats_firstfit.join(", "),
     );
     for r in &report.rows {
         println!(

@@ -1,6 +1,6 @@
 //! Criterion bench: event-heap simulator vs the frozen seed simulator.
 //!
-//! The ISSUE-2 tentpole target: ≥5× simulator tasks/sec on a 10⁵-task
+//! The target: ≥5× simulator tasks/sec on a 10⁵-task
 //! workload. The seed implementation (per-dispatch `Vec` allocations,
 //! `Option<String>` module identity, O(slots) fits rescans and clock
 //! scans) is frozen in `multitask::sim::reference`; the live simulator
@@ -17,7 +17,7 @@ use criterion::{criterion_group, Criterion, Throughput};
 use fabric::{device_by_name, Family};
 use multitask::sim::reference::{simulate_seed, SeedPolicy};
 use multitask::{
-    simulate_with_scratch, BestFit, FirstFit, PrSystem, ReuseAware, Scheduler, SimScratch, Workload,
+    simulate_with_scratch, FirstFit, PrSystem, ReuseAware, Scheduler, SimScratch, Workload,
 };
 use prcost::PrrOrganization;
 use serde::Serialize;
@@ -59,9 +59,8 @@ fn bench_sim(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim");
     g.sample_size(20);
     g.throughput(Throughput::Elements(n));
-    let pairs: [(&dyn Scheduler, SeedPolicy); 3] = [
+    let pairs: [(&dyn Scheduler, SeedPolicy); 2] = [
         (&FirstFit, SeedPolicy::FirstFit),
-        (&BestFit, SeedPolicy::BestFit),
         (&ReuseAware, SeedPolicy::ReuseAware),
     ];
     for (sched, policy) in pairs {

@@ -9,7 +9,7 @@
 
 use bitstream::IcapModel;
 use fabric::{device_by_name, Family};
-use multitask::{simulate, BestFit, FirstFit, PrSystem, ReuseAware, Scheduler, Workload};
+use multitask::{simulate, FirstFit, PrSystem, ReuseAware, Scheduler, Workload};
 use prcost::PrrOrganization;
 use serde::Serialize;
 
@@ -42,7 +42,7 @@ fn main() {
         ("4x oversized (H=4, 6C+1D+1B)", org(4, 6, 1, 1)),
         ("8x oversized (H=8, 6C+1D+1B)", org(8, 6, 1, 1)),
     ];
-    let schedulers: [&dyn Scheduler; 3] = [&FirstFit, &BestFit, &ReuseAware];
+    let schedulers: [&dyn Scheduler; 2] = [&FirstFit, &ReuseAware];
 
     let base = PrSystem::homogeneous(&device, sizes[0].1, 4, IcapModel::V5_DMA).unwrap();
     // Execution-bound enough that several PRRs are often free at once

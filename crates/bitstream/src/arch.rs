@@ -10,21 +10,22 @@
 //! | path | x86_64 | aarch64 |
 //! |------|--------|---------|
 //! | CRC  | PCLMULQDQ 4×128-bit fold → SSE4.2 `crc32q` reduction, or the SSE4.2 `crc32q` four-lane kernel | ARMv8 `crc32cx` four-lane kernel |
-//! | fill | AVX-512DQ 16-lane splitmix, fused with the VPCLMULQDQ fold during emission; AVX2 8-lane splitmix; portable | portable (autovectorized) |
+//! | fill | AVX-512DQ 16-lane splitmix fused with the VPCLMULQDQ fold (emission only); AVX2 8-lane splitmix; portable | portable (autovectorized) |
 //!
 //! The CRC-32C (Castagnoli) polynomial is natively supported by the x86
 //! `crc32` instruction family and the ARMv8 `crc32c*` instructions, so
 //! the hardware paths compute the *identical* checksum, not an
 //! approximation. The carryless-multiply kernels derive their fold
 //! constants at compile time from the same `advance` algebra the
-//! portable folded kernel is built on (see
-//! [`crate::crc::clmul_fold_const`]).
+//! portable folded kernel is built on (see `crc::clmul_fold_const`).
 //!
 //! The writer fills and checksums each FDRI payload through one entry,
 //! [`fill_crc_words`]. With the AVX-512 fill selected it runs the fused
 //! kernel, which folds each generated 64-byte vector into the CRC before
 //! it leaves registers; every other host fills, then checksums the
-//! words, through the two separately dispatched kernels.
+//! words, through the two separately dispatched kernels. The fused
+//! kernel is the only AVX-512 fill: the plain fill entry
+//! ([`fill_words`]) runs the AVX2 kernel on an AVX-512 host.
 //!
 //! ## Dispatch policy
 //!
@@ -88,8 +89,9 @@ impl CrcPath {
 /// Which payload-fill kernel the dispatcher selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FillPath {
-    /// AVX-512DQ 16-lane counter-form splitmix fill; during emission it
-    /// runs fused with the VPCLMULQDQ CRC fold.
+    /// AVX-512DQ 16-lane counter-form splitmix fill, fused with the
+    /// VPCLMULQDQ CRC fold during emission; the plain fill entry runs the
+    /// AVX2 kernel.
     Avx512,
     /// AVX2 8-lane counter-form splitmix fill.
     Avx2,
@@ -162,21 +164,14 @@ fn detect_native() -> Dispatch {
     Dispatch { crc, fill }
 }
 
-/// The AVX-512 fill kernel's features: F for the 512-bit registers, DQ
-/// for the 64-bit lane multiply.
-#[cfg(target_arch = "x86_64")]
-fn avx512_fill_detected() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512dq")
-}
-
-/// The fused fill-and-CRC kernel's features: the AVX-512 fill's, BW for
-/// the 512-bit byte shuffle, VPCLMULQDQ for the 512-bit fold, and the
-/// PCLMULQDQ + SSE4.2 collapse, reduction and tail it shares with the
-/// CLMUL kernel.
+/// The fused fill-and-CRC kernel's features: F for the 512-bit
+/// registers, DQ for the 64-bit lane multiply, BW for the 512-bit byte
+/// shuffle, VPCLMULQDQ for the 512-bit fold, and the PCLMULQDQ + SSE4.2
+/// collapse, reduction and tail it shares with the CLMUL kernel.
 #[cfg(target_arch = "x86_64")]
 fn fused_detected() -> bool {
-    avx512_fill_detected()
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
         && std::arch::is_x86_feature_detected!("avx512bw")
         && std::arch::is_x86_feature_detected!("vpclmulqdq")
         && std::arch::is_x86_feature_detected!("pclmulqdq")
@@ -237,9 +232,7 @@ fn build_kernels(dispatch: Dispatch) -> Kernels {
     };
     let fill: fn(u64, &mut [u32]) = match dispatch.fill {
         #[cfg(target_arch = "x86_64")]
-        FillPath::Avx512 => fill_avx512_kernel,
-        #[cfg(target_arch = "x86_64")]
-        FillPath::Avx2 => fill_avx2_kernel,
+        FillPath::Avx512 | FillPath::Avx2 => fill_avx2_kernel,
         _ => fill_portable_kernel,
     };
     let fill_crc: fn(u64, &mut [u32], u32) -> u32 = match dispatch.fill {
@@ -325,18 +318,6 @@ fn fill_avx2_kernel(seed: u64, out: &mut [u32]) {
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `fill_payload_avx2` requires AVX2, verified just above.
         unsafe { x86::fill_payload_avx2(seed, out) }
-    } else {
-        crate::writer::fill_payload_portable(seed, out);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)] // SAFETY: kernel entered only after verifying AVX-512F/DQ.
-fn fill_avx512_kernel(seed: u64, out: &mut [u32]) {
-    if avx512_fill_detected() {
-        // SAFETY: `fill_payload_avx512` requires AVX-512F and AVX-512DQ,
-        // verified just above.
-        unsafe { x86::fill_payload_avx512(seed, out) }
     } else {
         crate::writer::fill_payload_portable(seed, out);
     }
@@ -432,21 +413,6 @@ pub fn fill_words_avx2(seed: u64, out: &mut [u32]) -> bool {
     false
 }
 
-/// Fill `out` via the AVX-512 kernel if this CPU has AVX-512F/DQ.
-/// Returns `true` if the kernel ran, `false` if `out` was left
-/// untouched.
-#[allow(unsafe_code)] // SAFETY: features verified before the unsafe call.
-pub fn fill_words_avx512(seed: u64, out: &mut [u32]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if avx512_fill_detected() {
-        // SAFETY: AVX-512F and AVX-512DQ verified just above.
-        unsafe { x86::fill_payload_avx512(seed, out) };
-        return true;
-    }
-    let _ = (seed, out);
-    false
-}
-
 /// Fill `out` and advance the raw CRC `state` over it with the fused
 /// AVX-512 kernel, if this CPU has every feature it needs (`Some(new
 /// state)`), or `None` with `out` left untouched.
@@ -491,7 +457,7 @@ mod x86 {
         _mm_loadu_si128, _mm_set_epi64x, _mm_set_epi8, _mm_shuffle_epi8, _mm_xor_si128,
     };
 
-    /// Words per folding iteration and per AVX-512 fill block (64 bytes:
+    /// Words per folding iteration and per fused AVX-512 block (64 bytes:
     /// four XMM registers, or one ZMM register).
     const BLOCK_WORDS: usize = 16;
     /// splitmix64's two output-mix multipliers.
@@ -820,28 +786,6 @@ mod x86 {
         }
     }
 
-    /// AVX-512 payload fill: sixteen splitmix counters per iteration
-    /// with native 64-bit multiplies, the counter form of the portable
-    /// fill, so the output is byte-identical.
-    ///
-    /// # Safety
-    /// CPU must support AVX-512F and AVX-512DQ.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn fill_payload_avx512(seed: u64, out: &mut [u32]) {
-        let full = out.len() - out.len() % BLOCK_WORDS;
-        let mut chunks = out.chunks_exact_mut(BLOCK_WORDS);
-        // SAFETY: AVX-512F/DQ per this fn's contract; the only memory
-        // access is the unaligned 64-byte store into each exact 16-word
-        // chunk.
-        unsafe {
-            let mut words = Splitmix16::new(seed);
-            for q in chunks.by_ref() {
-                _mm512_storeu_si512(q.as_mut_ptr().cast(), words.next_block());
-            }
-        }
-        fill_tail(seed, full, chunks.into_remainder());
-    }
-
     /// [`fold_128`] on all four 128-bit lanes of `x` at once.
     ///
     /// # Safety
@@ -854,9 +798,10 @@ mod x86 {
         )
     }
 
-    /// Fused payload fill and CRC: [`fill_payload_avx512`]'s words, each
-    /// 16-word block stored, byte-swapped into stream order and folded
-    /// into one 512-bit accumulator before it leaves registers. The
+    /// Fused payload fill and CRC: the portable fill's words, sixteen per
+    /// [`Splitmix16`] block with native 64-bit multiplies, each block
+    /// stored, byte-swapped into stream order and folded into one 512-bit
+    /// accumulator before it leaves registers. The
     /// accumulator's four 128-bit lanes are [`crc_update_clmul`]'s
     /// `x0..x3`, folded by the same 512 bits per block, so the collapse,
     /// reduction and tail are that kernel's. Returns the CRC state
@@ -1031,10 +976,6 @@ mod tests {
             let mut avx2 = vec![0u32; len];
             if fill_words_avx2(0xDEAD_BEEF_0123_4567, &mut avx2) {
                 assert_eq!(avx2, portable, "avx2 len {len}");
-            }
-            let mut avx512 = vec![0u32; len];
-            if fill_words_avx512(0xDEAD_BEEF_0123_4567, &mut avx512) {
-                assert_eq!(avx512, portable, "avx512 len {len}");
             }
             let mut fused = vec![0u32; len];
             if let Some(state) = fill_crc_words_avx512(0xDEAD_BEEF_0123_4567, &mut fused, !0) {

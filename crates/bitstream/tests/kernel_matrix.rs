@@ -2,7 +2,7 @@
 //! variant — frozen bitwise baseline, portable folded, the
 //! runtime-dispatched entry points, and whichever hardware kernels this
 //! CPU exposes (SSE4.2 `crc32q`, PCLMULQDQ fold, ARMv8 `crc32c*`, AVX2
-//! and AVX-512 fill, the fused AVX-512 fill + VPCLMULQDQ CRC) — must be
+//! fill, the fused AVX-512 fill + VPCLMULQDQ CRC) — must be
 //! byte-identical on arbitrary inputs, including empty, single-word and
 //! odd tails, and must reproduce the standard CRC-32C check vector.
 //!
@@ -77,10 +77,6 @@ fn assert_fill_matrix_agrees(seed: u64, len: usize) {
     if arch::fill_words_avx2(seed, &mut avx2) {
         assert_eq!(avx2, reference, "avx2 fill (len {len})");
     }
-    let mut avx512 = vec![0u32; len];
-    if arch::fill_words_avx512(seed, &mut avx512) {
-        assert_eq!(avx512, reference, "avx512 fill (len {len})");
-    }
 }
 
 /// Every fill-and-CRC entry this host runs, each filling a fresh
@@ -147,7 +143,7 @@ fn crc_matrix_boundary_lengths() {
     }
 }
 
-/// Fill boundary lengths around the AVX-512 kernels' 16-word block, the
+/// Fill boundary lengths around the fused AVX-512 kernel's 16-word block, the
 /// AVX2 kernel's 8-word block and the portable kernel's 4-word unroll,
 /// including empty and odd tails.
 const FILL_LENGTHS: [usize; 20] = [
@@ -216,10 +212,6 @@ proptest! {
         let mut avx2 = vec![0u32; len];
         if arch::fill_words_avx2(seed, &mut avx2) {
             prop_assert_eq!(&avx2, &reference);
-        }
-        let mut avx512 = vec![0u32; len];
-        if arch::fill_words_avx512(seed, &mut avx512) {
-            prop_assert_eq!(&avx512, &reference);
         }
     }
 

@@ -67,12 +67,12 @@ enum CompResolution {
 /// Reusable per-worker scratch for the padded-window fallback and the
 /// per-plan composition-resolution cache.
 ///
-/// The direct path's fallback ([`find_padded_window`]) sorts every capped
+/// The direct path's fallback (`find_padded_window`) sorts every capped
 /// padding option of an infeasible composition, up to ~1000 on the wider
 /// devices, in a buffer kept here; reusing one scratch across plans keeps
 /// that allocation-free after warm-up. The cached planning paths instead
 /// record, per plan, how each distinct base composition resolved
-/// ([`CompResolution`]), so their fallback — a row scan that makes one
+/// (`CompResolution`), so their fallback — a row scan that makes one
 /// index lookup per `(extra DSP, extra BRAM)` row, ~20 per fallback —
 /// runs once per composition instead of once per height. A fresh
 /// `PlanScratch::default()` is always valid — results never depend on

@@ -114,8 +114,7 @@ impl FrameGeometry {
 }
 
 /// Fabric-architecture constants for one family: the parameters of Table I
-/// that Table II instantiates, plus slice structure used by `synth` and
-/// `parflow`.
+/// that Table II instantiates, plus the configuration-plane geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FamilyParams {
     /// The family these constants belong to.
@@ -130,8 +129,6 @@ pub struct FamilyParams {
     pub lut_clb: u32,
     /// `FF_CLB`: flip-flops per CLB.
     pub ff_clb: u32,
-    /// Slices per CLB (2 for all Virtex-class families modeled here).
-    pub slices_per_clb: u32,
     /// Configuration-plane geometry (Table IV).
     pub frames: FrameGeometry,
 }
@@ -158,7 +155,6 @@ pub static VIRTEX4: FamilyParams = FamilyParams {
     bram_col: 4,
     lut_clb: 8,
     ff_clb: 8,
-    slices_per_clb: 4,
     frames: FrameGeometry {
         cf_clb: 22,
         cf_dsp: 21,
@@ -185,7 +181,6 @@ pub static VIRTEX5: FamilyParams = FamilyParams {
     bram_col: 4,
     lut_clb: 8,
     ff_clb: 8,
-    slices_per_clb: 2,
     frames: FrameGeometry {
         cf_clb: 36,
         cf_dsp: 28,
@@ -210,7 +205,6 @@ pub static VIRTEX6: FamilyParams = FamilyParams {
     bram_col: 8,
     lut_clb: 8,
     ff_clb: 16,
-    slices_per_clb: 2,
     frames: FrameGeometry {
         cf_clb: 36,
         cf_dsp: 28,
@@ -235,7 +229,6 @@ pub static SERIES7: FamilyParams = FamilyParams {
     bram_col: 10,
     lut_clb: 8,
     ff_clb: 16,
-    slices_per_clb: 2,
     frames: FrameGeometry {
         cf_clb: 36,
         cf_dsp: 28,
@@ -262,7 +255,6 @@ pub static SPARTAN6: FamilyParams = FamilyParams {
     bram_col: 2,
     lut_clb: 8,
     ff_clb: 16,
-    slices_per_clb: 2,
     frames: FrameGeometry {
         cf_clb: 31,
         cf_dsp: 25,

@@ -1,6 +1,7 @@
 //! ICAP-costed defragmentation planning.
 //!
-//! When an admission fails with [`AllocError::Fragmentation`] the planner
+//! When an admission fails with
+//! [`AllocError::Fragmentation`](crate::AllocError::Fragmentation) the planner
 //! searches for a *minimal* set of relocations that frees one contiguous
 //! window for the failed organization. Every move is between windows that
 //! satisfy [`bitstream::compatible`] — identical height and column-kind

@@ -9,12 +9,12 @@
 //! move vacated. This module searches those schedules with the same
 //! machinery that made `parflow::autofloorplan` fast:
 //!
-//! * **incremental layout state** — [`LayoutState`] holds one copy of
+//! * **incremental layout state** — `LayoutState` holds one copy of
 //!   the [`FreeSpace`] row bitsets per plan, reset once per admit
 //!   rectangle; a move (or its undo) sets the source's bits, clears the
 //!   target's and XORs two hash keys, never a clone down the tree;
 //! * **relocation slots once per plan** — every live allocation's
-//!   compatible windows ([`FreeSpace::relocation_slots`]: the composition
+//!   compatible windows (`FreeSpace::relocation_slots`: the composition
 //!   index's candidate starts, filtered by its exact column-kind
 //!   sequence) are listed before the search. A node tests a mover's slots
 //!   against the admit rectangle and the current grid; no node scans the
@@ -49,7 +49,7 @@
 //! count, then the admit-rectangle enumeration order (candidate starts
 //! ascending, base row ascending), then the first feasible sequence in
 //! canonical descent order (movers by ascending allocation id, targets
-//! leftmost-then-bottom). [`reference`] freezes an exhaustive
+//! leftmost-then-bottom). [`reference`](mod@reference) freezes an exhaustive
 //! clone-based enumeration of the same plan space as the equivalence
 //! oracle.
 //!

@@ -30,7 +30,7 @@
 //! columns, every database device), so a call allocates nothing.
 //!
 //! Relocation targets come from the same index:
-//! [`FreeSpace::relocation_slots`] filters the candidate starts of a
+//! `FreeSpace::relocation_slots` filters the candidate starts of a
 //! module's composition by its exact column-kind sequence, and both
 //! defragmentation planners test those slots against their grid instead
 //! of scanning the device's columns.

@@ -17,7 +17,7 @@ use bitstream::{generate, relocate, BitstreamSpec, IcapModel};
 use fabric::{Device, Family, ResourceKind, Window, WindowRequest};
 use layout::{simulate_layout, DefragPolicy, FreeSpace, LayoutConfig, NaiveFreeSpace};
 use multitask::sim::reference::{simulate_seed, SeedPolicy};
-use multitask::{simulate, BestFit, FirstFit, PrSystem, ReuseAware, Workload};
+use multitask::{simulate, FirstFit, PrSystem, ReuseAware, Workload};
 use prcost::{bitstream_size_bytes, PrrOrganization};
 use proptest::prelude::*;
 
@@ -246,10 +246,6 @@ fn fixed_prr_simulator_is_untouched_when_layout_disabled() {
         assert_eq!(
             simulate(&system, &workload, &FirstFit),
             simulate_seed(&system, &workload, SeedPolicy::FirstFit)
-        );
-        assert_eq!(
-            simulate(&system, &workload, &BestFit),
-            simulate_seed(&system, &workload, SeedPolicy::BestFit)
         );
         assert_eq!(
             simulate(&system, &workload, &ReuseAware),

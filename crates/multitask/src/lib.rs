@@ -18,11 +18,10 @@
 //!   placed PRRs (planned by `prcost` or supplied explicitly), with the
 //!   single shared ICAP the paper describes ("desynchronization releases
 //!   the ICAP, which allows other PRRs to be reconfigured").
-//! * [`sched`] — PRR selection policies: first-fit, best-fit (least
-//!   overprovisioned PRR), reuse-aware (prefer a PRR that already holds
-//!   the task's module, skipping reconfiguration entirely), and
-//!   deadline-aware (minimize predicted completion using the
-//!   [`SchedContext`] dispatch snapshot).
+//! * [`sched`] — PRR selection policies: first-fit (every ablation's
+//!   baseline) and reuse-aware (prefer a PRR that already holds the
+//!   task's module, skipping reconfiguration entirely; else the least
+//!   overprovisioned PRR).
 //! * [`sim`] — a discrete-event simulator producing makespan, waiting
 //!   times, reconfiguration counts/time and per-PRR utilization. The core
 //!   is allocation-free after setup: integer module-id compares,
@@ -44,7 +43,7 @@ pub mod trace;
 
 pub use intern::{ModuleId, ModuleTable};
 pub use preempt::{simulate_preemptive, PreemptReport};
-pub use sched::{BestFit, DeadlineAware, FirstFit, PrrState, ReuseAware, SchedContext, Scheduler};
+pub use sched::{FirstFit, ReuseAware, Scheduler};
 pub use sim::{
     simulate, simulate_full_reconfig, simulate_static, simulate_with_scratch, SimReport, SimScratch,
 };

@@ -172,41 +172,47 @@ pub fn simulate_preemptive(system: &PrSystem, workload: &Workload) -> PreemptRep
             };
             let Some(s) = slot else { break };
 
-            // If preempting, save the victim's context first.
-            let mut t = now.max(icap_free_at);
-            if let Some(victim) = slot_running[s].take() {
-                let ctx = context_cost(&system.prrs[s].organization);
-                let save_ns = ctx.save_time(&system.icap).as_nanos() as u64;
-                let ran = t.saturating_sub(victim.exec_start);
-                let vi = victim.pending_idx;
-                pending[vi].remaining_ns = pending[vi].remaining_ns.saturating_sub(ran);
-                pending[vi].saved = true;
-                waiting.push(vi);
-                t = t.saturating_add(save_ns);
-                report.preemptions += 1;
-                report.context_transfers += 1;
-                report.context_switch_ns = report.context_switch_ns.saturating_add(save_ns);
-                report.icap_busy_ns = report.icap_busy_ns.saturating_add(save_ns);
-            }
-
-            // Bitstream write if the module differs, restore if resuming.
+            // Only configuration-plane work waits for the ICAP: a reuse
+            // hit that saves, writes and restores nothing starts now.
+            let victim = slot_running[s].take();
             let module = pending[pi].task.module;
-            if slot_module[s] != Some(module) {
-                let w = system.reconfig_ns(&system.prrs[s]);
-                t = t.saturating_add(w);
-                report.reconfigurations += 1;
-                report.icap_busy_ns = report.icap_busy_ns.saturating_add(w);
-                slot_module[s] = Some(module);
+            let write = slot_module[s] != Some(module);
+            let mut t = now;
+            if victim.is_some() || write || pending[pi].saved {
+                t = now.max(icap_free_at);
+                // If preempting, save the victim's context first.
+                if let Some(victim) = victim {
+                    let ctx = context_cost(&system.prrs[s].organization);
+                    let save_ns = ctx.save_time(&system.icap).as_nanos() as u64;
+                    let ran = t.saturating_sub(victim.exec_start);
+                    let vi = victim.pending_idx;
+                    pending[vi].remaining_ns = pending[vi].remaining_ns.saturating_sub(ran);
+                    pending[vi].saved = true;
+                    waiting.push(vi);
+                    t = t.saturating_add(save_ns);
+                    report.preemptions += 1;
+                    report.context_transfers += 1;
+                    report.context_switch_ns = report.context_switch_ns.saturating_add(save_ns);
+                    report.icap_busy_ns = report.icap_busy_ns.saturating_add(save_ns);
+                }
+                // Bitstream write if the module differs, restore if resuming.
+                if write {
+                    let w = system.reconfig_ns(&system.prrs[s]);
+                    t = t.saturating_add(w);
+                    report.reconfigurations += 1;
+                    report.icap_busy_ns = report.icap_busy_ns.saturating_add(w);
+                    slot_module[s] = Some(module);
+                }
+                if pending[pi].saved {
+                    let ctx = context_cost(&system.prrs[s].organization);
+                    let r = ctx.restore_time(&system.icap).as_nanos() as u64;
+                    t = t.saturating_add(r);
+                    report.context_transfers += 1;
+                    report.context_switch_ns = report.context_switch_ns.saturating_add(r);
+                    report.icap_busy_ns = report.icap_busy_ns.saturating_add(r);
+                }
+                icap_free_at = t;
             }
-            if pending[pi].saved {
-                let ctx = context_cost(&system.prrs[s].organization);
-                let r = ctx.restore_time(&system.icap).as_nanos() as u64;
-                t = t.saturating_add(r);
-                report.context_transfers += 1;
-                report.context_switch_ns = report.context_switch_ns.saturating_add(r);
-                report.icap_busy_ns = report.icap_busy_ns.saturating_add(r);
-            }
-            icap_free_at = t;
 
             if !pending[pi].responded {
                 pending[pi].responded = true;
@@ -360,6 +366,25 @@ mod tests {
         );
         assert_eq!(r.preemptions, 0, "free PRR available, no need to preempt");
         assert_eq!(r.completed, 2);
+    }
+
+    /// A reuse hit saves, writes and restores nothing, so it starts at
+    /// once instead of queueing behind another PRR's reconfiguration.
+    #[test]
+    fn reuse_hit_skips_the_icap_queue() {
+        let sys = system(2);
+        let reconfig = sys.reconfig_ns(&sys.prrs[0]);
+        // `b`'s write occupies the ICAP until 2 × reconfig; task 2 arrives
+        // before that, once `a` has finished on the PRR that still holds it.
+        let arrival = reconfig + reconfig / 2;
+        let r = simulate_preemptive(
+            &sys,
+            &workload(&[("a", 0, 10, 0), ("b", 1, 10, 0), ("a", arrival, 100_000, 0)]),
+        );
+        assert_eq!(r.completed, 3);
+        assert_eq!(r.preemptions, 0);
+        assert_eq!(r.reconfigurations, 2, "task 2 reuses `a`");
+        assert_eq!(r.makespan_ns, arrival + 100_000);
     }
 
     #[test]

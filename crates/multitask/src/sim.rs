@@ -21,8 +21,8 @@
 //!
 //! * Tasks carry their module as an interned [`ModuleId`] (resolved once,
 //!   where the workload was built), so reuse checks are integer compares
-//!   and per-slot state snapshots are `Copy` (`PrrState`), not
-//!   `Option<String>` clones.
+//!   and the per-slot loaded modules the scheduler reads are
+//!   `Option<ModuleId>`, not `Option<String>` clones.
 //! * Each task's "which PRRs fit me" set is computed once, at admission,
 //!   into a bitmask carried in its queue entry, so dispatch feasibility
 //!   is a mask-and-free test and the unservable-task check (`fits_ever`)
@@ -37,12 +37,13 @@
 //! `u64::MAX`, so a hostile execution time reads as an unbounded
 //! makespan instead of wrapping to a small one.
 //!
-//! The seed implementation is frozen in [`reference`] as the equivalence
-//! oracle: property tests assert the heap simulator produces an identical
-//! [`SimReport`] for random workloads, systems and schedulers.
+//! The seed implementation is frozen in [`reference`](mod@reference) as
+//! the equivalence oracle: property tests assert the heap simulator
+//! produces an identical [`SimReport`] for random workloads, systems and
+//! schedulers.
 
 use crate::intern::ModuleId;
-use crate::sched::{PrrState, SchedContext, Scheduler};
+use crate::sched::Scheduler;
 use crate::system::PrSystem;
 use crate::task::Workload;
 use serde::Serialize;
@@ -69,7 +70,8 @@ pub struct SimReport {
     /// Sum of task execution times (ns) — invariant under scheduling.
     pub total_exec_ns: u64,
     /// Completed tasks that finished after their absolute deadline.
-    /// Always 0 for loss-system workloads (no [`HwTask::deadline_ns`]).
+    /// Always 0 for loss-system workloads (no
+    /// [`HwTask::deadline_ns`](crate::HwTask::deadline_ns)).
     pub deadline_misses: u32,
     /// Sum of task response times: completion - arrival (ns).
     pub total_response_ns: u64,
@@ -133,13 +135,6 @@ impl SimReport {
     }
 }
 
-/// Per-PRR runtime bookkeeping (interned module identity).
-#[derive(Debug, Clone, Copy)]
-struct SlotRt {
-    free_at: u64,
-    loaded: Option<ModuleId>,
-}
-
 /// Task attributes copied into the FIFO at admission, while the task's
 /// cache lines are warm from the sequential arrival scan. On large
 /// workloads the head of a backed-up queue was admitted tens of
@@ -163,11 +158,11 @@ struct QueueEntry {
 
 /// Reusable working memory for [`simulate_with_scratch`].
 ///
-/// Holds every buffer the simulator needs — hoisted per-slot data, slot
-/// runtime state, the scheduler's state snapshot, the FIFO queue and the
-/// event heap — so repeated simulations (sweeps,
-/// batches) allocate nothing after the first run reaches steady-state
-/// capacity. `Default`-construct once and pass to every call.
+/// Holds every buffer the simulator needs — hoisted per-slot data, each
+/// slot's loaded module and free time, the FIFO queue and the event heap
+/// — so repeated simulations allocate nothing after the first run
+/// reaches steady-state capacity. `Default`-construct once and pass to
+/// every call.
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
     /// Hoisted per-slot available resources.
@@ -175,8 +170,10 @@ pub struct SimScratch {
     /// Hoisted per-slot reconfiguration time (ns): the float ICAP
     /// transfer-time math runs once per slot, not once per dispatch.
     reconfig_ns: Vec<u64>,
-    rt: Vec<SlotRt>,
-    states: Vec<PrrState>,
+    /// Module configured into each slot (what [`Scheduler::choose`] reads).
+    loaded: Vec<Option<ModuleId>>,
+    /// Instant each slot's current task finishes.
+    free_at: Vec<u64>,
     candidates: Vec<usize>,
     queue: VecDeque<QueueEntry>,
     /// Min-heap of pending `(free_time, slot)` events.
@@ -199,22 +196,10 @@ impl SimScratch {
         self.reconfig_ns
             .extend(system.prrs.iter().map(|p| system.reconfig_ns(p)));
 
-        self.rt.clear();
-        self.rt.resize(
-            n_slots,
-            SlotRt {
-                free_at: 0,
-                loaded: None,
-            },
-        );
-        self.states.clear();
-        self.states.resize(
-            n_slots,
-            PrrState {
-                busy: false,
-                loaded_module: None,
-            },
-        );
+        self.loaded.clear();
+        self.loaded.resize(n_slots, None);
+        self.free_at.clear();
+        self.free_at.resize(n_slots, 0);
         self.candidates.clear();
         self.queue.clear();
         self.events.clear();
@@ -255,8 +240,8 @@ pub fn simulate<S: Scheduler + ?Sized>(
 /// [`simulate`] with caller-provided working memory.
 ///
 /// Behaviourally identical to [`simulate`] (and to the frozen seed
-/// implementation in [`reference`]); reuses `scratch`'s buffers so
-/// steady-state simulation performs no heap allocation.
+/// implementation in [`reference`](mod@reference)); reuses `scratch`'s
+/// buffers so steady-state simulation performs no heap allocation.
 pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
     system: &PrSystem,
     workload: &Workload,
@@ -270,8 +255,8 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
     let SimScratch {
         avail,
         reconfig_ns,
-        rt,
-        states,
+        loaded,
+        free_at,
         candidates,
         queue,
         events,
@@ -282,10 +267,10 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
     // event heap: a dispatch clears the chosen bit, popping the slot's
     // free event sets it back. Candidate discovery for a queue head is
     // then `entry.fits & free_mask` — no per-dispatch slot scan.
-    let mut free_mask: u64 = if rt.len() >= 64 {
+    let mut free_mask: u64 = if loaded.len() >= 64 {
         u64::MAX
     } else {
-        (1u64 << rt.len()) - 1
+        (1u64 << loaded.len()) - 1
     };
 
     let mut report = SimReport {
@@ -337,25 +322,24 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
 
         // Dispatch FIFO head(s) while possible. Candidates come from the
         // fits-and-free mask (ascending slot order, matching the seed's
-        // scan); `states` is maintained incrementally — `loaded_module`
-        // changes only here, `busy` flips here and at event pops — so no
-        // per-dispatch rebuild.
+        // scan); `loaded` changes only here, so the scheduler reads it
+        // without a per-dispatch rebuild.
         while let Some(entry) = queue.front().copied() {
             candidates.clear();
-            if rt.len() <= 64 {
+            if loaded.len() <= 64 {
                 let mut m = entry.fits & free_mask;
                 while m != 0 {
                     candidates.push(m.trailing_zeros() as usize);
                     m &= m - 1;
                 }
             } else {
-                for (si, slot) in rt.iter().enumerate() {
+                for (si, &slot_free_at) in free_at.iter().enumerate() {
                     let fits = if si < 64 {
                         entry.fits >> si & 1 == 1
                     } else {
                         avail[si].covers(&entry.needs)
                     };
-                    if fits && slot.free_at <= now {
+                    if fits && slot_free_at <= now {
                         candidates.push(si);
                     }
                 }
@@ -364,21 +348,11 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
                 break;
             }
             let module = entry.module;
-            let ctx = SchedContext {
-                now,
-                // Tasks waiting *behind* the one being dispatched.
-                queue_len: queue.len() - 1,
-                arrival_ns: entry.arrival_ns,
-                exec_ns: entry.exec_ns,
-                deadline_ns: (entry.deadline_ns != u64::MAX).then_some(entry.deadline_ns),
-                icap_free_at,
-                reconfig_ns,
-            };
-            let chosen = scheduler.choose(&ctx, &entry.needs, module, candidates, avail, states);
+            let chosen = scheduler.choose(&entry.needs, module, candidates, avail, loaded);
             debug_assert!(candidates.contains(&chosen));
             queue.pop_front();
 
-            let reuse = rt[chosen].loaded == Some(module);
+            let reuse = loaded[chosen] == Some(module);
             let exec_start = if reuse {
                 report.reuse_hits += 1;
                 now
@@ -388,8 +362,7 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
                 icap_free_at = start.saturating_add(reconfig);
                 report.reconfigurations += 1;
                 report.icap_busy_ns = report.icap_busy_ns.saturating_add(reconfig);
-                rt[chosen].loaded = Some(module);
-                states[chosen].loaded_module = Some(module);
+                loaded[chosen] = Some(module);
                 // Note: no event for `icap_free_at`. An ICAP free can
                 // never enable a dispatch (dispatch is gated on arrivals
                 // and slot frees only; reconfigurations serialize through
@@ -398,12 +371,11 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
                 icap_free_at
             };
             let done = exec_start.saturating_add(entry.exec_ns);
-            rt[chosen].free_at = done;
+            free_at[chosen] = done;
             if done > now {
                 if chosen < 64 {
                     free_mask &= !(1u64 << chosen);
                 }
-                states[chosen].busy = true;
                 events.push(Reverse((done, chosen as u32)));
             }
             // done == now (zero-length execution on a reuse hit): the
@@ -435,8 +407,6 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
                 break;
             }
             events.pop();
-            let si = si as usize;
-            states[si].busy = false;
             if si < 64 {
                 free_mask |= 1u64 << si;
             }
@@ -547,13 +517,13 @@ pub mod reference {
     //! benchmark baseline.
     //!
     //! This is the pre-optimization implementation: per-dispatch `Vec`
-    //! allocations for candidates and states, per-slot snapshots of the
-    //! loaded module (compared by id, as tasks carry it), an O(slots)
+    //! allocations for candidates and the per-slot snapshot of loaded
+    //! modules (compared by id, as tasks carry it), an O(slots)
     //! `fits_ever` rescan every time a task reaches the queue head, and
     //! an O(slots) clock-advance scan per step. Scheduling policies are
-    //! inlined, replicating the seed's first-fit / best-fit / reuse-aware
-    //! behaviour byte for byte so [`super::simulate`] can be
-    //! property-tested report-identical against it.
+    //! inlined, replicating the seed's first-fit / reuse-aware behaviour
+    //! byte for byte so [`super::simulate`] can be property-tested
+    //! report-identical against it.
 
     use super::SimReport;
     use crate::intern::ModuleId;
@@ -566,9 +536,8 @@ pub mod reference {
     pub enum SeedPolicy {
         /// Lowest-id free PRR that fits.
         FirstFit,
-        /// Fewest spare CLB-equivalents.
-        BestFit,
-        /// Prefer a PRR already holding the module; else best fit.
+        /// Prefer a PRR already holding the module; else the fewest
+        /// spare CLB-equivalents.
         ReuseAware,
     }
 
@@ -577,7 +546,6 @@ pub mod reference {
         pub fn name(self) -> &'static str {
             match self {
                 SeedPolicy::FirstFit => "first-fit",
-                SeedPolicy::BestFit => "best-fit",
                 SeedPolicy::ReuseAware => "reuse-aware",
             }
         }
@@ -593,22 +561,19 @@ pub mod reference {
             task: &HwTask,
             candidates: &[usize],
             slots: &[PrrSlot],
-            states: &[(bool, Option<ModuleId>)],
+            loaded: &[Option<ModuleId>],
         ) -> usize {
             match self {
                 SeedPolicy::FirstFit => candidates[0],
-                SeedPolicy::BestFit => *candidates
-                    .iter()
-                    .min_by_key(|&&i| (Self::spare_cost(task, &slots[i]), i))
-                    .expect("candidates is non-empty"),
                 SeedPolicy::ReuseAware => {
-                    if let Some(&hit) = candidates
-                        .iter()
-                        .find(|&&i| states[i].1 == Some(task.module))
+                    if let Some(&hit) = candidates.iter().find(|&&i| loaded[i] == Some(task.module))
                     {
                         return hit;
                     }
-                    SeedPolicy::BestFit.choose(task, candidates, slots, states)
+                    *candidates
+                        .iter()
+                        .min_by_key(|&&i| (Self::spare_cost(task, &slots[i]), i))
+                        .expect("candidates is non-empty")
                 }
             }
         }
@@ -669,9 +634,8 @@ pub mod reference {
                         continue;
                     }
                     if !candidates.is_empty() {
-                        let states: Vec<(bool, Option<ModuleId>)> =
-                            rt.iter().map(|s| (s.free_at > now, s.loaded)).collect();
-                        let chosen = policy.choose(task, &candidates, &system.prrs, &states);
+                        let loaded: Vec<Option<ModuleId>> = rt.iter().map(|s| s.loaded).collect();
+                        let chosen = policy.choose(task, &candidates, &system.prrs, &loaded);
                         debug_assert!(candidates.contains(&chosen));
                         queue.pop_front();
 
@@ -734,7 +698,7 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::intern::ModuleTable;
-    use crate::sched::{BestFit, FirstFit, ReuseAware};
+    use crate::sched::{FirstFit, ReuseAware};
     use crate::system::PrSystem;
     use crate::task::HwTask;
     use bitstream::IcapModel;
@@ -890,7 +854,6 @@ mod tests {
                 &FirstFit as &dyn crate::Scheduler,
                 reference::SeedPolicy::FirstFit,
             ),
-            (&BestFit, reference::SeedPolicy::BestFit),
             (&ReuseAware, reference::SeedPolicy::ReuseAware),
         ] {
             let r = simulate(&sys, &w, sched);
@@ -923,10 +886,10 @@ mod tests {
         let mut scratch = SimScratch::new();
         // Reuse the same scratch across differently-shaped runs.
         let a1 = simulate_with_scratch(&sys, &wl_a, &ReuseAware, &mut scratch);
-        let b1 = simulate_with_scratch(&sys, &wl_b, &BestFit, &mut scratch);
+        let b1 = simulate_with_scratch(&sys, &wl_b, &FirstFit, &mut scratch);
         let a2 = simulate_with_scratch(&sys, &wl_a, &ReuseAware, &mut scratch);
         assert_eq!(a1, simulate(&sys, &wl_a, &ReuseAware));
-        assert_eq!(b1, simulate(&sys, &wl_b, &BestFit));
+        assert_eq!(b1, simulate(&sys, &wl_b, &FirstFit));
         assert_eq!(a1, a2);
     }
 
@@ -949,8 +912,8 @@ mod tests {
             3_000_000,
         ));
         assert!(wl.tasks.len() >= 10, "servable tasks: {}", wl.tasks.len());
-        let r1 = simulate(&sys2, &wl, &BestFit);
-        let r2 = simulate(&sys6, &wl, &BestFit);
+        let r1 = simulate(&sys2, &wl, &FirstFit);
+        let r2 = simulate(&sys6, &wl, &FirstFit);
         assert_eq!(r1.completed as usize, wl.tasks.len());
         assert!(
             r2.makespan_ns <= r1.makespan_ns,
@@ -977,8 +940,8 @@ mod tests {
             5_000,
         ));
         assert!(wl.tasks.len() >= 10, "servable tasks: {}", wl.tasks.len());
-        let r1 = simulate(&right, &wl, &BestFit);
-        let r2 = simulate(&oversized, &wl, &BestFit);
+        let r1 = simulate(&right, &wl, &FirstFit);
+        let r2 = simulate(&oversized, &wl, &FirstFit);
         assert!(
             r2.makespan_ns > r1.makespan_ns,
             "oversized {} vs right-sized {}",
@@ -1002,10 +965,8 @@ mod tests {
         ));
         assert!(wl.tasks.len() >= 10);
         let a = simulate(&sys, &wl, &FirstFit);
-        let b = simulate(&sys, &wl, &BestFit);
         let c = simulate(&sys, &wl, &ReuseAware);
-        assert_eq!(a.total_exec_ns, b.total_exec_ns);
-        assert_eq!(b.total_exec_ns, c.total_exec_ns);
+        assert_eq!(a.total_exec_ns, c.total_exec_ns);
         assert_eq!(a.completed, c.completed);
     }
 

@@ -2,11 +2,11 @@
 //! must hold for any workload and any scheduler.
 
 use bitstream::IcapModel;
-use fabric::{device_by_name, Family, Resources};
+use fabric::{device_by_name, Family, Resources, Window};
 use multitask::sim::reference::{simulate_seed, SeedPolicy};
 use multitask::{
     simulate, simulate_full_reconfig, simulate_preemptive, simulate_static, simulate_with_scratch,
-    BestFit, FirstFit, HwTask, ModuleId, ModuleTable, PrSystem, ReuseAware, Scheduler, SimScratch,
+    FirstFit, HwTask, ModuleId, ModuleTable, PrSystem, PrrSlot, ReuseAware, Scheduler, SimScratch,
     Workload,
 };
 use prcost::PrrOrganization;
@@ -24,12 +24,61 @@ fn system(prrs: u32, h: u32) -> PrSystem {
     PrSystem::homogeneous(&device, org, prrs, IcapModel::V5_DMA).unwrap()
 }
 
+/// The scheduler ablation's heterogeneous pool on the xc5vsx95t: two PRRs
+/// each of 1×4, 1×8 and 2×8 CLB columns, each with one DSP and one BRAM
+/// column (built as `sched::ablate` builds it, one row band per shape),
+/// listed in the order that sorts `keys`. Slot order is what first-fit
+/// and reuse-aware's lowest-id tie-break read, so a shuffled pool tests
+/// partly set fits masks and reuse-aware's least-spare fallback.
+fn mixed_pool(keys: &[u32]) -> PrSystem {
+    let device = device_by_name("xc5vsx95t").unwrap();
+    let org = |height: u32, clb_cols: u32| PrrOrganization {
+        family: Family::Virtex5,
+        height,
+        clb_cols,
+        dsp_cols: 1,
+        bram_cols: 1,
+    };
+    let mut placed: Vec<(PrrOrganization, Window)> = Vec::new();
+    let mut row = 1u32;
+    for organization in [org(1, 4), org(1, 8), org(2, 8)] {
+        let mut taken: Vec<Window> = Vec::new();
+        for mut w in device.windows(&organization.window_request()) {
+            if taken.len() == 2 {
+                break;
+            }
+            if taken.iter().any(|t| t.overlaps(&w)) {
+                continue;
+            }
+            taken.push(w.clone());
+            w.row = row;
+            placed.push((organization, w));
+        }
+        row += organization.height;
+    }
+    assert_eq!(placed.len(), keys.len());
+    let mut order: Vec<usize> = (0..placed.len()).collect();
+    order.sort_by_key(|&i| (keys[i], i));
+    let slots = order
+        .iter()
+        .zip(0..)
+        .map(|(&i, id)| PrrSlot::new(id, placed[i].0, placed[i].1.clone()))
+        .collect();
+    PrSystem::new(&device, slots, IcapModel::V5_DMA).unwrap()
+}
+
 fn arb_tasks() -> impl Strategy<Value = Vec<HwTask>> {
+    arb_tasks_up_to(130)
+}
+
+/// Random tasks needing fewer than `max_clb` CLBs, up to 9 DSPs and 4
+/// BRAMs.
+fn arb_tasks_up_to(max_clb: u64) -> impl Strategy<Value = Vec<HwTask>> {
     proptest::collection::vec(
         (
             0u64..1_000_000,
             1u64..500_000,
-            0u64..130,
+            0u64..max_clb,
             0u64..10,
             0u64..5,
             0u8..4,
@@ -77,7 +126,7 @@ proptest! {
             .collect();
         let servable_exec: u64 = servable.iter().map(|t| t.exec_ns).sum();
 
-        let schedulers: [&dyn Scheduler; 3] = [&FirstFit, &BestFit, &ReuseAware];
+        let schedulers: [&dyn Scheduler; 2] = [&FirstFit, &ReuseAware];
         for sched in schedulers {
             let r = simulate(&sys, &wl, sched);
             prop_assert_eq!(r.completed as usize, servable.len(), "{}", sched.name());
@@ -94,24 +143,33 @@ proptest! {
     /// Equivalence oracle: the event-heap, interned, bitmask simulator
     /// produces a report *identical* to the frozen seed implementation for
     /// random workloads, system shapes and schedulers — including
-    /// workloads with unservable tasks.
+    /// workloads with unservable tasks, and a heterogeneous pool in
+    /// shuffled slot order, where a task fits some PRRs but not others.
     #[test]
-    fn heap_simulator_equals_seed(tasks in arb_tasks(), prrs in 1u32..5, h in 1u32..3) {
-        let sys = system(prrs, h);
-        let wl = workload(tasks);
-        let pairs: [(&dyn Scheduler, SeedPolicy); 3] = [
+    fn heap_simulator_equals_seed(
+        tasks in arb_tasks(),
+        prrs in 1u32..5,
+        h in 1u32..3,
+        mixed_tasks in arb_tasks_up_to(400),
+        keys in proptest::collection::vec(0u32..1_000, 6..7),
+    ) {
+        let pairs: [(&dyn Scheduler, SeedPolicy); 2] = [
             (&FirstFit, SeedPolicy::FirstFit),
-            (&BestFit, SeedPolicy::BestFit),
             (&ReuseAware, SeedPolicy::ReuseAware),
         ];
         let mut scratch = SimScratch::new();
-        for (sched, policy) in pairs {
-            let new = simulate(&sys, &wl, sched);
-            let seed = simulate_seed(&sys, &wl, policy);
-            prop_assert_eq!(&new, &seed, "{}", sched.name());
-            // Scratch reuse across schedulers must not leak state.
-            let reused = simulate_with_scratch(&sys, &wl, sched, &mut scratch);
-            prop_assert_eq!(&reused, &seed);
+        for (sys, wl) in [
+            (system(prrs, h), workload(tasks)),
+            (mixed_pool(&keys), workload(mixed_tasks)),
+        ] {
+            for (sched, policy) in pairs {
+                let new = simulate(&sys, &wl, sched);
+                let seed = simulate_seed(&sys, &wl, policy);
+                prop_assert_eq!(&new, &seed, "{}", sched.name());
+                // Scratch reuse across schedulers must not leak state.
+                let reused = simulate_with_scratch(&sys, &wl, sched, &mut scratch);
+                prop_assert_eq!(&reused, &seed);
+            }
         }
     }
 

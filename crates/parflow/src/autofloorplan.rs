@@ -31,7 +31,7 @@
 //! spawn per call plus a shared atomic per node.
 //!
 //! The pre-optimization floorplanner — raw `Device::find_window` probes,
-//! no dominance pruning — is frozen in [`reference`] as the oracle the
+//! no dominance pruning — is frozen in [`reference`](mod@reference) as the oracle the
 //! tests compare against and the benchmark baseline
 //! (`results/BENCH_floorplan.json`).
 

@@ -16,7 +16,7 @@
 //! whether a rescan is needed) live in a [`PlaceScratch`] that callers can
 //! carry across `place` calls, the affected-net set is deduplicated with
 //! epoch stamps instead of a linear `seen` scan, and move proposals touch
-//! a fixed two-slot cell array. [`reference`] holds the full-recompute
+//! a fixed two-slot cell array. [`reference`](mod@reference) holds the full-recompute
 //! cost oracle the equivalence suite
 //! (`crates/parflow/tests/place_props.rs`) checks the incremental cost
 //! against at every accepted move.
@@ -323,7 +323,7 @@ struct ChainScratch {
 }
 
 /// Reusable placer working memory: slot tables, the flattened cell→net
-/// index and one [`ChainScratch`] per annealing chain. A fresh
+/// index and one `ChainScratch` per annealing chain. A fresh
 /// `PlaceScratch::default()` is always valid — results never depend on
 /// scratch contents, only allocation reuse does. Carry one per worker
 /// across `place_with_scratch` calls (mirroring `SimScratch` and
@@ -770,7 +770,7 @@ pub fn net_bboxes(
 }
 
 pub mod reference {
-    //! The fixed-point full-recompute cost oracle: [`total_cost_x16`]
+    //! The fixed-point full-recompute cost oracle: `total_cost_x16`
     //! recomputes a placement's total HPWL from pins in the live placer's
     //! x16 fixed-point domain; the equivalence suite asserts the
     //! incremental total equals it at every accepted move.

@@ -1,13 +1,13 @@
-//! Scheduler-zoo ablation harness behind `prfpga sched-ablate` and the
+//! Scheduler ablation harness behind `prfpga sched-ablate` and the
 //! `sched_zoo` bench — one deterministic run producing every scheduler
-//! × workload class × defragmentation policy cell of
+//! × workload class and workload class × defragmentation policy cell of
 //! `results/BENCH_sched.json`.
 //!
 //! Three tables:
 //!
-//! * `rows` — each scheduler (classical + learned) on each workload
-//!   class through the fixed-PRR `multitask` DES: completions,
-//!   deadline-miss ratio, mean response, reuse rate, ICAP utilization.
+//! * `rows` — first-fit and reuse-aware on each workload class through
+//!   the fixed-PRR `multitask` DES: completions, deadline-miss ratio,
+//!   mean response, reuse rate, ICAP utilization.
 //! * `admission` — the classical admission tests
 //!   ([`crate::admission`]) over UUniFast task sets at rising target
 //!   utilization: how many sets each test admits on this PRR pool once
@@ -19,14 +19,11 @@
 //!   fragmentation to repair).
 
 use crate::admission::{response_time_admit, utilization_bound_admit, worst_reconfig_ns};
-use crate::learned::{LinearQ, TrainConfig};
 use crate::taskset::{TaskSet, TaskSetConfig};
 use bitstream::IcapModel;
 use fabric::{Device, Window};
 use layout::{simulate_layout, DefragPolicy, LayoutConfig};
-use multitask::{
-    BestFit, DeadlineAware, FirstFit, PrSystem, PrrSlot, ReuseAware, Scheduler, Workload,
-};
+use multitask::{FirstFit, PrSystem, PrrSlot, ReuseAware, Scheduler, Workload};
 use prcost::PrrOrganization;
 use serde::Serialize;
 
@@ -34,15 +31,13 @@ use serde::Serialize;
 /// the bench artifact; the CLI exposes the knobs.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AblationConfig {
-    /// Master seed: every generator and the learned policy's training
-    /// derive from it, so the whole report is deterministic in it.
+    /// Master seed: every generator derives from it, so the whole report
+    /// is deterministic in it.
     pub seed: u64,
     /// Jobs per aperiodic workload class.
     pub tasks: u32,
     /// Release horizon for the periodic class (ms).
     pub horizon_ms: u64,
-    /// ε-greedy training episodes for the learned policy.
-    pub train_episodes: u32,
     /// Deadline slack factor attached to aperiodic classes
     /// (`deadline = arrival + slack × exec`).
     pub deadline_slack: f64,
@@ -56,7 +51,6 @@ impl Default for AblationConfig {
             seed: 7,
             tasks: 240,
             horizon_ms: 40,
-            train_episodes: 6,
             deadline_slack: 3.0,
             admission_sets: 20,
         }
@@ -138,11 +132,6 @@ pub struct AblationReport {
     pub admission: Vec<AdmissionRow>,
     /// Class × defrag-policy layout table.
     pub defrag: Vec<DefragRow>,
-    /// Frozen learned-policy weights (reproducibility record).
-    pub learned_weights: Vec<f64>,
-    /// Classes where the learned policy strictly beats first-fit on
-    /// (deadline-miss ratio, then mean response).
-    pub learned_beats_firstfit: Vec<String>,
 }
 
 /// A heterogeneous PRR pool on `device`: two small/cheap, two medium,
@@ -188,10 +177,10 @@ fn mixed_system(device: &Device) -> PrSystem {
 }
 
 /// The workload classes, name → deadline-carrying workload. All derive
-/// from `seed`; `salt` separates training from evaluation streams.
-fn workload_classes(cfg: &AblationConfig, device: &Device, salt: u64) -> Vec<(String, Workload)> {
+/// from `cfg.seed`.
+fn workload_classes(cfg: &AblationConfig, device: &Device) -> Vec<(String, Workload)> {
     let family = device.family();
-    let seed = cfg.seed ^ salt;
+    let seed = cfg.seed;
     let horizon_ns = cfg.horizon_ms * 1_000_000;
     let ts_cfg = TaskSetConfig {
         n: 8,
@@ -219,44 +208,15 @@ fn workload_classes(cfg: &AblationConfig, device: &Device, salt: u64) -> Vec<(St
     ]
 }
 
-/// Lexicographic "learned strictly beats first-fit" on (miss ratio,
-/// mean response), with a small epsilon so float noise can't flip it.
-fn beats(learned: &SchedRow, firstfit: &SchedRow) -> bool {
-    const EPS: f64 = 1e-9;
-    if learned.deadline_miss_ratio + EPS < firstfit.deadline_miss_ratio {
-        return true;
-    }
-    (learned.deadline_miss_ratio - firstfit.deadline_miss_ratio).abs() <= EPS
-        && learned.mean_response_ms + EPS < firstfit.mean_response_ms
-}
-
 /// Run the whole ablation. Deterministic in `cfg` (single-threaded DES
-/// runs, seeded generators, serial training).
+/// runs, seeded generators).
 pub fn run_ablation(cfg: &AblationConfig) -> AblationReport {
     let device = fabric::database::device_by_name("xc5vsx95t").expect("device in database");
     let system = mixed_system(&device);
     let reconfig_ns = worst_reconfig_ns(&system);
 
-    // Train the learned policy on a disjoint stream of the same classes.
-    let train: Vec<Workload> = workload_classes(cfg, &device, train_salt())
-        .into_iter()
-        .map(|(_, w)| system.filter_workload(&w))
-        .collect();
-    let mut q = LinearQ::new();
-    q.train(
-        &system,
-        &train,
-        &TrainConfig {
-            episodes: cfg.train_episodes,
-            seed: cfg.seed,
-            ..TrainConfig::default()
-        },
-    );
-    let learned = q.freeze();
-
-    let classes = workload_classes(cfg, &device, 0);
-    let schedulers: [&dyn Scheduler; 5] =
-        [&FirstFit, &BestFit, &ReuseAware, &DeadlineAware, &learned];
+    let classes = workload_classes(cfg, &device);
+    let schedulers: [&dyn Scheduler; 2] = [&FirstFit, &ReuseAware];
 
     let mut rows = Vec::new();
     for (class, workload) in &classes {
@@ -343,20 +303,6 @@ pub fn run_ablation(cfg: &AblationConfig) -> AblationReport {
         }
     }
 
-    let learned_beats_firstfit = classes
-        .iter()
-        .filter_map(|(class, _)| {
-            let find = |sched: &str| {
-                rows.iter()
-                    .find(|r| r.class == *class && r.scheduler == sched)
-            };
-            match (find("learned"), find("first-fit")) {
-                (Some(l), Some(f)) if beats(l, f) => Some(class.clone()),
-                _ => None,
-            }
-        })
-        .collect();
-
     AblationReport {
         device: device.name().to_string(),
         prrs: system
@@ -378,14 +324,7 @@ pub fn run_ablation(cfg: &AblationConfig) -> AblationReport {
         rows,
         admission,
         defrag,
-        learned_weights: learned.weights().to_vec(),
-        learned_beats_firstfit,
     }
-}
-
-/// Salt separating training workload streams from evaluation streams.
-fn train_salt() -> u64 {
-    0x7_4a17_5a17
 }
 
 #[cfg(test)]
@@ -408,16 +347,14 @@ mod tests {
         let cfg = AblationConfig {
             tasks: 60,
             horizon_ms: 10,
-            train_episodes: 2,
             admission_sets: 4,
             ..AblationConfig::default()
         };
         let a = run_ablation(&cfg);
         let b = run_ablation(&cfg);
         assert_eq!(a, b, "the whole report must be deterministic in seed");
-        // ≥3 schedulers (incl. learned) × ≥3 classes.
-        assert_eq!(a.rows.len(), 5 * 4);
-        assert!(a.rows.iter().any(|r| r.scheduler == "learned"));
+        // 2 schedulers × 4 classes.
+        assert_eq!(a.rows.len(), 2 * 4);
         assert_eq!(a.defrag.len(), 3 * 4);
         assert_eq!(a.admission.len(), 4);
         // Deadlines are live: someone misses somewhere at these loads.

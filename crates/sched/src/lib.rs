@@ -4,7 +4,7 @@
 //! partial bitstream size, hence the reconfiguration time every module
 //! swap pays through the shared ICAP. This crate closes the loop for
 //! *real-time* hardware multitasking — where those reconfiguration
-//! costs decide whether deadlines hold — in three layers on top of the
+//! costs decide whether deadlines hold — in two layers on top of the
 //! `multitask` discrete-event simulator:
 //!
 //! * [`taskset`] — periodic task sets with releases, relative deadlines
@@ -19,29 +19,22 @@
 //!   response-time analysis, both inflating every job's cost with the
 //!   worst-case reconfiguration time derived from
 //!   [`bitstream::IcapModel::transfer_time`].
-//! * [`learned`] — a self-contained learned placement policy: linear
-//!   Q-learning over dispatch features (reuse hits, slot
-//!   reconfiguration cost, ICAP backlog, queue depth, deadline slack)
-//!   with a `train` / `freeze` / `replay` API. A [`FrozenPolicy`] is a
-//!   stateless [`multitask::Scheduler`] — deterministic argmax, safe to
-//!   share across threads.
 //!
 //! [`ablate`] ties the layers into one harness
 //! ([`run_ablation`]) producing the `BENCH_sched.json` artifact:
-//! every scheduler × workload class × defragmentation policy, with
-//! admissions, deadline-miss ratios and ICAP utilization per cell.
+//! first-fit and reuse-aware × workload class, the admission tests, and
+//! workload class × defragmentation policy, with admissions,
+//! deadline-miss ratios and ICAP utilization per cell.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablate;
 pub mod admission;
-pub mod learned;
 pub mod taskset;
 
 pub use ablate::{run_ablation, AblationConfig, AblationReport};
 pub use admission::{
     response_time_admit, utilization_bound_admit, worst_reconfig_ns, AdmissionOutcome,
 };
-pub use learned::{FrozenPolicy, LinearQ, TrainConfig, FEATURES};
 pub use taskset::{PeriodicTask, TaskSet, TaskSetConfig};

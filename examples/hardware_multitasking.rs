@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example hardware_multitasking`
 
-use multitask::{BestFit, FirstFit, ReuseAware, Scheduler};
+use multitask::{FirstFit, ReuseAware, Scheduler};
 use prfpga::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>12} {:>12} {:>12} {:>10} {:>8} {:>12}",
         "scheduler", "makespan ms", "ICAP busy ms", "reconfigs", "reuse", "mean wait us"
     );
-    let schedulers: [&dyn Scheduler; 3] = [&FirstFit, &BestFit, &ReuseAware];
+    let schedulers: [&dyn Scheduler; 2] = [&FirstFit, &ReuseAware];
     for sched in schedulers {
         let r = simulate(&system, &workload, sched);
         println!(

@@ -9,7 +9,7 @@
 //! prfpga sweep [--json <file>] [--metrics <file>]
 //! prfpga defrag [--device <name>] [--seed S] [--tasks N] [--policy <p>] [--depth N] [--proactive] [--json <file>]
 //! prfpga bench-pipeline [--tasks N] [--device <name>] [--workers W|W1,W2,...] [--json <file>] [--metrics <file>]
-//! prfpga sched-ablate [--seed S] [--tasks N] [--horizon-ms H] [--episodes E] [--admission-sets K] [--slack F] [--json <file>]
+//! prfpga sched-ablate [--seed S] [--tasks N] [--horizon-ms H] [--admission-sets K] [--slack F] [--json <file>]
 //! ```
 
 use parflow::autofloorplan::{auto_floorplan, PrrSpec};
@@ -63,11 +63,12 @@ fn main() -> ExitCode {
                                                             place -> bitstream -> simulate; a comma\n\
                                                             list of workers sweeps the scaling table;\n\
                                                             writes results/BENCH_pipeline.json\n\
-                 sched-ablate [--seed S] [--tasks N] [--horizon-ms H] [--episodes E]\n\
+                 sched-ablate [--seed S] [--tasks N] [--horizon-ms H]\n\
                               [--admission-sets K] [--slack F] [--json FILE]\n\
-                                                            scheduler zoo x workload classes x defrag\n\
-                                                            policies + admission tests on a mixed PRR\n\
-                                                            pool; writes results/BENCH_sched.json"
+                                                            first-fit and reuse-aware x workload\n\
+                                                            classes, defrag policies and admission\n\
+                                                            tests on a mixed PRR pool; writes\n\
+                                                            results/BENCH_sched.json"
             );
             return ExitCode::from(2);
         }
@@ -814,7 +815,6 @@ fn cmd_sched_ablate(args: &[String]) -> Result<(), AnyError> {
         seed: num("--seed", defaults.seed),
         tasks: num("--tasks", u64::from(defaults.tasks)) as u32,
         horizon_ms: num("--horizon-ms", defaults.horizon_ms),
-        train_episodes: num("--episodes", u64::from(defaults.train_episodes)) as u32,
         deadline_slack: flag(args, "--slack")
             .and_then(|v| v.parse().ok())
             .unwrap_or(defaults.deadline_slack),
@@ -823,7 +823,7 @@ fn cmd_sched_ablate(args: &[String]) -> Result<(), AnyError> {
     let report = run_ablation(&cfg);
 
     println!(
-        "scheduler zoo on {} ({} PRRs: {}), seed {}",
+        "scheduler ablation on {} ({} PRRs: {}), seed {}",
         report.device,
         report.prrs.len(),
         report.prrs.join(" "),
@@ -877,14 +877,6 @@ fn cmd_sched_ablate(args: &[String]) -> Result<(), AnyError> {
             d.class, d.policy, d.admitted, d.rejected_fragmentation, d.relocations, d.relocation_ms,
         );
     }
-    println!(
-        "\nlearned beats first-fit on: {}",
-        if report.learned_beats_firstfit.is_empty() {
-            "none".to_string()
-        } else {
-            report.learned_beats_firstfit.join(", ")
-        }
-    );
 
     // Same artifact convention as bench-pipeline above.
     let path = match flag(args, "--json") {

@@ -33,8 +33,8 @@
 //! * [`layout`] — online layout manager: free-space tracking,
 //!   fragmentation metrics, ICAP-costed defragmentation.
 //! * [`sched`] — real-time scheduling layer: periodic task sets
-//!   (UUniFast), reconfiguration-aware admission tests, a learned
-//!   placement policy, and the scheduler-zoo ablation harness.
+//!   (UUniFast), reconfiguration-aware admission tests, and the
+//!   scheduler ablation harness.
 //! * [`baselines`] — prior-work cost models and naive sizing strategies.
 
 // `deny` rather than `forbid`: `pipeline`'s off-Linux peak-RSS fallback
@@ -71,8 +71,8 @@ pub mod prelude {
         PrrRequirements,
     };
     pub use sched::{
-        response_time_admit, run_ablation, utilization_bound_admit, AblationConfig, FrozenPolicy,
-        TaskSet, TaskSetConfig,
+        response_time_admit, run_ablation, utilization_bound_admit, AblationConfig, TaskSet,
+        TaskSetConfig,
     };
     pub use synth::{self, PaperPrm, PrmGenerator, SynthReport};
 }

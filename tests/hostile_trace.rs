@@ -6,8 +6,8 @@
 //! --height 1` builds.
 
 use multitask::{
-    simulate_full_reconfig, simulate_preemptive, simulate_static, BestFit, FirstFit, HwTask,
-    ModuleTable, ReuseAware, Scheduler,
+    simulate_full_reconfig, simulate_preemptive, simulate_static, FirstFit, HwTask, ModuleTable,
+    ReuseAware, Scheduler,
 };
 use prfpga::prelude::*;
 
@@ -31,7 +31,7 @@ fn saturated_execution_time_reads_as_unbounded_makespan() {
     // the second task waits until the saturated clock reads `u64::MAX`.
     for prrs in [2, 1] {
         let system = system(prrs);
-        for scheduler in [&FirstFit as &dyn Scheduler, &BestFit, &ReuseAware] {
+        for scheduler in [&FirstFit as &dyn Scheduler, &ReuseAware] {
             let r = simulate(&system, &workload, scheduler);
             assert_eq!(
                 (r.makespan_ns, r.completed),
