@@ -3,10 +3,12 @@
 //!
 //! Three measurements:
 //!
-//! * *Warm hit* (criterion): a single thread replaying memoized points —
-//!   the per-lookup cost of the sharded memo. The engine plans against
-//!   devices resolved once to [`prcost::DeviceHandle`]s, the way the
-//!   pipeline and the service do.
+//! * *Warm hit* (criterion): a single thread replaying memoized points
+//!   through one scratch. The engine plans against devices resolved once
+//!   to [`prcost::DeviceHandle`]s, the way the pipeline and the service
+//!   do, and serves each hit from the scratch's own slots: the key, one
+//!   slot compare and the scratch's counter tally, with no lock or
+//!   refcount on a shared line.
 //! * *Worker scaling* (artifact): 1/4/8/16 `std::thread::scope` workers
 //!   replaying a mixed feasible/infeasible warm workload, per-op latency
 //!   sampled with `Instant`; throughput plus p50/p99 per worker count.
@@ -16,8 +18,10 @@
 //!
 //! The bench binary installs a counting `#[global_allocator]` and asserts
 //! the engine's documented contract that a warm [`Engine::plan_on`] hit
-//! performs **zero heap allocation** (packed-key shard probe, `Arc`
-//! clone). The artifact lands in `results/BENCH_service.json`.
+//! performs **zero heap allocation** (a served slot, or the shared memo's
+//! shard probe and `Arc` clone where two points share a slot). The
+//! artifact lands in `results/BENCH_service.json`; `host_cpus` records the
+//! CPUs the scaling rows ran on (rows beyond it time-share).
 
 use criterion::{criterion_group, Criterion};
 use fabric::Device;
@@ -166,6 +170,7 @@ struct ReplayRow {
 
 #[derive(Serialize)]
 struct ServiceBenchArtifact {
+    host_cpus: usize,
     devices: Vec<String>,
     distinct_points: usize,
     /// Warm `plan_on` hits replayed under the counting allocator.
@@ -286,9 +291,9 @@ fn emit_artifact() {
     let sharded = warm_sharded(&points);
     let resolved = resolve(&sharded, &points);
 
-    // Zero-allocation warm-hit check: every point is memoized, so each
-    // `plan_on` is a shard probe + `Arc` clone. The scratch is untouched
-    // on the hit path.
+    // Zero-allocation warm-hit check: every point is memoized and the
+    // scratch is bound by the warm-up round, so each `plan_on` is a served
+    // slot, or a shard probe and `Arc` clone where two points share one.
     let mut scratch = PlanScratch::default();
     let check_rounds = 2_000u64;
     for (req, device) in &resolved {
@@ -324,6 +329,7 @@ fn emit_artifact() {
         .collect();
 
     let artifact = ServiceBenchArtifact {
+        host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         devices: vec![
             fabric::database::xc5vlx110t().name().to_string(),
             fabric::database::xc6vlx75t().name().to_string(),

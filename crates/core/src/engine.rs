@@ -25,33 +25,47 @@
 //! * **plan memo** — a [`Sharded`] striped map from the packed
 //!   `(requirements, DeviceId)` [`PlanKey`] to
 //!   `Arc<Result<PrrPlan, CostError>>`. Writers contend only within one
-//!   of 64 stripes; a hit clones an `Arc`, not a whole plan with its
+//!   of 64 stripes; a probe clones an `Arc`, not a whole plan with its
 //!   search trace.
 //!
 //! [`Engine::plan_on`] plans against a resolved handle and is the only
-//! memo path: a warm hit builds the packed key and makes one shard probe,
-//! with no per-call device comparison. The pipeline, the sweep and the
-//! async planning service ([`crate::service`]) drive it. The `&Device`
-//! entry points ([`Engine::plan_arc`], [`Engine::plan`] and friends)
-//! resolve their device through the interner on every call, then take
-//! the same path. Every hit allocates nothing. Plans are
-//! byte-identical to calling [`synthesize`](PrmGenerator) and
-//! [`plan_prr`](crate::plan_prr) directly (property-tested in the
-//! workspace's `engine_props` suite), and the whole memo state round-trips
-//! through a versioned [`EngineSnapshot`] for persist/reload.
+//! memo path. Its warm hit touches only the caller's [`PlanScratch`]: on
+//! first use the scratch binds to the engine, registering a counter tally
+//! that only it writes, and it keeps the plans it was served in 128
+//! direct-mapped slots keyed by the packed key. A hit builds the key in
+//! one pass, compares one slot and bumps the scratch's tally with plain
+//! single-writer stores: no lock, no refcount, no shared write, no device
+//! comparison. A slot miss probes the shared memo (and a memo miss runs
+//! the search and memoizes it) and refills the slot, so the memo stays the
+//! one source of truth and `plan_on` returns a borrow of the slot's `Arc`.
+//! The pipeline, the sweep and the async planning service
+//! ([`crate::service`]) drive it, each worker with its own scratch. The
+//! `&Device` entry points ([`Engine::plan_arc`], [`Engine::plan`] and
+//! friends) resolve their device through the interner on every call,
+//! then take the same path and clone the `Arc`. Every hit allocates
+//! nothing. Plans are byte-identical to calling
+//! [`synthesize`](PrmGenerator) and [`plan_prr`](crate::plan_prr)
+//! directly (property-tested in the workspace's `engine_props` suite), and
+//! the whole memo state round-trips through a versioned
+//! [`EngineSnapshot`] for persist/reload.
 //!
 //! Counter accounting is conserved per cache: every lookup is either a
 //! build or a hit (`geometry_builds + geometry_cache_hits` equals device
 //! resolutions, `synth_calls + synth_cache_hits` equals synthesis requests,
 //! `plan_builds + plan_cache_hits` equals `plans`), with insertion-race
-//! losers counted as hits. The multi-thread stress suite asserts these
+//! losers and served slots counted as hits. The plan counters live in the
+//! scratches' tallies until [`Engine::snapshot`] sums them with the
+//! registry's (see [`Metrics::snapshot`]); a dropped scratch's tally is
+//! folded into the registry. The multi-thread stress suite asserts these
 //! identities under 16-way concurrent mixed load.
 
 use crate::error::CostError;
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{Metrics, MetricsSnapshot, PlanTally};
 use crate::requirements::PrrRequirements;
 use crate::search::{plan_requirements_cached, PlanScratch, PrrPlan};
-use crate::shard::{DeviceEntry, DeviceId, DeviceTable, EngineToken, PlanKey, Sharded, SynthKey};
+use crate::shard::{
+    DeviceEntry, DeviceId, DeviceTable, EngineToken, PackedKey, PlanKey, Sharded, SynthKey,
+};
 use fabric::{Device, DeviceGeometry, Family};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -97,6 +111,46 @@ impl DeviceHandle {
     /// The device's dense id in its engine's interner.
     pub fn id(&self) -> DeviceId {
         self.id
+    }
+}
+
+/// Number of served-plan slots a [`PlanScratch`] keeps: a direct-mapped
+/// table indexed by the low bits of the packed [`PlanKey`], one 64-byte
+/// slot per entry (8 KiB). Two keys that share a slot evict each other,
+/// and each then pays the shared memo's probe: six keys share none of 128
+/// slots with probability 0.89 (0.79 at 64), and 48 keys leave about two
+/// thirds alone in theirs.
+const SERVED_SLOTS: usize = 128;
+
+/// A plan the scratch was served, under its key.
+type ServedPlan = Option<(PlanKey, Arc<Result<PrrPlan, CostError>>)>;
+
+/// A [`PlanScratch`]'s tie to the engine it plans on: the engine's token,
+/// the tally of the engine's counters that only this scratch writes, and
+/// the plans this scratch was served. Slots key plans by [`DeviceId`]s of
+/// this engine, so they never outlive the binding.
+pub(crate) struct EngineBinding {
+    token: EngineToken,
+    tally: Arc<PlanTally>,
+    served: Box<[ServedPlan; SERVED_SLOTS]>,
+}
+
+impl core::fmt::Debug for EngineBinding {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("EngineBinding")
+            .field("token", &self.token)
+            .field("tally", &self.tally)
+            .field("served", &self.served.iter().flatten().count())
+            .finish()
+    }
+}
+
+impl PlanScratch {
+    /// The binding made by this plan call's [`Engine::bind`].
+    fn bound(&mut self) -> &mut EngineBinding {
+        self.engine
+            .as_mut()
+            .expect("the plan call bound its scratch first")
     }
 }
 
@@ -176,6 +230,9 @@ impl Engine {
     }
 
     /// Plan the PRR for `report` on `device` through the device interner.
+    /// The call plans on a scratch of its own, which binds to the engine
+    /// for this one plan; a caller that plans repeatedly should keep a
+    /// scratch and call [`Engine::plan_with_scratch`].
     pub fn plan(&self, report: &SynthReport, device: &Device) -> Result<PrrPlan, CostError> {
         self.plan_with_scratch(report, device, &mut PlanScratch::default())
     }
@@ -198,8 +255,9 @@ impl Engine {
     /// Resolves `device` through the interner, then takes the
     /// [`Engine::plan_on`] path. When the `(requirements, device)` point
     /// is already memoized, the call performs **zero heap allocation**:
-    /// a layout-hash intern lookup, a packed-key shard probe and an `Arc`
-    /// clone. Whole plan results (feasible and infeasible alike) are
+    /// a layout-hash intern lookup, a served-slot compare (a shard probe
+    /// on a slot miss) and an `Arc` clone. Whole plan results (feasible
+    /// and infeasible alike) are
     /// memoized; a repeat of a previously planned point never re-runs the
     /// Fig. 1 search. Callers that plan many points against one device
     /// should resolve it once and call [`Engine::plan_on`].
@@ -223,49 +281,96 @@ impl Engine {
     ) -> Arc<Result<PrrPlan, CostError>> {
         // `plans` before the intern's geometry counter: the snapshot
         // reads parts before totals (see `Metrics::snapshot`).
-        self.metrics.plans.incr();
+        self.bind(scratch).tally.plans.incr();
         let device = self.intern_device(device);
-        self.plan_resolved(req, &device, scratch)
+        Arc::clone(self.plan_resolved(req, &device, scratch))
     }
 
     /// Plan `req` on a device already resolved by
-    /// [`Engine::intern_device`]: the packed-key shard probe, and the
-    /// cached Fig. 1 search on a miss. A warm hit performs zero heap
-    /// allocation and no device comparison.
+    /// [`Engine::intern_device`], returning the shared result from
+    /// `scratch`'s served-plan slots.
+    ///
+    /// A warm hit whose plan this scratch was served before reads and
+    /// writes only the scratch: the packed key, one slot compare and the
+    /// scratch's own counter tally. It takes no lock, bumps no refcount,
+    /// allocates nothing and compares no device. On a slot miss the call
+    /// probes the engine's shared memo (and on a memo miss runs the
+    /// cached Fig. 1 search and memoizes it), then keeps the result in the
+    /// slot; the shared memo stays the one source of truth. Clone the
+    /// `Arc` to keep a result past the scratch's next plan.
     ///
     /// # Panics
     ///
     /// If `device` was resolved by another engine. Its [`DeviceId`]
     /// indexes that engine's interner, so planning it here would memoize
     /// a plan under the wrong device's key.
-    pub fn plan_on(
+    pub fn plan_on<'s>(
         &self,
         req: &PrrRequirements,
         device: &DeviceHandle,
-        scratch: &mut PlanScratch,
-    ) -> Arc<Result<PrrPlan, CostError>> {
+        scratch: &'s mut PlanScratch,
+    ) -> &'s Arc<Result<PrrPlan, CostError>> {
         assert!(
             device.token == self.token,
             "device handle for `{}` was resolved by another engine",
             device.device().name()
         );
-        self.metrics.plans.incr();
+        self.bind(scratch).tally.plans.incr();
         self.plan_resolved(req, device, scratch)
     }
 
-    /// The memo path behind every plan: probe, and on a miss run the
-    /// cached Fig. 1 search, tally the padded-fallback and window-probe
-    /// deltas, record outcome counters, and memoize.
-    fn plan_resolved(
+    /// `scratch`'s binding to this engine, made on first use. A scratch
+    /// that last planned on another engine is rebound: its slots key plans
+    /// by that engine's device ids, so they go, and its tally goes to that
+    /// engine's next fold.
+    fn bind<'s>(&self, scratch: &'s mut PlanScratch) -> &'s mut EngineBinding {
+        let binding = &mut scratch.engine;
+        if binding.as_ref().is_none_or(|b| b.token != self.token) {
+            *binding = Some(EngineBinding {
+                token: self.token,
+                tally: self.metrics.register_tally(),
+                served: Box::new([const { None }; SERVED_SLOTS]),
+            });
+        }
+        scratch.bound()
+    }
+
+    /// The memo path behind every plan, on a bound scratch whose tally
+    /// already counts the plan: serve the slot, or on a slot miss take the
+    /// shared memo's result into it; then count the outcome.
+    fn plan_resolved<'s>(
         &self,
+        req: &PrrRequirements,
+        device: &DeviceHandle,
+        scratch: &'s mut PlanScratch,
+    ) -> &'s Arc<Result<PrrPlan, CostError>> {
+        let key = PlanKey::new(req, device.id);
+        let slot = key.packed() as usize % SERVED_SLOTS;
+        let binding = scratch.bound();
+        if matches!(&binding.served[slot], Some((served, _)) if *served == key) {
+            binding.tally.plan_cache_hits.incr();
+        } else {
+            let plan = self.plan_shared(key, req, device, scratch);
+            scratch.bound().served[slot] = Some((key, plan));
+        }
+        let binding = scratch.bound();
+        let (_, plan) = binding.served[slot].as_ref().expect("slot filled above");
+        binding.tally.outcome(plan.is_ok());
+        plan
+    }
+
+    /// A slot miss: the shared memo's result for `key`, or the cached
+    /// Fig. 1 search's, memoized. Counts the hit or build on the scratch's
+    /// tally, and a search's padded-fallback and window-probe deltas.
+    fn plan_shared(
+        &self,
+        key: PlanKey,
         req: &PrrRequirements,
         device: &DeviceHandle,
         scratch: &mut PlanScratch,
     ) -> Arc<Result<PrrPlan, CostError>> {
-        let key = PlanKey::new(req, device.id);
         if let Some(hit) = self.plan_memo.get(&key) {
-            self.metrics.plan_cache_hits.incr();
-            self.record_outcome(&hit);
+            scratch.bound().tally.plan_cache_hits.incr();
             return hit;
         }
         let padded_before = scratch.padded_resolution_count();
@@ -279,25 +384,17 @@ impl Engine {
         self.metrics
             .window_probes
             .add(scratch.window_probe_count() - probes_before);
-        self.record_outcome(&result);
         // First writer wins: a racing loser computed an identical result
         // (plans are deterministic) and shares the winner's allocation;
         // its plan counts as a hit so builds + hits == plans.
         let (stored, inserted) = self.plan_memo.insert_or_get(key, Arc::new(result));
+        let tally = &scratch.bound().tally;
         if inserted {
-            self.metrics.plan_builds.incr();
+            tally.plan_builds.incr();
         } else {
-            self.metrics.plan_cache_hits.incr();
+            tally.plan_cache_hits.incr();
         }
         stored
-    }
-
-    /// Bump the per-call feasible/infeasible outcome counters.
-    fn record_outcome(&self, result: &Result<PrrPlan, CostError>) {
-        match result {
-            Ok(_) => self.metrics.plans_feasible.incr(),
-            Err(_) => self.metrics.plans_infeasible.incr(),
-        }
     }
 
     /// Number of memoized plan points (feasible and infeasible).
@@ -711,12 +808,12 @@ mod tests {
         let report = PaperPrm::Fir.generator().synthesize(v5.family());
         let req = PrrRequirements::from_report(&report);
         let mut scratch = PlanScratch::default();
-        let first = engine.plan_on(&req, &handle, &mut scratch);
+        let first = Arc::clone(engine.plan_on(&req, &handle, &mut scratch));
         assert_eq!(*first, plan_prr(&report, &v5));
         // The handle and the `&Device` path share one memo entry.
         let again = engine.plan_on(&req, &handle.clone(), &mut scratch);
+        assert!(Arc::ptr_eq(&first, again));
         let via_device = engine.plan_arc(&report, &v5, &mut scratch);
-        assert!(Arc::ptr_eq(&first, &again));
         assert!(Arc::ptr_eq(&first, &via_device));
         let c = engine.snapshot().counters;
         assert_eq!((c.plans, c.plan_builds, c.plan_cache_hits), (3, 1, 2));
@@ -737,13 +834,136 @@ mod tests {
         assert_eq!(foreign.id(), other.intern_device(&v6).id());
         let req = PrrRequirements::from_report(&PaperPrm::Sdram.synth_report(v6.family()));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            other.plan_on(&req, &foreign, &mut PlanScratch::default())
+            other
+                .plan_on(&req, &foreign, &mut PlanScratch::default())
+                .is_ok()
         }));
         let message = outcome.expect_err("a foreign handle must panic");
         let message = message.downcast_ref::<String>().expect("formatted message");
         assert!(message.contains("resolved by another engine"), "{message}");
         assert_eq!(other.snapshot().counters.plans, 0);
         assert_eq!(other.plan_memo_len(), 0);
+    }
+
+    /// A scratch that moves to another engine must not serve the first
+    /// engine's plans. Both engines intern a different Virtex-5 part
+    /// first, so `DeviceId(0)` names another device on each and one
+    /// requirement keys both plans identically: a served slot that
+    /// survived the rebind would hand engine B engine A's window.
+    #[test]
+    fn a_rebound_scratch_serves_and_counts_only_its_new_engine() {
+        let (lx, sx) = (xc5vlx110t(), fabric::device_by_name("xc5vsx95t").unwrap());
+        let (a, b) = (Engine::new(), Engine::new());
+        let (on_a, on_b) = (a.intern_device(&lx), b.intern_device(&sx));
+        assert_eq!(
+            on_a.id(),
+            on_b.id(),
+            "both engines key their device as id 0"
+        );
+        let report = PaperPrm::Fir.synth_report(Family::Virtex5);
+        let req = PrrRequirements::from_report(&report);
+        let (expect_a, expect_b) = (plan_prr(&report, &lx), plan_prr(&report, &sx));
+        assert_ne!(expect_a, expect_b, "the two parts plan FIR differently");
+
+        let mut scratch = PlanScratch::default();
+        assert_eq!(**a.plan_on(&req, &on_a, &mut scratch), expect_a);
+        assert_eq!(**b.plan_on(&req, &on_b, &mut scratch), expect_b);
+        assert_eq!(**b.plan_on(&req, &on_b, &mut scratch), expect_b);
+        let counts = |engine: &Engine| {
+            let c = engine.snapshot().counters;
+            (c.plans, c.plan_builds, c.plan_cache_hits, c.plans_feasible)
+        };
+        assert_eq!(counts(&a), (1, 1, 0, 1), "A counts only its own plan");
+        assert_eq!(
+            counts(&b),
+            (2, 1, 1, 2),
+            "B built its own plan, then served it"
+        );
+        // Back on A, the slots hold B's plan under the same key: A's memo
+        // answers instead, and A's first tally was folded on the way.
+        assert_eq!(**a.plan_on(&req, &on_a, &mut scratch), expect_a);
+        assert_eq!(counts(&a), (2, 1, 1, 2));
+        assert_eq!(counts(&b), (2, 1, 1, 2));
+    }
+
+    /// Served slots are direct-mapped, so points that share a slot evict
+    /// each other; an evicted point is served again from the shared memo,
+    /// never from its neighbour's slot. 200 points on one scratch, twice.
+    #[test]
+    fn colliding_points_are_served_from_the_memo() {
+        let engine = Engine::new();
+        let v6 = xc6vlx75t();
+        let handle = engine.intern_device(&v6);
+        let reqs: Vec<PrrRequirements> = (0..200u64)
+            .map(|i| PrrRequirements::new(v6.family(), 40 * i + 8, 30 * i, 30 * i, i % 7, i % 5))
+            .collect();
+        let mut scratch = PlanScratch::default();
+        for _ in 0..2 {
+            for req in &reqs {
+                let served = engine.plan_on(req, &handle, &mut scratch);
+                assert_eq!(
+                    **served,
+                    crate::search::plan_prr_from_requirements(req, &v6)
+                );
+            }
+        }
+        let c = engine.snapshot().counters;
+        assert_eq!((c.plans, c.plan_builds, c.plan_cache_hits), (400, 200, 200));
+    }
+
+    /// Every `Engine::plan` call plans on a scratch of its own, which
+    /// registers a tally and drops it. The counts stay exact, and each
+    /// registration folds the dropped tallies, so they never pile up.
+    #[test]
+    fn throwaway_scratches_count_exactly_and_fold_their_tallies() {
+        let engine = Engine::new();
+        let v5 = xc5vlx110t();
+        let report = PaperPrm::Mips.synth_report(v5.family());
+        for _ in 0..10_000 {
+            engine.plan(&report, &v5).unwrap();
+        }
+        assert_eq!(engine.metrics().live_tallies(), 1, "only the last call's");
+        let c = engine.snapshot().counters;
+        assert_eq!(
+            (
+                c.plans,
+                c.plan_builds,
+                c.plan_cache_hits,
+                c.plans_feasible,
+                c.plans_infeasible
+            ),
+            (10_000, 1, 9_999, 10_000, 0)
+        );
+        assert_eq!((c.geometry_builds, c.geometry_cache_hits), (1, 9_999));
+        assert_eq!(engine.metrics().live_tallies(), 0, "the snapshot folded it");
+        assert_eq!(engine.metrics().plans.get(), 10_000);
+        assert_eq!(engine.snapshot().counters, c);
+    }
+
+    /// A clone of a bound scratch starts unbound: it registers a tally of
+    /// its own and serves nothing until its first plan. Two writers on
+    /// one tally would lose counts.
+    #[test]
+    fn a_cloned_scratch_shares_no_tally_or_slots() {
+        let engine = Engine::new();
+        let v5 = xc5vlx110t();
+        let handle = engine.intern_device(&v5);
+        let req = PrrRequirements::from_report(&PaperPrm::Fir.synth_report(v5.family()));
+        let mut original = PlanScratch::default();
+        engine.plan_on(&req, &handle, &mut original);
+        let mut copy = original.clone();
+        assert!(copy.engine.is_none(), "a clone starts unbound");
+        engine.plan_on(&req, &handle, &mut copy);
+        engine.plan_on(&req, &handle, &mut original);
+        let tally = |scratch: &PlanScratch| Arc::clone(&scratch.engine.as_ref().unwrap().tally);
+        assert!(!Arc::ptr_eq(&tally(&original), &tally(&copy)));
+        assert_eq!(engine.metrics().live_tallies(), 2);
+        let c = engine.snapshot().counters;
+        // The copy's first plan missed its empty slots and hit the memo.
+        assert_eq!((c.plans, c.plan_builds, c.plan_cache_hits), (3, 1, 2));
+        drop((original, copy));
+        assert_eq!(engine.snapshot().counters, c);
+        assert_eq!(engine.metrics().live_tallies(), 0);
     }
 
     #[test]

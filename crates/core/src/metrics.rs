@@ -13,6 +13,14 @@
 //! the label-to-slot map. A hot path holds the slot
 //! ([`Metrics::labeled_counter`], or a [`GlobalCounter`] in a `static`)
 //! and bumps it with one atomic add, without a lock or a lookup.
+//!
+//! The five plan counters (`plans`, the memo's build/hit split and the
+//! outcome split) are counted per worker instead. An engine's
+//! `PlanScratch` registers one tally here when it binds to the engine and
+//! is the tally's only writer, so a bump is a load and a `Release` store
+//! to memory no other thread writes, not a shared read-modify-write.
+//! [`Metrics::snapshot`] adds every registered tally to the base counters,
+//! and folds the tally of a dropped scratch into them.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -50,6 +58,61 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Acquire)
+    }
+}
+
+/// A counter with one writer: a bump is a load and a `Release` store.
+///
+/// Readers on other threads load it `Acquire`, like a [`Counter`], so the
+/// pairing that keeps the snapshot's part-before-total order is the same.
+/// A second writer would lose counts, so only the [`PlanTally`]'s scratch
+/// bumps it.
+#[derive(Debug, Default)]
+pub(crate) struct TallyCounter(AtomicU64);
+
+impl TallyCounter {
+    /// Add one. The writer's own last store is the value it loads, so the
+    /// load can be `Relaxed`.
+    pub(crate) fn incr(&self) {
+        self.0
+            .store(self.0.load(Ordering::Relaxed) + 1, Ordering::Release);
+    }
+
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Acquire)
+    }
+
+    /// The value, read through exclusive access (a tally being folded).
+    fn take(&mut self) -> u64 {
+        *self.0.get_mut()
+    }
+}
+
+/// One plan scratch's share of an engine's five plan counters.
+///
+/// A scratch registers its tally ([`Metrics::register_tally`]) when it
+/// binds to an engine and bumps it on every plan, totals before parts,
+/// like the base counters. The registry keeps a second handle on it, so
+/// when the scratch drops its own the registry's is unique, and
+/// [`Arc::get_mut`] on it both proves that no more bumps can come and
+/// gives the final counts.
+#[derive(Debug, Default)]
+pub(crate) struct PlanTally {
+    pub(crate) plans: TallyCounter,
+    pub(crate) plan_cache_hits: TallyCounter,
+    pub(crate) plan_builds: TallyCounter,
+    plans_feasible: TallyCounter,
+    plans_infeasible: TallyCounter,
+}
+
+impl PlanTally {
+    /// Count one plan's outcome.
+    pub(crate) fn outcome(&self, feasible: bool) {
+        if feasible {
+            self.plans_feasible.incr();
+        } else {
+            self.plans_infeasible.incr();
+        }
     }
 }
 
@@ -154,7 +217,10 @@ pub struct Metrics {
     /// worker counts its lookups in its own `PlanScratch`; the engine
     /// adds one plan's total here once, after the plan.
     pub window_probes: Counter,
-    /// Plans attempted.
+    /// Plans attempted. This and the next four counters hold the plans
+    /// counted here directly and the folded tallies of dropped scratches;
+    /// an engine counts its live plans in per-scratch tallies, which only
+    /// [`Metrics::snapshot`] adds in.
     pub plans: Counter,
     /// Plans answered from the engine's whole-plan memo.
     pub plan_cache_hits: Counter,
@@ -175,6 +241,9 @@ pub struct Metrics {
     /// consumer (see the schema-stability test). Each label maps to its
     /// shared slot; the lock guards the map, not the values.
     labeled: Mutex<BTreeMap<String, Arc<Counter>>>,
+    /// Every registered plan tally whose count is not yet folded into
+    /// the five plan counters above.
+    tallies: Mutex<Vec<Arc<PlanTally>>>,
 }
 
 impl Metrics {
@@ -248,6 +317,41 @@ impl Metrics {
         self.labeled.lock().get(label).map_or(0, |slot| slot.get())
     }
 
+    /// Register a fresh plan tally for one scratch; the caller becomes
+    /// its only writer. Folds the tallies of dropped scratches first, so
+    /// the registry holds at most one tally per live scratch plus this one.
+    pub(crate) fn register_tally(&self) -> Arc<PlanTally> {
+        let mut tallies = self.tallies.lock();
+        self.fold_dropped(&mut tallies);
+        let tally = Arc::new(PlanTally::default());
+        tallies.push(Arc::clone(&tally));
+        tally
+    }
+
+    /// Add each tally whose scratch is gone to the base counters and
+    /// unregister it. Runs under the registry lock, which every snapshot
+    /// holds while it reads the plan counters, so no snapshot sees a
+    /// count twice or not at all.
+    fn fold_dropped(&self, tallies: &mut Vec<Arc<PlanTally>>) {
+        tallies.retain_mut(|tally| {
+            let Some(tally) = Arc::get_mut(tally) else {
+                return true;
+            };
+            self.plans.add(tally.plans.take());
+            self.plan_cache_hits.add(tally.plan_cache_hits.take());
+            self.plan_builds.add(tally.plan_builds.take());
+            self.plans_feasible.add(tally.plans_feasible.take());
+            self.plans_infeasible.add(tally.plans_infeasible.take());
+            false
+        });
+    }
+
+    /// Number of registered tallies not yet folded.
+    #[cfg(test)]
+    pub(crate) fn live_tallies(&self) -> usize {
+        self.tallies.lock().len()
+    }
+
     /// Copy of all counters, labeled counters and stages.
     ///
     /// A snapshot taken while workers are bumping counters is **not** an
@@ -269,17 +373,25 @@ impl Metrics {
     /// parts (a plan increments `plans`, then exactly one of the geometry
     /// counters if it resolves a `&Device`, then one of the build/hit and
     /// one of the outcome counters),
-    /// while the snapshot reads every part **before** the totals. Part
-    /// increments are `Release` and the snapshot's part reads `Acquire`
-    /// (see [`Counter`]), so a part increment visible to the early read
-    /// carries its thread's earlier total increment with it, and the
-    /// later total read sees at least as many. The gaps, if any, are
-    /// exactly the plans in flight between the reads; on a quiescent
-    /// registry the first two inequalities are equalities. The stage map
-    /// is internally consistent — it is copied under its lock. Labeled
-    /// counters are independent atomics like the fixed ones: the label
-    /// set is copied under the map's lock, and each value is one read of
-    /// its slot.
+    /// while the snapshot reads every part **before** the totals. An
+    /// engine's plans are counted in per-scratch tallies, each written by
+    /// one thread, and the geometry counters in the base registry; each
+    /// plan counter reads as its base value plus the sum of the
+    /// registered tallies, and all five parts of that sum (and both
+    /// geometry counters) are read before any total. Part bumps are
+    /// `Release` stores or increments and the snapshot's reads `Acquire`
+    /// (see [`Counter`]), so a part bump visible to the early read carries
+    /// its thread's earlier total bump with it, in its tally or in the
+    /// base, and the later total read sees at least as many. The snapshot
+    /// holds the tally registry's lock for all of these reads, and a
+    /// dropped scratch's tally is folded into the base counters only under
+    /// that lock, so a fold never lands between a part and its total. The
+    /// gaps, if any, are exactly the plans in flight between the reads; on
+    /// a quiescent registry the first two inequalities are equalities.
+    /// The stage map is internally consistent — it is copied under its
+    /// lock. Labeled counters are independent atomics like the fixed ones:
+    /// the label set is copied under the map's lock, and each value is one
+    /// read of its slot.
     ///
     /// [`DeviceHandle`]: crate::DeviceHandle
     /// [`Engine::plan_on`]: crate::Engine::plan_on
@@ -315,15 +427,21 @@ impl Metrics {
                 },
             })
             .collect();
+        let mut tallies = self.tallies.lock();
+        self.fold_dropped(&mut tallies);
+        let sum = |base: &Counter, part: fn(&PlanTally) -> &TallyCounter| {
+            base.get() + tallies.iter().map(|t| part(t).get()).sum::<u64>()
+        };
         // Parts strictly before totals (see the doc comment): outcome,
         // build/hit and geometry splits first, `plans` last.
-        let plans_feasible = self.plans_feasible.get();
-        let plans_infeasible = self.plans_infeasible.get();
-        let plan_cache_hits = self.plan_cache_hits.get();
-        let plan_builds = self.plan_builds.get();
+        let plans_feasible = sum(&self.plans_feasible, |t| &t.plans_feasible);
+        let plans_infeasible = sum(&self.plans_infeasible, |t| &t.plans_infeasible);
+        let plan_cache_hits = sum(&self.plan_cache_hits, |t| &t.plan_cache_hits);
+        let plan_builds = sum(&self.plan_builds, |t| &t.plan_builds);
         let geometry_builds = self.geometry_builds.get();
         let geometry_cache_hits = self.geometry_cache_hits.get();
-        let plans = self.plans.get();
+        let plans = sum(&self.plans, |t| &t.plans);
+        drop(tallies);
         MetricsSnapshot {
             counters: CounterSnapshot {
                 synth_calls: self.synth_calls.get(),

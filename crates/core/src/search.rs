@@ -11,6 +11,7 @@
 //! also-feasible H=4 (90 100 B, size 16); see `DESIGN.md` §6.
 
 use crate::bits::bitstream_size_bytes;
+use crate::engine::EngineBinding;
 use crate::error::CostError;
 use crate::metrics::Metrics;
 use crate::prr::{OrganizationError, PrrOrganization, Utilization};
@@ -82,7 +83,14 @@ enum CompResolution {
 /// ([`PlanScratch::window_probe_count`]): a plain per-worker `u64`, so
 /// sweep workers sharing one [`DeviceGeometry`] write no shared memory
 /// per probe. The engine adds each plan's delta to its metrics once.
-#[derive(Debug, Clone, Default)]
+///
+/// Planned through an [`Engine`](crate::Engine), a scratch binds to that
+/// engine on first use: it counts the engine's plans in a tally only it
+/// writes and keeps the plans it was served, so a warm hit touches no
+/// memory another worker writes. Planning on another engine rebinds it,
+/// with a fresh tally and no served plans. A clone starts unbound: it
+/// never shares its original's tally or served plans.
+#[derive(Debug, Default)]
 pub struct PlanScratch {
     options: Vec<(u64, [u32; 3], PrrOrganization)>,
     /// Per-plan composition → resolution cache (linear map: a plan touches
@@ -94,6 +102,20 @@ pub struct PlanScratch {
     /// Cumulative count of composition-index lookups made through
     /// [`PlanScratch::probe`] (never reset; callers read deltas).
     window_probes: u64,
+    /// The engine this scratch plans on, its tally and served plans.
+    pub(crate) engine: Option<EngineBinding>,
+}
+
+impl Clone for PlanScratch {
+    fn clone(&self) -> Self {
+        PlanScratch {
+            options: self.options.clone(),
+            resolutions: self.resolutions.clone(),
+            padded_resolutions: self.padded_resolutions,
+            window_probes: self.window_probes,
+            engine: None,
+        }
+    }
 }
 
 impl PlanScratch {

@@ -414,7 +414,7 @@ fn worker_loop(inner: &ServiceInner) {
                 .plan_on(&job.requirements, &job.device, &mut scratch);
             metrics.record_stage("service", job.submitted.elapsed());
             *tenant_counts.entry(Arc::clone(&job.tenant)).or_insert(0) += 1;
-            job.ticket.complete(result);
+            job.ticket.complete(Arc::clone(result));
         }
         let completed: u64 = tenant_counts.values().sum();
         for (tenant, count) in &tenant_counts {

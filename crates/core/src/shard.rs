@@ -199,13 +199,27 @@ impl DeviceTable {
     }
 }
 
+/// Odd multipliers of [`PlanKey`]'s digest: one for the device and family
+/// word, then one per requirement number. Odd, so each product is a
+/// bijection of its field; distinct, so the fields are not
+/// interchangeable in the sum.
+const KEY_MULTIPLIERS: [u64; 6] = [
+    0x9E37_79B9_7F4A_7C15,
+    0xBF58_476D_1CE4_E5B9,
+    0x94D0_49BB_1331_11EB,
+    0xC2B2_AE3D_27D4_EB4F,
+    0x1656_67B1_9E37_79F9,
+    0x27D4_EB2F_1656_67C5,
+];
+
 /// Plan-memo key: the five Table I requirement numbers, the family, and
 /// the interned device. `Copy`, allocation-free to build and hash.
 /// `CLB_req` is intentionally absent: Eq. (1) derives it from
 /// `LUT_FF_req` and the family, so it adds no information. The packed
-/// splitmix digest is computed once at construction — shard routing and
-/// the in-shard bucket hash both reuse it, so a memo probe mixes the key
-/// exactly once.
+/// digest is computed once at construction, in one pass: each field is
+/// multiplied by its own odd constant, independently of the others, and
+/// one splitmix64 finalizer mixes the sum. Shard routing, the in-shard
+/// bucket hash and a plan scratch's served-plan slot all reuse it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanKey {
     /// Interned device layout.
@@ -236,10 +250,14 @@ impl PlanKey {
 
     /// Key from its raw stored fields (snapshot reload path).
     pub fn from_parts(device: DeviceId, family: Family, req: [u64; 5]) -> Self {
-        let mut packed = splitmix64(device.0 as u64 ^ ((family as u64) << 32));
-        for field in req {
-            packed = splitmix64(packed ^ field);
-        }
+        let head = u64::from(device.0) | (family as u64) << 32;
+        let sum = req
+            .iter()
+            .zip(&KEY_MULTIPLIERS[1..])
+            .fold(head.wrapping_mul(KEY_MULTIPLIERS[0]), |sum, (field, k)| {
+                sum.wrapping_add(field.wrapping_mul(*k))
+            });
+        let packed = splitmix64(sum);
         PlanKey {
             device,
             family,

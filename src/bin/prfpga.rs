@@ -18,60 +18,48 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("devices") => cmd_devices(),
-        Some("plan") => cmd_plan(&args[1..], false),
-        Some("bitstream") => cmd_plan(&args[1..], true),
-        Some("dump") => cmd_dump(&args[1..]),
-        Some("floorplan") => cmd_floorplan(&args[1..]),
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("defrag") => cmd_defrag(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("bench-service") => cmd_bench_service(&args[1..]),
-        Some("bench-pipeline") => cmd_bench_pipeline(&args[1..]),
-        Some("sched-ablate") => cmd_sched_ablate(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: prfpga <devices|plan|bitstream|dump|floorplan|sweep|defrag> ...\n\
-                 \n\
-                 devices                                    list the device database\n\
-                 plan <device> --syr <file>                 plan a PRR from an XST report\n\
-                 plan <device> --prm <fir|mips|sdram>       plan for a paper PRM\n\
-                 bitstream <device> --prm <name> [-o FILE]  also generate the partial bitstream\n\
-                 dump <file>                                parse + summarize a bitstream file\n\
-                 floorplan <device> --prms a,b,c            jointly place one PRR per PRM\n\
-                 simulate <device> --trace FILE [--prrs N]  replay a task trace\n\
-                          [--clb C --dsp D --bram B --height H] [--preemptive]\n\
-                 sweep [--json FILE] [--metrics FILE]       evaluate every PRM on every device\n\
-                 defrag [--device NAME] [--seed S] [--tasks N] [--modules M] [--scale K]\n\
-                        [--policy never|threshold|always] [--threshold R] [--depth 0..4]\n\
-                        [--proactive] [--json FILE]\n\
-                                                            dynamic layout sim, defrag vs baseline;\n\
-                                                            --depth N plans multi-move sequences,\n\
-                                                            --proactive repairs in ICAP idle windows\n\
-                 serve [--workers N] [--requests R] [--tenants T] [--modules M] [--seed S]\n\
-                       [--scale K] [--state FILE] [--metrics FILE]\n\
-                                                            run a request stream through the async\n\
-                                                            planning service (snapshot warm starts)\n\
-                 bench-service [--requests R]               warm-memo replay throughput of the\n\
-                                                            engine's device-handle hit path\n\
-                 bench-pipeline [--tasks N] [--device NAME] [--chunk C] [--modules M]\n\
-                                [--workers W|W1,W2,...] [--queue-depth Q] [--seed S]\n\
-                                [--json FILE] [--metrics FILE]\n\
-                                                            stream N tasks through synth -> plan ->\n\
-                                                            place -> bitstream -> simulate; a comma\n\
-                                                            list of workers sweeps the scaling table;\n\
-                                                            writes results/BENCH_pipeline.json\n\
-                 sched-ablate [--seed S] [--tasks N] [--horizon-ms H]\n\
-                              [--admission-sets K] [--slack F] [--json FILE]\n\
-                                                            first-fit and reuse-aware x workload\n\
-                                                            classes, defrag policies and admission\n\
-                                                            tests on a mixed PRR pool; writes\n\
-                                                            results/BENCH_sched.json"
-            );
-            return ExitCode::from(2);
-        }
+    let Some(result) = run(&args) else {
+        eprintln!(
+            "usage: prfpga <devices|plan|bitstream|dump|floorplan|sweep|defrag> ...\n\
+             \n\
+             devices                                    list the device database\n\
+             plan <device> --syr <file>                 plan a PRR from an XST report\n\
+             plan <device> --prm <fir|mips|sdram>       plan for a paper PRM\n\
+             bitstream <device> --prm <name> [-o FILE]  also generate the partial bitstream\n\
+             dump <file>                                parse + summarize a bitstream file\n\
+             floorplan <device> --prms a,b,c            jointly place one PRR per PRM\n\
+             simulate <device> --trace FILE [--prrs N]  replay a task trace\n\
+                      [--clb C --dsp D --bram B --height H] [--preemptive]\n\
+             sweep [--json FILE] [--metrics FILE]       evaluate every PRM on every device\n\
+             defrag [--device NAME] [--seed S] [--tasks N] [--modules M] [--scale K]\n\
+                    [--policy never|threshold|always] [--threshold R] [--depth 0..4]\n\
+                    [--interarrival NS] [--exec NS] [--proactive] [--json FILE]\n\
+                                                        dynamic layout sim, defrag vs baseline;\n\
+                                                        --depth N plans multi-move sequences,\n\
+                                                        --proactive repairs in ICAP idle windows\n\
+             serve [--workers N] [--requests R] [--tenants T] [--modules M] [--seed S]\n\
+                   [--scale K] [--state FILE] [--metrics FILE]\n\
+                                                        run a request stream through the async\n\
+                                                        planning service (snapshot warm starts)\n\
+             bench-service [--requests R]               warm-hit replay throughput of the\n\
+                                                        engine's device-handle path\n\
+             bench-pipeline [--tasks N] [--device NAME] [--chunk C] [--modules M]\n\
+                            [--workers W|W1,W2,...] [--queue-depth Q] [--seed S]\n\
+                            [--json FILE] [--metrics FILE]\n\
+                                                        stream N tasks through synth -> plan ->\n\
+                                                        place -> bitstream -> simulate; a comma\n\
+                                                        list of workers sweeps the scaling table;\n\
+                                                        writes results/BENCH_pipeline.json\n\
+             sched-ablate [--seed S] [--tasks N] [--horizon-ms H]\n\
+                          [--admission-sets K] [--slack F] [--json FILE]\n\
+                                                        first-fit and reuse-aware x workload\n\
+                                                        classes, defrag policies and admission\n\
+                                                        tests on a mixed PRR pool; writes\n\
+                                                        results/BENCH_sched.json\n\
+             \n\
+             A flag a subcommand does not list is an error."
+        );
+        return ExitCode::from(2);
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -82,9 +70,243 @@ fn main() -> ExitCode {
     }
 }
 
+/// Parse `args` against the subcommand its first element names, then run
+/// it; `None` when it names no subcommand.
+fn run(args: &[String]) -> Option<Result<(), AnyError>> {
+    let (name, rest) = args.split_first()?;
+    let command = COMMANDS.iter().find(|c| c.name == name)?;
+    Some(command.parse(rest).and_then(|args| (command.run)(&args)))
+}
+
+/// A subcommand: the arguments it accepts and the function that runs it.
+struct Command {
+    name: &'static str,
+    /// Positional arguments, by the name a missing one is reported under.
+    positional: &'static [&'static str],
+    /// Flags that take the next argument as their value.
+    valued: &'static [&'static str],
+    /// Flags that take no value.
+    switches: &'static [&'static str],
+    run: fn(&Args) -> Result<(), AnyError>,
+}
+
+/// Every subcommand, with every flag it reads.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "devices",
+        positional: &[],
+        valued: &[],
+        switches: &[],
+        run: cmd_devices,
+    },
+    Command {
+        name: "plan",
+        positional: &["<device>"],
+        valued: &["--syr", "--prm"],
+        switches: &[],
+        run: cmd_plan,
+    },
+    Command {
+        name: "bitstream",
+        positional: &["<device>"],
+        valued: &["--syr", "--prm", "-o"],
+        switches: &[],
+        run: cmd_bitstream,
+    },
+    Command {
+        name: "dump",
+        positional: &["<file>"],
+        valued: &[],
+        switches: &[],
+        run: cmd_dump,
+    },
+    Command {
+        name: "floorplan",
+        positional: &["<device>"],
+        valued: &["--prms"],
+        switches: &[],
+        run: cmd_floorplan,
+    },
+    Command {
+        name: "simulate",
+        positional: &["<device>"],
+        valued: &["--trace", "--prrs", "--clb", "--dsp", "--bram", "--height"],
+        switches: &["--preemptive"],
+        run: cmd_simulate,
+    },
+    Command {
+        name: "sweep",
+        positional: &[],
+        valued: &["--json", "--metrics"],
+        switches: &[],
+        run: cmd_sweep,
+    },
+    Command {
+        name: "defrag",
+        positional: &[],
+        valued: &[
+            "--device",
+            "--seed",
+            "--tasks",
+            "--modules",
+            "--scale",
+            "--threshold",
+            "--policy",
+            "--depth",
+            "--interarrival",
+            "--exec",
+            "--json",
+        ],
+        switches: &["--proactive"],
+        run: cmd_defrag,
+    },
+    Command {
+        name: "serve",
+        positional: &[],
+        valued: &[
+            "--workers",
+            "--requests",
+            "--tenants",
+            "--modules",
+            "--seed",
+            "--scale",
+            "--state",
+            "--metrics",
+        ],
+        switches: &[],
+        run: cmd_serve,
+    },
+    Command {
+        name: "bench-service",
+        positional: &[],
+        valued: &["--requests"],
+        switches: &[],
+        run: cmd_bench_service,
+    },
+    Command {
+        name: "bench-pipeline",
+        positional: &[],
+        valued: &[
+            "--tasks",
+            "--device",
+            "--chunk",
+            "--modules",
+            "--scale",
+            "--prrs",
+            "--workers",
+            "--queue-depth",
+            "--seed",
+            "--interarrival",
+            "--exec",
+            "--json",
+            "--metrics",
+        ],
+        switches: &[],
+        run: cmd_bench_pipeline,
+    },
+    Command {
+        name: "sched-ablate",
+        positional: &[],
+        valued: &[
+            "--seed",
+            "--tasks",
+            "--horizon-ms",
+            "--slack",
+            "--admission-sets",
+            "--json",
+        ],
+        switches: &[],
+        run: cmd_sched_ablate,
+    },
+];
+
+impl Command {
+    /// Split `args` into this subcommand's positionals, flag values and
+    /// switches. An argument that starts with `-` and is not one of its
+    /// flags is an error naming it, as are a valued flag without its value
+    /// and a positional beyond the ones it takes.
+    fn parse<'a>(&'static self, args: &'a [String]) -> Result<Args<'a>, AnyError> {
+        let mut parsed = Args {
+            command: self,
+            positional: Vec::new(),
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if let Some(&flag) = self.valued.iter().find(|&&flag| flag == arg) {
+                let value = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                parsed.values.push((flag, value));
+            } else if let Some(&switch) = self.switches.iter().find(|&&switch| switch == arg) {
+                parsed.switches.push(switch);
+            } else if arg.starts_with('-') {
+                let accepted: Vec<&str> =
+                    self.valued.iter().chain(self.switches).copied().collect();
+                let accepted = if accepted.is_empty() {
+                    "no flags".to_string()
+                } else {
+                    accepted.join(", ")
+                };
+                return Err(format!(
+                    "unknown flag `{arg}` for `{}` (accepts {accepted})",
+                    self.name
+                )
+                .into());
+            } else if parsed.positional.len() < self.positional.len() {
+                parsed.positional.push(arg);
+            } else {
+                return Err(format!("unexpected argument `{arg}` for `{}`", self.name).into());
+            }
+        }
+        Ok(parsed)
+    }
+}
+
+/// A subcommand's parsed arguments.
+struct Args<'a> {
+    command: &'static Command,
+    positional: Vec<&'a str>,
+    /// `(flag, value)` pairs in the order given.
+    values: Vec<(&'static str, &'a str)>,
+    switches: Vec<&'static str>,
+}
+
+impl<'a> Args<'a> {
+    /// The value of the valued flag `name`; the first occurrence wins.
+    fn get(&self, name: &str) -> Option<&'a str> {
+        debug_assert!(
+            self.command.valued.contains(&name),
+            "`{}` reads {name} without listing it",
+            self.command.name
+        );
+        self.values
+            .iter()
+            .find(|(flag, _)| *flag == name)
+            .map(|(_, value)| *value)
+    }
+
+    /// Whether the switch `name` was given.
+    fn has(&self, name: &str) -> bool {
+        debug_assert!(
+            self.command.switches.contains(&name),
+            "`{}` reads {name} without listing it",
+            self.command.name
+        );
+        self.switches.contains(&name)
+    }
+
+    /// Positional argument `index`, or an error naming it.
+    fn positional(&self, index: usize) -> Result<&'a str, AnyError> {
+        self.positional
+            .get(index)
+            .copied()
+            .ok_or_else(|| format!("missing {}", self.command.positional[index]).into())
+    }
+}
+
 type AnyError = Box<dyn std::error::Error>;
 
-fn cmd_devices() -> Result<(), AnyError> {
+fn cmd_devices(_: &Args) -> Result<(), AnyError> {
     println!(
         "{:<12} {:<10} {:>5} {:>6} {:>6} {:>6} {:>6}",
         "part", "family", "rows", "CLBs", "DSPs", "BRAMs", "full-bitstream B"
@@ -105,19 +327,12 @@ fn cmd_devices() -> Result<(), AnyError> {
     Ok(())
 }
 
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn load_report(args: &[String], family: Family) -> Result<SynthReport, AnyError> {
-    if let Some(path) = flag(args, "--syr") {
+fn load_report(args: &Args, family: Family) -> Result<SynthReport, AnyError> {
+    if let Some(path) = args.get("--syr") {
         let text = std::fs::read_to_string(path)?;
         return Ok(synth::xst::parse_report(&text)?);
     }
-    if let Some(name) = flag(args, "--prm") {
+    if let Some(name) = args.get("--prm") {
         let prm = match name.to_ascii_lowercase().as_str() {
             "fir" => PaperPrm::Fir,
             "mips" => PaperPrm::Mips,
@@ -129,9 +344,16 @@ fn load_report(args: &[String], family: Family) -> Result<SynthReport, AnyError>
     Err("need --syr <file> or --prm <name>".into())
 }
 
-fn cmd_plan(args: &[String], with_bitstream: bool) -> Result<(), AnyError> {
-    let device_name = args.first().ok_or("missing <device>")?;
-    let device = fabric::device_by_name(device_name)?;
+fn cmd_plan(args: &Args) -> Result<(), AnyError> {
+    plan(args, false)
+}
+
+fn cmd_bitstream(args: &Args) -> Result<(), AnyError> {
+    plan(args, true)
+}
+
+fn plan(args: &Args, with_bitstream: bool) -> Result<(), AnyError> {
+    let device = fabric::device_by_name(args.positional(0)?)?;
     let report = load_report(args, device.family())?;
     let eval = prfpga::evaluate_prm(&report, &device)?;
     let o = &eval.plan.organization;
@@ -156,15 +378,15 @@ fn cmd_plan(args: &[String], with_bitstream: bool) -> Result<(), AnyError> {
     print!("{}", prcost::datasheet(&eval.plan));
     println!("DMA-ICAP reconfiguration: {:?}", eval.reconfig_time);
     if with_bitstream {
-        let out = flag(args, "-o").unwrap_or("partial.bin");
+        let out = args.get("-o").unwrap_or("partial.bin");
         std::fs::write(out, eval.bitstream.to_bytes())?;
         println!("wrote {out} ({} bytes)", eval.bitstream.len_bytes());
     }
     Ok(())
 }
 
-fn cmd_dump(args: &[String]) -> Result<(), AnyError> {
-    let path = args.first().ok_or("missing <file>")?;
+fn cmd_dump(args: &Args) -> Result<(), AnyError> {
+    let path = args.positional(0)?;
     let bytes = std::fs::read(path)?;
     let words = bitstream::PartialBitstream::words_from_bytes(&bytes);
     let parsed = bitstream::parser::parse_words(&words, false)?;
@@ -186,10 +408,9 @@ fn cmd_dump(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn cmd_floorplan(args: &[String]) -> Result<(), AnyError> {
-    let device_name = args.first().ok_or("missing <device>")?;
-    let device = fabric::device_by_name(device_name)?;
-    let names = flag(args, "--prms").ok_or("need --prms a,b,c")?;
+fn cmd_floorplan(args: &Args) -> Result<(), AnyError> {
+    let device = fabric::device_by_name(args.positional(0)?)?;
+    let names = args.get("--prms").ok_or("need --prms a,b,c")?;
     let mut specs = Vec::new();
     for (i, n) in names.split(',').enumerate() {
         let prm = match n.trim().to_ascii_lowercase().as_str() {
@@ -214,7 +435,7 @@ fn cmd_floorplan(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), AnyError> {
+fn cmd_sweep(args: &Args) -> Result<(), AnyError> {
     use synth::prm::{AesEngine, FftCore, FirFilter, MipsCore, SdramController, Uart};
 
     let generators: Vec<Box<dyn PrmGenerator + Sync>> = vec![
@@ -283,23 +504,23 @@ fn cmd_sweep(args: &[String]) -> Result<(), AnyError> {
         c.window_probes, c.distinct_compositions, c.padded_fallbacks,
     );
 
-    if let Some(path) = flag(args, "--json") {
+    if let Some(path) = args.get("--json") {
         std::fs::write(path, serde_json::to_string_pretty(&run.points)?)?;
         println!("wrote sweep points to {path}");
     }
-    if let Some(path) = flag(args, "--metrics") {
+    if let Some(path) = args.get("--metrics") {
         std::fs::write(path, serde_json::to_string_pretty(&run.metrics)?)?;
         println!("wrote metrics snapshot to {path}");
     }
     Ok(())
 }
 
-fn cmd_defrag(args: &[String]) -> Result<(), AnyError> {
+fn cmd_defrag(args: &Args) -> Result<(), AnyError> {
     use prfpga::layout::{simulate_layout, DefragPolicy, LayoutConfig, LayoutReport};
 
-    let device = fabric::device_by_name(flag(args, "--device").unwrap_or("xc5vlx110t"))?;
+    let device = fabric::device_by_name(args.get("--device").unwrap_or("xc5vlx110t"))?;
     let num = |name: &str, default: u64| -> u64 {
-        flag(args, name)
+        args.get(name)
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     };
@@ -307,10 +528,11 @@ fn cmd_defrag(args: &[String]) -> Result<(), AnyError> {
     let tasks = num("--tasks", 200) as u32;
     let modules = num("--modules", 16) as u32;
     let scale = num("--scale", 1500) as u32;
-    let ratio: f64 = flag(args, "--threshold")
+    let ratio: f64 = args
+        .get("--threshold")
         .and_then(|v| v.parse().ok())
         .unwrap_or(1.0);
-    let policy = match flag(args, "--policy").unwrap_or("always") {
+    let policy = match args.get("--policy").unwrap_or("always") {
         "never" => DefragPolicy::Never,
         "threshold" => DefragPolicy::Threshold(ratio),
         "always" => DefragPolicy::Always,
@@ -320,7 +542,7 @@ fn cmd_defrag(args: &[String]) -> Result<(), AnyError> {
     if depth > 4 {
         return Err("--depth must be 0 (single-step) to 4".into());
     }
-    let proactive = args.iter().any(|a| a == "--proactive");
+    let proactive = args.has("--proactive");
 
     let workload = Workload::generate_heavy_tailed(
         seed,
@@ -378,7 +600,7 @@ fn cmd_defrag(args: &[String]) -> Result<(), AnyError> {
         report.context_bytes,
     );
 
-    if let Some(path) = flag(args, "--json") {
+    if let Some(path) = args.get("--json") {
         #[derive(serde::Serialize)]
         struct DefragRun {
             device: String,
@@ -400,15 +622,14 @@ fn cmd_defrag(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn cmd_simulate(args: &[String]) -> Result<(), AnyError> {
-    let device_name = args.first().ok_or("missing <device>")?;
-    let device = fabric::device_by_name(device_name)?;
-    let trace_path = flag(args, "--trace").ok_or("need --trace <file>")?;
+fn cmd_simulate(args: &Args) -> Result<(), AnyError> {
+    let device = fabric::device_by_name(args.positional(0)?)?;
+    let trace_path = args.get("--trace").ok_or("need --trace <file>")?;
     let text = std::fs::read_to_string(trace_path)?;
     let workload = multitask::parse_trace(&text)?;
 
     let num = |name: &str, default: u32| -> u32 {
-        flag(args, name)
+        args.get(name)
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     };
@@ -429,7 +650,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), AnyError> {
         system.prrs[0].bitstream_bytes
     );
 
-    if args.iter().any(|a| a == "--preemptive") {
+    if args.has("--preemptive") {
         let r = multitask::simulate_preemptive(&system, &workload);
         println!(
             "preemptive: {} completed, makespan {:.3} ms, {} preemptions, \
@@ -462,13 +683,13 @@ fn cmd_simulate(args: &[String]) -> Result<(), AnyError> {
 /// planning service. With `--state FILE`, the engine warm-starts from a
 /// persisted memo snapshot (if the file exists) and persists its final
 /// state back — a second run answers everything from the reloaded memo.
-fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
+fn cmd_serve(args: &Args) -> Result<(), AnyError> {
     use prcost::{PlanService, ServiceConfig};
     use std::sync::Arc;
     use synth::GenericPrm;
 
     let num = |name: &str, default: u64| -> Result<u64, AnyError> {
-        flag(args, name)
+        args.get(name)
             .map(str::parse::<u64>)
             .transpose()
             .map_err(|e| format!("bad {name}: {e}").into())
@@ -480,7 +701,7 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     let modules = num("--modules", 12)?.max(1);
     let seed = num("--seed", 7)?;
     let scale = num("--scale", 1_200)? as u32;
-    let state_path = flag(args, "--state");
+    let state_path = args.get("--state");
 
     let engine = match state_path {
         Some(path) if std::path::Path::new(path).exists() => {
@@ -568,19 +789,21 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
             engine.plan_memo_len()
         );
     }
-    if let Some(path) = flag(args, "--metrics") {
+    if let Some(path) = args.get("--metrics") {
         std::fs::write(path, serde_json::to_string_pretty(&snapshot)?)?;
         println!("wrote metrics snapshot to {path}");
     }
     Ok(())
 }
 
-/// Quick in-process check of warm-memo replay throughput: the engine's
-/// device-handle hit path on the paper PRM x device grid. The full table
-/// (worker scaling, p99, zero-alloc assertion) lives in
-/// `benches/service_mt.rs`.
-fn cmd_bench_service(args: &[String]) -> Result<(), AnyError> {
-    let requests: usize = flag(args, "--requests")
+/// Quick in-process check of warm-hit replay throughput: one scratch
+/// replays the six PRMs on every database device through device handles,
+/// so each hit is served from the scratch's slots, or from the shared
+/// memo where two points share a slot. The full table (worker scaling,
+/// p99, zero-alloc assertion) lives in `benches/service_mt.rs`.
+fn cmd_bench_service(args: &Args) -> Result<(), AnyError> {
+    let requests: usize = args
+        .get("--requests")
         .map(str::parse)
         .transpose()
         .map_err(|e| format!("bad --requests: {e}"))?
@@ -630,7 +853,7 @@ fn cmd_bench_service(args: &[String]) -> Result<(), AnyError> {
         points.len()
     );
     println!(
-        "  sharded (device handle + key):   {:>10.0} plans/s",
+        "  served from the scratch (device handle): {:>10.0} plans/s",
         requests as f64 / elapsed
     );
     Ok(())
@@ -641,11 +864,11 @@ fn cmd_bench_service(args: &[String]) -> Result<(), AnyError> {
 /// simulation — under bounded memory, and record the run as
 /// `results/BENCH_pipeline.json` (the regression-guarding whole-system
 /// number; see `prfpga::pipeline`).
-fn cmd_bench_pipeline(args: &[String]) -> Result<(), AnyError> {
+fn cmd_bench_pipeline(args: &Args) -> Result<(), AnyError> {
     use prfpga::pipeline::{run_pipeline, run_pipeline_sweep, PipelineConfig};
 
     let num = |name: &str, default: u64| -> Result<u64, AnyError> {
-        flag(args, name)
+        args.get(name)
             .map(str::parse::<u64>)
             .transpose()
             .map_err(|e| format!("bad {name}: {e}").into())
@@ -656,7 +879,7 @@ fn cmd_bench_pipeline(args: &[String]) -> Result<(), AnyError> {
     // `--workers` accepts either a single count ("4") or a comma list
     // ("1,2,4,8,16"); the list form reruns the whole pipeline once per
     // count and records the scaling table in the report.
-    let worker_sweep: Vec<usize> = match flag(args, "--workers") {
+    let worker_sweep: Vec<usize> = match args.get("--workers") {
         None => vec![defaults.workers],
         Some(spec) => spec
             .split(',')
@@ -672,9 +895,7 @@ fn cmd_bench_pipeline(args: &[String]) -> Result<(), AnyError> {
     }
 
     let cfg = PipelineConfig {
-        device: flag(args, "--device")
-            .unwrap_or(&defaults.device)
-            .to_string(),
+        device: args.get("--device").unwrap_or(&defaults.device).to_string(),
         tasks: num("--tasks", defaults.tasks)?,
         chunk: num("--chunk", u64::from(defaults.chunk))? as u32,
         modules: num("--modules", u64::from(defaults.modules))? as u32,
@@ -754,7 +975,7 @@ fn cmd_bench_pipeline(args: &[String]) -> Result<(), AnyError> {
     // Same artifact convention as `bench::write_json` (the prfpga crate
     // does not depend on `bench`): `results/` at the workspace root,
     // overridable with PRFPGA_RESULTS_DIR or an explicit --json path.
-    let path = match flag(args, "--json") {
+    let path = match args.get("--json") {
         Some(p) => std::path::PathBuf::from(p),
         None => {
             let dir = std::env::var("PRFPGA_RESULTS_DIR")
@@ -772,7 +993,7 @@ fn cmd_bench_pipeline(args: &[String]) -> Result<(), AnyError> {
     // `--metrics FILE`: a compact operational snapshot (dispatch paths,
     // throughput, scaling rows) for dashboards that don't want the full
     // per-stage report written by `--json`.
-    if let Some(mpath) = flag(args, "--metrics") {
+    if let Some(mpath) = args.get("--metrics") {
         // Owned fields: the vendored serde derive does not support
         // generic (lifetime-parameterized) types.
         #[derive(serde::Serialize)]
@@ -802,11 +1023,11 @@ fn cmd_bench_pipeline(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn cmd_sched_ablate(args: &[String]) -> Result<(), AnyError> {
+fn cmd_sched_ablate(args: &Args) -> Result<(), AnyError> {
     use prfpga::sched::{run_ablation, AblationConfig};
 
     let num = |name: &str, default: u64| -> u64 {
-        flag(args, name)
+        args.get(name)
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     };
@@ -815,7 +1036,8 @@ fn cmd_sched_ablate(args: &[String]) -> Result<(), AnyError> {
         seed: num("--seed", defaults.seed),
         tasks: num("--tasks", u64::from(defaults.tasks)) as u32,
         horizon_ms: num("--horizon-ms", defaults.horizon_ms),
-        deadline_slack: flag(args, "--slack")
+        deadline_slack: args
+            .get("--slack")
             .and_then(|v| v.parse().ok())
             .unwrap_or(defaults.deadline_slack),
         admission_sets: num("--admission-sets", u64::from(defaults.admission_sets)) as u32,
@@ -879,7 +1101,7 @@ fn cmd_sched_ablate(args: &[String]) -> Result<(), AnyError> {
     }
 
     // Same artifact convention as bench-pipeline above.
-    let path = match flag(args, "--json") {
+    let path = match args.get("--json") {
         Some(p) => std::path::PathBuf::from(p),
         None => {
             let dir = std::env::var("PRFPGA_RESULTS_DIR")
@@ -894,4 +1116,101 @@ fn cmd_sched_ablate(args: &[String]) -> Result<(), AnyError> {
     std::fs::write(&path, serde_json::to_string_pretty(&report)?)?;
     println!("wrote {}", path.display());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    fn command(name: &str) -> &'static Command {
+        COMMANDS.iter().find(|c| c.name == name).unwrap()
+    }
+
+    /// A misspelt flag used to be ignored: `sweep --jsn out.json` ran the
+    /// sweep, exited 0 and wrote no JSON.
+    #[test]
+    fn a_misspelt_flag_fails_and_is_named() {
+        let outcome = run(&strings(&["sweep", "--jsn", "out.json"])).expect("sweep exists");
+        let message = outcome.expect_err("--jsn is not a sweep flag").to_string();
+        assert!(message.contains("`--jsn`"), "{message}");
+        assert!(message.contains("--json, --metrics"), "{message}");
+    }
+
+    /// Parsing fails before a subcommand runs, so every one refuses a
+    /// flag it does not list, whatever else it is given.
+    #[test]
+    fn every_subcommand_rejects_an_unknown_flag() {
+        for command in COMMANDS {
+            for args in [&["--bogus"][..], &["--json-out", "x.json"], &["-x"]] {
+                let message = match command.parse(&strings(args)) {
+                    Ok(_) => panic!("`{}` accepted {args:?}", command.name),
+                    Err(e) => e.to_string(),
+                };
+                assert!(message.contains(&format!("`{}`", args[0])), "{message}");
+            }
+        }
+    }
+
+    #[test]
+    fn listed_flags_switches_and_positionals_parse() {
+        let argv = strings(&[
+            "--depth",
+            "3",
+            "--proactive",
+            "--json",
+            "d.json",
+            "--depth",
+            "4",
+        ]);
+        let args = command("defrag").parse(&argv).unwrap();
+        assert_eq!(args.get("--depth"), Some("3"), "the first occurrence wins");
+        assert_eq!(args.get("--json"), Some("d.json"));
+        assert_eq!(args.get("--seed"), None);
+        assert!(args.has("--proactive"));
+
+        let argv = strings(&["xc5vlx110t", "--slack", "-o"]);
+        assert!(
+            command("plan").parse(&argv).is_err(),
+            "plan takes no --slack"
+        );
+        let argv = strings(&["--prm", "fir", "xc5vlx110t", "-o", "m.bin"]);
+        let args = command("bitstream").parse(&argv).unwrap();
+        assert_eq!(args.positional(0).unwrap(), "xc5vlx110t");
+        assert_eq!(
+            (args.get("--prm"), args.get("-o")),
+            (Some("fir"), Some("m.bin"))
+        );
+        let argv = strings(&["--prm", "fir", "-o", "m.bin"]);
+        assert!(
+            command("plan").parse(&argv).is_err(),
+            "only bitstream writes -o"
+        );
+
+        // A valued flag takes the next argument even if it looks like a flag.
+        let argv = strings(&["--slack", "-0.5"]);
+        let args = command("sched-ablate").parse(&argv).unwrap();
+        assert_eq!(args.get("--slack"), Some("-0.5"));
+    }
+
+    #[test]
+    fn missing_values_and_stray_arguments_are_errors() {
+        let error = |name: &str, args: &[&str]| {
+            let argv = strings(args);
+            let parsed = command(name).parse(&argv);
+            parsed.err().expect("must not parse").to_string()
+        };
+        assert!(error("sweep", &["--json"]).contains("--json needs a value"));
+        assert!(error("sweep", &["out.json"]).contains("unexpected argument `out.json`"));
+        assert!(error("plan", &["xc5vlx110t", "fir"]).contains("unexpected argument `fir`"));
+        assert!(error("devices", &["--all"]).contains("accepts no flags"));
+        let args = command("dump").parse(&[]).unwrap();
+        assert_eq!(
+            args.positional(0).unwrap_err().to_string(),
+            "missing <file>"
+        );
+    }
 }

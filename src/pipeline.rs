@@ -498,9 +498,9 @@ pub fn run_pipeline(
             }
             metrics.record_stage("pipeline:synth", t0.elapsed());
 
-            // Planning at task rate: one warm memo hit per task against
-            // the device resolved in setup (the engine's zero-allocation
-            // hot path).
+            // Planning at task rate: one warm hit per task against the
+            // device resolved in setup, served from this worker's scratch
+            // (no lock, refcount or shared write per task).
             let t0 = Instant::now();
             for t in &wl.tasks {
                 let req = PrrRequirements::from_report(&pool[t.module.0 as usize]);

@@ -170,7 +170,7 @@ const RACE_ATTEMPTS: usize = 5;
 fn snapshot_invariants_hold_under_concurrent_load() {
     let devices = fabric::all_devices();
     let points = stress_points(&devices);
-    let raced = (0..RACE_ATTEMPTS).any(|_| race_snapshots(&points) > 0);
+    let raced = (0..RACE_ATTEMPTS).any(|_| race_snapshots(&points, false) > 0);
     assert!(
         raced,
         "no snapshot caught the planners mid-run in {RACE_ATTEMPTS} races"
@@ -179,10 +179,12 @@ fn snapshot_invariants_hold_under_concurrent_load() {
 
 /// One race on a fresh engine: the planners and a snapshotter start
 /// together behind a barrier, and the snapshotter checks every snapshot
-/// until one shows all plans done. Returns how many snapshots caught the
-/// planners mid-run (`0 < plans < total`; `plans` is read last, so every
-/// part of such a snapshot was read before the planners finished).
-fn race_snapshots(points: &[(SynthReport, Device)]) -> u64 {
+/// until one shows all plans done. With `churn`, each planner replaces
+/// its scratch every round, with a fresh one or a clone. Returns how many
+/// snapshots caught the planners mid-run (`0 < plans < total`; `plans` is
+/// read last, so every part of such a snapshot was read before the
+/// planners finished).
+fn race_snapshots(points: &[(SynthReport, Device)], churn: bool) -> u64 {
     let engine = Engine::new();
     let total = (THREADS * ROUNDS * points.len()) as u64;
     let start = Barrier::new(THREADS + 1);
@@ -194,6 +196,12 @@ fn race_snapshots(points: &[(SynthReport, Device)]) -> u64 {
                 start.wait();
                 let mut scratch = PlanScratch::default();
                 for round in 0..ROUNDS {
+                    if churn {
+                        scratch = match round % 2 {
+                            0 => PlanScratch::default(),
+                            _ => scratch.clone(),
+                        };
+                    }
                     for i in 0..points.len() {
                         let (report, device) = &points[(i + t * 11 + round) % points.len()];
                         let _ = engine.plan_with_scratch(report, device, &mut scratch);
@@ -244,8 +252,28 @@ fn race_snapshots(points: &[(SynthReport, Device)]) -> u64 {
 
     // After the race, the exact invariants hold again.
     let c = engine.snapshot().counters;
+    assert_eq!(c.plans, total, "every plan counted once");
     assert_eq!(c.plans_feasible + c.plans_infeasible, c.plans);
     assert_eq!(c.plan_builds + c.plan_cache_hits, c.plans);
     assert_eq!(c.geometry_builds + c.geometry_cache_hits, c.plans);
+    assert_eq!(c.plan_builds, points.len() as u64);
     mid_run
+}
+
+/// The per-scratch tallies under churn: every round, each planner drops
+/// its scratch and plans on a fresh one (even rounds) or on a clone of
+/// the last (odd rounds), which binds afresh. Tallies are registered,
+/// written, dropped and folded into the registry while the snapshotter
+/// checks the mid-flight inequalities, and the totals stay exact. (The
+/// engine's unit tests check that a clone shares no tally: here only one
+/// thread writes at a time, so a shared tally would lose no count.)
+#[test]
+fn snapshot_invariants_hold_while_scratches_churn() {
+    let devices = fabric::all_devices();
+    let points = stress_points(&devices);
+    let raced = (0..RACE_ATTEMPTS).any(|_| race_snapshots(&points, true) > 0);
+    assert!(
+        raced,
+        "no snapshot caught the planners mid-run in {RACE_ATTEMPTS} races"
+    );
 }
