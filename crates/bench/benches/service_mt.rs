@@ -1,20 +1,18 @@
 //! Criterion bench: warm-memo plan throughput and latency for the
-//! sharded concurrent engine and the async planning service.
+//! sharded concurrent engine.
 //!
-//! Three measurements:
+//! Two measurements:
 //!
 //! * *Warm hit* (criterion): a single thread replaying memoized points
 //!   through one scratch. The engine plans against devices resolved once
-//!   to [`prcost::DeviceHandle`]s, the way the pipeline and the service
-//!   do, and serves each hit from the scratch's own slots: the key, one
-//!   slot compare and the scratch's counter tally, with no lock or
-//!   refcount on a shared line.
-//! * *Worker scaling* (artifact): 1/4/8/16 `std::thread::scope` workers
-//!   replaying a mixed feasible/infeasible warm workload, per-op latency
-//!   sampled with `Instant`; throughput plus p50/p99 per worker count.
-//! * *Service end-to-end* (artifact): the same workload submitted through
-//!   [`PlanService`] at 1/4/8/16 workers, latency taken from the
-//!   engine's own `service` stage histogram (submit → ticket resolved).
+//!   to [`prcost::DeviceHandle`]s, the way the pipeline, the sweep and
+//!   `prfpga serve` do, and serves each hit from the scratch's own slots:
+//!   the key, one slot compare and the scratch's counter tally, with no
+//!   lock or refcount on a shared line.
+//! * *Worker scaling* (artifact): 1/4/8/16 `std::thread::scope` workers,
+//!   each planning on its own scratch, replaying a mixed
+//!   feasible/infeasible warm workload, per-op latency sampled with
+//!   `Instant`; throughput plus p50/p99 per worker count.
 //!
 //! The bench binary installs a counting `#[global_allocator]` and asserts
 //! the engine's documented contract that a warm [`Engine::plan_on`] hit
@@ -25,12 +23,11 @@
 
 use criterion::{criterion_group, Criterion};
 use fabric::Device;
-use prcost::{DeviceHandle, Engine, PlanScratch, PlanService, PrrRequirements, ServiceConfig};
+use prcost::{DeviceHandle, Engine, PlanScratch, PrrRequirements};
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 use synth::prm::{AesEngine, FftCore, FirFilter, MipsCore, SdramController, Uart};
 use synth::{PrmGenerator, SynthReport};
@@ -158,7 +155,7 @@ fn bench_warm_hits(c: &mut Criterion) {
     g.finish();
 }
 
-/// Throughput and latency of one replay or service run.
+/// Throughput and latency of one replay run.
 #[derive(Serialize)]
 struct ReplayRow {
     workers: usize,
@@ -178,7 +175,6 @@ struct ServiceBenchArtifact {
     /// Heap allocations observed during those hits — asserted zero.
     alloc_check_allocations: u64,
     scaling: Vec<ReplayRow>,
-    service: Vec<ReplayRow>,
 }
 
 fn percentile_us(sorted: &[f64], q: f64) -> f64 {
@@ -242,50 +238,6 @@ fn replay(
     }
 }
 
-/// Run `ops` warm submissions through a fresh [`PlanService`] with
-/// `workers` planner threads; latency comes from the engine's `service`
-/// stage histogram (submit → ticket resolution, recorded by the worker).
-fn service_row(points: &[(SynthReport, Device)], ops: usize, workers: usize) -> ReplayRow {
-    let engine = Arc::new(warm_sharded(points));
-    let mut service = PlanService::with_engine(
-        Arc::clone(&engine),
-        ServiceConfig {
-            workers,
-            queue_capacity: 256,
-            batch_size: 32,
-        },
-    );
-    let start = Instant::now();
-    let mut tickets = Vec::with_capacity(ops);
-    for i in 0..ops {
-        let (report, device) = &points[i % points.len()];
-        let tenant = if i % 3 == 0 { "alice" } else { "bob" };
-        tickets.push(
-            service
-                .submit(tenant, PrrRequirements::from_report(report), device)
-                .expect("service accepts before shutdown"),
-        );
-    }
-    for ticket in &tickets {
-        black_box(ticket.wait());
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    service.shutdown();
-    let snapshot = engine.snapshot();
-    let stage = snapshot
-        .stages
-        .iter()
-        .find(|s| s.name == "service")
-        .expect("service stage recorded");
-    ReplayRow {
-        workers,
-        ops,
-        plans_per_sec: ops as f64 / elapsed,
-        p50_us: stage.p50_ns as f64 / 1e3,
-        p99_us: stage.p99_ns as f64 / 1e3,
-    }
-}
-
 fn emit_artifact() {
     let points = workload();
     let sharded = warm_sharded(&points);
@@ -323,11 +275,6 @@ fn emit_artifact() {
         .map(|&workers| replay(points.len(), ops, workers, &plan_sharded))
         .collect();
 
-    let service: Vec<ReplayRow> = [1usize, 4, 8, 16]
-        .iter()
-        .map(|&workers| service_row(&points, 8_000, workers))
-        .collect();
-
     let artifact = ServiceBenchArtifact {
         host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         devices: vec![
@@ -338,7 +285,6 @@ fn emit_artifact() {
         alloc_check_hits,
         alloc_check_allocations,
         scaling,
-        service,
     };
 
     println!(
@@ -348,12 +294,6 @@ fn emit_artifact() {
     for row in &artifact.scaling {
         println!(
             "replay x{:2}: {:9.0} pps, p50 {:7.2} us, p99 {:7.2} us",
-            row.workers, row.plans_per_sec, row.p50_us, row.p99_us
-        );
-    }
-    for row in &artifact.service {
-        println!(
-            "service x{:2}: {:9.0} pps, p50 {:7.2} us, p99 {:7.2} us",
             row.workers, row.plans_per_sec, row.p50_us, row.p99_us
         );
     }

@@ -6,7 +6,7 @@
 //! shared by every height and PRM planned on it. [`Engine`] interns both,
 //! plus whole plan results, in concurrent memos designed so that a *warm*
 //! lookup — the overwhelmingly common case in a repeated sweep or a
-//! long-running planning service — takes no lock contention and performs
+//! long-running online planner — takes no lock contention and performs
 //! **zero heap allocation**:
 //!
 //! * **device interner** ([`crate::shard::DeviceTable`]) — each distinct
@@ -38,16 +38,17 @@
 //! comparison. A slot miss probes the shared memo (and a memo miss runs
 //! the search and memoizes it) and refills the slot, so the memo stays the
 //! one source of truth and `plan_on` returns a borrow of the slot's `Arc`.
-//! The pipeline, the sweep and the async planning service
-//! ([`crate::service`]) drive it, each worker with its own scratch. The
-//! `&Device` entry points ([`Engine::plan_arc`], [`Engine::plan`] and
-//! friends) resolve their device through the interner on every call,
-//! then take the same path and clone the `Arc`. Every hit allocates
-//! nothing. Plans are byte-identical to calling
-//! [`synthesize`](PrmGenerator) and [`plan_prr`](crate::plan_prr)
-//! directly (property-tested in the workspace's `engine_props` suite), and
-//! the whole memo state round-trips through a versioned
-//! [`EngineSnapshot`] for persist/reload.
+//! The pipeline, the sweep and `prfpga serve` drive it; threads that plan
+//! concurrently each plan on a scratch of their own. The `&Device` entry
+//! points ([`Engine::plan_arc`], [`Engine::plan`] and friends) resolve
+//! their device through the interner on every call, then take the same
+//! path and clone the `Arc`. Every hit allocates nothing. Plans are
+//! byte-identical to calling [`synthesize`](PrmGenerator) and
+//! [`plan_prr`](crate::plan_prr) directly (property-tested in the
+//! workspace's `engine_props` suite).
+//! The memo persists as a versioned [`EngineSnapshot`] of its devices and
+//! plan keys; import re-plans every key, so a reloaded engine serves what
+//! planning returns, not what a file claims.
 //!
 //! Counter accounting is conserved per cache: every lookup is either a
 //! build or a hit (`geometry_builds + geometry_cache_hits` equals device
@@ -373,17 +374,7 @@ impl Engine {
             scratch.bound().tally.plan_cache_hits.incr();
             return hit;
         }
-        let padded_before = scratch.padded_resolution_count();
-        let probes_before = scratch.window_probe_count();
-        let result = self.metrics.time("plan", || {
-            plan_requirements_cached(req, device.device(), device.geometry(), scratch)
-        });
-        self.metrics
-            .padded_fallbacks
-            .add(scratch.padded_resolution_count() - padded_before);
-        self.metrics
-            .window_probes
-            .add(scratch.window_probe_count() - probes_before);
+        let result = self.search(req, device, scratch);
         // First writer wins: a racing loser computed an identical result
         // (plans are deterministic) and shares the winner's allocation;
         // its plan counts as a hit so builds + hits == plans.
@@ -395,6 +386,29 @@ impl Engine {
             tally.plan_cache_hits.incr();
         }
         stored
+    }
+
+    /// The cached Fig. 1 search for `req` on `device`, timed under the
+    /// `plan` stage, with its padded-fallback and window-probe deltas
+    /// added to the registry.
+    fn search(
+        &self,
+        req: &PrrRequirements,
+        device: &DeviceHandle,
+        scratch: &mut PlanScratch,
+    ) -> Result<PrrPlan, CostError> {
+        let padded_before = scratch.padded_resolution_count();
+        let probes_before = scratch.window_probe_count();
+        let result = self.metrics.time("plan", || {
+            plan_requirements_cached(req, device.device(), device.geometry(), scratch)
+        });
+        self.metrics
+            .padded_fallbacks
+            .add(scratch.padded_resolution_count() - padded_before);
+        self.metrics
+            .window_probes
+            .add(scratch.window_probe_count() - probes_before);
+        result
     }
 
     /// Number of memoized plan points (feasible and infeasible).
@@ -417,10 +431,11 @@ impl Engine {
         snap
     }
 
-    /// Export the engine's memo state as a versioned, deterministic
-    /// snapshot (devices in intern order, records sorted by key). Window
-    /// geometries are not serialized — they are pure functions of the
-    /// devices and are rebuilt on import.
+    /// Export the engine's plan memo as a versioned, deterministic
+    /// snapshot: the interned devices in intern order and the memoized
+    /// plan keys, sorted. Neither plans nor window geometries are
+    /// serialized: both are pure functions of what the snapshot holds,
+    /// and import recomputes them.
     pub fn export_state(&self) -> EngineSnapshot {
         let devices: Vec<Device> = self
             .devices
@@ -428,40 +443,30 @@ impl Engine {
             .iter()
             .map(|e| e.device.clone())
             .collect();
-        let mut synth = Vec::new();
-        self.synth_memo.for_each(|k, v| {
-            synth.push(SynthRecord {
-                fingerprint: k.fingerprint,
-                family: k.family,
-                report: v.clone(),
-            });
-        });
-        synth.sort_by_key(|r| (r.fingerprint, r.family as u8));
         let mut plans = Vec::new();
-        self.plan_memo.for_each(|k, v| {
+        self.plan_memo.for_each(|k, _| {
             plans.push(PlanRecord {
                 device: k.device.index() as u32,
                 family: k.family,
                 req: k.req,
-                result: v.as_ref().clone(),
             });
         });
         plans.sort_by_key(|r| (r.device, r.family as u8, r.req));
         EngineSnapshot {
             version: SNAPSHOT_VERSION,
             devices,
-            synth,
             plans,
         }
     }
 
     /// Rebuild an engine from an exported snapshot: re-intern every
-    /// device (rebuilding its window geometry), then seed the synthesis
-    /// and plan memos with the recorded entries. Lookups against the
-    /// restored engine return byte-identical results to the exporting
-    /// engine's. Restored entries are not replayed plans, so the plan
-    /// counters start at zero; only `geometry_builds` reflects the
-    /// geometry reconstruction work actually done here.
+    /// device (rebuilding its window geometry), then re-plan every
+    /// recorded key with the memo's own cached search and memoize the
+    /// result, `Err` plans included. The restored engine therefore serves
+    /// exactly what planning those keys returns, whatever else a file
+    /// claims. The import serves no plan, so the plan counters start at
+    /// zero; `geometry_builds`, `window_probes` and `padded_fallbacks`
+    /// count the work done here.
     ///
     /// Every device in a snapshot is valid: deserializing a [`Device`]
     /// runs [`Device::new`]'s checks. A device listed twice is rejected,
@@ -474,39 +479,30 @@ impl Engine {
             });
         }
         let engine = Engine::new();
-        let mut ids = Vec::with_capacity(snapshot.devices.len());
+        let mut handles = Vec::with_capacity(snapshot.devices.len());
         for (index, device) in snapshot.devices.iter().enumerate() {
             // Ids are dense in intern order, so a repeat of an earlier
             // device gets that device's smaller id back.
-            let id = engine.intern_device(device).id();
-            if id.index() != index {
+            let handle = engine.intern_device(device);
+            if handle.id.index() != index {
                 return Err(SnapshotError::DuplicateDevice {
                     index,
-                    first: id.index(),
+                    first: handle.id.index(),
                 });
             }
-            ids.push(id);
+            handles.push(handle);
         }
-        for record in &snapshot.synth {
-            engine.synth_memo.insert_or_get(
-                SynthKey {
-                    fingerprint: record.fingerprint,
-                    family: record.family,
-                },
-                record.report.clone(),
-            );
-        }
+        let mut scratch = PlanScratch::default();
         for record in &snapshot.plans {
-            let id =
-                *ids.get(record.device as usize)
-                    .ok_or(SnapshotError::DeviceIndexOutOfRange {
-                        index: record.device,
-                        devices: snapshot.devices.len(),
-                    })?;
-            let key = PlanKey::from_parts(id, record.family, record.req);
-            engine
-                .plan_memo
-                .insert_or_get(key, Arc::new(record.result.clone()));
+            let device = handles.get(record.device as usize).ok_or(
+                SnapshotError::DeviceIndexOutOfRange {
+                    index: record.device,
+                    devices: snapshot.devices.len(),
+                },
+            )?;
+            let key = PlanKey::from_parts(device.id, record.family, record.req);
+            let plan = engine.search(&key.requirements(), device, &mut scratch);
+            engine.plan_memo.insert_or_get(key, Arc::new(plan));
         }
         Ok(engine)
     }
@@ -514,11 +510,11 @@ impl Engine {
 
 /// Version tag of [`EngineSnapshot`]; bump on any layout change so stale
 /// snapshots are rejected instead of misread.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Serializable memo state of an [`Engine`]: interned devices (in
-/// [`DeviceId`] order), synthesis records, and whole-plan records — `Ok`
-/// and `Err` alike. Deterministic for a given memo content (records are
+/// [`DeviceId`] order) and the key of every memoized plan, `Ok` and `Err`
+/// alike. Deterministic for a given memo content (records are
 /// key-sorted), so equal engines export equal snapshots.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineSnapshot {
@@ -526,24 +522,11 @@ pub struct EngineSnapshot {
     pub version: u32,
     /// Interned devices, index == [`DeviceId::index`].
     pub devices: Vec<Device>,
-    /// Synthesis memo entries.
-    pub synth: Vec<SynthRecord>,
-    /// Plan memo entries.
+    /// Plan memo keys.
     pub plans: Vec<PlanRecord>,
 }
 
-/// One synthesis-memo entry of an [`EngineSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SynthRecord {
-    /// Generator fingerprint ([`PrmGenerator::fingerprint`]).
-    pub fingerprint: u64,
-    /// Family synthesized for.
-    pub family: Family,
-    /// The memoized report.
-    pub report: SynthReport,
-}
-
-/// One plan-memo entry of an [`EngineSnapshot`].
+/// One plan-memo key of an [`EngineSnapshot`]; import re-plans it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanRecord {
     /// Index into [`EngineSnapshot::devices`].
@@ -553,8 +536,6 @@ pub struct PlanRecord {
     /// The packed requirement numbers
     /// (`[LUT_FF_req, LUT_req, FF_req, DSP_req, BRAM_req]`).
     pub req: [u64; 5],
-    /// The memoized plan outcome, `Err` plans included.
-    pub result: Result<PrrPlan, CostError>,
 }
 
 /// Why an [`EngineSnapshot`] could not be imported.
@@ -608,6 +589,7 @@ impl std::error::Error for SnapshotError {}
 mod tests {
     use super::*;
     use crate::plan_prr;
+    use crate::search::plan_prr_from_requirements;
     use fabric::database::{xc5vlx110t, xc6vlx75t};
     use synth::{GenericPrm, PaperPrm};
 
@@ -1006,12 +988,14 @@ mod tests {
             engine.plan(&mismatched, &v6)
         );
         let c = restored.snapshot().counters;
-        assert_eq!(c.plan_builds, 0, "restored plans never re-ran the search");
+        assert_eq!(c.plan_builds, 0, "the restored memo served every plan");
         assert_eq!(c.plan_cache_hits, c.plans);
         // Exporting the restored engine reproduces the snapshot exactly.
         assert_eq!(restored.export_state(), state);
     }
 
+    /// A file in the first snapshot layout, which also held synthesis
+    /// reports and each key's plan, still decodes: its version refuses it.
     #[test]
     fn import_rejects_bad_snapshots() {
         let engine = Engine::new();
@@ -1022,12 +1006,77 @@ mod tests {
             Engine::import_state(&state),
             Err(SnapshotError::VersionMismatch { .. })
         ));
+        let json = serde_json::to_string(&engine.export_state()).unwrap();
+        let v1 = json
+            .replace("\"version\":2", "\"version\":1")
+            .replace("\"plans\":[", "\"synth\":[],\"plans\":[");
+        assert_ne!(v1, json);
+        let error = Engine::import_state(&serde_json::from_str(&v1).unwrap()).unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            "engine snapshot version 1 is not supported (this engine reads 2)"
+        );
         let mut state = engine.export_state();
         state.plans[0].device = 99;
         assert!(matches!(
             Engine::import_state(&state),
             Err(SnapshotError::DeviceIndexOutOfRange { index: 99, .. })
         ));
+    }
+
+    /// A snapshot holds plan keys only, and import re-plans each one with
+    /// the memo's search: every restored plan equals direct planning of
+    /// its key. Keys that no request on that device would make import as
+    /// `Err` plans, not a panic: a family that does not match its device,
+    /// and `u64::MAX` requirement numbers.
+    #[test]
+    fn import_replans_every_key_and_errs_on_hostile_keys() {
+        let engine = Engine::new();
+        let (v5, v6) = (xc5vlx110t(), xc6vlx75t());
+        for prm in PaperPrm::ALL {
+            evaluate(&engine, prm.generator().as_ref(), &v5).unwrap();
+            evaluate(&engine, prm.generator().as_ref(), &v6).unwrap();
+        }
+        let mut state = engine.export_state();
+        assert_eq!(state.devices, [v5, v6]);
+        let hostile = [
+            PlanRecord {
+                device: 0,
+                family: Family::Virtex6,
+                req: [96, 72, 72, 1, 1],
+            },
+            PlanRecord {
+                device: 1,
+                family: Family::Virtex6,
+                req: [u64::MAX; 5],
+            },
+        ];
+        state.plans.extend(hostile.clone());
+        let json = serde_json::to_string(&state).unwrap();
+        let restored = Engine::import_state(&serde_json::from_str(&json).unwrap()).unwrap();
+        assert_eq!(restored.plan_memo_len(), state.plans.len());
+        let restored_plan = |record: &PlanRecord| {
+            let id = DeviceId::from_index(record.device as usize);
+            let key = PlanKey::from_parts(id, record.family, record.req);
+            let plan = restored.plan_memo.get(&key).expect("every key is memoized");
+            let direct = plan_prr_from_requirements(
+                &key.requirements(),
+                &state.devices[record.device as usize],
+            );
+            assert_eq!(*plan, direct, "{record:?}");
+            plan
+        };
+        for record in &state.plans {
+            restored_plan(record);
+        }
+        assert!(matches!(
+            *restored_plan(&hostile[0]),
+            Err(CostError::FamilyMismatch { .. })
+        ));
+        assert!(restored_plan(&hostile[1]).is_err());
+        let c = restored.snapshot().counters;
+        assert_eq!((c.plans, c.plan_builds, c.plan_cache_hits), (0, 0, 0));
+        assert_eq!(c.geometry_builds, 2);
     }
 
     /// Devices the bitstream layer cannot address, and a device listed

@@ -51,7 +51,6 @@ pub mod report;
 pub mod requirements;
 pub mod rng;
 pub mod search;
-pub mod service;
 pub mod shard;
 pub mod timing;
 
@@ -68,5 +67,4 @@ pub use rng::Rng;
 pub use search::{
     plan_prr, plan_requirements_cached, Candidate, PlanScratch, PrrPlan, SearchTrace,
 };
-pub use service::{PlanService, ServiceConfig};
 pub use shard::{DeviceId, PlanKey, Sharded};

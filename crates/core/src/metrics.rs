@@ -10,7 +10,7 @@
 //!
 //! A labeled counter is an atomic slot too: its label registers one
 //! shared [`Counter`] on first use, and the registry's lock guards only
-//! the label-to-slot map. A hot path holds the slot
+//! the label-to-slot map. A writer holds the slot
 //! ([`Metrics::labeled_counter`], or a [`GlobalCounter`] in a `static`)
 //! and bumps it with one atomic add, without a lock or a lookup.
 //!
@@ -278,8 +278,9 @@ impl Metrics {
     }
 
     /// The slot of the labeled counter `label`, registered at zero on
-    /// first use. Bumping the handle is one atomic add: no lock, no
-    /// lookup, and the value is the one [`Metrics::labeled`] and the
+    /// first use. Labels follow the `family:name` convention
+    /// (`"layout:allocs"`). Bumping the handle is one atomic add: no lock,
+    /// no lookup, and the value is the one [`Metrics::labeled`] and the
     /// snapshot read.
     pub fn labeled_counter(&self, label: &str) -> Arc<Counter> {
         let mut map = self.labeled.lock();
@@ -289,27 +290,6 @@ impl Metrics {
         let slot = Arc::new(Counter::new());
         map.insert(label.to_string(), Arc::clone(&slot));
         slot
-    }
-
-    /// Add `n` to the labeled counter `label` (created on first use).
-    ///
-    /// Labels follow the `family:name` convention (`"layout:allocs"`).
-    /// This takes the map's lock to find the slot; a per-event path
-    /// should hold the slot instead ([`Metrics::labeled_counter`],
-    /// [`GlobalCounter`]).
-    pub fn add_labeled(&self, label: &str, n: u64) {
-        let mut map = self.labeled.lock();
-        match map.get(label) {
-            Some(slot) => slot.add(n),
-            None => {
-                map.insert(label.to_string(), Arc::new(Counter(AtomicU64::new(n))));
-            }
-        }
-    }
-
-    /// Add one to the labeled counter `label`.
-    pub fn incr_labeled(&self, label: &str) {
-        self.add_labeled(label, 1);
     }
 
     /// Current value of the labeled counter `label` (zero if never hit).
@@ -780,7 +760,7 @@ mod tests {
         let m = Metrics::new();
         m.synth_calls.add(2);
         m.record_stage("synth", Duration::from_nanos(1234));
-        m.add_labeled("layout:allocs", 7);
+        m.labeled_counter("layout:allocs").add(7);
         let snap = m.snapshot();
         let v = snap.to_value();
         let back = MetricsSnapshot::from_value(&v).unwrap();
@@ -790,10 +770,10 @@ mod tests {
     #[test]
     fn labeled_counters_accumulate_and_snapshot_sorted() {
         let m = Metrics::new();
-        m.incr_labeled("layout:releases");
-        m.add_labeled("layout:allocs", 3);
-        m.incr_labeled("layout:allocs");
-        m.incr_labeled("flow:jobs");
+        m.labeled_counter("layout:releases").incr();
+        m.labeled_counter("layout:allocs").add(3);
+        m.labeled_counter("layout:allocs").incr();
+        m.labeled_counter("flow:jobs").incr();
         assert_eq!(m.labeled("layout:allocs"), 4);
         assert_eq!(m.labeled("layout:missing"), 0);
         let snap = m.snapshot();
@@ -803,16 +783,15 @@ mod tests {
         assert_eq!(snap.labeled_value("unknown:x"), 0);
     }
 
-    /// A held slot and the by-name calls read and write one value, and a
-    /// label appears in the snapshot once registered, like one first
-    /// bumped by name.
+    /// A held slot and a later lookup of its label by name write one
+    /// value, which the by-name read and the snapshot see.
     #[test]
     fn labeled_slots_share_values_with_the_by_name_calls() {
         let m = Metrics::new();
         let allocs = m.labeled_counter("layout:allocs");
         assert_eq!(m.labeled("layout:allocs"), 0);
         allocs.incr();
-        m.add_labeled("layout:allocs", 2);
+        m.labeled_counter("layout:allocs").add(2);
         allocs.add(3);
         assert_eq!(m.labeled("layout:allocs"), 6);
         assert_eq!(m.labeled_counter("layout:allocs").get(), 6);
@@ -857,7 +836,7 @@ mod tests {
         // Future producer: unknown label families and extra top-level
         // fields must both be tolerated.
         let m2 = Metrics::new();
-        m2.add_labeled("hologram:emitters", 9);
+        m2.labeled_counter("hologram:emitters").add(9);
         let serde::Value::Object(mut entries) = m2.snapshot().to_value() else {
             panic!("snapshot serializes as an object");
         };

@@ -271,10 +271,10 @@ pub fn plan_prr(report: &SynthReport, device: &Device) -> Result<PrrPlan, CostEr
 /// reused across all heights that produce it. `geometry` must have been
 /// derived from `device`.
 ///
-/// This is the planning primitive under the memoizing engine and the
-/// async planning service: both key their memos on `(requirements,
-/// device)` — a plan is a pure function of exactly these inputs — so on a
-/// miss they plan from the requirements they already hold. Unlike
+/// This is the planning primitive under the memoizing engine, which keys
+/// its memo on `(requirements, device)` — a plan is a pure function of
+/// exactly these inputs — so on a miss, and when a snapshot's keys are
+/// imported, it plans from the requirements it already holds. Unlike
 /// [`plan_prr`], this records no global metrics — the engine owns its
 /// own [`Metrics`] registry and times whole plans around this call.
 pub fn plan_requirements_cached(

@@ -4,8 +4,8 @@
 //! layout), so whole plans memoize perfectly — but a single
 //! `RwLock<HashMap>` memo serializes every writer and, with owned
 //! `String`/`Vec` keys, allocates on every *lookup*, hit or miss. This
-//! module supplies the two pieces that make the memo a concurrent,
-//! allocation-free service substrate:
+//! module supplies the two pieces that make the memo concurrent and
+//! allocation-free:
 //!
 //! * [`DeviceTable`] — interns each distinct device layout once, handing
 //!   back a dense [`DeviceId`] and a shared [`DeviceGeometry`]. The hot
@@ -120,10 +120,10 @@ type HashBucket = Vec<(DeviceId, Arc<DeviceEntry>)>;
 
 /// Device-layout interner: layout → ([`DeviceId`], shared geometry).
 ///
-/// Read-mostly by construction (a sweep or service touches a handful of
-/// devices and millions of plans), so one `RwLock` per map is enough —
-/// a plan on a `&Device` takes a single uncontended read lock here, a
-/// plan on a resolved [`crate::DeviceHandle`] none, and all real
+/// Read-mostly by construction (a sweep or a request stream touches a
+/// handful of devices and millions of plans), so one `RwLock` per map is
+/// enough — a plan on a `&Device` takes a single uncontended read lock
+/// here, a plan on a resolved [`crate::DeviceHandle`] none, and all real
 /// concurrency lands on the [`Sharded`] plan memo.
 #[derive(Debug, Default)]
 pub struct DeviceTable {

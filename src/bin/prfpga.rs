@@ -6,8 +6,11 @@
 //! prfpga bitstream <device> (--syr <file> | --prm <name>) [-o <out.bin>]
 //! prfpga dump <bitstream.bin>
 //! prfpga floorplan <device> --prms fir,mips,sdram
+//! prfpga simulate <device> --trace <file> [--prrs N] [--clb C --dsp D --bram B --height H] [--preemptive]
 //! prfpga sweep [--json <file>] [--metrics <file>]
 //! prfpga defrag [--device <name>] [--seed S] [--tasks N] [--policy <p>] [--depth N] [--proactive] [--json <file>]
+//! prfpga serve [--requests R] [--tenants T] [--state <file>] [--metrics <file>]
+//! prfpga bench-service [--requests R]
 //! prfpga bench-pipeline [--tasks N] [--device <name>] [--workers W|W1,W2,...] [--json <file>] [--metrics <file>]
 //! prfpga sched-ablate [--seed S] [--tasks N] [--horizon-ms H] [--admission-sets K] [--slack F] [--json <file>]
 //! ```
@@ -19,46 +22,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(result) = run(&args) else {
-        eprintln!(
-            "usage: prfpga <devices|plan|bitstream|dump|floorplan|sweep|defrag> ...\n\
-             \n\
-             devices                                    list the device database\n\
-             plan <device> --syr <file>                 plan a PRR from an XST report\n\
-             plan <device> --prm <fir|mips|sdram>       plan for a paper PRM\n\
-             bitstream <device> --prm <name> [-o FILE]  also generate the partial bitstream\n\
-             dump <file>                                parse + summarize a bitstream file\n\
-             floorplan <device> --prms a,b,c            jointly place one PRR per PRM\n\
-             simulate <device> --trace FILE [--prrs N]  replay a task trace\n\
-                      [--clb C --dsp D --bram B --height H] [--preemptive]\n\
-             sweep [--json FILE] [--metrics FILE]       evaluate every PRM on every device\n\
-             defrag [--device NAME] [--seed S] [--tasks N] [--modules M] [--scale K]\n\
-                    [--policy never|threshold|always] [--threshold R] [--depth 0..4]\n\
-                    [--interarrival NS] [--exec NS] [--proactive] [--json FILE]\n\
-                                                        dynamic layout sim, defrag vs baseline;\n\
-                                                        --depth N plans multi-move sequences,\n\
-                                                        --proactive repairs in ICAP idle windows\n\
-             serve [--workers N] [--requests R] [--tenants T] [--modules M] [--seed S]\n\
-                   [--scale K] [--state FILE] [--metrics FILE]\n\
-                                                        run a request stream through the async\n\
-                                                        planning service (snapshot warm starts)\n\
-             bench-service [--requests R]               warm-hit replay throughput of the\n\
-                                                        engine's device-handle path\n\
-             bench-pipeline [--tasks N] [--device NAME] [--chunk C] [--modules M]\n\
-                            [--workers W|W1,W2,...] [--queue-depth Q] [--seed S]\n\
-                            [--json FILE] [--metrics FILE]\n\
-                                                        stream N tasks through synth -> plan ->\n\
-                                                        place -> bitstream -> simulate; a comma\n\
-                                                        list of workers sweeps the scaling table;\n\
-                                                        writes results/BENCH_pipeline.json\n\
-             sched-ablate [--seed S] [--tasks N] [--horizon-ms H]\n\
-                          [--admission-sets K] [--slack F] [--json FILE]\n\
-                                                        first-fit and reuse-aware x workload\n\
-                                                        classes, defrag policies and admission\n\
-                                                        tests on a mixed PRR pool; writes\n\
-                                                        results/BENCH_sched.json\n\
-             \n\
-             A flag a subcommand does not list is an error."
-        );
+        eprintln!("{}", usage());
         return ExitCode::from(2);
     };
     match result {
@@ -69,6 +33,51 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// The usage text: a header listing every subcommand in [`COMMANDS`],
+/// then one entry per subcommand.
+fn usage() -> String {
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    format!("usage: prfpga <{}> ...\n{USAGE_ENTRIES}", names.join("|"))
+}
+
+const USAGE_ENTRIES: &str = "
+  devices                                    list the device database
+  plan <device> --syr <file>                 plan a PRR from an XST report
+  plan <device> --prm <fir|mips|sdram>       plan for a paper PRM
+  bitstream <device> --prm <name> [-o FILE]  also generate the partial bitstream
+  dump <file>                                parse + summarize a bitstream file
+  floorplan <device> --prms a,b,c            jointly place one PRR per PRM
+  simulate <device> --trace FILE [--prrs N]  replay a task trace
+           [--clb C --dsp D --bram B --height H] [--preemptive]
+  sweep [--json FILE] [--metrics FILE]       evaluate every PRM on every device
+  defrag [--device NAME] [--seed S] [--tasks N] [--modules M] [--scale K]
+         [--policy never|threshold|always] [--threshold R] [--depth 0..4]
+         [--interarrival NS] [--exec NS] [--proactive] [--json FILE]
+                                             dynamic layout sim, defrag vs baseline;
+                                             --depth N plans multi-move sequences,
+                                             --proactive repairs in ICAP idle windows
+  serve [--requests R] [--tenants T] [--modules M] [--seed S] [--scale K]
+        [--state FILE] [--metrics FILE]
+                                             plan a multi-tenant request stream on
+                                             this thread (snapshot warm starts)
+  bench-service [--requests R]               warm-hit replay throughput of the
+                                             engine's device-handle path
+  bench-pipeline [--tasks N] [--device NAME] [--chunk C] [--modules M]
+                 [--workers W|W1,W2,...] [--queue-depth Q] [--seed S]
+                 [--json FILE] [--metrics FILE]
+                                             stream N tasks through synth -> plan ->
+                                             place -> bitstream -> simulate; a comma
+                                             list of workers sweeps the scaling table;
+                                             writes results/BENCH_pipeline.json
+  sched-ablate [--seed S] [--tasks N] [--horizon-ms H]
+               [--admission-sets K] [--slack F] [--json FILE]
+                                             first-fit and reuse-aware x workload
+                                             classes, defrag policies and admission
+                                             tests on a mixed PRR pool; writes
+                                             results/BENCH_sched.json
+
+A flag a subcommand does not list is an error.";
 
 /// Parse `args` against the subcommand its first element names, then run
 /// it; `None` when it names no subcommand.
@@ -164,7 +173,6 @@ const COMMANDS: &[Command] = &[
         name: "serve",
         positional: &[],
         valued: &[
-            "--workers",
             "--requests",
             "--tenants",
             "--modules",
@@ -679,13 +687,12 @@ fn cmd_simulate(args: &Args) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// Run a synthetic multi-tenant request stream through the async
-/// planning service. With `--state FILE`, the engine warm-starts from a
-/// persisted memo snapshot (if the file exists) and persists its final
-/// state back — a second run answers everything from the reloaded memo.
+/// Plan a synthetic multi-tenant request stream on this thread, against
+/// the database devices resolved once. With `--state FILE`, the engine
+/// warm-starts from a persisted memo snapshot (if the file exists; import
+/// re-plans its keys) and persists its final state back — a second run
+/// serves every plan from the reloaded memo.
 fn cmd_serve(args: &Args) -> Result<(), AnyError> {
-    use prcost::{PlanService, ServiceConfig};
-    use std::sync::Arc;
     use synth::GenericPrm;
 
     let num = |name: &str, default: u64| -> Result<u64, AnyError> {
@@ -695,7 +702,6 @@ fn cmd_serve(args: &Args) -> Result<(), AnyError> {
             .map_err(|e| format!("bad {name}: {e}").into())
             .map(|v| v.unwrap_or(default))
     };
-    let workers = num("--workers", 4)? as usize;
     let requests = num("--requests", 5_000)? as usize;
     let tenants = num("--tenants", 3)?.max(1) as usize;
     let modules = num("--modules", 12)?.max(1);
@@ -716,44 +722,38 @@ fn cmd_serve(args: &Args) -> Result<(), AnyError> {
         }
         _ => Engine::new(),
     };
-    let engine = Arc::new(engine);
-    let mut service = PlanService::with_engine(
-        Arc::clone(&engine),
-        ServiceConfig {
-            workers,
-            ..ServiceConfig::default()
-        },
-    );
 
-    let devices = fabric::all_devices();
+    let devices: Vec<prcost::DeviceHandle> = fabric::all_devices()
+        .iter()
+        .map(|device| engine.intern_device(device))
+        .collect();
     let tenant_names: Vec<String> = (0..tenants).map(|t| format!("tenant{t}")).collect();
+    let mut tenant_plans = vec![0u64; tenants];
+    let mut scratch = PlanScratch::default();
+    let mut feasible = 0usize;
     let start = std::time::Instant::now();
-    let mut tickets = Vec::with_capacity(requests);
     for i in 0..requests {
         let device = &devices[i % devices.len()];
         let module = seed + (i as u64 % modules);
-        let report = GenericPrm::random(module, scale).synthesize(device.family());
-        let ticket = service.submit(
-            &tenant_names[i % tenants],
-            PrrRequirements::from_report(&report),
-            device,
-        )?;
-        tickets.push(ticket);
-    }
-    let mut feasible = 0usize;
-    for ticket in &tickets {
-        if ticket.wait().is_ok() {
+        let report = GenericPrm::random(module, scale).synthesize(device.device().family());
+        let req = PrrRequirements::from_report(&report);
+        if engine.plan_on(&req, device, &mut scratch).is_ok() {
             feasible += 1;
         }
+        tenant_plans[i % tenants] += 1;
     }
     let elapsed = start.elapsed();
-    service.shutdown();
+    for (tenant, plans) in tenant_names.iter().zip(tenant_plans) {
+        engine
+            .metrics()
+            .labeled_counter(&format!("tenant:{tenant}"))
+            .add(plans);
+    }
 
     let snapshot = engine.snapshot();
     let c = &snapshot.counters;
     println!(
-        "{requests} requests ({feasible} feasible) through {workers} workers in {elapsed:.1?} \
-         — {:.0} plans/s",
+        "{requests} requests ({feasible} feasible) in {elapsed:.1?} — {:.0} plans/s",
         requests as f64 / elapsed.as_secs_f64()
     );
     let pct =
@@ -766,14 +766,6 @@ fn cmd_serve(args: &Args) -> Result<(), AnyError> {
         pct(c.geometry_hit_rate()),
         c.geometry_builds,
     );
-    if let Some(stage) = snapshot.stages.iter().find(|s| s.name == "service") {
-        println!(
-            "service latency (submit -> resolved): p50 {:.1} us, p90 {:.1} us, p99 {:.1} us",
-            stage.p50_ns as f64 / 1e3,
-            stage.p90_ns as f64 / 1e3,
-            stage.p99_ns as f64 / 1e3,
-        );
-    }
     for tenant in &tenant_names {
         println!(
             "  {tenant}: {} plans",
@@ -1138,6 +1130,28 @@ mod tests {
         let message = outcome.expect_err("--jsn is not a sweep flag").to_string();
         assert!(message.contains("`--jsn`"), "{message}");
         assert!(message.contains("--json, --metrics"), "{message}");
+    }
+
+    /// The usage header lists every subcommand, and each has an entry.
+    #[test]
+    fn usage_names_every_subcommand() {
+        let text = usage();
+        let header = text.lines().next().unwrap();
+        let listed: Vec<&str> = header
+            .split(['<', '>'])
+            .nth(1)
+            .unwrap()
+            .split('|')
+            .collect();
+        for command in COMMANDS {
+            assert!(
+                listed.contains(&command.name),
+                "`{}`: {header}",
+                command.name
+            );
+            let entry = format!("\n  {} ", command.name);
+            assert!(text.contains(&entry), "`{}` has no entry", command.name);
+        }
     }
 
     /// Parsing fails before a subcommand runs, so every one refuses a

@@ -1,12 +1,14 @@
 //! Property tests for the batch planning engine: planning through the
 //! memoized [`Engine`] must be indistinguishable — byte for byte — from
 //! synthesizing and planning directly, for any subset of generators and
-//! devices in any order, and the engine's metrics must stay consistent
-//! when it is driven from many threads at once.
+//! devices in any order; an engine's exported memo state must survive a
+//! JSON persist → reload round trip; and the engine's metrics must stay
+//! consistent when it is driven from many threads at once.
 
 use prfpga::prelude::*;
 use proptest::prelude::*;
 use synth::prm::{AesEngine, FftCore, FirFilter, MipsCore, SdramController, Uart};
+use synth::GenericPrm;
 
 fn generator(index: usize) -> Box<dyn PrmGenerator + Sync> {
     match index % 6 {
@@ -84,6 +86,62 @@ proptest! {
                 prop_assert_eq!(a, b);
             }
         }
+    }
+}
+
+/// [`generator`]'s mix plus two oversized generics whose requirements
+/// exceed every device, so their plans memoize as `Err`.
+fn generator_or_oversized(index: usize) -> Box<dyn PrmGenerator + Sync> {
+    match index % 8 {
+        6 => Box::new(GenericPrm::random(997, 400_000)),
+        7 => Box::new(GenericPrm::random(499, 900_000)),
+        feasible => generator(feasible),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Persist → reload round trip: an engine's exported memo state — its
+    /// devices and the keys of its plans, `Ok` and `Err` alike — survives
+    /// JSON serialization exactly. The restored engine, which re-planned
+    /// every key on import, re-exports the identical snapshot, serves
+    /// every original point from its memo without a build, and its
+    /// answers equal the originals.
+    #[test]
+    fn snapshot_persist_reload_round_trips(
+        picks in proptest::collection::vec((0usize..8, 0usize..13), 1..20),
+    ) {
+        let devices = fabric::all_devices();
+        let engine = Engine::new();
+        let mut points = Vec::new();
+        for &(g, d) in &picks {
+            let device = &devices[d % devices.len()];
+            let gen = generator_or_oversized(g);
+            let report = engine.synthesize(gen.as_ref(), device.family());
+            let result = engine.plan(&report, device);
+            points.push((report, device.clone(), result));
+        }
+
+        let exported = engine.export_state();
+        let json = serde_json::to_string(&exported).expect("snapshot serializes");
+        let decoded: prcost::EngineSnapshot =
+            serde_json::from_str(&json).expect("snapshot deserializes");
+        let restored = Engine::import_state(&decoded).expect("snapshot imports");
+
+        // Byte-identical re-export (same devices, same sorted records).
+        let reexported = restored.export_state();
+        let rejson = serde_json::to_string(&reexported).expect("re-export serializes");
+        prop_assert_eq!(&json, &rejson);
+
+        // Every original point is served from the restored memo.
+        for (report, device, expect) in &points {
+            let got = restored.plan(report, device);
+            prop_assert_eq!(&got, expect);
+        }
+        let c = restored.snapshot().counters;
+        prop_assert_eq!(c.plan_builds, 0, "the restored memo served every plan");
+        prop_assert_eq!(c.plan_cache_hits, points.len() as u64);
     }
 }
 
