@@ -4,8 +4,8 @@
 //! seed's bitwise loop (the `bitstream::crc::baseline` oracle), the
 //! portable polynomial folding kernel (`crc_words_folded`, four
 //! independent lanes per 512-byte super-block), and whichever of the
-//! SIMD kernels this host compiles and detects (`crc32q` hardware
-//! CRC, PCLMULQDQ carryless folding) — so `BENCH_crc.json` carries
+//! SIMD kernels this host compiles and detects (PCLMULQDQ carryless
+//! folding on x86_64, the `crc32cx` hardware CRC on aarch64) — so `BENCH_crc.json` carries
 //! mutually consistent throughputs. The SIMD kernels' bar is ≥2× over
 //! the portable fold (on hardware that has them). Payload fill
 //! (portable and AVX2 splitmix) is measured the same way, as is the
@@ -159,14 +159,15 @@ struct CrcBenchArtifact {
     crc_dispatch: String,
     /// Payload-fill path `Dispatch::detect` picked on this host.
     fill_dispatch: String,
-    /// `crc32q` hardware kernel (None when the host lacks SSE4.2/crc).
+    /// ARMv8 `crc32cx` hardware kernel (None on x86_64, and on aarch64
+    /// without the crc feature).
     hw_crc_min_ms: Option<f64>,
     hw_crc_mwords_per_sec: Option<f64>,
     /// PCLMULQDQ folding kernel (None off x86_64 or without pclmulqdq).
     clmul_min_ms: Option<f64>,
     clmul_mwords_per_sec: Option<f64>,
-    /// Best SIMD CRC kernel over the portable fold (the PR-8 acceptance
-    /// bar: ≥2 on SSE4.2 hardware). None when no SIMD kernel is present.
+    /// Best SIMD CRC kernel over the portable fold (acceptance bar: ≥2
+    /// where a SIMD kernel runs). None when no SIMD kernel is present.
     simd_crc_speedup: Option<f64>,
     /// Whatever `crc_words` dispatches to, timed through the public API.
     dispatched_min_ms: f64,

@@ -1,9 +1,8 @@
-//! Criterion bench: automatic multi-PRR floorplanning and the
-//! configuration-memory load path.
+//! Criterion bench: automatic multi-PRR floorplanning of the three paper
+//! PRMs on the LX110T. (Parsing a configuration stream is timed by
+//! `bitstream_io`.)
 
-use bitstream::cm::load_bitstream;
-use bitstream::writer::{generate, BitstreamSpec};
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion};
 use fabric::database::xc5vlx110t;
 use parflow::autofloorplan::{auto_floorplan, PrrSpec};
 use std::hint::black_box;
@@ -20,19 +19,5 @@ fn bench_autofloorplan(c: &mut Criterion) {
     });
 }
 
-fn bench_cm_load(c: &mut Criterion) {
-    let device = xc5vlx110t();
-    let plan = prcost::plan_prr(&PaperPrm::Mips.synth_report(device.family()), &device).unwrap();
-    let spec =
-        BitstreamSpec::from_plan(device.name(), "mips_r3000", plan.organization, &plan.window);
-    let bs = generate(&spec).unwrap();
-    let mut g = c.benchmark_group("config_port");
-    g.throughput(Throughput::Bytes(bs.len_bytes()));
-    g.bench_function("load_mips_v5", |b| {
-        b.iter(|| load_bitstream(device.params().frames, black_box(&bs.words)).unwrap())
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_autofloorplan, bench_cm_load);
+criterion_group!(benches, bench_autofloorplan);
 criterion_main!(benches);

@@ -12,7 +12,10 @@
 //! * *Worker scaling* (artifact): 1/4/8/16 `std::thread::scope` workers,
 //!   each planning on its own scratch, replaying a mixed
 //!   feasible/infeasible warm workload, per-op latency sampled with
-//!   `Instant`; throughput plus p50/p99 per worker count.
+//!   `Instant`; throughput plus p50/p99 per worker count. Each row
+//!   replays [`REPLAY_OPS`] hits (about 0.3–0.5 s on a 2-vCPU host) and
+//!   records the median of [`REPEATS`] replays, so one preemption cannot
+//!   halve it.
 //!
 //! The bench binary installs a counting `#[global_allocator]` and asserts
 //! the engine's documented contract that a warm [`Engine::plan_on`] hit
@@ -155,14 +158,19 @@ fn bench_warm_hits(c: &mut Criterion) {
     g.finish();
 }
 
-/// Throughput and latency of one replay run.
+/// Throughput and latency of one worker count: the median of
+/// [`REPEATS`] replays by throughput.
 #[derive(Serialize)]
 struct ReplayRow {
     workers: usize,
     ops: usize,
+    /// Wall time of the median replay.
+    seconds: f64,
     plans_per_sec: f64,
     p50_us: f64,
     p99_us: f64,
+    /// Every replay's throughput, in run order.
+    repeat_plans_per_sec: Vec<f64>,
 }
 
 #[derive(Serialize)]
@@ -185,37 +193,48 @@ fn percentile_us(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Every `LATENCY_SAMPLE`-th replay op is individually timed for the
-/// percentile figures; the rest run back to back so the throughput number
-/// is not dominated by clock reads (`Instant::now` costs a measurable
-/// fraction of a warm hit on this scale).
-const LATENCY_SAMPLE: usize = 8;
+/// Warm hits replayed per scaling row.
+const REPLAY_OPS: usize = 8_000_000;
+/// Replays per scaling row; the row records the median.
+const REPEATS: usize = 3;
+/// At most this many ops per replay (plus one per worker) are
+/// individually timed for the percentiles, evenly spaced; the rest run
+/// back to back so the throughput number is not dominated by clock
+/// reads (`Instant::now` costs a measurable fraction of a warm hit).
+const LATENCY_SAMPLES: usize = 1 << 16;
 
-/// Replay `ops` warm points across `workers` threads; `plan_one` plans
-/// the point at an index. Returns throughput and sampled latency
-/// percentiles.
+/// Replay [`REPLAY_OPS`] warm points, in order and round robin over
+/// `points`, across `workers` threads; `plan_one` plans the point at an
+/// index. Returns throughput and sampled latency percentiles.
 fn replay(
     points: usize,
-    ops: usize,
     workers: usize,
     plan_one: &(dyn Fn(usize, &mut PlanScratch) + Sync),
 ) -> ReplayRow {
-    let indices: Vec<usize> = (0..ops).map(|i| i % points).collect();
+    let ops = REPLAY_OPS;
+    let per_worker = ops.div_ceil(workers);
+    let stride = ops.div_ceil(LATENCY_SAMPLES);
     let start = Instant::now();
     let mut latencies: Vec<f64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = indices
-            .chunks(ops.div_ceil(workers))
-            .map(|chunk| {
+        let handles: Vec<_> = (0..ops)
+            .step_by(per_worker)
+            .map(|first| {
+                let len = per_worker.min(ops - first);
                 scope.spawn(move || {
                     let mut scratch = PlanScratch::default();
-                    let mut lat = Vec::with_capacity(chunk.len() / LATENCY_SAMPLE + 1);
-                    for (n, &i) in chunk.iter().enumerate() {
-                        if n % LATENCY_SAMPLE == 0 {
+                    let mut lat = Vec::with_capacity(len.div_ceil(stride));
+                    let mut point = first % points;
+                    for n in 0..len {
+                        if n % stride == 0 {
                             let t = Instant::now();
-                            plan_one(i, &mut scratch);
+                            plan_one(point, &mut scratch);
                             lat.push(t.elapsed().as_secs_f64() * 1e6);
                         } else {
-                            plan_one(i, &mut scratch);
+                            plan_one(point, &mut scratch);
+                        }
+                        point += 1;
+                        if point == points {
+                            point = 0;
                         }
                     }
                     lat
@@ -227,15 +246,34 @@ fn replay(
             .flat_map(|h| h.join().expect("replay worker panicked"))
             .collect()
     });
-    let elapsed = start.elapsed().as_secs_f64();
+    let seconds = start.elapsed().as_secs_f64();
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("latency is finite"));
     ReplayRow {
         workers,
         ops,
-        plans_per_sec: ops as f64 / elapsed,
+        seconds,
+        plans_per_sec: ops as f64 / seconds,
         p50_us: percentile_us(&latencies, 0.50),
         p99_us: percentile_us(&latencies, 0.99),
+        repeat_plans_per_sec: Vec::new(),
     }
+}
+
+/// [`REPEATS`] replays at one worker count; the median one, with every
+/// replay's throughput.
+fn median_replay(
+    points: usize,
+    workers: usize,
+    plan_one: &(dyn Fn(usize, &mut PlanScratch) + Sync),
+) -> ReplayRow {
+    let mut runs: Vec<ReplayRow> = (0..REPEATS)
+        .map(|_| replay(points, workers, plan_one))
+        .collect();
+    let throughputs = runs.iter().map(|r| r.plans_per_sec).collect();
+    runs.sort_by(|a, b| a.plans_per_sec.total_cmp(&b.plans_per_sec));
+    let mut median = runs.swap_remove(REPEATS / 2);
+    median.repeat_plans_per_sec = throughputs;
+    median
 }
 
 fn emit_artifact() {
@@ -265,14 +303,13 @@ fn emit_artifact() {
          over {alloc_check_hits} hits)"
     );
 
-    let ops = 40_000usize;
     let plan_sharded = |i: usize, scratch: &mut PlanScratch| {
         let (req, device) = &resolved[i];
         black_box(sharded.plan_on(req, device, scratch));
     };
     let scaling: Vec<ReplayRow> = [1usize, 4, 8, 16]
         .iter()
-        .map(|&workers| replay(points.len(), ops, workers, &plan_sharded))
+        .map(|&workers| median_replay(points.len(), workers, &plan_sharded))
         .collect();
 
     let artifact = ServiceBenchArtifact {
@@ -293,8 +330,8 @@ fn emit_artifact() {
     );
     for row in &artifact.scaling {
         println!(
-            "replay x{:2}: {:9.0} pps, p50 {:7.2} us, p99 {:7.2} us",
-            row.workers, row.plans_per_sec, row.p50_us, row.p99_us
+            "replay x{:2}: {:9.0} pps (median of {REPEATS}, {:.2} s), p50 {:7.2} us, p99 {:7.2} us",
+            row.workers, row.plans_per_sec, row.seconds, row.p50_us, row.p99_us
         );
     }
     bench::write_json("BENCH_service", &artifact);

@@ -3,11 +3,10 @@
 //! reconfiguration time but *preemption latency*, and what urgent-task
 //! responsiveness costs in total throughput.
 
-use bitstream::readback::context_cost;
 use bitstream::IcapModel;
 use fabric::{device_by_name, Family, Resources};
 use multitask::{simulate_preemptive, HwTask, ModuleTable, PrSystem, Workload};
-use prcost::PrrOrganization;
+use prcost::{context_breakdown, PrrOrganization};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -72,19 +71,21 @@ fn main() {
         let Ok(sys) = PrSystem::homogeneous(&device, org, 2, IcapModel::V5_DMA) else {
             continue;
         };
-        let ctx = context_cost(&org);
+        let ctx = context_breakdown(&org);
+        let save_us = IcapModel::V5_DMA
+            .transfer_time(ctx.save_bytes())
+            .as_secs_f64()
+            * 1e6;
+        let restore_us = IcapModel::V5_DMA
+            .transfer_time(ctx.restore_bytes())
+            .as_secs_f64()
+            * 1e6;
         let r = simulate_preemptive(&sys, &tasks);
         let us = |ns: u64| ns as f64 / 1e3;
         rows.push(vec![
             label.to_string(),
-            format!(
-                "{:.1}",
-                ctx.save_time(&IcapModel::V5_DMA).as_secs_f64() * 1e6
-            ),
-            format!(
-                "{:.1}",
-                ctx.restore_time(&IcapModel::V5_DMA).as_secs_f64() * 1e6
-            ),
+            format!("{save_us:.1}"),
+            format!("{restore_us:.1}"),
             r.preemptions.to_string(),
             format!("{:.1}", us(r.urgent_mean_response_ns)),
             format!("{:.3}", r.makespan_ns as f64 / 1e6),
@@ -92,8 +93,8 @@ fn main() {
         ]);
         json.push(Row {
             sizing: label.into(),
-            save_us: ctx.save_time(&IcapModel::V5_DMA).as_secs_f64() * 1e6,
-            restore_us: ctx.restore_time(&IcapModel::V5_DMA).as_secs_f64() * 1e6,
+            save_us,
+            restore_us,
             preemptions: r.preemptions,
             urgent_response_us: us(r.urgent_mean_response_ns),
             makespan_ms: r.makespan_ns as f64 / 1e6,

@@ -9,13 +9,14 @@
 //!
 //! | path | x86_64 | aarch64 |
 //! |------|--------|---------|
-//! | CRC  | PCLMULQDQ 4×128-bit fold → SSE4.2 `crc32q` reduction, or the SSE4.2 `crc32q` four-lane kernel | ARMv8 `crc32cx` four-lane kernel |
+//! | CRC  | PCLMULQDQ 4×128-bit fold → SSE4.2 `crc32q` reduction | ARMv8 `crc32cx` four-lane kernel |
 //! | fill | AVX-512DQ 16-lane splitmix fused with the VPCLMULQDQ fold (emission only); AVX2 8-lane splitmix; portable | portable (autovectorized) |
 //!
 //! The CRC-32C (Castagnoli) polynomial is natively supported by the x86
 //! `crc32` instruction family and the ARMv8 `crc32c*` instructions, so
 //! the hardware paths compute the *identical* checksum, not an
-//! approximation. The carryless-multiply kernels derive their fold
+//! approximation. An x86 CPU without PCLMULQDQ runs the portable kernel.
+//! The carryless-multiply kernels derive their fold
 //! constants at compile time from the same `advance` algebra the
 //! portable folded kernel is built on (see `crc::clmul_fold_const`).
 //!
@@ -68,8 +69,8 @@ pub enum CrcPath {
     /// Carryless-multiply folding (x86 PCLMULQDQ) with a hardware-CRC
     /// reduction and tail.
     Clmul,
-    /// Hardware CRC-32C instructions (x86 SSE4.2 `crc32q` / ARMv8
-    /// `crc32cx`), four-lane folded.
+    /// Hardware CRC-32C instructions (ARMv8 `crc32cx`), four-lane
+    /// folded.
     HwCrc,
     /// The portable folded / slice-16 kernel.
     Portable,
@@ -146,11 +147,10 @@ impl Dispatch {
 
 #[cfg(target_arch = "x86_64")]
 fn detect_native() -> Dispatch {
-    let sse42 = std::arch::is_x86_feature_detected!("sse4.2");
-    let crc = if sse42 && std::arch::is_x86_feature_detected!("pclmulqdq") {
+    let crc = if std::arch::is_x86_feature_detected!("sse4.2")
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+    {
         CrcPath::Clmul
-    } else if sse42 {
-        CrcPath::HwCrc
     } else {
         CrcPath::Portable
     };
@@ -226,7 +226,7 @@ fn build_kernels(dispatch: Dispatch) -> Kernels {
     let crc: fn(u32, &[u32]) -> u32 = match dispatch.crc {
         #[cfg(target_arch = "x86_64")]
         CrcPath::Clmul => crc_clmul_kernel,
-        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+        #[cfg(target_arch = "aarch64")]
         CrcPath::HwCrc => crc_hw_kernel,
         _ => crc_portable_kernel,
     };
@@ -288,17 +288,6 @@ fn fill_crc_two_pass(seed: u64, out: &mut [u32], state: u32) -> u32 {
 }
 
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)] // SAFETY: kernel entered only after verifying SSE4.2.
-fn crc_hw_kernel(state: u32, words: &[u32]) -> u32 {
-    if std::arch::is_x86_feature_detected!("sse4.2") {
-        // SAFETY: `crc_update_hw` requires SSE4.2, verified just above.
-        unsafe { x86::crc_update_hw(state, words) }
-    } else {
-        crate::crc::update_portable(state, words)
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)] // SAFETY: kernel entered only after verifying PCLMULQDQ+SSE4.2.
 fn crc_clmul_kernel(state: u32, words: &[u32]) -> u32 {
     if std::arch::is_x86_feature_detected!("pclmulqdq")
@@ -355,15 +344,11 @@ fn crc_hw_kernel(state: u32, words: &[u32]) -> u32 {
 // return `None` / `false` when the host CPU (or target arch) lacks the
 // kernel, so callers can probe without cfg ladders of their own.
 
-/// Checksum a word slice with the hardware-CRC kernel, if this CPU has
-/// one (`Some(crc)`), or `None` otherwise.
-#[allow(unsafe_code)] // SAFETY: each arm verifies its feature before the unsafe call.
+/// Checksum a word slice with the ARMv8 hardware-CRC kernel, if this
+/// CPU has one (`Some(crc)`), or `None` otherwise (always on x86_64,
+/// whose hardware CRC path is [`crc_words_clmul`]).
+#[allow(unsafe_code)] // SAFETY: the arm verifies its feature before the unsafe call.
 pub fn crc_words_hw(words: &[u32]) -> Option<u32> {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("sse4.2") {
-        // SAFETY: SSE4.2 verified just above.
-        return Some(!unsafe { x86::crc_update_hw(0xFFFF_FFFF, words) });
-    }
     #[cfg(target_arch = "aarch64")]
     if std::arch::is_aarch64_feature_detected!("crc") {
         // SAFETY: the ARMv8 crc feature verified just above.
@@ -443,7 +428,7 @@ mod x86 {
     #![allow(unsafe_code)]
     #![deny(unsafe_op_in_unsafe_fn)]
 
-    use crate::crc::{advance, clmul_fold_const, ADVANCE, LANE_WORDS, SUPER_WORDS};
+    use crate::crc::clmul_fold_const;
     use crate::writer::{fill_payload_portable, GAMMA};
     use core::arch::x86_64::{
         __m128i, __m256i, __m512i, _mm256_add_epi64, _mm256_loadu_si256, _mm256_mul_epu32,
@@ -480,7 +465,7 @@ mod x86 {
     }
 
     /// Single-chain `crc32q`/`crc32l` update for inputs shorter than the
-    /// folding kernels' block sizes (and for their tails).
+    /// folding kernel's block size (and for its tail).
     ///
     /// # Safety
     /// CPU must support SSE4.2.
@@ -496,41 +481,6 @@ mod x86 {
             st = _mm_crc32_u32(st, w.swap_bytes());
         }
         st
-    }
-
-    /// Four-lane hardware CRC-32C kernel: the same super-block / lane
-    /// structure as the portable folded kernel (four independent 128-byte
-    /// lane chains per 512-byte super-block, recombined through the
-    /// shared `ADVANCE` operators), with each lane chain advanced by the
-    /// 8-bytes-per-instruction `crc32q` instead of table lookups. The
-    /// four lanes hide the instruction's 3-cycle latency.
-    ///
-    /// # Safety
-    /// CPU must support SSE4.2.
-    #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn crc_update_hw(mut state: u32, words: &[u32]) -> u32 {
-        let mut blocks = words.chunks_exact(SUPER_WORDS);
-        for block in &mut blocks {
-            let (a, rest) = block.split_at(LANE_WORDS);
-            let (b, rest) = rest.split_at(LANE_WORDS);
-            let (c, d) = rest.split_at(LANE_WORDS);
-            let mut s0 = u64::from(state);
-            let (mut s1, mut s2, mut s3) = (0u64, 0u64, 0u64);
-            let mut i = 0;
-            while i < LANE_WORDS {
-                s0 = _mm_crc32_u64(s0, stream_u64(a, i));
-                s1 = _mm_crc32_u64(s1, stream_u64(b, i));
-                s2 = _mm_crc32_u64(s2, stream_u64(c, i));
-                s3 = _mm_crc32_u64(s3, stream_u64(d, i));
-                i += 2;
-            }
-            state = advance(&ADVANCE[2], s0 as u32)
-                ^ advance(&ADVANCE[1], s1 as u32)
-                ^ advance(&ADVANCE[0], s2 as u32)
-                ^ s3 as u32;
-        }
-        // SAFETY: same contract.
-        unsafe { crc_tail_hw(state, blocks.remainder()) }
     }
 
     // Carryless-multiply fold constants, `(K(D+32), K(D−32))` per fold
@@ -876,9 +826,11 @@ mod aarch64 {
         (u64::from(words[i + 1].swap_bytes()) << 32) | u64::from(words[i].swap_bytes())
     }
 
-    /// Four-lane hardware CRC-32C kernel, mirroring the x86 `crc32q`
-    /// kernel: independent lane chains per super-block, recombined with
-    /// the shared `ADVANCE` operators.
+    /// Four-lane hardware CRC-32C kernel: the portable folded kernel's
+    /// super-block / lane structure (four independent 128-byte lane
+    /// chains per 512-byte super-block, recombined through the shared
+    /// `ADVANCE` operators), with each lane chain advanced by the
+    /// 8-bytes-per-instruction `crc32cx`; the four lanes hide its latency.
     ///
     /// # Safety
     /// CPU must support the ARMv8 `crc` feature.
@@ -929,16 +881,19 @@ mod tests {
     #[test]
     fn native_detection_matches_cpu_features() {
         let d = Dispatch::detect(false);
-        let sse42 = std::arch::is_x86_feature_detected!("sse4.2");
-        let clmul = sse42 && std::arch::is_x86_feature_detected!("pclmulqdq");
+        let clmul = std::arch::is_x86_feature_detected!("sse4.2")
+            && std::arch::is_x86_feature_detected!("pclmulqdq");
         let expect = if clmul {
             CrcPath::Clmul
-        } else if sse42 {
-            CrcPath::HwCrc
         } else {
             CrcPath::Portable
         };
         assert_eq!(d.crc, expect);
+        assert_eq!(
+            crc_words_hw(&[1, 2, 3]),
+            None,
+            "x86 has no hw-crc32c kernel"
+        );
         let fused = clmul
             && std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512dq")

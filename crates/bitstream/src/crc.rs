@@ -33,9 +33,9 @@
 //! On CPUs with hardware CRC-32C support the batch entry points do not
 //! run either portable kernel: [`Crc32::push_words`] routes through
 //! [`crate::arch`], which detects CPU features once per process and
-//! dispatches to an SSE4.2 `crc32q` / PCLMULQDQ folding / ARMv8 `crc32c`
-//! kernel when available (the CRC-32C polynomial is natively supported
-//! by both ISAs). The portable folded kernel above remains the
+//! dispatches to the x86 PCLMULQDQ folding or the ARMv8 `crc32c` kernel
+//! when available (the CRC-32C polynomial is natively supported by both
+//! ISAs). The portable folded kernel above remains the
 //! always-compiled fallback and the `PRFPGA_FORCE_SCALAR=1` path; every
 //! variant is property-tested byte-identical to the frozen [`baseline`]
 //! in `tests/kernel_matrix.rs`.

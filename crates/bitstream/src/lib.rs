@@ -21,8 +21,12 @@
 //! column) come from [`fabric::FrameGeometry`], so **the byte length of a
 //! generated bitstream equals the `prcost::bits` model's prediction exactly**
 //! — a cross-crate property test enforces this byte-for-byte over random
-//! PRRs. The crate also provides the [`icap`] transfer model used to turn
-//! bitstream bytes into reconfiguration time for the `multitask` simulator.
+//! PRRs. [`parser::parse_words`] is the one reader of that grammar: the
+//! structure [`dump`] and HTR relocation ([`relocate()`], which rewrites
+//! exactly the FAR values it finds) both walk a stream through it. The crate also
+//! provides the [`icap`] transfer model used to turn bitstream bytes into
+//! reconfiguration time for the `multitask` simulator; context save and
+//! restore are priced in bytes by `prcost::context_breakdown`.
 
 // `deny` rather than `forbid`: the `arch` module's SIMD kernels carry
 // narrowly-scoped `#[allow(unsafe_code)]` with per-site SAFETY comments;
@@ -31,23 +35,19 @@
 #![warn(missing_docs)]
 
 pub mod arch;
-pub mod cm;
 pub mod crc;
 pub mod dump;
 pub mod far;
 pub mod icap;
 pub mod packet;
 pub mod parser;
-pub mod readback;
 pub mod relocate;
 pub mod writer;
 
-pub use cm::{load_bitstream, ConfigMemory, ConfigPort};
 pub use far::FrameAddress;
 pub use icap::IcapModel;
 pub use packet::{Command, ConfigRegister, Packet};
 pub use parser::{parse, ParseError, ParsedBitstream};
-pub use readback::{context_cost, ContextCost};
 pub use relocate::{compatible, relocate, RelocateError};
 pub use writer::{
     emit_arc_into, emit_into, emit_shared, emitted_words, generate, BitstreamSpec, EmitScratch,

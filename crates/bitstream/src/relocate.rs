@@ -6,9 +6,14 @@
 //! therefore the CRC, which covers only payload) is reused unchanged.
 //! Vertical relocation is the common case on Virtex-5-class fabrics,
 //! where every fabric row has identical column structure.
+//!
+//! [`relocate`] walks the stream once with [`parse_words`] and rewrites
+//! exactly the FAR values the parser found, so a payload word that happens
+//! to look like a FAR-write header is never touched: the output differs
+//! from the input in FAR values only, and its CRC still holds.
 
 use crate::far::FrameAddress;
-use crate::packet::{ConfigRegister, Packet};
+use crate::parser::{parse_words, ParseError};
 use crate::writer::PartialBitstream;
 use core::fmt;
 use fabric::{Device, Window};
@@ -28,6 +33,8 @@ pub enum RelocateError {
         /// The offending address.
         far: FrameAddress,
     },
+    /// The stream does not parse, CRC included.
+    Parse(ParseError),
 }
 
 impl fmt::Display for RelocateError {
@@ -40,6 +47,7 @@ impl fmt::Display for RelocateError {
             RelocateError::ForeignFrameAddress { far } => {
                 write!(f, "bitstream addresses a frame outside its PRR: {far:?}")
             }
+            RelocateError::Parse(e) => write!(f, "bitstream does not parse: {e}"),
         }
     }
 }
@@ -54,8 +62,9 @@ pub fn compatible(source: &Window, target: &Window) -> bool {
 }
 
 /// Relocate `bs` from its recorded window to `target` on `device`,
-/// rewriting every FAR write in place. The payload — and hence the CRC —
-/// is byte-identical; only addressing changes.
+/// rewriting every FAR value in place. The payload — and hence the CRC —
+/// is byte-identical; only addressing changes. A stream that
+/// [`parse_words`] rejects with strict CRC checking is an error.
 ///
 /// ```
 /// use bitstream::{generate, relocate, BitstreamSpec};
@@ -92,44 +101,36 @@ pub fn relocate(
         };
         return Err(RelocateError::Incompatible { reason });
     }
-    if target.end_col() > device.width()
+    // The columns list is what gets rewritten, so it bounds the target.
+    let end_col = target.start_col.checked_add(target.columns.len());
+    if end_col.is_none_or(|end| end > device.width())
         || device.check_row_span(target.row, target.height).is_err()
     {
         return Err(RelocateError::OutOfBounds);
     }
 
-    let col_delta = target.start_col as i64 - source.start_col as i64;
-    let row_delta = i64::from(target.row) - i64::from(source.row);
-
+    let parsed = parse_words(&bs.words, true).map_err(RelocateError::Parse)?;
     let mut words = bs.words.clone();
-    let far_header = Packet::Type1Write {
-        register: ConfigRegister::Far,
-        word_count: 1,
-    }
-    .encode();
-    let mut i = 0;
-    while i + 1 < words.len() {
-        if words[i] == far_header {
-            let Some(far) = FrameAddress::decode(words[i + 1]) else {
-                i += 1;
-                continue;
-            };
-            let in_cols = (far.column as i64) >= source.start_col as i64
-                && (far.column as i64) < source.end_col() as i64 + 16; // minor spill margin
-            let in_rows = far.row >= source.row && far.row <= source.top_row();
-            if !(in_cols && in_rows) {
-                return Err(RelocateError::ForeignFrameAddress { far });
-            }
-            let moved = FrameAddress {
-                row: (i64::from(far.row) + row_delta) as u32,
-                column: (i64::from(far.column) + col_delta) as u32,
-                ..far
-            };
-            words[i + 1] = moved.encode();
-            i += 2;
-        } else {
-            i += 1;
-        }
+    for write in &parsed.far_writes {
+        let far = write.far;
+        // Offsets into the source window; the target has its shape, and
+        // the device bounds every address in it to the FAR fields.
+        let row = far
+            .row
+            .checked_sub(source.row)
+            .filter(|&r| r < source.height);
+        let column = (far.column as usize)
+            .checked_sub(source.start_col)
+            .filter(|&c| c < source.columns.len());
+        let (Some(row), Some(column)) = (row, column) else {
+            return Err(RelocateError::ForeignFrameAddress { far });
+        };
+        let moved = FrameAddress {
+            row: target.row + row,
+            column: (target.start_col + column) as u32,
+            ..far
+        };
+        words[write.offset as usize] = moved.encode();
     }
 
     let mut spec = (*bs.spec).clone();
@@ -144,11 +145,11 @@ pub fn relocate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cm::load_bitstream;
     use crate::writer::{generate, BitstreamSpec};
     use fabric::database::xc5vlx110t;
     use fabric::Family;
     use prcost::search::plan_prr;
+    use std::collections::BTreeMap;
     use synth::PaperPrm;
 
     fn mips_stream() -> (fabric::Device, PartialBitstream) {
@@ -169,39 +170,59 @@ mod tests {
         }
     }
 
+    /// Every configured frame's payload, keyed by its FAR moved up
+    /// `rows_up` rows and its index within the write, read through the
+    /// parser's payload offsets.
+    fn frames_at(words: &[u32], fr_size: u32, rows_up: u32) -> BTreeMap<(u32, usize), &[u32]> {
+        let parsed = parse_words(words, true).unwrap();
+        let mut frames = BTreeMap::new();
+        for w in &parsed.frame_writes {
+            let far = FrameAddress {
+                row: w.far.row + rows_up,
+                ..w.far
+            };
+            let payload = &words[w.offset as usize..][..w.words as usize];
+            for (k, frame) in payload.chunks(fr_size as usize).enumerate() {
+                frames.insert((far.encode(), k), frame);
+            }
+        }
+        frames
+    }
+
     #[test]
     fn vertical_relocation_preserves_payload_and_crc() {
         let (device, bs) = mips_stream();
         let target = shifted(&bs, 4);
         let moved = relocate(&bs, &device, &target).unwrap();
 
-        // Same length; only FAR words differ.
+        // Same length; exactly the FAR values change.
         assert_eq!(moved.words.len(), bs.words.len());
-        let diffs = bs
-            .words
+        let diffs: Vec<u32> = (0..bs.words.len() as u32)
+            .filter(|&i| bs.words[i as usize] != moved.words[i as usize])
+            .collect();
+        let fars: Vec<u32> = parse_words(&bs.words, true)
+            .unwrap()
+            .far_writes
             .iter()
-            .zip(&moved.words)
-            .filter(|(a, b)| a != b)
-            .count();
+            .map(|w| w.offset)
+            .collect();
         // One FAR value per config row + per BRAM row = 2 rows here.
-        assert_eq!(diffs, 2, "exactly the FAR values change");
+        assert_eq!(fars.len(), 2);
+        assert_eq!(diffs, fars, "exactly the FAR values change");
 
-        // Both streams load successfully (CRC intact) and carry identical
+        // Both streams parse with their CRC intact and carry identical
         // frame contents at row-shifted addresses.
-        let p0 = load_bitstream(device.params().frames, &bs.words).unwrap();
-        let p1 = load_bitstream(device.params().frames, &moved.words).unwrap();
-        assert_eq!(p0.memory().frame_count(), p1.memory().frame_count());
-        for far in p0.memory().addresses() {
-            let shifted_far = FrameAddress {
-                row: far.row + 4,
-                ..far
-            };
-            assert_eq!(
-                p0.memory().frame(far),
-                p1.memory().frame(shifted_far),
-                "frame moved intact"
-            );
-        }
+        let fr_size = device.params().frames.fr_size;
+        let before = frames_at(&bs.words, fr_size, 4);
+        let after = frames_at(&moved.words, fr_size, 0);
+        let org = &bs.spec.organization;
+        let g = &org.family.params().frames;
+        // Per row: every column's config frames and the BRAM content
+        // frames (MIPS has BRAM), each write with its pipelining pad frame.
+        let config = org.clb_cols * g.cf_clb + org.dsp_cols * g.cf_dsp + org.bram_cols * g.cf_bram;
+        let per_row = config + 1 + org.bram_cols * g.df_bram + 1;
+        assert_eq!(before.len(), (org.height * per_row) as usize);
+        assert_eq!(before, after, "every frame moved intact");
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Kernel-matrix equivalence: every compiled CRC and payload-fill
 //! variant — frozen bitwise baseline, portable folded, the
 //! runtime-dispatched entry points, and whichever hardware kernels this
-//! CPU exposes (SSE4.2 `crc32q`, PCLMULQDQ fold, ARMv8 `crc32c*`, AVX2
-//! fill, the fused AVX-512 fill + VPCLMULQDQ CRC) — must be
+//! CPU exposes (PCLMULQDQ fold, ARMv8 `crc32c*`, AVX2 fill, the fused
+//! AVX-512 fill + VPCLMULQDQ CRC) — must be
 //! byte-identical on arbitrary inputs, including empty, single-word and
 //! odd tails, and must reproduce the standard CRC-32C check vector.
 //!
 //! The hardware variants are probed through `bitstream::arch`'s
 //! `Option`/`bool` entry points, so this suite automatically covers
-//! exactly the set of kernels that can run on the host: on a machine
-//! without SSE4.2 it degenerates to the portable matrix, and under
+//! exactly the set of kernels that can run on the host: on an x86
+//! machine without PCLMULQDQ it degenerates to the portable matrix, and under
 //! `PRFPGA_FORCE_SCALAR=1` the dispatched entry point is additionally
 //! pinned to the portable result (CI runs the suite both ways).
 
@@ -130,7 +130,7 @@ fn check_vector_through_every_kernel() {
 
 /// Boundary lengths around every kernel's internal block sizes: the
 /// 16-word CLMUL block, the 128-byte lanes and 512-byte super-blocks of
-/// the folded kernels, and ragged odd tails (the `crc32q` pair loop's
+/// the folded kernels, and ragged odd tails (the hardware CRC pair loops'
 /// single-word remainder).
 #[test]
 fn crc_matrix_boundary_lengths() {

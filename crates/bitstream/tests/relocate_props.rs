@@ -3,20 +3,24 @@
 //! assumption in `crates/layout`.
 //!
 //! The round-trip property (A→B→A is the byte-for-byte identity) and the
-//! CRC-untouched property (FAR rewriting never changes a CRC register
-//! write, because the CRC covers only payload and the payload never
-//! moves) together guarantee that relocating a running module is loss-
-//! free: the layout manager can move modules freely and the frames that
-//! land are exactly the frames that were read.
+//! FAR-only property (relocation rewrites exactly the FAR values the
+//! parser finds, so every payload word and the CRC that covers them stay
+//! put, even where a payload word looks like a FAR-write header) together
+//! guarantee that relocating a running module is loss-free: the layout
+//! manager can move modules freely and the frames that land are exactly
+//! the frames that were read.
 
+use bitstream::packet::SYNC_WORD;
+use bitstream::parser::parse_words;
 use bitstream::{
-    generate, relocate, BitstreamSpec, ConfigRegister, FrameAddress, Packet, PartialBitstream,
-    RelocateError,
+    generate, relocate, BitstreamSpec, ConfigRegister, FrameAddress, Packet, ParseError,
+    PartialBitstream, RelocateError,
 };
 use fabric::database::all_devices;
 use fabric::{Device, Window};
 use prcost::search::plan_prr;
 use proptest::prelude::*;
+use std::ops::Range;
 use synth::prm::GenericPrm;
 use synth::{PaperPrm, PrmGenerator};
 
@@ -50,6 +54,14 @@ fn stream_for(
     Some((generate(&spec).unwrap(), plan.window))
 }
 
+/// The MIPS stream on xc5vlx110t, with its device and window.
+fn mips_on_lx110t() -> (Device, PartialBitstream, Window) {
+    let device = fabric::database::xc5vlx110t();
+    let report = PaperPrm::Mips.synth_report(device.family());
+    let (bs, window) = stream_for(&device, "mips_r3000", &report).unwrap();
+    (device, bs, window)
+}
+
 /// Source window as the relocator reconstructs it from the spec.
 fn source_window(bs: &PartialBitstream) -> Window {
     Window {
@@ -61,20 +73,23 @@ fn source_window(bs: &PartialBitstream) -> Window {
     }
 }
 
-/// Assert the two loss-free-relocation invariants between an original
-/// stream and its relocated form: every differing word is the payload of
-/// a FAR write, and every CRC register write is untouched.
+/// Assert the loss-free-relocation invariants between an original stream
+/// and its relocated form: every differing word is a FAR value the parser
+/// found in the original, and the relocated stream parses with its CRC
+/// intact.
 fn assert_only_fars_moved(original: &[u32], moved: &[u32]) {
     assert_eq!(original.len(), moved.len());
-    let far = far_header();
-    let crc = crc_header();
-    for i in 0..original.len() {
-        if original[i] != moved[i] {
-            assert!(i > 0 && original[i - 1] == far, "non-FAR word {i} changed");
+    let fars = parse_words(original, true).unwrap().far_writes;
+    for (i, (a, b)) in original.iter().zip(moved).enumerate() {
+        if a != b {
+            assert!(
+                fars.iter().any(|w| w.offset as usize == i),
+                "non-FAR word {i} changed"
+            );
         }
-        if i > 0 && original[i - 1] == crc {
-            assert_eq!(original[i], moved[i], "CRC word {i} rewritten");
-        }
+    }
+    if let Err(e) = parse_words(moved, true) {
+        panic!("relocated stream does not parse: {e}");
     }
 }
 
@@ -161,32 +176,28 @@ fn horizontal_round_trip_where_compatible_window_exists() {
 /// rejected with the offending address, not silently shifted.
 #[test]
 fn foreign_frame_address_is_reported() {
-    let device = fabric::database::xc5vlx110t();
-    let report = PaperPrm::Mips.synth_report(device.family());
-    let (mut bs, window) = stream_for(&device, "mips_r3000", &report).unwrap();
-
-    // Corrupt the first FAR payload: point it past the relocator's
-    // column-spill margin (end_col + 16) so it cannot be mistaken for an
-    // in-window minor overflow.
-    let far = far_header();
-    let i = bs.words.iter().position(|&w| w == far).unwrap();
-    let foreign = FrameAddress::config(window.row, (window.end_col() + 16 + 3) as u32, 0);
-    bs.words[i + 1] = foreign.encode();
-
+    let (device, mut bs, window) = mips_on_lx110t();
     let mut target = window.clone();
     target.row += 1;
-    assert_eq!(
-        relocate(&bs, &device, &target),
-        Err(RelocateError::ForeignFrameAddress { far: foreign })
-    );
+
+    // Point the first FAR value at the first column right of the window,
+    // then further right. (The FAR is outside the CRC, so the stream
+    // still parses.)
+    let i = bs.words.iter().position(|&w| w == far_header()).unwrap();
+    for column in [window.end_col(), window.end_col() + 19] {
+        let foreign = FrameAddress::config(window.row, column as u32, 0);
+        bs.words[i + 1] = foreign.encode();
+        assert_eq!(
+            relocate(&bs, &device, &target),
+            Err(RelocateError::ForeignFrameAddress { far: foreign })
+        );
+    }
 }
 
 /// A FAR below the window's row span is foreign too.
 #[test]
 fn foreign_row_is_reported() {
-    let device = fabric::database::xc5vlx110t();
-    let report = PaperPrm::Mips.synth_report(device.family());
-    let (mut bs, window) = stream_for(&device, "mips_r3000", &report).unwrap();
+    let (device, mut bs, window) = mips_on_lx110t();
 
     let far = far_header();
     let i = bs.words.iter().position(|&w| w == far).unwrap();
@@ -206,9 +217,7 @@ fn foreign_row_is_reported() {
 /// in-crate unit tests).
 #[test]
 fn target_past_right_device_edge_is_rejected() {
-    let device = fabric::database::xc5vlx110t();
-    let report = PaperPrm::Mips.synth_report(device.family());
-    let (bs, window) = stream_for(&device, "mips_r3000", &report).unwrap();
+    let (device, bs, window) = mips_on_lx110t();
 
     let mut target = window.clone();
     target.start_col = device.width() - 1; // end_col lands past the edge
@@ -216,4 +225,118 @@ fn target_past_right_device_edge_is_rejected() {
         relocate(&bs, &device, &target),
         Err(RelocateError::OutOfBounds)
     );
+}
+
+/// FDRI payload word ranges of a writer-built stream, from the Fig. 2
+/// layout: the initial words, then per write a FAR_FDRI header and its
+/// payload.
+fn payload_ranges(bs: &PartialBitstream) -> Vec<Range<usize>> {
+    let geom = &bs.spec.organization.family.params().frames;
+    let mut pos = geom.iw as usize;
+    parse_words(&bs.words, true)
+        .unwrap()
+        .frame_writes
+        .iter()
+        .map(|w| {
+            let start = pos + geom.far_fdri as usize;
+            pos = start + w.words as usize;
+            start..pos
+        })
+        .collect()
+}
+
+/// MIPS on xc5vlx110t with the payload word 100 words past the first FAR
+/// value set to the FAR-write header and the word after it to
+/// `lookalike(first FAR value, window)`, then the CRC re-sealed: a valid
+/// stream whose payload holds what a raw word scan takes for a FAR write.
+fn stream_with_far_lookalike(
+    lookalike: impl FnOnce(u32, &Window) -> u32,
+) -> (Device, PartialBitstream, Window) {
+    let (device, mut bs, window) = mips_on_lx110t();
+    let first_far = bs.words.iter().position(|&w| w == far_header()).unwrap() + 1;
+    let at = first_far + 100;
+    assert!(
+        payload_ranges(&bs)[0].contains(&(at + 1)),
+        "inside the payload"
+    );
+    bs.words[at] = far_header();
+    bs.words[at + 1] = lookalike(bs.words[first_far], &window);
+
+    let Err(ParseError::BadCrc { computed, .. }) = parse_words(&bs.words, true) else {
+        panic!("a changed payload must break the CRC");
+    };
+    let crc_at = bs.words.iter().rposition(|&w| w == crc_header()).unwrap() + 1;
+    bs.words[crc_at] = computed;
+    assert!(
+        parse_words(&bs.words, true).is_ok(),
+        "re-sealed stream parses"
+    );
+    (device, bs, window)
+}
+
+/// Relocate a lookalike stream one row up and check that every payload
+/// word stays put and the moved stream parses with strict CRC checking.
+fn assert_lookalike_stays_payload(device: &Device, bs: &PartialBitstream, window: &Window) {
+    let mut target = window.clone();
+    target.row += 1;
+    let moved = relocate(bs, device, &target).unwrap();
+    for range in payload_ranges(bs) {
+        let changed = range.clone().find(|&i| bs.words[i] != moved.words[i]);
+        assert_eq!(changed, None, "a payload word in {range:?} changed");
+    }
+    assert_only_fars_moved(&bs.words, &moved.words);
+}
+
+/// A payload word that looks like a FAR-write header, followed by the
+/// stream's own first FAR value, is payload: relocation leaves it alone.
+#[test]
+fn payload_far_lookalike_is_not_rewritten() {
+    let (device, bs, window) = stream_with_far_lookalike(|first_far, _| first_far);
+    assert_lookalike_stays_payload(&device, &bs, &window);
+}
+
+/// The same lookalike naming a frame two rows above the window is still
+/// payload, not a foreign frame address.
+#[test]
+fn payload_far_lookalike_outside_the_window_is_payload() {
+    let (device, bs, window) = stream_with_far_lookalike(|_, window| {
+        FrameAddress::config(window.top_row() + 2, window.start_col as u32, 0).encode()
+    });
+    assert_lookalike_stays_payload(&device, &bs, &window);
+}
+
+/// A stream stripped of its SYNC word does not parse, so it does not
+/// relocate.
+#[test]
+fn unsynchronized_stream_is_an_error() {
+    let (device, mut bs, window) = mips_on_lx110t();
+    let sync = bs.words.iter().position(|&w| w == SYNC_WORD).unwrap();
+    bs.words[sync] = 0;
+    let mut target = window.clone();
+    target.row += 1;
+    assert_eq!(
+        relocate(&bs, &device, &target),
+        Err(RelocateError::Parse(ParseError::NoSync))
+    );
+}
+
+proptest! {
+    /// A valid stream cut anywhere before its DESYNC command (the fourth
+    /// word from the end) is an error, never a panic.
+    #[test]
+    fn truncated_stream_is_an_error(raw in any::<u64>()) {
+        let (device, bs, window) = mips_on_lx110t();
+        let cut = (raw % (bs.words.len() as u64 - 3)) as usize;
+        let truncated = PartialBitstream {
+            spec: bs.spec.clone(),
+            words: bs.words[..cut].to_vec(),
+        };
+        let mut target = window.clone();
+        target.row += 1;
+        let result = relocate(&truncated, &device, &target);
+        prop_assert!(
+            matches!(result, Err(RelocateError::Parse(_))),
+            "cut {} of {}: {:?}", cut, bs.words.len(), result.map(|_| ())
+        );
+    }
 }

@@ -139,8 +139,7 @@ impl LayoutManager {
     /// multi-move search.
     pub fn move_cost(&self, alloc: &Allocation, running: bool) -> MoveCost {
         let context_bytes = if running {
-            let ctx = bitstream::context_cost(&alloc.organization);
-            ctx.save_bytes() + ctx.restore_bytes()
+            prcost::context_breakdown(&alloc.organization).total_bytes()
         } else {
             0
         };

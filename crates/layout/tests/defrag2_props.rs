@@ -181,7 +181,7 @@ proptest! {
             let running = mgr.move_cost(alloc, true);
             prop_assert_eq!(idle.context_bytes, 0);
             prop_assert_eq!(idle.bytes, alloc.bitstream_bytes);
-            let ctx = bitstream::context_cost(&alloc.organization);
+            let ctx = prcost::context_breakdown(&alloc.organization);
             prop_assert_eq!(running.context_bytes, ctx.save_bytes() + ctx.restore_bytes());
             prop_assert_eq!(running.bytes, idle.bytes + running.context_bytes);
             prop_assert!(running.transfer_ns >= idle.transfer_ns);
@@ -256,7 +256,7 @@ fn multi_move_relocations_price_context_and_sum_exactly() {
             ev.bytes,
             bitstream_size_bytes(&ev.organization) + ev.context_bytes
         );
-        let c = bitstream::context_cost(&ev.organization);
+        let c = prcost::context_breakdown(&ev.organization);
         assert_eq!(ev.context_bytes, c.save_bytes() + c.restore_bytes());
         assert_eq!(
             ev.transfer_ns,

@@ -8,12 +8,12 @@
 //! cost models: every configuration-plane operation — context save,
 //! bitstream write, context restore — serializes through the single ICAP
 //! and is costed from the PRR organization via `prcost` Eq. 18 and
-//! `bitstream::context_cost`.
+//! `prcost::context_breakdown`.
 
 use crate::intern::ModuleId;
 use crate::system::PrSystem;
 use crate::task::{HwTask, Workload};
-use bitstream::readback::context_cost;
+use prcost::context_breakdown;
 use serde::Serialize;
 
 /// Outcome metrics of a preemptive simulation.
@@ -182,8 +182,8 @@ pub fn simulate_preemptive(system: &PrSystem, workload: &Workload) -> PreemptRep
                 t = now.max(icap_free_at);
                 // If preempting, save the victim's context first.
                 if let Some(victim) = victim {
-                    let ctx = context_cost(&system.prrs[s].organization);
-                    let save_ns = ctx.save_time(&system.icap).as_nanos() as u64;
+                    let ctx = context_breakdown(&system.prrs[s].organization);
+                    let save_ns = system.icap.transfer_time(ctx.save_bytes()).as_nanos() as u64;
                     let ran = t.saturating_sub(victim.exec_start);
                     let vi = victim.pending_idx;
                     pending[vi].remaining_ns = pending[vi].remaining_ns.saturating_sub(ran);
@@ -204,8 +204,8 @@ pub fn simulate_preemptive(system: &PrSystem, workload: &Workload) -> PreemptRep
                     slot_module[s] = Some(module);
                 }
                 if pending[pi].saved {
-                    let ctx = context_cost(&system.prrs[s].organization);
-                    let r = ctx.restore_time(&system.icap).as_nanos() as u64;
+                    let ctx = context_breakdown(&system.prrs[s].organization);
+                    let r = system.icap.transfer_time(ctx.restore_bytes()).as_nanos() as u64;
                     t = t.saturating_add(r);
                     report.context_transfers += 1;
                     report.context_switch_ns = report.context_switch_ns.saturating_add(r);

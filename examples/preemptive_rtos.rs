@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --release --example preemptive_rtos`
 
-use bitstream::readback::context_cost;
 use multitask::{simulate_preemptive, HwTask, ModuleTable};
 use prfpga::prelude::*;
 
@@ -18,14 +17,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bram_cols: 1,
     };
     let system = PrSystem::homogeneous(&device, org, 2, IcapModel::V5_DMA)?;
-    let ctx = context_cost(&org);
+    let ctx = prcost::context_breakdown(&org);
     println!(
         "2 PRRs of H={} W={}; bitstream write {:?}, context save {:?}, restore {:?}\n",
         org.height,
         org.width(),
         IcapModel::V5_DMA.transfer_time(system.prrs[0].bitstream_bytes),
-        ctx.save_time(&IcapModel::V5_DMA),
-        ctx.restore_time(&IcapModel::V5_DMA),
+        IcapModel::V5_DMA.transfer_time(ctx.save_bytes()),
+        IcapModel::V5_DMA.transfer_time(ctx.restore_bytes()),
     );
 
     // Two long background FFT batches + sporadic urgent crypto requests.

@@ -10,7 +10,6 @@
 //! prfpga sweep [--json <file>] [--metrics <file>]
 //! prfpga defrag [--device <name>] [--seed S] [--tasks N] [--policy <p>] [--depth N] [--proactive] [--json <file>]
 //! prfpga serve [--requests R] [--tenants T] [--state <file>] [--metrics <file>]
-//! prfpga bench-service [--requests R]
 //! prfpga bench-pipeline [--tasks N] [--device <name>] [--workers W|W1,W2,...] [--json <file>] [--metrics <file>]
 //! prfpga sched-ablate [--seed S] [--tasks N] [--horizon-ms H] [--admission-sets K] [--slack F] [--json <file>]
 //! ```
@@ -61,8 +60,6 @@ const USAGE_ENTRIES: &str = "
         [--state FILE] [--metrics FILE]
                                              plan a multi-tenant request stream on
                                              this thread (snapshot warm starts)
-  bench-service [--requests R]               warm-hit replay throughput of the
-                                             engine's device-handle path
   bench-pipeline [--tasks N] [--device NAME] [--chunk C] [--modules M]
                  [--workers W|W1,W2,...] [--queue-depth Q] [--seed S]
                  [--json FILE] [--metrics FILE]
@@ -183,13 +180,6 @@ const COMMANDS: &[Command] = &[
         ],
         switches: &[],
         run: cmd_serve,
-    },
-    Command {
-        name: "bench-service",
-        positional: &[],
-        valued: &["--requests"],
-        switches: &[],
-        run: cmd_bench_service,
     },
     Command {
         name: "bench-pipeline",
@@ -727,17 +717,30 @@ fn cmd_serve(args: &Args) -> Result<(), AnyError> {
         .iter()
         .map(|device| engine.intern_device(device))
         .collect();
+    // Request `i` asks for module `i % modules` on device `i % devices`,
+    // so the stream repeats every `modules * devices` requests: synthesize
+    // that cycle's requirements once, outside the timed loop.
+    let cycle = modules
+        .saturating_mul(devices.len() as u64)
+        .min(requests as u64) as usize;
+    let requirements: Vec<PrrRequirements> = (0..cycle)
+        .map(|i| {
+            let family = devices[i % devices.len()].device().family();
+            let module = seed + (i as u64 % modules);
+            PrrRequirements::from_report(&GenericPrm::random(module, scale).synthesize(family))
+        })
+        .collect();
     let tenant_names: Vec<String> = (0..tenants).map(|t| format!("tenant{t}")).collect();
     let mut tenant_plans = vec![0u64; tenants];
     let mut scratch = PlanScratch::default();
     let mut feasible = 0usize;
     let start = std::time::Instant::now();
     for i in 0..requests {
-        let device = &devices[i % devices.len()];
-        let module = seed + (i as u64 % modules);
-        let report = GenericPrm::random(module, scale).synthesize(device.device().family());
-        let req = PrrRequirements::from_report(&report);
-        if engine.plan_on(&req, device, &mut scratch).is_ok() {
+        let req = &requirements[i % cycle];
+        if engine
+            .plan_on(req, &devices[i % devices.len()], &mut scratch)
+            .is_ok()
+        {
             feasible += 1;
         }
         tenant_plans[i % tenants] += 1;
@@ -785,69 +788,6 @@ fn cmd_serve(args: &Args) -> Result<(), AnyError> {
         std::fs::write(path, serde_json::to_string_pretty(&snapshot)?)?;
         println!("wrote metrics snapshot to {path}");
     }
-    Ok(())
-}
-
-/// Quick in-process check of warm-hit replay throughput: one scratch
-/// replays the six PRMs on every database device through device handles,
-/// so each hit is served from the scratch's slots, or from the shared
-/// memo where two points share a slot. The full table (worker scaling,
-/// p99, zero-alloc assertion) lives in `benches/service_mt.rs`.
-fn cmd_bench_service(args: &Args) -> Result<(), AnyError> {
-    let requests: usize = args
-        .get("--requests")
-        .map(str::parse)
-        .transpose()
-        .map_err(|e| format!("bad --requests: {e}"))?
-        .unwrap_or(200_000);
-
-    use synth::prm::{AesEngine, FftCore, FirFilter, MipsCore, SdramController, Uart};
-    let generators: Vec<Box<dyn PrmGenerator>> = vec![
-        Box::new(FirFilter::paper()),
-        Box::new(MipsCore::paper()),
-        Box::new(SdramController::paper()),
-        Box::new(Uart::standard()),
-        Box::new(AesEngine::standard()),
-        Box::new(FftCore::standard()),
-    ];
-    let devices = fabric::all_devices();
-    let points: Vec<(SynthReport, Device)> = devices
-        .iter()
-        .flat_map(|d| {
-            generators
-                .iter()
-                .map(|g| (g.synthesize(d.family()), d.clone()))
-        })
-        .collect();
-
-    let engine = Engine::new();
-    let mut scratch = PlanScratch::default();
-    for (report, device) in &points {
-        let _ = engine.plan_with_scratch(report, device, &mut scratch);
-    }
-    // Plan against devices resolved once, up front.
-    let handles: Vec<prcost::DeviceHandle> = points
-        .iter()
-        .map(|(_, device)| engine.intern_device(device))
-        .collect();
-
-    let start = std::time::Instant::now();
-    for i in 0..requests {
-        let (report, _) = &points[i % points.len()];
-        let req = PrrRequirements::from_report(report);
-        let handle = &handles[i % points.len()];
-        std::hint::black_box(engine.plan_on(&req, handle, &mut scratch));
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    println!(
-        "warm replay, {} hits over {} points:",
-        requests,
-        points.len()
-    );
-    println!(
-        "  served from the scratch (device handle): {:>10.0} plans/s",
-        requests as f64 / elapsed
-    );
     Ok(())
 }
 

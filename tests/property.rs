@@ -191,10 +191,10 @@ proptest! {
     /// a restore always costs at least a plain bitstream write.
     #[test]
     fn context_cost_invariants(org in arb_org()) {
-        let ctx = bitstream::context_cost(&org);
+        let ctx = prcost::context_breakdown(&org);
         prop_assert!(ctx.restore_bytes() >= prcost::bitstream_size_bytes(&org));
         let taller = Org { height: org.height + 1, ..org };
-        let bigger = bitstream::context_cost(&taller);
+        let bigger = prcost::context_breakdown(&taller);
         prop_assert!(bigger.save_bytes() > ctx.save_bytes());
         prop_assert!(bigger.restore_bytes() > ctx.restore_bytes());
         // Word size follows the family (Spartan-6 = 2 bytes).
