@@ -4,7 +4,7 @@
 //! out H=1..3, H=4 and up are feasible, H=5 minimizes the bitstream).
 
 use fabric::database::xc5vlx110t;
-use prcost::search::{plan_prr, CandidateOutcome};
+use prcost::search::{candidates_for, plan_prr, CandidateOutcome, SearchTrace};
 use synth::PaperPrm;
 
 fn main() {
@@ -28,8 +28,12 @@ fn main() {
         device.dsp_column_count() == 1
     );
 
+    let trace = SearchTrace {
+        device: device.name().to_string(),
+        candidates: candidates_for(&plan.requirements, &device),
+    };
     let mut rows = Vec::new();
-    for c in &plan.trace.candidates {
+    for c in &trace.candidates {
         let (org, window, bytes, verdict) = match &c.outcome {
             CandidateOutcome::Feasible {
                 organization,
@@ -88,5 +92,5 @@ fn main() {
         plan.organization.prr_size(),
         plan.bitstream_bytes
     );
-    bench::write_json("fig1", &plan.trace);
+    bench::write_json("fig1", &trace);
 }

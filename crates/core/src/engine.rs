@@ -25,8 +25,10 @@
 //! * **plan memo** — a [`Sharded`] striped map from the packed
 //!   `(requirements, DeviceId)` [`PlanKey`] to
 //!   `Arc<Result<PrrPlan, CostError>>`. Writers contend only within one
-//!   of 64 stripes; a probe clones an `Arc`, not a whole plan with its
-//!   search trace.
+//!   of 64 stripes; a probe clones an `Arc`, not a whole plan. A plan
+//!   holds its answer only, not its search's candidate trace, so a
+//!   feasible plan owns one heap allocation besides its `Arc`: its
+//!   window's columns.
 //!
 //! [`Engine::plan_on`] plans against a resolved handle and is the only
 //! memo path. Its warm hit touches only the caller's [`PlanScratch`]: on

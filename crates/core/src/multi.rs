@@ -137,16 +137,11 @@ mod tests {
         assert!(org.bram_cols >= 1);
         let avail = org.available();
         assert!(avail.clb() >= 328 && avail.dsp() >= 32 && avail.bram() >= 6);
-        assert!(shared
-            .plan
-            .trace
-            .candidates
-            .iter()
-            .take(3)
-            .all(|c| matches!(
-                c.outcome,
-                crate::search::CandidateOutcome::DspRowsInsufficient { min_height: 4 }
-            )));
+        let trace = crate::search::candidates_for(&shared.plan.requirements, &device);
+        assert!(trace.iter().take(3).all(|c| matches!(
+            c.outcome,
+            crate::search::CandidateOutcome::DspRowsInsufficient { min_height: 4 }
+        )));
     }
 
     #[test]

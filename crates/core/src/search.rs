@@ -207,6 +207,11 @@ pub struct SearchTrace {
 }
 
 /// A selected PRR: the model's final answer for one PRM on one device.
+///
+/// A plan holds its answer only. The search's candidate-by-candidate
+/// record (the Fig. 1 trace) is [`candidates_for`] of the plan's
+/// requirements; a plan whose search finds no feasible height carries it
+/// in [`CostError::NoFeasiblePlacement`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PrrPlan {
     /// The requirements that were planned for.
@@ -219,8 +224,6 @@ pub struct PrrPlan {
     pub bitstream_bytes: u64,
     /// Resource utilization of the PRM inside the chosen PRR.
     pub utilization: Utilization,
-    /// Full search trace (Fig. 1 reproduction).
-    pub trace: SearchTrace,
 }
 
 /// Plan the PRR for one synthesis report on `device`.
@@ -271,6 +274,14 @@ pub fn plan_prr(report: &SynthReport, device: &Device) -> Result<PrrPlan, CostEr
 /// reused across all heights that produce it. `geometry` must have been
 /// derived from `device`.
 ///
+/// The search builds only its answer. It keeps a running best of the
+/// `(Eq. 18 bytes, PRR_size, H)` key over the heights, each taken from
+/// the height's resolved composition, and builds one [`Window`], the
+/// winner's: on a warm scratch a feasible plan allocates only that
+/// window's columns. The candidate trace is built only when no height is
+/// feasible, for [`CostError::NoFeasiblePlacement`]; it reuses the plan's
+/// resolutions, so it probes and pads nothing again.
+///
 /// This is the planning primitive under the memoizing engine, which keys
 /// its memo on `(requirements, device)` — a plan is a pure function of
 /// exactly these inputs — so on a miss, and when a snapshot's keys are
@@ -293,11 +304,41 @@ pub fn plan_requirements_cached(
         return Err(CostError::EmptyRequirements);
     }
     scratch.resolutions.clear();
-    let mut candidates = Vec::with_capacity(device.rows() as usize);
+    let single_dsp = device.dsp_column_count() == 1;
+    // `select_best`'s `(bytes, PRR_size, H)` key; it ends in `H`, so no
+    // two heights tie.
+    let mut best: Option<((u64, u64, u32), PrrOrganization)> = None;
     for h in 1..=device.rows() {
-        candidates.push(evaluate_height_cached(req, device, h, geometry, scratch));
+        let Ok(org) = PrrOrganization::for_height(req, h, single_dsp) else {
+            continue;
+        };
+        let Some((placed, _)) = placed_organization(&org, device, geometry, scratch) else {
+            continue;
+        };
+        let key = (bitstream_size_bytes(&placed), placed.prr_size(), h);
+        if best.is_none_or(|(b, _)| key < b) {
+            best = Some((key, placed));
+        }
     }
-    select_best(req, device, candidates)
+    let Some(((bitstream_bytes, ..), organization)) = best else {
+        return Err(CostError::NoFeasiblePlacement {
+            device: device.name().to_string(),
+            trace: SearchTrace {
+                device: device.name().to_string(),
+                candidates: evaluate_heights_cached(req, device, geometry, scratch),
+            },
+        });
+    };
+    let window = scratch
+        .probe(|| geometry.find_window(device, &organization.window_request()))
+        .expect("resolved composition has a window");
+    Ok(PrrPlan {
+        requirements: *req,
+        utilization: organization.utilization(req),
+        organization,
+        window,
+        bitstream_bytes,
+    })
 }
 
 /// Plan the PRR for explicit requirements on `device`.
@@ -358,6 +399,17 @@ pub fn candidates_for_cached(
         return Vec::new();
     }
     scratch.resolutions.clear();
+    evaluate_heights_cached(req, device, geometry, scratch)
+}
+
+/// [`evaluate_height_cached`] at every height, in ascending order, on
+/// the resolutions `scratch` already holds for `req`.
+fn evaluate_heights_cached(
+    req: &PrrRequirements,
+    device: &Device,
+    geometry: &DeviceGeometry,
+    scratch: &mut PlanScratch,
+) -> Vec<Candidate> {
     (1..=device.rows())
         .map(|h| evaluate_height_cached(req, device, h, geometry, scratch))
         .collect()
@@ -431,39 +483,47 @@ fn evaluate_height_cached(
         Err(OrganizationError::SingleDspColumnNeedsRows { min_height }) => {
             CandidateOutcome::DspRowsInsufficient { min_height }
         }
-        Ok(org) => match resolve_composition(&org, device, geometry, scratch) {
-            CompResolution::Infeasible => CandidateOutcome::NoWindow { organization: org },
-            CompResolution::Exact => {
+        Ok(org) => match placed_organization(&org, device, geometry, scratch) {
+            None => CandidateOutcome::NoWindow { organization: org },
+            Some((placed, padded_cols)) => {
                 let window = scratch
-                    .probe(|| geometry.find_window(device, &org.window_request()))
-                    .expect("resolved exact composition has a window");
+                    .probe(|| geometry.find_window(device, &placed.window_request()))
+                    .expect("resolved composition has a window");
                 CandidateOutcome::Feasible {
-                    bitstream_bytes: bitstream_size_bytes(&org),
-                    organization: org,
+                    bitstream_bytes: bitstream_size_bytes(&placed),
+                    organization: placed,
                     window,
-                    padded_cols: [0; 3],
-                }
-            }
-            CompResolution::Padded { pad } => {
-                let padded = PrrOrganization {
-                    clb_cols: org.clb_cols + pad[0],
-                    dsp_cols: org.dsp_cols + pad[1],
-                    bram_cols: org.bram_cols + pad[2],
-                    ..org
-                };
-                let window = scratch
-                    .probe(|| geometry.find_window(device, &padded.window_request()))
-                    .expect("resolved padded composition has a window");
-                CandidateOutcome::Feasible {
-                    bitstream_bytes: bitstream_size_bytes(&padded),
-                    organization: padded,
-                    window,
-                    padded_cols: pad,
+                    padded_cols,
                 }
             }
         },
     };
     Candidate { height: h, outcome }
+}
+
+/// The organization `org` places as on `device`, with its extra
+/// `[CLB, DSP, BRAM]` columns: `org` itself on an exact fit, its cheapest
+/// padding otherwise, or `None` when no window exists even padded.
+/// Resolved through the plan's resolution cache ([`resolve_composition`]).
+fn placed_organization(
+    org: &PrrOrganization,
+    device: &Device,
+    geometry: &DeviceGeometry,
+    scratch: &mut PlanScratch,
+) -> Option<(PrrOrganization, [u32; 3])> {
+    match resolve_composition(org, device, geometry, scratch) {
+        CompResolution::Infeasible => None,
+        CompResolution::Exact => Some((*org, [0; 3])),
+        CompResolution::Padded { pad } => Some((
+            PrrOrganization {
+                clb_cols: org.clb_cols + pad[0],
+                dsp_cols: org.dsp_cols + pad[1],
+                bram_cols: org.bram_cols + pad[2],
+                ..*org
+            },
+            pad,
+        )),
+    }
 }
 
 /// Resolve how `org`'s base composition places on `device`, consulting the
@@ -706,14 +766,13 @@ pub(crate) fn select_best(
             }
         }
     }
-    let trace = SearchTrace {
-        device: device.name().to_string(),
-        candidates,
-    };
     match best {
         None => Err(CostError::NoFeasiblePlacement {
             device: device.name().to_string(),
-            trace,
+            trace: SearchTrace {
+                device: device.name().to_string(),
+                candidates,
+            },
         }),
         Some((bytes, _, _, org, window)) => Ok(PrrPlan {
             requirements: *req,
@@ -721,7 +780,6 @@ pub(crate) fn select_best(
             organization: org,
             window,
             bitstream_bytes: bytes,
-            trace,
         }),
     }
 }
@@ -769,14 +827,14 @@ mod tests {
         let plan = plan_prr(&PaperPrm::Fir.synth_report(Family::Virtex5), &device).unwrap();
         assert_eq!(plan.organization.height, 5);
 
-        let h4 = &plan.trace.candidates[3];
-        let h5 = &plan.trace.candidates[4];
+        let trace = candidates_for(&plan.requirements, &device);
+        let (h4, h5) = (&trace[3], &trace[4]);
         let (b4, b5) = (h4.bitstream_bytes().unwrap(), h5.bitstream_bytes().unwrap());
         assert!(b5 < b4, "H=5 ({b5} B) beats H=4 ({b4} B)");
         assert_eq!(plan.bitstream_bytes, b5);
 
         // Heights 1-3 fail the Eq. 4 DSP-row constraint.
-        for c in &plan.trace.candidates[..3] {
+        for c in &trace[..3] {
             assert!(matches!(
                 c.outcome,
                 CandidateOutcome::DspRowsInsufficient { min_height: 4 }
@@ -788,13 +846,9 @@ mod tests {
     fn trace_covers_every_height() {
         let device = xc6vlx75t();
         let plan = plan_prr(&PaperPrm::Mips.synth_report(Family::Virtex6), &device).unwrap();
-        assert_eq!(plan.trace.candidates.len(), 3);
+        let trace = candidates_for(&plan.requirements, &device);
         assert_eq!(
-            plan.trace
-                .candidates
-                .iter()
-                .map(|c| c.height)
-                .collect::<Vec<_>>(),
+            trace.iter().map(|c| c.height).collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
     }
@@ -918,35 +972,38 @@ mod tests {
 
     /// The height-factored cached path must agree with the per-height seed
     /// path on requirement points that trigger the padded fallback (the
-    /// Table V points all fit exactly, so check the padding grid too).
+    /// Table V points all fit exactly, so check the padding grid too):
+    /// plans and failure traces alike, on one reused scratch. A plan pads
+    /// each composition once, as listing the candidates does: its failure
+    /// trace reuses the plan's resolutions.
     #[test]
     fn cached_planning_matches_direct_on_padding_grid() {
         let mut scratch = PlanScratch::default();
+        let mut infeasible = 0u32;
         for device in fabric::all_devices() {
             let geo = fabric::DeviceGeometry::new(&device);
             for req in padding_grid(device.family()) {
                 let direct = plan_prr_from_requirements(&req, &device);
+                let padded = scratch.padded_resolution_count();
+                let cached = plan_requirements_cached(&req, &device, &geo, &mut scratch);
+                let plan_padded = scratch.padded_resolution_count() - padded;
+                assert_eq!(direct, cached, "{req:?} on {}", device.name());
+                infeasible += u32::from(direct.is_err());
+                // The cached candidates, and the direct per-height loop
+                // driven through the geometry, must agree too.
+                let direct_cands = candidates_for(&req, &device);
+                let padded = scratch.padded_resolution_count();
+                let cached_cands = candidates_for_cached(&req, &device, &geo, &mut scratch);
+                assert_eq!(scratch.padded_resolution_count() - padded, plan_padded);
+                assert_eq!(cached_cands, direct_cands, "{req:?} on {}", device.name());
                 let finder = |r: &fabric::WindowRequest| geo.find_window(&device, r);
-                scratch.resolutions.clear();
-                let mut candidates = Vec::new();
-                for h in 1..=device.rows() {
-                    candidates.push(evaluate_height_cached(&req, &device, h, &geo, &mut scratch));
-                }
-                let cached = select_best(&req, &device, candidates);
-                match (&direct, &cached) {
-                    (Ok(a), Ok(b)) => assert_eq!(a, b, "{req:?} on {}", device.name()),
-                    (Err(_), Err(_)) => {}
-                    _ => panic!("feasibility disagreement for {req:?} on {}", device.name()),
-                }
-                // The direct per-height loop driven through the geometry
-                // must agree too.
                 let seed_cands: Vec<Candidate> = (1..=device.rows())
                     .map(|h| evaluate_height_with(&req, &device, h, &finder, &mut scratch))
                     .collect();
-                let direct_cands = candidates_for(&req, &device);
                 assert_eq!(seed_cands, direct_cands, "{req:?} on {}", device.name());
             }
         }
+        assert!(infeasible > 0, "the grid must reach the failure trace");
     }
 
     /// The padded fallback as it was before the row scan, kept as the
@@ -1263,7 +1320,9 @@ mod tests {
     /// A cached search counts one window probe per index lookup: one per
     /// distinct base composition (its resolution), one per row the padded
     /// fallback's scan looks up, and one per feasible height (its window).
-    /// Requirements rejected before the search probe nothing.
+    /// A cached plan makes the same resolutions but builds only its
+    /// winner's window. Requirements rejected before the search probe
+    /// nothing.
     #[test]
     fn cached_search_counts_one_probe_per_index_lookup() {
         let sdram = PrrRequirements::from_report(&PaperPrm::Sdram.synth_report(Family::Virtex6));
@@ -1308,6 +1367,15 @@ mod tests {
             assert_eq!(scratch.padded_resolution_count(), padded);
             assert_eq!(scratch.window_probe_count(), u64::from(expected));
             assert_eq!(scratch.window_probe_count(), probes, "{}", device.name());
+
+            let mut planned = PlanScratch::default();
+            plan_requirements_cached(&req, &device, &geo, &mut planned).unwrap();
+            let feasible = candidates
+                .iter()
+                .filter_map(Candidate::bitstream_bytes)
+                .count();
+            assert_eq!(planned.padded_resolution_count(), padded);
+            assert_eq!(planned.window_probe_count(), probes - feasible as u64 + 1);
         }
         let device = xc6vlx75t();
         let geo = fabric::DeviceGeometry::new(&device);

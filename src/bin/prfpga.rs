@@ -16,7 +16,39 @@
 
 use parflow::autofloorplan::{auto_floorplan, PrrSpec};
 use prfpga::prelude::*;
+use std::io::Write;
 use std::process::ExitCode;
+
+// Command output goes through `print!` and `println!` below, which shadow
+// the standard macros in this file and differ in one way: a closed stdout
+// ends the output, not the process. When the reader of a pipe goes away
+// (`prfpga sweep | head -1`), later output is dropped, and the command
+// still finishes its work (files it was asked to write included) and
+// exits 0. Any other write error panics, as with the standard macros.
+
+macro_rules! print {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        print!("\n")
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Write `args` to stdout, dropping them once stdout is closed.
+fn emit(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

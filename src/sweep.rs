@@ -4,20 +4,26 @@
 //! The models exist so a designer can evaluate *many* PR partitionings
 //! quickly ("the PR partitioning design space is exponentially large and
 //! designers can only feasibly evaluate a subset"). This module evaluates
-//! a whole grid of (PRM, device) design points in parallel with rayon and
-//! returns structured results ready for export.
+//! a whole grid of (PRM, device) design points in parallel and returns
+//! structured results ready for export.
 //!
-//! Sweeps are driven through a [`prcost::Engine`]: synthesis reports are
-//! memoized per `(generator, family)`, each device is resolved once to a
-//! [`prcost::DeviceHandle`] (its interned window-search geometry), and
-//! each rayon worker reuses one [`prcost::PlanScratch`] across all the
-//! points in its chunk. [`sweep_uncached`] keeps the
-//! original one-shot path as the equivalence/throughput baseline — the
-//! two produce byte-identical points.
+//! Sweeps are driven through a [`prcost::Engine`]: each device is
+//! resolved once to a [`prcost::DeviceHandle`] (its interned
+//! window-search geometry), and then one worker per available CPU, the
+//! calling thread among them, claims generators one at a time from a
+//! shared counter. A worker synthesizes its generator's report for every
+//! device through the engine's per-family memo, plans each point on its
+//! own [`prcost::PlanScratch`], and moves the report's module name into
+//! the point. The points are assembled in grid order, so they and the
+//! engine's counters do not depend on the worker count (a tested
+//! property). [`sweep_uncached`] keeps the original one-shot path as the
+//! equivalence/throughput baseline — the two produce byte-identical
+//! points.
 
 use prcost::{DeviceHandle, Engine, MetricsSnapshot, PlanScratch, PrrRequirements};
 use rayon::prelude::*;
 use serde::Serialize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// One evaluated design point.
@@ -75,52 +81,79 @@ pub fn sweep(
 }
 
 /// [`sweep`] on a caller-owned engine, returning the instrumented run.
+/// Runs one worker per available CPU (`available_parallelism`, which
+/// honours the affinity mask), the calling thread among them; a worker's
+/// panic reaches the caller.
 pub fn sweep_with_engine(
     engine: &Engine,
     generators: &[Box<dyn synth::PrmGenerator + Sync>],
     devices: &[fabric::Device],
 ) -> SweepRun {
-    let start = Instant::now();
-    // Warm the per-family synthesis memo and resolve each device once:
-    // workers plan against the handles and never touch the interner
-    // during the grid evaluation.
-    let handles: Vec<DeviceHandle> = devices.iter().map(|d| engine.intern_device(d)).collect();
-    let reports: Vec<Vec<synth::SynthReport>> = generators
-        .iter()
-        .map(|g| {
-            devices
-                .iter()
-                .map(|d| engine.synthesize(g.as_ref(), d.family()))
-                .collect()
-        })
-        .collect();
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    sweep_on_workers(engine, generators, devices, workers)
+}
 
-    let grid: Vec<(usize, usize)> = (0..generators.len())
-        .flat_map(|g| (0..devices.len()).map(move |d| (g, d)))
-        .collect();
-    let points: Vec<SweepPoint> = grid
-        .into_par_iter()
-        .map_with(PlanScratch::default(), |scratch, (g, d)| {
-            let device = &devices[d];
-            let report = &reports[g][d];
-            let req = PrrRequirements::from_report(report);
-            let outcome = match engine.plan_on(&req, &handles[d], scratch).as_ref() {
-                Ok(plan) => Ok(SweepPlan {
-                    height: plan.organization.height,
-                    width: plan.organization.width(),
-                    bitstream_bytes: plan.bitstream_bytes,
-                    reconfig: bitstream::IcapModel::V5_DMA.transfer_time(plan.bitstream_bytes),
-                    ru_clb: plan.utilization.clb,
-                }),
-                Err(e) => Err(e.to_string()),
+/// [`sweep_with_engine`] on `workers` threads: the caller and
+/// `workers - 1` spawned ones.
+fn sweep_on_workers(
+    engine: &Engine,
+    generators: &[Box<dyn synth::PrmGenerator + Sync>],
+    devices: &[fabric::Device],
+    workers: usize,
+) -> SweepRun {
+    let start = Instant::now();
+    // Resolve each device once: workers plan against the handles and
+    // never touch the interner during the grid evaluation.
+    let handles: Vec<DeviceHandle> = devices.iter().map(|d| engine.intern_device(d)).collect();
+    let next = AtomicUsize::new(0);
+    // One worker: claim generators until none is left, and return each
+    // one's row of points under its index.
+    let work = || {
+        let mut scratch = PlanScratch::default();
+        let mut rows: Vec<(usize, Vec<SweepPoint>)> = Vec::new();
+        loop {
+            // `Relaxed` suffices: the read-modify-write hands each index
+            // out once, and the counter publishes no data (the inputs are
+            // shared before the workers start, and the scope's joins
+            // order their rows before the assembly).
+            let g = next.fetch_add(1, Ordering::Relaxed);
+            let Some(generator) = generators.get(g) else {
+                return rows;
             };
-            SweepPoint {
-                module: report.module.clone(),
-                device: device.name().to_string(),
-                outcome,
-            }
-        })
-        .collect();
+            let row = devices
+                .iter()
+                .zip(&handles)
+                .map(|(device, handle)| {
+                    let report = engine.synthesize(generator.as_ref(), device.family());
+                    let req = PrrRequirements::from_report(&report);
+                    let plan = engine.plan_on(&req, handle, &mut scratch);
+                    SweepPoint {
+                        module: report.module,
+                        device: device.name().to_string(),
+                        outcome: summarize(plan),
+                    }
+                })
+                .collect();
+            rows.push((g, row));
+        }
+    };
+    let mut rows = std::thread::scope(|scope| {
+        let others: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut rows = work();
+        for other in others {
+            rows.extend(
+                other
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        rows
+    });
+    rows.sort_unstable_by_key(|&(g, _)| g);
+    let mut points = Vec::with_capacity(generators.len() * devices.len());
+    for (_, row) in rows {
+        points.extend(row);
+    }
 
     let elapsed = start.elapsed();
     let secs = elapsed.as_secs_f64();
@@ -133,6 +166,20 @@ pub fn sweep_with_engine(
         metrics: engine.snapshot(),
         points,
         elapsed,
+    }
+}
+
+/// A point's outcome: the plan's summary, or the failure reason.
+fn summarize(plan: &Result<prcost::PrrPlan, prcost::CostError>) -> Result<SweepPlan, String> {
+    match plan {
+        Ok(plan) => Ok(SweepPlan {
+            height: plan.organization.height,
+            width: plan.organization.width(),
+            bitstream_bytes: plan.bitstream_bytes,
+            reconfig: bitstream::IcapModel::V5_DMA.transfer_time(plan.bitstream_bytes),
+            ru_clb: plan.utilization.clb,
+        }),
+        Err(e) => Err(e.to_string()),
     }
 }
 
@@ -150,16 +197,7 @@ pub fn sweep_uncached(
         .map(|(g, d)| {
             let device = &devices[d];
             let report = generators[g].synthesize(device.family());
-            let outcome = match prcost::plan_prr(&report, device) {
-                Ok(plan) => Ok(SweepPlan {
-                    height: plan.organization.height,
-                    width: plan.organization.width(),
-                    bitstream_bytes: plan.bitstream_bytes,
-                    reconfig: bitstream::IcapModel::V5_DMA.transfer_time(plan.bitstream_bytes),
-                    ru_clb: plan.utilization.clb,
-                }),
-                Err(e) => Err(e.to_string()),
-            };
+            let outcome = summarize(&prcost::plan_prr(&report, device));
             SweepPoint {
                 module: report.module,
                 device: device.name().to_string(),
@@ -217,6 +255,64 @@ mod tests {
                 .collect()
         };
         assert_eq!(key(&a), key(&b));
+    }
+
+    /// Workers claim generators in whatever order they race to, yet the
+    /// points and the engine's counters do not depend on how many there
+    /// are. Plan builds and hits may split differently when two workers
+    /// race to plan one key, so only their sum is compared.
+    #[test]
+    fn points_and_counters_do_not_depend_on_the_worker_count() {
+        let devices = fabric::all_devices();
+        let gens: Vec<Box<dyn PrmGenerator + Sync>> = (0..24)
+            .map(|i| Box::new(synth::GenericPrm::random(i, 300 + 700 * i as u32)) as _)
+            .chain(generators())
+            .collect();
+        let runs = [1, 3].map(|workers| sweep_on_workers(&Engine::new(), &gens, &devices, workers));
+        let counts = |run: &SweepRun| {
+            let c = &run.metrics.counters;
+            [
+                c.synth_calls,
+                c.synth_cache_hits,
+                c.plans,
+                c.plans_feasible,
+                c.plans_infeasible,
+                c.plan_builds + c.plan_cache_hits,
+            ]
+        };
+        assert_eq!(runs[0].points, runs[1].points);
+        assert_eq!(counts(&runs[0]), counts(&runs[1]));
+        assert_eq!(runs[0].points.len(), gens.len() * devices.len());
+        assert!(runs[0].metrics.counters.plans_infeasible > 0);
+    }
+
+    /// A generator that panics while it is fingerprinted.
+    struct Broken;
+
+    impl PrmGenerator for Broken {
+        fn name(&self) -> String {
+            "broken".to_string()
+        }
+
+        fn op_counts(&self, _: fabric::Family) -> synth::mapping::OpCounts {
+            panic!("broken generator")
+        }
+    }
+
+    /// A worker's panic reaches the caller with its own payload, whichever
+    /// worker claimed the generator.
+    #[test]
+    fn a_worker_panic_reaches_the_caller() {
+        let devices = fabric::all_devices();
+        let mut gens = generators();
+        gens.insert(1, Box::new(Broken));
+        for workers in [1, 3] {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sweep_on_workers(&Engine::new(), &gens, &devices, workers)
+            }));
+            let payload = outcome.expect_err("the broken generator must panic");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"broken generator"));
+        }
     }
 
     #[test]

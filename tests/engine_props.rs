@@ -89,6 +89,68 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On every database device, the engine's plan for random
+    /// requirements equals the direct search's, and both are
+    /// `candidates_for`'s feasible candidate with the least
+    /// `(bytes, PRR_size, H)`: its organization, window and bytes. When no
+    /// candidate is feasible, both errors carry `candidates_for` as their
+    /// trace. The ranges reach exact fits, padded fits and no fit.
+    #[test]
+    fn plans_are_the_least_feasible_candidate(
+        lut_ff in 0u64..30_000,
+        dsp in 0u64..120,
+        bram in 0u64..80,
+    ) {
+        let engine = Engine::new();
+        let mut scratch = PlanScratch::default();
+        for device in fabric::all_devices() {
+            let req = PrrRequirements::new(device.family(), lut_ff, lut_ff, lut_ff, dsp, bram);
+            let direct = prcost::search::plan_prr_from_requirements(&req, &device);
+            let via_engine = engine.plan_requirements(&req, &device, &mut scratch);
+            prop_assert_eq!(&*via_engine, &direct, "{}", device.name());
+            let candidates = prcost::search::candidates_for(&req, &device);
+            let least = candidates
+                .iter()
+                .filter_map(|c| match &c.outcome {
+                    prcost::search::CandidateOutcome::Feasible {
+                        organization,
+                        window,
+                        bitstream_bytes,
+                        ..
+                    } => Some((
+                        (*bitstream_bytes, organization.prr_size(), c.height),
+                        organization,
+                        window,
+                    )),
+                    _ => None,
+                })
+                .min_by_key(|(key, ..)| *key);
+            match (&direct, least) {
+                (Ok(plan), Some(((bytes, ..), organization, window))) => {
+                    prop_assert_eq!(&plan.organization, organization);
+                    prop_assert_eq!(&plan.window, window);
+                    prop_assert_eq!(plan.bitstream_bytes, bytes);
+                }
+                (Err(prcost::CostError::NoFeasiblePlacement { device: name, trace }), None) => {
+                    prop_assert_eq!(name, device.name());
+                    prop_assert_eq!(&trace.device, device.name());
+                    prop_assert_eq!(&trace.candidates, &candidates);
+                }
+                (plan, least) => prop_assert!(
+                    false,
+                    "{}: plan {:?}, least candidate {:?}",
+                    device.name(),
+                    plan,
+                    least
+                ),
+            }
+        }
+    }
+}
+
 /// [`generator`]'s mix plus two oversized generics whose requirements
 /// exceed every device, so their plans memoize as `Err`.
 fn generator_or_oversized(index: usize) -> Box<dyn PrmGenerator + Sync> {

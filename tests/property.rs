@@ -94,9 +94,7 @@ proptest! {
             prop_assert_eq!(counts.clb(), u64::from(plan.organization.clb_cols));
             prop_assert_eq!(counts.dsp(), u64::from(plan.organization.dsp_cols));
             prop_assert_eq!(counts.bram(), u64::from(plan.organization.bram_cols));
-            let min_feasible = plan
-                .trace
-                .candidates
+            let min_feasible = prcost::search::candidates_for(req, &device)
                 .iter()
                 .filter_map(|c| c.bitstream_bytes())
                 .min()

@@ -119,3 +119,21 @@ fn released_jobs_allocate_per_task_set_not_per_job() {
         allocations(|| set.release_jobs(5, u64::from(n) * 50_000))
     });
 }
+
+/// A feasible cached search builds only its answer: on a warm scratch,
+/// its one heap allocation is the winning window's column list. FIR fits
+/// exactly at five heights; the BRAM-heavy requirement pads its first two
+/// heights and fits exactly above.
+#[test]
+fn a_feasible_cached_plan_allocates_only_its_window() {
+    let device = fabric::device_by_name("xc5vlx110t").unwrap();
+    let geometry = DeviceGeometry::new(&device);
+    let mut scratch = PlanScratch::default();
+    let fir = PrrRequirements::from_report(&PaperPrm::Fir.synth_report(device.family()));
+    let bram_heavy = PrrRequirements::new(device.family(), 8, 8, 8, 0, 12);
+    for req in [fir, bram_heavy] {
+        let mut plan = || prcost::plan_requirements_cached(&req, &device, &geometry, &mut scratch);
+        assert!(plan().is_ok(), "{req:?} is feasible");
+        assert_eq!(allocations(plan), 1, "{req:?}");
+    }
+}
