@@ -1,5 +1,5 @@
 //! `LayoutSim`: the dynamic-placement counterpart of the fixed-PRR
-//! event-heap simulator in `multitask::sim`.
+//! simulator in `multitask::sim`, on the same event core.
 //!
 //! PRRs are placed and freed at runtime through the [`LayoutManager`]
 //! instead of being fixed at construction. The model is a loss system:
@@ -8,12 +8,11 @@
 //! measurable comparison between [`DefragPolicy`] settings on the same
 //! workload. Every admission writes a fresh partial bitstream (dynamic
 //! placement means the region content never matches), and relocations
-//! flow through the same single serialized ICAP as configurations, each
-//! charged [`IcapModel::transfer_time`] over the moved module's Eq. 18
-//! predicted bytes. A relocated module is stalled for its copy time, so
-//! its completion slips by exactly the transfer — accounted with an
-//! authoritative completion map and lazy invalidation of stale heap
-//! entries, the same trick the fixed-PRR simulator uses for batching.
+//! flow through the core's ICAP port like configurations, each charged
+//! [`IcapModel::transfer_time`] over the moved module's Eq. 18 predicted
+//! bytes. A relocated module is stalled for its copy time; its new
+//! completion goes to the core, whose heap skips the stale one.
+//! Allocations completing at one instant are released in id order.
 
 use crate::defrag::{DefragPolicy, RelocationMove};
 use crate::defrag2::Defrag2Config;
@@ -21,11 +20,11 @@ use crate::free::FreeSpace;
 use crate::manager::{counters, AllocError, LayoutManager};
 use bitstream::IcapModel;
 use fabric::{Device, Resources, WindowRequest};
+use multitask::event::{Completions, EventCore, Wake};
 use multitask::{ModuleTable, Workload};
 use prcost::{bitstream_size_bytes, PrrOrganization, PrrRequirements};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// Simulation configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -88,7 +87,7 @@ pub struct RelocationEvent {
 }
 
 /// Simulation outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LayoutReport {
     /// Tasks admitted (placed and run to completion).
     pub admitted: u32,
@@ -128,100 +127,73 @@ pub struct LayoutReport {
     pub relocation_log: Vec<RelocationEvent>,
 }
 
-/// Fragmentation-index accumulator sampled at every placement change.
-#[derive(Default)]
-struct FragStats {
-    sum: f64,
-    samples: u64,
-    peak: f64,
+/// A layout run's state beside its event core.
+struct LayoutRun<'a> {
+    manager: LayoutManager,
+    modules: &'a ModuleTable,
+    /// Authoritative completion time per live allocation; the core's heap
+    /// may hold stale entries (relocation stalls push completions later).
+    completion: HashMap<u64, u64>,
+    report: LayoutReport,
+    /// Fragmentation index sum over the placement-change samples.
+    frag_sum: f64,
+    frag_samples: u64,
 }
 
-impl FragStats {
-    fn sample(&mut self, mgr: &LayoutManager) {
-        let f = mgr.fragmentation_index();
-        self.sum += f;
-        self.samples += 1;
-        if f > self.peak {
-            self.peak = f;
+impl LayoutRun<'_> {
+    fn sample_fragmentation(&mut self) {
+        let f = self.manager.fragmentation_index();
+        self.frag_sum += f;
+        self.frag_samples += 1;
+        if f > self.report.peak_fragmentation {
+            self.report.peak_fragmentation = f;
         }
     }
-}
 
-/// Release every allocation completing at or before `now`, skipping or
-/// rescheduling heap entries the relocation stalls made stale.
-fn drain_until(
-    now: u64,
-    mgr: &mut LayoutManager,
-    heap: &mut BinaryHeap<Reverse<(u64, u64)>>,
-    completion: &mut HashMap<u64, u64>,
-    frag: &mut FragStats,
-    report: &mut LayoutReport,
-) {
-    while let Some(&Reverse((t, id))) = heap.peek() {
-        if t > now {
-            break;
+    /// Release every allocation completing by the core's clock, skipping
+    /// the entries relocation stalls made stale.
+    fn release_due(&mut self, core: &mut EventCore) {
+        while let Some((at, id)) = core.completion(|id, at| self.completion.get(&id) == Some(&at)) {
+            self.completion.remove(&id);
+            self.manager.release(id);
+            self.report.makespan_ns = self.report.makespan_ns.max(at);
+            self.sample_fragmentation();
         }
-        heap.pop();
-        let Some(&auth) = completion.get(&id) else {
-            continue; // already drained via a fresher entry
-        };
-        if auth != t {
-            heap.push(Reverse((auth, id))); // stale: reschedule
-            continue;
-        }
-        completion.remove(&id);
-        mgr.release(id);
-        if t > report.makespan_ns {
-            report.makespan_ns = t;
-        }
-        frag.sample(mgr);
     }
-}
 
-/// Serialize already-executed relocations through the ICAP: advance the
-/// port's free time, stall each moved (running) module by its copy time,
-/// and log the events under the moved modules' names from `modules`.
-/// `task_id` is the arrival that triggered the plan (for proactive
-/// defrag, the task whose arrival instant found the port idle).
-#[allow(clippy::too_many_arguments)]
-fn account_moves(
-    task_id: u32,
-    now: u64,
-    moves: &[RelocationMove],
-    manager: &LayoutManager,
-    modules: &ModuleTable,
-    completion: &mut HashMap<u64, u64>,
-    heap: &mut BinaryHeap<Reverse<(u64, u64)>>,
-    icap_free_at: &mut u64,
-    report: &mut LayoutReport,
-) {
-    let mut at = (*icap_free_at).max(now);
-    for mv in moves {
-        at = at.saturating_add(mv.transfer_ns);
-        if let Some(c) = completion.get_mut(&mv.id) {
-            *c = c.saturating_add(mv.transfer_ns);
-            heap.push(Reverse((*c, mv.id)));
+    /// Serialize already-executed relocations through the core's ICAP
+    /// port: stall each moved (running) module by its copy time, and log
+    /// the events under the moved modules' names. `task_id` is the arrival
+    /// that triggered the plan (for proactive defrag, the task whose
+    /// arrival instant found the port idle).
+    fn account_moves(&mut self, core: &mut EventCore, task_id: u32, moves: &[RelocationMove]) {
+        let now = core.now();
+        let report = &mut self.report;
+        for mv in moves {
+            core.icap.transfer(now, mv.transfer_ns);
+            if let Some(c) = self.completion.get_mut(&mv.id) {
+                *c = c.saturating_add(mv.transfer_ns);
+                core.schedule(*c, mv.id);
+            }
+            let moved = self.manager.allocation(mv.id).expect("moved allocation");
+            report.relocation_log.push(RelocationEvent {
+                task: task_id,
+                module: self.modules.name(moved.module).to_string(),
+                organization: moved.organization,
+                from_col: mv.from.start_col as u32,
+                from_row: mv.from.row,
+                to_col: mv.to.start_col as u32,
+                to_row: mv.to.row,
+                bytes: mv.bytes,
+                context_bytes: mv.context_bytes,
+                transfer_ns: mv.transfer_ns,
+            });
+            report.relocation_ns = report.relocation_ns.saturating_add(mv.transfer_ns);
+            report.relocated_bytes += mv.bytes;
+            report.context_bytes += mv.context_bytes;
         }
-        let moved = manager.allocation(mv.id).expect("moved allocation");
-        report.relocation_log.push(RelocationEvent {
-            task: task_id,
-            module: modules.name(moved.module).to_string(),
-            organization: moved.organization,
-            from_col: mv.from.start_col as u32,
-            from_row: mv.from.row,
-            to_col: mv.to.start_col as u32,
-            to_row: mv.to.row,
-            bytes: mv.bytes,
-            context_bytes: mv.context_bytes,
-            transfer_ns: mv.transfer_ns,
-        });
-        report.relocation_ns = report.relocation_ns.saturating_add(mv.transfer_ns);
-        report.relocated_bytes += mv.bytes;
-        report.context_bytes += mv.context_bytes;
-        report.icap_busy_ns = report.icap_busy_ns.saturating_add(mv.transfer_ns);
+        report.relocations += moves.len() as u32;
     }
-    *icap_free_at = at;
-    report.relocations += moves.len() as u32;
 }
 
 /// Eq. 2–6 organizations for `needs` on `device`, cheapest bitstream
@@ -257,39 +229,18 @@ pub fn simulate_layout(
     workload: &Workload,
     config: &LayoutConfig,
 ) -> LayoutReport {
-    let mut manager = LayoutManager::new(device, config.icap);
-
-    // Candidate organizations per distinct needs bundle (tasks sharing a
-    // module share these).
-    let mut org_cache: HashMap<(u64, u64, u64), Vec<PrrOrganization>> = HashMap::new();
-
-    let mut report = LayoutReport {
-        admitted: 0,
-        rejected_capacity: 0,
-        rejected_fragmentation: 0,
-        defrag_admissions: 0,
-        proactive_defrags: 0,
-        relocations: 0,
-        relocation_ns: 0,
-        relocated_bytes: 0,
-        context_bytes: 0,
-        reconfigurations: 0,
-        reconfig_ns: 0,
-        icap_busy_ns: 0,
-        makespan_ns: 0,
-        total_wait_ns: 0,
-        total_exec_ns: 0,
-        peak_fragmentation: 0.0,
-        mean_fragmentation: 0.0,
-        relocation_log: Vec::new(),
+    let mut run = LayoutRun {
+        manager: LayoutManager::new(device, config.icap),
+        modules: workload.modules(),
+        completion: HashMap::new(),
+        report: LayoutReport::default(),
+        frag_sum: 0.0,
+        frag_samples: 0,
     };
-
-    // Authoritative completion time per live allocation; the heap may
-    // hold stale entries (relocation stalls push completions later).
-    let mut completion: HashMap<u64, u64> = HashMap::new();
-    let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut icap_free_at = 0u64;
-    let mut frag = FragStats::default();
+    let mut completions = Completions::new();
+    let mut core = EventCore::new(&workload.tasks, &mut completions);
+    // Candidate organizations per distinct needs bundle.
+    let mut org_cache: HashMap<(u64, u64, u64), Vec<PrrOrganization>> = HashMap::new();
     let d2cfg = Defrag2Config {
         depth: config.depth,
         ..Defrag2Config::default()
@@ -298,16 +249,9 @@ pub fn simulate_layout(
     // a proactive defrag repairs the layout for.
     let mut repair_goal: Option<PrrOrganization> = None;
 
-    for task in &workload.tasks {
-        let now = task.arrival_ns;
-        drain_until(
-            now,
-            &mut manager,
-            &mut heap,
-            &mut completion,
-            &mut frag,
-            &mut report,
-        );
+    while let Some(task) = core.next_task() {
+        let now = core.now();
+        run.release_due(&mut core);
 
         // Proactive defrag: at an arrival whose instant finds the ICAP
         // idle, repair the layout for the last fragmentation-rejected
@@ -323,26 +267,18 @@ pub fn simulate_layout(
                 // nothing to repair, but the goal stays armed: it fires
                 // when the fabric re-fragments against that class. The
                 // window probe is pure, so it waits for an idle port.
-                if icap_free_at <= now && manager.free_space().find_window(&req).is_none() {
-                    if let Some(plan) = manager.plan_defrag2(&goal, &d2cfg) {
-                        let benefit = completion
+                let port_idle = core.icap.start(now) == now;
+                if port_idle && run.manager.free_space().find_window(&req).is_none() {
+                    if let Some(plan) = run.manager.plan_defrag2(&goal, &d2cfg) {
+                        let benefit = run
+                            .completion
                             .values()
                             .fold(0u64, |sum, &c| sum.saturating_add(c.saturating_sub(now)));
                         if config.policy.accepts(plan.total_move_ns, benefit) {
-                            manager.execute_defrag2(&plan);
-                            account_moves(
-                                task.id,
-                                now,
-                                &plan.moves,
-                                &manager,
-                                workload.modules(),
-                                &mut completion,
-                                &mut heap,
-                                &mut icap_free_at,
-                                &mut report,
-                            );
-                            report.proactive_defrags += 1;
-                            frag.sample(&manager);
+                            run.manager.execute_defrag2(&plan);
+                            run.account_moves(&mut core, task.id, &plan.moves);
+                            run.report.proactive_defrags += 1;
+                            run.sample_fragmentation();
                             repair_goal = None;
                         }
                     }
@@ -353,9 +289,9 @@ pub fn simulate_layout(
         let needs = (task.needs.clb(), task.needs.dsp(), task.needs.bram());
         let orgs: &[PrrOrganization] = org_cache
             .entry(needs)
-            .or_insert_with(|| candidate_orgs(device, manager.free_space(), &task.needs));
+            .or_insert_with(|| candidate_orgs(device, run.manager.free_space(), &task.needs));
         if orgs.is_empty() {
-            report.rejected_capacity += 1;
+            run.report.rejected_capacity += 1;
             continue;
         }
 
@@ -363,7 +299,7 @@ pub fn simulate_layout(
         let mut admitted_org = None;
         let mut saw_fragmentation = false;
         for org in orgs {
-            match manager.allocate(task.module, org) {
+            match run.manager.allocate(task.module, org) {
                 Ok(id) => {
                     admitted_org = Some((id, *org));
                     break;
@@ -383,42 +319,33 @@ pub fn simulate_layout(
         if admitted_org.is_none() && saw_fragmentation && config.policy != DefragPolicy::Never {
             for org in orgs {
                 let moves = if config.depth > 0 {
-                    let Some(plan) = manager.plan_defrag2(org, &d2cfg) else {
+                    let Some(plan) = run.manager.plan_defrag2(org, &d2cfg) else {
                         continue;
                     };
                     if !config.policy.accepts(plan.total_move_ns, task.exec_ns) {
                         counters::DEFRAG_REJECTED_COST.incr();
                         continue;
                     }
-                    manager.execute_defrag2(&plan);
+                    run.manager.execute_defrag2(&plan);
                     plan.moves
                 } else {
-                    let Some(plan) = manager.plan_defrag(org) else {
+                    let Some(plan) = run.manager.plan_defrag(org) else {
                         continue;
                     };
                     if !config.policy.accepts(plan.total_move_ns, task.exec_ns) {
                         counters::DEFRAG_REJECTED_COST.incr();
                         continue;
                     }
-                    manager.execute_defrag(&plan);
+                    run.manager.execute_defrag(&plan);
                     plan.moves
                 };
-                account_moves(
-                    task.id,
-                    now,
-                    &moves,
-                    &manager,
-                    workload.modules(),
-                    &mut completion,
-                    &mut heap,
-                    &mut icap_free_at,
-                    &mut report,
-                );
-                let id = manager
+                run.account_moves(&mut core, task.id, &moves);
+                let id = run
+                    .manager
                     .allocate(task.module, org)
                     .expect("admit window freed by the plan");
                 admitted_org = Some((id, *org));
-                report.defrag_admissions += 1;
+                run.report.defrag_admissions += 1;
                 // This organization class needed a repair to get in —
                 // pre-free a window for its next arrival in idle time.
                 repair_goal = Some(*org);
@@ -428,46 +355,37 @@ pub fn simulate_layout(
 
         match admitted_org {
             Some((id, org)) => {
-                frag.sample(&manager);
+                run.sample_fragmentation();
                 let bytes = bitstream_size_bytes(&org);
                 let reconfig = config.icap.transfer_time(bytes).as_nanos() as u64;
-                let cfg_start = icap_free_at.max(now);
-                let cfg_end = cfg_start.saturating_add(reconfig);
-                icap_free_at = cfg_end;
+                let cfg_end = core.icap.transfer(now, reconfig);
+                let report = &mut run.report;
                 report.reconfigurations += 1;
                 report.reconfig_ns = report.reconfig_ns.saturating_add(reconfig);
-                report.icap_busy_ns = report.icap_busy_ns.saturating_add(reconfig);
                 report.total_wait_ns = report.total_wait_ns.saturating_add(cfg_end - now);
                 report.total_exec_ns = report.total_exec_ns.saturating_add(task.exec_ns);
                 report.admitted += 1;
                 let done = cfg_end.saturating_add(task.exec_ns);
-                completion.insert(id, done);
-                heap.push(Reverse((done, id)));
+                run.completion.insert(id, done);
+                core.schedule(done, id);
             }
-            None => {
-                if saw_fragmentation {
-                    report.rejected_fragmentation += 1;
-                    // Remember the cheapest organization as the proactive
-                    // repair goal for the next ICAP idle window.
-                    repair_goal = Some(orgs[0]);
-                } else {
-                    report.rejected_capacity += 1;
-                }
+            None if saw_fragmentation => {
+                run.report.rejected_fragmentation += 1;
+                // Remember the cheapest organization as the proactive
+                // repair goal for the next ICAP idle window.
+                repair_goal = Some(orgs[0]);
             }
+            None => run.report.rejected_capacity += 1,
         }
     }
 
-    drain_until(
-        u64::MAX,
-        &mut manager,
-        &mut heap,
-        &mut completion,
-        &mut frag,
-        &mut report,
-    );
-    report.peak_fragmentation = frag.peak;
-    if frag.samples > 0 {
-        report.mean_fragmentation = frag.sum / frag.samples as f64;
+    while core.advance(Wake::Completion) {
+        run.release_due(&mut core);
+    }
+    let mut report = run.report;
+    report.icap_busy_ns = core.icap.busy_ns();
+    if run.frag_samples > 0 {
+        report.mean_fragmentation = run.frag_sum / run.frag_samples as f64;
     }
     report
 }

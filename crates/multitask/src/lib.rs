@@ -22,17 +22,18 @@
 //!   baseline) and reuse-aware (prefer a PRR that already holds the
 //!   task's module, skipping reconfiguration entirely; else the least
 //!   overprovisioned PRR).
-//! * [`sim`] — a discrete-event simulator producing makespan, waiting
-//!   times, reconfiguration counts/time and per-PRR utilization. The core
-//!   is allocation-free after setup: integer module-id compares,
-//!   per-task fits bitmasks, a binary-heap event queue and a reusable
-//!   [`SimScratch`].
-//! * [`preempt`] — the same tasks under preemptive priority scheduling,
-//!   with ICAP-costed context save and restore.
+//! * [`event`] — the one discrete-event core every simulator that moves
+//!   a clock runs on (`layout`'s loss system too): clock, arrival cursor,
+//!   the shared ICAP port, and a lazily invalidated completion heap.
+//! * [`sim`] — the fixed-PRR-pool loop on that core; its FIFO line
+//!   ([`simulate`]) is allocation-free on a reusable [`SimScratch`].
+//! * [`preempt`] — the same loop's priority line, with ICAP-costed
+//!   context save and restore.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod event;
 pub mod intern;
 pub mod preempt;
 pub mod sched;

@@ -4,17 +4,18 @@
 //! tasks preemptible: a running PRM's state is read back through the
 //! configuration plane, the PRR is given to a more urgent task, and the
 //! victim later resumes (bitstream write + context restore) on a
-//! compatible PRR. This module simulates that discipline on top of the
-//! cost models: every configuration-plane operation — context save,
-//! bitstream write, context restore — serializes through the single ICAP
-//! and is costed from the PRR organization via `prcost` Eq. 18 and
-//! `prcost::context_breakdown`.
+//! compatible PRR. Every configuration-plane operation serializes through
+//! the single ICAP, costed from the PRR organization via `prcost` Eq. 18
+//! and `prcost::context_breakdown`. The discipline is a line of the
+//! fixed-pool loop in [`crate::sim`], with preemption as its hook.
 
-use crate::intern::ModuleId;
+use crate::sched::FirstFit;
+use crate::sim::{run_pool, Line, QueueEntry, Slots};
 use crate::system::PrSystem;
 use crate::task::{HwTask, Workload};
-use prcost::context_breakdown;
 use serde::Serialize;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Outcome metrics of a preemptive simulation.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -38,236 +39,121 @@ pub struct PreemptReport {
     pub urgent_mean_response_ns: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Pending {
-    task: HwTask,
-    remaining_ns: u64,
-    /// True if the task ran before and must restore its context.
-    saved: bool,
-    /// First-dispatch response recorded?
-    responded: bool,
+/// A place in line: higher priority first, then earlier arrival, lower
+/// id, and earlier admission, which also indexes the admitted entry.
+type Rank = (u8, Reverse<(u64, u32, usize)>);
+
+/// Highest priority first: [`simulate_preemptive`]'s line.
+struct ByPriority {
+    /// Every entry admitted to the line, a preempted task's rest again.
+    entries: Vec<QueueEntry>,
+    waiting: BinaryHeap<Rank>,
+    /// Each slot's run and the instant it (re)started executing.
+    running: Vec<Option<(Rank, u64)>>,
+    completed: u32,
+    makespan_ns: u64,
+    /// Sum and count of urgent tasks' first-dispatch responses.
+    urgent_ns: u64,
+    urgent: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Running {
-    pending_idx: usize,
-    exec_start: u64,
-    done_at: u64,
-    priority: u8,
+impl ByPriority {
+    fn rank(&mut self, entry: QueueEntry, id: u32) {
+        let admitted = self.entries.len();
+        self.waiting
+            .push((entry.priority, Reverse((entry.arrival_ns, id, admitted))));
+        self.entries.push(entry);
+    }
+}
+
+impl Line for ByPriority {
+    const PREEMPTIVE: bool = true;
+
+    fn push(&mut self, task: &HwTask, fits: u64) {
+        self.rank(QueueEntry::new(task, fits), task.id);
+    }
+
+    fn head(&self) -> Option<&QueueEntry> {
+        let &(_, Reverse((_, _, admitted))) = self.waiting.peek()?;
+        Some(&self.entries[admitted])
+    }
+
+    fn dispatch(&mut self, slot: usize, start: u64, _done: u64) {
+        let rank @ (_, Reverse((_, _, admitted))) = self.waiting.pop().expect("a head");
+        let entry = &self.entries[admitted];
+        if !entry.resumed && entry.priority >= 2 {
+            self.urgent_ns = self.urgent_ns.saturating_add(start - entry.arrival_ns);
+            self.urgent += 1;
+        }
+        self.running[slot] = Some((rank, start));
+    }
+
+    fn finish(&mut self, slot: usize, done: u64) {
+        self.running[slot] = None;
+        self.completed += 1;
+        self.makespan_ns = self.makespan_ns.max(done);
+    }
+
+    /// The lowest-priority run below the head's on a PRR the head fits,
+    /// the lowest slot on ties.
+    fn victim(&self, head: &QueueEntry, fits: impl Fn(usize) -> bool) -> Option<usize> {
+        let mut victim: Option<(u8, usize)> = None;
+        for (slot, run) in self.running.iter().enumerate() {
+            let Some(((p, _), _)) = *run else { continue };
+            if p < head.priority && victim.is_none_or(|(best, _)| p < best) && fits(slot) {
+                victim = Some((p, slot));
+            }
+        }
+        victim.map(|(_, slot)| slot)
+    }
+
+    fn preempt(&mut self, slot: usize, at: u64) {
+        let ((_, Reverse((_, id, admitted))), started) =
+            self.running[slot].take().expect("a victim is running");
+        let mut rest = self.entries[admitted];
+        rest.exec_ns = rest.exec_ns.saturating_sub(at.saturating_sub(started));
+        rest.resumed = true;
+        self.rank(rest, id);
+    }
 }
 
 /// Simulate `workload` on `system` under preemptive priority scheduling
 /// (each task's [`HwTask::priority`]; higher preempts lower).
 ///
-/// Configuration-plane costs: a dispatch onto a PRR holding a different
-/// module pays the PRR's bitstream write; resuming a preempted task
-/// additionally pays its context restore; preempting pays the victim's
-/// context save. All serialize on the ICAP. Clock and report sums
-/// saturate at `u64::MAX`.
+/// Waiting tasks are served highest priority first, then by arrival and
+/// id; the head takes the lowest-id free PRR that fits it, or else
+/// preempts the lowest-priority run below its own on a PRR it fits, and
+/// while it can do neither, the tasks behind it wait too. A write onto a
+/// PRR holding another module, a resumed task's context restore and a
+/// victim's context save all serialize on the ICAP. Clock and report
+/// sums saturate at `u64::MAX`.
 pub fn simulate_preemptive(system: &PrSystem, workload: &Workload) -> PreemptReport {
-    let n_slots = system.prrs.len();
-    let mut slot_free_at = vec![0u64; n_slots];
-    let mut slot_running: Vec<Option<Running>> = vec![None; n_slots];
-    let mut slot_module: Vec<Option<ModuleId>> = vec![None; n_slots];
-    let mut icap_free_at = 0u64;
-
-    let mut pending: Vec<Pending> = workload
-        .tasks
-        .iter()
-        .map(|&task| Pending {
-            remaining_ns: task.exec_ns,
-            task,
-            saved: false,
-            responded: false,
-        })
-        .collect();
-
-    // Hot-path precomputation (mirrors `sim`): freeze each task's
-    // per-slot fits bitmask so dispatch never rescans `fits` per slot.
-    let avail: Vec<_> = system.prrs.iter().map(|p| p.available()).collect();
-    let words_per_task = n_slots.div_ceil(64).max(1);
-    let mut fits_bits = vec![0u64; pending.len() * words_per_task];
-    for (ti, p) in pending.iter().enumerate() {
-        for (si, a) in avail.iter().enumerate() {
-            if a.covers(&p.task.needs) {
-                fits_bits[ti * words_per_task + si / 64] |= 1u64 << (si % 64);
-            }
-        }
-    }
-    let fits_any = |ti: usize| {
-        fits_bits[ti * words_per_task..(ti + 1) * words_per_task]
-            .iter()
-            .any(|&w| w != 0)
-    };
-    let fits_slot =
-        |ti: usize, si: usize| fits_bits[ti * words_per_task + si / 64] >> (si % 64) & 1 == 1;
-
-    let mut waiting: Vec<usize> = Vec::new(); // indices into pending
-    let mut next_arrival = 0usize;
-    let mut report = PreemptReport {
+    let tasks = &workload.tasks;
+    // Sized to allocate per run, not per task: on a homogeneous pool a
+    // task preempts at most once, at its first dispatch, so preempted
+    // rests and stale completions number at most n.
+    let mut line = ByPriority {
+        entries: Vec::with_capacity(tasks.len()),
+        waiting: BinaryHeap::with_capacity(tasks.len()),
+        running: vec![None; system.prrs.len()],
         completed: 0,
         makespan_ns: 0,
-        preemptions: 0,
-        reconfigurations: 0,
-        context_transfers: 0,
-        context_switch_ns: 0,
-        icap_busy_ns: 0,
-        urgent_mean_response_ns: 0,
+        urgent_ns: 0,
+        urgent: 0,
     };
-    let mut urgent_responses: Vec<u64> = Vec::new();
-    let mut now = 0u64;
-
-    loop {
-        // Admit arrivals.
-        while next_arrival < pending.len() && pending[next_arrival].task.arrival_ns <= now {
-            waiting.push(next_arrival);
-            next_arrival += 1;
-        }
-        // Retire completed tasks.
-        for slot in slot_running.iter_mut() {
-            if let Some(run) = slot {
-                if run.done_at <= now {
-                    report.completed += 1;
-                    report.makespan_ns = report.makespan_ns.max(run.done_at);
-                    *slot = None;
-                }
-            }
-        }
-
-        // Dispatch: highest priority first, FIFO within priority.
-        waiting.sort_by_key(|&i| {
-            (
-                std::cmp::Reverse(pending[i].task.priority),
-                pending[i].task.arrival_ns,
-                pending[i].task.id,
-            )
-        });
-        loop {
-            let Some(pos) = waiting.iter().position(|&i| fits_any(i)) else {
-                // Drop unservable tasks.
-                if !waiting.is_empty() && waiting.iter().all(|&i| !fits_any(i)) {
-                    waiting.clear();
-                }
-                break;
-            };
-            let pi = waiting[pos];
-            let prio = pending[pi].task.priority;
-
-            // Free fitting PRR?
-            let free = (0..n_slots)
-                .find(|&s| slot_free_at[s] <= now && slot_running[s].is_none() && fits_slot(pi, s));
-            let slot = match free {
-                Some(s) => Some(s),
-                None => {
-                    // Preempt the lowest-priority strictly-lower victim.
-                    (0..n_slots)
-                        .filter(|&s| {
-                            fits_slot(pi, s)
-                                && slot_running[s]
-                                    .as_ref()
-                                    .is_some_and(|r| r.priority < prio && r.done_at > now)
-                        })
-                        .min_by_key(|&s| slot_running[s].as_ref().map(|r| r.priority))
-                }
-            };
-            let Some(s) = slot else { break };
-
-            // Only configuration-plane work waits for the ICAP: a reuse
-            // hit that saves, writes and restores nothing starts now.
-            let victim = slot_running[s].take();
-            let module = pending[pi].task.module;
-            let write = slot_module[s] != Some(module);
-            let mut t = now;
-            if victim.is_some() || write || pending[pi].saved {
-                t = now.max(icap_free_at);
-                // If preempting, save the victim's context first.
-                if let Some(victim) = victim {
-                    let ctx = context_breakdown(&system.prrs[s].organization);
-                    let save_ns = system.icap.transfer_time(ctx.save_bytes()).as_nanos() as u64;
-                    let ran = t.saturating_sub(victim.exec_start);
-                    let vi = victim.pending_idx;
-                    pending[vi].remaining_ns = pending[vi].remaining_ns.saturating_sub(ran);
-                    pending[vi].saved = true;
-                    waiting.push(vi);
-                    t = t.saturating_add(save_ns);
-                    report.preemptions += 1;
-                    report.context_transfers += 1;
-                    report.context_switch_ns = report.context_switch_ns.saturating_add(save_ns);
-                    report.icap_busy_ns = report.icap_busy_ns.saturating_add(save_ns);
-                }
-                // Bitstream write if the module differs, restore if resuming.
-                if write {
-                    let w = system.reconfig_ns(&system.prrs[s]);
-                    t = t.saturating_add(w);
-                    report.reconfigurations += 1;
-                    report.icap_busy_ns = report.icap_busy_ns.saturating_add(w);
-                    slot_module[s] = Some(module);
-                }
-                if pending[pi].saved {
-                    let ctx = context_breakdown(&system.prrs[s].organization);
-                    let r = system.icap.transfer_time(ctx.restore_bytes()).as_nanos() as u64;
-                    t = t.saturating_add(r);
-                    report.context_transfers += 1;
-                    report.context_switch_ns = report.context_switch_ns.saturating_add(r);
-                    report.icap_busy_ns = report.icap_busy_ns.saturating_add(r);
-                }
-                icap_free_at = t;
-            }
-
-            if !pending[pi].responded {
-                pending[pi].responded = true;
-                if pending[pi].task.priority >= 2 {
-                    urgent_responses.push(t - pending[pi].task.arrival_ns);
-                }
-            }
-            let done = t.saturating_add(pending[pi].remaining_ns);
-            slot_running[s] = Some(Running {
-                pending_idx: pi,
-                exec_start: t,
-                done_at: done,
-                priority: prio,
-            });
-            slot_free_at[s] = done;
-            waiting.remove(
-                waiting
-                    .iter()
-                    .position(|&i| i == pi)
-                    .expect("pi is waiting"),
-            );
-        }
-
-        // Advance the clock to the earliest pending event. `None`, not a
-        // `u64::MAX` sentinel: a saturated run still ends at `u64::MAX`.
-        let mut next: Option<u64> = None;
-        let mut wake = |at: u64| next = Some(next.map_or(at, |n| n.min(at)));
-        if next_arrival < pending.len() {
-            wake(pending[next_arrival].task.arrival_ns);
-        }
-        for run in slot_running.iter().flatten() {
-            if run.done_at > now {
-                wake(run.done_at);
-            }
-        }
-        if !waiting.is_empty() && icap_free_at > now {
-            wake(icap_free_at);
-        }
-        let Some(next) = next else { break };
-        now = next;
+    let mut slots = Slots::default();
+    slots.completions.reserve(tasks.len() + system.prrs.len());
+    let counts = run_pool(system, workload, &FirstFit, &mut line, &mut slots);
+    PreemptReport {
+        completed: line.completed,
+        makespan_ns: line.makespan_ns,
+        preemptions: counts.preemptions,
+        reconfigurations: counts.reconfigurations,
+        context_transfers: counts.context_transfers,
+        context_switch_ns: counts.context_switch_ns,
+        icap_busy_ns: counts.icap_busy_ns,
+        urgent_mean_response_ns: line.urgent_ns.checked_div(line.urgent).unwrap_or(0),
     }
-    // A run still live when no event is left ends at the current instant
-    // (a clock saturated at `u64::MAX`, or no work left).
-    for run in slot_running.iter().flatten() {
-        report.completed += 1;
-        report.makespan_ns = report.makespan_ns.max(run.done_at);
-    }
-
-    if !urgent_responses.is_empty() {
-        let total = urgent_responses
-            .iter()
-            .fold(0u64, |sum, &r| sum.saturating_add(r));
-        report.urgent_mean_response_ns = total / urgent_responses.len() as u64;
-    }
-    report
 }
 
 #[cfg(test)]

@@ -1,12 +1,16 @@
-//! Discrete-event simulation of hardware multitasking.
+//! Discrete-event simulation of hardware multitasking on a fixed PRR pool.
 //!
 //! Semantics:
 //!
-//! * Tasks arrive at fixed times and queue FIFO.
-//! * Dispatch: when a task is at the head of the queue and a free PRR fits
-//!   it, the scheduler picks one. If the PRR already holds the task's
-//!   module, execution starts immediately (bitstream reuse); otherwise the
-//!   PRR must be reconfigured first.
+//! * Tasks arrive at fixed times and wait in a line: first come, first
+//!   served for [`simulate`]; highest priority first, with preemption, for
+//!   [`simulate_preemptive`](crate::simulate_preemptive). Both run one
+//!   loop on the shared [`EventCore`]; the
+//!   line is what differs.
+//! * Dispatch: when the task at the head of the line fits a free PRR, the
+//!   scheduler picks one. If the PRR already holds the task's module,
+//!   execution starts immediately (bitstream reuse); otherwise the PRR
+//!   must be reconfigured first.
 //! * Reconfigurations serialize through the single ICAP (the paper: only
 //!   desynchronization "releases the ICAP, which allows other PRRs to be
 //!   reconfigured"); each takes `bitstream_bytes / effective ICAP rate`.
@@ -14,44 +18,36 @@
 //!   proportionally longer reconfiguration — the paper's core motivation.
 //! * Execution inside one PRR does not block other PRRs (isolated
 //!   reconfiguration).
+//! * The loop wakes at arrivals and run ends only: a transfer starts at
+//!   `max(now, port free)` whenever it is requested, so an ICAP-free
+//!   wake-up could not dispatch anything.
 //!
-//! # Performance architecture
-//!
-//! The evaluation loop is allocation-free after setup:
-//!
-//! * Tasks carry their module as an interned [`ModuleId`] (resolved once,
-//!   where the workload was built), so reuse checks are integer compares
-//!   and the per-slot loaded modules the scheduler reads are
-//!   `Option<ModuleId>`, not `Option<String>` clones.
-//! * Each task's "which PRRs fit me" set is computed once, at admission,
-//!   into a bitmask carried in its queue entry, so dispatch feasibility
-//!   is a mask-and-free test and the unservable-task check (`fits_ever`)
-//!   is `mask != 0` — the seed re-scanned every PRR each time a task
-//!   reached the queue head.
-//! * Clock advance pops a [`BinaryHeap`] of pending slot/ICAP free times
-//!   instead of scanning all slots per step.
-//! * All working memory lives in a reusable [`SimScratch`], so a caller
-//!   that simulates many scenarios carries one scratch across them.
+//! The FIFO loop is allocation-free after setup: modules are interned
+//! [`ModuleId`]s, so reuse checks are integer compares; each task's
+//! "which PRRs fit me" bitmask is computed once, at admission; and all
+//! working memory lives in a reusable [`SimScratch`].
 //!
 //! Every simulator here saturates its clock and report sums at
 //! `u64::MAX`, so a hostile execution time reads as an unbounded
-//! makespan instead of wrapping to a small one.
+//! makespan instead of wrapping to a small one. A run that ends at its
+//! dispatch instant (a reuse hit of no execution time, or a saturated
+//! clock) frees its PRR at once.
 //!
 //! The seed implementation is frozen in [`reference`](mod@reference) as
 //! the equivalence oracle: property tests assert the heap simulator
 //! produces an identical [`SimReport`] for random workloads, systems and
 //! schedulers.
 
+use crate::event::{Completions, EventCore, Wake};
 use crate::intern::ModuleId;
 use crate::sched::Scheduler;
 use crate::system::PrSystem;
-use crate::task::Workload;
+use crate::task::{HwTask, Workload};
 use serde::Serialize;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Simulation outcome metrics.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SimReport {
     /// Scheduler used.
     pub scheduler: &'static str,
@@ -126,6 +122,7 @@ impl SimReport {
 
     /// Count one completed task that arrived at `arrival`, started
     /// executing at `start` and finished at `done` (sums saturate).
+    #[inline]
     fn add_task(&mut self, start: u64, done: u64, arrival: u64, exec_ns: u64) {
         self.total_wait_ns = self.total_wait_ns.saturating_add(start - arrival);
         self.total_exec_ns = self.total_exec_ns.saturating_add(exec_ns);
@@ -135,74 +132,170 @@ impl SimReport {
     }
 }
 
-/// Task attributes copied into the FIFO at admission, while the task's
-/// cache lines are warm from the sequential arrival scan. On large
-/// workloads the head of a backed-up queue was admitted tens of
-/// thousands of tasks earlier, so dispatching off the original task /
-/// fits arrays costs cold misses per dispatch; the queue itself is read
-/// sequentially and stays prefetcher-friendly.
+/// A task in line for a PRR, copied in at admission while its cache
+/// lines are warm: dispatching off the task array would miss the cache.
 #[derive(Debug, Clone, Copy)]
-struct QueueEntry {
-    module: ModuleId,
-    /// Fits bitmask over the first 64 slots (the whole mask for systems
-    /// with ≤ 64 PRRs; wider systems re-test the tail against `avail`).
-    fits: u64,
-    needs: fabric::Resources,
-    arrival_ns: u64,
-    exec_ns: u64,
-    /// Absolute deadline (`u64::MAX` = none): kept as a plain integer so
-    /// the entry stays a branchless `Copy` and the miss check is a
-    /// single compare at completion accounting.
-    deadline_ns: u64,
+pub(crate) struct QueueEntry {
+    pub(crate) module: ModuleId,
+    /// Fits bitmask over the first 64 slots (wider systems re-test the
+    /// rest against `avail`).
+    pub(crate) fits: u64,
+    pub(crate) needs: fabric::Resources,
+    pub(crate) arrival_ns: u64,
+    /// Execution time still to run: all of it until a preemption.
+    pub(crate) exec_ns: u64,
+    /// Absolute deadline (`u64::MAX` = none).
+    pub(crate) deadline_ns: u64,
+    pub(crate) priority: u8,
+    /// Preempted before: starting again restores its saved context.
+    pub(crate) resumed: bool,
 }
 
-/// Reusable working memory for [`simulate_with_scratch`].
-///
-/// Holds every buffer the simulator needs — hoisted per-slot data, each
-/// slot's loaded module and free time, the FIFO queue and the event heap
-/// — so repeated simulations allocate nothing after the first run
-/// reaches steady-state capacity. `Default`-construct once and pass to
-/// every call.
-#[derive(Debug, Clone, Default)]
-pub struct SimScratch {
-    /// Hoisted per-slot available resources.
-    avail: Vec<fabric::Resources>,
-    /// Hoisted per-slot reconfiguration time (ns): the float ICAP
-    /// transfer-time math runs once per slot, not once per dispatch.
-    reconfig_ns: Vec<u64>,
-    /// Module configured into each slot (what [`Scheduler::choose`] reads).
-    loaded: Vec<Option<ModuleId>>,
-    /// Instant each slot's current task finishes.
-    free_at: Vec<u64>,
-    candidates: Vec<usize>,
-    queue: VecDeque<QueueEntry>,
-    /// Min-heap of pending `(free_time, slot)` events.
-    events: BinaryHeap<Reverse<(u64, u32)>>,
-}
-
-impl SimScratch {
-    /// Fresh, empty scratch.
-    pub fn new() -> Self {
-        SimScratch::default()
+impl QueueEntry {
+    #[inline]
+    pub(crate) fn new(task: &HwTask, fits: u64) -> Self {
+        QueueEntry {
+            module: task.module,
+            fits,
+            needs: task.needs,
+            arrival_ns: task.arrival_ns,
+            exec_ns: task.exec_ns,
+            deadline_ns: task.deadline_ns.unwrap_or(u64::MAX),
+            priority: task.priority,
+            resumed: false,
+        }
     }
 
-    /// Reset and precompute per-run state: hoisted per-slot availability
-    /// and reconfiguration times.
-    fn prepare(&mut self, system: &PrSystem) {
+    /// Whether the task fits slot `si`.
+    #[inline]
+    fn fits(&self, si: usize, avail: &[fabric::Resources]) -> bool {
+        if si < 64 {
+            self.fits >> si & 1 == 1
+        } else {
+            avail[si].covers(&self.needs)
+        }
+    }
+}
+
+/// The waiting line of a fixed-pool run: what [`simulate`] (FIFO, a
+/// [`Scheduler`] picks among the free PRRs) and
+/// [`simulate_preemptive`](crate::simulate_preemptive) (priority order,
+/// first fit, preemption) do differently. `run_pool` does the rest.
+pub(crate) trait Line {
+    /// Whether the head may take a PRR from a lower-priority run. Then an
+    /// arrival can overtake a blocked head, so every event wakes the loop.
+    const PREEMPTIVE: bool;
+    /// Admit `task`, which fits the PRRs in `fits` (the first 64).
+    fn push(&mut self, task: &HwTask, fits: u64);
+    /// The task next in line.
+    fn head(&self) -> Option<&QueueEntry>;
+    /// Take the head off the line: it runs on `slot` from `start` to `done`.
+    fn dispatch(&mut self, slot: usize, start: u64, done: u64);
+    /// The run on `slot` ended at `done`.
+    fn finish(&mut self, _slot: usize, _done: u64) {}
+    /// The PRR the head may take from a running task, if any.
+    fn victim(&self, _head: &QueueEntry, _fits: impl Fn(usize) -> bool) -> Option<usize> {
+        None
+    }
+    /// Stop the run on `slot`, whose context save starts at `at`, and put
+    /// the rest of its work back in line.
+    fn preempt(&mut self, _slot: usize, _at: u64) {}
+}
+
+/// First come, first served: [`simulate`]'s line.
+struct Fifo<'a> {
+    queue: &'a mut VecDeque<QueueEntry>,
+    report: SimReport,
+}
+
+impl Line for Fifo<'_> {
+    const PREEMPTIVE: bool = false;
+
+    #[inline]
+    fn push(&mut self, task: &HwTask, fits: u64) {
+        self.queue.push_back(QueueEntry::new(task, fits));
+    }
+
+    #[inline]
+    fn head(&self) -> Option<&QueueEntry> {
+        self.queue.front()
+    }
+
+    #[inline]
+    fn dispatch(&mut self, _slot: usize, start: u64, done: u64) {
+        let entry = self.queue.pop_front().expect("dispatch takes the head");
+        self.report
+            .add_task(start, done, entry.arrival_ns, entry.exec_ns);
+        self.report.deadline_misses += u32::from(done > entry.deadline_ns);
+    }
+}
+
+/// Per-slot state of a fixed-pool run, reusable across runs. Resources
+/// and ICAP times are hoisted once per run, not computed per dispatch.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Slots {
+    avail: Vec<fabric::Resources>,
+    reconfig_ns: Vec<u64>,
+    /// Context save and restore times (ns), filled for preemptive runs,
+    /// the only ones that read them.
+    context_ns: Vec<(u64, u64)>,
+    /// Module configured into each slot (what [`Scheduler::choose`] reads).
+    loaded: Vec<Option<ModuleId>>,
+    /// Instant each slot's run ends; 0 once its completion has popped.
+    free_at: Vec<u64>,
+    candidates: Vec<usize>,
+    pub(crate) completions: Completions,
+}
+
+impl Slots {
+    /// Reset for a run on `system`; context times only if `preemptive`.
+    fn prepare(&mut self, system: &PrSystem, preemptive: bool) {
         let n_slots = system.prrs.len();
         self.avail.clear();
         self.avail.extend(system.prrs.iter().map(|p| p.available()));
         self.reconfig_ns.clear();
         self.reconfig_ns
             .extend(system.prrs.iter().map(|p| system.reconfig_ns(p)));
-
+        let ns = |bytes| system.icap.transfer_time(bytes).as_nanos() as u64;
+        self.context_ns.clear();
+        if preemptive {
+            self.context_ns.extend(system.prrs.iter().map(|p| {
+                let ctx = prcost::context_breakdown(&p.organization);
+                (ns(ctx.save_bytes()), ns(ctx.restore_bytes()))
+            }));
+        }
         self.loaded.clear();
         self.loaded.resize(n_slots, None);
         self.free_at.clear();
         self.free_at.resize(n_slots, 0);
         self.candidates.clear();
-        self.queue.clear();
-        self.events.clear();
+    }
+}
+
+/// Counts a fixed-pool run keeps whatever its line.
+#[derive(Debug, Default)]
+pub(crate) struct PoolCounts {
+    pub(crate) reconfigurations: u32,
+    pub(crate) reuse_hits: u32,
+    pub(crate) preemptions: u32,
+    pub(crate) context_transfers: u32,
+    pub(crate) context_switch_ns: u64,
+    pub(crate) icap_busy_ns: u64,
+}
+
+/// Reusable working memory for [`simulate_with_scratch`]: per-slot data,
+/// the FIFO queue and the completion heap, so repeated simulations
+/// allocate nothing once the buffers reach steady-state capacity.
+#[derive(Debug, Clone, Default)]
+pub struct SimScratch {
+    slots: Slots,
+    queue: VecDeque<QueueEntry>,
+}
+
+impl SimScratch {
+    /// Fresh, empty scratch.
+    pub fn new() -> Self {
+        SimScratch::default()
     }
 }
 
@@ -248,57 +341,61 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
     scheduler: &S,
     scratch: &mut SimScratch,
 ) -> SimReport {
-    scratch.prepare(system);
-    let tasks = &workload.tasks;
-    // Disjoint field borrows: the queue/heap fields stay mutable while
-    // the hoisted per-slot data is read.
-    let SimScratch {
+    scratch.queue.clear();
+    let mut line = Fifo {
+        queue: &mut scratch.queue,
+        report: SimReport {
+            scheduler: scheduler.name(),
+            ..SimReport::default()
+        },
+    };
+    let counts = run_pool(system, workload, scheduler, &mut line, &mut scratch.slots);
+    SimReport {
+        reconfigurations: counts.reconfigurations,
+        reuse_hits: counts.reuse_hits,
+        icap_busy_ns: counts.icap_busy_ns,
+        ..line.report
+    }
+}
+
+/// The fixed-pool loop: run `workload` on `system`'s PRRs in `line`'s order,
+/// `scheduler` picking among the free PRRs that fit the head.
+pub(crate) fn run_pool<S: Scheduler + ?Sized, L: Line>(
+    system: &PrSystem,
+    workload: &Workload,
+    scheduler: &S,
+    line: &mut L,
+    slots: &mut Slots,
+) -> PoolCounts {
+    slots.prepare(system, L::PREEMPTIVE);
+    // Disjoint field borrows: the per-slot state stays mutable while the
+    // hoisted per-slot data is read.
+    let Slots {
         avail,
         reconfig_ns,
+        context_ns,
         loaded,
         free_at,
         candidates,
-        queue,
-        events,
-    } = scratch;
-    let mut icap_free_at = 0u64;
-    let mut next_arrival = 0usize;
-    // Free-slot bitmask over the first 64 slots, kept in sync with the
-    // event heap: a dispatch clears the chosen bit, popping the slot's
-    // free event sets it back. Candidate discovery for a queue head is
-    // then `entry.fits & free_mask` — no per-dispatch slot scan.
+        completions,
+    } = slots;
+    let mut core = EventCore::new(&workload.tasks, completions);
+    let mut counts = PoolCounts::default();
+    // Free-slot bitmask over the first 64 slots: candidates for a head are
+    // `head.fits & free_mask`, with no per-dispatch slot scan.
     let mut free_mask: u64 = if loaded.len() >= 64 {
         u64::MAX
     } else {
         (1u64 << loaded.len()) - 1
     };
+    // A completion is live while its slot's run still ends then: a
+    // preempted run's entry is stale.
+    let live = |free_at: &[u64], slot: u64, at: u64| free_at[slot as usize] == at;
 
-    let mut report = SimReport {
-        scheduler: scheduler.name(),
-        completed: 0,
-        makespan_ns: 0,
-        reconfigurations: 0,
-        reuse_hits: 0,
-        icap_busy_ns: 0,
-        total_wait_ns: 0,
-        total_exec_ns: 0,
-        deadline_misses: 0,
-        total_response_ns: 0,
-    };
-
-    // Event-driven loop over "interesting" times: arrivals and slot/ICAP
-    // frees. The clock jumps to the earliest pending event (heap pop);
-    // dispatch then proceeds greedily at that instant.
-    let mut now = 0u64;
     loop {
-        // Admit arrivals up to `now`. The fits mask is computed here from
-        // the L1-resident `avail` (strictly cheaper than a precompute
-        // pass plus a re-read); unservable tasks (empty mask) are dropped
-        // here, once per task — the seed re-scanned every PRR each time
-        // such a task reached the queue head. Everything the dispatch
-        // path needs rides in the queue entry.
-        while next_arrival < tasks.len() && tasks[next_arrival].arrival_ns <= now {
-            let task = &tasks[next_arrival];
+        // Admit arrivals up to `now`, computing each fits mask from the
+        // L1-resident `avail`; unservable tasks are dropped here, once.
+        while let Some(task) = core.arrival() {
             let mut mask = 0u64;
             for (si, av) in avail.iter().take(64).enumerate() {
                 if av.covers(&task.needs) {
@@ -308,112 +405,105 @@ pub fn simulate_with_scratch<S: Scheduler + ?Sized>(
             let servable = mask != 0
                 || avail.len() > 64 && avail[64..].iter().any(|av| av.covers(&task.needs));
             if servable {
-                queue.push_back(QueueEntry {
-                    module: task.module,
-                    fits: mask,
-                    needs: task.needs,
-                    arrival_ns: task.arrival_ns,
-                    exec_ns: task.exec_ns,
-                    deadline_ns: task.deadline_ns.unwrap_or(u64::MAX),
-                });
+                line.push(task, mask);
             }
-            next_arrival += 1;
         }
 
-        // Dispatch FIFO head(s) while possible. Candidates come from the
-        // fits-and-free mask (ascending slot order, matching the seed's
-        // scan); `loaded` changes only here, so the scheduler reads it
-        // without a per-dispatch rebuild.
-        while let Some(entry) = queue.front().copied() {
+        // Free every slot whose run ended by `now`.
+        while let Some((at, slot)) = core.completion(|slot, at| live(free_at, slot, at)) {
+            free_at[slot as usize] = 0;
+            free_mask |= 1u64.checked_shl(slot as u32).unwrap_or(0);
+            line.finish(slot as usize, at);
+        }
+
+        // Dispatch from the head of the line while it can start, offering
+        // the scheduler the free PRRs that fit it in ascending order. The
+        // head is read in place, not copied out whole: the copy showed in
+        // the FIFO loop's time per task.
+        let now = core.now();
+        while let Some(head) = line.head() {
+            let (module, exec_ns, resumed) = (head.module, head.exec_ns, head.resumed);
             candidates.clear();
             if loaded.len() <= 64 {
-                let mut m = entry.fits & free_mask;
+                let mut m = head.fits & free_mask;
                 while m != 0 {
                     candidates.push(m.trailing_zeros() as usize);
                     m &= m - 1;
                 }
             } else {
                 for (si, &slot_free_at) in free_at.iter().enumerate() {
-                    let fits = if si < 64 {
-                        entry.fits >> si & 1 == 1
-                    } else {
-                        avail[si].covers(&entry.needs)
-                    };
-                    if fits && slot_free_at <= now {
+                    if slot_free_at <= now && head.fits(si, avail) {
                         candidates.push(si);
                     }
                 }
             }
-            if candidates.is_empty() {
-                break;
-            }
-            let module = entry.module;
-            let chosen = scheduler.choose(&entry.needs, module, candidates, avail, loaded);
-            debug_assert!(candidates.contains(&chosen));
-            queue.pop_front();
-
-            let reuse = loaded[chosen] == Some(module);
-            let exec_start = if reuse {
-                report.reuse_hits += 1;
-                now
+            let (chosen, preempt) = if !candidates.is_empty() {
+                let chosen = scheduler.choose(&head.needs, module, candidates, avail, loaded);
+                debug_assert!(candidates.contains(&chosen));
+                (chosen, false)
+            } else if let Some(victim) = line.victim(head, |si| head.fits(si, avail)) {
+                (victim, true)
             } else {
-                let reconfig = reconfig_ns[chosen];
-                let start = now.max(icap_free_at);
-                icap_free_at = start.saturating_add(reconfig);
-                report.reconfigurations += 1;
-                report.icap_busy_ns = report.icap_busy_ns.saturating_add(reconfig);
-                loaded[chosen] = Some(module);
-                // Note: no event for `icap_free_at`. An ICAP free can
-                // never enable a dispatch (dispatch is gated on arrivals
-                // and slot frees only; reconfigurations serialize through
-                // `max(now, icap_free_at)` whatever `now` is), so waking
-                // then — as the seed does — is a provable no-op.
-                icap_free_at
+                break;
             };
-            let done = exec_start.saturating_add(entry.exec_ns);
-            free_at[chosen] = done;
-            if done > now {
-                if chosen < 64 {
-                    free_mask &= !(1u64 << chosen);
-                }
-                events.push(Reverse((done, chosen as u32)));
+
+            // Only configuration-plane work waits for the ICAP: a reuse
+            // hit that saves, writes and restores nothing starts now.
+            let mut start = now;
+            if preempt {
+                let (save_ns, _) = context_ns[chosen];
+                line.preempt(chosen, core.icap.start(now));
+                start = core.icap.transfer(now, save_ns);
+                counts.preemptions += 1;
+                counts.context_transfers += 1;
+                counts.context_switch_ns = counts.context_switch_ns.saturating_add(save_ns);
             }
-            // done == now (zero-length execution on a reuse hit): the
-            // slot is immediately free again — keep its bit, no event.
-            report.add_task(exec_start, done, entry.arrival_ns, entry.exec_ns);
-            report.deadline_misses += u32::from(done > entry.deadline_ns);
+            if loaded[chosen] == Some(module) {
+                counts.reuse_hits += 1;
+            } else {
+                start = core.icap.transfer(now, reconfig_ns[chosen]);
+                counts.reconfigurations += 1;
+                loaded[chosen] = Some(module);
+            }
+            if resumed {
+                let (_, restore_ns) = context_ns[chosen];
+                start = core.icap.transfer(now, restore_ns);
+                counts.context_transfers += 1;
+                counts.context_switch_ns = counts.context_switch_ns.saturating_add(restore_ns);
+            }
+            let done = start.saturating_add(exec_ns);
+            line.dispatch(chosen, start, done);
+            free_at[chosen] = done;
+            let bit = 1u64.checked_shl(chosen as u32).unwrap_or(0);
+            if done > now {
+                free_mask &= !bit;
+                core.schedule(done, chosen as u64);
+            } else {
+                free_mask |= bit;
+                line.finish(chosen, done);
+            }
         }
 
-        // Advance the clock. While the FIFO is backed up, arrivals can
-        // never overtake the blocked head, so the only interesting time
-        // is the next slot-free event; the intervening arrivals are
-        // admitted in one batch when it fires (dispatch order and times
-        // are identical — the seed woke at every arrival instead). With
-        // an empty queue the next arrival is the only interesting time.
-        if queue.is_empty() {
-            match tasks.get(next_arrival) {
-                Some(t) => now = t.arrival_ns,
-                None => break,
-            }
+        // An arrival may overtake a blocked head only in priority order;
+        // behind a blocked FIFO head, arrivals wait for the next run end
+        // and are admitted in one batch then.
+        let wake = if L::PREEMPTIVE {
+            Wake::Either
+        } else if line.head().is_none() {
+            Wake::Arrival
         } else {
-            // A blocked head means some fitting slot is busy, hence a
-            // pending event; jump straight to the earliest one.
-            let Reverse((t, _)) = *events.peek().expect("blocked head implies pending event");
-            now = t;
-        }
-        // Free every slot whose event is due at (or before) `now`.
-        while let Some(&Reverse((t, si))) = events.peek() {
-            if t > now {
-                break;
-            }
-            events.pop();
-            if si < 64 {
-                free_mask |= 1u64 << si;
-            }
+            Wake::Completion
+        };
+        if !core.advance(wake) {
+            debug_assert!(
+                line.head().is_none(),
+                "a blocked head implies a pending completion"
+            );
+            break;
         }
     }
-
-    report
+    counts.icap_busy_ns = core.icap.busy_ns();
+    counts
 }
 
 /// Simulate the **full-reconfiguration** baseline the paper's introduction
@@ -430,15 +520,7 @@ pub fn simulate_full_reconfig(
 
     let mut report = SimReport {
         scheduler: "full-reconfig",
-        completed: 0,
-        makespan_ns: 0,
-        reconfigurations: 0,
-        reuse_hits: 0,
-        icap_busy_ns: 0,
-        total_wait_ns: 0,
-        total_exec_ns: 0,
-        deadline_misses: 0,
-        total_response_ns: 0,
+        ..SimReport::default()
     };
     let mut now = 0u64;
     let mut loaded: Option<ModuleId> = None;
@@ -487,15 +569,7 @@ pub fn simulate_static(device: &fabric::Device, workload: &Workload) -> Option<S
 
     let mut report = SimReport {
         scheduler: "static",
-        completed: 0,
-        makespan_ns: 0,
-        reconfigurations: 0,
-        reuse_hits: 0,
-        icap_busy_ns: 0,
-        total_wait_ns: 0,
-        total_exec_ns: 0,
-        deadline_misses: 0,
-        total_response_ns: 0,
+        ..SimReport::default()
     };
     let mut free_at: Vec<(ModuleId, u64)> = modules.iter().map(|&(m, _)| (m, 0u64)).collect();
     for task in &workload.tasks {
@@ -601,15 +675,7 @@ pub mod reference {
 
         let mut report = SimReport {
             scheduler: policy.name(),
-            completed: 0,
-            makespan_ns: 0,
-            reconfigurations: 0,
-            reuse_hits: 0,
-            icap_busy_ns: 0,
-            total_wait_ns: 0,
-            total_exec_ns: 0,
-            deadline_misses: 0,
-            total_response_ns: 0,
+            ..SimReport::default()
         };
 
         let mut now = 0u64;

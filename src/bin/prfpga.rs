@@ -1,18 +1,7 @@
 //! `prfpga` — command-line front end for the cost models.
 //!
-//! ```text
-//! prfpga devices
-//! prfpga plan <device> (--syr <file> | --prm fir|mips|sdram)
-//! prfpga bitstream <device> (--syr <file> | --prm <name>) [-o <out.bin>]
-//! prfpga dump <bitstream.bin>
-//! prfpga floorplan <device> --prms fir,mips,sdram
-//! prfpga simulate <device> --trace <file> [--prrs N] [--clb C --dsp D --bram B --height H] [--preemptive]
-//! prfpga sweep [--json <file>] [--metrics <file>]
-//! prfpga defrag [--device <name>] [--seed S] [--tasks N] [--policy <p>] [--depth N] [--proactive] [--json <file>]
-//! prfpga serve [--requests R] [--tenants T] [--state <file>] [--metrics <file>]
-//! prfpga bench-pipeline [--tasks N] [--device <name>] [--workers W|W1,W2,...] [--json <file>] [--metrics <file>]
-//! prfpga sched-ablate [--seed S] [--tasks N] [--horizon-ms H] [--admission-sets K] [--slack F] [--json <file>]
-//! ```
+//! Run it without arguments for the usage text (`USAGE_ENTRIES`, one
+//! entry per subcommand in `COMMANDS`), which lists every flag.
 
 use parflow::autofloorplan::{auto_floorplan, PrrSpec};
 use prfpga::prelude::*;
@@ -76,7 +65,8 @@ const USAGE_ENTRIES: &str = "
   devices                                    list the device database
   plan <device> --syr <file>                 plan a PRR from an XST report
   plan <device> --prm <fir|mips|sdram>       plan for a paper PRM
-  bitstream <device> --prm <name> [-o FILE]  also generate the partial bitstream
+  bitstream <device> (--syr FILE | --prm NAME) [-o FILE]
+                                             also generate the partial bitstream
   dump <file>                                parse + summarize a bitstream file
   floorplan <device> --prms a,b,c            jointly place one PRR per PRM
   simulate <device> --trace FILE [--prrs N]  replay a task trace
@@ -93,7 +83,8 @@ const USAGE_ENTRIES: &str = "
                                              plan a multi-tenant request stream on
                                              this thread (snapshot warm starts)
   bench-pipeline [--tasks N] [--device NAME] [--chunk C] [--modules M]
-                 [--workers W|W1,W2,...] [--queue-depth Q] [--seed S]
+                 [--scale K] [--prrs N] [--workers W|W1,W2,...]
+                 [--queue-depth Q] [--seed S] [--interarrival NS] [--exec NS]
                  [--json FILE] [--metrics FILE]
                                              stream N tasks through synth -> plan ->
                                              place -> bitstream -> simulate; a comma
@@ -106,7 +97,8 @@ const USAGE_ENTRIES: &str = "
                                              tests on a mixed PRR pool; writes
                                              results/BENCH_sched.json
 
-A flag a subcommand does not list is an error.";
+A flag a subcommand does not list is an error, and so is a value that does not
+parse as its flag's number.";
 
 /// Parse `args` against the subcommand its first element names, then run
 /// it; `None` when it names no subcommand.
@@ -325,6 +317,21 @@ impl<'a> Args<'a> {
         self.switches.contains(&name)
     }
 
+    /// The valued flag `name` parsed as `T`, or `default` when it is
+    /// absent; a value that does not parse (malformed, negative for an
+    /// unsigned flag, out of `T`'s range) is an error naming the flag.
+    fn value<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, AnyError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        match self.get(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|e| format!("bad {name} `{v}`: {e}").into()),
+        }
+    }
+
     /// Positional argument `index`, or an error naming it.
     fn positional(&self, index: usize) -> Result<&'a str, AnyError> {
         self.positional
@@ -516,8 +523,6 @@ fn cmd_sweep(args: &Args) -> Result<(), AnyError> {
         run.metrics.stage_total("geometry"),
         run.metrics.stage_total("plan"),
     );
-    let pct =
-        |r: Option<f64>| r.map_or_else(|| "n/a".to_string(), |v| format!("{:.0}%", v * 100.0));
     println!(
         "cache hit rates: synth {} ({} runs), geometry {} ({} builds), \
          plan memo {} ({} plans)",
@@ -549,26 +554,18 @@ fn cmd_defrag(args: &Args) -> Result<(), AnyError> {
     use prfpga::layout::{simulate_layout, DefragPolicy, LayoutConfig, LayoutReport};
 
     let device = fabric::device_by_name(args.get("--device").unwrap_or("xc5vlx110t"))?;
-    let num = |name: &str, default: u64| -> u64 {
-        args.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let seed = num("--seed", 12);
-    let tasks = num("--tasks", 200) as u32;
-    let modules = num("--modules", 16) as u32;
-    let scale = num("--scale", 1500) as u32;
-    let ratio: f64 = args
-        .get("--threshold")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
+    let seed = args.value("--seed", 12)?;
+    let tasks = args.value("--tasks", 200)?;
+    let modules = args.value("--modules", 16)?;
+    let scale = args.value("--scale", 1500)?;
+    let ratio = args.value("--threshold", 1.0)?;
     let policy = match args.get("--policy").unwrap_or("always") {
         "never" => DefragPolicy::Never,
         "threshold" => DefragPolicy::Threshold(ratio),
         "always" => DefragPolicy::Always,
         other => return Err(format!("unknown policy `{other}` (never|threshold|always)").into()),
     };
-    let depth = num("--depth", 0) as u32;
+    let depth = args.value("--depth", 0)?;
     if depth > 4 {
         return Err("--depth must be 0 (single-step) to 4".into());
     }
@@ -580,8 +577,8 @@ fn cmd_defrag(args: &Args) -> Result<(), AnyError> {
         tasks,
         modules,
         scale,
-        num("--interarrival", 40_000),
-        num("--exec", 400_000),
+        args.value("--interarrival", 40_000)?,
+        args.value("--exec", 400_000)?,
     );
     let run = |policy, depth, proactive| {
         simulate_layout(
@@ -654,23 +651,18 @@ fn cmd_defrag(args: &Args) -> Result<(), AnyError> {
 
 fn cmd_simulate(args: &Args) -> Result<(), AnyError> {
     let device = fabric::device_by_name(args.positional(0)?)?;
+    let org = PrrOrganization {
+        family: device.family(),
+        height: args.value("--height", 1)?,
+        clb_cols: args.value("--clb", 4)?,
+        dsp_cols: args.value("--dsp", 0)?,
+        bram_cols: args.value("--bram", 0)?,
+    };
+    let prrs = args.value("--prrs", 2)?;
     let trace_path = args.get("--trace").ok_or("need --trace <file>")?;
     let text = std::fs::read_to_string(trace_path)?;
     let workload = multitask::parse_trace(&text)?;
-
-    let num = |name: &str, default: u32| -> u32 {
-        args.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let org = PrrOrganization {
-        family: device.family(),
-        height: num("--height", 1),
-        clb_cols: num("--clb", 4),
-        dsp_cols: num("--dsp", 0),
-        bram_cols: num("--bram", 0),
-    };
-    let system = PrSystem::homogeneous(&device, org, num("--prrs", 2), IcapModel::V5_DMA)?;
+    let system = PrSystem::homogeneous(&device, org, prrs, IcapModel::V5_DMA)?;
     println!(
         "{} tasks on {} PRRs (H={} W={}, {} B bitstream each)",
         workload.tasks.len(),
@@ -717,18 +709,11 @@ fn cmd_simulate(args: &Args) -> Result<(), AnyError> {
 fn cmd_serve(args: &Args) -> Result<(), AnyError> {
     use synth::GenericPrm;
 
-    let num = |name: &str, default: u64| -> Result<u64, AnyError> {
-        args.get(name)
-            .map(str::parse::<u64>)
-            .transpose()
-            .map_err(|e| format!("bad {name}: {e}").into())
-            .map(|v| v.unwrap_or(default))
-    };
-    let requests = num("--requests", 5_000)? as usize;
-    let tenants = num("--tenants", 3)?.max(1) as usize;
-    let modules = num("--modules", 12)?.max(1);
-    let seed = num("--seed", 7)?;
-    let scale = num("--scale", 1_200)? as u32;
+    let requests: usize = args.value("--requests", 5_000)?;
+    let tenants = args.value("--tenants", 3usize)?.max(1);
+    let modules = args.value("--modules", 12u64)?.max(1);
+    let seed: u64 = args.value("--seed", 7)?;
+    let scale = args.value("--scale", 1_200)?;
     let state_path = args.get("--state");
 
     let engine = match state_path {
@@ -791,8 +776,6 @@ fn cmd_serve(args: &Args) -> Result<(), AnyError> {
         "{requests} requests ({feasible} feasible) in {elapsed:.1?} — {:.0} plans/s",
         requests as f64 / elapsed.as_secs_f64()
     );
-    let pct =
-        |r: Option<f64>| r.map_or_else(|| "n/a".to_string(), |v| format!("{:.0}%", v * 100.0));
     println!(
         "plan memo: {} hit rate over {} plans ({} built); geometry {} over {} devices",
         pct(c.plan_hit_rate()),
@@ -831,45 +814,20 @@ fn cmd_serve(args: &Args) -> Result<(), AnyError> {
 fn cmd_bench_pipeline(args: &Args) -> Result<(), AnyError> {
     use prfpga::pipeline::{run_pipeline, run_pipeline_sweep, PipelineConfig};
 
-    let num = |name: &str, default: u64| -> Result<u64, AnyError> {
-        args.get(name)
-            .map(str::parse::<u64>)
-            .transpose()
-            .map_err(|e| format!("bad {name}: {e}").into())
-            .map(|v| v.unwrap_or(default))
-    };
     let defaults = PipelineConfig::default();
-
-    // `--workers` accepts either a single count ("4") or a comma list
-    // ("1,2,4,8,16"); the list form reruns the whole pipeline once per
-    // count and records the scaling table in the report.
-    let worker_sweep: Vec<usize> = match args.get("--workers") {
-        None => vec![defaults.workers],
-        Some(spec) => spec
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad --workers entry {s:?}: {e}"))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    if worker_sweep.is_empty() || worker_sweep.contains(&0) {
-        return Err("--workers needs one or more nonzero counts".into());
-    }
-
+    let worker_sweep = worker_sweep(args, defaults.workers)?;
     let cfg = PipelineConfig {
         device: args.get("--device").unwrap_or(&defaults.device).to_string(),
-        tasks: num("--tasks", defaults.tasks)?,
-        chunk: num("--chunk", u64::from(defaults.chunk))? as u32,
-        modules: num("--modules", u64::from(defaults.modules))? as u32,
-        scale: num("--scale", u64::from(defaults.scale))? as u32,
-        prrs: num("--prrs", u64::from(defaults.prrs))? as u32,
+        tasks: args.value("--tasks", defaults.tasks)?,
+        chunk: args.value("--chunk", defaults.chunk)?,
+        modules: args.value("--modules", defaults.modules)?,
+        scale: args.value("--scale", defaults.scale)?,
+        prrs: args.value("--prrs", defaults.prrs)?,
         workers: worker_sweep[0],
-        queue_depth: num("--queue-depth", defaults.queue_depth as u64)? as usize,
-        seed: num("--seed", defaults.seed)?,
-        mean_interarrival_ns: num("--interarrival", defaults.mean_interarrival_ns)?,
-        mean_exec_ns: num("--exec", defaults.mean_exec_ns)?,
+        queue_depth: args.value("--queue-depth", defaults.queue_depth)?,
+        seed: args.value("--seed", defaults.seed)?,
+        mean_interarrival_ns: args.value("--interarrival", defaults.mean_interarrival_ns)?,
+        mean_exec_ns: args.value("--exec", defaults.mean_exec_ns)?,
     };
 
     let report = if worker_sweep.len() > 1 {
@@ -897,8 +855,6 @@ fn cmd_bench_pipeline(args: &Args) -> Result<(), AnyError> {
         report.reuse_hits,
         report.total_wait_ns as f64 / 1e6,
     );
-    let pct =
-        |r: Option<f64>| r.map_or_else(|| "n/a".to_string(), |v| format!("{:.0}%", v * 100.0));
     println!(
         "plan memo hit rate {}, peak RSS {:.1} MiB",
         pct(report.plan_hit_rate),
@@ -936,23 +892,7 @@ fn cmd_bench_pipeline(args: &Args) -> Result<(), AnyError> {
         );
     }
 
-    // Same artifact convention as `bench::write_json` (the prfpga crate
-    // does not depend on `bench`): `results/` at the workspace root,
-    // overridable with PRFPGA_RESULTS_DIR or an explicit --json path.
-    let path = match args.get("--json") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => {
-            let dir = std::env::var("PRFPGA_RESULTS_DIR")
-                .map(std::path::PathBuf::from)
-                .unwrap_or_else(|_| {
-                    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results")
-                });
-            std::fs::create_dir_all(&dir)?;
-            dir.join("BENCH_pipeline.json")
-        }
-    };
-    std::fs::write(&path, serde_json::to_string_pretty(&report)?)?;
-    println!("wrote {}", path.display());
+    write_artifact(args, "BENCH_pipeline.json", &report)?;
 
     // `--metrics FILE`: a compact operational snapshot (dispatch paths,
     // throughput, scaling rows) for dashboards that don't want the full
@@ -987,24 +927,63 @@ fn cmd_bench_pipeline(args: &Args) -> Result<(), AnyError> {
     Ok(())
 }
 
+/// Write `report` to the `--json` path, or else to `name` in `results/` at
+/// the workspace root (overridable with PRFPGA_RESULTS_DIR): the artifact
+/// convention of `bench::write_json`, which this crate does not depend on.
+fn write_artifact(args: &Args, name: &str, report: &impl serde::Serialize) -> Result<(), AnyError> {
+    let path = match args.get("--json") {
+        Some(p) => std::path::PathBuf::from(p),
+        None => {
+            let dir = std::env::var("PRFPGA_RESULTS_DIR").map_or_else(
+                |_| std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results"),
+                std::path::PathBuf::from,
+            );
+            std::fs::create_dir_all(&dir)?;
+            dir.join(name)
+        }
+    };
+    std::fs::write(&path, serde_json::to_string_pretty(report)?)?;
+    println!("wrote {}", path.display());
+    Ok(())
+}
+
+/// A rate as a whole percentage, or "n/a".
+fn pct(rate: Option<f64>) -> String {
+    rate.map_or_else(|| "n/a".to_string(), |v| format!("{:.0}%", v * 100.0))
+}
+
+/// `bench-pipeline`'s worker counts: `default` (0, one per CPU) without
+/// `--workers`, else its single count ("4") or comma list ("1,2,4,8,16").
+/// The list form reruns the whole pipeline once per count and records
+/// the scaling table in the report.
+fn worker_sweep(args: &Args, default: usize) -> Result<Vec<usize>, AnyError> {
+    let Some(spec) = args.get("--workers") else {
+        return Ok(vec![default]);
+    };
+    let counts: Vec<usize> = spec
+        .split(',')
+        .map(|s| {
+            s.trim()
+                .parse::<usize>()
+                .map_err(|e| format!("bad --workers entry {s:?}: {e}"))
+        })
+        .collect::<Result<_, _>>()?;
+    if counts.contains(&0) {
+        return Err("--workers needs one or more nonzero counts".into());
+    }
+    Ok(counts)
+}
+
 fn cmd_sched_ablate(args: &Args) -> Result<(), AnyError> {
     use prfpga::sched::{run_ablation, AblationConfig};
 
-    let num = |name: &str, default: u64| -> u64 {
-        args.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
     let defaults = AblationConfig::default();
     let cfg = AblationConfig {
-        seed: num("--seed", defaults.seed),
-        tasks: num("--tasks", u64::from(defaults.tasks)) as u32,
-        horizon_ms: num("--horizon-ms", defaults.horizon_ms),
-        deadline_slack: args
-            .get("--slack")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(defaults.deadline_slack),
-        admission_sets: num("--admission-sets", u64::from(defaults.admission_sets)) as u32,
+        seed: args.value("--seed", defaults.seed)?,
+        tasks: args.value("--tasks", defaults.tasks)?,
+        horizon_ms: args.value("--horizon-ms", defaults.horizon_ms)?,
+        deadline_slack: args.value("--slack", defaults.deadline_slack)?,
+        admission_sets: args.value("--admission-sets", defaults.admission_sets)?,
     };
     let report = run_ablation(&cfg);
 
@@ -1064,21 +1043,7 @@ fn cmd_sched_ablate(args: &Args) -> Result<(), AnyError> {
         );
     }
 
-    // Same artifact convention as bench-pipeline above.
-    let path = match args.get("--json") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => {
-            let dir = std::env::var("PRFPGA_RESULTS_DIR")
-                .map(std::path::PathBuf::from)
-                .unwrap_or_else(|_| {
-                    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results")
-                });
-            std::fs::create_dir_all(&dir)?;
-            dir.join("BENCH_sched.json")
-        }
-    };
-    std::fs::write(&path, serde_json::to_string_pretty(&report)?)?;
-    println!("wrote {}", path.display());
+    write_artifact(args, "BENCH_sched.json", &report)?;
     Ok(())
 }
 
@@ -1124,6 +1089,88 @@ mod tests {
             let entry = format!("\n  {} ", command.name);
             assert!(text.contains(&entry), "`{}` has no entry", command.name);
         }
+    }
+
+    /// Every flag a subcommand accepts is in its usage entry (the entry's
+    /// first line and the deeper-indented lines under it).
+    #[test]
+    fn usage_lists_every_flag() {
+        let mut entries: Vec<String> = Vec::new();
+        for line in USAGE_ENTRIES.lines() {
+            if line.starts_with("   ") {
+                if let Some(entry) = entries.last_mut() {
+                    entry.push_str(line);
+                }
+            } else if let Some(entry) = line.strip_prefix("  ") {
+                entries.push(entry.to_string());
+            }
+        }
+        for command in COMMANDS {
+            let text: String = entries
+                .iter()
+                .filter(|e| e.split(' ').next() == Some(command.name))
+                .map(|e| format!("{e} "))
+                .collect();
+            for flag in command.valued.iter().chain(command.switches) {
+                assert!(
+                    [' ', ']', ')']
+                        .iter()
+                        .any(|end| text.contains(&format!("{flag}{end}"))),
+                    "`{}` usage omits {flag}: {text}",
+                    command.name
+                );
+            }
+        }
+    }
+
+    /// A number that does not parse as its flag's type is an error naming
+    /// the flag. Malformed values used to fall back to the default
+    /// (`defrag --tasks 2k` ran 200 tasks and exited 0), and values out
+    /// of range were narrowed with `as` (`defrag --tasks 4294967297` ran
+    /// one task).
+    #[test]
+    fn a_bad_number_fails_and_names_its_flag() {
+        for argv in [
+            &["defrag", "--tasks", "2k"][..],
+            &["defrag", "--tasks", "4294967297"],
+            &["defrag", "--threshold", "high"],
+            &["defrag", "--depth", "-1"],
+            &["simulate", "xc5vlx110t", "--prrs", "two"],
+            &["serve", "--requests", "-1"],
+            &["bench-pipeline", "--chunk", "4294967297"],
+            &["sched-ablate", "--tasks", "abc"],
+            &["sched-ablate", "--slack", "lots"],
+        ] {
+            let outcome = run(&strings(argv)).expect("the subcommand exists");
+            let message = outcome.expect_err("must not run").to_string();
+            let [.., flag, value] = argv else {
+                unreachable!()
+            };
+            assert!(
+                message.contains(&format!("bad {flag} `{value}`")),
+                "{argv:?}: {message}"
+            );
+        }
+    }
+
+    /// Without `--workers`, `bench-pipeline` takes one worker per CPU
+    /// (count 0); only an explicit zero is refused. The bare command used
+    /// to fail on the check meant for `--workers 0`.
+    #[test]
+    fn bench_pipeline_workers_default_to_one_per_cpu() {
+        let workers = |argv: &[&str]| {
+            let argv = strings(argv);
+            let args = command("bench-pipeline").parse(&argv).unwrap();
+            worker_sweep(&args, 0).map_err(|e| e.to_string())
+        };
+        assert_eq!(workers(&[]), Ok(vec![0]));
+        assert_eq!(workers(&["--workers", "1,2"]), Ok(vec![1, 2]));
+        assert!(workers(&["--workers", "0"])
+            .unwrap_err()
+            .contains("nonzero"));
+        assert!(workers(&["--workers", "2,x"])
+            .unwrap_err()
+            .contains("\"x\""));
     }
 
     /// Parsing fails before a subcommand runs, so every one refuses a

@@ -3,8 +3,11 @@
 //! the id. A counting `#[global_allocator]` checks that each generator
 //! and each derived workload makes as many heap allocations at 10n tasks
 //! as at n; it counts per thread, so the harness's other test threads do
-//! not disturb it.
+//! not disturb it. Simulating them is pinned the same way.
 
+use multitask::{
+    simulate_preemptive, simulate_with_scratch, FirstFit, ReuseAware, Scheduler, SimScratch,
+};
 use prfpga::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -117,6 +120,55 @@ fn released_jobs_allocate_per_task_set_not_per_job() {
     assert!(jobs(1_000) > 9 * jobs(100));
     assert_flat("release_jobs", |n| {
         allocations(|| set.release_jobs(5, u64::from(n) * 50_000))
+    });
+}
+
+/// Four PRRs on the xc5vsx95t and the `n`-task workload they serve, with
+/// priorities 0–3 by task id.
+fn pool_workload(n: u32) -> (PrSystem, Workload) {
+    let device = fabric::device_by_name("xc5vsx95t").unwrap();
+    let org = PrrOrganization {
+        family: device.family(),
+        height: 1,
+        clb_cols: 6,
+        dsp_cols: 1,
+        bram_cols: 1,
+    };
+    let system = PrSystem::homogeneous(&device, org, 4, IcapModel::V5_DMA).unwrap();
+    let mut workload = system.filter_workload(&Workload::generate(
+        7,
+        device.family(),
+        n,
+        8,
+        250,
+        5_000,
+        50_000,
+    ));
+    for task in &mut workload.tasks {
+        task.priority = (task.id % 4) as u8;
+    }
+    (system, workload)
+}
+
+#[test]
+fn a_fixed_pool_run_on_a_warm_scratch_allocates_nothing() {
+    for n in [N, 10 * N] {
+        let (system, workload) = pool_workload(n);
+        let mut scratch = SimScratch::new();
+        for scheduler in [&FirstFit as &dyn Scheduler, &ReuseAware] {
+            simulate_with_scratch(&system, &workload, scheduler, &mut scratch);
+            let run = || simulate_with_scratch(&system, &workload, scheduler, &mut scratch);
+            assert_eq!(allocations(run), 0, "{} at {n} tasks", scheduler.name());
+        }
+    }
+}
+
+#[test]
+fn a_preemptive_run_allocates_per_run_not_per_task() {
+    assert_flat("simulate_preemptive", |n| {
+        let (system, workload) = pool_workload(n);
+        assert!(simulate_preemptive(&system, &workload).preemptions > 0);
+        allocations(|| simulate_preemptive(&system, &workload))
     });
 }
 
