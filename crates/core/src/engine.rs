@@ -40,6 +40,10 @@
 //! comparison. A slot miss probes the shared memo (and a memo miss runs
 //! the search and memoizes it) and refills the slot, so the memo stays the
 //! one source of truth and `plan_on` returns a borrow of the slot's `Arc`.
+//! The search records into the scratch's tally as well: its time under
+//! the `plan` stage and its padded-fallback and window-probe counts. So a
+//! cold `plan_on` writes shared memory only in the memo: its shard locks
+//! and its insert.
 //! The pipeline, the sweep and `prfpga serve` drive it; threads that plan
 //! concurrently each plan on a scratch of their own. The `&Device` entry
 //! points ([`Engine::plan_arc`], [`Engine::plan`] and friends) resolve
@@ -56,11 +60,12 @@
 //! build or a hit (`geometry_builds + geometry_cache_hits` equals device
 //! resolutions, `synth_calls + synth_cache_hits` equals synthesis requests,
 //! `plan_builds + plan_cache_hits` equals `plans`), with insertion-race
-//! losers and served slots counted as hits. The plan counters live in the
-//! scratches' tallies until [`Engine::snapshot`] sums them with the
-//! registry's (see [`Metrics::snapshot`]); a dropped scratch's tally is
-//! folded into the registry. The multi-thread stress suite asserts these
-//! identities under 16-way concurrent mixed load.
+//! losers and served slots counted as hits. The plan counters, the search
+//! counts and the `plan` stage live in the scratches' tallies until
+//! [`Engine::snapshot`] sums them with the registry's (see
+//! [`Metrics::snapshot`]); a dropped scratch's tally is folded into the
+//! registry. The multi-thread stress suite asserts these identities under
+//! 16-way concurrent mixed load.
 
 use crate::error::CostError;
 use crate::metrics::{Metrics, MetricsSnapshot, PlanTally};
@@ -72,6 +77,7 @@ use crate::shard::{
 use fabric::{Device, DeviceGeometry, Family};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+use std::time::Instant;
 use synth::{PrmGenerator, SynthReport};
 
 /// A memoized, instrumented planning engine (see the module docs).
@@ -364,7 +370,7 @@ impl Engine {
 
     /// A slot miss: the shared memo's result for `key`, or the cached
     /// Fig. 1 search's, memoized. Counts the hit or build on the scratch's
-    /// tally, and a search's padded-fallback and window-probe deltas.
+    /// tally.
     fn plan_shared(
         &self,
         key: PlanKey,
@@ -390,9 +396,10 @@ impl Engine {
         stored
     }
 
-    /// The cached Fig. 1 search for `req` on `device`, timed under the
-    /// `plan` stage, with its padded-fallback and window-probe deltas
-    /// added to the registry.
+    /// The cached Fig. 1 search for `req` on `device`, on a bound
+    /// scratch. Its time goes under the `plan` stage, and its
+    /// padded-fallback and window-probe deltas into the scratch's tally:
+    /// the search takes no lock and writes no shared memory.
     fn search(
         &self,
         req: &PrrRequirements,
@@ -401,15 +408,12 @@ impl Engine {
     ) -> Result<PrrPlan, CostError> {
         let padded_before = scratch.padded_resolution_count();
         let probes_before = scratch.window_probe_count();
-        let result = self.metrics.time("plan", || {
-            plan_requirements_cached(req, device.device(), device.geometry(), scratch)
-        });
-        self.metrics
-            .padded_fallbacks
-            .add(scratch.padded_resolution_count() - padded_before);
-        self.metrics
-            .window_probes
-            .add(scratch.window_probe_count() - probes_before);
+        let start = Instant::now();
+        let result = plan_requirements_cached(req, device.device(), device.geometry(), scratch);
+        let elapsed = start.elapsed();
+        let padded = scratch.padded_resolution_count() - padded_before;
+        let probes = scratch.window_probe_count() - probes_before;
+        scratch.bound().tally.searched(elapsed, padded, probes);
         result
     }
 
@@ -420,8 +424,8 @@ impl Engine {
 
     /// Snapshot of the engine's metrics, with the distinct interned
     /// compositions folded in from the interned geometries. Window probes
-    /// are already in the registry: each plan miss adds its scratch's
-    /// delta once.
+    /// are already in the registry's tallies: each search adds its
+    /// scratch's delta once.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
         snap.counters.distinct_compositions = self
@@ -467,8 +471,8 @@ impl Engine {
     /// result, `Err` plans included. The restored engine therefore serves
     /// exactly what planning those keys returns, whatever else a file
     /// claims. The import serves no plan, so the plan counters start at
-    /// zero; `geometry_builds`, `window_probes` and `padded_fallbacks`
-    /// count the work done here.
+    /// zero; `geometry_builds`, `window_probes`, `padded_fallbacks` and
+    /// the `plan` stage count the work done here.
     ///
     /// Every device in a snapshot is valid: deserializing a [`Device`]
     /// runs [`Device::new`]'s checks. A device listed twice is rejected,
@@ -494,7 +498,9 @@ impl Engine {
             }
             handles.push(handle);
         }
+        // Bound first, so the searches count into the scratch's tally.
         let mut scratch = PlanScratch::default();
+        engine.bind(&mut scratch);
         for record in &snapshot.plans {
             let device = handles.get(record.device as usize).ok_or(
                 SnapshotError::DeviceIndexOutOfRange {
@@ -732,12 +738,14 @@ mod tests {
         assert_eq!(snap.counters.plans_feasible, 2);
     }
 
-    /// Probes are counted in each worker's scratch and added to the
-    /// registry once per plan miss: a grid planned on a cold engine from
-    /// four threads (released together by a barrier), each with its own
-    /// scratch, reports exactly the probes a serial replay counts — no
-    /// per-plan delta is lost or counted twice. The grid has no repeated
-    /// point, so no two threads can race to plan the same one.
+    /// Probes are counted in each worker's scratch and added to its tally
+    /// once per search: a grid planned on a cold engine from four threads
+    /// (released together by a barrier), each with its own scratch,
+    /// reports exactly the probes and padded fallbacks a serial replay
+    /// counts, and one `plan` stage sample per build. The grid has no
+    /// repeated point, so no two threads can race to plan the same one.
+    /// The counts hold while the scratches are alive (summed from their
+    /// tallies) and after they drop (folded), so each tally counts once.
     #[test]
     fn concurrent_window_probes_equal_a_serial_replay() {
         let devices = fabric::all_devices();
@@ -764,22 +772,37 @@ mod tests {
         let engine = Engine::new();
         let parts: Vec<_> = grid.chunks(grid.len().div_ceil(4)).collect();
         let start = std::sync::Barrier::new(parts.len());
-        std::thread::scope(|scope| {
-            for part in parts {
-                let (engine, start) = (&engine, &start);
-                scope.spawn(move || {
-                    let mut scratch = PlanScratch::default();
-                    start.wait();
-                    for (req, device) in part {
-                        engine.plan_requirements(req, device, &mut scratch);
-                    }
-                });
-            }
+        let scratches: Vec<PlanScratch> = std::thread::scope(|scope| {
+            let workers: Vec<_> = parts
+                .into_iter()
+                .map(|part| {
+                    let (engine, start) = (&engine, &start);
+                    scope.spawn(move || {
+                        let mut scratch = PlanScratch::default();
+                        start.wait();
+                        for (req, device) in part {
+                            engine.plan_requirements(req, device, &mut scratch);
+                        }
+                        scratch
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
-        let c = engine.snapshot().counters;
-        assert_eq!(c.plan_builds, grid.len() as u64);
-        assert_eq!(c.window_probes, expected.window_probes);
-        assert_eq!(c.padded_fallbacks, expected.padded_fallbacks);
+        let check = |snap: MetricsSnapshot| {
+            let c = snap.counters;
+            assert_eq!(c.plan_builds, grid.len() as u64);
+            assert_eq!(c.window_probes, expected.window_probes);
+            assert_eq!(c.padded_fallbacks, expected.padded_fallbacks);
+            let plan = snap.stages.iter().find(|s| s.name == "plan").unwrap();
+            assert_eq!(plan.count, c.plan_builds);
+            assert_eq!(plan.buckets.iter().sum::<u64>(), plan.count);
+        };
+        assert_eq!(engine.metrics().live_tallies(), 4);
+        check(engine.snapshot());
+        drop(scratches);
+        check(engine.snapshot());
+        assert_eq!(engine.metrics().live_tallies(), 0);
     }
 
     #[test]

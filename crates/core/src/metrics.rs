@@ -2,11 +2,10 @@
 //!
 //! A [`Metrics`] registry holds lock-free atomic counters (cache hits,
 //! plan outcomes), labeled counters and per-stage wall-clock histograms
-//! (log₂-bucketed, behind a `parking_lot` mutex). Counters can be bumped
-//! concurrently from every worker of a parallel sweep;
-//! [`Metrics::snapshot`] produces a serializable [`MetricsSnapshot`] that
-//! `serde_json` exports for the CLI's `--metrics` flag and the benchmark
-//! artifacts.
+//! (log₂-bucketed). Counters can be bumped concurrently from every worker
+//! of a parallel sweep; [`Metrics::snapshot`] produces a serializable
+//! [`MetricsSnapshot`] that `serde_json` exports for the CLI's `--metrics`
+//! flag and the benchmark artifacts.
 //!
 //! A labeled counter is an atomic slot too: its label registers one
 //! shared [`Counter`] on first use, and the registry's lock guards only
@@ -14,13 +13,17 @@
 //! ([`Metrics::labeled_counter`], or a [`GlobalCounter`] in a `static`)
 //! and bumps it with one atomic add, without a lock or a lookup.
 //!
-//! The five plan counters (`plans`, the memo's build/hit split and the
-//! outcome split) are counted per worker instead. An engine's
-//! `PlanScratch` registers one tally here when it binds to the engine and
-//! is the tally's only writer, so a bump is a load and a `Release` store
-//! to memory no other thread writes, not a shared read-modify-write.
-//! [`Metrics::snapshot`] adds every registered tally to the base counters,
-//! and folds the tally of a dropped scratch into them.
+//! A stage recorded with [`Metrics::record_stage`] or [`Metrics::time`]
+//! goes into a map of histograms behind one mutex. The engine's plans
+//! record elsewhere: the five plan counters (`plans`, the memo's
+//! build/hit split and the outcome split), a cold search's padded
+//! fallbacks and window probes, and the `plan` stage histogram are
+//! counted per worker. An engine's `PlanScratch` registers one tally here
+//! when it binds to the engine and is the tally's only writer, so a bump
+//! is a load and a `Release` store to memory no other thread writes, not
+//! a shared read-modify-write or a lock. [`Metrics::snapshot`] adds every
+//! registered tally to the base counters and the stage map, and folds the
+//! tally of a dropped scratch into them.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -71,11 +74,16 @@ impl Counter {
 pub(crate) struct TallyCounter(AtomicU64);
 
 impl TallyCounter {
-    /// Add one. The writer's own last store is the value it loads, so the
-    /// load can be `Relaxed`.
-    pub(crate) fn incr(&self) {
+    /// Replace the value `v` with `f(v)`. The writer's own last store is
+    /// the value it loads, so the load can be `Relaxed`.
+    fn update(&self, f: impl FnOnce(u64) -> u64) {
         self.0
-            .store(self.0.load(Ordering::Relaxed) + 1, Ordering::Release);
+            .store(f(self.0.load(Ordering::Relaxed)), Ordering::Release);
+    }
+
+    /// Add one.
+    pub(crate) fn incr(&self) {
+        self.update(|n| n + 1);
     }
 
     fn get(&self) -> u64 {
@@ -88,14 +96,65 @@ impl TallyCounter {
     }
 }
 
-/// One plan scratch's share of an engine's five plan counters.
+/// A stage histogram with one writer, the single-writer twin of a
+/// [`StageStats`] entry.
+///
+/// A sample bumps its bucket and the sum and extremes before the count,
+/// and [`TallyStage::read`] loads the count first, so a concurrent read
+/// sees the bucket, minimum and maximum of every sample it counts.
+#[derive(Debug)]
+struct TallyStage {
+    count: TallyCounter,
+    total_ns: TallyCounter,
+    min_ns: TallyCounter,
+    max_ns: TallyCounter,
+    buckets: [TallyCounter; BUCKETS],
+}
+
+impl Default for TallyStage {
+    fn default() -> Self {
+        TallyStage {
+            count: TallyCounter::default(),
+            total_ns: TallyCounter::default(),
+            min_ns: TallyCounter(AtomicU64::new(u64::MAX)),
+            max_ns: TallyCounter::default(),
+            buckets: std::array::from_fn(|_| TallyCounter::default()),
+        }
+    }
+}
+
+impl TallyStage {
+    fn record(&self, ns: u64) {
+        self.buckets[bucket_index(ns)].incr();
+        self.total_ns.update(|total| total.saturating_add(ns));
+        self.min_ns.update(|min| min.min(ns));
+        self.max_ns.update(|max| max.max(ns));
+        self.count.incr();
+    }
+
+    /// The samples recorded so far, count first (see the type docs).
+    fn read(&self) -> StageStats {
+        let count = self.count.get();
+        StageStats {
+            count,
+            buckets: std::array::from_fn(|i| self.buckets[i].get()),
+            total_ns: self.total_ns.get(),
+            min_ns: self.min_ns.get(),
+            max_ns: self.max_ns.get(),
+        }
+    }
+}
+
+/// One plan scratch's share of an engine's plan counters, search counts
+/// and `plan` stage.
 ///
 /// A scratch registers its tally ([`Metrics::register_tally`]) when it
 /// binds to an engine and bumps it on every plan, totals before parts,
-/// like the base counters. The registry keeps a second handle on it, so
-/// when the scratch drops its own the registry's is unique, and
-/// [`Arc::get_mut`] on it both proves that no more bumps can come and
-/// gives the final counts.
+/// like the base counters. A cold search records its time and its
+/// padded-fallback and window-probe counts here too. The registry keeps a
+/// second handle on the tally, so when the scratch drops its own the
+/// registry's is unique, and [`Arc::get_mut`] on it both proves that no
+/// more bumps can come and gives the final counts.
 #[derive(Debug, Default)]
 pub(crate) struct PlanTally {
     pub(crate) plans: TallyCounter,
@@ -103,6 +162,9 @@ pub(crate) struct PlanTally {
     pub(crate) plan_builds: TallyCounter,
     plans_feasible: TallyCounter,
     plans_infeasible: TallyCounter,
+    padded_fallbacks: TallyCounter,
+    window_probes: TallyCounter,
+    plan_stage: TallyStage,
 }
 
 impl PlanTally {
@@ -113,6 +175,15 @@ impl PlanTally {
         } else {
             self.plans_infeasible.incr();
         }
+    }
+
+    /// Record one cold search: its wall-clock time under the `plan`
+    /// stage, and the padded fallbacks it resolved and the window probes
+    /// it made.
+    pub(crate) fn searched(&self, elapsed: Duration, padded_fallbacks: u64, window_probes: u64) {
+        self.padded_fallbacks.update(|n| n + padded_fallbacks);
+        self.window_probes.update(|n| n + window_probes);
+        self.plan_stage.record(nanos(elapsed));
     }
 }
 
@@ -150,6 +221,19 @@ impl GlobalCounter {
 /// Number of log₂ nanosecond buckets (covers 1 ns .. ~18 s and beyond).
 const BUCKETS: usize = 40;
 
+/// The stage the engine's cold searches record into their tallies.
+const PLAN_STAGE: &str = "plan";
+
+/// `elapsed` in whole nanoseconds, saturated at `u64::MAX`.
+fn nanos(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The bucket of an `ns` sample: `floor(log2(ns))`, clamped to the last.
+fn bucket_index(ns: u64) -> usize {
+    (63 - ns.max(1).leading_zeros() as usize).min(BUCKETS - 1)
+}
+
 /// Accumulated wall-clock statistics for one pipeline stage.
 #[derive(Debug, Clone)]
 struct StageStats {
@@ -174,11 +258,26 @@ impl StageStats {
 
     fn record(&mut self, ns: u64) {
         self.count += 1;
-        self.total_ns += ns;
+        self.total_ns = self.total_ns.saturating_add(ns);
         self.min_ns = self.min_ns.min(ns);
         self.max_ns = self.max_ns.max(ns);
-        let bucket = (64 - ns.max(1).leading_zeros() as usize - 1).min(BUCKETS - 1);
-        self.buckets[bucket] += 1;
+        self.buckets[bucket_index(ns)] += 1;
+    }
+
+    /// Add `other`'s samples. An empty `other` adds nothing: a concurrent
+    /// read of a tally that counts no sample may still see the extremes of
+    /// one in flight.
+    fn merge(&mut self, other: &StageStats) {
+        if other.count == 0 {
+            return;
+        }
+        self.count += other.count;
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
+        self.min_ns = self.min_ns.min(other.min_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+        for (bucket, n) in self.buckets.iter_mut().zip(other.buckets) {
+            *bucket += n;
+        }
     }
 
     /// Upper bound of the bucket holding the `q`-quantile sample,
@@ -197,6 +296,26 @@ impl StageStats {
         }
         self.max_ns
     }
+
+    fn snapshot(&self, name: &str) -> StageSnapshot {
+        let used = self
+            .buckets
+            .iter()
+            .rposition(|&n| n != 0)
+            .map_or(0, |i| i + 1);
+        StageSnapshot {
+            name: name.to_string(),
+            count: self.count,
+            total_ns: self.total_ns,
+            mean_ns: self.total_ns.checked_div(self.count).unwrap_or(0),
+            min_ns: if self.count == 0 { 0 } else { self.min_ns },
+            max_ns: self.max_ns,
+            p50_ns: self.quantile_ns(0.50),
+            p90_ns: self.quantile_ns(0.90),
+            p99_ns: self.quantile_ns(0.99),
+            buckets: self.buckets[..used].to_vec(),
+        }
+    }
 }
 
 /// A thread-safe registry of engine counters and stage timings.
@@ -211,11 +330,14 @@ pub struct Metrics {
     /// Geometry requests answered from the per-device cache.
     pub geometry_cache_hits: Counter,
     /// Padded-fallback enumerations resolved (geometry-cached planning
-    /// only; one per distinct composition with no exact window).
+    /// only; one per distinct composition with no exact window). Like the
+    /// plan counters below, this and the next counter hold the folded
+    /// tallies of dropped scratches: an engine counts a cold search's
+    /// fallbacks and probes in its scratch's tally.
     pub padded_fallbacks: Counter,
     /// Composition-index lookups made by geometry-cached plans. Each
-    /// worker counts its lookups in its own `PlanScratch`; the engine
-    /// adds one plan's total here once, after the plan.
+    /// worker counts its lookups in its own `PlanScratch`, and the engine
+    /// adds one search's total to the scratch's tally.
     pub window_probes: Counter,
     /// Plans attempted. This and the next four counters hold the plans
     /// counted here directly and the folded tallies of dropped scratches;
@@ -241,8 +363,9 @@ pub struct Metrics {
     /// consumer (see the schema-stability test). Each label maps to its
     /// shared slot; the lock guards the map, not the values.
     labeled: Mutex<BTreeMap<String, Arc<Counter>>>,
-    /// Every registered plan tally whose count is not yet folded into
-    /// the five plan counters above.
+    /// Every registered plan tally whose counts are not yet folded into
+    /// the base counters and the stage map. Whoever holds both locks
+    /// takes this one first.
     tallies: Mutex<Vec<Arc<PlanTally>>>,
 }
 
@@ -261,12 +384,11 @@ impl Metrics {
 
     /// Record one `elapsed` sample for `stage`.
     pub fn record_stage(&self, stage: &'static str, elapsed: Duration) {
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.stages
             .lock()
             .entry(stage)
             .or_insert_with(StageStats::new)
-            .record(ns);
+            .record(nanos(elapsed));
     }
 
     /// Run `f`, recording its wall-clock time under `stage`.
@@ -308,11 +430,13 @@ impl Metrics {
         tally
     }
 
-    /// Add each tally whose scratch is gone to the base counters and
-    /// unregister it. Runs under the registry lock, which every snapshot
-    /// holds while it reads the plan counters, so no snapshot sees a
-    /// count twice or not at all.
+    /// Add each tally whose scratch is gone to the base counters and the
+    /// `plan` stage, and unregister it. Runs under the registry lock,
+    /// which every snapshot holds while it reads the tallies, the plan
+    /// counters and the stage map, so no snapshot sees a count or a sample
+    /// twice or not at all.
     fn fold_dropped(&self, tallies: &mut Vec<Arc<PlanTally>>) {
+        let mut searched = StageStats::new();
         tallies.retain_mut(|tally| {
             let Some(tally) = Arc::get_mut(tally) else {
                 return true;
@@ -322,8 +446,18 @@ impl Metrics {
             self.plan_builds.add(tally.plan_builds.take());
             self.plans_feasible.add(tally.plans_feasible.take());
             self.plans_infeasible.add(tally.plans_infeasible.take());
+            self.padded_fallbacks.add(tally.padded_fallbacks.take());
+            self.window_probes.add(tally.window_probes.take());
+            searched.merge(&tally.plan_stage.read());
             false
         });
+        if searched.count > 0 {
+            self.stages
+                .lock()
+                .entry(PLAN_STAGE)
+                .or_insert_with(StageStats::new)
+                .merge(&searched);
+        }
     }
 
     /// Number of registered tallies not yet folded.
@@ -362,15 +496,24 @@ impl Metrics {
     /// `Release` stores or increments and the snapshot's reads `Acquire`
     /// (see [`Counter`]), so a part bump visible to the early read carries
     /// its thread's earlier total bump with it, in its tally or in the
-    /// base, and the later total read sees at least as many. The snapshot
-    /// holds the tally registry's lock for all of these reads, and a
-    /// dropped scratch's tally is folded into the base counters only under
-    /// that lock, so a fold never lands between a part and its total. The
-    /// gaps, if any, are exactly the plans in flight between the reads; on
-    /// a quiescent registry the first two inequalities are equalities.
-    /// The stage map is internally consistent — it is copied under its
-    /// lock. Labeled counters are independent atomics like the fixed ones:
-    /// the label set is copied under the map's lock, and each value is one
+    /// base, and the later total read sees at least as many. The gaps, if
+    /// any, are exactly the plans in flight between the reads; on a
+    /// quiescent registry the first two inequalities are equalities.
+    ///
+    /// The `plan` stage is the stage map's entry plus every registered
+    /// tally's histogram. A tally's count is read before its buckets and
+    /// extremes, which its writer bumps before the count, so the stage's
+    /// count never exceeds its bucket sum and its quantiles stay within
+    /// `[min_ns, max_ns]`; its sum may include a sample still in flight.
+    /// Every other stage is copied under the map's lock.
+    ///
+    /// The snapshot holds the tally registry's lock for all of these
+    /// reads, and takes the stage map's lock inside it. A dropped
+    /// scratch's tally is folded into the base counters and the stage map
+    /// only under the registry lock, so a fold never lands between a part
+    /// and its total, or between the tally reads and the map copy.
+    /// Labeled counters are independent atomics like the fixed ones: the
+    /// label set is copied under the map's lock, and each value is one
     /// read of its slot.
     ///
     /// [`DeviceHandle`]: crate::DeviceHandle
@@ -387,26 +530,6 @@ impl Metrics {
                 value: slot.get(),
             })
             .collect();
-        let stages = self
-            .stages
-            .lock()
-            .iter()
-            .map(|(name, s)| StageSnapshot {
-                name: (*name).to_string(),
-                count: s.count,
-                total_ns: s.total_ns,
-                mean_ns: s.total_ns.checked_div(s.count).unwrap_or(0),
-                min_ns: if s.count == 0 { 0 } else { s.min_ns },
-                max_ns: s.max_ns,
-                p50_ns: s.quantile_ns(0.50),
-                p90_ns: s.quantile_ns(0.90),
-                p99_ns: s.quantile_ns(0.99),
-                buckets: {
-                    let used = s.buckets.iter().rposition(|&n| n != 0).map_or(0, |i| i + 1);
-                    s.buckets[..used].to_vec()
-                },
-            })
-            .collect();
         let mut tallies = self.tallies.lock();
         self.fold_dropped(&mut tallies);
         let sum = |base: &Counter, part: fn(&PlanTally) -> &TallyCounter| {
@@ -421,26 +544,42 @@ impl Metrics {
         let geometry_builds = self.geometry_builds.get();
         let geometry_cache_hits = self.geometry_cache_hits.get();
         let plans = sum(&self.plans, |t| &t.plans);
+        let padded_fallbacks = sum(&self.padded_fallbacks, |t| &t.padded_fallbacks);
+        let window_probes = sum(&self.window_probes, |t| &t.window_probes);
+        let mut searched = StageStats::new();
+        for tally in tallies.iter() {
+            searched.merge(&tally.plan_stage.read());
+        }
+        let mut stages = self.stages.lock().clone();
         drop(tallies);
+        if searched.count > 0 {
+            stages
+                .entry(PLAN_STAGE)
+                .or_insert_with(StageStats::new)
+                .merge(&searched);
+        }
         MetricsSnapshot {
             counters: CounterSnapshot {
                 synth_calls: self.synth_calls.get(),
                 synth_cache_hits: self.synth_cache_hits.get(),
                 geometry_builds,
                 geometry_cache_hits,
-                window_probes: self.window_probes.get(),
+                window_probes,
                 // Composition counts live in the interned geometries; a
                 // bare registry reports zero and the batch engine's
                 // snapshot folds the real value in.
                 distinct_compositions: 0,
-                padded_fallbacks: self.padded_fallbacks.get(),
+                padded_fallbacks,
                 plans,
                 plan_cache_hits,
                 plan_builds,
                 plans_feasible,
                 plans_infeasible,
             },
-            stages,
+            stages: stages
+                .iter()
+                .map(|(name, stage)| stage.snapshot(name))
+                .collect(),
             labeled,
         }
     }
@@ -709,6 +848,33 @@ mod tests {
         let text = serde_json::to_string_pretty(&snap).unwrap();
         let parsed: MetricsSnapshot = serde_json::from_str(&text).unwrap();
         assert_eq!(parsed.stages[0].buckets, s.buckets);
+    }
+
+    /// A stage's sum saturates instead of wrapping (or panicking in a
+    /// debug build), so its mean stays within the observed range.
+    #[test]
+    fn stage_sums_saturate() {
+        let m = Metrics::new();
+        m.record_stage("x", Duration::MAX);
+        m.record_stage("x", Duration::from_nanos(5));
+        let snap = m.snapshot();
+        let s = &snap.stages[0];
+        assert_eq!((s.count, s.total_ns, s.max_ns), (2, u64::MAX, u64::MAX));
+        assert!(s.mean_ns <= s.max_ns);
+        // A tally's histogram and the snapshot's merge saturate too.
+        let tally = m.register_tally();
+        tally.searched(Duration::MAX, 0, 0);
+        let stage = |snap: &MetricsSnapshot| snap.stages.iter().find(|s| s.name == "plan").cloned();
+        let live = stage(&m.snapshot()).expect("the live tally's stage");
+        assert_eq!((live.count, live.total_ns), (1, u64::MAX));
+        m.record_stage("plan", Duration::from_nanos(7));
+        let merged = stage(&m.snapshot()).unwrap();
+        assert_eq!(
+            (merged.count, merged.total_ns, merged.min_ns),
+            (2, u64::MAX, 7)
+        );
+        drop(tally);
+        assert_eq!(stage(&m.snapshot()), Some(merged), "the fold adds the same");
     }
 
     #[test]

@@ -82,7 +82,8 @@ enum CompResolution {
 /// The scratch also counts the composition-index lookups its plans make
 /// ([`PlanScratch::window_probe_count`]): a plain per-worker `u64`, so
 /// sweep workers sharing one [`DeviceGeometry`] write no shared memory
-/// per probe. The engine adds each plan's delta to its metrics once.
+/// per probe. The engine adds each search's delta to the scratch's tally
+/// once.
 ///
 /// Planned through an [`Engine`](crate::Engine), a scratch binds to that
 /// engine on first use: it counts the engine's plans in a tally only it

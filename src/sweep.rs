@@ -9,17 +9,21 @@
 //!
 //! Sweeps are driven through a [`prcost::Engine`]: each device is
 //! resolved once to a [`prcost::DeviceHandle`] (its interned
-//! window-search geometry), and then one worker per available CPU, the
-//! calling thread among them, claims generators one at a time from a
-//! shared counter. A worker synthesizes its generator's report for every
-//! device through the engine's per-family memo, plans each point on its
-//! own [`prcost::PlanScratch`], and moves the report's module name into
-//! the point. The points are assembled in grid order, so they and the
-//! engine's counters do not depend on the worker count (a tested
-//! property). [`sweep_uncached`] keeps the original one-shot path as the
+//! window-search geometry), and then one worker per available CPU (at
+//! most one per generator), the calling thread among them, claims
+//! generators one at a time from a shared counter. A worker synthesizes
+//! its generator once per device family through the engine's memo,
+//! reuses that report for every device of the family, and plans each
+//! point on its own [`prcost::PlanScratch`]. A cold plan records into the
+//! scratch's tally, so planning a point writes shared memory only in the
+//! plan memo.
+//! The points are assembled in grid order, so they and the engine's
+//! counters do not depend on the worker count (a tested property).
+//! [`sweep_uncached`] keeps the original one-shot path as the
 //! equivalence/throughput baseline — the two produce byte-identical
 //! points.
 
+use fabric::Family;
 use prcost::{DeviceHandle, Engine, MetricsSnapshot, PlanScratch, PrrRequirements};
 use rayon::prelude::*;
 use serde::Serialize;
@@ -82,8 +86,8 @@ pub fn sweep(
 
 /// [`sweep`] on a caller-owned engine, returning the instrumented run.
 /// Runs one worker per available CPU (`available_parallelism`, which
-/// honours the affinity mask), the calling thread among them; a worker's
-/// panic reaches the caller.
+/// honours the affinity mask) but no more than there are generators, the
+/// calling thread among them; a worker's panic reaches the caller.
 pub fn sweep_with_engine(
     engine: &Engine,
     generators: &[Box<dyn synth::PrmGenerator + Sync>],
@@ -93,8 +97,8 @@ pub fn sweep_with_engine(
     sweep_on_workers(engine, generators, devices, workers)
 }
 
-/// [`sweep_with_engine`] on `workers` threads: the caller and
-/// `workers - 1` spawned ones.
+/// [`sweep_with_engine`] on `workers` threads, capped at one per
+/// generator: the caller and up to `workers - 1` spawned ones.
 fn sweep_on_workers(
     engine: &Engine,
     generators: &[Box<dyn synth::PrmGenerator + Sync>],
@@ -105,6 +109,21 @@ fn sweep_on_workers(
     // Resolve each device once: workers plan against the handles and
     // never touch the interner during the grid evaluation.
     let handles: Vec<DeviceHandle> = devices.iter().map(|d| engine.intern_device(d)).collect();
+    // The families present, in first-seen order, and each device's index
+    // among them: a worker synthesizes a generator once per family.
+    let mut families: Vec<Family> = Vec::new();
+    let family_of: Vec<usize> = devices
+        .iter()
+        .map(|d| {
+            families
+                .iter()
+                .position(|&f| f == d.family())
+                .unwrap_or_else(|| {
+                    families.push(d.family());
+                    families.len() - 1
+                })
+        })
+        .collect();
     let next = AtomicUsize::new(0);
     // One worker: claim generators until none is left, and return each
     // one's row of points under its index.
@@ -120,15 +139,23 @@ fn sweep_on_workers(
             let Some(generator) = generators.get(g) else {
                 return rows;
             };
+            let reports: Vec<(String, PrrRequirements)> = families
+                .iter()
+                .map(|&family| {
+                    let report = engine.synthesize(generator.as_ref(), family);
+                    let req = PrrRequirements::from_report(&report);
+                    (report.module, req)
+                })
+                .collect();
             let row = devices
                 .iter()
                 .zip(&handles)
-                .map(|(device, handle)| {
-                    let report = engine.synthesize(generator.as_ref(), device.family());
-                    let req = PrrRequirements::from_report(&report);
-                    let plan = engine.plan_on(&req, handle, &mut scratch);
+                .zip(&family_of)
+                .map(|((device, handle), &family)| {
+                    let (module, req) = &reports[family];
+                    let plan = engine.plan_on(req, handle, &mut scratch);
                     SweepPoint {
-                        module: report.module,
+                        module: module.clone(),
                         device: device.name().to_string(),
                         outcome: summarize(plan),
                     }
@@ -137,6 +164,7 @@ fn sweep_on_workers(
             rows.push((g, row));
         }
     };
+    let workers = workers.min(generators.len());
     let mut rows = std::thread::scope(|scope| {
         let others: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
         let mut rows = work();
@@ -315,6 +343,36 @@ mod tests {
         }
     }
 
+    /// A generator that records the thread of every `op_counts` call,
+    /// which fingerprinting and synthesis both make.
+    struct Traced(std::sync::Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>);
+
+    impl PrmGenerator for Traced {
+        fn name(&self) -> String {
+            Uart::standard().name()
+        }
+
+        fn op_counts(&self, family: fabric::Family) -> synth::mapping::OpCounts {
+            self.0.lock().unwrap().push(std::thread::current().id());
+            Uart::standard().op_counts(family)
+        }
+    }
+
+    /// No worker is started without a generator to claim: a one-generator
+    /// sweep asked for three workers synthesizes on the calling thread.
+    #[test]
+    fn a_one_generator_sweep_runs_on_the_calling_thread() {
+        let devices = fabric::all_devices();
+        let threads = std::sync::Arc::default();
+        let gens: Vec<Box<dyn PrmGenerator + Sync>> =
+            vec![Box::new(Traced(std::sync::Arc::clone(&threads)))];
+        let run = sweep_on_workers(&Engine::new(), &gens, &devices, 3);
+        assert_eq!(run.points.len(), devices.len());
+        let threads = threads.lock().unwrap();
+        assert!(!threads.is_empty());
+        assert!(threads.iter().all(|&t| t == std::thread::current().id()));
+    }
+
     #[test]
     fn engine_sweep_matches_uncached_sweep() {
         let devices = fabric::all_devices();
@@ -331,7 +389,8 @@ mod tests {
         let run = sweep_with_engine(&engine, &generators(), &devices);
         assert_eq!(run.points.len(), 3 * devices.len());
         let c = &run.metrics.counters;
-        // One synthesis per (generator, family), the rest memo hits.
+        // One synthesis request per (generator, family), each a build on
+        // the cold engine.
         let families = devices
             .iter()
             .map(|d| d.family())
@@ -342,7 +401,10 @@ mod tests {
                 acc
             });
         assert_eq!(c.synth_calls, 3 * families.len() as u64);
-        assert_eq!(c.synth_calls + c.synth_cache_hits, 3 * devices.len() as u64);
+        assert_eq!(
+            c.synth_calls + c.synth_cache_hits,
+            3 * families.len() as u64
+        );
         assert_eq!(c.geometry_builds, devices.len() as u64);
         assert_eq!(c.plans, run.points.len() as u64);
         assert!(c.window_probes > 0);

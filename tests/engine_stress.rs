@@ -4,10 +4,14 @@
 //! oracle pass proving every concurrent answer equals direct planning,
 //! and a concurrent snapshot reader exercising the documented
 //! [`prcost::Metrics::snapshot`] ordering guarantee (parts never exceed
-//! totals, even mid-flight).
+//! totals, and the tally-recorded `plan` stage stays self-consistent,
+//! even mid-flight).
 
+use prfpga::prcost::metrics::StageSnapshot;
 use prfpga::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
+use std::time::{Duration, Instant};
 use synth::prm::{AesEngine, FftCore, FirFilter, MipsCore, SdramController, Uart};
 use synth::GenericPrm;
 
@@ -152,10 +156,6 @@ fn concurrent_plans_equal_serial_oracle() {
     }
 }
 
-/// Races in which no snapshot caught the planners mid-run are repeated
-/// on a fresh engine, at most this many times in all.
-const RACE_ATTEMPTS: usize = 5;
-
 /// Bugfix regression (metrics snapshot consistency): a snapshot taken
 /// *while* 16 threads plan must never show a part exceeding its total —
 /// the engine bumps totals before parts and the snapshot reads every
@@ -163,35 +163,32 @@ const RACE_ATTEMPTS: usize = 5;
 /// `builds + hits <= plans` and (every geometry lookup here comes from
 /// a plan) `geometry builds + hits <= plans` hold in every mid-flight
 /// snapshot even though the snapshot is not a point-in-time copy.
-///
-/// A race counts only if at least one snapshot caught the planners
-/// mid-run; one that did not checked nothing, and is run again.
 #[test]
 fn snapshot_invariants_hold_under_concurrent_load() {
     let devices = fabric::all_devices();
-    let points = stress_points(&devices);
-    let raced = (0..RACE_ATTEMPTS).any(|_| race_snapshots(&points, false) > 0);
-    assert!(
-        raced,
-        "no snapshot caught the planners mid-run in {RACE_ATTEMPTS} races"
-    );
+    race_snapshots(&stress_points(&devices), false);
 }
 
 /// One race on a fresh engine: the planners and a snapshotter start
 /// together behind a barrier, and the snapshotter checks every snapshot
 /// until one shows all plans done. With `churn`, each planner replaces
-/// its scratch every round, with a fresh one or a clone. Returns how many
-/// snapshots caught the planners mid-run (`0 < plans < total`; `plans` is
-/// read last, so every part of such a snapshot was read before the
-/// planners finished).
-fn race_snapshots(points: &[(SynthReport, Device)], churn: bool) -> u64 {
+/// its scratch every round, with a fresh one or a clone. At least one
+/// snapshot must catch the planners mid-run (`0 < plans < total`; `plans`
+/// is read last, so every part of such a snapshot was read before the
+/// planners finished): planner 0 holds the run open after its first
+/// round until one has. Otherwise a race whose planners never block
+/// could end before the snapshotter first runs, and check nothing. The
+/// hold gives up after five seconds, so a snapshotter that failed its
+/// checks cannot hang the test.
+fn race_snapshots(points: &[(SynthReport, Device)], churn: bool) {
     let engine = Engine::new();
     let total = (THREADS * ROUNDS * points.len()) as u64;
     let start = Barrier::new(THREADS + 1);
+    let caught = AtomicBool::new(false);
 
     let mid_run = std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let (engine, start) = (&engine, &start);
+            let (engine, start, caught) = (&engine, &start, &caught);
             scope.spawn(move || {
                 start.wait();
                 let mut scratch = PlanScratch::default();
@@ -206,16 +203,26 @@ fn race_snapshots(points: &[(SynthReport, Device)], churn: bool) -> u64 {
                         let (report, device) = &points[(i + t * 11 + round) % points.len()];
                         let _ = engine.plan_with_scratch(report, device, &mut scratch);
                     }
+                    if t == 0 && round == 0 {
+                        let held = Instant::now();
+                        while !caught.load(Ordering::Relaxed)
+                            && held.elapsed() < Duration::from_secs(5)
+                        {
+                            std::thread::yield_now();
+                        }
+                    }
                 }
             });
         }
 
-        let (engine, start) = (&engine, &start);
+        let (engine, start, caught) = (&engine, &start, &caught);
         let snapshotter = scope.spawn(move || {
             start.wait();
             let mut mid_run = 0u64;
             loop {
-                let c = engine.snapshot().counters;
+                let snap = engine.snapshot();
+                check_plan_stage(&snap);
+                let c = snap.counters;
                 assert!(
                     c.plans_feasible + c.plans_infeasible <= c.plans,
                     "outcome parts exceeded plans: {} + {} > {}",
@@ -243,21 +250,50 @@ fn race_snapshots(points: &[(SynthReport, Device)], churn: bool) -> u64 {
                 }
                 if c.plans > 0 {
                     mid_run += 1;
+                    caught.store(true, Ordering::Relaxed);
                 }
             }
             mid_run
         });
         snapshotter.join().expect("snapshotter panicked")
     });
+    assert!(mid_run > 0, "no snapshot caught the planners mid-run");
 
-    // After the race, the exact invariants hold again.
-    let c = engine.snapshot().counters;
+    // After the race, the exact invariants hold again. Every build
+    // searched once, and so did every racer that lost its insert.
+    let snap = engine.snapshot();
+    let plan = check_plan_stage(&snap).expect("the planners searched");
+    assert_eq!(plan.buckets.iter().sum::<u64>(), plan.count);
+    let c = snap.counters;
+    assert!(plan.count >= c.plan_builds);
     assert_eq!(c.plans, total, "every plan counted once");
     assert_eq!(c.plans_feasible + c.plans_infeasible, c.plans);
     assert_eq!(c.plan_builds + c.plan_cache_hits, c.plans);
     assert_eq!(c.geometry_builds + c.geometry_cache_hits, c.plans);
     assert_eq!(c.plan_builds, points.len() as u64);
-    mid_run
+}
+
+/// The `plan` stage of a snapshot, checked: the searches record it in
+/// their scratches' tallies, bucket before count, and the snapshot reads
+/// each tally's count first, so even mid-flight the count never exceeds
+/// the bucket sum and every quantile lies within `[min_ns, max_ns]`.
+fn check_plan_stage(snap: &MetricsSnapshot) -> Option<&StageSnapshot> {
+    let plan = snap.stages.iter().find(|s| s.name == "plan")?;
+    let buckets: u64 = plan.buckets.iter().sum();
+    assert!(
+        plan.count <= buckets,
+        "plan stage counted {} samples in {buckets} bucket entries",
+        plan.count
+    );
+    for q in [plan.p50_ns, plan.p90_ns, plan.p99_ns] {
+        assert!(
+            (plan.min_ns..=plan.max_ns).contains(&q),
+            "plan stage quantile {q} outside [{}, {}]",
+            plan.min_ns,
+            plan.max_ns
+        );
+    }
+    Some(plan)
 }
 
 /// The per-scratch tallies under churn: every round, each planner drops
@@ -270,10 +306,5 @@ fn race_snapshots(points: &[(SynthReport, Device)], churn: bool) -> u64 {
 #[test]
 fn snapshot_invariants_hold_while_scratches_churn() {
     let devices = fabric::all_devices();
-    let points = stress_points(&devices);
-    let raced = (0..RACE_ATTEMPTS).any(|_| race_snapshots(&points, true) > 0);
-    assert!(
-        raced,
-        "no snapshot caught the planners mid-run in {RACE_ATTEMPTS} races"
-    );
+    race_snapshots(&stress_points(&devices), true);
 }
